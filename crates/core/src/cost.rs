@@ -15,7 +15,7 @@
 //! recomputation as the delta fraction grows.
 
 use crate::rewrite::{normalize_view, TopShape};
-use gpivot_algebra::plan::Plan;
+use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::SchemaProvider;
 use gpivot_storage::Catalog;
 use std::collections::BTreeMap;
@@ -98,22 +98,26 @@ pub fn estimate_eval_cost(plan: &Plan, stats: &CatalogStats) -> f64 {
         .sum::<f64>()
 }
 
-/// Cost of propagating a delta of `delta_rows` through a relational core:
-/// each join term probes the partner side once per maintenance run, plus
-/// per-delta-row hash work.
+/// Cost of propagating a delta of `delta_rows` through a relational core.
+///
+/// A join term looks the delta's join keys up in the partner side's hash
+/// indexes (`PropagationCtx::eval_pre_matching`), so it costs the delta
+/// times the join's fan-out — not a pass over the partner. The partner is
+/// charged in full only for the shapes the restricted evaluator cannot
+/// push a key restriction through ([`fallback_scan_cost`]).
 fn propagate_cost(core: &Plan, stats: &CatalogStats, delta_rows: f64) -> f64 {
     match core {
         Plan::Scan { .. } => delta_rows,
         Plan::Join { left, right, .. } => {
             // One side carries the delta (we cannot know which; assume the
             // larger subtree is the delta'd fact side, which holds for the
-            // paper's star joins): delta joins against the partner's
-            // pre-state, which must be produced once.
-            let partner = estimate_rows(right, stats).min(estimate_rows(left, stats));
-            propagate_cost(left, stats, delta_rows)
-                + propagate_cost(right, stats, 0.0).min(partner)
-                + partner
-                + delta_rows
+            // paper's star joins).
+            let (l, r) = (estimate_rows(left, stats), estimate_rows(right, stats));
+            let (delta_side, partner) = if l >= r { (left, right) } else { (right, left) };
+            let fan_out = (estimate_rows(core, stats) / l.max(r)).max(1.0);
+            propagate_cost(delta_side, stats, delta_rows)
+                + fallback_scan_cost(partner, stats)
+                + delta_rows * fan_out
         }
         other => {
             delta_rows
@@ -124,6 +128,38 @@ fn propagate_cost(core: &Plan, stats: &CatalogStats, delta_rows: f64) -> f64 {
                     .sum::<f64>()
         }
     }
+}
+
+/// What fetching the pre-state rows of `plan` that match a key set costs
+/// beyond the per-key probes: nothing where the restriction pushes down to
+/// base-table index probes, a full evaluation for the shapes that take
+/// `eval_pre_matching`'s fallback arm (outer joins, `Union`, `Diff`,
+/// `GUnpivot`).
+fn fallback_scan_cost(plan: &Plan, stats: &CatalogStats) -> f64 {
+    match plan {
+        Plan::Scan { .. } => 0.0,
+        Plan::Select { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::GroupBy { input, .. }
+        | Plan::GPivot { input, .. } => fallback_scan_cost(input, stats),
+        Plan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            ..
+        } => fallback_scan_cost(left, stats) + fallback_scan_cost(right, stats),
+        _ => estimate_eval_cost(plan, stats),
+    }
+}
+
+/// Cost of the insert/delete rule of an intermediate GROUPBY / GPIVOT
+/// `node` over `input`: fetch the affected groups' input rows by probe,
+/// then aggregate / pivot them once from the pre and once from the post
+/// state.
+fn affected_groups_cost(node: &Plan, input: &Plan, stats: &CatalogStats, delta_rows: f64) -> f64 {
+    let input_rows = estimate_rows(input, stats);
+    let rows_per_group = input_rows / estimate_rows(node, stats);
+    fallback_scan_cost(input, stats) + 2.0 * (delta_rows * rows_per_group).min(input_rows)
 }
 
 /// Estimated refresh cost of one strategy at an expected delta size, in
@@ -143,23 +179,23 @@ pub fn estimate_refresh_cost<P: SchemaProvider>(
         Recompute => Some(estimate_eval_cost(view, stats) + view_rows),
         InsertDelete => {
             // Propagation through the original tree; an intermediate pivot
-            // or group-by re-derives affected portions from pre AND post
-            // states (two extra passes over its input).
+            // or group-by re-derives its affected groups from pre AND post
+            // states.
             let mut cost = propagate_cost(view, stats, delta_rows);
-            fn extra_passes(plan: &Plan, stats: &CatalogStats) -> f64 {
+            fn regroup(plan: &Plan, stats: &CatalogStats, delta_rows: f64) -> f64 {
                 let own = match plan {
                     Plan::GPivot { input, .. } | Plan::GroupBy { input, .. } => {
-                        2.0 * estimate_rows(input, stats)
+                        affected_groups_cost(plan, input, stats, delta_rows)
                     }
                     _ => 0.0,
                 };
                 own + plan
                     .children()
                     .iter()
-                    .map(|c| extra_passes(c, stats))
+                    .map(|c| regroup(c, stats, delta_rows))
                     .sum::<f64>()
             }
-            cost += extra_passes(view, stats);
+            cost += regroup(view, stats, delta_rows);
             // Apply: delete + re-insert every affected view row.
             cost += 2.0 * delta_rows;
             Some(cost)
@@ -182,13 +218,12 @@ pub fn estimate_refresh_cost<P: SchemaProvider>(
                     return None;
                 };
                 // Propagation + in-place merge + candidate-key recompute
-                // (one restricted post-state pass over the delta'd table).
-                let fact = core
-                    .base_tables()
-                    .iter()
-                    .map(|t| stats.table_rows(t))
-                    .fold(0.0_f64, f64::max);
-                Some(propagate_cost(core, stats, delta_rows) + delta_rows + fact * 0.5)
+                // (the candidates' core rows, fetched by probe).
+                Some(
+                    propagate_cost(core, stats, delta_rows)
+                        + 2.0 * delta_rows
+                        + fallback_scan_cost(core, stats),
+                )
             }
             _ => None,
         },
@@ -214,11 +249,11 @@ pub fn estimate_refresh_cost<P: SchemaProvider>(
                 let Plan::GroupBy { input: core, .. } = gb.as_ref() else {
                     return None;
                 };
-                // Affected-group recomputation = pre + post passes over the
-                // group-by input.
+                // Affected-group recomputation from the pre and post states
+                // of the group-by input.
                 Some(
                     propagate_cost(core, stats, delta_rows)
-                        + 2.0 * estimate_rows(core, stats)
+                        + affected_groups_cost(gb, core, stats, delta_rows)
                         + 2.0 * delta_rows,
                 )
             }
@@ -381,6 +416,77 @@ mod tests {
         let pushdown =
             estimate_refresh_cost(&view, Strategy::SelectPushdownUpdate, &s, &p, 100.0).unwrap();
         assert!(combined < pushdown);
+    }
+
+    /// The paper's view (1) at harness scale 1: `GPIVOT(π lineitem) ⋈
+    /// orders ⋈ customer`.
+    #[test]
+    fn indexed_delta_joins_move_the_view1_crossover_later() {
+        let mut p = BTreeMap::new();
+        let table = |cols: &[(&str, DataType)], key: &[&str]| -> SchemaRef {
+            Arc::new(Schema::from_pairs_keyed(cols, key).unwrap())
+        };
+        p.insert(
+            "lineitem".to_string(),
+            table(
+                &[
+                    ("l_orderkey", DataType::Int),
+                    ("l_linenumber", DataType::Int),
+                    ("l_extendedprice", DataType::Float),
+                ],
+                &["l_orderkey", "l_linenumber"],
+            ),
+        );
+        p.insert(
+            "orders".to_string(),
+            table(
+                &[("o_orderkey", DataType::Int), ("o_custkey", DataType::Int)],
+                &["o_orderkey"],
+            ),
+        );
+        p.insert(
+            "customer".to_string(),
+            table(&[("c_custkey", DataType::Int)], &["c_custkey"]),
+        );
+        let s = CatalogStats::default()
+            .with_table("lineitem", 60_000.0)
+            .with_table("orders", 15_000.0)
+            .with_table("customer", 1_500.0);
+        let view1 = Plan::scan("lineitem")
+            .gpivot(PivotSpec::simple(
+                "l_linenumber",
+                "l_extendedprice",
+                vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+            ))
+            .join(Plan::scan("orders"), vec![("l_orderkey", "o_orderkey")])
+            .join(Plan::scan("customer"), vec![("o_custkey", "c_custkey")]);
+
+        let cost =
+            |strategy, delta| estimate_refresh_cost(&view1, strategy, &s, &p, delta).unwrap();
+        // Bisect for the delta size at which PivotUpdate stops winning.
+        let (mut lo, mut hi) = (1.0_f64, 1e7_f64);
+        assert!(cost(Strategy::PivotUpdate, lo) < cost(Strategy::Recompute, lo));
+        assert!(cost(Strategy::PivotUpdate, hi) > cost(Strategy::Recompute, hi));
+        while hi - lo > 1.0 {
+            let mid = (lo + hi) / 2.0;
+            if cost(Strategy::PivotUpdate, mid) < cost(Strategy::Recompute, mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // When each join term was charged a pass over its partner side
+        // (orders: 15 000, customer: 1 500 — what propagation cost before
+        // it probed indexes) the same bisection gave 49 125 rows, 82 % of
+        // lineitem: `4δ + 16 500 = 213 000`. Now `4δ = 213 000`.
+        let before = 49_125.0;
+        assert!(
+            lo > before,
+            "crossover {lo} rows did not move past the full-scan model's {before}"
+        );
+        // And with no fixed cost left, any small delta is worth
+        // maintaining incrementally.
+        assert!(cost(Strategy::PivotUpdate, 1.0) < 10.0);
     }
 
     #[test]

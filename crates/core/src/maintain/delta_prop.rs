@@ -7,9 +7,10 @@
 //! * The catalog holds the **pre-update** state; source deltas are the
 //!   pending changes. `propagate(plan)` returns `Δ(plan) = plan(post) −
 //!   plan(pre)` as a signed multiset.
-//! * Join propagation uses the exact bag identity
-//!   `Δ(A ⋈ B) = ΔA ⋈ B_pre ⊎ A_post ⋈ ΔB` — only the sides whose deltas
-//!   are non-empty are ever materialized.
+//! * Join propagation uses the exact three-term bag identity
+//!   `Δ(A ⋈ B) = ΔA ⋈ B_pre ⊎ A_pre ⋈ ΔB ⊎ ΔA ⋈ ΔB` (signed weights
+//!   multiply in the last term). Only pre states appear, and only the rows
+//!   of them a delta's join keys can reach are ever fetched.
 //! * `GROUPBY` inside the tree uses the insert/delete rules of \[18\]:
 //!   identify affected groups, recompute them from pre and post states, and
 //!   emit delete+insert pairs — exactly the "costly identification and then
@@ -20,16 +21,28 @@
 //!   the expensive path the GPIVOT pullup exists to avoid.
 //! * `GUNPIVOT` is linear (Fig. 22's union-distribution): the delta is
 //!   unpivoted row-wise.
+//!
+//! Every rule that needs pre-state rows gets them from one primitive,
+//! [`PropagationCtx::eval_pre_matching`]: evaluate a subplan keeping only
+//! the rows whose projection onto some columns is in a key set, with the
+//! restriction pushed down to hash-index probes on the base tables
+//! ([`Table::index_on`]) — the index lookups the paper assumes of its host
+//! DBMS (§6.2, §7). Propagation therefore costs O(|Δ| · fan-out), not
+//! O(|base|).
 
 use crate::error::{CoreError, Result};
 use crate::maintain::SourceDeltas;
 use gpivot_algebra::plan::{JoinKind, Plan};
-use gpivot_algebra::AggFunc;
+use gpivot_algebra::{AggFunc, Expr};
 use gpivot_exec::pivot::{PivotLayout, UnpivotLayout};
-use gpivot_exec::{Executor, Overlay};
-use gpivot_storage::{Catalog, Delta, Row, Table, Value};
+use gpivot_exec::{Executor, Overlay, TableProvider};
+use gpivot_storage::{Catalog, Delta, Row, Schema, Table, Value};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+
+/// Overlay names of the restricted children a single operator node runs
+/// over in [`PropagationCtx::eval_pre_matching`].
+const RESTRICTED: [&str; 2] = ["__restricted_0", "__restricted_1"];
 
 /// Propagation context: pre-state catalog plus pending source deltas,
 /// and the [`Executor`] every pre/post subplan evaluation runs on (so the
@@ -64,12 +77,16 @@ impl<'a> PropagationCtx<'a> {
         &self.exec
     }
 
-    /// Total operator-output rows evaluated so far (the sum of
-    /// `ExecTrace::total_rows` over every [`PropagationCtx::eval_pre`] /
-    /// [`PropagationCtx::eval_post`] call) — the propagate phase's work
+    /// Total operator-output rows evaluated so far, over every
+    /// [`PropagationCtx::eval_pre_matching`] / [`PropagationCtx::eval_pre`]
+    /// / [`PropagationCtx::eval_post`] call — the propagate phase's work
     /// proxy surfaced in `MaintenanceOutcome::rows_propagated`.
     pub fn rows_evaluated(&self) -> usize {
         self.rows_evaluated.get()
+    }
+
+    fn count_rows(&self, rows: usize) {
+        self.rows_evaluated.set(self.rows_evaluated.get() + rows);
     }
 
     /// Does any base table under `plan` have a pending delta?
@@ -79,12 +96,180 @@ impl<'a> PropagationCtx<'a> {
             .any(|t| self.deltas.delta(t).is_some_and(|d| !d.is_empty()))
     }
 
-    /// Evaluate a subplan against the pre-update state.
+    /// Evaluate a subplan against the pre-update state, in full. The
+    /// maintenance rules use [`PropagationCtx::eval_pre_matching`]; this is
+    /// its fallback arm, the `Diff` rule and the test oracle.
     pub fn eval_pre(&self, plan: &Plan) -> Result<Table> {
         let (table, trace) = self.exec.run_traced(plan, self.catalog)?;
-        self.rows_evaluated
-            .set(self.rows_evaluated.get() + trace.total_rows());
+        self.count_rows(trace.total_rows());
         Ok(table)
+    }
+
+    /// Evaluate `plan` against the pre-update state, keeping only the rows
+    /// whose projection onto `cols` (output column names) is in `keys` —
+    /// bag-equal to filtering [`PropagationCtx::eval_pre`], but with the
+    /// restriction pushed down so the work follows `keys`, not the base
+    /// tables:
+    ///
+    /// * `Scan` probes the table's hash index on `cols`
+    ///   ([`Table::index_on`]), resolved through the provider so the
+    ///   `Scan` fault site fires as for any scan;
+    /// * `Select` passes the restriction through; `Project` passes it
+    ///   through pass-through columns (`Expr::Col`), renaming `cols`;
+    /// * `GroupBy` / `GPivot` pass it through when `cols` are group keys /
+    ///   pivot `K` columns (whole groups are in or out);
+    /// * an inner `Join` restricts the side carrying `cols`, collects that
+    ///   result's non-`NULL` join keys, restricts the other side by them,
+    ///   and joins the two small results;
+    /// * anything else — a computed column, an outer join, `cols` spanning
+    ///   both join sides, `Union`/`Diff`/`GUnpivot` — evaluates the node in
+    ///   full and filters: the same function's degenerate case.
+    ///
+    /// Each operator above a restricted child is run by the executor's own
+    /// kernel, as that single node over an [`Overlay`] holding the child —
+    /// operator semantics are never re-implemented here. `keys` match by
+    /// [`Value`]'s `Hash`/`Eq` (`NULL` = `NULL`, as GROUPBY needs); join
+    /// rules strip `NULL`-bearing keys before calling.
+    pub fn eval_pre_matching(
+        &self,
+        plan: &Plan,
+        cols: &[String],
+        keys: &HashSet<Row>,
+    ) -> Result<Table> {
+        let _s = tracing::span("maintain.probe").enter();
+        self.restrict(plan, cols, keys)
+    }
+
+    fn restrict(&self, plan: &Plan, cols: &[String], keys: &HashSet<Row>) -> Result<Table> {
+        let subset_of = |names: &[String]| cols.iter().all(|c| names.contains(c));
+        let stub = |i: usize| Box::new(Plan::scan(RESTRICTED[i]));
+        match plan {
+            Plan::Scan { table } => {
+                let base = self.catalog.get_table(table)?;
+                let index = base.index_on(&positions(base.schema(), cols)?);
+                let rows: Vec<Row> = keys.iter().flat_map(|k| index.get(k)).cloned().collect();
+                self.count_rows(rows.len());
+                Ok(Table::bag(base.schema().clone(), rows))
+            }
+            Plan::Select { input, predicate } => {
+                let child = self.restrict(input, cols, keys)?;
+                let node = Plan::Select {
+                    input: stub(0),
+                    predicate: predicate.clone(),
+                };
+                self.run_node(node, [child])
+            }
+            Plan::Project { input, items } => {
+                // Each restricted column must be a pure pass-through.
+                let renamed: Option<Vec<String>> = cols
+                    .iter()
+                    .map(|c| {
+                        items.iter().find_map(|(e, name)| match e {
+                            Expr::Col(from) if name == c => Some(from.clone()),
+                            _ => None,
+                        })
+                    })
+                    .collect();
+                let Some(renamed) = renamed else {
+                    return self.eval_pre_filtered(plan, cols, keys);
+                };
+                let child = self.restrict(input, &renamed, keys)?;
+                let node = Plan::Project {
+                    input: stub(0),
+                    items: items.clone(),
+                };
+                self.run_node(node, [child])
+            }
+            Plan::GroupBy {
+                input,
+                group_by,
+                aggs,
+            } if subset_of(group_by) => {
+                let child = self.restrict(input, cols, keys)?;
+                let node = Plan::GroupBy {
+                    input: stub(0),
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                };
+                self.run_node(node, [child])
+            }
+            Plan::GPivot { input, spec }
+                if subset_of(&spec.validate(&*input.schema(self.catalog)?)?) =>
+            {
+                let child = self.restrict(input, cols, keys)?;
+                let node = Plan::GPivot {
+                    input: stub(0),
+                    spec: spec.clone(),
+                };
+                self.run_node(node, [child])
+            }
+            Plan::Join {
+                left,
+                right,
+                kind: JoinKind::Inner,
+                on,
+                residual,
+            } => {
+                let (left_on, right_on): (Vec<String>, Vec<String>) = on.iter().cloned().unzip();
+                let has_cols = |side: &Plan| -> Result<bool> {
+                    let schema = side.schema(self.catalog)?;
+                    Ok(cols.iter().all(|c| schema.index_of(c).is_ok()))
+                };
+                // Restrict the side carrying `cols`, then the other side
+                // by the join keys that survived.
+                let (l, r) = if has_cols(left)? {
+                    let l = self.restrict(left, cols, keys)?;
+                    let r = self.restrict(right, &right_on, &join_keys(&l, &left_on)?)?;
+                    (l, r)
+                } else if has_cols(right)? {
+                    let r = self.restrict(right, cols, keys)?;
+                    let l = self.restrict(left, &left_on, &join_keys(&r, &right_on)?)?;
+                    (l, r)
+                } else {
+                    return self.eval_pre_filtered(plan, cols, keys);
+                };
+                let node = Plan::Join {
+                    left: stub(0),
+                    right: stub(1),
+                    kind: JoinKind::Inner,
+                    on: on.clone(),
+                    residual: residual.clone(),
+                };
+                self.run_node(node, [l, r])
+            }
+            _ => self.eval_pre_filtered(plan, cols, keys),
+        }
+    }
+
+    /// Run one operator `node`, whose inputs are [`RESTRICTED`] scans, over
+    /// the already restricted `children`.
+    fn run_node<const N: usize>(&self, node: Plan, children: [Table; N]) -> Result<Table> {
+        let mut overlay = Overlay::new(self.catalog);
+        for (name, child) in RESTRICTED.iter().zip(children) {
+            overlay.put(*name, child);
+        }
+        let out = self.exec.run(&node, &overlay)?;
+        // The children were counted when they were produced.
+        self.count_rows(out.len());
+        Ok(out)
+    }
+
+    /// The fallback arm of [`PropagationCtx::eval_pre_matching`]: evaluate
+    /// `plan` in full, then filter.
+    fn eval_pre_filtered(
+        &self,
+        plan: &Plan,
+        cols: &[String],
+        keys: &HashSet<Row>,
+    ) -> Result<Table> {
+        let full = self.eval_pre(plan)?;
+        let idx = positions(full.schema(), cols)?;
+        let rows = full
+            .iter()
+            .filter(|r| keys.contains(&r.project(&idx)))
+            .cloned()
+            .collect();
+        Ok(Table::bag(full.schema().clone(), rows))
     }
 
     /// Evaluate a subplan against the post-update state (pre ⊕ deltas).
@@ -99,10 +284,31 @@ impl<'a> PropagationCtx<'a> {
             }
         }
         let (table, trace) = self.exec.run_traced(plan, &overlay)?;
-        self.rows_evaluated
-            .set(self.rows_evaluated.get() + trace.total_rows());
+        self.count_rows(trace.total_rows());
         Ok(table)
     }
+}
+
+/// Positions of the named columns in `schema`.
+fn positions(schema: &Schema, cols: &[String]) -> Result<Vec<usize>> {
+    Ok(cols
+        .iter()
+        .map(|c| schema.index_of(c))
+        .collect::<gpivot_storage::Result<_>>()?)
+}
+
+/// The distinct join keys of `rows` on the named columns, without the
+/// `NULL`-bearing ones (which never join).
+fn join_keys(rows: &Table, on: &[String]) -> Result<HashSet<Row>> {
+    let idx = positions(rows.schema(), on)?;
+    Ok(non_null_keys(rows.iter(), &idx))
+}
+
+/// Distinct `NULL`-free projections of `rows` onto `idx`.
+fn non_null_keys<'r>(rows: impl Iterator<Item = &'r Row>, idx: &[usize]) -> HashSet<Row> {
+    rows.map(|r| r.project(idx))
+        .filter(|k| !k.iter().any(Value::is_null))
+        .collect()
 }
 
 /// Build the post-update state of one table as a bag (pre ⊕ delta).
@@ -175,40 +381,46 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
             }
             let dl = propagate(left, ctx)?;
             let dr = propagate(right, ctx)?;
-            let ls = left.schema(ctx.catalog)?;
-            let rs = right.schema(ctx.catalog)?;
-            let left_on: Vec<usize> = on
-                .iter()
-                .map(|(l, _)| ls.index_of(l))
-                .collect::<gpivot_storage::Result<_>>()?;
-            let right_on: Vec<usize> = on
-                .iter()
-                .map(|(_, r)| rs.index_of(r))
-                .collect::<gpivot_storage::Result<_>>()?;
+            let (left_names, right_names): (Vec<String>, Vec<String>) = on.iter().cloned().unzip();
+            let left_on = positions(&*left.schema(ctx.catalog)?, &left_names)?;
+            let right_on = positions(&*right.schema(ctx.catalog)?, &right_names)?;
             let out_schema = plan.schema(ctx.catalog)?;
             let bound_res = residual.as_ref().map(|e| e.bind(&out_schema)).transpose()?;
 
             let mut out = Delta::new();
-            // ΔA ⋈ B_pre
+            // ΔA ⋈ B_pre: probe B with ΔA's join keys.
             if !dl.is_empty() {
-                let b_pre = ctx.eval_pre(right)?;
+                let keys = non_null_keys(dl.iter().map(|(r, _)| r), &left_on);
+                let b_pre = ctx.eval_pre_matching(right, &right_names, &keys)?;
                 delta_join_into(
                     &dl,
                     &left_on,
-                    &b_pre,
+                    b_pre.iter().map(|r| (r, 1)),
                     &right_on,
                     /*delta_left=*/ true,
                     bound_res.as_ref(),
                     &mut out,
                 );
             }
-            // A_post ⋈ ΔB
+            // A_post ⋈ ΔB = A_pre ⋈ ΔB ⊎ ΔA ⋈ ΔB: probe A with ΔB's join
+            // keys, then correct by the (small) delta–delta join, whose
+            // signed weights multiply.
             if !dr.is_empty() {
-                let a_post = ctx.eval_post(left)?;
+                let keys = non_null_keys(dr.iter().map(|(r, _)| r), &right_on);
+                let a_pre = ctx.eval_pre_matching(left, &left_names, &keys)?;
                 delta_join_into(
                     &dr,
                     &right_on,
-                    &a_post,
+                    a_pre.iter().map(|r| (r, 1)),
+                    &left_on,
+                    /*delta_left=*/ false,
+                    bound_res.as_ref(),
+                    &mut out,
+                );
+                delta_join_into(
+                    &dr,
+                    &right_on,
+                    dl.iter().map(|(r, &w)| (r, w)),
                     &left_on,
                     /*delta_left=*/ false,
                     bound_res.as_ref(),
@@ -229,23 +441,13 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
             }
             // Insert/delete rules of [18]: recompute affected groups.
             let in_schema = input.schema(ctx.catalog)?;
-            let group_idx: Vec<usize> = group_by
-                .iter()
-                .map(|g| in_schema.index_of(g))
-                .collect::<gpivot_storage::Result<_>>()?;
+            let group_idx = positions(&in_schema, group_by)?;
             let affected: HashSet<Row> = din.distinct_values_at(&group_idx).into_iter().collect();
 
-            let pre_in = ctx.eval_pre(input)?;
-            let post_in = apply_delta_to_bag(&pre_in, &din);
-            let restrict = |t: &Table| -> Table {
-                Table::bag(
-                    t.schema().clone(),
-                    t.iter()
-                        .filter(|r| affected.contains(&r.project(&group_idx)))
-                        .cloned()
-                        .collect(),
-                )
-            };
+            // Only the affected groups' input rows are fetched; every row
+            // of `din` belongs to one of them.
+            let pre_in = ctx.eval_pre_matching(input, group_by, &affected)?;
+            let post_in = post_state_table(&pre_in, &din);
             let out_schema = plan.schema(ctx.catalog)?;
             let agg_inputs: Vec<usize> = aggs
                 .iter()
@@ -258,14 +460,14 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                 })
                 .collect::<gpivot_storage::Result<_>>()?;
             let old_groups = gpivot_exec::group::hash_group_by(
-                &restrict(&pre_in),
+                &pre_in,
                 &group_idx,
                 aggs,
                 &agg_inputs,
                 out_schema.clone(),
             )?;
             let new_groups = gpivot_exec::group::hash_group_by(
-                &restrict(&post_in),
+                &post_in,
                 &group_idx,
                 aggs,
                 &agg_inputs,
@@ -316,21 +518,19 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                 .into_iter()
                 .collect();
 
-            let pre_in = ctx.eval_pre(input)?;
-            let post_in = apply_delta_to_bag(&pre_in, &din);
-            let restrict = |t: &Table| -> Table {
-                Table::bag(
-                    t.schema().clone(),
-                    t.iter()
-                        .filter(|r| affected.contains(&r.project(&layout.k_idx)))
-                        .cloned()
-                        .collect(),
-                )
-            };
+            // Fetch the affected keys' pre-state input rows, and form their
+            // post state from the part of `din` that touches those keys.
+            let k_names: Vec<String> = layout
+                .k_idx
+                .iter()
+                .map(|&i| in_schema.field_at(i).name.clone())
+                .collect();
+            let pre_in = ctx.eval_pre_matching(input, &k_names, &affected)?;
+            let din_affected = din.filter_rows(|r| affected.contains(&r.project(&layout.k_idx)));
+            let post_in = post_state_table(&pre_in, &din_affected);
             let out_schema = plan.schema(ctx.catalog)?;
-            let old_rows =
-                gpivot_exec::pivot::gpivot(&restrict(&pre_in), spec, out_schema.clone())?;
-            let new_rows = gpivot_exec::pivot::gpivot(&restrict(&post_in), spec, out_schema)?;
+            let old_rows = gpivot_exec::pivot::gpivot(&pre_in, spec, out_schema.clone())?;
+            let new_rows = gpivot_exec::pivot::gpivot(&post_in, spec, out_schema)?;
             let mut out = Delta::from_deletes(old_rows.rows().iter().cloned());
             out.merge(&Delta::from_inserts(new_rows.rows().iter().cloned()));
             Ok(out)
@@ -362,20 +562,17 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
     }
 }
 
-/// Apply a signed delta to an evaluated bag.
-pub fn apply_delta_to_bag(pre: &Table, delta: &Delta) -> Table {
-    post_state_table(pre, delta)
-}
-
-/// `delta ⋈ table`, accumulating signed joined rows into `out`.
+/// `delta ⋈ other`, accumulating signed joined rows into `out`. `other`
+/// is a bag of weighted rows: a fetched pre state (every weight 1) or the
+/// other side's delta (signed weights, which multiply with `delta`'s).
 ///
 /// `delta_left` selects the output column order: `true` → delta columns
-/// first (delta is the plan's left side), `false` → table columns first.
-fn delta_join_into(
+/// first (delta is the plan's left side), `false` → `other`'s first.
+fn delta_join_into<'r>(
     delta: &Delta,
     delta_on: &[usize],
-    table: &Table,
-    table_on: &[usize],
+    other: impl Iterator<Item = (&'r Row, i64)>,
+    other_on: &[usize],
     delta_left: bool,
     residual: Option<&gpivot_algebra::BoundExpr>,
     out: &mut Delta,
@@ -389,8 +586,8 @@ fn delta_join_into(
         }
         build.entry(key).or_default().push((row, w));
     }
-    for trow in table.iter() {
-        let key = trow.project(table_on);
+    for (orow, ow) in other {
+        let key = orow.project(other_on);
         if key.iter().any(Value::is_null) {
             continue;
         }
@@ -399,12 +596,12 @@ fn delta_join_into(
         };
         for (drow, w) in matches {
             let joined = if delta_left {
-                drow.concat(trow)
+                drow.concat(orow)
             } else {
-                trow.concat(drow)
+                orow.concat(drow)
             };
             if residual.map(|p| p.holds(&joined)).unwrap_or(true) {
-                out.add(joined, *w);
+                out.add(joined, *w * ow);
             }
         }
     }
@@ -512,6 +709,110 @@ mod tests {
         d.delete_rows("names", vec![row![2, "two"]]);
         d.insert_rows("names", vec![row![4, "four"]]);
         assert_delta_correct(&plan, &catalog(), &d);
+    }
+
+    // --- The three-term join identity `ΔA ⋈ B ⊎ A ⋈ ΔB ⊎ ΔA ⋈ ΔB` ---
+
+    fn items_join_names() -> Plan {
+        PlanBuilder::scan("items")
+            .join(PlanBuilder::scan("names"), vec![("id", "nid")])
+            .build()
+    }
+
+    #[test]
+    fn join_both_sides_inserted_on_the_same_key() {
+        // A new name *and* its items in one batch: every output row comes
+        // from the ΔA ⋈ ΔB term alone.
+        let mut d = SourceDeltas::new();
+        d.insert_rows("names", vec![row![4, "four"]]);
+        d.insert_rows("items", vec![row![4, "a", 7], row![4, "b", 8]]);
+        assert_delta_correct(&items_join_names(), &catalog(), &d);
+    }
+
+    #[test]
+    fn join_both_sides_deleted_on_the_same_key() {
+        // ΔA ⋈ B_pre and A_pre ⋈ ΔB each retract the joined rows once;
+        // ΔA ⋈ ΔB (−1 · −1) adds them back once.
+        let mut d = SourceDeltas::new();
+        d.delete_rows("names", vec![row![1, "one"]]);
+        d.delete_rows("items", vec![row![1, "a", 10], row![1, "b", 20]]);
+        assert_delta_correct(&items_join_names(), &catalog(), &d);
+    }
+
+    #[test]
+    fn join_both_sides_updated_on_the_same_key() {
+        // Rename id 2 while re-valuing its item.
+        let mut d = SourceDeltas::new();
+        d.update_row("names", row![2, "two"], row![2, "deux"]);
+        d.update_row("items", row![2, "a", 30], row![2, "a", 31]);
+        assert_delta_correct(&items_join_names(), &catalog(), &d);
+    }
+
+    #[test]
+    fn self_join_needs_the_delta_delta_term() {
+        // items ⋈ items on id: both sides carry the same delta, so a new
+        // id's pairs exist only in ΔA ⋈ ΔB.
+        let renamed = PlanBuilder::scan("items").project(vec![
+            (Expr::col("id"), "id2".into()),
+            (Expr::col("attr"), "attr2".into()),
+            (Expr::col("val"), "val2".into()),
+        ]);
+        let plan = PlanBuilder::scan("items")
+            .join(renamed, vec![("id", "id2")])
+            .build();
+        let mut d = mixed_deltas();
+        d.insert_rows("items", vec![row![4, "b", 8]]);
+        assert_delta_correct(&plan, &catalog(), &d);
+    }
+
+    /// Un-keyed bags with duplicate rows on both join sides.
+    fn bag_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let l =
+            Arc::new(Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]).unwrap());
+        c.register(
+            "l",
+            Table::bag(l, vec![row![1, 10], row![1, 10], row![2, 20]]),
+        )
+        .unwrap();
+        let r =
+            Arc::new(Schema::from_pairs(&[("k2", DataType::Int), ("w", DataType::Int)]).unwrap());
+        c.register(
+            "r",
+            Table::bag(r, vec![row![1, 5], row![1, 5], row![1, 6], row![2, 30]]),
+        )
+        .unwrap();
+        c
+    }
+
+    #[test]
+    fn join_bag_multiplicities_above_one_on_both_sides() {
+        let plan = PlanBuilder::scan("l")
+            .join(PlanBuilder::scan("r"), vec![("k", "k2")])
+            .build();
+        let mut d = SourceDeltas::new();
+        // +2 copies of an existing row, −1 of a duplicated one, +2 fresh.
+        d.insert_rows("l", vec![row![1, 10], row![1, 10], row![3, 1]]);
+        d.delete_rows("r", vec![row![1, 5]]);
+        d.insert_rows("r", vec![row![3, 9], row![3, 9]]);
+        assert_delta_correct(&plan, &bag_catalog(), &d);
+    }
+
+    #[test]
+    fn join_residual_rejects_some_delta_delta_pairs() {
+        let plan = Plan::Join {
+            left: Box::new(Plan::scan("l")),
+            right: Box::new(Plan::scan("r")),
+            kind: JoinKind::Inner,
+            on: vec![("k".into(), "k2".into())],
+            residual: Some(Expr::col("v").gt(Expr::col("w"))),
+        };
+        let mut d = SourceDeltas::new();
+        // Of the four new (l, r) pairs on key 3 only (8,7) and (8,2) pass.
+        d.insert_rows("l", vec![row![3, 8], row![3, 1]]);
+        d.insert_rows("r", vec![row![3, 7], row![3, 2]]);
+        d.delete_rows("l", vec![row![2, 20]]);
+        assert_delta_correct(&plan, &bag_catalog(), &d);
     }
 
     #[test]

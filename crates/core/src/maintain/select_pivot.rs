@@ -12,22 +12,19 @@
 //! * **Insert candidates**: a key not in the view may newly satisfy σc only
 //!   if some *inserted* row touches a σc-referenced cell (the σc′ prefilter
 //!   of Fig. 29). Those keys' pivot rows are recomputed from the post-state
-//!   core *restricted to exactly those keys* — the restriction is pushed
-//!   down to the deepest subplan carrying the key columns, mirroring the
-//!   paper's `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan.
+//!   core *restricted to exactly those keys* — the keys' pre-state rows are
+//!   fetched by index probe ([`PropagationCtx::eval_pre_matching`]) and the
+//!   core delta's rows for them added, mirroring the paper's
+//!   `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan.
 
 use crate::error::{CoreError, Result};
 use crate::maintain::apply::{collect_cell_changes, ApplyStats};
-use crate::maintain::delta_prop::PropagationCtx;
-use gpivot_algebra::plan::{JoinKind, Plan};
+use crate::maintain::delta_prop::{post_state_table, PropagationCtx};
+use gpivot_algebra::plan::Plan;
 use gpivot_algebra::{decode_pivot_col, Expr, PivotSpec};
 use gpivot_exec::pivot::PivotLayout;
-#[cfg(test)]
-use gpivot_exec::Executor;
-use gpivot_exec::Overlay;
 use gpivot_storage::{Delta, Row, Table, Value};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Apply the Fig. 29 combined rules.
 ///
@@ -35,7 +32,7 @@ use std::sync::Arc;
 /// * `spec` / `predicate` — the top pair's parameters;
 /// * `core` — the pivot input plan;
 /// * `ctx` — pre-state catalog + source deltas (for the restricted
-///   post-state recompute);
+///   candidate keys' pre-state fetch);
 /// * `delta_core` — the already-propagated delta over `core`.
 pub fn apply_select_pivot_update(
     mv: &mut Table,
@@ -55,7 +52,6 @@ pub fn apply_select_pivot_update(
     let layout = PivotLayout::resolve(spec, &core_schema)?;
     let n_k = layout.k_idx.len();
     let n_on = layout.on_idx.len();
-    let _width = n_k + spec.groups.len() * n_on;
     let bound_pred = predicate.bind(mv.schema())?;
 
     let changes = collect_cell_changes(delta_core, &layout);
@@ -109,8 +105,8 @@ pub fn apply_select_pivot_update(
     if !recompute_keys.is_empty() {
         // Recompute the candidate keys' full pivot rows from the post-state
         // core, restricted to those keys. Restricting by the *full* pivot K
-        // (which, after pullup, spans every joined column) would force the
-        // semijoin above all joins — a recomputation in disguise. Instead
+        // (which, after pullup, spans every joined column) could not be
+        // pushed below any join — a recomputation in disguise. Instead
         // restrict by the core's minimal key columns within K (they
         // functionally determine the rest, mirroring the paper's
         // `π_orderkey(σc′(ΔL)) ⋈ (L ⊎ ΔL)` plan) and post-filter the pivoted
@@ -145,14 +141,18 @@ pub fn apply_select_pivot_update(
             }
         };
         let candidate_set: HashSet<Row> = recompute_keys.iter().cloned().collect();
-        let mut restrict_keys: Vec<Row> = recompute_keys
+        let restrict_keys: HashSet<Row> = recompute_keys
             .iter()
             .map(|k| k.project(&restrict_pos))
             .collect();
-        restrict_keys.sort();
-        restrict_keys.dedup();
 
-        let restricted = eval_post_restricted(core, &restrict_names, restrict_keys, ctx)?;
+        // Post state of the restricted core = its pre state ⊕ the part of
+        // the core delta under the same restriction.
+        let restrict_idx: Vec<usize> = restrict_pos.iter().map(|&p| layout.k_idx[p]).collect();
+        let restricted = post_state_table(
+            &ctx.eval_pre_matching(core, &restrict_names, &restrict_keys)?,
+            &delta_core.filter_rows(|r| restrict_keys.contains(&r.project(&restrict_idx))),
+        );
         let out_schema = Plan::GPivot {
             input: Box::new(core.clone()),
             spec: spec.clone(),
@@ -192,152 +192,13 @@ fn predicate_groups(predicate: &Expr, spec: &PivotSpec) -> HashSet<usize> {
     out
 }
 
-/// Evaluate `core` against the post-update state, restricted to the given
-/// key tuples. The restriction is realized as a hash semijoin against a
-/// temporary key table, pushed down to the deepest subplan that carries all
-/// key columns (typically the scan of the delta'd fact table).
-pub fn eval_post_restricted(
-    core: &Plan,
-    k_names: &[String],
-    keys: Vec<Row>,
-    ctx: &PropagationCtx<'_>,
-) -> Result<Table> {
-    const KEYS_TABLE: &str = "__fig29_keys";
-    // Key table schema: renamed key columns (avoids name clashes).
-    let core_schema = core.schema(ctx.catalog)?;
-    let mut fields = Vec::with_capacity(k_names.len());
-    for k in k_names {
-        let f = core_schema.field(k)?;
-        fields.push(gpivot_storage::Field::new(
-            format!("__key_{k}"),
-            f.data_type,
-        ));
-    }
-    let key_schema = Arc::new(gpivot_storage::Schema::new(fields)?);
-    let key_table = Table::bag(key_schema, keys);
-
-    // Push the semijoin to the deepest subplan containing all key columns.
-    let restricted_plan = push_key_semijoin(core, k_names, ctx)?;
-
-    // Post-state overlay + the key table.
-    let mut overlay = Overlay::new(ctx.catalog);
-    for table in core.base_tables() {
-        if let Some(delta) = ctx.deltas.delta(&table) {
-            if !delta.is_empty() {
-                let pre = ctx.catalog.table(&table)?;
-                overlay.put(
-                    table.clone(),
-                    crate::maintain::delta_prop::post_state_table(pre, delta),
-                );
-            }
-        }
-    }
-    overlay.put(KEYS_TABLE, key_table);
-    Ok(ctx.executor().run(&restricted_plan, &overlay)?)
-}
-
-/// Rewrite `plan` so the deepest subplan carrying all of `k_names` is
-/// semijoined with the `__fig29_keys` table.
-fn push_key_semijoin(plan: &Plan, k_names: &[String], ctx: &PropagationCtx<'_>) -> Result<Plan> {
-    const KEYS_TABLE: &str = "__fig29_keys";
-
-    // Can the restriction descend into a child?
-    let descend_into: Option<usize> = match plan {
-        Plan::Select { .. }
-        | Plan::GroupBy { .. }
-        | Plan::GPivot { .. }
-        | Plan::GUnpivot { .. } => {
-            let child = plan.children()[0];
-            let cs = child.schema(ctx.catalog)?;
-            if k_names.iter().all(|k| cs.index_of(k).is_ok()) {
-                Some(0)
-            } else {
-                None
-            }
-        }
-        Plan::Project { input, items } => {
-            // Descend only if every key column is a pure pass-through.
-            let ok = k_names.iter().all(|k| {
-                items
-                    .iter()
-                    .any(|(e, n)| n == k && matches!(e, Expr::Col(c) if c == n))
-            });
-            if ok {
-                let cs = input.schema(ctx.catalog)?;
-                if k_names.iter().all(|k| cs.index_of(k).is_ok()) {
-                    Some(0)
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
-        }
-        Plan::Join { left, right, .. } => {
-            let ls = left.schema(ctx.catalog)?;
-            if k_names.iter().all(|k| ls.index_of(k).is_ok()) {
-                Some(0)
-            } else {
-                let rs = right.schema(ctx.catalog)?;
-                if k_names.iter().all(|k| rs.index_of(k).is_ok()) {
-                    Some(1)
-                } else {
-                    None
-                }
-            }
-        }
-        _ => None,
-    };
-
-    if let Some(idx) = descend_into {
-        // Rebuild with the chosen child restricted.
-        let mut rebuilt = plan.clone();
-        let restricted_child = push_key_semijoin(plan.children()[idx], k_names, ctx)?;
-        match &mut rebuilt {
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::GroupBy { input, .. }
-            | Plan::GPivot { input, .. }
-            | Plan::GUnpivot { input, .. } => **input = restricted_child,
-            Plan::Join { left, right, .. } => {
-                if idx == 0 {
-                    **left = restricted_child;
-                } else {
-                    **right = restricted_child;
-                }
-            }
-            _ => unreachable!(),
-        }
-        return Ok(rebuilt);
-    }
-
-    // Wrap here: plan ⋉ keys.
-    let schema = plan.schema(ctx.catalog)?;
-    let on: Vec<(String, String)> = k_names
-        .iter()
-        .map(|k| (k.clone(), format!("__key_{k}")))
-        .collect();
-    let joined = Plan::Join {
-        left: Box::new(plan.clone()),
-        right: Box::new(Plan::scan(KEYS_TABLE)),
-        kind: JoinKind::Inner,
-        on,
-        residual: None,
-    };
-    Ok(joined.project(
-        schema
-            .column_names()
-            .iter()
-            .map(|c| (Expr::col(*c), c.to_string()))
-            .collect(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::maintain::SourceDeltas;
+    use gpivot_exec::Executor;
     use gpivot_storage::{row, Catalog, DataType, Schema};
+    use std::sync::Arc;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

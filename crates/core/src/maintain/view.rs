@@ -4,7 +4,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::maintain::apply::apply_pivot_update;
-use crate::maintain::delta_prop::{post_state_table, propagate, PropagationCtx};
+use crate::maintain::delta_prop::{propagate, PropagationCtx};
 use crate::maintain::group_pivot::{apply_group_pivot_update, GroupPivotInfo};
 use crate::maintain::select_pivot::apply_select_pivot_update;
 use crate::maintain::strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
@@ -15,9 +15,10 @@ use crate::rewrite::{
 use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::{AggFunc, AggSpec, Expr, PivotSpec};
 use gpivot_analyze::Diagnostic;
-use gpivot_exec::{Executor, Overlay};
-use gpivot_storage::{Catalog, Table};
+use gpivot_exec::Executor;
+use gpivot_storage::{Catalog, Row, Table};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 /// A materialized view: definition, compiled maintenance form, and data.
 #[derive(Debug, Clone)]
@@ -31,6 +32,11 @@ pub struct MaterializedView {
     /// Warning/info diagnostics the plan lint recorded at registration
     /// (empty when created directly or registered with lint skipped).
     lint_warnings: Vec<Diagnostic>,
+    /// The rows the last projecting [`MaterializedView::query`] returned,
+    /// kept so the next one can overwrite them in place once its reader has
+    /// let go (see there). Shared by clones: the service maintains a clone
+    /// of the view each epoch and installs it over the original.
+    read_rows: Arc<Mutex<Arc<Vec<Row>>>>,
 }
 
 /// Options for registering a view with [`ViewManager::register_view_with`].
@@ -226,6 +232,7 @@ impl MaterializedView {
             group_info,
             table,
             lint_warnings: Vec::new(),
+            read_rows: Arc::default(),
         })
     }
 
@@ -269,6 +276,7 @@ impl MaterializedView {
                 group_info,
                 table,
                 lint_warnings: Vec::new(),
+                read_rows: Arc::default(),
             },
             used_snapshot,
         ))
@@ -442,7 +450,9 @@ impl MaterializedView {
         if self.normalized.identity_output
             && self.normalized.output.len() == self.table.schema().arity()
         {
-            return Ok(self.table.clone());
+            // Share the rows; a reader has no use for a copy of the
+            // key index.
+            return Ok(self.table.as_bag());
         }
         let schema = self.table.schema();
         let idx: Vec<usize> = self
@@ -460,9 +470,37 @@ impl MaterializedView {
                 gpivot_storage::Field::new(to.clone(), schema.field_at(i).data_type)
             })
             .collect();
-        let out_schema = std::sync::Arc::new(gpivot_storage::Schema::new(fields)?);
-        let rows = self.table.iter().map(|r| r.project(&idx)).collect();
-        Ok(Table::bag(out_schema, rows))
+        let out_schema = Arc::new(gpivot_storage::Schema::new(fields)?);
+
+        // A dashboard reads, drops, and reads again: allocating and freeing
+        // one row per view row every time is most of a read's cost (and
+        // grows as the heap ages). So keep the rows handed out last time,
+        // and when their reader has dropped them — making this the only
+        // handle — overwrite them in place. Whatever is still shared (the
+        // whole buffer, or single rows a reader kept) is left alone and
+        // replaced by fresh allocations; a concurrent reader of the same
+        // view skips the buffer rather than wait for it.
+        let mut last = self.read_rows.try_lock().ok();
+        let recycled = last.as_deref_mut().map(std::mem::take).unwrap_or_default();
+        let mut rows = Arc::try_unwrap(recycled).unwrap_or_default();
+        rows.truncate(self.table.len());
+        let mut sources = self.table.iter();
+        for (slot, src) in rows.iter_mut().zip(&mut sources) {
+            match slot.values_mut() {
+                Some(values) if values.len() == idx.len() => {
+                    for (dst, &j) in values.iter_mut().zip(&idx) {
+                        dst.clone_from(&src[j]);
+                    }
+                }
+                _ => *slot = src.project(&idx),
+            }
+        }
+        rows.extend(sources.map(|src| src.project(&idx)));
+        let rows = Arc::new(rows);
+        if let Some(last) = last.as_deref_mut() {
+            *last = Arc::clone(&rows);
+        }
+        Ok(Table::bag_shared(out_schema, rows))
     }
 
     /// The compiled maintenance plan (explainability).
@@ -508,20 +546,10 @@ impl MaterializedView {
         let mut outcome = MaintenanceOutcome::default();
         match self.strategy {
             Strategy::Recompute => {
-                let mut overlay = Overlay::new(catalog);
-                for t in self.normalized.plan.base_tables() {
-                    if let Some(d) = deltas.delta(&t) {
-                        if !d.is_empty() {
-                            let pre = catalog.table(&t)?;
-                            overlay.put(t.clone(), post_state_table(pre, d));
-                        }
-                    }
-                }
-                let (bag, trace) = {
+                let bag = {
                     let _s = tracing::span("maintain.propagate").enter();
-                    exec.run_traced(&self.normalized.plan, &overlay)?
+                    ctx.eval_post(&self.normalized.plan)?
                 };
-                outcome.rows_propagated = trace.total_rows();
                 check_apply(catalog)?;
                 let _a = tracing::span("maintain.apply").enter();
                 self.table = if bag.schema().has_key() {
@@ -646,7 +674,7 @@ impl MaterializedView {
                 outcome.stats = apply_pivot_update(&mut self.table, spec, &gb_schema, &dgb)?;
             }
         }
-        outcome.rows_propagated += ctx.rows_evaluated();
+        outcome.rows_propagated = ctx.rows_evaluated();
         Ok(outcome)
     }
 
@@ -1139,6 +1167,60 @@ mod tests {
             .column_names()
             .iter()
             .any(|c| c.contains("__cs")));
+    }
+
+    #[test]
+    fn projecting_reads_recycle_dropped_results_and_never_touch_held_ones() {
+        // A group-pivot view hides helper columns, so `query` projects.
+        let mut vm = ViewManager::new(catalog());
+        let plan = Plan::scan("items")
+            .group_by(&["attr"], vec![AggSpec::sum("val", "s")])
+            .gpivot(PivotSpec::new(
+                vec!["attr"],
+                vec!["s"],
+                vec![vec![Value::str("a")], vec![Value::str("b")]],
+            ));
+        vm.register_view("v", plan).unwrap();
+
+        // Read, drop, read: the second result overwrites the first's rows.
+        let first = vm.query_view("v").unwrap();
+        let (first_rows, first_storage) = (first.rows().to_vec(), first.rows().as_ptr());
+        drop(first);
+        let second = vm.query_view("v").unwrap();
+        assert_eq!(second.rows(), &first_rows[..]);
+        assert_eq!(
+            second.rows().as_ptr(),
+            first_storage,
+            "a dropped result's storage is reused"
+        );
+
+        // A result still held across a refresh keeps what it read; the
+        // next read sees the new state.
+        let before = second.rows().to_vec();
+        let mut deltas = SourceDeltas::new();
+        deltas.insert_rows("items", vec![row![9, "a", 1000], row![9, "b", 1]]);
+        vm.refresh(&deltas).unwrap();
+        let third = vm.query_view("v").unwrap();
+        assert_eq!(second.rows(), &before[..], "a held result was overwritten");
+        assert_ne!(third.rows(), second.rows());
+
+        // So does a single row kept out of a result that is otherwise
+        // dropped (and therefore recycled).
+        let kept = third.rows()[0].clone();
+        let kept_values = kept.to_vec();
+        drop(second);
+        drop(third);
+        let mut deltas = SourceDeltas::new();
+        deltas.insert_rows("items", vec![row![10, "a", 5], row![10, "b", 5]]);
+        vm.refresh(&deltas).unwrap();
+        let fourth = vm.query_view("v").unwrap();
+        assert_eq!(kept.to_vec(), kept_values, "a held row was overwritten");
+        assert_ne!(fourth.rows()[0], kept);
+        assert!(vm.verify_view("v").unwrap());
+        let fresh = Executor::new()
+            .run(vm.view("v").unwrap().definition(), vm.catalog())
+            .unwrap();
+        assert!(fourth.bag_eq(&fresh));
     }
 
     #[test]

@@ -325,3 +325,62 @@ fn injected_worker_panic_is_isolated_and_retried() {
     assert!(svc.verify_all().unwrap());
     assert_matches_oracle(&svc, &mirror, "after panic drill");
 }
+
+/// Deterministic probe drill: with only `lineitem` changing, the one place
+/// an epoch resolves `orders` is the key-restricted probe of the delta
+/// join (`ΔA ⋈ B_pre` looks its join keys up in `orders`' index — nothing
+/// scans the table). A `Scan` fault targeted at `orders` therefore fires
+/// inside that probe: it must surface as a transient error, be retried
+/// within the epoch, and the epoch must commit bag-equal to the oracle.
+#[test]
+fn injected_scan_fault_on_an_index_probe_is_retried() {
+    let injector = FaultInjector::seeded(5)
+        .with_targeted_site(FaultSite::Scan, 1.0, 0.0, "orders")
+        .with_budget(1);
+    injector.disarm();
+
+    let mut catalog = small_catalog();
+    let mut mirror = catalog.clone();
+    mirror.set_fault_injector(FaultInjector::disabled());
+    catalog.set_fault_injector(injector.clone());
+
+    let svc = ViewService::new(
+        catalog,
+        ServeConfig::builder()
+            .workers(1)
+            .max_retries(2)
+            .retry_backoff(std::time::Duration::ZERO)
+            .build()
+            .unwrap(),
+    );
+    for (name, plan) in views() {
+        svc.register_view(name, plan).unwrap();
+    }
+
+    injector.arm();
+    let batch = workload::delete_fraction(&mirror, "lineitem", 0.01, 5);
+    let delta = batch.delta("lineitem").unwrap();
+    mirror.apply_delta("lineitem", delta).unwrap();
+    svc.ingest_with("lineitem", delta.clone(), IngestOptions::blocking())
+        .unwrap();
+
+    let summary = svc.refresh_epoch().unwrap();
+    assert_eq!(summary.epoch, 1);
+    assert_eq!(
+        injector.faults_injected(),
+        1,
+        "the probe never hit `orders`"
+    );
+    assert!(summary.retries >= 1, "the faulted probe must be retried");
+    let m = svc.metrics();
+    assert_eq!(m.epochs_failed, 0);
+    assert_eq!(m.panics_isolated, 0);
+    assert!(
+        m.phase_timings.contains_key("maintain.probe"),
+        "probe time is not attributed"
+    );
+
+    injector.disarm();
+    assert!(svc.verify_all().unwrap());
+    assert_matches_oracle(&svc, &mirror, "after probe drill");
+}

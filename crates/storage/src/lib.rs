@@ -43,6 +43,7 @@ mod codec;
 pub mod delta;
 pub mod error;
 pub mod fault;
+pub mod index;
 pub mod row;
 pub mod schema;
 pub mod table;
@@ -55,6 +56,7 @@ pub use chunk::{Chunk, Column, ColumnData};
 pub use delta::{shard_of, Delta, DeltaSplit};
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultSite};
+pub use index::{Matches, TableIndex};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use table::Table;

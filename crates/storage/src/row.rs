@@ -41,6 +41,14 @@ impl Row {
         &self.0[idx]
     }
 
+    /// The values, mutably — only while no other handle shares this row's
+    /// storage (`None` otherwise). Lets an owner of a dropped-by-everyone-
+    /// else buffer of rows overwrite them in place instead of freeing and
+    /// reallocating each one.
+    pub fn values_mut(&mut self) -> Option<&mut [Value]> {
+        Arc::get_mut(&mut self.0)
+    }
+
     /// Copy the values out for modification.
     pub fn to_vec(&self) -> Vec<Value> {
         self.0.to_vec()
@@ -48,7 +56,9 @@ impl Row {
 
     /// Project the row onto the given column indices.
     pub fn project(&self, indices: &[usize]) -> Row {
-        Row::new(indices.iter().map(|&i| self.0[i].clone()).collect())
+        // Collected straight into the `Arc<[Value]>` (the iterator's length
+        // is exact): one allocation per row, not a `Vec` and then a copy.
+        Row(indices.iter().map(|&i| self.0[i].clone()).collect())
     }
 
     /// Concatenate two rows (used by joins).

@@ -11,15 +11,21 @@
 //!   on in its experiments (§7.1).
 //!
 //! Un-keyed tables degrade gracefully to plain bags.
+//!
+//! Any table can additionally be probed on an arbitrary column set through
+//! [`Table::index_on`] — the "index on the join columns" the paper's
+//! propagate phase assumes of its host DBMS (§6.2). Those indexes are
+//! built on first probe and then maintained by the mutators.
 
 use crate::chunk::Chunk;
 use crate::delta::Delta;
 use crate::error::{Result, StorageError};
+use crate::index::{HashIndex, TableIndex};
 use crate::row::Row;
 use crate::schema::SchemaRef;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A bag of rows conforming to a schema, optionally indexed by the schema key.
 ///
@@ -39,11 +45,26 @@ pub struct Table {
     /// across [`Table::as_bag`] views). Every mutator swaps in a fresh
     /// cell, so a cached chunk always describes the current rows.
     chunk: Arc<OnceLock<Arc<Chunk>>>,
+    /// Secondary hash indexes, one per probed column set
+    /// ([`Table::index_on`]). Built on first probe into a cell shared with
+    /// clones and [`Table::as_bag`] views, like `chunk`; unlike `chunk`
+    /// they survive mutation: a mutator first takes a private copy of the
+    /// cell if it is shared (so readers of the old rows keep indexes that
+    /// describe the old rows), then updates every index in step with the
+    /// rows. Never persisted — after recovery the first probe rebuilds.
+    indexes: Arc<IndexCell>,
 }
+
+type IndexCell = Mutex<Vec<Arc<HashIndex>>>;
 
 /// A fresh, empty chunk-cache cell.
 fn empty_chunk_cell() -> Arc<OnceLock<Arc<Chunk>>> {
     Arc::new(OnceLock::new())
+}
+
+/// A fresh cell holding no secondary index.
+fn empty_index_cell() -> Arc<IndexCell> {
+    Arc::new(Mutex::new(Vec::new()))
 }
 
 impl Table {
@@ -55,6 +76,7 @@ impl Table {
             rows: Arc::new(Vec::new()),
             key_index,
             chunk: empty_chunk_cell(),
+            indexes: empty_index_cell(),
         }
     }
 
@@ -74,6 +96,7 @@ impl Table {
             rows: Arc::new(rows),
             key_index: None,
             chunk: empty_chunk_cell(),
+            indexes: empty_index_cell(),
         }
     }
 
@@ -86,6 +109,7 @@ impl Table {
             rows,
             key_index: None,
             chunk: empty_chunk_cell(),
+            indexes: empty_index_cell(),
         }
     }
 
@@ -131,8 +155,10 @@ impl Table {
             schema,
             rows: self.rows,
             key_index,
-            // Rows are unchanged, so a chunk already built for them stays valid.
+            // Rows are unchanged, so a chunk and any secondary index
+            // already built for them stay valid.
             chunk: self.chunk,
+            indexes: self.indexes,
         })
     }
 
@@ -173,16 +199,48 @@ impl Table {
     }
 
     /// An un-keyed view of this table sharing the row storage *and* the
-    /// chunk cache. This is what `Plan::Scan` hands to the executor: the
-    /// key index is dropped (execution never uses it) but a columnar
-    /// image built by any earlier scan is reused.
+    /// chunk and secondary-index caches. This is what `Plan::Scan` hands
+    /// to the executor: the key index is dropped (execution never uses it)
+    /// but a columnar image built by any earlier scan is reused.
     pub fn as_bag(&self) -> Table {
         Table {
             schema: self.schema.clone(),
             rows: Arc::clone(&self.rows),
             key_index: None,
             chunk: Arc::clone(&self.chunk),
+            indexes: Arc::clone(&self.indexes),
         }
+    }
+
+    /// A hash index over the projection of this table's rows onto `cols`
+    /// (column positions), for probing by key: the delta joins of view
+    /// maintenance look up `Δ ⋈ base` matches here instead of scanning.
+    ///
+    /// Nothing is declared up front. Probing exactly the schema key reuses
+    /// the key index; any other column set gets a secondary index built on
+    /// its first probe (O(|rows|), once) and from then on maintained by
+    /// every mutator and carried through `clone()` — so the table a commit
+    /// stages from this one is born with its indexes current.
+    pub fn index_on(&self, cols: &[usize]) -> TableIndex<'_> {
+        if let (Some(key), Some(index)) = (self.schema.key(), &self.key_index) {
+            if key == cols {
+                return TableIndex::key(&self.rows, index);
+            }
+        }
+        // A poisoned cell is still valid: the only write under the lock is
+        // the push of a finished index.
+        let mut built = self.indexes.lock().unwrap_or_else(PoisonError::into_inner);
+        let index = match built.iter().find(|ix| ix.cols() == cols) {
+            Some(ix) => Arc::clone(ix),
+            None => {
+                // Build under the lock: concurrent probers of a cold
+                // table wait for one build instead of each doing their own.
+                let ix = Arc::new(HashIndex::build(cols, &self.rows));
+                built.push(Arc::clone(&ix));
+                ix
+            }
+        };
+        TableIndex::hash(&self.rows, index)
     }
 
     /// Invalidate the cached columnar image. Called by every mutator; the
@@ -190,6 +248,45 @@ impl Table {
     /// see the old rows keep their still-valid cached chunk.
     fn touch(&mut self) {
         self.chunk = empty_chunk_cell();
+    }
+
+    /// Run `f` on every secondary index, for a mutator to mirror its row
+    /// change. Takes a private copy of a shared cell (and, through
+    /// [`Arc::make_mut`], of each shared index) first, so clones that
+    /// still see the old rows keep indexes describing them.
+    fn update_indexes(&mut self, mut f: impl FnMut(&mut HashIndex, &[Row])) {
+        if Arc::strong_count(&self.indexes) > 1 {
+            let snapshot = self
+                .indexes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            self.indexes = Arc::new(Mutex::new(snapshot));
+        }
+        match Arc::get_mut(&mut self.indexes) {
+            Some(cell) => {
+                let built = cell.get_mut().unwrap_or_else(PoisonError::into_inner);
+                for ix in built {
+                    f(Arc::make_mut(ix), &self.rows);
+                }
+            }
+            // Not reachable (`&mut self` and the count above make the cell
+            // unique); dropping the indexes is always sound — the next
+            // probe rebuilds them.
+            None => self.indexes = empty_index_cell(),
+        }
+    }
+
+    /// `swap_remove` the row at `pos`, keeping the secondary indexes (but
+    /// not the key index) in step.
+    fn remove_at(&mut self, pos: usize) -> Row {
+        self.touch();
+        let removed = Arc::make_mut(&mut self.rows).swap_remove(pos);
+        self.update_indexes(|ix, rows| {
+            ix.unlink(&removed, pos);
+            ix.relocate(rows.get(pos), pos);
+        });
+        removed
     }
 
     fn key_projection(&self, row: &Row) -> Option<Row> {
@@ -216,6 +313,7 @@ impl Table {
         }
         self.touch();
         Arc::make_mut(&mut self.rows).push(row);
+        self.update_indexes(|ix, rows| ix.link(rows));
         Ok(())
     }
 
@@ -242,8 +340,7 @@ impl Table {
     pub fn delete_by_key(&mut self, key: &Row) -> Option<Row> {
         let idx = self.key_index.as_mut()?;
         let pos = idx.remove(key)?;
-        self.touch();
-        let removed = Arc::make_mut(&mut self.rows).swap_remove(pos);
+        let removed = self.remove_at(pos);
         // Fix the moved row's index entry (if any row was moved into `pos`).
         if pos < self.rows.len() {
             if let (Some(k), Some(idx)) = (self.schema.key(), self.key_index.as_mut()) {
@@ -266,10 +363,12 @@ impl Table {
         let idx = self.key_index.as_ref()?;
         let pos = *idx.get(key)?;
         self.touch();
-        Some(std::mem::replace(
-            &mut Arc::make_mut(&mut self.rows)[pos],
-            new_row,
-        ))
+        let old = std::mem::replace(&mut Arc::make_mut(&mut self.rows)[pos], new_row);
+        self.update_indexes(|ix, rows| {
+            ix.unlink(&old, pos);
+            ix.relink(&rows[pos], pos);
+        });
+        Some(old)
     }
 
     /// Insert-or-replace by key. Returns the displaced row, if any.
@@ -295,8 +394,7 @@ impl Table {
             return false;
         }
         if let Some(pos) = self.rows.iter().position(|r| r == row) {
-            self.touch();
-            Arc::make_mut(&mut self.rows).swap_remove(pos);
+            self.remove_at(pos);
             true
         } else {
             false

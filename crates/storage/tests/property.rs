@@ -338,6 +338,161 @@ proptest! {
     }
 }
 
+/// Every probe of `index_on(cols)` must return exactly the rows a scan
+/// would: checked for each key present in the table, plus keys that are
+/// absent, against both a filter over `rows()` and an index rebuilt from
+/// scratch on a fresh bag of the same rows.
+fn assert_index_matches_scan(table: &Table, cols: &[usize], absent: &[Row]) {
+    let rebuilt = Table::bag(table.schema().clone(), table.rows().to_vec());
+    let mut keys: Vec<Row> = table.iter().map(|r| r.project(cols)).collect();
+    keys.extend(absent.iter().cloned());
+    keys.sort();
+    keys.dedup();
+    for key in &keys {
+        let mut want: Vec<Row> = table
+            .iter()
+            .filter(|r| r.project(cols) == *key)
+            .cloned()
+            .collect();
+        want.sort();
+        let mut got: Vec<Row> = table.index_on(cols).get(key).cloned().collect();
+        got.sort();
+        assert_eq!(got, want, "index on {cols:?} diverged for key {key:?}");
+        let mut fresh: Vec<Row> = rebuilt.index_on(cols).get(key).cloned().collect();
+        fresh.sort();
+        assert_eq!(fresh, want, "rebuilt index on {cols:?} wrong for {key:?}");
+    }
+}
+
+/// Index key values with awkward equality: NULL, NaN, ±0.0, Int/Float
+/// aliases, 2⁵³ (where `as f64` stops being exact).
+fn arb_index_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (0i64..4).prop_map(Value::Int),
+        (0i64..4).prop_map(|i| Value::Float(i as f64)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Int(1 << 53)),
+        Just(Value::Float((1u64 << 53) as f64)),
+        Just(Value::Int((1 << 53) + 1)),
+        "[ab]".prop_map(Value::str),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Secondary indexes are maintained, not rebuilt: after any sequence
+    /// of keyed mutations each index built so far still answers every
+    /// probe like a scan, and mutating a clone never disturbs the table it
+    /// was cloned from (or the indexes its readers hold).
+    #[test]
+    fn secondary_indexes_follow_every_mutation(
+        ops in prop::collection::vec(
+            (0u8..6, 0i64..10, arb_index_value(), 0i64..3),
+            1..50,
+        ),
+    ) {
+        let schema = Arc::new(
+            Schema::from_pairs_keyed(
+                &[("id", DataType::Int), ("g", DataType::Any), ("h", DataType::Int)],
+                &["id"],
+            )
+            .unwrap(),
+        );
+        let col_sets: [&[usize]; 4] = [&[1], &[1, 2], &[2], &[0]];
+        let absent = [
+            Row::new(vec![Value::Int(99)]),
+            Row::new(vec![Value::Int(99), Value::Int(0)]),
+            Row::new(vec![Value::Null, Value::Null]),
+        ];
+        let mut table = Table::new(schema);
+        for i in 0..6 {
+            table
+                .insert(Row::new(vec![Value::Int(i), Value::Int(i % 2), Value::Int(i % 3)]))
+                .unwrap();
+        }
+        // First probe builds (8 buckets; ten ids force a regrow);
+        // everything after must maintain.
+        for cols in col_sets {
+            let _ = table.index_on(cols);
+        }
+        for (op, id, g, h) in ops {
+            let key = Row::new(vec![Value::Int(id)]);
+            let row = Row::new(vec![Value::Int(id), g, Value::Int(h)]);
+            match op {
+                0 => {
+                    let _ = table.insert(row);
+                }
+                1 => {
+                    table.delete_by_key(&key);
+                }
+                2 => {
+                    table.update_by_key(&key, row);
+                }
+                3 => {
+                    // A mixed delta: replace the row under `id` (if any)
+                    // and add a fresh key.
+                    let mut d = Delta::new();
+                    if let Some(old) = table.get_by_key(&key) {
+                        d.add(old.clone(), -1);
+                    }
+                    d.add(row, 1);
+                    table.apply_delta(&d).unwrap();
+                }
+                4 => {
+                    // Copy-on-write: mutate a clone, then check the
+                    // original — rows and indexes — is exactly as it was.
+                    let before = table.rows().to_vec();
+                    let mut staged = table.clone();
+                    staged.upsert(row).unwrap();
+                    staged.delete_by_key(&Row::new(vec![Value::Int((id + 1) % 10)]));
+                    prop_assert_eq!(table.rows(), &before[..]);
+                    for cols in col_sets {
+                        assert_index_matches_scan(&table, cols, &absent);
+                        assert_index_matches_scan(&staged, cols, &absent);
+                    }
+                    // ...and the commit protocol swaps the clone in.
+                    table = staged;
+                }
+                _ => {
+                    table.upsert(row).unwrap();
+                }
+            }
+            for cols in col_sets {
+                assert_index_matches_scan(&table, cols, &absent);
+            }
+        }
+    }
+
+    /// Un-keyed bags (duplicates allowed) maintain their indexes through
+    /// `insert` and the scan-based `delete_row`.
+    #[test]
+    fn bag_indexes_follow_duplicates_and_row_deletes(
+        ops in prop::collection::vec((any::<bool>(), arb_index_value(), 0i64..3), 1..40),
+    ) {
+        let schema = Arc::new(
+            Schema::from_pairs(&[("g", DataType::Any), ("h", DataType::Int)]).unwrap(),
+        );
+        let mut table = Table::new(schema);
+        let _ = table.index_on(&[0]);
+        let _ = table.index_on(&[1, 0]);
+        let absent = [Row::new(vec![Value::Int(99)])];
+        for (insert, g, h) in ops {
+            let row = Row::new(vec![g, Value::Int(h)]);
+            if insert {
+                table.insert(row.clone()).unwrap();
+                table.insert(row).unwrap();
+            } else {
+                table.delete_row(&row);
+            }
+            assert_index_matches_scan(&table, &[0], &absent);
+            assert_index_matches_scan(&table, &[1, 0], &[]);
+        }
+    }
+}
+
 #[test]
 fn catalog_round_trip() {
     let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]).unwrap());

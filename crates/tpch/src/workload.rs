@@ -139,7 +139,7 @@ pub fn mixed_batch(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas 
 /// Churn on the `orders` dimension side: re-date a fraction of orders
 /// (in-place updates decomposed as delete+insert). The paper notes that
 /// deltas on the non-pivoted side "need not pull up the GPIVOT" — this
-/// workload exercises exactly that propagation path (the `A_post ⋈ ΔB`
+/// workload exercises exactly that propagation path (the `A_pre ⋈ ΔB`
 /// join term).
 pub fn order_churn(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -334,6 +334,178 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// `eval_pre_matching` ≡ filter ∘ `eval_pre`
+//
+// The key-restricted pre-state evaluator every delta rule fetches rows with
+// must be bag-equal to evaluating in full and filtering — whichever arm it
+// takes. Checked over the ten shapes above (restricting on every output
+// column, so both the push-down arms and the fallback arm run: a K column
+// pushes down to an index probe, a pivoted cell or an aggregate does not,
+// and a column pair spanning both join sides cannot), a projection with a
+// renamed pass-through and a computed column, and direct scans — over data
+// whose values exercise `Value`'s equality: NULL, NaN, −0.0 vs Int 0, 2⁵³
+// as Int and Float, and a bag with duplicate rows.
+// ---------------------------------------------------------------------------
+
+const P53: i64 = 1 << 53;
+
+/// The values restricted columns and key sets are drawn from.
+fn awkward_values() -> Vec<Value> {
+    vec![
+        Value::Null,
+        Value::Float(f64::NAN),
+        Value::Float(-0.0),
+        Value::Int(0),
+        Value::Int(P53),
+        Value::Float(P53 as f64),
+        Value::Int(P53 + 1),
+        Value::Int(3),
+        Value::Float(3.0),
+        Value::Int(40),
+    ]
+}
+
+/// `facts` / `log` / `dims` as in [`build_catalog`], but `val` holds the
+/// awkward values and `log` carries every row twice.
+fn awkward_catalog(cells: &[(i64, usize, usize)]) -> Catalog {
+    let pool = awkward_values();
+    let cols = [
+        ("id", DataType::Int),
+        ("attr", DataType::Str),
+        ("val", DataType::Any),
+    ];
+    let rows: Vec<Row> = cells
+        .iter()
+        .map(|&(id, attr, v)| {
+            Row::new(vec![
+                Value::Int(id),
+                Value::str(ATTRS[attr]),
+                pool[v % pool.len()].clone(),
+            ])
+        })
+        .collect();
+    let keyed = Arc::new(Schema::from_pairs_keyed(&cols, &["id", "attr"]).unwrap());
+    let unkeyed = Arc::new(Schema::from_pairs(&cols).unwrap());
+    let dim_schema = Arc::new(
+        Schema::from_pairs_keyed(
+            &[("d_id", DataType::Int), ("grp", DataType::Int)],
+            &["d_id"],
+        )
+        .unwrap(),
+    );
+    let mut c = Catalog::new();
+    c.register("facts", Table::from_rows(keyed, rows.clone()).unwrap())
+        .unwrap();
+    let doubled = rows.iter().chain(&rows).cloned().collect();
+    c.register("log", Table::bag(unkeyed, doubled)).unwrap();
+    c.register(
+        "dims",
+        Table::from_rows(
+            dim_schema,
+            (0i64..6)
+                .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 3)]))
+                .collect(),
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 24,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn restricted_evaluation_equals_filtered_full_evaluation(
+        cells in prop::collection::btree_set((0i64..8, 0usize..ATTRS.len()), 1..14),
+        vals in prop::collection::vec(0usize..10, 14),
+        picks in prop::collection::vec(any::<bool>(), 24),
+    ) {
+        use gpivot::core::maintain::PropagationCtx;
+        use std::collections::HashSet;
+
+        let cells: Vec<(i64, usize, usize)> = cells
+            .into_iter()
+            .zip(&vals)
+            .map(|((id, attr), &v)| (id, attr, v))
+            .collect();
+        let catalog = awkward_catalog(&cells);
+        let deltas = SourceDeltas::new();
+        let ctx = PropagationCtx::new(&catalog, &deltas);
+
+        let mut plans: Vec<Plan> = SHAPES.iter().map(|&s| build_view(s)).collect();
+        plans.push(Plan::scan("log"));
+        plans.push(Plan::scan("facts").select(Expr::col("val").gt(Expr::lit(2))));
+        plans.push(Plan::scan("log").project(vec![
+            (Expr::col("id"), "key".into()),
+            (Expr::col("val"), "val".into()),
+            (Expr::col("val").add(Expr::lit(1)), "bumped".into()),
+        ]));
+
+        for plan in &plans {
+            // The keyless pivot does not evaluate at all (that is GP001);
+            // restricting it must fail the same way, not return rows.
+            let Ok(full) = ctx.eval_pre(plan) else {
+                prop_assert!(ctx
+                    .eval_pre_matching(plan, &["id".to_string()], &HashSet::new())
+                    .is_err());
+                continue;
+            };
+            let names: Vec<String> = full
+                .schema()
+                .column_names()
+                .iter()
+                .map(|c| c.to_string())
+                .collect();
+            // Every single column, plus the first/last pair (for the join
+            // shapes: one column from each side).
+            let mut col_sets: Vec<Vec<String>> = names.iter().map(|n| vec![n.clone()]).collect();
+            col_sets.push(vec![names[0].clone(), names[names.len() - 1].clone()]);
+
+            for cols in &col_sets {
+                let idx: Vec<usize> = cols
+                    .iter()
+                    .map(|c| full.schema().index_of(c).unwrap())
+                    .collect();
+                // Keys: a random subset of those present, plus every
+                // awkward value (some alias present keys, some are absent).
+                let mut keys: HashSet<Row> = full
+                    .iter()
+                    .map(|r| r.project(&idx))
+                    .zip(picks.iter().cycle())
+                    .filter(|(_, &keep)| keep)
+                    .map(|(k, _)| k)
+                    .collect();
+                for v in awkward_values().into_iter().chain([Value::Int(999)]) {
+                    let mut key = vec![v; cols.len()];
+                    key[0] = Value::Int(2);
+                    keys.insert(Row::new(key.clone()));
+                    key[0] = key[cols.len() - 1].clone();
+                    keys.insert(Row::new(key));
+                }
+
+                let want = Table::bag(
+                    full.schema().clone(),
+                    full.iter()
+                        .filter(|r| keys.contains(&r.project(&idx)))
+                        .cloned()
+                        .collect(),
+                );
+                let got = ctx.eval_pre_matching(plan, cols, &keys).unwrap();
+                prop_assert!(
+                    got.bag_eq(&want),
+                    "restricting on {cols:?} diverged\nplan:\n{plan}\ngot:\n{got}\nwant:\n{want}"
+                );
+                prop_assert!(got.schema() == want.schema(), "schema changed for {cols:?}");
+            }
+        }
+    }
+}
+
 /// The paper's three evaluation views register lint-clean: no errors, no
 /// warnings recorded on the installed views.
 #[test]
