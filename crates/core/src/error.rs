@@ -53,6 +53,38 @@ pub enum CoreError {
     /// `ServeConfig::builder()` in `gpivot-serve` at `build()` time so
     /// misconfiguration fails fast instead of misbehaving at runtime.
     InvalidConfig { field: String, message: String },
+    /// An epoch plan was refused at commit ([`StalePlan`]).
+    StalePlan(StalePlan),
+}
+
+/// An [`EpochPlan`](crate::EpochPlan) was computed against a
+/// [`ViewManager`](crate::ViewManager) state that has since been mutated
+/// (a commit, a registry change, catalog access): its patches describe rows
+/// that may no longer be there. The only way
+/// [`ViewManager::commit_epoch`](crate::ViewManager::commit_epoch) refuses
+/// a plan — raised before anything is touched; re-plan and commit again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StalePlan {
+    /// The manager generation the plan was computed against.
+    pub planned_at: u64,
+    /// The manager's generation when the commit was attempted.
+    pub current: u64,
+}
+
+impl fmt::Display for StalePlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "epoch plan is stale: computed at manager generation {}, now {}",
+            self.planned_at, self.current
+        )
+    }
+}
+
+impl From<StalePlan> for CoreError {
+    fn from(e: StalePlan) -> Self {
+        CoreError::StalePlan(e)
+    }
 }
 
 /// Coarse retry classification of an error — the taxonomy the service
@@ -143,6 +175,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig { field, message } => {
                 write!(f, "invalid config: `{field}` {message}")
             }
+            CoreError::StalePlan(e) => e.fmt(f),
         }
     }
 }

@@ -30,10 +30,10 @@ pub mod maintain;
 pub mod rewrite;
 
 pub use combine::{can_combine, combine_adjacent, CombineVerdict};
-pub use error::{CoreError, ErrorClass, Result};
+pub use error::{CoreError, ErrorClass, Result, StalePlan};
 pub use gpivot_analyze::{analyze, AnalysisReport, DiagCode, Diagnostic, Severity};
 pub use maintain::{
-    MaintenanceOutcome, MaintenancePlan, MaterializedView, SourceDeltas, Strategy, ViewManager,
-    ViewOptions,
+    EpochPlan, MaintenanceOutcome, MaintenancePlan, MaterializedView, RefreshPlan, SourceDeltas,
+    Strategy, ViewManager, ViewOptions, ViewPatch,
 };
 pub use rewrite::{normalize_view, NormalizedView, TopShape};

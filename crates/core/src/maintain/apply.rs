@@ -7,6 +7,11 @@
 //! all become `⊥` is deleted from the view, and a fresh key with any
 //! non-`⊥` cell is inserted. This is exactly the paper's left-outer-join
 //! MERGE (§7.1) without ever touching unaffected rows.
+//!
+//! The MERGE is computed in two halves so a service can do the fallible
+//! half off to the side: `plan_*_update` reads the view and returns the
+//! row-level patch (a list of [`RowOp`]s, each view key at most once);
+//! [`apply_row_ops`] writes it in place and cannot fail.
 
 use crate::error::{CoreError, Result};
 use gpivot_algebra::PivotSpec;
@@ -26,6 +31,69 @@ impl ApplyStats {
     /// Total rows touched.
     pub fn total(&self) -> usize {
         self.inserted + self.updated + self.deleted
+    }
+}
+
+/// One keyed write of a MERGE against a materialized view.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowOp {
+    /// Remove the row stored under this key.
+    Delete(Row),
+    /// Replace the row stored under this key (the new row has the same key).
+    Update(Row, Row),
+    /// Add a row whose key the view does not hold.
+    Insert(Row),
+}
+
+/// The MERGE decision for one view key, shared by the three update-rule
+/// strategies: `cells` is the key's post-state row and `existed` says
+/// whether the view holds the key now. All-`⊥` measures (past the `n_k`
+/// key columns) or a failed `keep` test mean the row must not be in the view.
+pub(crate) fn merge_key(
+    ops: &mut Vec<RowOp>,
+    stats: &mut ApplyStats,
+    key: Row,
+    cells: Vec<Value>,
+    n_k: usize,
+    existed: bool,
+    keep: impl FnOnce(&Row) -> bool,
+) {
+    let row = Row::new(cells);
+    let stays = !row.values()[n_k..].iter().all(Value::is_null) && keep(&row);
+    match (existed, stays) {
+        (true, false) => {
+            ops.push(RowOp::Delete(key));
+            stats.deleted += 1;
+        }
+        (true, true) => {
+            ops.push(RowOp::Update(key, row));
+            stats.updated += 1;
+        }
+        (false, false) => {} // no-op: deletes for an absent key
+        (false, true) => {
+            ops.push(RowOp::Insert(row));
+            stats.inserted += 1;
+        }
+    }
+}
+
+/// Write a patch computed against `mv`'s current state into it, in place.
+/// Infallible by construction of the patch: deletes and updates name keys
+/// the table holds, inserts name keys it does not.
+pub fn apply_row_ops(mv: &mut Table, ops: Vec<RowOp>) {
+    for op in ops {
+        match op {
+            RowOp::Delete(key) => {
+                mv.delete_by_key(&key);
+            }
+            RowOp::Update(key, row) => {
+                mv.update_by_key(&key, row);
+            }
+            RowOp::Insert(row) => {
+                let inserted = mv.insert(row);
+                debug_assert!(inserted.is_ok(), "patch insert refused: {inserted:?}");
+            }
+        }
     }
 }
 
@@ -63,6 +131,19 @@ pub fn apply_pivot_update(
     core_schema: &Schema,
     delta_core: &Delta,
 ) -> Result<ApplyStats> {
+    let (ops, stats) = plan_pivot_update(mv, spec, core_schema, delta_core)?;
+    apply_row_ops(mv, ops);
+    Ok(stats)
+}
+
+/// The read-only half of [`apply_pivot_update`]: the Fig. 23 MERGE as a
+/// patch against `mv`, which is left untouched.
+pub fn plan_pivot_update(
+    mv: &Table,
+    spec: &PivotSpec,
+    core_schema: &Schema,
+    delta_core: &Delta,
+) -> Result<(Vec<RowOp>, ApplyStats)> {
     let layout = PivotLayout::resolve(spec, core_schema)?;
     let n_k = layout.k_idx.len();
     let n_on = layout.on_idx.len();
@@ -79,52 +160,47 @@ pub fn apply_pivot_update(
 
     let changes = collect_cell_changes(delta_core, &layout);
     let mut stats = ApplyStats::default();
+    let mut ops = Vec::with_capacity(changes.len());
 
     for (key, mut cell_changes) in changes {
-        // Deletes before inserts: a batch may replace a cell's source row.
-        cell_changes.sort_by_key(|(_, w, _)| *w);
-
-        let existing = mv.get_by_key(&key).cloned();
-        let mut cells: Vec<Value> = match &existing {
+        let existing = mv.get_by_key(&key);
+        let mut cells: Vec<Value> = match existing {
             Some(row) => row.to_vec(),
-            None => {
-                let mut v = Vec::with_capacity(width);
-                v.extend(key.iter().cloned());
-                v.extend(std::iter::repeat_n(Value::Null, width - n_k));
-                v
-            }
+            None => blank_row(&key, width),
         };
-        for (gi, w, measures) in &cell_changes {
-            let base = n_k + gi * n_on;
-            if *w < 0 {
-                for j in 0..n_on {
-                    cells[base + j] = Value::Null;
-                }
-            } else {
-                for (j, m) in measures.iter().enumerate() {
-                    cells[base + j] = m.clone();
-                }
-            }
-        }
+        overwrite_cells(&mut cells, &mut cell_changes, n_k, n_on);
+        let existed = existing.is_some();
+        merge_key(&mut ops, &mut stats, key, cells, n_k, existed, |_| true);
+    }
+    Ok((ops, stats))
+}
 
-        let all_null = cells[n_k..].iter().all(Value::is_null);
-        match (existing.is_some(), all_null) {
-            (true, true) => {
-                mv.delete_by_key(&key);
-                stats.deleted += 1;
-            }
-            (true, false) => {
-                mv.update_by_key(&key, Row::new(cells));
-                stats.updated += 1;
-            }
-            (false, true) => {} // no-op: deletes for an absent key
-            (false, false) => {
-                mv.insert(Row::new(cells))?;
-                stats.inserted += 1;
-            }
+/// The row a key absent from the view starts from: its key, then all `⊥`.
+pub(crate) fn blank_row(key: &Row, width: usize) -> Vec<Value> {
+    let mut v = Vec::with_capacity(width);
+    v.extend(key.iter().cloned());
+    v.resize(width, Value::Null);
+    v
+}
+
+/// Fold one key's cell changes into its row: deleted source rows `⊥`-out
+/// their cells, inserted ones overwrite theirs.
+pub(crate) fn overwrite_cells(
+    cells: &mut [Value],
+    cell_changes: &mut CellChanges,
+    n_k: usize,
+    n_on: usize,
+) {
+    // Deletes before inserts: a batch may replace a cell's source row.
+    cell_changes.sort_by_key(|(_, w, _)| *w);
+    for (gi, w, measures) in cell_changes.iter() {
+        let base = n_k + gi * n_on;
+        if *w < 0 {
+            cells[base..base + n_on].fill(Value::Null);
+        } else {
+            cells[base..base + n_on].clone_from_slice(measures);
         }
     }
-    Ok(stats)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! Fig. 28: "we also need to add COUNT(*) into the view definition").
 
 use crate::error::{CoreError, Result};
-use crate::maintain::apply::ApplyStats;
+use crate::maintain::apply::{apply_row_ops, blank_row, merge_key, ApplyStats, RowOp};
 use gpivot_algebra::{AggFunc, AggSpec, PivotSpec};
 use gpivot_storage::{Delta, Row, Schema, Table, Value};
 use std::collections::HashMap;
@@ -210,6 +210,20 @@ pub fn apply_group_pivot_update(
     core_schema: &Schema,
     delta_core: &Delta,
 ) -> Result<ApplyStats> {
+    let (ops, stats) = plan_group_pivot_update(mv, spec, info, core_schema, delta_core)?;
+    apply_row_ops(mv, ops);
+    Ok(stats)
+}
+
+/// The read-only half of [`apply_group_pivot_update`]: the Fig. 27 fold as
+/// a patch against `mv`, which is left untouched.
+pub fn plan_group_pivot_update(
+    mv: &Table,
+    spec: &PivotSpec,
+    info: &GroupPivotInfo,
+    core_schema: &Schema,
+    delta_core: &Delta,
+) -> Result<(Vec<RowOp>, ApplyStats)> {
     let n_on = spec.on.len();
     // K' = grouping columns that are not pivot dimensions, in GROUPBY
     // order — these are the view key columns.
@@ -256,16 +270,12 @@ pub fn apply_group_pivot_update(
     }
 
     let mut stats = ApplyStats::default();
+    let mut ops = Vec::with_capacity(by_view_key.len());
     for (key, subgroups) in by_view_key {
-        let existing = mv.get_by_key(&key).cloned();
-        let mut cells: Vec<Value> = match &existing {
+        let existing = mv.get_by_key(&key);
+        let mut cells: Vec<Value> = match existing {
             Some(row) => row.to_vec(),
-            None => {
-                let mut v = Vec::with_capacity(width);
-                v.extend(key.iter().cloned());
-                v.extend(std::iter::repeat_n(Value::Null, width - n_k));
-                v
-            }
+            None => blank_row(&key, width),
         };
         for (gi, deltas) in subgroups {
             let base = n_k + gi * n_on;
@@ -334,24 +344,10 @@ pub fn apply_group_pivot_update(
             cells[base..base + n_on].clone_from_slice(&new_cells);
         }
 
-        let all_null = cells[n_k..].iter().all(Value::is_null);
-        match (existing.is_some(), all_null) {
-            (true, true) => {
-                mv.delete_by_key(&key);
-                stats.deleted += 1;
-            }
-            (true, false) => {
-                mv.update_by_key(&key, Row::new(cells));
-                stats.updated += 1;
-            }
-            (false, true) => {}
-            (false, false) => {
-                mv.insert(Row::new(cells))?;
-                stats.inserted += 1;
-            }
-        }
+        let existed = existing.is_some();
+        merge_key(&mut ops, &mut stats, key, cells, n_k, existed, |_| true);
     }
-    Ok(stats)
+    Ok((ops, stats))
 }
 
 #[cfg(test)]

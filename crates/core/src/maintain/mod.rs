@@ -20,10 +20,10 @@ pub mod select_pivot;
 pub mod strategy;
 pub mod view;
 
-pub use apply::ApplyStats;
+pub use apply::{ApplyStats, RowOp};
 pub use delta_prop::{post_state_table, propagate, PropagationCtx};
 pub use strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
-pub use view::{MaterializedView, ViewManager, ViewOptions};
+pub use view::{EpochPlan, MaterializedView, RefreshPlan, ViewManager, ViewOptions, ViewPatch};
 
 use gpivot_storage::{Delta, Row};
 use std::collections::HashMap;
@@ -87,6 +87,11 @@ impl SourceDeltas {
     /// Names of tables with pending changes.
     pub fn tables(&self) -> impl Iterator<Item = &str> {
         self.map.keys().map(String::as_str)
+    }
+
+    /// Every table with pending changes, with its delta.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Delta)> {
+        self.map.iter().map(|(t, d)| (t.as_str(), d))
     }
 
     /// True iff no change is pending.

@@ -18,12 +18,14 @@
 //!   `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan.
 
 use crate::error::{CoreError, Result};
-use crate::maintain::apply::{collect_cell_changes, ApplyStats};
+use crate::maintain::apply::{
+    apply_row_ops, collect_cell_changes, merge_key, overwrite_cells, ApplyStats, RowOp,
+};
 use crate::maintain::delta_prop::{post_state_table, PropagationCtx};
 use gpivot_algebra::plan::Plan;
 use gpivot_algebra::{decode_pivot_col, Expr, PivotSpec};
 use gpivot_exec::pivot::PivotLayout;
-use gpivot_storage::{Delta, Row, Table, Value};
+use gpivot_storage::{Delta, Row, Table};
 use std::collections::HashSet;
 
 /// Apply the Fig. 29 combined rules.
@@ -42,6 +44,21 @@ pub fn apply_select_pivot_update(
     ctx: &PropagationCtx<'_>,
     delta_core: &Delta,
 ) -> Result<ApplyStats> {
+    let (ops, stats) = plan_select_pivot_update(mv, spec, predicate, core, ctx, delta_core)?;
+    apply_row_ops(mv, ops);
+    Ok(stats)
+}
+
+/// The read-only half of [`apply_select_pivot_update`]: the Fig. 29 rules
+/// as a patch against `mv`, which is left untouched.
+pub fn plan_select_pivot_update(
+    mv: &Table,
+    spec: &PivotSpec,
+    predicate: &Expr,
+    core: &Plan,
+    ctx: &PropagationCtx<'_>,
+    delta_core: &Delta,
+) -> Result<(Vec<RowOp>, ApplyStats)> {
     if !predicate.is_null_intolerant() {
         return Err(CoreError::StrategyNotApplicable {
             strategy: "select-pivot-update (Fig. 29)".into(),
@@ -56,38 +73,21 @@ pub fn apply_select_pivot_update(
 
     let changes = collect_cell_changes(delta_core, &layout);
     let mut stats = ApplyStats::default();
+    let mut ops = Vec::with_capacity(changes.len());
 
     // σc′ prefilter: which pivot groups does the predicate reference?
     let referenced_groups = predicate_groups(predicate, spec);
 
     let mut recompute_keys: Vec<Row> = Vec::new();
     for (key, mut cell_changes) in changes {
-        match mv.get_by_key(&key).cloned() {
+        match mv.get_by_key(&key) {
             Some(existing) => {
                 // In-view key: in-place MERGE then σc re-test.
-                cell_changes.sort_by_key(|(_, w, _)| *w);
                 let mut cells = existing.to_vec();
-                for (gi, w, measures) in &cell_changes {
-                    let base = n_k + gi * n_on;
-                    if *w < 0 {
-                        for j in 0..n_on {
-                            cells[base + j] = Value::Null;
-                        }
-                    } else {
-                        for (j, m) in measures.iter().enumerate() {
-                            cells[base + j] = m.clone();
-                        }
-                    }
-                }
-                let new_row = Row::new(cells);
-                let all_null = new_row.values()[n_k..].iter().all(Value::is_null);
-                if all_null || !bound_pred.holds(&new_row) {
-                    mv.delete_by_key(&key);
-                    stats.deleted += 1;
-                } else {
-                    mv.update_by_key(&key, new_row);
-                    stats.updated += 1;
-                }
+                overwrite_cells(&mut cells, &mut cell_changes, n_k, n_on);
+                merge_key(&mut ops, &mut stats, key, cells, n_k, true, |row| {
+                    bound_pred.holds(row)
+                });
             }
             None => {
                 // Absent key: only inserts into σc-referenced cells can make
@@ -153,12 +153,8 @@ pub fn apply_select_pivot_update(
             &ctx.eval_pre_matching(core, &restrict_names, &restrict_keys)?,
             &delta_core.filter_rows(|r| restrict_keys.contains(&r.project(&restrict_idx))),
         );
-        let out_schema = Plan::GPivot {
-            input: Box::new(core.clone()),
-            spec: spec.clone(),
-        }
-        .schema(ctx.catalog)?;
-        let pivoted = gpivot_exec::pivot::gpivot(&restricted, spec, out_schema)?;
+        // σc passes its input's schema through: the view's is the pivot's.
+        let pivoted = gpivot_exec::pivot::gpivot(&restricted, spec, mv.schema().clone())?;
         let k_out: Vec<usize> = (0..k_names.len()).collect();
         for row in pivoted.iter() {
             // Post-filter: only the exact candidate keys may be inserted
@@ -167,12 +163,12 @@ pub fn apply_select_pivot_update(
                 continue;
             }
             if bound_pred.holds(row) {
-                mv.insert(row.clone())?;
+                ops.push(RowOp::Insert(row.clone()));
                 stats.inserted += 1;
             }
         }
     }
-    Ok(stats)
+    Ok((ops, stats))
 }
 
 /// The set of pivot group indices whose cells the predicate references.
@@ -197,7 +193,7 @@ mod tests {
     use super::*;
     use crate::maintain::SourceDeltas;
     use gpivot_exec::Executor;
-    use gpivot_storage::{row, Catalog, DataType, Schema};
+    use gpivot_storage::{row, Catalog, DataType, Schema, Value};
     use std::sync::Arc;
 
     fn catalog() -> Catalog {

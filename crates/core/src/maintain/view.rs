@@ -2,11 +2,11 @@
 //! the whole paper: compile (normalize + choose strategy + materialize),
 //! refresh (propagate + apply), commit, verify.
 
-use crate::error::{CoreError, Result};
-use crate::maintain::apply::apply_pivot_update;
+use crate::error::{CoreError, Result, StalePlan};
+use crate::maintain::apply::{apply_row_ops, plan_pivot_update, RowOp};
 use crate::maintain::delta_prop::{propagate, PropagationCtx};
-use crate::maintain::group_pivot::{apply_group_pivot_update, GroupPivotInfo};
-use crate::maintain::select_pivot::apply_select_pivot_update;
+use crate::maintain::group_pivot::{plan_group_pivot_update, GroupPivotInfo};
+use crate::maintain::select_pivot::plan_select_pivot_update;
 use crate::maintain::strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
 use crate::maintain::SourceDeltas;
 use crate::rewrite::{
@@ -16,7 +16,7 @@ use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::{AggFunc, AggSpec, Expr, PivotSpec};
 use gpivot_analyze::Diagnostic;
 use gpivot_exec::Executor;
-use gpivot_storage::{Catalog, Row, Table};
+use gpivot_storage::{Catalog, Delta, Row, Table};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -28,15 +28,34 @@ pub struct MaterializedView {
     strategy: Strategy,
     normalized: NormalizedView,
     group_info: Option<GroupPivotInfo>,
+    /// The base tables the definition and its normalized form read.
+    dependencies: BTreeSet<String>,
     table: Table,
     /// Warning/info diagnostics the plan lint recorded at registration
     /// (empty when created directly or registered with lint skipped).
     lint_warnings: Vec<Diagnostic>,
     /// The rows the last projecting [`MaterializedView::query`] returned,
     /// kept so the next one can overwrite them in place once its reader has
-    /// let go (see there). Shared by clones: the service maintains a clone
-    /// of the view each epoch and installs it over the original.
+    /// let go (see there). Clones share the buffer; whichever reads next
+    /// takes it, the other allocates afresh.
     read_rows: Arc<Mutex<Arc<Vec<Row>>>>,
+}
+
+/// What one refresh writes into a view's table, computed without touching
+/// it ([`MaterializedView::plan_refresh`]) and written in place by
+/// [`MaterializedView::install`] — the paper's MERGE against the view
+/// (§7.1) as a value. Valid only against the view state it was planned on.
+#[derive(Debug)]
+pub struct ViewPatch(PatchKind);
+
+#[derive(Debug)]
+enum PatchKind {
+    /// Keyed MERGE of the update-rule strategies: each key at most once.
+    Rows(Vec<RowOp>),
+    /// Insert/delete propagation; passed [`Table::check_delta`] at plan time.
+    Delta(Delta),
+    /// Recomputation: the whole new table.
+    Replace(Table),
 }
 
 /// Options for registering a view with [`ViewManager::register_view_with`].
@@ -108,7 +127,11 @@ fn has_outer_join(plan: &Plan) -> bool {
 /// Execute and key-index a plan's result. The key index is built in place
 /// over the executor's row storage ([`Table::into_keyed`]) — no row copy.
 fn materialize(plan: &Plan, catalog: &Catalog, exec: &Executor) -> Result<Table> {
-    let bag = exec.run(plan, catalog)?;
+    key_indexed(exec.run(plan, catalog)?)
+}
+
+/// Key-index an executor result in place, if its schema declares a key.
+fn key_indexed(bag: Table) -> Result<Table> {
     if bag.schema().has_key() {
         let schema = bag.schema().clone();
         Ok(bag.into_keyed(schema)?)
@@ -224,16 +247,32 @@ impl MaterializedView {
             let _s = tracing::span("compile.materialize").enter();
             materialize(&normalized.plan, catalog, exec)?
         };
-        Ok(MaterializedView {
+        Ok(Self::assemble(
+            name, definition, strategy, normalized, group_info, table,
+        ))
+    }
+
+    fn assemble(
+        name: String,
+        definition: Plan,
+        strategy: Strategy,
+        normalized: NormalizedView,
+        group_info: Option<GroupPivotInfo>,
+        table: Table,
+    ) -> Self {
+        let mut dependencies = normalized.plan.base_tables();
+        dependencies.extend(definition.base_tables());
+        MaterializedView {
             name,
             definition,
             strategy,
             normalized,
             group_info,
+            dependencies,
             table,
             lint_warnings: Vec::new(),
             read_rows: Arc::default(),
-        })
+        }
     }
 
     /// Rebuild a view from a persisted snapshot *without* recomputing it.
@@ -267,19 +306,8 @@ impl MaterializedView {
         } else {
             (materialize(&normalized.plan, catalog, exec)?, false)
         };
-        Ok((
-            MaterializedView {
-                name,
-                definition,
-                strategy,
-                normalized,
-                group_info,
-                table,
-                lint_warnings: Vec::new(),
-                read_rows: Arc::default(),
-            },
-            used_snapshot,
-        ))
+        let view = Self::assemble(name, definition, strategy, normalized, group_info, table);
+        Ok((view, used_snapshot))
     }
 
     /// The normalize + shape-check half of [`MaterializedView::create`]:
@@ -524,49 +552,65 @@ impl MaterializedView {
     }
 
     /// Refresh the view against pending source deltas, running every
-    /// propagate/recompute subplan on `exec`.
+    /// propagate/recompute subplan on `exec`:
+    /// [`MaterializedView::plan_refresh`] then
+    /// [`MaterializedView::install`]. On error the view is untouched.
     pub fn maintain_with(
         &mut self,
         catalog: &Catalog,
         deltas: &SourceDeltas,
         exec: &Executor,
     ) -> Result<MaintenanceOutcome> {
+        let (patch, outcome) = self.plan_refresh(catalog, deltas, exec)?;
+        self.install(patch);
+        Ok(outcome)
+    }
+
+    /// The fallible, read-only half of a refresh: propagate `deltas`
+    /// through the view's plan against the pre-update `catalog`, then
+    /// compute — against this view's table, without writing to it — the
+    /// row-level patch the strategy's apply rules call for. Every error a
+    /// refresh can raise (injected faults included) is raised here, so a
+    /// failed or abandoned refresh leaves nothing to undo.
+    pub fn plan_refresh(
+        &self,
+        catalog: &Catalog,
+        deltas: &SourceDeltas,
+        exec: &Executor,
+    ) -> Result<(ViewPatch, MaintenanceOutcome)> {
         use gpivot_storage::FaultSite;
         // Chaos-testing hooks: the Propagate site fires before any delta
-        // work, the Apply site after propagation but before the view table
-        // is touched. Context = the view name, so schedules can target one
+        // work, the Apply site after propagation but before the patch is
+        // computed. Context = the view name, so schedules can target one
         // view. Both are free no-ops with the default (disabled) injector.
-        catalog
-            .fault_injector()
-            .check(FaultSite::Propagate, &self.name)?;
-        let check_apply = |catalog: &Catalog| -> gpivot_storage::Result<()> {
-            catalog.fault_injector().check(FaultSite::Apply, &self.name)
-        };
+        let faults = catalog.fault_injector();
+        faults.check(FaultSite::Propagate, &self.name)?;
         let ctx = PropagationCtx::with_exec(catalog, deltas, exec.clone());
+        // Propagate the source deltas to just below the strategy's apply
+        // rules; the returned guard is the apply phase's span.
+        let propagate_to_apply = |below: &Plan| -> Result<(Delta, tracing::Entered)> {
+            let d = {
+                let _s = tracing::span("maintain.propagate").enter();
+                propagate(below, &ctx)?
+            };
+            faults.check(FaultSite::Apply, &self.name)?;
+            Ok((d, tracing::span("maintain.apply").enter()))
+        };
         let mut outcome = MaintenanceOutcome::default();
-        match self.strategy {
+        let patch = match self.strategy {
             Strategy::Recompute => {
                 let bag = {
                     let _s = tracing::span("maintain.propagate").enter();
                     ctx.eval_post(&self.normalized.plan)?
                 };
-                check_apply(catalog)?;
+                faults.check(FaultSite::Apply, &self.name)?;
                 let _a = tracing::span("maintain.apply").enter();
-                self.table = if bag.schema().has_key() {
-                    let schema = bag.schema().clone();
-                    bag.into_keyed(schema)?
-                } else {
-                    bag
-                };
-                outcome.stats.inserted = self.table.len();
+                let table = key_indexed(bag)?;
+                outcome.stats.inserted = table.len();
+                PatchKind::Replace(table)
             }
             Strategy::InsertDelete => {
-                let d = {
-                    let _s = tracing::span("maintain.propagate").enter();
-                    propagate(&self.normalized.plan, &ctx)?
-                };
-                check_apply(catalog)?;
-                let _a = tracing::span("maintain.apply").enter();
+                let (d, _apply) = propagate_to_apply(&self.normalized.plan)?;
                 outcome.delta_rows = d.distinct_len();
                 for (_, &w) in d.iter() {
                     if w > 0 {
@@ -575,125 +619,150 @@ impl MaterializedView {
                         outcome.stats.deleted += (-w) as usize;
                     }
                 }
-                self.table.apply_delta(&d)?;
+                self.table
+                    .check_delta(&d)
+                    .map_err(|e| e.in_table(&self.name))?;
+                PatchKind::Delta(d)
             }
-            Strategy::PivotUpdate | Strategy::SelectPushdownUpdate => {
-                let Plan::GPivot { input: core, spec } = &self.normalized.plan else {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: self.strategy.id().into(),
-                        reason: "normalized plan lost its top pivot".into(),
-                    });
-                };
-                let dcore = {
-                    let _s = tracing::span("maintain.propagate").enter();
-                    propagate(core, &ctx)?
-                };
-                check_apply(catalog)?;
-                let _a = tracing::span("maintain.apply").enter();
-                outcome.delta_rows = dcore.distinct_len();
-                let core_schema = core.schema(catalog)?;
-                outcome.stats = apply_pivot_update(&mut self.table, spec, &core_schema, &dcore)?;
+            // Fig. 23 MERGE at the top pivot. Under `GroupByInsDel` its
+            // input is the GROUPBY, which insert/delete propagation crosses
+            // by recomputing the affected groups.
+            Strategy::PivotUpdate | Strategy::SelectPushdownUpdate | Strategy::GroupByInsDel => {
+                let (below, spec) = self.pivot_over(&self.normalized.plan)?;
+                let (d, _apply) = propagate_to_apply(below)?;
+                outcome.delta_rows = d.distinct_len();
+                let schema = below.schema(catalog)?;
+                let (ops, stats) = plan_pivot_update(&self.table, spec, &schema, &d)?;
+                outcome.stats = stats;
+                PatchKind::Rows(ops)
             }
             Strategy::SelectPivotUpdate => {
                 let Plan::Select { input, predicate } = &self.normalized.plan else {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: self.strategy.id().into(),
-                        reason: "normalized plan lost its top select".into(),
-                    });
+                    return Err(self.lost("top select"));
                 };
-                let Plan::GPivot { input: core, spec } = input.as_ref() else {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: self.strategy.id().into(),
-                        reason: "normalized plan lost its pivot".into(),
-                    });
-                };
-                let dcore = {
-                    let _s = tracing::span("maintain.propagate").enter();
-                    propagate(core, &ctx)?
-                };
-                check_apply(catalog)?;
-                let _a = tracing::span("maintain.apply").enter();
-                outcome.delta_rows = dcore.distinct_len();
-                outcome.stats = apply_select_pivot_update(
-                    &mut self.table,
-                    spec,
-                    predicate,
-                    core,
-                    &ctx,
-                    &dcore,
-                )?;
+                let (core, spec) = self.pivot_over(input)?;
+                let (d, _apply) = propagate_to_apply(core)?;
+                outcome.delta_rows = d.distinct_len();
+                let (ops, stats) =
+                    plan_select_pivot_update(&self.table, spec, predicate, core, &ctx, &d)?;
+                outcome.stats = stats;
+                PatchKind::Rows(ops)
             }
             Strategy::GroupPivotUpdate => {
-                let Plan::GPivot { input, spec } = &self.normalized.plan else {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: self.strategy.id().into(),
-                        reason: "normalized plan lost its top pivot".into(),
-                    });
+                let (input, spec) = self.pivot_over(&self.normalized.plan)?;
+                let Plan::GroupBy { input: core, .. } = input else {
+                    return Err(self.lost("group-by"));
                 };
-                let Plan::GroupBy { input: core, .. } = input.as_ref() else {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: self.strategy.id().into(),
-                        reason: "normalized plan lost its group-by".into(),
-                    });
-                };
-                let dcore = {
-                    let _s = tracing::span("maintain.propagate").enter();
-                    propagate(core, &ctx)?
-                };
-                check_apply(catalog)?;
-                let _a = tracing::span("maintain.apply").enter();
-                outcome.delta_rows = dcore.distinct_len();
-                let core_schema = core.schema(catalog)?;
-                let info =
-                    self.group_info
-                        .as_ref()
-                        .ok_or_else(|| CoreError::StrategyNotApplicable {
-                            strategy: self.strategy.id().into(),
-                            reason: "group-pivot info missing (not set at creation)".into(),
-                        })?;
-                outcome.stats =
-                    apply_group_pivot_update(&mut self.table, spec, info, &core_schema, &dcore)?;
+                let info = self
+                    .group_info
+                    .as_ref()
+                    .ok_or_else(|| self.lost("group-pivot info (not set at creation)"))?;
+                let (d, _apply) = propagate_to_apply(core)?;
+                outcome.delta_rows = d.distinct_len();
+                let schema = core.schema(catalog)?;
+                let (ops, stats) = plan_group_pivot_update(&self.table, spec, info, &schema, &d)?;
+                outcome.stats = stats;
+                PatchKind::Rows(ops)
             }
-            Strategy::GroupByInsDel => {
-                let Plan::GPivot { input: gb, spec } = &self.normalized.plan else {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: self.strategy.id().into(),
-                        reason: "normalized plan lost its top pivot".into(),
-                    });
-                };
-                // Insert/delete propagation through the GROUPBY (affected
-                // group recomputation), then Fig. 23 MERGE at the pivot.
-                let dgb = {
-                    let _s = tracing::span("maintain.propagate").enter();
-                    propagate(gb, &ctx)?
-                };
-                check_apply(catalog)?;
-                let _a = tracing::span("maintain.apply").enter();
-                outcome.delta_rows = dgb.distinct_len();
-                let gb_schema = gb.schema(catalog)?;
-                outcome.stats = apply_pivot_update(&mut self.table, spec, &gb_schema, &dgb)?;
-            }
-        }
+        };
         outcome.rows_propagated = ctx.rows_evaluated();
-        Ok(outcome)
+        Ok((ViewPatch(patch), outcome))
+    }
+
+    /// The infallible half of a refresh: write a patch from
+    /// [`MaterializedView::plan_refresh`] into the table, in place — only
+    /// the rows it names are touched. The patch must have been planned
+    /// against this view's current state (a [`ViewManager`] enforces that
+    /// with its generation check).
+    pub fn install(&mut self, patch: ViewPatch) {
+        match patch.0 {
+            PatchKind::Rows(ops) => apply_row_ops(&mut self.table, ops),
+            PatchKind::Delta(d) => {
+                let applied = self.table.apply_delta(&d);
+                debug_assert!(applied.is_ok(), "checked delta refused: {applied:?}");
+            }
+            PatchKind::Replace(table) => self.table = table,
+        }
+    }
+
+    fn lost(&self, what: &str) -> CoreError {
+        CoreError::StrategyNotApplicable {
+            strategy: self.strategy.id().into(),
+            reason: format!("normalized plan lost its {what}"),
+        }
+    }
+
+    /// `plan` as a GPIVOT: its input and spec.
+    fn pivot_over<'p>(&self, plan: &'p Plan) -> Result<(&'p Plan, &'p PivotSpec)> {
+        match plan {
+            Plan::GPivot { input, spec } => Ok((input, spec)),
+            _ => Err(self.lost("pivot")),
+        }
     }
 
     /// The base tables this view reads — the service layer's dependency
-    /// edges for dirty-table scheduling.
-    pub fn dependencies(&self) -> BTreeSet<String> {
-        let mut deps = self.normalized.plan.base_tables();
-        deps.extend(self.definition.base_tables());
-        deps
+    /// edges for dirty-table scheduling. Computed once, at compile time.
+    pub fn dependencies(&self) -> &BTreeSet<String> {
+        &self.dependencies
     }
 }
 
 /// Owns a catalog plus a set of materialized views, and runs the paper's
 /// compile + refresh cycle over them.
+///
+/// A refresh is **plan → validate → commit**: [`ViewManager::plan_view`]
+/// and [`ViewManager::plan_commit`] read the manager and can fail;
+/// [`ViewManager::commit_epoch`] writes the result in place and cannot,
+/// short of refusing a stale plan whole. [`ViewManager::refresh`] runs the
+/// three in sequence; a service runs the first two under a read lock and
+/// the last under its write lock.
 #[derive(Debug, Clone, Default)]
 pub struct ViewManager {
     catalog: Catalog,
     views: BTreeMap<String, MaterializedView>,
     exec: Executor,
+    /// Bumped by everything that can change the catalog or a view. Plans
+    /// record it; a plan from another generation is refused at commit.
+    generation: u64,
+}
+
+/// One view's planned refresh, from [`ViewManager::plan_view`].
+#[derive(Debug)]
+pub struct RefreshPlan {
+    generation: u64,
+    patch: ViewPatch,
+    outcome: MaintenanceOutcome,
+}
+
+impl RefreshPlan {
+    /// What the refresh will have done once committed.
+    pub fn outcome(&self) -> &MaintenanceOutcome {
+        &self.outcome
+    }
+}
+
+/// A validated epoch, ready for [`ViewManager::commit_epoch`]: the base
+/// deltas (every one passed [`Catalog::check_delta`]) and the refresh
+/// plans of the views that read them. Made by [`ViewManager::plan_commit`]
+/// (no views yet — [`EpochPlan::add_view`] them) or
+/// [`ViewManager::plan_epoch`] (complete). Dropping it is the rollback.
+#[derive(Debug)]
+pub struct EpochPlan<'a> {
+    generation: u64,
+    deltas: &'a SourceDeltas,
+    views: BTreeMap<String, RefreshPlan>,
+}
+
+impl EpochPlan<'_> {
+    /// Commit `view`'s planned refresh with this epoch.
+    pub fn add_view(&mut self, view: impl Into<String>, refresh: RefreshPlan) {
+        self.views.insert(view.into(), refresh);
+    }
+
+    /// The planned view refreshes, by view name.
+    pub fn views(&self) -> impl Iterator<Item = (&str, &RefreshPlan)> {
+        self.views.iter().map(|(name, r)| (name.as_str(), r))
+    }
 }
 
 impl ViewManager {
@@ -701,8 +770,7 @@ impl ViewManager {
     pub fn new(catalog: Catalog) -> Self {
         ViewManager {
             catalog,
-            views: BTreeMap::new(),
-            exec: Executor::new(),
+            ..ViewManager::default()
         }
     }
 
@@ -726,6 +794,7 @@ impl ViewManager {
 
     /// Mutable access to the catalog (loading data, etc.).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
+        self.generation += 1;
         &mut self.catalog
     }
 
@@ -863,7 +932,7 @@ impl ViewManager {
             &self.exec,
         )?;
         view.lint_warnings = lint_warnings;
-        self.views.insert(name, view);
+        self.install_view(view);
         Ok(())
     }
 
@@ -909,6 +978,7 @@ impl ViewManager {
 
     /// Drop a view.
     pub fn drop_view(&mut self, name: &str) -> Result<MaterializedView> {
+        self.generation += 1;
         self.views
             .remove(name)
             .ok_or_else(|| CoreError::UnknownView(name.to_string()))
@@ -937,10 +1007,11 @@ impl ViewManager {
     }
 
     /// Install (or overwrite) an already-materialized view under its own
-    /// name. The service layer refreshes cloned views off-thread and
-    /// installs the results in one critical section; this is the install
-    /// half of that protocol.
+    /// name: how a recovered, re-admitted or re-registered view enters the
+    /// registry. Epoch refreshes do not come through here — they patch the
+    /// registered view in place ([`ViewManager::commit_epoch`]).
     pub fn install_view(&mut self, view: MaterializedView) {
+        self.generation += 1;
         self.views.insert(view.name().to_string(), view);
     }
 
@@ -950,69 +1021,122 @@ impl ViewManager {
         name: &str,
         deltas: &SourceDeltas,
     ) -> Result<MaintenanceOutcome> {
-        let catalog = &self.catalog;
-        // Split borrow: temporarily remove the view.
-        let mut view = self
-            .views
-            .remove(name)
-            .ok_or_else(|| CoreError::UnknownView(name.to_string()))?;
-        let result = view.maintain_with(catalog, deltas, &self.exec);
-        self.views.insert(name.to_string(), view);
-        result
+        let RefreshPlan { patch, outcome, .. } = self.plan_view(name, deltas)?;
+        self.generation += 1;
+        if let Some(view) = self.views.get_mut(name) {
+            view.install(patch);
+        }
+        Ok(outcome)
     }
 
-    /// Commit pending deltas to the base tables.
-    ///
-    /// Note this applies table-by-table: a failure partway (key violation,
-    /// injected commit fault) leaves earlier tables committed. Callers that
-    /// need all-or-nothing semantics should use the two-phase
-    /// [`ViewManager::stage_commit`] / [`ViewManager::apply_staged`] pair
-    /// instead.
+    /// Commit pending deltas to the base tables, all or none: every table
+    /// is validated before the first is written.
     pub fn commit(&mut self, deltas: &SourceDeltas) -> Result<()> {
+        let plan = self.plan_commit(deltas)?;
+        Ok(self.commit_epoch(plan)?)
+    }
+
+    /// The views that read a table `deltas` changes, in name order.
+    pub fn affected_views<'s>(
+        &'s self,
+        deltas: &'s SourceDeltas,
+    ) -> impl Iterator<Item = &'s MaterializedView> {
+        self.views
+            .values()
+            .filter(|v| deltas.tables().any(|t| v.dependencies().contains(t)))
+    }
+
+    /// **Plan** one view's refresh against `deltas` and the pre-update
+    /// catalog ([`MaterializedView::plan_refresh`]). Reads only.
+    pub fn plan_view(&self, name: &str, deltas: &SourceDeltas) -> Result<RefreshPlan> {
+        let (patch, outcome) = self
+            .view(name)?
+            .plan_refresh(&self.catalog, deltas, &self.exec)?;
+        Ok(RefreshPlan {
+            generation: self.generation,
+            patch,
+            outcome,
+        })
+    }
+
+    /// **Validate** the base-table half of an epoch: would every delta
+    /// apply ([`Catalog::check_delta`] — arity, keys, the `Commit` fault
+    /// site)? O(|Δ|); reads only. The returned plan holds no view refresh
+    /// yet.
+    pub fn plan_commit<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
+        let _s = tracing::span("maintain.stage").enter();
+        for (t, d) in deltas.iter() {
+            self.catalog.check_delta(t, d)?;
+        }
+        Ok(EpochPlan {
+            generation: self.generation,
+            deltas,
+            views: BTreeMap::new(),
+        })
+    }
+
+    /// Plan a whole epoch: every affected view, then the base deltas.
+    pub fn plan_epoch<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
+        let views = self
+            .affected_views(deltas)
+            .map(|v| Ok((v.name().to_string(), self.plan_view(v.name(), deltas)?)))
+            .collect::<Result<_>>()?;
+        Ok(EpochPlan {
+            views,
+            ..self.plan_commit(deltas)?
+        })
+    }
+
+    /// **Commit** a planned epoch in place: apply the validated base deltas
+    /// to the live tables and install every view patch — O(|Δ|) keyed
+    /// writes, no table copied. A table whose rows a reader still shares
+    /// detaches once (copy-on-write), leaving the reader's snapshot intact.
+    ///
+    /// Nothing past the first line can fail: every fallible step ran at
+    /// plan time against exactly this state, which is what the generation
+    /// check establishes. A plan from any other generation is refused
+    /// with nothing touched. A caller serving concurrent readers holds its
+    /// write lock across this call; that is what makes the many in-place
+    /// writes one atomic step to them.
+    pub fn commit_epoch(&mut self, plan: EpochPlan<'_>) -> std::result::Result<(), StalePlan> {
+        let mut planned =
+            std::iter::once(plan.generation).chain(plan.views.values().map(|r| r.generation));
+        if let Some(planned_at) = planned.find(|g| *g != self.generation) {
+            return Err(StalePlan {
+                planned_at,
+                current: self.generation,
+            });
+        }
         let _s = tracing::span("maintain.commit").enter();
-        for t in deltas.tables() {
-            let d = deltas.delta(t).expect("listed table has a delta");
-            self.catalog.apply_delta(t, d)?;
+        self.generation += 1;
+        for (t, d) in plan.deltas.iter() {
+            if let Ok(table) = self.catalog.table_mut(t) {
+                let applied = table.apply_delta(d);
+                debug_assert!(applied.is_ok(), "checked delta refused: {applied:?}");
+            }
+        }
+        for (name, refresh) in plan.views {
+            if let Some(view) = self.views.get_mut(&name) {
+                view.install(refresh.patch);
+            }
         }
         Ok(())
     }
 
-    /// The fallible half of an atomic commit: compute every post-delta base
-    /// table without mutating anything. All key violations and injected
-    /// commit faults surface here, while the catalog is still untouched.
-    pub fn stage_commit(&self, deltas: &SourceDeltas) -> Result<Vec<(String, Table)>> {
-        let _s = tracing::span("maintain.stage").enter();
-        let mut staged = Vec::new();
-        for t in deltas.tables() {
-            let d = deltas.delta(t).expect("listed table has a delta");
-            staged.push((t.to_string(), self.catalog.stage_delta(t, d)?));
-        }
-        Ok(staged)
-    }
-
-    /// The infallible half of an atomic commit: swap in base tables staged
-    /// by [`ViewManager::stage_commit`]. Nothing here can fail, so a caller
-    /// holding a write lock commits all tables or (by never reaching this
-    /// call) none.
-    pub fn apply_staged(&mut self, staged: Vec<(String, Table)>) {
-        let _s = tracing::span("maintain.commit").enter();
-        for (name, table) in staged {
-            self.catalog.replace(name, table);
-        }
-    }
-
-    /// Full refresh cycle: maintain every view, then commit the deltas.
+    /// Full refresh cycle: plan every affected view and the base-table
+    /// commit, then commit it all in place. All or nothing — an error
+    /// leaves every view and table as it was. Returns the outcome of each
+    /// view that was refreshed.
     pub fn refresh(
         &mut self,
         deltas: &SourceDeltas,
     ) -> Result<BTreeMap<String, MaintenanceOutcome>> {
-        let names: Vec<String> = self.views.keys().cloned().collect();
-        let mut outcomes = BTreeMap::new();
-        for n in names {
-            let o = self.maintain_view(&n, deltas)?;
-            outcomes.insert(n, o);
-        }
-        self.commit(deltas)?;
+        let plan = self.plan_epoch(deltas)?;
+        let outcomes = plan
+            .views()
+            .map(|(name, r)| (name.to_string(), r.outcome.clone()))
+            .collect();
+        self.commit_epoch(plan)?;
         Ok(outcomes)
     }
 

@@ -51,7 +51,7 @@ use gpivot_exec::Executor;
 use gpivot_storage::checkpoint::{self, CheckpointData};
 use gpivot_storage::wal::{self, Wal, WalRecord};
 use gpivot_storage::{Catalog, Delta, FaultInjector, FsyncPolicy, StorageError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -147,7 +147,7 @@ impl Durability {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create durable dir", e))?;
         let mut tables = Vec::new();
         for name in catalog.table_names() {
-            tables.push((name.to_string(), catalog.table(name)?.clone()));
+            tables.push((name.to_string(), catalog.table(name)?.as_bag()));
         }
         let data = CheckpointData {
             epoch: 0,
@@ -326,29 +326,6 @@ pub(crate) struct Recovered {
     pub report: RecoveryReport,
 }
 
-/// Re-apply one committed epoch's batch: maintain affected views against
-/// the pre-commit base, then commit base deltas and refreshed views
-/// together — the sequential twin of `ViewService::refresh_epoch`.
-fn apply_commit(manager: &mut ViewManager, batch: &SourceDeltas) -> Result<()> {
-    let dirty: BTreeSet<String> = batch.tables().map(String::from).collect();
-    let affected: Vec<MaterializedView> = manager
-        .views()
-        .filter(|v| !v.dependencies().is_disjoint(&dirty))
-        .cloned()
-        .collect();
-    let mut refreshed = Vec::with_capacity(affected.len());
-    for mut view in affected {
-        view.maintain_with(manager.catalog(), batch, manager.executor())?;
-        refreshed.push(view);
-    }
-    let staged = manager.stage_commit(batch)?;
-    manager.apply_staged(staged);
-    for v in refreshed {
-        manager.install_view(v);
-    }
-    Ok(())
-}
-
 /// Recover service state from `dir`: latest valid checkpoint + log-tail
 /// replay. `Ok(None)` means the directory holds no checkpoint (fresh).
 ///
@@ -470,7 +447,9 @@ pub(crate) fn recover(
                 }
                 WalRecord::EpochCommit { epoch: committed } => {
                     if let Some((batch, _)) = held.take() {
-                        apply_commit(&mut manager, &batch)?;
+                        // The live epoch's own plan → validate → commit,
+                        // run sequentially.
+                        manager.refresh(&batch)?;
                         report.replayed_epochs += 1;
                     }
                     epoch = epoch.max(committed);

@@ -11,7 +11,8 @@
 //! panics with a `SHUTTLE_NAME=… SHUTTLE_SCHEDULE=…` reproducer that
 //! replays exactly one interleaving.
 //!
-//! Suites 1 and 2 run against the real [`IngestQueue`]; suites 3 and 4
+//! Suite 1 runs against the real [`IngestQueue`]; suite 2 models the
+//! epoch's plan/commit protocol against readers, suites 3 and 4
 //! model the sharded router/promotion protocols (the real ones fan out
 //! through whole `ViewService` instances, too heavy for thousands of
 //! replays) with the same step structure as `shard.rs`. The
@@ -143,83 +144,127 @@ fn queue_ingest_vs_refresh_is_exact_under_all_interleavings() {
 }
 
 // ---------------------------------------------------------------------
-// Suite 2: stage/commit vs rollback vs readers in the view registry
+// Suite 2: plan/commit vs readers in the view registry
 // ---------------------------------------------------------------------
 
-/// The epoch protocol `ViewService::refresh_epoch` follows: drain, stage
-/// new view tables *outside* the registry write lock, then swap them in
-/// as one commit. `broken` stages in place instead (mutating committed
-/// state before the commit point) — the bug the staging buffer exists to
-/// prevent.
+/// What is wrong with the modelled epoch protocol, if anything.
+#[derive(Clone, Copy, PartialEq)]
+enum Bug {
+    None,
+    /// The patch is written into live state while *planning* — before the
+    /// commit point, where a reader (or a rollback) still expects the old
+    /// epoch. Planning must only read.
+    MutateAtPlan,
+    /// The commit's in-place writes happen without one registry write lock
+    /// spanning them, so a reader can run between the base-table write and
+    /// the view write.
+    UnlockedCommit,
+}
+
+/// The epoch protocol `ViewService::refresh_epoch` follows: drain, *plan*
+/// off to the side (the patch is a value; nothing live is written), then
+/// *commit* in place — the base tables, then the views. The commit is
+/// several writes to live state; it is one step to readers only because
+/// the registry write lock is held across all of them, which the model
+/// states by making the commit a single atomic step.
 struct EpochModel {
     queue: Vec<i64>,
-    committed: i64,
-    staged: Option<i64>,
+    /// Committed base-table state (the sum of committed ingests)…
+    base: i64,
+    /// …and the view over it, which must always equal it.
+    view: i64,
+    planned: Option<i64>,
     epoch: u64,
     /// Committed value per epoch — what a consistent reader may observe.
     history: Vec<i64>,
-    broken: bool,
+    bug: Bug,
 }
 
 impl EpochModel {
-    fn new(broken: bool) -> Self {
+    fn new(bug: Bug) -> Self {
         EpochModel {
             queue: Vec::new(),
-            committed: 0,
-            staged: None,
+            base: 0,
+            view: 0,
+            planned: None,
             epoch: 0,
             history: vec![0],
-            broken,
+            bug,
         }
     }
 
-    fn step_epoch(&mut self, phase: usize) -> Result<(), String> {
-        match phase {
-            0 => {
+    /// Epoch-thread steps per epoch: plan, commit — or, with the lock
+    /// missing, plan, commit-base, commit-views.
+    fn steps_per_epoch(bug: Bug) -> usize {
+        if bug == Bug::UnlockedCommit {
+            3
+        } else {
+            2
+        }
+    }
+
+    fn step_epoch(&mut self, phase: usize) {
+        match (phase, self.bug) {
+            (0, bug) => {
                 let batch: i64 = self.queue.drain(..).sum();
-                if self.broken {
-                    // Bug: apply to live state at stage time.
-                    self.committed += batch;
-                    self.staged = Some(batch);
-                } else {
-                    self.staged = Some(self.committed + batch);
+                if bug == Bug::MutateAtPlan {
+                    self.base += batch;
+                    self.view += batch;
                 }
+                self.planned = Some(batch);
             }
-            _ => {
-                if let Some(s) = self.staged.take() {
-                    if !self.broken {
-                        self.committed = s;
+            (1, Bug::UnlockedCommit) => self.base += self.planned.unwrap_or(0),
+            (_, bug) => {
+                let Some(batch) = self.planned.take() else {
+                    return;
+                };
+                match bug {
+                    Bug::None => {
+                        self.base += batch;
+                        self.view += batch;
                     }
-                    self.epoch += 1;
-                    self.history.push(self.committed);
+                    Bug::MutateAtPlan => {}
+                    Bug::UnlockedCommit => self.view += batch,
                 }
+                self.epoch += 1;
+                self.history.push(self.view);
             }
         }
-        Ok(())
     }
 
     fn read(&self) -> Result<(), String> {
         let want = self.history[self.epoch as usize];
-        if self.committed != want {
+        if self.base != self.view {
+            return Err(format!(
+                "reader saw base {} under view {} at epoch {}: torn commit",
+                self.base, self.view, self.epoch
+            ));
+        }
+        if self.view != want {
             return Err(format!(
                 "reader saw epoch {} with value {} (expected {want}): \
-                 staged state leaked before commit",
-                self.epoch, self.committed
+                 planned state leaked before commit",
+                self.epoch, self.view
             ));
         }
         Ok(())
     }
 }
 
-fn run_epoch_model(schedule: &[usize], broken: bool) -> Result<(), String> {
-    let mut m = EpochModel::new(broken);
+/// Thread 0 runs two epochs, thread 1 three ingests, thread 2 three reads.
+fn epoch_model_counts(bug: Bug) -> [usize; 3] {
+    [2 * EpochModel::steps_per_epoch(bug), 3, 3]
+}
+
+fn run_epoch_model(schedule: &[usize], bug: Bug) -> Result<(), String> {
+    let mut m = EpochModel::new(bug);
     let ingests = [3i64, 5, 7];
-    let mut phase = 0usize; // epoch thread: stage,commit,stage,commit
+    let mut phase = 0usize;
     let mut p = 0usize;
     for &t in schedule {
         match t {
             0 => {
-                m.step_epoch(phase % 2)?;
+                m.step_epoch(phase % EpochModel::steps_per_epoch(bug));
                 phase += 1;
             }
             1 => {
@@ -234,34 +279,48 @@ fn run_epoch_model(schedule: &[usize], broken: bool) -> Result<(), String> {
 
 #[test]
 fn epoch_commit_is_atomic_to_readers_under_all_interleavings() {
-    // 4 epoch steps (two stage/commit pairs), 3 ingests, 3 reads.
-    let counts = [4, 3, 3];
-    let report = explore("epoch-stage-commit", &cfg(), &counts, |s| {
-        run_epoch_model(s, false)
-    });
+    let report = explore(
+        "epoch-plan-commit",
+        &cfg(),
+        &epoch_model_counts(Bug::None),
+        |s| run_epoch_model(s, Bug::None),
+    );
     print_report(&report);
     assert!(report.exhaustive);
     assert_eq!(report.total_space, 4_200); // 10!/(4!·3!·3!)
     report.assert_ok();
 }
 
-/// The explorer must *find* the stage-in-place bug, and the schedule it
-/// reports must replay the failure deterministically — the reproducer
-/// contract behind the `SHUTTLE_SCHEDULE` environment variable.
-#[test]
-fn stage_in_place_bug_is_found_and_replays() {
-    let counts = [4, 3, 3];
-    let report = explore("epoch-stage-in-place", &cfg(), &counts, |s| {
-        run_epoch_model(s, true)
+/// The explorer must *find* each planted bug, and the schedule it reports
+/// must replay the failure deterministically — the reproducer contract
+/// behind the `SHUTTLE_SCHEDULE` environment variable.
+fn assert_found_and_replays(name: &str, bug: Bug, symptom: &str) {
+    let report = explore(name, &cfg(), &epoch_model_counts(bug), |s| {
+        run_epoch_model(s, bug)
     });
     print_report(&report);
-    let failure = report.failure.expect("explorer must find the staged leak");
+    let failure = report.failure.expect("explorer must find the planted bug");
+    assert!(failure.message.contains(symptom), "{}", failure.message);
     // The reported schedule replays the same invariant violation.
-    let replayed = run_epoch_model(&failure.schedule, true);
+    let replayed = run_epoch_model(&failure.schedule, bug);
     assert_eq!(replayed.err().as_deref(), Some(failure.message.as_str()));
     // And the reproducer string round-trips through the parser.
     let s = shuttle::format_schedule(&failure.schedule);
     assert_eq!(shuttle::parse_schedule(&s).unwrap(), failure.schedule);
+}
+
+#[test]
+fn plan_time_mutation_bug_is_found_and_replays() {
+    assert_found_and_replays(
+        "epoch-mutate-at-plan",
+        Bug::MutateAtPlan,
+        "leaked before commit",
+    );
+}
+
+#[test]
+fn unlocked_commit_bug_is_found_and_replays() {
+    assert_found_and_replays("epoch-unlocked-commit", Bug::UnlockedCommit, "torn commit");
 }
 
 // ---------------------------------------------------------------------

@@ -15,13 +15,15 @@
 //!   cancel before any propagation work happens) and applies backpressure
 //!   once the pending row count crosses a configurable watermark.
 //! * **Epoch-based refresh** ([`ViewService::refresh_epoch`]) — each epoch
-//!   drains the coalesced batch, propagates it to every *affected* view
-//!   (dependency = the view's base tables; clean views are skipped) in
-//!   parallel on a bounded pool of `std` threads, then commits the new view
-//!   tables **and** the base-table deltas in one write-lock critical
-//!   section. Readers holding a [`Snapshot`] always see a consistent
-//!   pre-epoch or post-epoch state, never a mix — the service-level analogue
-//!   of the paper's §6 two-phase propagate/apply contract.
+//!   drains the coalesced batch, plans the refresh of every *affected*
+//!   view (dependency = the view's base tables; clean views are skipped)
+//!   in parallel on a bounded pool of `std` threads — propagate, then
+//!   compute the row-level patch, writing nothing — then commits the view
+//!   patches **and** the base-table deltas in place in one write-lock
+//!   critical section, O(|Δ|) keyed writes. Readers holding a [`Snapshot`]
+//!   always see a consistent pre-epoch or post-epoch state, never a mix —
+//!   the service-level analogue of the paper's §6 two-phase
+//!   propagate/apply contract.
 //! * **Observability** ([`ViewService::metrics`]) — per-view and per-epoch
 //!   counters (rows ingested, coalescing ratio, rows propagated, refresh
 //!   latency) as a [`MetricsSnapshot`], plus wall-clock timing histograms
@@ -36,9 +38,9 @@
 //!   poison-recovering helpers in `sync`), transient failures retry with
 //!   bounded exponential backoff, repeatedly failing views are quarantined
 //!   ([`ViewHealth`]) so they stop blocking epochs, and every epoch commits
-//!   all-or-nothing: a mid-epoch failure rolls back to the pre-epoch state
-//!   and restores the drained batch to the queue. See DESIGN.md §"Fault
-//!   tolerance".
+//!   all-or-nothing: everything fallible runs before the first write, so a
+//!   mid-epoch failure only has to drop its plan and restore the drained
+//!   batch to the queue. See DESIGN.md §"Fault tolerance".
 //!
 //! Lock order (outermost first): refresh gate → view state (`RwLock`) →
 //! ingest queue (`Mutex` + condvar) → metrics (`Mutex`, leaf). No code path

@@ -8,7 +8,8 @@ use crate::shard::ShardConfig;
 use crate::sync;
 use gpivot_algebra::plan::Plan;
 use gpivot_core::{
-    CoreError, MaintenanceOutcome, MaterializedView, Result, Strategy, ViewManager, ViewOptions,
+    CoreError, MaintenanceOutcome, MaterializedView, RefreshPlan, Result, Strategy, ViewManager,
+    ViewOptions,
 };
 use gpivot_exec::Executor;
 use gpivot_storage::checkpoint::{self, CheckpointData, ViewSnapshot};
@@ -394,8 +395,8 @@ struct Shared {
     /// Serializes refresh epochs and registry changes with each other.
     /// Readers (queries, snapshots) never take it.
     gate: Mutex<()>,
-    /// The catalog + views. Write-held only for the short install/commit
-    /// critical section of an epoch and for registry changes.
+    /// The catalog + views. Write-held only for the short in-place commit
+    /// of an epoch (O(|Δ|) keyed writes) and for registry changes.
     state: RwLock<ViewManager>,
     queue: Mutex<IngestQueue>,
     /// Signalled whenever the queue drains; `ingest` waits on it.
@@ -424,7 +425,7 @@ pub struct ViewService {
 
 /// One view's refresh attempt sequence within an epoch.
 struct ViewRefresh {
-    result: Result<(MaterializedView, MaintenanceOutcome)>,
+    result: Result<RefreshPlan>,
     retries: u32,
     panics: u32,
     took: Duration,
@@ -763,10 +764,11 @@ impl ViewService {
         self.shared.epoch.load(Ordering::SeqCst)
     }
 
-    /// Run one refresh epoch: drain the queue, propagate + apply the batch
-    /// to every affected view in parallel, then atomically commit the new
-    /// view tables and base-table state. An empty queue is a cheap no-op
-    /// (the epoch number does not advance).
+    /// Run one refresh epoch: drain the queue, *plan* every affected view's
+    /// refresh in parallel (propagate the batch, compute the row-level
+    /// patch — nothing is written), *validate* the base-table deltas, then
+    /// *commit* all of it in place under the write lock. An empty queue is
+    /// a cheap no-op (the epoch number does not advance).
     ///
     /// Fault tolerance (see DESIGN.md §"Fault tolerance"):
     ///
@@ -779,11 +781,16 @@ impl ViewService {
     ///   after [`ServeConfig::quarantine_after`] consecutive failed epochs
     ///   it is quarantined and excluded from scheduling, so later epochs
     ///   commit without it.
-    /// * Commits are all-or-nothing: base deltas are *staged* (fallibly,
-    ///   off to the side) and only swapped in — together with every
-    ///   refreshed view table — in an infallible write-lock critical
-    ///   section. On any failure the epoch commits nothing and the drained
-    ///   batch is restored to the queue, so no data is lost.
+    /// * Commits are all-or-nothing: everything that can fail (propagation,
+    ///   patch computation, key and arity checks of the base deltas, every
+    ///   fault site, the WAL commit marker) happens before the first write,
+    ///   against state the epoch only reads. The commit itself is O(|Δ|)
+    ///   keyed writes to the live tables inside one write-lock critical
+    ///   section and cannot fail; rolling back is dropping the plan and
+    ///   restoring the drained batch to the queue, so no data is lost.
+    /// * A reader never waits on a copy and never sees a torn epoch: a
+    ///   result handed out earlier shares its rows with the table, and the
+    ///   first in-place write detaches the table from it (copy-on-write).
     pub fn refresh_epoch(&self) -> Result<EpochSummary> {
         let _gate = sync::lock(&self.shared.gate);
         let _trace = tracing::push_collector(self.shared.tracer.clone());
@@ -823,11 +830,9 @@ impl ViewService {
             });
         }
 
-        let dirty: BTreeSet<&str> = batch.tables().collect();
-
-        // Propagate phase: refresh clones of the affected, non-quarantined
-        // views against the pre-epoch catalog, in parallel, under the read
-        // lock (concurrent queries keep running).
+        // Plan phase: compute each affected, non-quarantined view's patch
+        // against the pre-epoch catalog, in parallel, under the read lock
+        // (concurrent queries keep running; nothing is written).
         let state = sync::read(&self.shared.state);
         let quarantined: BTreeSet<String> = {
             let m = sync::lock(&self.shared.metrics);
@@ -837,24 +842,12 @@ impl ViewService {
                 .map(|(n, _)| n.clone())
                 .collect()
         };
-        let mut quarantined_skipped = 0usize;
-        let affected: Vec<MaterializedView> = state
-            .views()
-            .filter(|v| v.dependencies().iter().any(|d| dirty.contains(d.as_str())))
-            .filter(|v| {
-                if quarantined.contains(v.name()) {
-                    quarantined_skipped += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .cloned()
-            .collect();
-        let names: Vec<String> = affected.iter().map(|v| v.name().to_string()).collect();
-        let catalog = state.catalog();
-        let exec = state.executor();
-        let workers = self.shared.cfg.workers().max(1).min(affected.len().max(1));
+        let (skipped, names): (Vec<&str>, Vec<&str>) = state
+            .affected_views(&batch)
+            .map(MaterializedView::name)
+            .partition(|name| quarantined.contains(*name));
+        let quarantined_skipped = skipped.len();
+        let workers = self.shared.cfg.workers().max(1).min(names.len().max(1));
         let results = {
             let _s = tracing::span("epoch.propagate").enter();
             let tracer = &self.shared.tracer;
@@ -862,38 +855,38 @@ impl ViewService {
             // the pool is what serializes epochs; the workers only run
             // view-maintenance closures and never touch a service lock.
             // concurrency-lint: allow(GP033)
-            run_on_pool(affected, workers, |view| {
+            run_on_pool(names.clone(), workers, |name| {
                 // Workers run on their own threads: re-install the
                 // service's tracer so `view.attempt` spans and the
                 // maintain-phase spans underneath land in the same store.
                 let _c = tracing::push_collector(tracer.clone());
-                maintain_with_retry(&self.shared.cfg, &view, catalog, &batch, exec)
+                plan_with_retry(&self.shared.cfg, &state, name, &batch)
             })
         };
 
-        let mut ok: Vec<(MaterializedView, MaintenanceOutcome, Duration, u32)> = Vec::new();
+        let mut ok: Vec<(&str, RefreshPlan, Duration, u32)> = Vec::new();
         let mut failures: Vec<(String, CoreError)> = Vec::new();
         let mut per_view_retries: Vec<(String, u64)> = Vec::new();
         let mut total_retries = 0u64;
         let mut total_panics = 0u64;
-        for (i, slot) in results.into_iter().enumerate() {
+        for (name, slot) in names.into_iter().zip(results) {
             match slot {
                 Some(vr) => {
                     total_retries += u64::from(vr.retries);
                     total_panics += u64::from(vr.panics);
-                    per_view_retries.push((names[i].clone(), u64::from(vr.retries)));
+                    per_view_retries.push((name.to_string(), u64::from(vr.retries)));
                     match vr.result {
-                        Ok((view, outcome)) => ok.push((view, outcome, vr.took, vr.retries)),
-                        Err(e) => failures.push((names[i].clone(), e)),
+                        Ok(refresh) => ok.push((name, refresh, vr.took, vr.retries)),
+                        Err(e) => failures.push((name.to_string(), e)),
                     }
                 }
                 // The whole worker bucket vanished: a panic escaped the
                 // per-view catch_unwind boundary (should be impossible for
                 // unwinding panics, but never trust a worker).
                 None => failures.push((
-                    names[i].clone(),
+                    name.to_string(),
                     CoreError::ViewPanic {
-                        view: names[i].clone(),
+                        view: name.to_string(),
                         message: "refresh worker vanished".into(),
                     },
                 )),
@@ -913,17 +906,16 @@ impl ViewService {
             );
         }
 
-        // Stage the base-table commit while still only holding the read
-        // lock: every fallible step (key violations, injected commit
-        // faults) happens here, against copies. Transient staging faults
-        // retry like any other.
-        let (staged_res, stage_retries) = {
+        // Validate the base-table commit while still only holding the read
+        // lock: the last fallible step (key violations, injected commit
+        // faults) is a pure check. Transient faults retry like any other.
+        let (validated, stage_retries) = {
             let _s = tracing::span("epoch.stage").enter();
-            retry_transient(&self.shared.cfg, || state.stage_commit(&batch))
+            retry_transient(&self.shared.cfg, || state.plan_commit(&batch))
         };
         total_retries += u64::from(stage_retries);
-        let staged = match staged_res {
-            Ok(s) => s,
+        let mut plan = match validated {
+            Ok(plan) => plan,
             Err(e) => {
                 drop(state);
                 // A commit-site fault is a base-table problem, not any one
@@ -938,6 +930,24 @@ impl ViewService {
                 );
             }
         };
+        let mut summary = EpochSummary {
+            batch_rows: drained.coalesced_rows,
+            batches_drained: drained.batches,
+            views_refreshed: ok.len(),
+            quarantined_skipped,
+            retries: total_retries,
+            ..EpochSummary::default()
+        };
+        let mut committed: Vec<(String, MaintenanceOutcome, Duration, u32)> =
+            Vec::with_capacity(ok.len());
+        for (name, refresh, took, retries) in ok {
+            let outcome = refresh.outcome().clone();
+            summary.delta_rows += outcome.delta_rows as u64;
+            summary.rows_propagated += outcome.rows_propagated as u64;
+            summary.rows_applied += outcome.stats.total() as u64;
+            committed.push((name.to_string(), outcome, took, retries));
+            plan.add_view(name, refresh);
+        }
         drop(state);
 
         // Durable commit point: the `EpochCommit` marker (fsynced per
@@ -959,38 +969,35 @@ impl ViewService {
             }
         }
 
-        // Commit phase: one short write-lock critical section swaps in the
-        // staged base tables and every refreshed view table, then bumps the
-        // epoch. Nothing in here can fail — readers see all of it or none
-        // of it. (The gate is still held, so no registry change can slip in
-        // between the read and write locks.)
-        let mut committed: Vec<(String, MaintenanceOutcome, Duration, u32)> =
-            Vec::with_capacity(ok.len());
-        let (summary, epoch_time) = {
+        // Commit phase: one short write-lock critical section applies the
+        // validated base deltas and every view patch in place, then bumps
+        // the epoch — readers see all of it or none of it. The gate is
+        // still held, so no registry change can have slipped in between
+        // the read and write locks and the plan cannot be stale; the
+        // refusal arm exists so that a future hole in that argument fails
+        // the epoch whole instead of writing a patch onto the wrong rows.
+        let committed_at = {
             let _s = tracing::span("epoch.commit").enter();
             let mut state = sync::write(&self.shared.state);
-            state.apply_staged(staged);
-            let mut summary = EpochSummary {
-                batch_rows: drained.coalesced_rows,
-                batches_drained: drained.batches,
-                views_refreshed: ok.len(),
-                quarantined_skipped,
-                retries: total_retries,
-                ..EpochSummary::default()
-            };
-            for (view, outcome, took, retries) in ok {
-                summary.delta_rows += outcome.delta_rows as u64;
-                summary.rows_propagated += outcome.rows_propagated as u64;
-                summary.rows_applied +=
-                    (outcome.stats.inserted + outcome.stats.updated + outcome.stats.deleted) as u64;
-                committed.push((view.name().to_string(), outcome, took, retries));
-                state.install_view(view);
-            }
-            summary.epoch = self.shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            let epoch_time = start.elapsed();
-            summary.duration = epoch_time;
-            (summary, epoch_time)
+            state
+                .commit_epoch(plan)
+                .map(|()| self.shared.epoch.fetch_add(1, Ordering::SeqCst) + 1)
         };
+        summary.epoch = match committed_at {
+            Ok(epoch) => epoch,
+            Err(stale) => {
+                return self.roll_back_epoch(
+                    &batch,
+                    drained,
+                    stale.into(),
+                    vec![],
+                    per_view_retries,
+                    total_panics,
+                );
+            }
+        };
+        let epoch_time = start.elapsed();
+        summary.duration = epoch_time;
 
         {
             let mut m = sync::lock(&self.shared.metrics);
@@ -1006,8 +1013,7 @@ impl ViewService {
                 vm.refreshes += 1;
                 vm.delta_rows += outcome.delta_rows as u64;
                 vm.rows_propagated += outcome.rows_propagated as u64;
-                vm.rows_applied +=
-                    (outcome.stats.inserted + outcome.stats.updated + outcome.stats.deleted) as u64;
+                vm.rows_applied += outcome.stats.total() as u64;
                 vm.refresh_time += took;
                 vm.retries += u64::from(retries);
                 vm.health = ViewHealth::Healthy;
@@ -1016,7 +1022,7 @@ impl ViewService {
         self.finish_epoch_metrics(epoch_time);
         if self.shared.durability.is_some() {
             let every = self.shared.cfg.checkpoint_every_epochs();
-            if every > 0 && summary.epoch % every == 0 {
+            if every > 0 && summary.epoch.is_multiple_of(every) {
                 // The epoch above is already committed and durable; a
                 // checkpoint failure here reports as the epoch's error but
                 // loses nothing — recovery replays from the previous
@@ -1088,9 +1094,11 @@ impl ViewService {
                 .map(|(n, _)| n.clone())
                 .collect()
         };
+        // The writer serializes schema + rows: hand it views that share
+        // the rows, not deep copies of every key index.
         let mut tables = Vec::new();
         for name in state.catalog().table_names() {
-            tables.push((name.to_string(), state.catalog().table(name)?.clone()));
+            tables.push((name.to_string(), state.catalog().table(name)?.as_bag()));
         }
         let views = state
             .views()
@@ -1101,7 +1109,7 @@ impl ViewService {
                 // A quarantined view's table lags the base tables; mark it
                 // so recovery recomputes instead of trusting the snapshot.
                 stale: quarantined.contains(v.name()),
-                table: v.table().clone(),
+                table: v.table().as_bag(),
             })
             .collect();
         Ok(CheckpointData {
@@ -1334,7 +1342,7 @@ impl ViewService {
             return Ok(false);
         };
         let mut stale_view = view.clone();
-        let deps = stale_view.dependencies();
+        let deps = view.dependencies();
 
         // Rebuild the base-table history in a scratch catalog (injector
         // disabled: replay re-executes already-decided epochs).
@@ -1396,7 +1404,7 @@ impl ViewService {
         // Cross-check: the replayed base must agree with the live base on
         // every dependency table, or the log we replayed does not describe
         // the state we are installing into.
-        for dep in &deps {
+        for dep in deps {
             let live = state.catalog().table(dep)?;
             match scratch.table(dep) {
                 Ok(replayed) if replayed.schema() == live.schema() && replayed.bag_eq(live) => {}
@@ -1550,44 +1558,37 @@ fn retry_transient<R>(cfg: &ServeConfig, mut op: impl FnMut() -> Result<R>) -> (
     }
 }
 
-/// Refresh one view with panic isolation and transient-error retry.
+/// Plan one view's refresh with panic isolation and transient-error retry.
 ///
-/// `maintain` mutates the view's table in place and a failed attempt may
-/// leave it partially applied, so every attempt starts from a fresh clone
-/// of the pristine registered view — the caller's copy is never touched.
-/// A panicking attempt is caught at this boundary (`catch_unwind`) and
-/// converted into a transient [`CoreError::ViewPanic`]; since the panic
-/// never crosses a lock acquisition, no service lock can be poisoned by it.
-fn maintain_with_retry(
+/// Planning only reads the registry, so a failed attempt leaves nothing
+/// behind and a retry simply plans again. A panicking attempt is caught at
+/// this boundary (`catch_unwind`) and converted into a transient
+/// [`CoreError::ViewPanic`]; since the panic never crosses a lock
+/// acquisition, no service lock can be poisoned by it.
+fn plan_with_retry(
     cfg: &ServeConfig,
-    pristine: &MaterializedView,
-    catalog: &Catalog,
+    state: &ViewManager,
+    view: &str,
     batch: &gpivot_core::SourceDeltas,
-    exec: &Executor,
 ) -> ViewRefresh {
     let t0 = Instant::now();
     let mut panics = 0u32;
     let mut attempts = 0u32;
     let (result, retries) = retry_transient(cfg, || {
         if attempts > 0 {
-            tracing::event("view.retry", pristine.name());
+            tracing::event("view.retry", view);
         }
         attempts += 1;
         // One `view.attempt` span per attempt: a retried view shows up as
         // several attempt samples but one refresh.
         let _attempt = tracing::span("view.attempt").enter();
-        // AssertUnwindSafe: on panic the only state touched is the local
-        // clone, which is discarded; `catalog` and `batch` are read-only.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut view = pristine.clone();
-            view.maintain_with(catalog, batch, exec)
-                .map(|outcome| (view, outcome))
-        })) {
+        // AssertUnwindSafe: `state` and `batch` are only read.
+        match std::panic::catch_unwind(AssertUnwindSafe(|| state.plan_view(view, batch))) {
             Ok(r) => r,
             Err(payload) => {
                 panics += 1;
                 Err(CoreError::ViewPanic {
-                    view: pristine.name().to_string(),
+                    view: view.to_string(),
                     message: panic_message(&*payload),
                 })
             }

@@ -18,11 +18,11 @@
 use gpivot_core::SourceDeltas;
 use gpivot_exec::Executor;
 use gpivot_serve::{IngestOptions, ServeConfig, ViewHealth, ViewService};
-use gpivot_storage::{Catalog, FaultInjector, FaultSite};
+use gpivot_storage::{Catalog, FaultInjector, FaultSite, Row};
 use gpivot_tpch::gen::{generate, TpchConfig};
 use gpivot_tpch::views::{view1, view2, view3};
 use gpivot_tpch::workload;
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
 const ROUNDS: u64 = 8;
 const MAX_ATTEMPTS_PER_ROUND: usize = 16;
@@ -383,4 +383,156 @@ fn injected_scan_fault_on_an_index_probe_is_retried() {
     injector.disarm();
     assert!(svc.verify_all().unwrap());
     assert_matches_oracle(&svc, &mirror, "after probe drill");
+}
+
+/// Every base table's and view's rows: the allocation (held, so a copy
+/// could not reuse the address) and a row-for-row copy of the contents.
+fn tables_and_views(svc: &ViewService) -> Vec<(String, Arc<Vec<Row>>, Vec<Row>)> {
+    let snap = svc.snapshot();
+    let catalog = snap.manager().catalog();
+    let tables = catalog
+        .table_names()
+        .into_iter()
+        .map(|t| (format!("table {t}"), catalog.table(t).unwrap()));
+    let views = snap
+        .manager()
+        .views()
+        .map(|v| (format!("view {}", v.name()), v.table()));
+    tables
+        .chain(views)
+        .map(|(what, t)| (what, t.shared_rows(), t.rows().to_vec()))
+        .collect()
+}
+
+/// Rollback leaves nothing behind. Whatever stops an epoch — a propagate
+/// fault, an apply fault, a commit-site fault at validation, a panic
+/// inside a view's plan, the WAL refusing the commit marker — every view
+/// and base table is afterwards the same allocation holding the same rows
+/// (planning only reads, so there is nothing to undo), the drained batch is
+/// back in the queue with the counters reconciled, only the view that
+/// failed degrades, and the retried epoch commits bag-equal to the oracle.
+#[test]
+fn a_failed_epoch_leaves_nothing_behind() {
+    install_panic_filter();
+    fn parse(sql: &str) -> std::result::Result<gpivot_algebra::Plan, String> {
+        gpivot_sql::parse_query(sql).map_err(|e| e.to_string())
+    }
+    // (what, site, panic fraction, target, the view that degrades)
+    let cases = [
+        (
+            "propagate fault",
+            FaultSite::Propagate,
+            0.0,
+            "view1",
+            Some("view1"),
+        ),
+        ("apply fault", FaultSite::Apply, 0.0, "view2", Some("view2")),
+        ("commit fault", FaultSite::Commit, 0.0, "lineitem", None),
+        (
+            "panic inside plan",
+            FaultSite::Propagate,
+            1.0,
+            "view3",
+            Some("view3"),
+        ),
+        (
+            "WAL commit marker",
+            FaultSite::WalAppend,
+            0.0,
+            "epoch-commit",
+            None,
+        ),
+    ];
+    for (what, site, panic_fraction, target, degrades) in cases {
+        let injector = FaultInjector::seeded(1)
+            .with_targeted_site(site, 1.0, panic_fraction, target)
+            .with_budget(1);
+        injector.disarm();
+        let mut catalog = small_catalog();
+        let mut mirror = catalog.clone();
+        mirror.set_fault_injector(FaultInjector::disabled());
+        catalog.set_fault_injector(injector.clone());
+        let cfg = ServeConfig::builder()
+            .workers(2)
+            .max_retries(0)
+            .retry_backoff(std::time::Duration::ZERO)
+            .build()
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "gpivot-rollback-{}-{}",
+            std::process::id(),
+            site.name()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = if site == FaultSite::WalAppend {
+            ViewService::open(&dir, catalog, cfg, &parse).unwrap().0
+        } else {
+            ViewService::new(catalog, cfg)
+        };
+        for (name, plan) in views() {
+            svc.register_view(name, plan).unwrap();
+        }
+
+        let batch = workload::mixed_batch(&mirror, 0.01, 31);
+        for table in batch.tables() {
+            svc.ingest_with(
+                table,
+                batch.delta(table).unwrap().clone(),
+                IngestOptions::blocking(),
+            )
+            .unwrap();
+        }
+        let pending = svc.pending_rows();
+        let before = tables_and_views(&svc);
+
+        injector.arm();
+        let err = svc.refresh_epoch().unwrap_err();
+        injector.disarm();
+        assert!(err.is_transient(), "{what}: {err}");
+        assert_eq!(
+            injector.faults_injected(),
+            1,
+            "{what}: the fault never fired"
+        );
+
+        for ((name, rows, contents), (_, rows_now, contents_now)) in
+            before.iter().zip(tables_and_views(&svc))
+        {
+            assert!(Arc::ptr_eq(rows, &rows_now), "{what}: {name} was copied");
+            assert!(*contents == contents_now, "{what}: {name} was written to");
+        }
+        drop(before);
+        let m = svc.metrics();
+        assert_eq!(
+            (svc.epoch(), m.epochs, m.epochs_failed),
+            (0, 0, 1),
+            "{what}"
+        );
+        assert_eq!(svc.pending_rows(), pending, "{what}: batch not restored");
+        assert_eq!(m.rows_drained_raw, 0, "{what}: drain accounting not undone");
+        assert_eq!(m.rows_ingested, batch.total_changes(), "{what}");
+        assert_eq!(m.panics_isolated, u64::from(panic_fraction > 0.0), "{what}");
+        for (name, _) in views() {
+            let expected = if degrades == Some(name) {
+                ViewHealth::Degraded {
+                    consecutive_failures: 1,
+                }
+            } else {
+                ViewHealth::Healthy
+            };
+            assert_eq!(svc.view_health(name).unwrap(), expected, "{what}: {name}");
+        }
+
+        // The retry drains the restored batch and commits it.
+        let summary = svc.refresh_epoch().unwrap();
+        assert_eq!(summary.epoch, 1, "{what}");
+        for table in batch.tables() {
+            mirror
+                .apply_delta(table, batch.delta(table).unwrap())
+                .unwrap();
+        }
+        assert_matches_oracle(&svc, &mirror, what);
+        assert!(svc.verify_all().unwrap(), "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -83,6 +83,12 @@ fn quarantine_lifecycle_and_readmission() {
     // Strike one: the epoch fails (flaky's error rolls everything back),
     // nothing commits, the batch is restored.
     ingest_row(10, &mut mirror);
+    let rows_of = |view: &str| {
+        let snap = svc.snapshot();
+        snap.manager().view(view).unwrap().table().shared_rows()
+    };
+    let steady_before = rows_of("steady");
+    let steady_rows = steady_before.to_vec();
     let err = svc.refresh_epoch().unwrap_err();
     assert!(matches!(
         err,
@@ -98,8 +104,12 @@ fn quarantine_lifecycle_and_readmission() {
     );
     assert_eq!(svc.view_health("steady").unwrap(), ViewHealth::Healthy);
     // Steady's work was rolled back too: refresh effort is only charged on
-    // committed epochs.
+    // committed epochs — and there was nothing to undo, its planned patch
+    // was simply dropped: same rows, same allocation.
     assert_eq!(svc.metrics().per_view["steady"].refreshes, 0);
+    assert!(Arc::ptr_eq(&steady_before, &rows_of("steady")));
+    assert_eq!(*steady_before, steady_rows);
+    drop(steady_before);
 
     // Strike two: quarantined.
     let err = svc.refresh_epoch().unwrap_err();

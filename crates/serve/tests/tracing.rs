@@ -116,7 +116,7 @@ fn phase_histograms_reconcile_with_epoch_wall_clock() {
             "{name} histogram missing"
         );
     }
-    // `maintain.commit` fires inside `apply_staged` under `epoch.commit`.
+    // `maintain.commit` fires inside `commit_epoch` under `epoch.commit`.
     assert!(m.phase_timings.contains_key("maintain.commit"));
     // Compile-time spans from `register_view`.
     assert!(m.phase_timings.contains_key("compile.view"));

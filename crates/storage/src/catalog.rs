@@ -74,19 +74,30 @@ impl Catalog {
     /// Apply a signed delta to a base table (commit step of maintenance).
     pub fn apply_delta(&mut self, name: &str, delta: &Delta) -> Result<()> {
         self.fault.check(FaultSite::Commit, name)?;
-        self.table_mut(name)?.apply_delta(delta)
+        self.table_mut(name)?
+            .apply_delta(delta)
+            .map_err(|e| e.in_table(name))
     }
 
-    /// Compute the post-delta state of a base table **without mutating the
-    /// catalog**: clone the table, apply the delta to the clone, return it.
-    ///
-    /// This is the staging half of an atomic commit protocol — a caller can
-    /// stage every table of a batch first (each staging step is fallible:
-    /// key violations, injected faults) and only then swap the staged
-    /// tables in with the infallible [`Catalog::replace`], so a mid-batch
-    /// failure leaves the catalog untouched.
-    pub fn stage_delta(&self, name: &str, delta: &Delta) -> Result<Table> {
+    /// Would applying `delta` to table `name` succeed? The validate step of
+    /// the epoch commit: the `Commit` fault site fires here, then
+    /// [`Table::check_delta`] answers in O(|Δ|) — nothing is copied and
+    /// nothing mutated. Once every table of a batch has passed, the deltas
+    /// go onto the live tables in place (`table_mut(name)?.apply_delta`)
+    /// and cannot fail.
+    pub fn check_delta(&self, name: &str, delta: &Delta) -> Result<()> {
         self.fault.check(FaultSite::Commit, name)?;
+        self.table(name)?
+            .check_delta(delta)
+            .map_err(|e| e.in_table(name))
+    }
+
+    /// The post-delta state of a base table as a **copy**: validate
+    /// ([`Catalog::check_delta`]), clone the table, apply the delta to the
+    /// clone. O(|table|) — the epoch commit does not come through here; it
+    /// stays as the reference the in-place path is tested against.
+    pub fn stage_delta(&self, name: &str, delta: &Delta) -> Result<Table> {
+        self.check_delta(name, delta)?;
         let mut staged = self.table(name)?.clone();
         staged.apply_delta(delta)?;
         Ok(staged)
@@ -180,6 +191,24 @@ mod tests {
         // Inserting an existing key twice violates the declared key.
         let bad = Delta::from_inserts(vec![row![1]]);
         assert!(c.stage_delta("t", &bad).is_err());
+        assert_eq!(c.table("t").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn check_delta_predicts_apply_and_names_the_table() {
+        let mut c = Catalog::new();
+        c.register("t", table()).unwrap();
+        c.check_delta("t", &Delta::from_inserts(vec![row![3]]))
+            .unwrap();
+        // Inserting an existing key is the violation `apply_delta` would
+        // raise, reported under the table's registered name.
+        let bad = Delta::from_inserts(vec![row![1]]);
+        let predicted = c.check_delta("t", &bad).unwrap_err();
+        assert!(
+            matches!(&predicted, StorageError::KeyViolation { table, .. } if table == "t"),
+            "{predicted}"
+        );
+        assert_eq!(c.apply_delta("t", &bad).unwrap_err(), predicted);
         assert_eq!(c.table("t").unwrap().len(), 2);
     }
 

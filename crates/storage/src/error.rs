@@ -46,6 +46,19 @@ impl StorageError {
     pub fn is_transient(&self) -> bool {
         matches!(self, StorageError::FaultInjected { .. })
     }
+
+    /// Name the table a [`StorageError::KeyViolation`] happened in. A
+    /// [`crate::Table`] does not know what it is registered as, so whoever
+    /// owns it by name passes its errors through here.
+    pub fn in_table(self, name: &str) -> Self {
+        match self {
+            StorageError::KeyViolation { key, .. } => StorageError::KeyViolation {
+                table: name.to_string(),
+                key,
+            },
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for StorageError {

@@ -23,7 +23,7 @@ use crate::error::{Result, StorageError};
 use crate::index::{HashIndex, TableIndex};
 use crate::row::Row;
 use crate::schema::SchemaRef;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -31,10 +31,12 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 ///
 /// Rows are held behind an [`Arc`] with copy-on-write semantics: cloning a
 /// table (or re-wrapping a base table's rows via [`Table::bag_shared`] /
-/// [`Table::shared_rows`], as `Plan::Scan` does) shares the row storage,
-/// and the keyed mutators only materialize a private copy on first write
-/// ([`Arc::make_mut`]). Read-heavy paths — recompute, delta propagation —
-/// therefore stop paying O(|base|) per scan.
+/// [`Table::shared_rows`], as `Plan::Scan` does) shares the row storage.
+/// A mutator writes **in place** when the table is the only holder of its
+/// rows — the normal case for the epoch commit, which touches O(|Δ|) rows
+/// of a live table and copies nothing — and detaches onto a private copy
+/// first ([`Arc::make_mut`]) when a reader still shares them, so a result
+/// handed out earlier never changes under its holder.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: SchemaRef,
@@ -56,6 +58,15 @@ pub struct Table {
 }
 
 type IndexCell = Mutex<Vec<Arc<HashIndex>>>;
+
+/// A table does not know the name it is registered under: the catalog
+/// (or view) that owns it fills that in ([`StorageError::in_table`]).
+fn key_violation(key: &Row) -> StorageError {
+    StorageError::KeyViolation {
+        table: "<table>".to_string(),
+        key: format!("{key:?}"),
+    }
+}
 
 /// A fresh, empty chunk-cache cell.
 fn empty_chunk_cell() -> Arc<OnceLock<Arc<Chunk>>> {
@@ -141,10 +152,7 @@ impl Table {
                 for (pos, row) in self.rows.iter().enumerate() {
                     let key = row.project(key_cols);
                     if idx.contains_key(&key) {
-                        return Err(StorageError::KeyViolation {
-                            table: "<table>".to_string(),
-                            key: format!("{key:?}"),
-                        });
+                        return Err(key_violation(&key));
                     }
                     idx.insert(key, pos);
                 }
@@ -218,9 +226,9 @@ impl Table {
     ///
     /// Nothing is declared up front. Probing exactly the schema key reuses
     /// the key index; any other column set gets a secondary index built on
-    /// its first probe (O(|rows|), once) and from then on maintained by
-    /// every mutator and carried through `clone()` — so the table a commit
-    /// stages from this one is born with its indexes current.
+    /// its first probe (O(|rows|), once) and from then on maintained in
+    /// step with the rows by every mutator (and carried through `clone()`),
+    /// so the epoch commit's in-place writes never trigger a rebuild.
     pub fn index_on(&self, cols: &[usize]) -> TableIndex<'_> {
         if let (Some(key), Some(index)) = (self.schema.key(), &self.key_index) {
             if key == cols {
@@ -304,10 +312,7 @@ impl Table {
         let key = self.key_projection(&row);
         if let (Some(key), Some(idx)) = (key, self.key_index.as_mut()) {
             if idx.contains_key(&key) {
-                return Err(StorageError::KeyViolation {
-                    table: "<table>".to_string(),
-                    key: format!("{key:?}"),
-                });
+                return Err(key_violation(&key));
             }
             idx.insert(key, self.rows.len());
         }
@@ -385,6 +390,9 @@ impl Table {
     /// Delete the first row equal to `row` (bag deletion for un-keyed
     /// tables). Returns true if a row was removed.
     pub fn delete_row(&mut self, row: &Row) -> bool {
+        if row.arity() != self.schema.arity() {
+            return false; // cannot equal any stored row
+        }
         if let Some(key) = self.key_projection(row) {
             // Keyed fast path: only delete when the stored row matches fully.
             if self.get_by_key(&key) == Some(row) {
@@ -401,9 +409,43 @@ impl Table {
         }
     }
 
+    /// Would [`Table::apply_delta`] succeed? Answers in O(|Δ|) without
+    /// touching the table, with the error `apply_delta` would raise: every
+    /// inserted row must have the schema's arity, and on a keyed table an
+    /// inserted key must be absent — or removed by a *fully matching*
+    /// delete in the same delta — and inserted only once.
+    pub fn check_delta(&self, delta: &Delta) -> Result<()> {
+        let mut inserted = HashSet::new();
+        for (row, &w) in delta.iter() {
+            if w <= 0 {
+                continue;
+            }
+            if row.arity() != self.schema.arity() {
+                return Err(StorageError::ArityMismatch {
+                    expected: self.schema.arity(),
+                    actual: row.arity(),
+                });
+            }
+            let Some(key) = self.key_projection(row) else {
+                continue;
+            };
+            let survives_deletes = self
+                .get_by_key(&key)
+                .is_some_and(|stored| delta.multiplicity(stored) >= 0);
+            if survives_deletes || w > 1 || inserted.contains(&key) {
+                return Err(key_violation(&key));
+            }
+            inserted.insert(key);
+        }
+        Ok(())
+    }
+
     /// Apply a signed delta to this table: positive multiplicities insert,
     /// negative multiplicities delete (bag semantics). For keyed tables the
     /// paper's convention holds: a batch never inserts a duplicate key.
+    ///
+    /// A failure partway leaves the earlier rows applied; callers that
+    /// need all-or-nothing ask [`Table::check_delta`] first.
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<()> {
         // Deletes first so that delete+insert of the same key in one batch
         // (the insert/delete propagation rules do exactly this) succeeds.

@@ -84,8 +84,8 @@ pub enum WalRecord {
     /// An epoch refresh drained the queue. Everything between this marker
     /// and the matching `EpochCommit` is provisional.
     EpochBegin { epoch: u64 },
-    /// The epoch's staged base-table state and view tables were committed
-    /// and acknowledged. Recovery replays up to the last such marker.
+    /// The epoch's base-table deltas and view patches were committed and
+    /// acknowledged. Recovery replays up to the last such marker.
     EpochCommit { epoch: u64 },
     /// A checkpoint at `epoch` rotated the log to generation `wal_gen`.
     /// Written as the first record of the new generation; recovery uses it

@@ -453,7 +453,7 @@ proptest! {
                         assert_index_matches_scan(&table, cols, &absent);
                         assert_index_matches_scan(&staged, cols, &absent);
                     }
-                    // ...and the commit protocol swaps the clone in.
+                    // ...and carry on from the detached copy.
                     table = staged;
                 }
                 _ => {
@@ -489,6 +489,88 @@ proptest! {
             }
             assert_index_matches_scan(&table, &[0], &absent);
             assert_index_matches_scan(&table, &[1, 0], &[]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    /// `check_delta` answers exactly "would `apply_delta` succeed?" — over
+    /// keyed tables and bags, and deltas with duplicate keys, a key deleted
+    /// and re-inserted, deletes that match a key but not its row,
+    /// multiplicities other than ±1 and rows of the wrong arity, it is `Ok`
+    /// iff applying to a copy is, with the same error. After a passed check
+    /// the in-place apply leaves the live table bag-equal to the staged
+    /// copy with every index still answering like a scan; after a failed
+    /// one nothing has moved.
+    #[test]
+    fn check_delta_predicts_apply_and_in_place_matches_staged(
+        keyed in any::<bool>(),
+        entries in prop::collection::vec(
+            (0u8..8, 0i64..9, arb_index_value(), 0i64..3, -2i64..=2),
+            0..10,
+        ),
+    ) {
+        let fields = [("id", DataType::Int), ("g", DataType::Any), ("h", DataType::Int)];
+        let schema = if keyed {
+            Schema::from_pairs_keyed(&fields, &["id"]).unwrap()
+        } else {
+            Schema::from_pairs(&fields).unwrap()
+        };
+        let mut table = Table::new(Arc::new(schema));
+        for i in 0..6 {
+            table
+                .insert(Row::new(vec![Value::Int(i), Value::Int(i % 2), Value::Int(i % 3)]))
+                .unwrap();
+        }
+        let col_sets: [&[usize]; 3] = [&[1], &[2, 1], &[0]];
+        for cols in col_sets {
+            let _ = table.index_on(cols);
+        }
+        let mut delta = Delta::new();
+        for (shape, id, g, h, w) in entries {
+            let stored = table.iter().find(|r| r[0] == Value::Int(id)).cloned();
+            let row = Row::new(vec![Value::Int(id), g.clone(), Value::Int(h)]);
+            match (shape, stored) {
+                // Replace the row under `id`: delete it, insert another.
+                (0, Some(old)) => {
+                    delta.add(old, -1);
+                    delta.add(row, 1);
+                }
+                // The stored row itself: an exact delete, or a re-insert.
+                (1, Some(old)) => delta.add(old, w),
+                // Too narrow for the schema.
+                (2, _) => delta.add(Row::new(vec![Value::Int(id), g]), w),
+                // Anything: fresh keys, taken keys, deletes of rows that
+                // are not there or share only their key with a stored row.
+                _ => delta.add(row, w),
+            }
+        }
+
+        let mut catalog = Catalog::new();
+        catalog.register("t", table).unwrap();
+        let before = catalog.table("t").unwrap().rows().to_vec();
+
+        let checked = catalog.check_delta("t", &delta);
+        let mut copy = catalog.table("t").unwrap().clone();
+        let applied_to_copy = copy.apply_delta(&delta).map_err(|e| e.in_table("t"));
+        prop_assert_eq!(&checked, &applied_to_copy);
+        let staged = catalog.stage_delta("t", &delta);
+        prop_assert_eq!(&checked, &staged.as_ref().map(|_| ()).map_err(Clone::clone));
+
+        if let Ok(staged) = staged {
+            catalog.table_mut("t").unwrap().apply_delta(&delta).unwrap();
+            let live = catalog.table("t").unwrap();
+            prop_assert!(live.bag_eq(&staged));
+            prop_assert!(live.bag_eq(&copy));
+            let absent = [Row::new(vec![Value::Int(99)]), Row::new(vec![Value::Int(0), Value::Int(99)])];
+            for cols in col_sets {
+                assert_index_matches_scan(live, cols, &absent);
+            }
+        }
+        if checked.is_err() {
+            prop_assert_eq!(catalog.table("t").unwrap().rows(), &before[..]);
         }
     }
 }

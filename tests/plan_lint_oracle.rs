@@ -335,6 +335,106 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// plan → install: planning reads, installing writes, stale plans are refused
+//
+// The epoch commit rests on three properties of the refresh halves, checked
+// here for every strategy that compiles for each of the ten shapes:
+// `plan_refresh` leaves the view exactly as it was (same row allocation,
+// same rows); `install` of the planned patch makes the view bag-equal to
+// recomputing its definition on the post-delta tables; and a plan that has
+// been overtaken by any manager mutation is refused at commit with the
+// view and every base table untouched — after which planning again
+// commits.
+// ---------------------------------------------------------------------------
+
+fn rows_of(vm: &ViewManager) -> Vec<Arc<Vec<Row>>> {
+    let mut held = vec![vm.view("v").unwrap().table().shared_rows()];
+    for t in vm.catalog().table_names() {
+        held.push(vm.catalog().table(t).unwrap().shared_rows());
+    }
+    held
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 40,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn planning_reads_installing_writes_and_stale_plans_are_refused(
+        s in arb_scenario(),
+        mutation in 0usize..4,
+    ) {
+        let shape = SHAPES[s.shape_pick];
+        let plan = build_view(shape);
+        let deltas = build_deltas(&s);
+        let exec = Executor::new();
+        for strategy in Strategy::ALL {
+            let mut vm = ViewManager::new(build_catalog(&s));
+            if vm.register_view_with("v", plan.clone(), strategy).is_err() {
+                continue; // refused by the lint, or the shape does not fit
+            }
+            // "Recompute" is the maintained (normalized) form on the
+            // post-delta tables — what `verify_view` compares against.
+            let mut post = vm.catalog().clone();
+            for t in deltas.tables() {
+                post.apply_delta(t, deltas.delta(t).unwrap()).unwrap();
+            }
+            let maintained = vm.view("v").unwrap().normalized().plan.clone();
+            let expected = exec.run(&maintained, &post).unwrap();
+
+            // Planning is read-only.
+            let mut view = vm.view("v").unwrap().clone();
+            let before = view.table().shared_rows();
+            let planned = view.plan_refresh(vm.catalog(), &deltas, &exec);
+            prop_assert!(Arc::ptr_eq(&before, &view.table().shared_rows()));
+            prop_assert!(view.table().rows() == vm.view("v").unwrap().table().rows());
+            drop(before);
+            let Ok((patch, _)) = planned else {
+                // Not delta-propagatable (outer join under a forced
+                // incremental strategy): nothing was planned, nothing moved.
+                continue;
+            };
+
+            // Installing the patch is the refresh.
+            view.install(patch);
+            prop_assert!(
+                view.table().bag_eq(&expected),
+                "{shape:?}/{strategy}: install diverged from recomputation\nscenario: {s:?}"
+            );
+
+            // A plan overtaken by a manager mutation is refused whole.
+            let stale = vm.plan_epoch(&deltas).unwrap();
+            match mutation {
+                0 => drop(vm.catalog_mut()),
+                1 => {
+                    let dropped = vm.drop_view("v").unwrap();
+                    vm.install_view(dropped);
+                }
+                2 => vm.commit(&SourceDeltas::new()).unwrap(),
+                _ => {
+                    vm.register_view_with("other", Plan::scan("dims"), Strategy::Recompute)
+                        .unwrap();
+                }
+            }
+            let held = rows_of(&vm);
+            prop_assert!(vm.commit_epoch(stale).is_err(), "{shape:?}/{strategy}: stale plan accepted");
+            for (then, now) in held.iter().zip(rows_of(&vm)) {
+                prop_assert!(Arc::ptr_eq(then, &now), "a refused plan wrote something");
+            }
+            prop_assert!(vm.verify_view("v").unwrap());
+            drop(held);
+
+            // Planning again against the current state commits.
+            let fresh = vm.plan_epoch(&deltas).unwrap();
+            vm.commit_epoch(fresh).unwrap();
+            prop_assert!(vm.view("v").unwrap().table().bag_eq(&expected));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // `eval_pre_matching` ≡ filter ∘ `eval_pre`
 //
 // The key-restricted pre-state evaluator every delta rule fetches rows with
