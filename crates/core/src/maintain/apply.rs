@@ -18,6 +18,7 @@ use gpivot_algebra::PivotSpec;
 use gpivot_exec::pivot::PivotLayout;
 use gpivot_storage::{Delta, Row, Schema, Table, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Row-level effect counters from an apply phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,18 +81,36 @@ pub(crate) fn merge_key(
 /// Write a patch computed against `mv`'s current state into it, in place.
 /// Infallible by construction of the patch: deletes and updates name keys
 /// the table holds, inserts name keys it does not.
-pub fn apply_row_ops(mv: &mut Table, ops: Vec<RowOp>) {
+///
+/// `mirror`, when given, is a vector position-for-position parallel to
+/// `mv.rows()` — each entry its row projected onto the column list beside
+/// it — and gets the same writes, at the positions the keyed ops resolve
+/// anyway. A holder sharing it makes the first write detach a copy.
+pub fn apply_row_ops(
+    mv: &mut Table,
+    ops: Vec<RowOp>,
+    mut mirror: Option<(&mut Arc<Vec<Row>>, &[usize])>,
+) {
     for op in ops {
         match op {
             RowOp::Delete(key) => {
-                mv.delete_by_key(&key);
+                if let (Some((pos, _)), Some((rows, _))) = (mv.delete_by_key(&key), &mut mirror) {
+                    Arc::make_mut(rows).swap_remove(pos);
+                }
             }
             RowOp::Update(key, row) => {
-                mv.update_by_key(&key, row);
+                if let (Some((pos, _)), Some((rows, idx))) =
+                    (mv.update_by_key(&key, row), &mut mirror)
+                {
+                    Arc::make_mut(rows)[pos] = mv.rows()[pos].project(idx);
+                }
             }
             RowOp::Insert(row) => {
                 let inserted = mv.insert(row);
                 debug_assert!(inserted.is_ok(), "patch insert refused: {inserted:?}");
+                if let (Ok(()), Some((rows, idx))) = (inserted, &mut mirror) {
+                    Arc::make_mut(rows).extend(mv.rows().last().map(|r| r.project(idx)));
+                }
             }
         }
     }
@@ -132,7 +151,7 @@ pub fn apply_pivot_update(
     delta_core: &Delta,
 ) -> Result<ApplyStats> {
     let (ops, stats) = plan_pivot_update(mv, spec, core_schema, delta_core)?;
-    apply_row_ops(mv, ops);
+    apply_row_ops(mv, ops, None);
     Ok(stats)
 }
 
@@ -207,7 +226,6 @@ pub(crate) fn overwrite_cells(
 mod tests {
     use super::*;
     use gpivot_storage::{row, DataType};
-    use std::sync::Arc;
 
     /// Core schema: (id, attr, val) with key (id, attr).
     fn core_schema() -> Schema {

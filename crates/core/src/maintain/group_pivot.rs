@@ -211,7 +211,7 @@ pub fn apply_group_pivot_update(
     delta_core: &Delta,
 ) -> Result<ApplyStats> {
     let (ops, stats) = plan_group_pivot_update(mv, spec, info, core_schema, delta_core)?;
-    apply_row_ops(mv, ops);
+    apply_row_ops(mv, ops, None);
     Ok(stats)
 }
 

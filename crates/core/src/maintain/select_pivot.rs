@@ -45,7 +45,7 @@ pub fn apply_select_pivot_update(
     delta_core: &Delta,
 ) -> Result<ApplyStats> {
     let (ops, stats) = plan_select_pivot_update(mv, spec, predicate, core, ctx, delta_core)?;
-    apply_row_ops(mv, ops);
+    apply_row_ops(mv, ops, None);
     Ok(stats)
 }
 

@@ -16,9 +16,9 @@ use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::{AggFunc, AggSpec, Expr, PivotSpec};
 use gpivot_analyze::Diagnostic;
 use gpivot_exec::Executor;
-use gpivot_storage::{Catalog, Delta, Row, Table};
+use gpivot_storage::{Catalog, Delta, Field, Row, Schema, SchemaRef, Table};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// A materialized view: definition, compiled maintenance form, and data.
 #[derive(Debug, Clone)]
@@ -34,11 +34,26 @@ pub struct MaterializedView {
     /// Warning/info diagnostics the plan lint recorded at registration
     /// (empty when created directly or registered with lint skipped).
     lint_warnings: Vec<Diagnostic>,
-    /// The rows the last projecting [`MaterializedView::query`] returned,
-    /// kept so the next one can overwrite them in place once its reader has
-    /// let go (see there). Clones share the buffer; whichever reads next
-    /// takes it, the other allocates afresh.
-    read_rows: Arc<Mutex<Arc<Vec<Row>>>>,
+    /// How [`MaterializedView::query`] reshapes the table; `None` when the
+    /// user-facing shape *is* the table.
+    output: Option<Output>,
+}
+
+/// The user-facing shape of a view whose output permutes, renames or hides
+/// columns of its materialized table, resolved once at compile time.
+#[derive(Debug, Clone)]
+struct Output {
+    /// The table column behind each output column.
+    idx: Vec<usize>,
+    schema: SchemaRef,
+    /// The table's rows projected onto `idx`, position-for-position
+    /// parallel to `table.rows()`: built by the first read, handed to
+    /// every read after it by reference count, and from then on patched by
+    /// [`MaterializedView::install`] with the same [`RowOp`]s as the table
+    /// (a reader still holding a result makes that write detach a copy).
+    /// Empty until read, and again after a whole-table or bag patch. A
+    /// clone of the view shares the allocation until either side writes.
+    rows: OnceLock<Arc<Vec<Row>>>,
 }
 
 /// What one refresh writes into a view's table, computed without touching
@@ -247,9 +262,7 @@ impl MaterializedView {
             let _s = tracing::span("compile.materialize").enter();
             materialize(&normalized.plan, catalog, exec)?
         };
-        Ok(Self::assemble(
-            name, definition, strategy, normalized, group_info, table,
-        ))
+        Self::assemble(name, definition, strategy, normalized, group_info, table)
     }
 
     fn assemble(
@@ -259,10 +272,32 @@ impl MaterializedView {
         normalized: NormalizedView,
         group_info: Option<GroupPivotInfo>,
         table: Table,
-    ) -> Self {
+    ) -> Result<Self> {
         let mut dependencies = normalized.plan.base_tables();
         dependencies.extend(definition.base_tables());
-        MaterializedView {
+        let schema = table.schema();
+        let identity = normalized.identity_output && normalized.output.len() == schema.arity();
+        let output = if identity {
+            None
+        } else {
+            let idx: Vec<usize> = normalized
+                .output
+                .iter()
+                .map(|(from, _)| schema.index_of(from))
+                .collect::<gpivot_storage::Result<_>>()?;
+            let fields = normalized
+                .output
+                .iter()
+                .zip(&idx)
+                .map(|((_, to), &i)| Field::new(to.clone(), schema.field_at(i).data_type))
+                .collect();
+            Some(Output {
+                idx,
+                schema: Arc::new(Schema::new(fields)?),
+                rows: OnceLock::new(),
+            })
+        };
+        Ok(MaterializedView {
             name,
             definition,
             strategy,
@@ -271,8 +306,8 @@ impl MaterializedView {
             dependencies,
             table,
             lint_warnings: Vec::new(),
-            read_rows: Arc::default(),
-        }
+            output,
+        })
     }
 
     /// Rebuild a view from a persisted snapshot *without* recomputing it.
@@ -306,7 +341,7 @@ impl MaterializedView {
         } else {
             (materialize(&normalized.plan, catalog, exec)?, false)
         };
-        let view = Self::assemble(name, definition, strategy, normalized, group_info, table);
+        let view = Self::assemble(name, definition, strategy, normalized, group_info, table)?;
         Ok((view, used_snapshot))
     }
 
@@ -473,62 +508,18 @@ impl MaterializedView {
     }
 
     /// The user-facing view contents: the materialized table projected
-    /// through the output rename map.
+    /// through the output rename map. O(1) — the table's own rows, or the
+    /// projected rows kept beside them (the first read builds those).
     pub fn query(&self) -> Result<Table> {
-        if self.normalized.identity_output
-            && self.normalized.output.len() == self.table.schema().arity()
-        {
+        let Some(out) = &self.output else {
             // Share the rows; a reader has no use for a copy of the
             // key index.
             return Ok(self.table.as_bag());
-        }
-        let schema = self.table.schema();
-        let idx: Vec<usize> = self
-            .normalized
-            .output
-            .iter()
-            .map(|(from, _)| schema.index_of(from))
-            .collect::<gpivot_storage::Result<_>>()?;
-        let fields: Vec<gpivot_storage::Field> = self
-            .normalized
-            .output
-            .iter()
-            .zip(&idx)
-            .map(|((_, to), &i)| {
-                gpivot_storage::Field::new(to.clone(), schema.field_at(i).data_type)
-            })
-            .collect();
-        let out_schema = Arc::new(gpivot_storage::Schema::new(fields)?);
-
-        // A dashboard reads, drops, and reads again: allocating and freeing
-        // one row per view row every time is most of a read's cost (and
-        // grows as the heap ages). So keep the rows handed out last time,
-        // and when their reader has dropped them — making this the only
-        // handle — overwrite them in place. Whatever is still shared (the
-        // whole buffer, or single rows a reader kept) is left alone and
-        // replaced by fresh allocations; a concurrent reader of the same
-        // view skips the buffer rather than wait for it.
-        let mut last = self.read_rows.try_lock().ok();
-        let recycled = last.as_deref_mut().map(std::mem::take).unwrap_or_default();
-        let mut rows = Arc::try_unwrap(recycled).unwrap_or_default();
-        rows.truncate(self.table.len());
-        let mut sources = self.table.iter();
-        for (slot, src) in rows.iter_mut().zip(&mut sources) {
-            match slot.values_mut() {
-                Some(values) if values.len() == idx.len() => {
-                    for (dst, &j) in values.iter_mut().zip(&idx) {
-                        dst.clone_from(&src[j]);
-                    }
-                }
-                _ => *slot = src.project(&idx),
-            }
-        }
-        rows.extend(sources.map(|src| src.project(&idx)));
-        let rows = Arc::new(rows);
-        if let Some(last) = last.as_deref_mut() {
-            *last = Arc::clone(&rows);
-        }
-        Ok(Table::bag_shared(out_schema, rows))
+        };
+        let rows = out
+            .rows
+            .get_or_init(|| Arc::new(self.table.iter().map(|r| r.project(&out.idx)).collect()));
+        Ok(Table::bag_shared(out.schema.clone(), Arc::clone(rows)))
     }
 
     /// The compiled maintenance plan (explainability).
@@ -675,8 +666,18 @@ impl MaterializedView {
     /// against this view's current state (a [`ViewManager`] enforces that
     /// with its generation check).
     pub fn install(&mut self, patch: ViewPatch) {
+        // Only a keyed patch says where its rows sit; after the other two
+        // the next read projects afresh.
+        let mirror = match (&patch.0, &mut self.output) {
+            (PatchKind::Rows(_), Some(out)) => out.rows.get_mut().map(|rows| (rows, &out.idx[..])),
+            (_, Some(out)) => {
+                out.rows.take();
+                None
+            }
+            (_, None) => None,
+        };
         match patch.0 {
-            PatchKind::Rows(ops) => apply_row_ops(&mut self.table, ops),
+            PatchKind::Rows(ops) => apply_row_ops(&mut self.table, ops, mirror),
             PatchKind::Delta(d) => {
                 let applied = self.table.apply_delta(&d);
                 debug_assert!(applied.is_ok(), "checked delta refused: {applied:?}");
@@ -1294,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn projecting_reads_recycle_dropped_results_and_never_touch_held_ones() {
+    fn projecting_reads_share_patched_rows_and_never_touch_held_ones() {
         // A group-pivot view hides helper columns, so `query` projects.
         let mut vm = ViewManager::new(catalog());
         let plan = Plan::scan("items")
@@ -1306,40 +1307,30 @@ mod tests {
             ));
         vm.register_view("v", plan).unwrap();
 
-        // Read, drop, read: the second result overwrites the first's rows.
+        // Two reads with nothing between them are the same rows.
         let first = vm.query_view("v").unwrap();
-        let (first_rows, first_storage) = (first.rows().to_vec(), first.rows().as_ptr());
-        drop(first);
         let second = vm.query_view("v").unwrap();
-        assert_eq!(second.rows(), &first_rows[..]);
-        assert_eq!(
-            second.rows().as_ptr(),
-            first_storage,
-            "a dropped result's storage is reused"
-        );
+        assert!(Arc::ptr_eq(&first.shared_rows(), &second.shared_rows()));
+        let storage = first.rows().as_ptr();
+        drop((first, second));
 
-        // A result still held across a refresh keeps what it read; the
-        // next read sees the new state.
-        let before = second.rows().to_vec();
+        // With no reader holding them, a refresh patches those rows where
+        // they are.
         let mut deltas = SourceDeltas::new();
-        deltas.insert_rows("items", vec![row![9, "a", 1000], row![9, "b", 1]]);
+        deltas.insert_rows("items", vec![row![9, "a", 1000]]);
         vm.refresh(&deltas).unwrap();
         let third = vm.query_view("v").unwrap();
-        assert_eq!(second.rows(), &before[..], "a held result was overwritten");
-        assert_ne!(third.rows(), second.rows());
+        assert_eq!(third.rows().as_ptr(), storage, "unshared rows were copied");
 
-        // So does a single row kept out of a result that is otherwise
-        // dropped (and therefore recycled).
-        let kept = third.rows()[0].clone();
-        let kept_values = kept.to_vec();
-        drop(second);
-        drop(third);
+        // A result held across a refresh keeps what it read; the next
+        // read sees the new state.
+        let before = third.rows().to_vec();
         let mut deltas = SourceDeltas::new();
         deltas.insert_rows("items", vec![row![10, "a", 5], row![10, "b", 5]]);
         vm.refresh(&deltas).unwrap();
         let fourth = vm.query_view("v").unwrap();
-        assert_eq!(kept.to_vec(), kept_values, "a held row was overwritten");
-        assert_ne!(fourth.rows()[0], kept);
+        assert_eq!(third.rows(), &before[..], "a held result was overwritten");
+        assert_ne!(fourth.rows(), third.rows());
         assert!(vm.verify_view("v").unwrap());
         let fresh = Executor::new()
             .run(vm.view("v").unwrap().definition(), vm.catalog())

@@ -1040,11 +1040,27 @@ impl ShardedService {
     }
 
     /// Verify every view on every shard against a from-scratch recompute
-    /// of its definition over that shard's base tables.
+    /// of its definition over that shard's base tables, and that no two
+    /// shards hold the same key of a sharded view — the disjointness the
+    /// layout proof promises and merge-on-read concatenates on.
     pub fn verify_all(&self) -> Result<bool> {
         for svc in self.services() {
             if !svc.verify_all()? {
                 return Ok(false);
+            }
+        }
+        let snap = self.snapshot();
+        for (name, _) in snap.placements.iter().filter(|(_, p)| p.is_sharded()) {
+            let mut seen = HashSet::new();
+            for shard in &snap.shards {
+                let table = shard.manager().view(name)?.table();
+                let Some(key) = table.schema().key() else {
+                    break;
+                };
+                // Keys are unique within a shard: a repeat is another shard's.
+                if !table.iter().all(|row| seen.insert(row.project(key))) {
+                    return Ok(false);
+                }
             }
         }
         Ok(true)
@@ -1108,10 +1124,11 @@ impl ShardSnapshot<'_> {
         self.root.manager()
     }
 
-    /// The user-facing contents of a view. Sharded views bag-concatenate
-    /// the hash-shard and heavy-shard tables — re-validating key
-    /// disjointness through the keyed table constructor; single-shard
-    /// views read from the root.
+    /// The user-facing contents of a view: a bag, as an unsharded service
+    /// returns. Sharded views concatenate the hash-shard and heavy-shard
+    /// results (key-disjoint by the registration-time layout proof, and
+    /// re-checked by [`ShardedService::verify_all`]); single-shard views
+    /// read from the root.
     pub fn query_view(&self, name: &str) -> Result<Table> {
         let sharded = self
             .placements
@@ -1120,17 +1137,16 @@ impl ShardSnapshot<'_> {
         if !sharded || self.shards.is_empty() {
             return self.root.query_view(name);
         }
-        let mut schema = None;
-        let mut rows: Vec<Row> = Vec::new();
-        for shard in &self.shards {
-            let t = shard.query_view(name)?;
-            if schema.is_none() {
-                schema = Some(t.schema().clone());
-            }
-            rows.extend(t.rows().iter().cloned());
+        let parts = self
+            .shards
+            .iter()
+            .map(|shard| shard.query_view(name))
+            .collect::<Result<Vec<Table>>>()?;
+        let mut rows: Vec<Row> = Vec::with_capacity(parts.iter().map(Table::len).sum());
+        for part in &parts {
+            rows.extend_from_slice(part.rows());
         }
-        let schema = schema.ok_or_else(|| CoreError::UnknownView(name.to_string()))?;
-        Ok(Table::from_rows(schema, rows)?)
+        Ok(Table::bag(parts[0].schema().clone(), rows))
     }
 
     /// Every registered view as `(name, definition)` pairs — root views
@@ -1393,6 +1409,28 @@ mod tests {
             Delta::from_deletes(vec![row![4, "b", 2], row![2, "a", 30]]),
         ];
         assert_tracks_oracle(&svc, &schedule);
+    }
+
+    /// Merge-on-read concatenates the shards' rows on the strength of the
+    /// layout proof; `verify_all` is where a broken layout shows. Planted
+    /// here, not from `tests/sharding.rs`: only a row fed to two shard
+    /// services directly, past the router, lands on both — each then
+    /// agrees with its own recompute, and only the cross-shard check fails.
+    #[test]
+    fn a_view_key_held_by_two_shards_fails_verify_all() {
+        let svc = ShardedService::new(catalog(), cfg(2, 0));
+        svc.register_view("pv", pivot_plan()).unwrap();
+        assert!(svc.verify_all().unwrap());
+        for shard in &svc.inner.workers {
+            let stray = Delta::from_inserts(vec![row![9, "a", 1]]);
+            shard
+                .ingest_with("facts", stray, IngestOptions::blocking())
+                .unwrap();
+            shard.refresh_epoch().unwrap();
+            assert!(shard.verify_all().unwrap());
+        }
+        assert_eq!(svc.query_view("pv").unwrap().len(), 4, "key 9 twice");
+        assert!(!svc.verify_all().unwrap());
     }
 
     #[test]

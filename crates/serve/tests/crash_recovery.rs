@@ -363,6 +363,19 @@ fn restart_roundtrip_preserves_views_and_epoch() {
     assert_views_match(&svc, &oracle, "after restart");
     assert!(base_matches(&svc, &oracle));
 
+    // The rows those reads projected (never persisted: rebuilt on first
+    // read over the checkpointed tables) are patched by the next epoch.
+    assert!(report.views_recovered > 0, "no view came from its snapshot");
+    let batch = workload::mixed_batch(&oracle, 0.02, 24);
+    for table in batch.tables() {
+        let delta = batch.delta(table).unwrap();
+        oracle.apply_delta(table, delta).unwrap();
+        svc.ingest_with(table, delta.clone(), IngestOptions::blocking())
+            .unwrap();
+    }
+    svc.refresh_epoch().unwrap();
+    assert_views_match(&svc, &oracle, "one epoch after restart");
+
     let m = svc.metrics();
     assert_eq!(m.recoveries, 1);
     assert!(m.report().contains("recovery:"));

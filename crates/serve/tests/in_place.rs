@@ -5,6 +5,8 @@
 //!
 //! The first test is a tripwire: it fails if any change reintroduces a
 //! per-epoch copy of a view or base table. The second pins the reader side.
+//! The third is the same pair for the *projected* rows a view with a
+//! reshaped output is read from: reads share them, the epoch patches them.
 
 use gpivot_algebra::{Expr, PlanBuilder};
 use gpivot_core::SourceDeltas;
@@ -13,6 +15,7 @@ use gpivot_serve::{IngestOptions, ServeConfig, ViewService};
 use gpivot_storage::{Catalog, Row, Table, Value};
 use gpivot_tpch::gen::{generate, TpchConfig};
 use gpivot_tpch::views::{view1, view2, view3};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const VIEWS: [&str; 3] = ["view1", "view2", "view3"];
@@ -167,5 +170,78 @@ fn readers_keep_their_snapshot_across_an_in_place_commit() {
     let now = svc.query_view("pricey").unwrap();
     assert!(now.bag_eq(&expected));
     assert!(!now.bag_eq(&held_view));
+    assert_oracle(&svc, &mirror);
+}
+
+/// How many handles share the projected rows a *copy* of the live manager
+/// reads `view` from: the copy's own and this probe's — plus the live
+/// view's, if it keeps any (a copy shares them until either side writes).
+fn projected_row_holders(svc: &ViewService, view: &str) -> usize {
+    let copy = svc.snapshot().manager().clone();
+    let rows = copy.query_view(view).unwrap().shared_rows();
+    Arc::strong_count(&rows)
+}
+
+#[test]
+fn projecting_reads_share_rows_that_the_epoch_patches_in_place() {
+    let (svc, mut mirror) = service();
+    // Nothing is projected at registration or by an epoch nobody read before.
+    let warm_up = small_batch(&mirror, 0);
+    run_epoch(&svc, &mut mirror, &warm_up);
+    for view in VIEWS {
+        assert_eq!(
+            projected_row_holders(&svc, view),
+            2,
+            "{view} was never read"
+        );
+    }
+
+    // The first read projects; every read until the next epoch is that
+    // same vector (and not the table's: all three paper views reshape).
+    for view in VIEWS {
+        let (a, b) = (svc.query_view(view).unwrap(), svc.query_view(view).unwrap());
+        assert!(Arc::ptr_eq(&a.shared_rows(), &b.shared_rows()), "{view}");
+        let snap = svc.snapshot();
+        let table = snap.manager().view(view).unwrap().table();
+        assert!(!Arc::ptr_eq(&a.shared_rows(), &table.shared_rows()));
+        assert_eq!(a.len(), table.len());
+        drop((snap, a, b));
+        assert_eq!(projected_row_holders(&svc, view), 3, "{view} was read");
+    }
+
+    // No reader holds a result: a 5-row epoch writes into that vector, and
+    // every row it does not name is the very same row afterwards.
+    let read = |view: &str| {
+        let t = svc.query_view(view).unwrap();
+        let rows: HashSet<_> = t.iter().map(|r| r.values().as_ptr()).collect();
+        (Arc::as_ptr(&t.shared_rows()), rows)
+    };
+    let before = VIEWS.map(read);
+    let batch = small_batch(&mirror, 1);
+    run_epoch(&svc, &mut mirror, &batch);
+    for (view, (then, old_rows)) in VIEWS.iter().zip(before) {
+        let (now, rows) = read(view);
+        assert_eq!(then, now, "{view}: a 5-row epoch re-projected the view");
+        let fresh = rows.difference(&old_rows).count();
+        assert!(
+            fresh as u64 <= batch.total_changes(),
+            "{view}: {fresh} new rows"
+        );
+    }
+    assert_oracle(&svc, &mirror);
+
+    // A reader holding results across the commit keeps them row for row;
+    // the writer moved off them, and the next read sees the new epoch.
+    let held = VIEWS.map(|view| svc.query_view(view).unwrap());
+    let held_rows = held.each_ref().map(|t| t.rows().to_vec());
+    let batch = small_batch(&mirror, 2);
+    run_epoch(&svc, &mut mirror, &batch);
+    let mut moved = 0;
+    for ((view, then), rows) in VIEWS.iter().zip(&held).zip(&held_rows) {
+        assert_eq!(then.rows(), &rows[..], "{view}: a held result changed");
+        let now = svc.query_view(view).unwrap();
+        moved += usize::from(!Arc::ptr_eq(&now.shared_rows(), &then.shared_rows()));
+    }
+    assert!(moved > 0, "the epoch changed no view");
     assert_oracle(&svc, &mirror);
 }

@@ -138,6 +138,29 @@ fn unprovable_plan_registers_single_shard_with_info_diagnostic() {
     assert!(svc.verify_all().unwrap());
 }
 
+/// A merged read has the shape of an unsharded one: the same schema
+/// (key declaration included), the same bag.
+#[test]
+fn one_and_two_shard_reads_are_the_same_bag_with_the_same_schema() {
+    let one = sharded_service(small_catalog(), 1, 0);
+    let two = sharded_service(small_catalog(), 2, 0);
+    let batch = workload::mixed_batch(&small_catalog(), 0.02, 11);
+    for svc in [&one, &two] {
+        for table in batch.tables() {
+            let delta = batch.delta(table).unwrap().clone();
+            svc.ingest_with(table, delta, IngestOptions::blocking())
+                .unwrap();
+        }
+        svc.refresh_epoch().unwrap();
+        assert!(svc.verify_all().unwrap());
+    }
+    for name in ["view1", "view2", "view3"] {
+        let (a, b) = (one.query_view(name).unwrap(), two.query_view(name).unwrap());
+        assert_eq!(a.schema(), b.schema(), "{name}");
+        assert!(a.bag_eq(&b), "{name}: {} vs {} rows", a.len(), b.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 

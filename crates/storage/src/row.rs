@@ -41,14 +41,6 @@ impl Row {
         &self.0[idx]
     }
 
-    /// The values, mutably — only while no other handle shares this row's
-    /// storage (`None` otherwise). Lets an owner of a dropped-by-everyone-
-    /// else buffer of rows overwrite them in place instead of freeing and
-    /// reallocating each one.
-    pub fn values_mut(&mut self) -> Option<&mut [Value]> {
-        Arc::get_mut(&mut self.0)
-    }
-
     /// Copy the values out for modification.
     pub fn to_vec(&self) -> Vec<Value> {
         self.0.to_vec()

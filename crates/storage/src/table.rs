@@ -341,8 +341,10 @@ impl Table {
         self.get_by_key(key).is_some()
     }
 
-    /// Remove the row with this key; returns it if present.
-    pub fn delete_by_key(&mut self, key: &Row) -> Option<Row> {
+    /// Remove the row with this key; returns it, and the position it was
+    /// `swap_remove`d from (for a caller keeping a vector parallel to
+    /// [`Table::rows`]), if present.
+    pub fn delete_by_key(&mut self, key: &Row) -> Option<(usize, Row)> {
         let idx = self.key_index.as_mut()?;
         let pos = idx.remove(key)?;
         let removed = self.remove_at(pos);
@@ -353,13 +355,13 @@ impl Table {
                 idx.insert(moved_key, pos);
             }
         }
-        Some(removed)
+        Some((pos, removed))
     }
 
     /// Replace the row stored under `key` with `new_row` (whose key
-    /// projection must equal `key`). Returns the old row, or `None` if the
-    /// key was absent (nothing is inserted in that case).
-    pub fn update_by_key(&mut self, key: &Row, new_row: Row) -> Option<Row> {
+    /// projection must equal `key`). Returns the old row and its position,
+    /// or `None` if the key was absent (nothing is inserted in that case).
+    pub fn update_by_key(&mut self, key: &Row, new_row: Row) -> Option<(usize, Row)> {
         debug_assert_eq!(
             self.key_projection(&new_row).as_ref(),
             Some(key),
@@ -373,13 +375,15 @@ impl Table {
             ix.unlink(&old, pos);
             ix.relink(&rows[pos], pos);
         });
-        Some(old)
+        Some((pos, old))
     }
 
     /// Insert-or-replace by key. Returns the displaced row, if any.
     pub fn upsert(&mut self, row: Row) -> Result<Option<Row>> {
         match self.key_projection(&row) {
-            Some(key) if self.contains_key(&key) => Ok(self.update_by_key(&key, row)),
+            Some(key) if self.contains_key(&key) => {
+                Ok(self.update_by_key(&key, row).map(|(_, old)| old))
+            }
             _ => {
                 self.insert(row)?;
                 Ok(None)
@@ -576,7 +580,7 @@ mod tests {
         for i in 0..5 {
             t.insert(row![i, "x"]).unwrap();
         }
-        assert_eq!(t.delete_by_key(&row![0]), Some(row![0, "x"]));
+        assert_eq!(t.delete_by_key(&row![0]), Some((0, row![0, "x"])));
         // Row 4 was swap-moved into slot 0; lookup must still find it.
         assert_eq!(t.get_by_key(&row![4]), Some(&row![4, "x"]));
         assert_eq!(t.len(), 4);
@@ -587,7 +591,7 @@ mod tests {
         let mut t = Table::new(keyed_schema());
         t.insert(row![1, "a"]).unwrap();
         let old = t.update_by_key(&row![1], row![1, "z"]);
-        assert_eq!(old, Some(row![1, "a"]));
+        assert_eq!(old, Some((0, row![1, "a"])));
         assert_eq!(t.get_by_key(&row![1]), Some(&row![1, "z"]));
         assert_eq!(t.len(), 1);
     }

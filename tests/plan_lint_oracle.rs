@@ -15,6 +15,7 @@ use gpivot::core::rewrite::pullup;
 use gpivot::prelude::*;
 use proptest::prelude::{any, prop, prop_assert, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as _;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -430,6 +431,163 @@ proptest! {
             let fresh = vm.plan_epoch(&deltas).unwrap();
             vm.commit_epoch(fresh).unwrap();
             prop_assert!(vm.view("v").unwrap().table().bag_eq(&expected));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reads: `query()` ≡ project(table), in table order ≡ the definition
+//
+// A view whose output reshapes its table is read from projected rows kept
+// beside the table and patched by the same row ops. After every step of a
+// random delta schedule — each strategy that compiles (so the whole-table
+// and bag patches too), the ten shapes plus two whose output drops the
+// pivot's key column or reorders and renames, steps that empty the view's
+// first row (a swap-remove into slot 0) or its last, steps nobody reads
+// after (so both the patched and the rebuilt-on-read paths run) — a read is
+// row for row the table's rows projected, and bag-equal to executing the
+// definition; and of two copies of a manager, refreshing either leaves the
+// other's reads as they were.
+// ---------------------------------------------------------------------------
+
+/// `(kind, delete picks, insert keys, insert values, read after?)`.
+type Step = (
+    u8,
+    Vec<prop::sample::Index>,
+    BTreeSet<(i64, usize)>,
+    Vec<Option<i64>>,
+    bool,
+);
+
+fn arb_steps() -> impl proptest::strategy::Strategy<Value = Vec<Step>> {
+    let val = || prop_oneof![Just(None), (1i64..100).prop_map(Some)];
+    prop::collection::vec(
+        (
+            0u8..4,
+            prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+            prop::collection::btree_set((0i64..12, 0usize..ATTRS.len()), 0..5),
+            prop::collection::vec(val(), 5),
+            any::<bool>(),
+        ),
+        1..6,
+    )
+}
+
+fn read_shapes() -> Vec<Plan> {
+    let as_is = |col: String| (Expr::col(col.clone()), col);
+    let pivoted = || Plan::scan("facts").gpivot(spec());
+    let mut plans: Vec<Plan> = SHAPES.iter().map(|&s| build_view(s)).collect();
+    plans.push(pivoted().project(vec![as_is(cell("b")), as_is(cell("a"))]));
+    plans.push(pivoted().project(vec![
+        as_is(cell("b")),
+        (Expr::col("id"), "ident".to_string()),
+    ]));
+    plans
+}
+
+/// `view`'s table rows pushed through its output map, in table order.
+fn projected(view: &gpivot::core::MaterializedView) -> Vec<Row> {
+    let schema = view.table().schema();
+    let idx: Vec<usize> = view
+        .normalized()
+        .output
+        .iter()
+        .map(|(from, _)| schema.index_of(from).unwrap())
+        .collect();
+    view.table().iter().map(|r| r.project(&idx)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 96,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn reads_are_the_projected_table_after_every_step(
+        s in arb_scenario(),
+        pick in 0usize..12,
+        steps in arb_steps(),
+    ) {
+        let plan = read_shapes()[pick].clone();
+        let exec = Executor::new();
+        for strategy in Strategy::ALL {
+            let mut vm = ViewManager::new(build_catalog(&s));
+            if vm.register_view_with("v", plan.clone(), strategy).is_err() {
+                continue; // refused by the lint, or the shape does not fit
+            }
+            let mut facts: BTreeMap<(i64, usize), Option<i64>> =
+                s.facts.iter().map(|&(id, attr, val)| ((id, attr), val)).collect();
+            for (kind, delete_picks, insert_keys, insert_vals, read) in &steps {
+                // Resolve the step against the facts as they are now.
+                let table = vm.view("v").unwrap().table();
+                let id_col = table.schema().index_of("id").ok();
+                let target = match kind {
+                    1 => table.rows().first(),
+                    2 => table.rows().last(),
+                    _ => None,
+                };
+                let deletes: BTreeSet<(i64, usize)> = match (target, id_col) {
+                    (Some(row), Some(c)) => facts
+                        .keys()
+                        .filter(|(id, _)| Value::Int(*id) == row[c])
+                        .copied()
+                        .collect(),
+                    _ if facts.is_empty() => BTreeSet::new(),
+                    _ => delete_picks
+                        .iter()
+                        .map(|p| *facts.keys().nth(p.index(facts.len())).unwrap())
+                        .collect(),
+                };
+                let mut deltas = SourceDeltas::new();
+                let gone = deletes.iter().map(|k| fact_row(&(k.0, k.1, facts[k]))).collect();
+                deltas.delete_rows("facts", gone);
+                facts.retain(|k, _| !deletes.contains(k));
+                let mut fresh = Vec::new();
+                for (&(id, attr), &val) in insert_keys.iter().zip(insert_vals) {
+                    if let Entry::Vacant(slot) = facts.entry((id, attr)) {
+                        slot.insert(val);
+                        fresh.push(fact_row(&(id, attr, val)));
+                    }
+                }
+                deltas.insert_rows("facts", fresh);
+
+                // Refresh one copy; the other's reads stay what they were.
+                let mut fork = vm.clone();
+                let before = read.then(|| vm.query_view("v").unwrap().rows().to_vec());
+                if vm.refresh(&deltas).is_err() {
+                    break; // not delta-propagatable under this strategy
+                }
+                if let Some(before) = before {
+                    prop_assert!(fork.query_view("v").unwrap().rows() == &before[..]);
+                    let now = vm.query_view("v").unwrap();
+                    prop_assert!(
+                        now.rows() == &projected(vm.view("v").unwrap())[..],
+                        "plan {pick}/{strategy}: read is not the projected table\nscenario: {s:?}\nsteps: {steps:?}"
+                    );
+                    // Known issue (ROADMAP): the hidden `__cs` count of the
+                    // Fig. 27 rules keeps a group whose visible sums are all
+                    // ⊥, which the definition's own pivot drops — at
+                    // registration already, so not a matter of reads. That
+                    // strategy is held to the definition as it compiled it.
+                    let expected = if strategy == Strategy::GroupPivotUpdate {
+                        exec.run(&vm.view("v").unwrap().normalized().view_plan(), vm.catalog())
+                    } else {
+                        exec.run(&plan, vm.catalog())
+                    }
+                    .unwrap();
+                    prop_assert!(
+                        now.bag_eq(&expected),
+                        "plan {pick}/{strategy}: read diverged from the definition\nscenario: {s:?}\nsteps: {steps:?}"
+                    );
+                    fork.refresh(&deltas).unwrap();
+                    prop_assert!(fork.query_view("v").unwrap().bag_eq(&expected));
+                    prop_assert!(
+                        vm.query_view("v").unwrap().rows() == now.rows(),
+                        "refreshing a copy changed the original's read"
+                    );
+                }
+            }
         }
     }
 }
