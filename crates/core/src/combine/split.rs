@@ -11,6 +11,7 @@
 use crate::error::{CoreError, Result};
 use gpivot_algebra::plan::PivotSpec;
 use gpivot_analyze::DiagCode;
+use gpivot_exec::WorkerPool;
 use gpivot_storage::{Row, Table, Value};
 use std::collections::HashMap;
 
@@ -179,9 +180,10 @@ pub fn merge_partial_pivots(parts: &[Table]) -> Result<Table> {
 }
 
 /// Execute a GPIVOT with the §4.3 local/global parallel split: partition
-/// the input rows round-robin across `threads` workers, pivot each
-/// partition locally on its own OS thread, then merge the partial results
-/// with [`merge_partial_pivots`].
+/// the input rows round-robin into one partition per `pool` worker, pivot
+/// each partition locally as a pool job, then merge the partial results
+/// with [`merge_partial_pivots`]. A panicking partition surfaces as
+/// [`gpivot_exec::ExecError::WorkerPanic`], not a panic of the caller.
 ///
 /// Any partitioning works because a pivot cell is written by exactly one
 /// source row (the `(K, A1..Am)` key); the paper notes the merge is the
@@ -190,9 +192,9 @@ pub fn parallel_gpivot(
     input: &Table,
     spec: &gpivot_algebra::PivotSpec,
     out_schema: gpivot_storage::SchemaRef,
-    threads: usize,
+    pool: &WorkerPool,
 ) -> Result<Table> {
-    let threads = threads.max(1);
+    let threads = pool.threads();
     if threads == 1 || input.len() < 2 {
         return Ok(gpivot_exec::pivot::gpivot(input, spec, out_schema)?);
     }
@@ -202,22 +204,9 @@ pub fn parallel_gpivot(
     for (i, row) in input.iter().enumerate() {
         partitions[i % threads].push(row.clone());
     }
-    let schema = input.schema().clone();
-    let parts: Vec<Table> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .map(|rows| {
-                let schema = schema.clone();
-                let out_schema = out_schema.clone();
-                scope.spawn(move || {
-                    gpivot_exec::pivot::gpivot(&Table::bag(schema, rows), spec, out_schema)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pivot worker panicked"))
-            .collect::<std::result::Result<Vec<_>, _>>()
+    let parts = pool.run("GPivot", partitions, |rows| {
+        let part = Table::bag(input.schema().clone(), rows);
+        gpivot_exec::pivot::gpivot(&part, spec, out_schema.clone())
     })?;
     merge_partial_pivots(&parts)
 }
@@ -367,7 +356,8 @@ mod tests {
         let out_s = Arc::new(out_s);
         let sequential = gpivot(&input, &spec, out_s.clone()).unwrap();
         for threads in [1, 2, 4, 7] {
-            let parallel = parallel_gpivot(&input, &spec, out_s.clone(), threads).unwrap();
+            let parallel =
+                parallel_gpivot(&input, &spec, out_s.clone(), &WorkerPool::new(threads)).unwrap();
             assert!(
                 parallel.bag_eq(&sequential),
                 "parallel ({threads} threads) differs from sequential"
@@ -416,12 +406,12 @@ mod tests {
         out_s.set_key(vec![0]);
         let out_s = Arc::new(out_s);
 
-        let reference = parallel_gpivot(&input, &spec, out_s.clone(), 1)
+        let reference = parallel_gpivot(&input, &spec, out_s.clone(), &WorkerPool::new(1))
             .unwrap()
             .sorted_rows();
         for threads in [1usize, 2, 8] {
             for run in 0..2 {
-                let got = parallel_gpivot(&input, &spec, out_s.clone(), threads)
+                let got = parallel_gpivot(&input, &spec, out_s.clone(), &WorkerPool::new(threads))
                     .unwrap()
                     .sorted_rows();
                 assert_eq!(
@@ -430,6 +420,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_partition_is_a_transient_error_not_a_caller_panic() {
+        let schema = Arc::new(
+            Schema::from_pairs_keyed(
+                &[
+                    ("ID", DataType::Int),
+                    ("Attr", DataType::Str),
+                    ("Val", DataType::Int),
+                ],
+                &["ID", "Attr"],
+            )
+            .unwrap(),
+        );
+        // A bag does not check arity: the short row makes the pivot kernel
+        // of whichever partition receives it index out of bounds.
+        let mut rows: Vec<Row> = (0..40).map(|id| row![id, "a", id]).collect();
+        rows[17] = row![17];
+        let input = Table::bag(schema, rows);
+        let spec = PivotSpec::simple("Attr", "Val", vec![Value::str("a")]);
+        let mut out_s =
+            Schema::from_pairs(&[("ID", DataType::Int), ("a**Val", DataType::Int)]).unwrap();
+        out_s.set_key(vec![0]);
+        let err = parallel_gpivot(&input, &spec, Arc::new(out_s), &WorkerPool::new(4)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Exec(gpivot_exec::ExecError::WorkerPanic { op: "GPivot", .. })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(err.classify(), crate::ErrorClass::Transient);
     }
 
     #[test]

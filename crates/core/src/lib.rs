@@ -17,14 +17,9 @@
 //!    (Fig. 23), the combined GPIVOT-over-GROUPBY rules (Fig. 27), the
 //!    combined SELECT-over-GPIVOT rules (Fig. 29), strategy selection, and
 //!    a [`maintain::ViewManager`] tying it all together.
-//!
-//! An extension beyond the paper's evaluated scope lives in [`dynamic`]:
-//! data-driven (high-order) pivot specs with recompile-on-schema-change
-//! maintenance — the §9 future-work item.
 
 pub mod combine;
 pub mod cost;
-pub mod dynamic;
 pub mod error;
 pub mod maintain;
 pub mod rewrite;

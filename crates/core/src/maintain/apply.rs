@@ -142,21 +142,10 @@ pub fn collect_cell_changes(delta_core: &Delta, layout: &PivotLayout) -> HashMap
     by_key
 }
 
-/// Apply Fig. 23's update rules: MERGE `delta_core` (a delta over the pivot
-/// input with schema `core_schema`) into the pivoted materialized view.
-pub fn apply_pivot_update(
-    mv: &mut Table,
-    spec: &PivotSpec,
-    core_schema: &Schema,
-    delta_core: &Delta,
-) -> Result<ApplyStats> {
-    let (ops, stats) = plan_pivot_update(mv, spec, core_schema, delta_core)?;
-    apply_row_ops(mv, ops, None);
-    Ok(stats)
-}
-
-/// The read-only half of [`apply_pivot_update`]: the Fig. 23 MERGE as a
-/// patch against `mv`, which is left untouched.
+/// Fig. 23's update rules: MERGE `delta_core` (a delta over the pivot
+/// input with schema `core_schema`) into the pivoted materialized view —
+/// as a patch against `mv`, which is left untouched ([`apply_row_ops`]
+/// installs it).
 pub fn plan_pivot_update(
     mv: &Table,
     spec: &PivotSpec,
@@ -226,6 +215,18 @@ pub(crate) fn overwrite_cells(
 mod tests {
     use super::*;
     use gpivot_storage::{row, DataType};
+
+    /// Plan the Fig. 23 MERGE and apply it in place.
+    fn apply_pivot_update(
+        mv: &mut Table,
+        spec: &PivotSpec,
+        core_schema: &Schema,
+        delta_core: &Delta,
+    ) -> Result<ApplyStats> {
+        let (ops, stats) = plan_pivot_update(mv, spec, core_schema, delta_core)?;
+        apply_row_ops(mv, ops, None);
+        Ok(stats)
+    }
 
     /// Core schema: (id, attr, val) with key (id, attr).
     fn core_schema() -> Schema {

@@ -17,7 +17,7 @@
 //! Fig. 28: "we also need to add COUNT(*) into the view definition").
 
 use crate::error::{CoreError, Result};
-use crate::maintain::apply::{apply_row_ops, blank_row, merge_key, ApplyStats, RowOp};
+use crate::maintain::apply::{blank_row, merge_key, ApplyStats, RowOp};
 use gpivot_algebra::{AggFunc, AggSpec, PivotSpec};
 use gpivot_storage::{Delta, Row, Schema, Table, Value};
 use std::collections::HashMap;
@@ -201,22 +201,9 @@ fn scale(v: &Value, w: i64) -> Value {
     }
 }
 
-/// Apply the Fig. 27 combined update rules: fold `delta_core` (a delta over
-/// the GROUPBY *input*) into the crosstab materialized view.
-pub fn apply_group_pivot_update(
-    mv: &mut Table,
-    spec: &PivotSpec,
-    info: &GroupPivotInfo,
-    core_schema: &Schema,
-    delta_core: &Delta,
-) -> Result<ApplyStats> {
-    let (ops, stats) = plan_group_pivot_update(mv, spec, info, core_schema, delta_core)?;
-    apply_row_ops(mv, ops, None);
-    Ok(stats)
-}
-
-/// The read-only half of [`apply_group_pivot_update`]: the Fig. 27 fold as
-/// a patch against `mv`, which is left untouched.
+/// The Fig. 27 combined update rules: fold `delta_core` (a delta over the
+/// GROUPBY *input*) into the crosstab materialized view — as a patch
+/// against `mv`, which is left untouched (`apply_row_ops` installs it).
 pub fn plan_group_pivot_update(
     mv: &Table,
     spec: &PivotSpec,
@@ -353,8 +340,22 @@ pub fn plan_group_pivot_update(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintain::apply::apply_row_ops;
     use gpivot_storage::{row, DataType};
     use std::sync::Arc;
+
+    /// Plan the Fig. 27 fold and apply it in place.
+    fn apply_group_pivot_update(
+        mv: &mut Table,
+        spec: &PivotSpec,
+        info: &GroupPivotInfo,
+        core_schema: &Schema,
+        delta_core: &Delta,
+    ) -> Result<ApplyStats> {
+        let (ops, stats) = plan_group_pivot_update(mv, spec, info, core_schema, delta_core)?;
+        apply_row_ops(mv, ops, None);
+        Ok(stats)
+    }
 
     /// Core: (cust, year, price); GroupBy(cust, year; sum, cnt_price, cnt*).
     fn core_schema() -> Schema {

@@ -18,9 +18,7 @@
 //!   `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan.
 
 use crate::error::{CoreError, Result};
-use crate::maintain::apply::{
-    apply_row_ops, collect_cell_changes, merge_key, overwrite_cells, ApplyStats, RowOp,
-};
+use crate::maintain::apply::{collect_cell_changes, merge_key, overwrite_cells, ApplyStats, RowOp};
 use crate::maintain::delta_prop::{post_state_table, PropagationCtx};
 use gpivot_algebra::plan::Plan;
 use gpivot_algebra::{decode_pivot_col, Expr, PivotSpec};
@@ -28,7 +26,8 @@ use gpivot_exec::pivot::PivotLayout;
 use gpivot_storage::{Delta, Row, Table};
 use std::collections::HashSet;
 
-/// Apply the Fig. 29 combined rules.
+/// The Fig. 29 combined rules as a patch against `mv`, which is left
+/// untouched (`apply_row_ops` installs it).
 ///
 /// * `mv` — the materialized `σc(GPivot(core))` (keyed by the pivot's K);
 /// * `spec` / `predicate` — the top pair's parameters;
@@ -36,21 +35,6 @@ use std::collections::HashSet;
 /// * `ctx` — pre-state catalog + source deltas (for the restricted
 ///   candidate keys' pre-state fetch);
 /// * `delta_core` — the already-propagated delta over `core`.
-pub fn apply_select_pivot_update(
-    mv: &mut Table,
-    spec: &PivotSpec,
-    predicate: &Expr,
-    core: &Plan,
-    ctx: &PropagationCtx<'_>,
-    delta_core: &Delta,
-) -> Result<ApplyStats> {
-    let (ops, stats) = plan_select_pivot_update(mv, spec, predicate, core, ctx, delta_core)?;
-    apply_row_ops(mv, ops, None);
-    Ok(stats)
-}
-
-/// The read-only half of [`apply_select_pivot_update`]: the Fig. 29 rules
-/// as a patch against `mv`, which is left untouched.
 pub fn plan_select_pivot_update(
     mv: &Table,
     spec: &PivotSpec,
@@ -191,6 +175,7 @@ fn predicate_groups(predicate: &Expr, spec: &PivotSpec) -> HashSet<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintain::apply::apply_row_ops;
     use crate::maintain::SourceDeltas;
     use gpivot_exec::Executor;
     use gpivot_storage::{row, Catalog, DataType, Schema, Value};
@@ -253,7 +238,9 @@ mod tests {
         let ctx = PropagationCtx::new(&c, &deltas);
         let core = Plan::scan("items");
         let delta_core = crate::maintain::delta_prop::propagate(&core, &ctx).unwrap();
-        apply_select_pivot_update(&mut mv, &spec(), &pred(), &core, &ctx, &delta_core).unwrap();
+        let (ops, _) =
+            plan_select_pivot_update(&mv, &spec(), &pred(), &core, &ctx, &delta_core).unwrap();
+        apply_row_ops(&mut mv, ops, None);
 
         let mut post_catalog = c.clone();
         for t in deltas.tables() {

@@ -776,8 +776,8 @@ impl ViewManager {
     }
 
     /// Replace the executor every materialization, propagation, and
-    /// verification in this manager runs on (thread count, morsel size,
-    /// partitioning — see [`gpivot_exec::ExecOptions`]).
+    /// verification in this manager runs on (thread count, kernel family
+    /// — see [`gpivot_exec::Executor`]).
     pub fn with_exec(mut self, exec: Executor) -> Self {
         self.exec = exec;
         self
@@ -935,46 +935,6 @@ impl ViewManager {
         view.lint_warnings = lint_warnings;
         self.install_view(view);
         Ok(())
-    }
-
-    /// Create a view, auto-selecting the maintenance strategy.
-    #[deprecated(since = "0.4.0", note = "use `register_view`")]
-    pub fn create_view(&mut self, name: impl Into<String>, definition: Plan) -> Result<Strategy> {
-        self.register_view(name, definition)
-    }
-
-    /// Create a view choosing the strategy with the cost model at an
-    /// expected per-refresh delta size.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `register_view_with` with `ViewOptions::new().expected_delta_rows(...)`"
-    )]
-    pub fn create_view_costed(
-        &mut self,
-        name: impl Into<String>,
-        definition: Plan,
-        expected_delta_rows: f64,
-    ) -> Result<Strategy> {
-        self.register_view_with(
-            name,
-            definition,
-            ViewOptions::new().expected_delta_rows(expected_delta_rows),
-        )
-    }
-
-    /// Create a view with an explicit strategy.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `register_view_with` (accepts a bare `Strategy`)"
-    )]
-    pub fn create_view_with(
-        &mut self,
-        name: impl Into<String>,
-        definition: Plan,
-        strategy: Strategy,
-    ) -> Result<()> {
-        self.register_view_with(name, definition, strategy)
-            .map(|_| ())
     }
 
     /// Drop a view.
@@ -1362,27 +1322,24 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_create_view_shims_still_work() {
-        let mut vm = ViewManager::new(catalog());
-        let s = vm.create_view("a", pivot_plan()).unwrap();
-        assert_eq!(s, Strategy::PivotUpdate);
-        vm.create_view_with("b", pivot_plan(), Strategy::Recompute)
-            .unwrap();
-        assert_eq!(vm.view("b").unwrap().strategy(), Strategy::Recompute);
-        let s = vm.create_view_costed("c", pivot_plan(), 2.0).unwrap();
-        assert_eq!(s, Strategy::PivotUpdate);
-    }
-
-    #[test]
     fn register_view_on_a_parallel_executor_matches_sequential() {
-        // Same partitioning config, different thread counts: the view
-        // contents must be row-for-row identical.
-        let exec_at = |threads| {
-            Executor::new()
-                .with_threads(threads)
-                .with_parallel_threshold(1)
+        // Enough rows that materialization takes the partitioned kernels
+        // (the executor's threshold is 1 024 input rows): the view contents
+        // must be row-for-row identical at every thread count.
+        let catalog = || {
+            let mut c = catalog();
+            let rows: Vec<Row> = (0..700)
+                .flat_map(|id| {
+                    let b = (id % 3 != 0).then(|| row![id, "b", id + 1]);
+                    std::iter::once(row![id, "a", id]).chain(b)
+                })
+                .collect();
+            assert!(rows.len() >= 1024);
+            let schema = c.table("items").unwrap().schema().clone();
+            c.replace("items", Table::from_rows(schema, rows).unwrap());
+            c
         };
+        let exec_at = |threads| Executor::new().with_threads(threads);
         let mut one = ViewManager::new(catalog()).with_exec(exec_at(1));
         one.register_view("v", pivot_plan()).unwrap();
         let mut four = ViewManager::new(catalog()).with_exec(exec_at(4));
@@ -1393,7 +1350,7 @@ mod tests {
         );
 
         let mut deltas = SourceDeltas::new();
-        deltas.insert_rows("items", vec![row![2, "b", 99], row![4, "a", 7]]);
+        deltas.insert_rows("items", vec![row![3, "b", 99], row![700, "a", 7]]);
         one.refresh(&deltas).unwrap();
         four.refresh(&deltas).unwrap();
         assert!(four.verify_view("v").unwrap());

@@ -22,8 +22,9 @@
 //!   order as the shared [`AggState`] (which remains the fallback for
 //!   heterogeneous columns), so even float results are bit-identical.
 //!
-//! The engine picks these kernels when [`crate::ExecOptions::columnar`]
-//! is set (the default); the CI equivalence suite pins the contract.
+//! The engine picks these kernels unless [`crate::Executor::with_columnar`]
+//! turns them off; the equivalence suite
+//! (`crates/tpch/tests/columnar_equivalence.rs`) pins the contract.
 
 use crate::error::{ExecError, Result};
 use crate::group::AggState;

@@ -1,21 +1,19 @@
 //! The plan dispatcher: recursively evaluates a [`Plan`] bottom-up.
 //!
 //! An [`Executor`] is configured once — `Executor::new().with_threads(4)`
-//! — and carries an [`ExecContext`]: the worker pool, partition counts and
-//! morsel size every operator kernel consults. [`Executor::run`] returns
-//! just the result table; [`Executor::run_traced`] additionally returns an
-//! [`ExecTrace`] — a per-operator row-count profile rendered like
-//! `EXPLAIN ANALYZE`, which the examples use to show where maintenance
-//! plans spend their rows.
+//! — and holds the worker pool every partitioned operator kernel submits
+//! its jobs to. [`Executor::run`] returns just the result table;
+//! [`Executor::run_traced`] additionally returns an [`ExecTrace`] — a
+//! per-operator row-count profile rendered like `EXPLAIN ANALYZE`, which
+//! the examples use to show where maintenance plans spend their rows.
 //!
 //! **Determinism.** Results are bit-identical across thread counts: the
 //! choice between the sequential and hash-partitioned kernel of an
-//! operator depends only on the input size ([`ExecOptions::parallel_threshold`]),
-//! the partition count is fixed configuration ([`ExecOptions::partitions`],
-//! never derived from the thread count), partitioning uses a fixed-key
-//! hash, and partition outputs merge in partition-index order. Threads
-//! only change which worker runs which partition — see DESIGN.md
-//! §"Parallel execution".
+//! operator depends only on the input size (`PARALLEL_THRESHOLD`), the
+//! partition count is a constant (`PARTITIONS`, never derived from the
+//! thread count), partitioning uses a fixed-key hash, and partition
+//! outputs merge in partition-index order. Threads only change which
+//! worker runs which partition — see DESIGN.md §"Parallel execution".
 
 use crate::columnar::{
     gpivot_columnar, gpivot_columnar_partitioned, hash_group_by_columnar,
@@ -78,156 +76,63 @@ impl std::fmt::Display for ExecTrace {
     }
 }
 
-/// Tuning knobs for one [`Executor`] / [`ExecContext`].
-///
-/// The default thread count honors the `GPIVOT_EXEC_THREADS` environment
-/// variable (falling back to 1), so the CI thread matrix and deployments
-/// can widen every executor in the process without touching call sites.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Worker threads for partitioned kernels (1 = run partitions inline).
-    pub threads: usize,
-    /// Rows per morsel for the order-preserving Select/Project split.
-    pub morsel_rows: usize,
-    /// Fixed hash-partition count for Join/GroupBy/GPivot. Deliberately
-    /// **not** derived from `threads`: the partitioning (and with it the
-    /// merged output order) must be identical across thread counts.
-    pub partitions: usize,
-    /// Inputs with fewer rows than this stay on the sequential kernels.
-    /// Data-dependent only — never compared against the thread count.
-    pub parallel_threshold: usize,
-    /// Run Join/GroupBy/GPivot on the vectorized [`crate::columnar`]
-    /// kernels over each table's cached columnar [`gpivot_storage::Chunk`]
-    /// (the default) instead of the row-at-a-time reference kernels.
-    /// Results are bit-identical either way; the default honors the
-    /// `GPIVOT_EXEC_COLUMNAR` environment variable (`0`/`false`/`off`
-    /// select the row kernels).
-    pub columnar: bool,
+/// Fixed hash-partition count for Join/GroupBy/GPivot. Deliberately a
+/// constant and **not** derived from the thread count: the partitioning
+/// (and with it the merged output order) must be identical across thread
+/// counts.
+const PARTITIONS: usize = 16;
+/// Inputs with fewer rows than this stay on the sequential kernels. The
+/// kernel choice depends on the input size only — never on the thread
+/// count — so output order is identical across thread counts.
+const PARALLEL_THRESHOLD: usize = 1024;
+/// Rows per morsel for the order-preserving Select/Project split.
+const MORSEL_ROWS: usize = 4096;
+
+/// Should an operator over `input_rows` rows take the partitioned kernel?
+fn partitioned(input_rows: usize) -> bool {
+    input_rows >= PARALLEL_THRESHOLD
 }
 
-impl Default for ExecOptions {
+/// Batch plan executor: the [`WorkerPool`] the partitioned kernels submit
+/// jobs to, the kernel family, and the recursive dispatcher. All data
+/// comes from the provider; the executor itself holds only configuration,
+/// so it is cheap to clone and share. The pool re-installs the calling
+/// thread's tracing collector on every worker, so per-partition spans land
+/// in the caller's store.
+#[derive(Debug, Clone)]
+pub struct Executor {
+    pool: WorkerPool,
+    columnar: bool,
+}
+
+impl Default for Executor {
     fn default() -> Self {
-        let threads = std::env::var("GPIVOT_EXEC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1);
-        let columnar = std::env::var("GPIVOT_EXEC_COLUMNAR")
-            .map(|s| {
-                let s = s.trim().to_ascii_lowercase();
-                !matches!(s.as_str(), "0" | "false" | "off")
-            })
-            .unwrap_or(true);
-        ExecOptions {
-            threads,
-            morsel_rows: 4096,
-            partitions: 16,
-            parallel_threshold: 1024,
-            columnar,
+        Executor {
+            pool: WorkerPool::new(1),
+            columnar: true,
         }
     }
 }
 
-/// Everything a plan evaluation carries with it: the resolved
-/// [`ExecOptions`] and the [`WorkerPool`] the partitioned kernels submit
-/// jobs to. The pool re-installs the calling thread's tracing collector
-/// on every worker, so per-partition spans land in the caller's store.
-#[derive(Debug, Clone)]
-pub struct ExecContext {
-    opts: ExecOptions,
-    pool: WorkerPool,
-}
-
-impl Default for ExecContext {
-    fn default() -> Self {
-        ExecContext::new(ExecOptions::default())
-    }
-}
-
-impl ExecContext {
-    /// Build a context from options (the pool width follows
-    /// `opts.threads`).
-    pub fn new(opts: ExecOptions) -> Self {
-        let pool = WorkerPool::new(opts.threads);
-        ExecContext { opts, pool }
-    }
-
-    /// The resolved options.
-    pub fn options(&self) -> &ExecOptions {
-        &self.opts
-    }
-
-    /// The worker pool partitioned kernels run on.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Should an operator over `input_rows` rows take the partitioned
-    /// kernel? Purely data-dependent (see the determinism note on
-    /// [`ExecOptions::parallel_threshold`]).
-    fn partitioned(&self, input_rows: usize) -> bool {
-        self.opts.partitions > 1 && input_rows >= self.opts.parallel_threshold
-    }
-}
-
-/// Batch plan executor: an [`ExecContext`] plus the recursive dispatcher.
-/// All data comes from the provider; the executor itself holds only
-/// configuration, so it is cheap to clone and share.
-#[derive(Debug, Clone, Default)]
-pub struct Executor {
-    ctx: ExecContext,
-}
-
 impl Executor {
-    /// An executor with default options (thread count from
-    /// `GPIVOT_EXEC_THREADS`, else 1).
+    /// A single-threaded executor on the columnar kernels.
     pub fn new() -> Self {
         Executor::default()
     }
 
-    /// An executor with explicit options.
-    pub fn with_options(opts: ExecOptions) -> Self {
-        Executor {
-            ctx: ExecContext::new(opts),
-        }
-    }
-
-    /// Set the worker-thread count (1 = inline).
+    /// Set the worker-thread count (1 = run partitions inline).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.ctx.opts.threads = threads.max(1);
-        self.ctx.pool = WorkerPool::new(self.ctx.opts.threads);
+        self.pool = WorkerPool::new(threads);
         self
     }
 
-    /// Set the Select/Project morsel size.
-    pub fn with_morsel_rows(mut self, morsel_rows: usize) -> Self {
-        self.ctx.opts.morsel_rows = morsel_rows.max(1);
-        self
-    }
-
-    /// Set the fixed hash-partition count.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.ctx.opts.partitions = partitions.max(1);
-        self
-    }
-
-    /// Set the minimum input size for the partitioned kernels.
-    pub fn with_parallel_threshold(mut self, rows: usize) -> Self {
-        self.ctx.opts.parallel_threshold = rows;
-        self
-    }
-
-    /// Choose between the vectorized columnar kernels (`true`, default)
+    /// Choose between the vectorized [`crate::columnar`] kernels over each
+    /// table's cached columnar [`gpivot_storage::Chunk`] (`true`, default)
     /// and the row-at-a-time reference kernels (`false`) for
     /// Join/GroupBy/GPivot. Output is bit-identical either way.
     pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.ctx.opts.columnar = columnar;
+        self.columnar = columnar;
         self
-    }
-
-    /// The execution context this executor evaluates plans under.
-    pub fn context(&self) -> &ExecContext {
-        &self.ctx
     }
 
     /// Evaluate `plan` against `provider`, returning the result as a bag
@@ -262,7 +167,6 @@ impl Executor {
         trace: &mut Option<ExecTrace>,
     ) -> Result<Table> {
         let schemas = ProviderSchemas(provider);
-        let ctx = &self.ctx;
         // Each operator's kernel work runs under an `op.*` span entered
         // only after its children have been evaluated, so the recorded
         // durations are per-operator self-times, not inclusive subtree
@@ -284,10 +188,10 @@ impl Executor {
 
             Plan::Select { input, predicate } => {
                 let child = self.eval(input, provider, depth + 1, trace)?;
-                if ctx.partitioned(child.len()) {
+                if partitioned(child.len()) {
                     let bound = predicate.bind(child.schema())?;
-                    let jobs = morsels(child.len(), ctx.opts.morsel_rows);
-                    let outs = ctx.pool.run_timed(
+                    let jobs = morsels(child.len(), MORSEL_ROWS);
+                    let outs = self.pool.run_timed(
                         "Select",
                         "op.Select",
                         "op.Select.partition",
@@ -324,9 +228,9 @@ impl Executor {
                     .iter()
                     .map(|(e, _)| e.bind(child.schema()))
                     .collect::<gpivot_algebra::Result<_>>()?;
-                if ctx.partitioned(child.len()) {
-                    let jobs = morsels(child.len(), ctx.opts.morsel_rows);
-                    let outs = ctx.pool.run_timed(
+                if partitioned(child.len()) {
+                    let jobs = morsels(child.len(), MORSEL_ROWS);
+                    let outs = self.pool.run_timed(
                         "Project",
                         "op.Project",
                         "op.Project.partition",
@@ -369,7 +273,7 @@ impl Executor {
                     .map(|(_, rc)| r.schema().index_of(rc))
                     .collect::<gpivot_storage::Result<_>>()?;
                 let bound_res = residual.as_ref().map(|e| e.bind(&out_schema)).transpose()?;
-                match (ctx.partitioned(l.len() + r.len()), ctx.opts.columnar) {
+                match (partitioned(l.len() + r.len()), self.columnar) {
                     (true, true) => hash_join_columnar_partitioned(
                         &l,
                         &r,
@@ -378,8 +282,8 @@ impl Executor {
                         &right_on,
                         bound_res.as_ref(),
                         out_schema,
-                        &ctx.pool,
-                        ctx.opts.partitions,
+                        &self.pool,
+                        PARTITIONS,
                     ),
                     (true, false) => hash_join_partitioned(
                         &l,
@@ -389,8 +293,8 @@ impl Executor {
                         &right_on,
                         bound_res.as_ref(),
                         out_schema,
-                        &ctx.pool,
-                        ctx.opts.partitions,
+                        &self.pool,
+                        PARTITIONS,
                     ),
                     (false, true) => {
                         let _s = tracing::span("op.Join").enter();
@@ -440,15 +344,15 @@ impl Executor {
                         }
                     })
                     .collect::<gpivot_storage::Result<_>>()?;
-                match (ctx.partitioned(child.len()), ctx.opts.columnar) {
+                match (partitioned(child.len()), self.columnar) {
                     (true, true) => hash_group_by_columnar_partitioned(
                         &child,
                         &group_idx,
                         aggs,
                         &agg_inputs,
                         out_schema,
-                        &ctx.pool,
-                        ctx.opts.partitions,
+                        &self.pool,
+                        PARTITIONS,
                     ),
                     (true, false) => hash_group_by_partitioned(
                         &child,
@@ -456,8 +360,8 @@ impl Executor {
                         aggs,
                         &agg_inputs,
                         out_schema,
-                        &ctx.pool,
-                        ctx.opts.partitions,
+                        &self.pool,
+                        PARTITIONS,
                     ),
                     (false, true) => {
                         let _s = tracing::span("op.GroupBy").enter();
@@ -503,16 +407,12 @@ impl Executor {
             Plan::GPivot { input, spec } => {
                 let child = self.eval(input, provider, depth + 1, trace)?;
                 let out_schema = plan.schema(&schemas)?;
-                match (ctx.partitioned(child.len()), ctx.opts.columnar) {
+                match (partitioned(child.len()), self.columnar) {
                     (true, true) => gpivot_columnar_partitioned(
-                        &child,
-                        spec,
-                        out_schema,
-                        &ctx.pool,
-                        ctx.opts.partitions,
+                        &child, spec, out_schema, &self.pool, PARTITIONS,
                     ),
                     (true, false) => {
-                        gpivot_partitioned(&child, spec, out_schema, &ctx.pool, ctx.opts.partitions)
+                        gpivot_partitioned(&child, spec, out_schema, &self.pool, PARTITIONS)
                     }
                     (false, true) => {
                         let _s = tracing::span("op.GPivot").enter();
@@ -774,7 +674,7 @@ mod tests {
         }
     }
 
-    /// Wide inputs (≥ parallel_threshold) produce bit-identical rows in
+    /// Wide inputs (≥ `PARALLEL_THRESHOLD`) produce bit-identical rows in
     /// bit-identical order at every pool width, and agree bag-wise with a
     /// purely sequential executor.
     #[test]
@@ -800,20 +700,34 @@ mod tests {
                 ]
             })
             .collect();
-        c.register("payment", Table::from_rows(schema, rows).unwrap())
-            .unwrap();
+        c.register(
+            "payment",
+            Table::from_rows(schema.clone(), rows.clone()).unwrap(),
+        )
+        .unwrap();
+        let spec = PivotSpec::simple(
+            "Payment",
+            "Price",
+            vec![Value::str("Credit"), Value::str("ByAir")],
+        );
         let plan = PlanBuilder::scan("payment")
             .select(Expr::col("Price").gt(Expr::lit(10)))
-            .gpivot(PivotSpec::simple(
-                "Payment",
-                "Price",
-                vec![Value::str("Credit"), Value::str("ByAir")],
-            ))
+            .gpivot(spec.clone())
             .build();
-        let sequential = Executor::new()
-            .with_parallel_threshold(usize::MAX)
-            .run(&plan, &c)
-            .unwrap();
+        // The sequential reference: the same filter and the sequential
+        // pivot kernel, called directly.
+        let kept: Vec<Row> = rows
+            .iter()
+            .filter(|r| r[2] > Value::Int(10))
+            .cloned()
+            .collect();
+        assert!(kept.len() >= PARALLEL_THRESHOLD, "must take the pool");
+        let sequential = gpivot(
+            &Table::bag(schema.clone(), kept),
+            &spec,
+            plan.schema(&ProviderSchemas(&c)).unwrap(),
+        )
+        .unwrap();
         let mut outputs = Vec::new();
         for threads in [1, 2, 8] {
             let out = Executor::new()
@@ -841,7 +755,7 @@ mod tests {
         let plan = PlanBuilder::scan("t")
             .group_by(&["g"], vec![AggSpec::sum("v", "s")])
             .build();
-        let exec = Executor::new().with_threads(2).with_partitions(8);
+        let exec = Executor::new().with_threads(2);
         let sub = tracing::TimingSubscriber::shared();
         tracing::with_collector(sub.clone(), || {
             exec.run(&plan, &c).unwrap();
@@ -849,7 +763,11 @@ mod tests {
         let parent = sub.histogram("op.GroupBy").unwrap();
         let parts = sub.histogram("op.GroupBy.partition").unwrap();
         assert_eq!(parent.count(), 1, "exactly one parent self-time reading");
-        assert_eq!(parts.count(), 8, "one sub-span per partition");
+        assert_eq!(
+            parts.count(),
+            PARTITIONS as u64,
+            "one sub-span per partition"
+        );
         assert!(
             parent.max() <= parts.max(),
             "parent self-time is the max partition duration"

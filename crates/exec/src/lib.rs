@@ -30,7 +30,7 @@
 //! ([`columnar`]) that run over a table's cached [`gpivot_storage::Chunk`]
 //! (typed column vectors, dictionary codes, validity bitmaps). The
 //! columnar kernels are bit-identical to the row kernels by construction
-//! and are selected by default ([`ExecOptions::columnar`]).
+//! and are selected by default ([`Executor::with_columnar`]).
 
 // Executor errors surface as `ExecError` to the maintenance layer; a
 // panic here would take down a refresh epoch. `unwrap`/`expect` are
@@ -46,7 +46,7 @@ pub mod pivot;
 pub mod pool;
 pub mod provider;
 
-pub use engine::{ExecContext, ExecOptions, ExecTrace, Executor, TraceEntry};
+pub use engine::{ExecTrace, Executor, TraceEntry};
 pub use error::{ExecError, Result};
 pub use pool::WorkerPool;
 pub use provider::{Overlay, TableProvider};

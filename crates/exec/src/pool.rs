@@ -1,8 +1,8 @@
-//! Dependency-free scoped-thread worker pool for intra-query parallelism.
-//!
-//! Modeled on the serve layer's epoch pool (round-robin buckets over
-//! `std::thread::scope`, order-preserving result slots) but specialized
-//! for operator kernels:
+//! Dependency-free scoped-thread worker pool: the workspace's one fan-out
+//! loop (round-robin buckets over `std::thread::scope`, order-preserving
+//! result slots — [`WorkerPool::run_slots`]). Operator kernels, the serve
+//! layer's epoch fan-out and `gpivot_core::combine::parallel_gpivot` all
+//! submit their jobs here:
 //!
 //! * **Determinism** — results come back in job (partition) index order,
 //!   and when several jobs fail the error of the lowest-indexed job wins,
@@ -56,76 +56,84 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Run `f` over `jobs`, returning outputs in job order regardless of
-    /// which worker ran which job. `op` labels the operator in
-    /// [`ExecError::WorkerPanic`] if a job panics. If several jobs fail,
-    /// the lowest-indexed job's error is returned (deterministic).
+    /// The one fan-out loop: run `f` over `jobs` on up to `threads` scoped
+    /// workers (round-robin buckets; inline when one worker suffices),
+    /// returning one slot per job in job order regardless of which worker
+    /// ran which job. Every job runs under `catch_unwind`, on the inline
+    /// path too, and the calling thread's tracing collector is
+    /// re-installed on each worker. A slot is `None` iff its job panicked
+    /// (or its worker died outside the per-job boundary); callers must
+    /// treat that as a failure, never unwrap it.
+    pub fn run_slots<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<Option<R>>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        let n = jobs.len();
+        let workers = self.threads.min(n);
+        let f = &f;
+        let caught = move |job: T| catch_unwind(AssertUnwindSafe(|| f(job))).ok();
+        if workers <= 1 {
+            return jobs.into_iter().map(caught).collect();
+        }
+        let collector = tracing::current_collector();
+        let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, job) in jobs.into_iter().enumerate() {
+            buckets[i % workers].push((i, job));
+        }
+        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = buckets
+                .into_iter()
+                .map(|bucket| {
+                    let collector = collector.clone();
+                    s.spawn(move || {
+                        let _guard = collector.map(tracing::push_collector);
+                        bucket
+                            .into_iter()
+                            .map(|(i, job)| (i, caught(job)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                // Jobs are individually caught; a bucket-level join error
+                // would mean a panic outside the isolation boundary. Its
+                // slots stay empty.
+                if let Ok(pairs) = h.join() {
+                    for (i, r) in pairs {
+                        slots[i] = r;
+                    }
+                }
+            }
+        });
+        slots
+    }
+
+    /// Run `f` over `jobs`, returning outputs in job order. `op` labels
+    /// the operator in [`ExecError::WorkerPanic`] if a job panics. If
+    /// several jobs fail, the lowest-indexed job's error is returned
+    /// (deterministic).
     pub fn run<T, R, F>(&self, op: &'static str, jobs: Vec<T>, f: F) -> Result<Vec<R>>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> Result<R> + Sync,
     {
-        let n = jobs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = self.threads.min(n);
-        let mut slots: Vec<Option<Result<R>>> = std::iter::repeat_with(|| None).take(n).collect();
-
-        if workers <= 1 {
-            // Inline path: same job order, same panic isolation, no threads.
-            for (i, job) in jobs.into_iter().enumerate() {
-                slots[i] = Some(run_caught(op, &f, job));
-            }
-        } else {
-            let collector = tracing::current_collector();
-            let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                buckets[i % workers].push((i, job));
-            }
-            std::thread::scope(|s| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        let collector = collector.clone();
-                        let f = &f;
-                        s.spawn(move || {
-                            let _guard = collector.map(tracing::push_collector);
-                            bucket
-                                .into_iter()
-                                .map(|(i, job)| (i, run_caught(op, f, job)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // Jobs are individually caught; a bucket-level join
-                    // error would mean a panic outside the isolation
-                    // boundary. Leave its slots empty and classify below.
-                    if let Ok(pairs) = h.join() {
-                        for (i, r) in pairs {
-                            slots[i] = Some(r);
-                        }
-                    }
-                }
-            });
-        }
-
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            match slot {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(ExecError::WorkerPanic {
+        // `run_caught` keeps the panic message for the typed error, so the
+        // slot method's own boundary never fires here.
+        self.run_slots(jobs, |job| run_caught(op, &f, job))
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    Err(ExecError::WorkerPanic {
                         op,
                         message: "worker died outside panic isolation".to_string(),
                     })
-                }
-            }
-        }
-        Ok(out)
+                })
+            })
+            .collect()
     }
 
     /// Like [`WorkerPool::run`], but times each job and reconciles the
@@ -248,6 +256,23 @@ mod tests {
                 }
                 other => panic!("expected WorkerPanic, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn run_slots_leaves_only_the_poisoned_slot_empty() {
+        for threads in [1, 4] {
+            let slots = WorkerPool::new(threads).run_slots(vec![0, 1, 2, 3, 4], |i| {
+                if i == 2 {
+                    panic!("poisoned job {i}");
+                }
+                i * 10
+            });
+            assert_eq!(
+                slots,
+                vec![Some(0), Some(10), None, Some(30), Some(40)],
+                "threads={threads}"
+            );
         }
     }
 

@@ -11,7 +11,7 @@ use gpivot_core::{
     CoreError, MaintenanceOutcome, MaterializedView, RefreshPlan, Result, Strategy, ViewManager,
     ViewOptions,
 };
-use gpivot_exec::Executor;
+use gpivot_exec::{Executor, WorkerPool};
 use gpivot_storage::checkpoint::{self, CheckpointData, ViewSnapshot};
 use gpivot_storage::wal::{Wal, WalRecord};
 use gpivot_storage::{Catalog, Delta, FaultInjector, FsyncPolicy, StorageError, Table};
@@ -33,9 +33,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads per refresh epoch. Independent affected views are
-    /// distributed round-robin over this many `std` scoped threads (the
-    /// same idiom as `gpivot_core::combine::parallel_gpivot`). `1` means
-    /// fully sequential refreshes.
+    /// distributed round-robin over this many scoped threads of a
+    /// [`gpivot_exec::WorkerPool`]. `1` means fully sequential refreshes.
     pub(crate) workers: usize,
     /// Backpressure watermark on the *coalesced* pending row count.
     ///
@@ -74,15 +73,12 @@ pub struct ServeConfig {
     /// subplans, recompute, verify) runs on, via the service's
     /// [`gpivot_exec::Executor`]. Orthogonal to [`ServeConfig::workers`]
     /// (inter-view parallelism): an epoch uses up to
-    /// `workers × exec_threads` threads. Defaults to the
-    /// `GPIVOT_EXEC_THREADS` environment variable, else `1` (see
-    /// [`gpivot_exec::ExecOptions`]).
+    /// `workers × exec_threads` threads. Defaults to `1`.
     pub(crate) exec_threads: usize,
     /// Run plan executions on the vectorized columnar kernels (`true`,
     /// the default) or the row-at-a-time reference kernels (`false`).
     /// Results are bit-identical either way; this is a performance and
-    /// triage knob. Defaults to the `GPIVOT_EXEC_COLUMNAR` environment
-    /// variable, else `true` (see [`gpivot_exec::ExecOptions`]).
+    /// triage knob.
     pub(crate) exec_columnar: bool,
     /// When the WAL fsyncs, for services opened durably with
     /// [`ViewService::open`]. Ignored by [`ViewService::new`] (no log).
@@ -111,8 +107,8 @@ impl Default for ServeConfig {
             retry_backoff: Duration::from_millis(2),
             retry_backoff_cap: Duration::from_millis(100),
             quarantine_after: 3,
-            exec_threads: gpivot_exec::ExecOptions::default().threads,
-            exec_columnar: gpivot_exec::ExecOptions::default().columnar,
+            exec_threads: 1,
+            exec_columnar: true,
             wal_fsync: FsyncPolicy::default(),
             checkpoint_every_epochs: 0,
             sharding: ShardConfig::default(),
@@ -169,6 +165,13 @@ impl ServeConfig {
     /// Whether plan executions use the vectorized columnar kernels.
     pub fn exec_columnar(&self) -> bool {
         self.exec_columnar
+    }
+
+    /// The plan executor a service with this config runs on.
+    pub(crate) fn executor(&self) -> Executor {
+        Executor::new()
+            .with_threads(self.exec_threads)
+            .with_columnar(self.exec_columnar)
     }
 
     /// WAL fsync policy for durable services.
@@ -439,11 +442,8 @@ impl ViewService {
     /// is a shared handle, so the test keeps arming/disarming control over
     /// the copy the service owns.
     pub fn new(catalog: Catalog, cfg: ServeConfig) -> Self {
-        let exec = gpivot_exec::Executor::new()
-            .with_threads(cfg.exec_threads())
-            .with_columnar(cfg.exec_columnar());
         Self::assemble(
-            ViewManager::new(catalog).with_exec(exec),
+            ViewManager::new(catalog).with_exec(cfg.executor()),
             IngestQueue::new(),
             MetricsSnapshot::default(),
             0,
@@ -503,11 +503,8 @@ impl ViewService {
         parser: &PlanParser,
     ) -> Result<(ViewService, RecoveryReport)> {
         let dir = dir.as_ref();
-        let exec = Executor::new()
-            .with_threads(cfg.exec_threads())
-            .with_columnar(cfg.exec_columnar());
         let injector = seed_catalog.fault_injector().clone();
-        match durable::recover(dir, parser, exec)? {
+        match durable::recover(dir, parser, cfg.executor())? {
             Some(rec) => {
                 let mut manager = rec.manager;
                 manager.catalog_mut().set_fault_injector(injector.clone());
@@ -539,11 +536,8 @@ impl ViewService {
             None => {
                 let durability =
                     Durability::bootstrap(dir, &seed_catalog, cfg.wal_fsync(), injector)?;
-                let exec = Executor::new()
-                    .with_threads(cfg.exec_threads())
-                    .with_columnar(cfg.exec_columnar());
                 let svc = Self::assemble(
-                    ViewManager::new(seed_catalog).with_exec(exec),
+                    ViewManager::new(seed_catalog).with_exec(cfg.executor()),
                     IngestQueue::new(),
                     MetricsSnapshot::default(),
                     0,
@@ -850,16 +844,15 @@ impl ViewService {
         let workers = self.shared.cfg.workers().max(1).min(names.len().max(1));
         let results = {
             let _s = tracing::span("epoch.propagate").enter();
-            let tracer = &self.shared.tracer;
             // Holding the refresh gate and the registry read guard across
             // the pool is what serializes epochs; the workers only run
             // view-maintenance closures and never touch a service lock.
+            // The pool re-installs this thread's collector (the service's
+            // tracer, pushed above) on every worker, so `view.attempt`
+            // spans and the maintain-phase spans underneath land in the
+            // same store.
             // concurrency-lint: allow(GP033)
             run_on_pool(names.clone(), workers, |name| {
-                // Workers run on their own threads: re-install the
-                // service's tracer so `view.attempt` spans and the
-                // maintain-phase spans underneath land in the same store.
-                let _c = tracing::push_collector(tracer.clone());
                 plan_with_retry(&self.shared.cfg, &state, name, &batch)
             })
         };
@@ -1613,49 +1606,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `f` over `items` on `workers` scoped threads (round-robin
-/// distribution), preserving input order in the result vector. A slot is
-/// `None` iff its worker thread died without delivering a result — `f` is
-/// expected to catch panics itself, so `None` marks a panic that escaped
-/// even that boundary; callers must treat it as a failure, never unwrap it.
+/// Run `f` over `items` on a [`WorkerPool`] of `workers` threads,
+/// preserving input order in the result vector. A slot is `None` iff its
+/// job panicked — `f` is expected to catch panics itself, so `None` marks a
+/// panic that escaped even that boundary; callers must treat it as a
+/// failure, never unwrap it.
 pub(crate) fn run_on_pool<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Option<R>>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    if workers <= 1 || n <= 1 {
-        return items.into_iter().map(|item| Some(f(item))).collect();
-    }
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[i % workers].push((i, item));
-    }
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                s.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(i, item)| (i, f(item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // A bucket whose thread panicked leaves its slots as None.
-            if let Ok(results) = h.join() {
-                for (i, r) in results {
-                    slots[i] = Some(r);
-                }
-            }
-        }
-    });
-    slots
+    WorkerPool::new(workers).run_slots(items, f)
 }
 
 #[cfg(test)]

@@ -57,7 +57,16 @@ fn assert_oracle(svc: &ViewService, mirror: &Catalog) {
 fn three_views_interleaved_batches_over_epochs() {
     let catalog = small_catalog();
     let mut mirror = catalog.clone();
-    let svc = ViewService::new(catalog, ServeConfig::builder().workers(4).build().unwrap());
+    // Four executor threads under four view workers: materialization and
+    // `verify_all` join `lineitem` with `orders` on the partitioned kernels
+    // (≥ 1 024 input rows), so the pool's threaded path is under the oracle
+    // — which recomputes on a single-threaded executor of its own.
+    let cfg = ServeConfig::builder()
+        .workers(4)
+        .exec_threads(4)
+        .build()
+        .unwrap();
+    let svc = ViewService::new(catalog, cfg);
 
     svc.register_view("view1", view1()).unwrap();
     svc.register_view("view2", view2(30_000.0)).unwrap();

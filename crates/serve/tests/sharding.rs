@@ -2,10 +2,7 @@
 //! observationally identical to the unsharded engine for every plan the
 //! analyzer proves shard-safe — the paper's three TPC-H evaluation views
 //! — across seeded insert/delete schedules, including heavy-key
-//! promotions forced mid-schedule.
-//!
-//! Shard counts come from `GPIVOT_SHARDS` (comma-separated, e.g.
-//! `GPIVOT_SHARDS=1,4`), defaulting to `1,2,4`; CI runs the matrix.
+//! promotions forced mid-schedule — at 1, 2 and 4 shards.
 
 use gpivot_core::SourceDeltas;
 use gpivot_exec::Executor;
@@ -23,19 +20,8 @@ fn small_catalog() -> Catalog {
     })
 }
 
-/// Shard counts under test: `GPIVOT_SHARDS=a,b,...` or the default 1,2,4.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("GPIVOT_SHARDS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|x| x.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
+/// Shard counts under test.
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn sharded_service(catalog: Catalog, shards: usize, heavy_threshold: u64) -> ShardedService {
     let cfg = ServeConfig::builder()
@@ -90,8 +76,7 @@ fn assert_all_match_oracle(services: &[(usize, ShardedService)], mirror: &Catalo
 
 #[test]
 fn all_three_views_prove_shard_safe_and_place_sharded() {
-    let n = shard_counts().into_iter().max().unwrap_or(4).max(2);
-    let svc = sharded_service(small_catalog(), n, 0);
+    let svc = sharded_service(small_catalog(), 4, 0);
     for name in ["view1", "view2", "view3"] {
         let placement = svc.placement(name).unwrap();
         match placement {
@@ -178,7 +163,7 @@ proptest! {
         let mut mirror = catalog.clone();
         // Threshold 2: one churn round (delete+insert) on a custkey is
         // enough to promote it, so promotions fire mid-schedule.
-        let services: Vec<(usize, ShardedService)> = shard_counts()
+        let services: Vec<(usize, ShardedService)> = SHARD_COUNTS
             .into_iter()
             .map(|n| (n, sharded_service(catalog.clone(), n, 2)))
             .collect();

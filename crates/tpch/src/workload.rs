@@ -7,8 +7,9 @@
 //! * [`insert_new_rows`] — inserts that only *insert* new view rows: first
 //!   lineitems for orders that had none (Figure 35).
 //!
-//! All generators are deterministic in their seed and return a
-//! [`SourceDeltas`] batch ready for `ViewManager::refresh`.
+//! All generators are deterministic in `(catalog contents, fraction, seed)`
+//! — whatever physical row order earlier deltas left the tables in — and
+//! return a [`SourceDeltas`] batch ready for `ViewManager::refresh`.
 
 use crate::views::LINE_NUMBERS;
 use gpivot_core::SourceDeltas;
@@ -18,17 +19,22 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
+/// `fraction` of `table`'s rows, sampled uniformly from the rows in sorted
+/// order — so the sample depends on the table's contents and the seed, not
+/// on the physical row order an `apply_delta` history left behind.
+fn sample_rows(catalog: &Catalog, table: &str, fraction: f64, rng: &mut StdRng) -> Vec<Row> {
+    let mut rows = catalog.table(table).expect("table exists").sorted_rows();
+    let n = ((rows.len() as f64) * fraction).round() as usize;
+    rows.shuffle(rng);
+    rows.truncate(n);
+    rows
+}
+
 /// Delete `fraction` of the rows of `table` (sampled uniformly).
 pub fn delete_fraction(catalog: &Catalog, table: &str, fraction: f64, seed: u64) -> SourceDeltas {
     let mut rng = StdRng::seed_from_u64(seed);
-    let t = catalog.table(table).expect("table exists");
-    let n = ((t.len() as f64) * fraction).round() as usize;
-    let mut indices: Vec<usize> = (0..t.len()).collect();
-    indices.shuffle(&mut rng);
-    indices.truncate(n);
-    let rows: Vec<Row> = indices.into_iter().map(|i| t.rows()[i].clone()).collect();
     let mut d = SourceDeltas::new();
-    d.delete_rows(table, rows);
+    d.delete_rows(table, sample_rows(catalog, table, fraction, &mut rng));
     d
 }
 
@@ -80,7 +86,8 @@ pub fn insert_updates_only(catalog: &Catalog, fraction: f64, seed: u64) -> Sourc
 }
 
 /// Insert `fraction × |lineitem|` new lineitems that each *create* a new
-/// view row: line number 1 for orders that currently have no lineitems.
+/// view row: line number 1 for orders that currently have no lineitems —
+/// or as many as there are such orders left, down to an empty batch.
 pub fn insert_new_rows(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas {
     let mut rng = StdRng::seed_from_u64(seed);
     let lineitem = catalog.table("lineitem").expect("lineitem exists");
@@ -99,12 +106,6 @@ pub fn insert_new_rows(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDel
         .collect();
     empty_orders.sort_unstable();
     empty_orders.shuffle(&mut rng);
-    assert!(
-        empty_orders.len() >= target,
-        "not enough empty orders ({}) for an insert-only workload of {target} rows; \
-         raise `TpchConfig::empty_order_fraction`",
-        empty_orders.len()
-    );
     empty_orders.truncate(target);
 
     let rows: Vec<Row> = empty_orders
@@ -143,14 +144,8 @@ pub fn mixed_batch(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas 
 /// join term).
 pub fn order_churn(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas {
     let mut rng = StdRng::seed_from_u64(seed);
-    let orders = catalog.table("orders").expect("orders exists");
-    let n = ((orders.len() as f64) * fraction).round() as usize;
-    let mut indices: Vec<usize> = (0..orders.len()).collect();
-    indices.shuffle(&mut rng);
-    indices.truncate(n);
     let mut d = SourceDeltas::new();
-    for i in indices {
-        let old = orders.rows()[i].clone();
+    for old in sample_rows(catalog, "orders", fraction, &mut rng) {
         let mut new = old.to_vec();
         // Re-price and shift the year within the pivoted range.
         new[4] = Value::Float(rng.gen_range(1_000..500_000) as f64);
@@ -165,14 +160,8 @@ pub fn order_churn(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas 
 /// their crosstab rows between keys.
 pub fn customer_churn(catalog: &Catalog, fraction: f64, seed: u64) -> SourceDeltas {
     let mut rng = StdRng::seed_from_u64(seed);
-    let customers = catalog.table("customer").expect("customer exists");
-    let n = ((customers.len() as f64) * fraction).round() as usize;
-    let mut indices: Vec<usize> = (0..customers.len()).collect();
-    indices.shuffle(&mut rng);
-    indices.truncate(n);
     let mut d = SourceDeltas::new();
-    for i in indices {
-        let old = customers.rows()[i].clone();
+    for old in sample_rows(catalog, "customer", fraction, &mut rng) {
         let mut new = old.to_vec();
         let old_nation = new[2].as_i64().expect("nationkey");
         new[2] = Value::Int((old_nation + 1 + rng.gen_range(0..23i64)) % 25);
@@ -205,6 +194,67 @@ mod tests {
         assert_eq!(d.total_changes(), expected);
         let d2 = delete_fraction(&c, "lineitem", 0.01, 7);
         assert_eq!(d.delta("lineitem"), d2.delta("lineitem"));
+    }
+
+    #[test]
+    fn insert_new_rows_runs_dry_without_panicking() {
+        let mut c = catalog();
+        let mut batches = 0;
+        loop {
+            let d = insert_new_rows(&c, 0.03, batches);
+            if d.is_empty() {
+                break;
+            }
+            c.apply_delta("lineitem", d.delta("lineitem").unwrap())
+                .unwrap();
+            batches += 1;
+        }
+        assert!(batches > 1, "the catalog starts with empty orders to fill");
+        // Dry for good, and the mixed batch degrades to its delete half.
+        assert!(insert_new_rows(&c, 0.1, 99).is_empty());
+        let mixed = mixed_batch(&c, 0.02, 9);
+        assert!(mixed.delta("lineitem").unwrap().iter().all(|(_, &w)| w < 0));
+    }
+
+    /// Two catalogs holding the same bags in different physical row order
+    /// (one took a delete-and-reinsert detour through `apply_delta`) yield
+    /// the same delta from every generator.
+    #[test]
+    fn generators_ignore_physical_row_order() {
+        let c = catalog();
+        let mut shuffled = c.clone();
+        for (table, seed) in [("lineitem", 1), ("orders", 2), ("customer", 3)] {
+            let out = delete_fraction(&shuffled, table, 0.3, seed);
+            let removed = out.delta(table).unwrap().clone();
+            shuffled.apply_delta(table, &removed).unwrap();
+            shuffled.apply_delta(table, &removed.negated()).unwrap();
+            assert!(shuffled
+                .table(table)
+                .unwrap()
+                .bag_eq(c.table(table).unwrap()));
+            assert_ne!(
+                shuffled.table(table).unwrap().rows(),
+                c.table(table).unwrap().rows()
+            );
+        }
+        type Generator = fn(&Catalog, f64, u64) -> SourceDeltas;
+        let generators: [(&str, Generator); 6] = [
+            ("delete_fraction", |c, f, s| {
+                delete_fraction(c, "lineitem", f, s)
+            }),
+            ("insert_updates_only", insert_updates_only),
+            ("insert_new_rows", insert_new_rows),
+            ("mixed_batch", mixed_batch),
+            ("order_churn", order_churn),
+            ("customer_churn", customer_churn),
+        ];
+        for (name, generate) in generators {
+            let (a, b) = (generate(&c, 0.05, 17), generate(&shuffled, 0.05, 17));
+            assert!(!a.is_empty(), "{name}");
+            for table in ["lineitem", "orders", "customer"] {
+                assert_eq!(a.delta(table), b.delta(table), "{name}/{table}");
+            }
+        }
     }
 
     #[test]

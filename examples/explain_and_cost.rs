@@ -1,14 +1,11 @@
 //! Observability tour: EXPLAIN trees, §7.1 SQL rendering, `EXPLAIN
-//! ANALYZE`-style execution traces, the cost model's strategy choice, and a
-//! dynamic (high-order) pivot that recompiles itself when new dimension
-//! values appear.
+//! ANALYZE`-style execution traces and the cost model's strategy choice.
 //!
 //! ```text
 //! cargo run --example explain_and_cost
 //! ```
 
 use gpivot::core::cost::{cheapest_strategy, estimate_refresh_cost, CatalogStats};
-use gpivot::core::dynamic::{DynamicPivotView, DynamicRefresh};
 use gpivot::prelude::*;
 use std::sync::Arc;
 
@@ -62,47 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let (best, cost) = cheapest_strategy(&view, &stats, &catalog, 20.0).unwrap();
-    println!("  → cheapest: {best} ({cost:.0} row-ops)\n");
-
-    // ── Dynamic pivot: schema evolves with the data ──────────────────────
-    println!("═══ dynamic (high-order) pivot ═══");
-    let mut dynamic = DynamicPivotView::create(&catalog, "payments", &["method"], &["amount"])?;
-    println!(
-        "discovered methods: {:?}",
-        dynamic
-            .spec()
-            .groups
-            .iter()
-            .map(|g| g[0].to_string())
-            .collect::<Vec<_>>()
-    );
-
-    // In-domain change: incremental refresh.
-    let mut deltas = SourceDeltas::new();
-    deltas.insert_rows("payments", vec![row![500, "card", 42]]);
-    match dynamic.refresh(&catalog, &deltas)? {
-        DynamicRefresh::Incremental(stats) => {
-            println!(
-                "in-domain insert  → incremental ({} rows touched)",
-                stats.total()
-            )
-        }
-        other => println!("unexpected: {other:?}"),
-    }
-    catalog.apply_delta("payments", deltas.delta("payments").unwrap())?;
-
-    // A brand-new payment method: the view recompiles with a new column.
-    let mut deltas = SourceDeltas::new();
-    deltas.insert_rows("payments", vec![row![501, "crypto", 7]]);
-    match dynamic.refresh(&catalog, &deltas)? {
-        DynamicRefresh::Recompiled { new_groups } => {
-            println!("new method insert → recompiled ({new_groups} pivot columns now)")
-        }
-        other => println!("unexpected: {other:?}"),
-    }
-    catalog.apply_delta("payments", deltas.delta("payments").unwrap())?;
-    assert!(dynamic.table().schema().index_of("crypto**amount").is_ok());
-    assert!(dynamic.verify(&catalog)?);
-    println!("dynamic view verified ✓");
+    println!("  → cheapest: {best} ({cost:.0} row-ops)");
     Ok(())
 }

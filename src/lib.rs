@@ -85,7 +85,7 @@ pub mod prelude {
         normalize_view, CoreError, ErrorClass, SourceDeltas, Strategy, TopShape, ViewManager,
         ViewOptions,
     };
-    pub use gpivot_exec::{ExecContext, ExecOptions, Executor, WorkerPool};
+    pub use gpivot_exec::{Executor, WorkerPool};
     pub use gpivot_serve::{
         IngestOptions, ServeConfig, ShardConfig, ShardedService, ViewHealth, ViewPlacement,
         ViewService,

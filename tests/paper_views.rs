@@ -10,10 +10,13 @@ use gpivot::tpch::{
 };
 
 fn catalog() -> Catalog {
-    generate(&TpchConfig {
+    let c = generate(&TpchConfig {
         empty_order_fraction: 0.25,
         ..TpchConfig::scale(0.02)
-    })
+    });
+    // `check_strategy` relies on the widest join taking the worker pool.
+    assert!(c.table("lineitem").unwrap().len() + c.table("orders").unwrap().len() >= 1024);
+    c
 }
 
 #[test]
@@ -88,18 +91,36 @@ fn planner_picks_the_papers_strategies() {
     assert_eq!(vm.choose_strategy(&view3()), Strategy::GroupPivotUpdate);
 }
 
-/// Maintain `plan` with `strategy` under `deltas` and check the result
-/// matches recomputation over the post-update state.
+/// Maintain `plan` with `strategy` under `deltas` — on a single-threaded
+/// and on a four-thread executor; at this scale `lineitem ⋈ orders` reads
+/// over 1 024 rows, so materialization and verification run the
+/// partitioned kernels on the pool — and check each result matches
+/// recomputation over the post-update state.
 fn check_strategy(plan: &Plan, strategy: Strategy, deltas: &SourceDeltas) {
-    let mut vm = ViewManager::new(catalog());
-    vm.register_view_with("v", plan.clone(), strategy)
-        .unwrap_or_else(|e| panic!("create with {strategy}: {e}"));
-    vm.refresh(deltas)
-        .unwrap_or_else(|e| panic!("refresh with {strategy}: {e}"));
-    assert!(
-        vm.verify_view("v").unwrap(),
-        "strategy {strategy} diverged from recomputation"
-    );
+    let mut post = catalog();
+    for (table, delta) in deltas.iter() {
+        post.apply_delta(table, delta).unwrap();
+    }
+    // The oracle runs the other kernel family (row-at-a-time, one thread).
+    let expected = Executor::new()
+        .with_columnar(false)
+        .run(plan, &post)
+        .unwrap();
+    for threads in [1, 4] {
+        let mut vm = ViewManager::new(catalog()).with_exec(Executor::new().with_threads(threads));
+        vm.register_view_with("v", plan.clone(), strategy)
+            .unwrap_or_else(|e| panic!("create with {strategy}, {threads} threads: {e}"));
+        vm.refresh(deltas)
+            .unwrap_or_else(|e| panic!("refresh with {strategy}, {threads} threads: {e}"));
+        assert!(
+            vm.verify_view("v").unwrap(),
+            "strategy {strategy} diverged from recomputation at {threads} threads"
+        );
+        assert!(
+            vm.query_view("v").unwrap().bag_eq(&expected),
+            "strategy {strategy} at {threads} threads is not the definition's bag"
+        );
+    }
 }
 
 fn workloads(c: &Catalog) -> Vec<(&'static str, SourceDeltas)> {

@@ -6,20 +6,20 @@ use gpivot::prelude::*;
 use gpivot::tpch::{generate, view1, view2, view3, workload, TpchConfig};
 use proptest::prelude::{proptest, ProptestConfig};
 
+/// Big enough that every view takes the pool: `lineitem` spans several
+/// Select/Project morsels (4 096 rows each) and every join, group-by and
+/// pivot input is over the 1 024-row partitioning threshold.
 fn tpch() -> Catalog {
-    generate(&TpchConfig {
+    let c = generate(&TpchConfig {
         seed: 7,
-        ..TpchConfig::scale(0.02)
-    })
+        ..TpchConfig::scale(0.1)
+    });
+    assert!(c.table("lineitem").unwrap().len() > 4096);
+    c
 }
 
-/// An executor that always takes the partitioned/morsel kernels, so small
-/// test inputs exercise the parallel paths.
 fn exec_at(threads: usize) -> Executor {
-    Executor::new()
-        .with_threads(threads)
-        .with_parallel_threshold(1)
-        .with_morsel_rows(64)
+    Executor::new().with_threads(threads)
 }
 
 #[test]
@@ -39,16 +39,6 @@ fn tpch_views_are_thread_invariant() {
                 "{name} rows differ between 1 and {threads} threads"
             );
         }
-        // The partitioned kernels may order rows differently from the
-        // sequential ones, but the bags must agree.
-        let sequential = Executor::new()
-            .with_parallel_threshold(usize::MAX)
-            .run(&plan, &c)
-            .unwrap();
-        assert!(
-            sequential.bag_eq(&baseline),
-            "{name} partitioned result is not the sequential bag"
-        );
     }
 }
 
