@@ -49,7 +49,7 @@ pub enum CoreError {
     /// frees space.
     Backpressure { pending_rows: u64, watermark: u64 },
     /// A configuration builder was given an invalid value (zero workers,
-    /// a backoff cap below the initial backoff, ...). Raised by
+    /// zero shards, ...). Raised by
     /// `ServeConfig::builder()` in `gpivot-serve` at `build()` time so
     /// misconfiguration fails fast instead of misbehaving at runtime.
     InvalidConfig { field: String, message: String },

@@ -213,10 +213,6 @@ impl Durability {
         })
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     pub fn policy(&self) -> FsyncPolicy {
         self.policy
     }

@@ -12,13 +12,15 @@
 //! replays exactly one interleaving.
 //!
 //! Suite 1 runs against the real [`IngestQueue`]; suite 2 models the
-//! epoch's plan/commit protocol against readers, suites 3 and 4
-//! model the sharded router/promotion protocols (the real ones fan out
+//! epoch's plan/commit protocol against readers; suite 3 models the
+//! sharded tier's one routing-change protocol — a layout publish or a
+//! heavy-key promotion, taken as a parameter (the real one fans out
 //! through whole `ViewService` instances, too heavy for thousands of
-//! replays) with the same step structure as `shard.rs`. The
-//! deliberately-broken variants assert the explorer *finds* a known bug
-//! and that the reported schedule replays it — the analogue of the
-//! injected-cycle fixture in `gpivot-concurrency`.
+//! replays) — with the same step structure as
+//! `ShardedService::reroute_locked`. The deliberately-broken variants
+//! assert the explorer *finds* a known bug and that the reported
+//! schedule replays it — the analogue of the injected-cycle fixture in
+//! `gpivot-concurrency`.
 //!
 //! Under `--features shuttle` the `sched_*` tests additionally run the
 //! *real* service types on real threads under the cooperative token
@@ -324,338 +326,354 @@ fn unlocked_commit_bug_is_found_and_replays() {
 }
 
 // ---------------------------------------------------------------------
-// Suite 3: router replicated → partitioned publish
+// Suite 3: the one routing-change protocol vs concurrent ingest
 // ---------------------------------------------------------------------
 
-/// `register_sharded_locked`'s transition protocol: (a) publish the new
-/// layout under the router write lock, (b) flush queued broadcasts,
-/// (c) filter committed tables down to hash slices. Ingests hold the
-/// router read lock across their whole fan-out, so each is one atomic
-/// step routing by the placement it observed.
-struct RouterModel {
-    partitioned: bool,
-    queued: [Vec<u32>; 2],
-    committed: [Vec<u32>; 2],
+/// The routing change `ShardedService::reroute_locked` performs.
+#[derive(Clone, Copy, PartialEq)]
+enum Transition {
+    /// A table goes replicated → partitioned (`register_sharded_locked`):
+    /// the rewrite cuts every shard's committed table to its slice.
+    Publish,
+    /// The hot key goes heavy (`promote_heavy_locked`): the rewrite
+    /// enqueues its committed rows as a delete on the owning hash shard
+    /// and an insert on the heavy shard.
+    Promote,
 }
 
-impl RouterModel {
-    fn new() -> Self {
-        RouterModel {
-            partitioned: false,
-            queued: [Vec::new(), Vec::new()],
-            committed: [Vec::new(), Vec::new()],
+/// One atomic step of the thread making the routing change.
+#[derive(Clone, Copy, PartialEq)]
+enum Step {
+    /// Take the router write lock, save the router, apply the change.
+    Change,
+    /// Refresh every shard: commit each queue in order.
+    Flush,
+    /// A refresh round whose heavy shard fails: the hash shards commit,
+    /// the heavy shard's batch is restored. Inside the change this is its
+    /// error path too — restore the saved router, then release.
+    FailedFlush,
+    /// Rewrite committed state to the new router.
+    Rewrite,
+    /// Release the router write lock; waiting ingests route now.
+    Release,
+}
+
+/// The helper, then the epoch's own refresh round.
+const ROUTING_CHANGE: &[Step] = &[
+    Step::Change,
+    Step::Flush,
+    Step::Rewrite,
+    Step::Release,
+    Step::Flush,
+];
+
+#[derive(Clone, Copy)]
+enum Op {
+    Ins(u32),
+    Del(u32),
+}
+
+impl Op {
+    fn row(self) -> u32 {
+        match self {
+            Op::Ins(id) | Op::Del(id) => id,
         }
     }
 
-    fn owner(key: u32) -> usize {
-        (key % 2) as usize
+    fn weight(self) -> i64 {
+        match self {
+            Op::Ins(_) => 1,
+            Op::Del(_) => -1,
+        }
     }
+}
 
-    fn ingest(&mut self, key: u32) {
-        if self.partitioned {
-            self.queued[Self::owner(key)].push(key);
-        } else {
-            self.queued[0].push(key);
-            self.queued[1].push(key);
+/// Hash shards 0 and 1, then the heavy shard. Ingests hold the router
+/// read lock across their fan-out, so each is one atomic step routing by
+/// the router it observed — or, while the write lock is held, a wait.
+struct RoutingModel {
+    transition: Transition,
+    /// The router: has the change been published?
+    changed: bool,
+    /// The router saved by `Change`; `Some` while the write lock is held.
+    saved: Option<bool>,
+    /// Ingests blocked on the write lock, in arrival order.
+    waiting: Vec<Op>,
+    /// Every ingest that has routed.
+    routed: Vec<Op>,
+    queued: [Vec<Op>; 3],
+    committed: [Vec<u32>; 3],
+}
+
+impl RoutingModel {
+    const HEAVY: usize = 2;
+    /// For `Promote`, every row belongs to the hot key, which hashes here.
+    const HOT_OWNER: usize = 0;
+
+    fn new(transition: Transition) -> Self {
+        RoutingModel {
+            transition,
+            changed: false,
+            saved: None,
+            waiting: Vec::new(),
+            routed: Vec::new(),
+            queued: Default::default(),
+            committed: Default::default(),
         }
     }
 
-    fn flush(&mut self) {
-        for j in 0..2 {
-            let drained: Vec<u32> = self.queued[j].drain(..).collect();
-            self.committed[j].extend(drained);
+    /// The shards the current router places row `id` on.
+    fn placement(&self, id: u32) -> Vec<usize> {
+        match (self.transition, self.changed) {
+            (Transition::Publish, false) => vec![0, 1, Self::HEAVY],
+            (Transition::Publish, true) => vec![(id % 2) as usize],
+            (Transition::Promote, false) => vec![Self::HOT_OWNER],
+            (Transition::Promote, true) => vec![Self::HEAVY],
         }
     }
 
-    fn filter(&mut self) {
-        for j in 0..2 {
-            self.committed[j].retain(|k| Self::owner(*k) == j);
+    fn ingest(&mut self, op: Op) {
+        if self.saved.is_some() {
+            self.waiting.push(op);
+            return;
         }
+        for j in self.placement(op.row()) {
+            self.queued[j].push(op);
+        }
+        self.routed.push(op);
     }
 
-    fn check_exact(&self, keys: &[u32]) -> Result<(), String> {
-        for &k in keys {
-            let own = Self::owner(k);
-            let on_owner = self.committed[own].iter().filter(|&&x| x == k).count();
-            let elsewhere = self.committed[1 - own].iter().filter(|&&x| x == k).count();
-            if on_owner != 1 || elsewhere != 0 {
-                return Err(format!(
-                    "key {k}: {on_owner} copies on owner shard {own}, \
-                     {elsewhere} on the other — transition lost or duplicated rows"
-                ));
+    /// Commit shard `j`'s queue in order. A keyed table refuses to delete
+    /// a row it does not hold.
+    fn commit(&mut self, j: usize) -> Result<(), String> {
+        for op in std::mem::take(&mut self.queued[j]) {
+            match op {
+                Op::Ins(id) => self.committed[j].push(id),
+                Op::Del(id) => match self.committed[j].iter().position(|&x| x == id) {
+                    Some(i) => {
+                        self.committed[j].remove(i);
+                    }
+                    None => {
+                        return Err(format!(
+                            "shard {j} deleted row {id} it does not hold: \
+                             a delta committed ahead of the rows it changes"
+                        ))
+                    }
+                },
+            }
+        }
+        Ok(())
+    }
+
+    fn step(&mut self, step: Step) -> Result<(), String> {
+        match step {
+            Step::Change => {
+                self.saved = Some(self.changed);
+                self.changed = true;
+            }
+            Step::Flush => (0..3).try_for_each(|j| self.commit(j))?,
+            Step::FailedFlush => {
+                self.commit(0)?;
+                self.commit(1)?;
+                if let Some(saved) = self.saved {
+                    self.changed = saved;
+                    self.step(Step::Release)?;
+                }
+                // A failed round leaves every row where the router it
+                // left behind places it: nothing moved, nothing doubled.
+                self.check_placement()?;
+            }
+            Step::Rewrite => match self.transition {
+                Transition::Publish => {
+                    for j in 0..3 {
+                        let keep: Vec<u32> = std::mem::take(&mut self.committed[j])
+                            .into_iter()
+                            .filter(|&id| self.placement(id).contains(&j))
+                            .collect();
+                        self.committed[j] = keep;
+                    }
+                }
+                Transition::Promote => {
+                    for id in self.committed[Self::HOT_OWNER].clone() {
+                        self.queued[Self::HOT_OWNER].push(Op::Del(id));
+                        self.queued[Self::HEAVY].push(Op::Ins(id));
+                    }
+                }
+            },
+            Step::Release => {
+                self.saved = None;
+                for op in std::mem::take(&mut self.waiting) {
+                    self.ingest(op);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every shard's committed rows plus its queued deltas must be exactly
+    /// the routed rows the current router places on it.
+    fn check_placement(&self) -> Result<(), String> {
+        for j in 0..3 {
+            let mut got: HashMap<u32, i64> = HashMap::new();
+            for &id in &self.committed[j] {
+                *got.entry(id).or_default() += 1;
+            }
+            for op in &self.queued[j] {
+                *got.entry(op.row()).or_default() += op.weight();
+            }
+            let mut want: HashMap<u32, i64> = HashMap::new();
+            for op in &self.routed {
+                if self.placement(op.row()).contains(&j) {
+                    *want.entry(op.row()).or_default() += op.weight();
+                }
+            }
+            for id in got.keys().chain(want.keys()) {
+                let (g, w) = (got.get(id).copied(), want.get(id).copied());
+                if g.unwrap_or(0) != w.unwrap_or(0) {
+                    return Err(format!(
+                        "shard {j} holds row {id} ×{}, the router places it ×{}: \
+                         the routing change lost or duplicated rows",
+                        g.unwrap_or(0),
+                        w.unwrap_or(0)
+                    ));
+                }
             }
         }
         Ok(())
     }
 }
 
-fn run_router_model(schedule: &[usize], flush_before_filter: bool) -> Result<(), String> {
-    let keys = [1u32, 2, 3];
-    let mut m = RouterModel::new();
-    let mut pub_step = 0;
-    let mut p = 0;
+/// Thread 0 runs `script`; thread 1 ingests a row, deletes it, and
+/// ingests another — the delete is what a delta committing ahead of its
+/// row's move trips over.
+fn run_routing_model(
+    schedule: &[usize],
+    transition: Transition,
+    script: &[Step],
+) -> Result<(), String> {
+    let ingests = [Op::Ins(1), Op::Del(1), Op::Ins(2)];
+    let mut m = RoutingModel::new(transition);
+    let (mut s, mut p) = (0, 0);
     for &t in schedule {
-        match t {
-            0 => {
-                match (pub_step, flush_before_filter) {
-                    (0, _) => m.partitioned = true,
-                    (1, true) => m.flush(),
-                    (1, false) => m.filter(), // bug: filter sees stale tables
-                    (_, true) => m.filter(),
-                    (_, false) => m.flush(),
-                }
-                pub_step += 1;
-            }
-            _ => {
-                m.ingest(keys[p]);
-                p += 1;
-            }
+        if t == 0 {
+            m.step(script[s])?;
+            s += 1;
+        } else {
+            m.ingest(ingests[p]);
+            p += 1;
         }
     }
-    m.flush(); // quiesce: commit any still-queued routed deltas
-    m.check_exact(&keys)
+    m.step(Step::Flush)?; // quiesce: commit whatever is still queued
+    m.check_placement()
+}
+
+fn explore_routing(name: &str, transition: Transition, script: &[Step]) -> ExploreReport {
+    let report = explore(name, &cfg(), &[script.len(), 3], |s| {
+        run_routing_model(s, transition, script)
+    });
+    print_report(&report);
+    report
 }
 
 #[test]
 fn router_publish_transition_is_exact_under_all_interleavings() {
-    let counts = [3, 3];
-    let report = explore("router-publish", &cfg(), &counts, |s| {
-        run_router_model(s, true)
-    });
-    print_report(&report);
-    assert!(report.exhaustive);
-    assert_eq!(report.total_space, 20); // C(6,3)
-    report.assert_ok();
-}
-
-/// Reordering the transition (filter before flush) double-commits any
-/// broadcast that was queued before the layout published — the explorer
-/// must catch it and its schedule must replay.
-#[test]
-fn router_filter_before_flush_bug_is_found_and_replays() {
-    let counts = [3, 3];
-    let report = explore("router-filter-first", &cfg(), &counts, |s| {
-        run_router_model(s, false)
-    });
-    print_report(&report);
-    let failure = report
-        .failure
-        .expect("explorer must find the double-commit");
-    let replayed = run_router_model(&failure.schedule, false);
-    assert_eq!(replayed.err().as_deref(), Some(failure.message.as_str()));
-}
-
-// ---------------------------------------------------------------------
-// Suite 4: heavy-key promotion vs concurrent ingest
-// ---------------------------------------------------------------------
-
-/// `promote_heavy_locked`'s exactly-once protocol. One hot key; rows are
-/// numbered ingests of that key. Steps mirror the real sequence: scan
-/// freq → mark heavy (router write lock) → park in `pending_promotions` →
-/// flush → migrate (re-scan *committed* owner rows) → flush → unpark.
-/// A failed flush leaves the key parked; the retry flushes *before*
-/// re-scanning, which is what makes retries never double-move rows.
-#[derive(Clone, Copy, PartialEq)]
-enum Op {
-    Ins(u32),
-    Del(u32),
-}
-
-struct PromotionModel {
-    freq: u64,
-    heavy: bool,
-    parked: bool,
-    owner_q: Vec<Op>,
-    heavy_q: Vec<Op>,
-    owner: Vec<u32>,
-    heavy_rows: Vec<u32>,
-}
-
-impl PromotionModel {
-    const THRESHOLD: u64 = 1;
-
-    fn new() -> Self {
-        PromotionModel {
-            freq: 0,
-            heavy: false,
-            parked: false,
-            owner_q: Vec::new(),
-            heavy_q: Vec::new(),
-            owner: Vec::new(),
-            heavy_rows: Vec::new(),
-        }
-    }
-
-    /// Atomic ingest of one row of the hot key: routed by the placement
-    /// observed under the router read lock, frequency counted.
-    fn ingest(&mut self, id: u32) {
-        self.freq += 1;
-        if self.heavy {
-            self.heavy_q.push(Op::Ins(id));
-        } else {
-            self.owner_q.push(Op::Ins(id));
-        }
-    }
-
-    fn apply(committed: &mut Vec<u32>, ops: Vec<Op>) {
-        for op in ops {
-            match op {
-                Op::Ins(id) => committed.push(id),
-                Op::Del(id) => {
-                    if let Some(i) = committed.iter().position(|&x| x == id) {
-                        committed.remove(i);
-                    }
-                }
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        let o: Vec<Op> = self.owner_q.drain(..).collect();
-        Self::apply(&mut self.owner, o);
-        let h: Vec<Op> = self.heavy_q.drain(..).collect();
-        Self::apply(&mut self.heavy_rows, h);
-    }
-
-    fn scan_and_mark(&mut self) {
-        if self.parked || (self.freq >= Self::THRESHOLD && !self.heavy) {
-            self.heavy = true;
-            self.parked = true;
-        }
-    }
-
-    /// Re-scan *committed* owner rows and enqueue the move. Scanning
-    /// committed (not queued) state is what makes retries idempotent.
-    fn migrate(&mut self) {
-        if !self.parked {
-            return;
-        }
-        for &id in &self.owner.clone() {
-            self.heavy_q.push(Op::Ins(id));
-            self.owner_q.push(Op::Del(id));
-        }
-    }
-
-    fn unpark(&mut self) {
-        if self.parked {
-            self.parked = false;
-            self.freq = 0;
-        }
-    }
-
-    /// One full promoter round, as `refresh_epoch` would run it.
-    fn promoter_round(&mut self) {
-        self.scan_and_mark();
-        self.flush();
-        self.migrate();
-        self.flush();
-        self.unpark();
-    }
-
-    fn check_exactly_once(&self, ingested: u32) -> Result<(), String> {
-        if !self.owner.is_empty() {
-            return Err(format!(
-                "{} promoted-key rows still on the hash shard after migration",
-                self.owner.len()
-            ));
-        }
-        for id in 0..ingested {
-            let n = self.heavy_rows.iter().filter(|&&x| x == id).count();
-            if n != 1 {
-                return Err(format!(
-                    "row {id} committed {n} times on the heavy shard (want exactly 1)"
-                ));
-            }
-        }
-        if !self.parked {
-            Ok(())
-        } else {
-            Err("promotion left parked after quiescence".into())
-        }
-    }
-}
-
-fn quiesce_and_check(mut m: PromotionModel, ingested: u32) -> Result<(), String> {
-    // Producers have stopped; run promoter rounds to a fixed point, as a
-    // real deployment's trailing refresh epochs would.
-    m.promoter_round();
-    m.promoter_round();
-    m.check_exactly_once(ingested)
-}
-
-#[test]
-fn promotion_vs_ingest_applies_exactly_once_under_all_interleavings() {
-    // Promoter: scan+mark, flush, migrate, flush, unpark (one epoch's
-    // promotion pass, each phase atomic under its documented lock).
-    let counts = [5, 3];
-    let report = explore("promotion-vs-ingest", &cfg(), &counts, |schedule| {
-        let mut m = PromotionModel::new();
-        let mut phase = 0;
-        let mut p = 0u32;
-        for &t in schedule {
-            match t {
-                0 => {
-                    match phase {
-                        0 => m.scan_and_mark(),
-                        1 | 3 => m.flush(),
-                        2 => m.migrate(),
-                        _ => m.unpark(),
-                    }
-                    phase += 1;
-                }
-                _ => {
-                    m.ingest(p);
-                    p += 1;
-                }
-            }
-        }
-        quiesce_and_check(m, p)
-    });
-    print_report(&report);
+    let report = explore_routing("router-publish", Transition::Publish, ROUTING_CHANGE);
     assert!(report.exhaustive);
     assert_eq!(report.total_space, 56); // C(8,3)
     report.assert_ok();
 }
 
-/// A promotion epoch whose final flush fails leaves the key parked in
-/// `pending_promotions`; the retry round must not double-move rows. The
-/// failed flush is modeled faithfully: the drained batch is restored, so
-/// the queued move ops survive to the retry (which flushes them *before*
-/// re-scanning committed state).
+#[test]
+fn promotion_vs_ingest_applies_exactly_once_under_all_interleavings() {
+    let report = explore_routing("promotion-vs-ingest", Transition::Promote, ROUTING_CHANGE);
+    assert!(report.exhaustive);
+    assert_eq!(report.total_space, 56); // C(8,3)
+    report.assert_ok();
+}
+
+/// A flush that fails inside the change restores the router before the
+/// lock is released, so no ingest ever routes by it and no row moves
+/// (checked right after the failure); the next epoch's change then runs
+/// whole.
+#[test]
+fn failed_flush_restores_the_router_and_moves_no_row() {
+    let script = [
+        Step::Change,
+        Step::FailedFlush,
+        Step::Change,
+        Step::Flush,
+        Step::Rewrite,
+        Step::Release,
+        Step::Flush,
+    ];
+    for (name, transition) in [
+        ("publish-failed-flush", Transition::Publish),
+        ("promotion-failed-flush", Transition::Promote),
+    ] {
+        let report = explore_routing(name, transition, &script);
+        assert!(report.exhaustive);
+        assert_eq!(report.total_space, 120); // C(10,3)
+        report.assert_ok();
+    }
+}
+
+/// A promotion epoch whose final round fails keeps the key heavy and its
+/// moves queued (the failed shard's batch is restored); the next epoch
+/// commits them without moving anything again.
 #[test]
 fn promotion_retry_after_failed_epoch_never_double_moves() {
-    // Promoter: scan+mark, flush, migrate, [flush FAILS → still parked],
-    // then the retry round: flush, migrate, flush, unpark.
-    let counts = [8, 2];
-    let report = explore("promotion-retry", &cfg(), &counts, |schedule| {
-        let mut m = PromotionModel::new();
-        let mut phase = 0;
-        let mut p = 0u32;
-        for &t in schedule {
-            match t {
-                0 => {
-                    match phase {
-                        0 => m.scan_and_mark(),
-                        1 | 4 | 6 => m.flush(),
-                        2 => m.migrate(),
-                        3 => {} // flush fails: batch restored, queues intact
-                        5 => m.migrate(),
-                        _ => m.unpark(),
-                    }
-                    phase += 1;
-                }
-                _ => {
-                    m.ingest(p);
-                    p += 1;
-                }
-            }
-        }
-        quiesce_and_check(m, p)
-    });
-    print_report(&report);
+    let script = [
+        Step::Change,
+        Step::Flush,
+        Step::Rewrite,
+        Step::Release,
+        Step::FailedFlush,
+        Step::Flush,
+    ];
+    let report = explore_routing("promotion-retry", Transition::Promote, &script);
     assert!(report.exhaustive);
-    assert_eq!(report.total_space, 45); // C(10,2)
+    assert_eq!(report.total_space, 84); // C(9,3)
     report.assert_ok();
+}
+
+/// The explorer must find a planted misordering of the protocol, and the
+/// schedule it reports must replay it.
+fn assert_routing_bug_found_and_replays(name: &str, transition: Transition, script: &[Step]) {
+    let report = explore_routing(name, transition, script);
+    let failure = report.failure.expect("explorer must find the planted bug");
+    let replayed = run_routing_model(&failure.schedule, transition, script);
+    assert_eq!(replayed.err().as_deref(), Some(failure.message.as_str()));
+}
+
+/// Rewriting before the flush works on stale committed state: a publish
+/// keeps the broadcasts still queued on every shard, and a promotion
+/// leaves the queued rows of the key behind on its hash shard.
+#[test]
+fn rewrite_before_flush_bug_is_found_and_replays() {
+    let script = [
+        Step::Change,
+        Step::Rewrite,
+        Step::Flush,
+        Step::Release,
+        Step::Flush,
+    ];
+    assert_routing_bug_found_and_replays("publish-rewrite-first", Transition::Publish, &script);
+    assert_routing_bug_found_and_replays("promotion-rewrite-first", Transition::Promote, &script);
+}
+
+/// Releasing the lock before the rewrite lets a delta routed to the heavy
+/// shard commit ahead of the migration of the rows it changes — the race
+/// the real-thread sweep first caught.
+#[test]
+fn release_before_rewrite_bug_is_found_and_replays() {
+    let script = [
+        Step::Change,
+        Step::Release,
+        Step::Flush,
+        Step::Rewrite,
+        Step::Flush,
+    ];
+    assert_routing_bug_found_and_replays("promotion-release-first", Transition::Promote, &script);
 }
 
 // ---------------------------------------------------------------------

@@ -35,8 +35,8 @@
 //!   §"Observability".
 //! * **Fault tolerance** — worker panics are caught at the view-task
 //!   boundary (never poisoning a lock; locks are acquired only through the
-//!   poison-recovering helpers in `sync`), transient failures retry with
-//!   bounded exponential backoff, repeatedly failing views are quarantined
+//!   poison-recovering helpers in `sync`), transient failures retry at
+//!   once up to a bounded count, repeatedly failing views are quarantined
 //!   ([`ViewHealth`]) so they stop blocking epochs, and every epoch commits
 //!   all-or-nothing: everything fallible runs before the first write, so a
 //!   mid-epoch failure only has to drop its plan and restore the drained

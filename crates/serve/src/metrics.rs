@@ -144,9 +144,6 @@ pub struct MetricsSnapshot {
     /// Corrupt checkpoint files skipped during recovery (an older valid
     /// checkpoint was used instead).
     pub recovery_corrupt_checkpoints: u64,
-    /// Quarantined views re-admitted by replaying missed epochs from the
-    /// log (`retry_view` fast path) instead of a full recompute.
-    pub view_replays: u64,
     /// Coalesced row changes currently waiting in the queue.
     pub pending_rows: u64,
     /// Estimated bytes held by the pending queue.
@@ -257,17 +254,16 @@ impl MetricsSnapshot {
                 self.last_checkpoint_bytes,
             );
         }
-        if self.recoveries > 0 || self.view_replays > 0 {
+        if self.recoveries > 0 {
             let _ = writeln!(
                 out,
                 "  recovery: {} runs, {} records / {} epochs replayed, \
-                 {} torn tails truncated, {} corrupt checkpoints skipped, {} view replays",
+                 {} torn tails truncated, {} corrupt checkpoints skipped",
                 self.recoveries,
                 self.recovery_replayed_records,
                 self.recovery_replayed_epochs,
                 self.recovery_torn_tails,
                 self.recovery_corrupt_checkpoints,
-                self.view_replays,
             );
         }
         for (name, v) in &self.per_view {
@@ -509,12 +505,6 @@ impl MetricsSnapshot {
             "Corrupt checkpoint files skipped during recovery",
             self.recovery_corrupt_checkpoints,
         );
-        counter(
-            &mut out,
-            "gpivot_view_replays_total",
-            "Quarantined views re-admitted by log replay",
-            self.view_replays,
-        );
         gauge(
             &mut out,
             "gpivot_pending_rows",
@@ -701,7 +691,6 @@ mod tests {
         m.recovery_replayed_epochs = 3;
         m.recovery_torn_tails = 1;
         m.recovery_corrupt_checkpoints = 1;
-        m.view_replays = 1;
         let r = m.report();
         assert!(
             r.contains("wal: 12 records / 4096 bytes / 4 fsyncs; 2 checkpoints (last 512 bytes)")
@@ -714,7 +703,6 @@ mod tests {
         assert!(text.contains("gpivot_last_checkpoint_bytes 512"));
         assert!(text.contains("gpivot_recovery_runs_total 1"));
         assert!(text.contains("gpivot_recovery_replayed_epochs_total 3"));
-        assert!(text.contains("gpivot_view_replays_total 1"));
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("metric line has a value");
             value.parse::<f64>().expect("metric value parses as f64");

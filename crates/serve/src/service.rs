@@ -57,12 +57,10 @@ pub struct ServeConfig {
     pub(crate) max_pending_rows: u64,
     /// Refresh attempts beyond the first, per view per epoch, for errors
     /// classified [`gpivot_core::ErrorClass::Transient`] (injected faults,
-    /// caught worker panics). Permanent errors never retry.
+    /// caught worker panics). Permanent errors never retry. A retry runs
+    /// at once: the retried work is in-memory planning, which waiting
+    /// would not help.
     pub(crate) max_retries: u32,
-    /// Initial sleep between retry attempts; doubles per attempt.
-    pub(crate) retry_backoff: Duration,
-    /// Upper bound on the exponential retry backoff.
-    pub(crate) retry_backoff_cap: Duration,
     /// Consecutive failed epochs (retry budget exhausted each time) after
     /// which a view is quarantined: excluded from refresh scheduling so it
     /// stops blocking epochs, reported as
@@ -104,8 +102,6 @@ impl Default for ServeConfig {
                 .unwrap_or(1),
             max_pending_rows: 1 << 20,
             max_retries: 2,
-            retry_backoff: Duration::from_millis(2),
-            retry_backoff_cap: Duration::from_millis(100),
             quarantine_after: 3,
             exec_threads: 1,
             exec_columnar: true,
@@ -140,16 +136,6 @@ impl ServeConfig {
     /// Transient-error refresh retries per view per epoch.
     pub fn max_retries(&self) -> u32 {
         self.max_retries
-    }
-
-    /// Initial retry backoff.
-    pub fn retry_backoff(&self) -> Duration {
-        self.retry_backoff
-    }
-
-    /// Upper bound on the exponential retry backoff.
-    pub fn retry_backoff_cap(&self) -> Duration {
-        self.retry_backoff_cap
     }
 
     /// Consecutive failed epochs before quarantine.
@@ -255,19 +241,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Initial retry backoff (doubles per attempt).
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.cfg.retry_backoff = backoff;
-        self
-    }
-
-    /// Upper bound on the exponential retry backoff; validated ≥ the
-    /// initial backoff at [`Self::build`].
-    pub fn retry_backoff_cap(mut self, cap: Duration) -> Self {
-        self.cfg.retry_backoff_cap = cap;
-        self
-    }
-
     /// Consecutive failed epochs before quarantine; ≥ 1.
     pub fn quarantine_after(mut self, epochs: u32) -> Self {
         if epochs == 0 {
@@ -310,19 +283,10 @@ impl ServeConfigBuilder {
     /// Finish: the validated config, or the first setter violation as
     /// [`CoreError::InvalidConfig`].
     pub fn build(self) -> Result<ServeConfig> {
-        if let Some(e) = self.error {
-            return Err(e);
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.cfg),
         }
-        if self.cfg.retry_backoff_cap < self.cfg.retry_backoff {
-            return Err(CoreError::InvalidConfig {
-                field: "retry_backoff_cap".into(),
-                message: format!(
-                    "cap {:?} is below the initial backoff {:?}",
-                    self.cfg.retry_backoff_cap, self.cfg.retry_backoff
-                ),
-            });
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -769,8 +733,8 @@ impl ViewService {
     /// * Each view refresh runs inside `catch_unwind` — a panicking worker
     ///   is converted into [`gpivot_core::CoreError::ViewPanic`] and can
     ///   never poison a service lock.
-    /// * Transient failures (injected faults, caught panics) retry with
-    ///   bounded exponential backoff ([`ServeConfig::max_retries`]).
+    /// * Transient failures (injected faults, caught panics) retry at
+    ///   once, up to [`ServeConfig::max_retries`] times.
     /// * A view that exhausts its retries fails the epoch and degrades;
     ///   after [`ServeConfig::quarantine_after`] consecutive failed epochs
     ///   it is quarantined and excluded from scheduling, so later epochs
@@ -1255,44 +1219,18 @@ impl ViewService {
             .unwrap_or_default())
     }
 
-    /// Re-admit a quarantined (or degraded) view and reset its health to
-    /// [`ViewHealth::Healthy`] so the next epoch schedules it again.
+    /// Re-admit a quarantined (or degraded) view: recompute it from the
+    /// current base tables, install the fresh table, and reset its health
+    /// to [`ViewHealth::Healthy`] so the next epoch schedules it again.
     ///
-    /// On a durable service a quarantined view takes the **log-replay fast
-    /// path**: its table is consistent as of the epoch it was quarantined
-    /// at (failed epochs roll back whole, so nothing partial ever
-    /// committed), and every epoch it missed is in the WAL. The service
-    /// replays just those missed epochs against the stale table —
-    /// incremental maintenance instead of a full recompute — verifies the
-    /// replayed base matches the live base, installs the caught-up table,
-    /// and fires a `view.replay` trace event (counted in
-    /// `gpivot_view_replays_total`). If replay is not applicable (no log,
-    /// checkpoint newer than the quarantine point, the view was
-    /// re-registered in the interim, or the verification mismatches) it
-    /// falls back to the recompute path below.
-    ///
-    /// The fallback recomputes the view from the current base tables and
-    /// installs the fresh table. Recomputation executes the view plan, so
-    /// with an armed fault injector this can itself fail transiently; the
-    /// view then stays quarantined and the call can simply be retried.
+    /// Recomputation executes the view plan, so with an armed fault
+    /// injector this can itself fail transiently; the view then stays
+    /// quarantined and the call can simply be retried. A durable service
+    /// logs nothing here: recovery rebuilds the view from the checkpoint
+    /// and the logged epochs, which yields the same table.
     pub fn retry_view(&self, name: &str) -> Result<()> {
         let _gate = sync::lock(&self.shared.gate);
         let _trace = tracing::push_collector(self.shared.tracer.clone());
-        let since_epoch = {
-            let m = sync::lock(&self.shared.metrics);
-            match m.per_view.get(name).map(|v| &v.health) {
-                Some(ViewHealth::Quarantined { since_epoch, .. }) => Some(*since_epoch),
-                _ => None,
-            }
-        };
-        if let (Some(d), Some(since)) = (self.shared.durability.as_ref(), since_epoch) {
-            if self.replay_view_from_log(d, name, since).unwrap_or(false) {
-                let mut m = sync::lock(&self.shared.metrics);
-                m.view_replays += 1;
-                m.per_view.entry(name.to_string()).or_default().health = ViewHealth::Healthy;
-                return Ok(());
-            }
-        }
         let mut state = sync::write(&self.shared.state);
         let (definition, strategy) = {
             let view = state
@@ -1313,103 +1251,6 @@ impl ViewService {
         let mut m = sync::lock(&self.shared.metrics);
         m.per_view.entry(name.to_string()).or_default().health = ViewHealth::Healthy;
         Ok(())
-    }
-
-    /// The `retry_view` fast path: catch a quarantined view up by replaying
-    /// the epochs it missed (those committed after `since_epoch`) from the
-    /// checkpoint + log onto its stale table. Returns `Ok(false)` when
-    /// replay is not applicable; the caller then recomputes instead.
-    fn replay_view_from_log(&self, d: &Durability, name: &str, since_epoch: u64) -> Result<bool> {
-        let Some(loaded) = checkpoint::load_latest(d.dir())? else {
-            return Ok(false);
-        };
-        let ckpt = loaded.data;
-        // The log only reaches back to the checkpoint: if that is already
-        // past the quarantine point, the missed epochs are gone from the
-        // log and only a recompute can catch up.
-        if ckpt.epoch > since_epoch {
-            return Ok(false);
-        }
-        let state = sync::read(&self.shared.state);
-        let Ok(view) = state.view(name) else {
-            return Ok(false);
-        };
-        let mut stale_view = view.clone();
-        let deps = view.dependencies();
-
-        // Rebuild the base-table history in a scratch catalog (injector
-        // disabled: replay re-executes already-decided epochs).
-        let mut scratch = Catalog::new();
-        for (table, data) in ckpt.tables {
-            scratch.register(table, data)?;
-        }
-        let mut queue = IngestQueue::new();
-        queue.restore_state(ckpt.pending, ckpt.queue_raw_rows, ckpt.queue_batches);
-
-        let mut held: Option<(gpivot_core::SourceDeltas, crate::queue::DrainStats)> = None;
-        for gen in checkpoint::list_wal_gens(d.dir())? {
-            if gen < ckpt.wal_gen {
-                continue;
-            }
-            let scan = gpivot_storage::wal::read_wal(&checkpoint::wal_path(d.dir(), gen))?;
-            for record in scan.records {
-                match record {
-                    WalRecord::Checkpoint { .. } => {}
-                    WalRecord::RegisterView { name: n, .. } | WalRecord::DropView { name: n } => {
-                        // The view was dropped/re-registered since the
-                        // checkpoint: its quarantine history no longer
-                        // lines up with the log. Punt to recompute.
-                        if n == name {
-                            return Ok(false);
-                        }
-                    }
-                    WalRecord::IngestDelta { table, delta } => queue.ingest(&table, delta),
-                    WalRecord::EpochBegin { .. } => {
-                        if let Some((batch, stats)) = held.take() {
-                            queue.restore(&batch, stats);
-                        }
-                        let (batch, stats) = queue.drain();
-                        if !batch.is_empty() {
-                            held = Some((batch, stats));
-                        }
-                    }
-                    WalRecord::EpochCommit { epoch } => {
-                        if let Some((batch, _)) = held.take() {
-                            // Epochs the view missed are maintained against
-                            // the pre-commit scratch base; epochs it saw
-                            // (≤ since_epoch) only advance the base.
-                            let affected =
-                                batch.tables().any(|t| deps.contains(t)) && epoch > since_epoch;
-                            if affected {
-                                stale_view.maintain_with(&scratch, &batch, state.executor())?;
-                            }
-                            for table in batch.tables().map(String::from).collect::<Vec<_>>() {
-                                if let Some(delta) = batch.delta(&table) {
-                                    scratch.apply_delta(&table, delta)?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Cross-check: the replayed base must agree with the live base on
-        // every dependency table, or the log we replayed does not describe
-        // the state we are installing into.
-        for dep in deps {
-            let live = state.catalog().table(dep)?;
-            match scratch.table(dep) {
-                Ok(replayed) if replayed.schema() == live.schema() && replayed.bag_eq(live) => {}
-                _ => return Ok(false),
-            }
-        }
-        drop(state);
-        let mut state = sync::write(&self.shared.state);
-        state.install_view(stale_view);
-        drop(state);
-        tracing::event("view.replay", name);
-        Ok(true)
     }
 
     /// A consistent multi-view read: while the [`Snapshot`] is held, no
@@ -1530,22 +1371,14 @@ impl Snapshot<'_> {
     }
 }
 
-/// Run `op`, retrying transient errors up to `cfg.max_retries` times with
-/// bounded exponential backoff. Returns the final result and how many
-/// retries were spent.
+/// Run `op`, retrying transient errors at once, up to `cfg.max_retries`
+/// times. Returns the final result and how many retries were spent.
 fn retry_transient<R>(cfg: &ServeConfig, mut op: impl FnMut() -> Result<R>) -> (Result<R>, u32) {
     let mut retries = 0u32;
-    let mut backoff = cfg.retry_backoff();
     loop {
         match op() {
             Ok(r) => return (Ok(r), retries),
-            Err(e) if e.is_transient() && retries < cfg.max_retries() => {
-                retries += 1;
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                backoff = (backoff * 2).min(cfg.retry_backoff_cap());
-            }
+            Err(e) if e.is_transient() && retries < cfg.max_retries() => retries += 1,
             Err(e) => return (Err(e), retries),
         }
     }
@@ -1667,8 +1500,6 @@ mod tests {
             .workers(1)
             .max_pending_rows(1)
             .max_retries(0)
-            .retry_backoff(Duration::ZERO)
-            .retry_backoff_cap(Duration::ZERO)
             .quarantine_after(3)
             .exec_threads(1)
             .wal_fsync(FsyncPolicy::OnCommit)
@@ -1898,16 +1729,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { ref field, .. } if field == "workers"));
-
-        // Cross-field validation: cap must be >= the initial backoff.
-        let err = ServeConfig::builder()
-            .retry_backoff(Duration::from_millis(50))
-            .retry_backoff_cap(Duration::from_millis(10))
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, CoreError::InvalidConfig { ref field, .. } if field == "retry_backoff_cap")
-        );
     }
 
     #[test]
@@ -1923,12 +1744,7 @@ mod tests {
 
     #[test]
     fn retry_transient_respects_classification() {
-        let cfg = ServeConfig::builder()
-            .max_retries(3)
-            .retry_backoff(Duration::ZERO)
-            .retry_backoff_cap(Duration::ZERO)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig::builder().max_retries(3).build().unwrap();
         // Transient error that succeeds on the third attempt.
         let mut attempts = 0;
         let (res, retries) = retry_transient(&cfg, || {

@@ -111,30 +111,23 @@ impl ViewPlacement {
 struct PartLayout {
     column: String,
     col_idx: usize,
+    /// Co-partition class: tables partitioned *together* (their partition
+    /// columns were proven join-aligned) share one heavy-key set, so a
+    /// promotion moves the matching rows of every member table and keeps
+    /// the joins that made the layout safe co-located.
     class: usize,
-}
-
-/// One co-partition class: tables partitioned *together* (their partition
-/// columns were proven join-aligned), sharing a heavy-key set — a key
-/// promotion moves the matching rows of every member table, preserving
-/// co-location for the joins that made the layout safe.
-#[derive(Debug, Default)]
-struct ClassState {
-    /// table → partition column.
-    members: BTreeMap<String, String>,
-    /// Keys promoted to the heavy shard.
-    heavy: HashSet<Value>,
 }
 
 /// Routing state: which tables are partitioned how, and where each view
 /// lives. Layouts are sticky — once a table is partitioned it stays so
 /// even if the views that required it are dropped (re-replicating would
 /// force a cross-shard rebuild for no correctness gain).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Router {
     /// Partitioned tables only; absence means replicated everywhere.
     tables: BTreeMap<String, PartLayout>,
-    classes: Vec<ClassState>,
+    /// Keys promoted to the heavy shard, per co-partition class.
+    heavy: Vec<HashSet<Value>>,
     /// Sharded views that read a table *replicated* pin it against later
     /// partitioning (their shard-local results assume full copies).
     replicated_pins: BTreeMap<String, BTreeSet<String>>,
@@ -182,6 +175,22 @@ impl Router {
             .partitioned()
             .find_map(|(table, _)| self.tables.get(table).map(|l| l.class))
     }
+
+    /// The member tables of co-partition class `class`.
+    fn class_tables(&self, class: usize) -> impl Iterator<Item = (&String, &PartLayout)> {
+        self.tables.iter().filter(move |(_, l)| l.class == class)
+    }
+
+    /// Index of the shard service owning `key` of `class` among
+    /// `shards` hash shards: its hash shard, or `shards` (the heavy
+    /// shard) once the key is promoted.
+    fn owner(&self, class: usize, key: &Value, shards: usize) -> usize {
+        if self.heavy[class].contains(key) {
+            shards
+        } else {
+            shard_of(key, shards)
+        }
+    }
 }
 
 struct Inner {
@@ -196,29 +205,13 @@ struct Inner {
     /// Serializes refresh epochs, registrations, and promotions across
     /// shards. Ordered before each shard service's internal locks.
     gate: Mutex<()>,
+    /// Read-held by every ingest across its whole fan-out; write-held by
+    /// a routing change until its rows have moved
+    /// ([`ShardedService::reroute_locked`]).
     router: RwLock<Router>,
     /// Observed delta-row frequency per (class, key), feeding promotion.
     freq: Mutex<HashMap<(usize, Value), u64>>,
-    /// Promotions whose row migration has not committed yet — retained
-    /// across failed epochs so a crashed migration resumes exactly.
-    pending_promotions: Mutex<PendingPromotions>,
     epoch: AtomicU64,
-}
-
-/// In-flight promotion state. While a key's row migration is pending,
-/// deltas for that key are *parked* here instead of entering any shard
-/// queue: routing them to the heavy shard before the migration commits
-/// would let them apply ahead of the migrated rows (the migration's
-/// re-insert would then collide with a newer row of the same key), and
-/// routing them to the old owner would let them slip past the
-/// migration's committed-state scan. Parked deltas re-enter the heavy
-/// shard's queue, in arrival order, the moment the migration commits.
-#[derive(Default)]
-struct PendingPromotions {
-    /// Keys marked heavy whose row migration has not committed.
-    keys: BTreeSet<(usize, Value)>,
-    /// `(table, delta)` batches for those keys, in arrival order.
-    parked: Vec<(String, Delta)>,
 }
 
 /// A shard-transparent view-maintenance service: the redesigned serve
@@ -261,7 +254,6 @@ impl ShardedService {
                 gate: Mutex::new(()),
                 router: RwLock::new(Router::default()),
                 freq: Mutex::new(HashMap::new()),
-                pending_promotions: Mutex::new(PendingPromotions::default()),
                 epoch: AtomicU64::new(0),
             }),
         }
@@ -282,7 +274,6 @@ impl ShardedService {
                 gate: Mutex::new(()),
                 router: RwLock::new(Router::default()),
                 freq: Mutex::new(HashMap::new()),
-                pending_promotions: Mutex::new(PendingPromotions::default()),
                 epoch: AtomicU64::new(0),
             }),
         }
@@ -374,6 +365,43 @@ impl ShardedService {
             }
         }
         Ok(out)
+    }
+
+    /// The one routing-change protocol: a table going replicated →
+    /// partitioned, or a key going heavy. Rows must move and deltas must
+    /// redirect as one step, because a GPIVOT over hash slices is exact
+    /// only while every slice holds *all* rows of each pivot group
+    /// (§4.2.3). Under the router **write** lock, held throughout:
+    ///
+    /// 1. save the router, then `change` it;
+    /// 2. flush every shard, so committed state includes every delta
+    ///    routed by the old rule;
+    /// 3. `rewrite` committed state to match the new rule;
+    /// 4. release — restoring the saved router first if step 2 or 3
+    ///    failed, so a failed change is no change at all.
+    ///
+    /// Ingests hold the read lock across their fan-out, so none routes by
+    /// the new rule before its rows have moved; one that arrives meanwhile
+    /// waits for the flush. `rewrite` must compute everything before its
+    /// first write, so that failing leaves committed state untouched.
+    /// Caller holds the gate; returns the flush's shard summaries.
+    fn reroute_locked(
+        &self,
+        change: impl FnOnce(&mut Router),
+        rewrite: impl FnOnce(&Router) -> Result<()>,
+    ) -> Result<Vec<EpochSummary>> {
+        let mut router = sync::write(&self.inner.router);
+        let saved = router.clone();
+        change(&mut router);
+        // Held across the refresh pool: its workers only refresh shard
+        // services, which never touch the router.
+        let result = self
+            .refresh_all_locked()
+            .and_then(|summaries| rewrite(&router).map(|()| summaries));
+        if result.is_err() {
+            *router = saved;
+        }
+        result
     }
 
     // ------------------------------------------------------------------
@@ -471,106 +499,44 @@ impl ShardedService {
         routing: ShardRouting,
     ) -> Result<Strategy> {
         let shard_count = self.inner.workers.len();
-        // Column indices + the set of tables transitioning replicated →
-        // partitioned, resolved against the root catalog before any state
+        // The tables moving replicated → partitioned, with partition
+        // columns resolved against the root catalog before any state
         // changes so schema errors abort cleanly.
-        let mut transitions: Vec<(String, usize)> = Vec::new();
-        {
+        let (class, transitions) = {
             let snap = self.inner.root.snapshot();
             let catalog = snap.manager().catalog();
             let router = sync::read(&self.inner.router);
+            let class = router.touched_class(&routing).unwrap_or(router.heavy.len());
+            let mut transitions = Vec::new();
             for (table, column) in routing.partitioned() {
                 if !router.tables.contains_key(table) {
-                    let idx = catalog.schema(table)?.index_of(column)?;
-                    transitions.push((table.to_string(), idx));
-                }
-            }
-        }
-
-        // (a) Publish the new layouts first: once the router write lock is
-        // released, every ingest routes by the new rule, and any ingest
-        // that routed by the old rule has finished enqueueing (it held the
-        // read lock across its fan-out).
-        let class = {
-            let mut router = sync::write(&self.inner.router);
-            let class = match router.touched_class(&routing) {
-                Some(c) => c,
-                None => {
-                    router.classes.push(ClassState::default());
-                    router.classes.len() - 1
-                }
-            };
-            for (table, idx) in &transitions {
-                let column = routing
-                    .route(table)
-                    .and_then(|r| match r {
-                        TableRoute::Partitioned { column } => Some(column.clone()),
-                        TableRoute::Replicated => None,
-                    })
-                    .unwrap_or_default();
-                router.classes[class]
-                    .members
-                    .insert(table.clone(), column.clone());
-                router.tables.insert(
-                    table.clone(),
-                    PartLayout {
-                        column,
-                        col_idx: *idx,
+                    let layout = PartLayout {
+                        column: column.to_string(),
+                        col_idx: catalog.schema(table)?.index_of(column)?,
                         class,
-                    },
-                );
+                    };
+                    transitions.push((table.to_string(), layout));
+                }
             }
-            class
+            (class, transitions)
         };
 
+        // Publish the layouts, then cut each transitioning table down to
+        // every shard's slice of it (heavy keys of an extended class to
+        // the heavy shard). The root keeps its full copy.
         if !transitions.is_empty() {
-            // (b) Flush: commit every delta that was routed while the
-            // tables were still broadcast-replicated, so the filter below
-            // sees the complete row set.
-            self.refresh_all_locked()?;
-            // (c) Filter each transitioning table down to its hash slice
-            // on every shard (heavy keys of an extended class go to the
-            // heavy shard). The root keeps its full copy.
-            let heavy_keys: HashSet<Value> = {
-                let router = sync::read(&self.inner.router);
-                router.classes[class].heavy.iter().cloned().collect()
-            };
-            for (table, col_idx) in &transitions {
-                for (j, svc) in self.inner.workers.iter().enumerate() {
-                    let filtered = {
-                        let snap = svc.snapshot();
-                        let t = snap.manager().catalog().table(table)?;
-                        let rows: Vec<Row> = t
-                            .rows()
-                            .iter()
-                            .filter(|r| {
-                                let key = &r[*col_idx];
-                                !heavy_keys.contains(key) && shard_of(key, shard_count) == j
-                            })
-                            .cloned()
-                            .collect();
-                        Table::from_rows(t.schema().clone(), rows)?
-                    };
-                    svc.replace_table(table, filtered);
-                }
-                if let Some(h) = &self.inner.heavy {
-                    let filtered = {
-                        let snap = h.snapshot();
-                        let t = snap.manager().catalog().table(table)?;
-                        let rows: Vec<Row> = t
-                            .rows()
-                            .iter()
-                            .filter(|r| heavy_keys.contains(&r[*col_idx]))
-                            .cloned()
-                            .collect();
-                        Table::from_rows(t.schema().clone(), rows)?
-                    };
-                    h.replace_table(table, filtered);
-                }
-            }
+            self.reroute_locked(
+                |router| {
+                    if class == router.heavy.len() {
+                        router.heavy.push(HashSet::new());
+                    }
+                    router.tables.extend(transitions.iter().cloned());
+                },
+                |router| self.slice_tables(router, &transitions),
+            )?;
         }
 
-        // (d) Register on every shard service (hash shards + heavy); the
+        // Register on every shard service (hash shards + heavy); the
         // root does not host sharded views. The lint verdict is
         // deterministic, so a failure on one shard is a failure on all —
         // but unwind partial registrations anyway.
@@ -589,7 +555,7 @@ impl ShardedService {
         }
         let strategy = strategy.ok_or_else(|| CoreError::NotMaintainable(name.clone()))?;
 
-        // (e) Record placement + pins.
+        // Record placement + pins.
         let diagnostic = Diagnostic::new(
             DiagCode::Gp024ShardSafe,
             vec![],
@@ -618,6 +584,31 @@ impl ShardedService {
             },
         );
         Ok(strategy)
+    }
+
+    /// The publish rewrite: replace each of `tables` on every shard
+    /// service with the rows `router` places there. Every slice is built
+    /// before the first replacement, so a failure replaces nothing.
+    fn slice_tables(&self, router: &Router, tables: &[(String, PartLayout)]) -> Result<()> {
+        let shard_count = self.inner.workers.len();
+        let mut slices = Vec::new();
+        for (s, svc) in self.shard_services().into_iter().enumerate() {
+            let snap = svc.snapshot();
+            for (table, layout) in tables {
+                let t = snap.manager().catalog().table(table)?;
+                let rows: Vec<Row> = t
+                    .rows()
+                    .iter()
+                    .filter(|r| router.owner(layout.class, &r[layout.col_idx], shard_count) == s)
+                    .cloned()
+                    .collect();
+                slices.push((svc, table, Table::from_rows(t.schema().clone(), rows)?));
+            }
+        }
+        for (svc, table, slice) in slices {
+            svc.replace_table(table, slice);
+        }
+        Ok(())
     }
 
     /// Drop a view from wherever it is placed.
@@ -667,12 +658,12 @@ impl ShardedService {
     pub fn heavy_keys(&self) -> Vec<(String, String, Value)> {
         let router = sync::read(&self.inner.router);
         let mut out = Vec::new();
-        for class in &router.classes {
-            let mut keys: Vec<&Value> = class.heavy.iter().collect();
+        for (class, heavy) in router.heavy.iter().enumerate() {
+            let mut keys: Vec<&Value> = heavy.iter().collect();
             keys.sort();
-            for (table, column) in &class.members {
+            for (table, layout) in router.class_tables(class) {
                 for key in &keys {
-                    out.push((table.clone(), column.clone(), (*key).clone()));
+                    out.push((table.clone(), layout.column.clone(), (*key).clone()));
                 }
             }
         }
@@ -693,9 +684,10 @@ impl ShardedService {
     /// keys to the heavy shard) or broadcast when the table is
     /// replicated; shard queues are unbounded so the fan-out cannot
     /// deadlock. Routing holds the router read lock across the whole
-    /// fan-out — that is what makes heavy-key promotion exact: once the
-    /// promoter takes the write lock, every in-flight old-routing ingest
-    /// has fully enqueued.
+    /// fan-out — that is what makes every routing change exact: a change
+    /// holds the write lock until its rows have moved, so no delta routes
+    /// by the new rule before then, and none by the old rule after
+    /// ([`ShardedService::reroute_locked`]).
     pub fn ingest_with(&self, table: &str, delta: Delta, options: IngestOptions) -> Result<()> {
         if !self.is_sharded() {
             return self.inner.root.ingest_with(table, delta, options);
@@ -708,44 +700,10 @@ impl ShardedService {
         match router.tables.get(table) {
             Some(layout) => {
                 let n = self.inner.workers.len();
-                let class = &router.classes[layout.class];
-                let parts =
-                    delta.partition_by_key(layout.col_idx, n, |key| class.heavy.contains(key));
-                for (j, part) in parts.into_iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
-                    }
-                    if j == n {
-                        // Heavy bucket. Rows whose key's migration is
-                        // still pending are parked (see
-                        // [`PendingPromotions`]): enqueuing them now would
-                        // apply them ahead of the migrated rows. The
-                        // check-and-park is atomic under the pending lock,
-                        // and the router read lock held across this
-                        // fan-out keeps the heavy mark itself stable.
-                        let mut p = sync::lock(&self.inner.pending_promotions);
-                        let live = if p.keys.is_empty() {
-                            part
-                        } else {
-                            let keys = &p.keys;
-                            let is_pending =
-                                |r: &Row| keys.contains(&(layout.class, r[layout.col_idx].clone()));
-                            let parked = part.filter_rows(is_pending);
-                            let live = part.filter_rows(|r| !is_pending(r));
-                            if !parked.is_empty() {
-                                p.parked.push((table.to_string(), parked));
-                            }
-                            live
-                        };
-                        drop(p);
-                        if !live.is_empty() {
-                            if let Some(h) = &self.inner.heavy {
-                                h.ingest_with(table, live, IngestOptions::blocking())?;
-                            }
-                        }
-                        continue;
-                    }
-                    if let Some(svc) = self.inner.workers.get(j) {
+                let heavy = &router.heavy[layout.class];
+                let parts = delta.partition_by_key(layout.col_idx, n, |key| heavy.contains(key));
+                for (svc, part) in self.shard_services().into_iter().zip(parts) {
+                    if !part.is_empty() {
                         svc.ingest_with(table, part, IngestOptions::blocking())?;
                     }
                 }
@@ -759,7 +717,7 @@ impl ShardedService {
                 }
             }
             None => {
-                for svc in self.inner.workers.iter().chain(self.inner.heavy.as_ref()) {
+                for svc in self.shard_services() {
                     svc.ingest_with(table, delta.clone(), IngestOptions::blocking())?;
                 }
             }
@@ -778,9 +736,11 @@ impl ShardedService {
     // ------------------------------------------------------------------
 
     /// Run one refresh epoch: promote any keys that crossed the heavy
-    /// threshold (flush → migrate → flush, exact under concurrent
-    /// ingest), then refresh the root and every shard in parallel on the
-    /// configured worker pool and merge the per-shard summaries.
+    /// threshold (one routing change, exact under concurrent ingest), then
+    /// refresh the root and every shard in parallel on the configured
+    /// worker pool and merge the per-shard summaries. A promotion epoch
+    /// runs two shard-refresh rounds: the change's flush, and this one,
+    /// which commits the promotion's row moves.
     ///
     /// Cross-shard commit is *not* atomic: if one shard's epoch fails,
     /// shards that already committed stay committed, the failed shard
@@ -820,153 +780,79 @@ impl ShardedService {
         Ok(out)
     }
 
-    /// Promote keys whose observed delta frequency crossed the threshold.
-    /// Caller holds the gate. The protocol is exact under concurrent
-    /// producers:
-    ///
-    /// 1. Register the keys as pending, *then* mark them heavy under the
-    ///    router **write** lock. Any in-flight old-routing ingest has
-    ///    fully enqueued (fan-outs hold the read lock), and every ingest
-    ///    that sees the heavy mark finds the key pending and parks its
-    ///    rows (see [`PendingPromotions`]) instead of enqueuing anywhere.
-    /// 2. Flush every shard, committing all old-routing deltas.
-    /// 3. Scan the owning hash shard's *committed* tables for each
-    ///    promoted key and enqueue a delete there plus an insert on the
-    ///    heavy shard — ordinary maintenance deltas, so every shard view
-    ///    updates incrementally and stays exact.
-    /// 4. Flush again to commit the migration, then unpark: parked
-    ///    deltas re-enter the heavy shard's queue in arrival order.
-    ///
-    /// Pending keys (and their parked deltas) are retained until step 4
-    /// succeeds; a failed epoch retries them, and because every attempt
-    /// re-scans committed state *after* a flush, retries never
-    /// double-move rows.
+    /// Promote the keys whose observed delta frequency crossed the
+    /// threshold, as one routing change ([`Self::reroute_locked`]): mark
+    /// them heavy, flush, then move each key's *committed* rows as a
+    /// delete on its hash shard plus an insert on the heavy shard —
+    /// ordinary maintenance deltas, so every shard view stays exact. The
+    /// moves are queued ahead of any delta routed to the heavy shard
+    /// after the lock is released, so they commit first, in the epoch's
+    /// own round. A failed change restores the router, and the keys'
+    /// counts stay, so the next epoch retries from scratch; once the
+    /// change succeeds a key is heavy and never moves again. Caller holds
+    /// the gate.
     fn promote_heavy_locked(&self) -> Result<Vec<EpochSummary>> {
         let threshold = self.inner.cfg.sharding().heavy_key_threshold;
-        let shard_count = self.inner.workers.len();
-        let mut pending = {
-            let p = sync::lock(&self.inner.pending_promotions);
-            p.keys.clone()
-        };
-        if threshold > 0 {
-            let router = sync::read(&self.inner.router);
-            let freq = sync::lock(&self.inner.freq);
-            for ((class, key), count) in freq.iter() {
-                if *count >= threshold && !router.classes[*class].heavy.contains(key) {
-                    pending.insert((*class, key.clone()));
-                }
-            }
-        }
-        if pending.is_empty() {
-            // Normally a no-op: parked deltas imply pending keys. It only
-            // fires if a previous epoch's drain failed partway, so those
-            // orphaned batches still reach the heavy shard.
-            let mut p = sync::lock(&self.inner.pending_promotions);
-            Self::drain_parked_locked(&mut p, self.inner.heavy.as_ref())?;
+        if threshold == 0 {
             return Ok(Vec::new());
         }
-        // Register the keys as pending *before* marking them heavy: an
-        // ingest that routes a key to its old hash shard must be covered
-        // by the flush below, and one that sees the heavy mark must find
-        // the key already pending (and park) — the reverse order would
-        // leave a window where a heavy-routed delta slips into the heavy
-        // shard's queue ahead of the migrated rows.
-        {
-            let mut p = sync::lock(&self.inner.pending_promotions);
-            p.keys.extend(pending.iter().cloned());
-        }
-        {
-            let mut router = sync::write(&self.inner.router);
-            for (class, key) in &pending {
-                router.classes[*class].heavy.insert(key.clone());
-            }
-        }
-        let mut summaries = self.refresh_all_locked()?;
-
-        // Member tables + column indices per pending class.
-        let moves: Vec<(usize, Value, String, usize)> = {
+        let promoted: BTreeSet<(usize, Value)> = {
             let router = sync::read(&self.inner.router);
-            pending
-                .iter()
-                .flat_map(|(class, key)| {
-                    router.classes[*class]
-                        .members
-                        .keys()
-                        .filter_map(|table| {
-                            router
-                                .tables
-                                .get(table)
-                                .map(|l| (*class, key.clone(), table.clone(), l.col_idx))
-                        })
-                        .collect::<Vec<_>>()
+            let freq = sync::lock(&self.inner.freq);
+            freq.iter()
+                .filter(|((class, key), count)| {
+                    **count >= threshold && !router.heavy[*class].contains(key)
                 })
+                .map(|(class_key, _)| class_key.clone())
                 .collect()
         };
-        for (_, key, table, col_idx) in &moves {
-            let j = shard_of(key, shard_count);
-            let Some(src) = self.inner.workers.get(j) else {
-                continue;
-            };
-            let rows: Vec<Row> = {
-                let snap = src.snapshot();
-                snap.manager()
+        if promoted.is_empty() {
+            return Ok(Vec::new());
+        }
+        let summaries = self.reroute_locked(
+            |router| {
+                for (class, key) in &promoted {
+                    router.heavy[*class].insert(key.clone());
+                }
+            },
+            |router| self.move_heavy_rows(router, &promoted),
+        )?;
+        let mut freq = sync::lock(&self.inner.freq);
+        freq.retain(|class_key, _| !promoted.contains(class_key));
+        Ok(summaries)
+    }
+
+    /// The promotion rewrite: enqueue every promoted key's committed rows
+    /// as a delete on its hash shard and an insert on the heavy shard.
+    /// Every scan runs before the first enqueue, and the enqueues target
+    /// unbounded queues of tables every shard holds.
+    fn move_heavy_rows(&self, router: &Router, promoted: &BTreeSet<(usize, Value)>) -> Result<()> {
+        let Some(heavy) = &self.inner.heavy else {
+            return Ok(());
+        };
+        let mut moves = Vec::new();
+        for (class, key) in promoted {
+            let src = &self.inner.workers[shard_of(key, self.inner.workers.len())];
+            let snap = src.snapshot();
+            for (table, layout) in router.class_tables(*class) {
+                let rows: Vec<Row> = snap
+                    .manager()
                     .catalog()
                     .table(table)?
                     .rows()
                     .iter()
-                    .filter(|r| &r[*col_idx] == key)
+                    .filter(|r| &r[layout.col_idx] == key)
                     .cloned()
-                    .collect()
-            };
-            if rows.is_empty() {
-                continue;
+                    .collect();
+                if !rows.is_empty() {
+                    moves.push((src, table, rows));
+                }
             }
-            if let Some(h) = &self.inner.heavy {
-                h.ingest_with(
-                    table,
-                    Delta::from_inserts(rows.clone()),
-                    IngestOptions::blocking(),
-                )?;
-            }
+        }
+        for (src, table, rows) in moves {
+            let inserts = Delta::from_inserts(rows.clone());
+            heavy.ingest_with(table, inserts, IngestOptions::blocking())?;
             src.ingest_with(table, Delta::from_deletes(rows), IngestOptions::blocking())?;
-        }
-        summaries.extend(self.refresh_all_locked()?);
-
-        // Migration committed: unpark. The parked deltas re-enter the
-        // heavy shard's queue *while the pending lock is held*, so a
-        // concurrent ingest for the same key (which checks the pending
-        // set under this lock) cannot enqueue ahead of them; the trailing
-        // shard refresh in `refresh_epoch` commits them this epoch.
-        {
-            let mut p = sync::lock(&self.inner.pending_promotions);
-            for key in &pending {
-                p.keys.remove(key);
-            }
-            Self::drain_parked_locked(&mut p, self.inner.heavy.as_ref())?;
-        }
-        {
-            let mut freq = sync::lock(&self.inner.freq);
-            freq.retain(|(class, key), _| !pending.contains(&(*class, key.clone())));
-        }
-        Ok(summaries)
-    }
-
-    /// Re-enqueue parked deltas onto the heavy shard once no promotion is
-    /// pending. Runs under the pending lock so a concurrent ingest for a
-    /// just-unparked key cannot enqueue ahead of the parked batches. On a
-    /// failed enqueue the unsent remainder is restored for a later epoch.
-    fn drain_parked_locked(p: &mut PendingPromotions, heavy: Option<&ViewService>) -> Result<()> {
-        if !p.keys.is_empty() || p.parked.is_empty() {
-            return Ok(());
-        }
-        let mut parked = std::mem::take(&mut p.parked).into_iter();
-        while let Some((table, delta)) = parked.next() {
-            let Some(h) = heavy else { continue };
-            if let Err(e) = h.ingest_with(&table, delta.clone(), IngestOptions::blocking()) {
-                p.parked.push((table, delta));
-                p.parked.extend(parked);
-                return Err(e);
-            }
         }
         Ok(())
     }
@@ -1272,7 +1158,6 @@ fn merge_metrics(into: &mut MetricsSnapshot, other: &MetricsSnapshot) {
     into.recovery_replayed_epochs += other.recovery_replayed_epochs;
     into.recovery_torn_tails += other.recovery_torn_tails;
     into.recovery_corrupt_checkpoints += other.recovery_corrupt_checkpoints;
-    into.view_replays += other.view_replays;
     into.pending_rows += other.pending_rows;
     into.pending_bytes += other.pending_bytes;
     for (name, vm) in &other.per_view {
@@ -1296,7 +1181,7 @@ fn merge_metrics(into: &mut MetricsSnapshot, other: &MetricsSnapshot) {
 mod tests {
     use super::*;
     use gpivot_algebra::{AggSpec, PivotSpec, PlanBuilder};
-    use gpivot_storage::{row, DataType, Schema};
+    use gpivot_storage::{row, DataType, FaultInjector, FaultSite, Schema};
     use std::sync::Arc as StdArc;
 
     fn catalog() -> Catalog {
@@ -1459,9 +1344,10 @@ mod tests {
     /// Demotion readiness: once a key is promoted it must never
     /// *silently* re-route back to a hash shard — its rows stay on the
     /// heavy shard across later ingests and epochs, and `heavy_keys()`
-    /// keeps reporting it. When demotion arrives it has to be an explicit
-    /// protocol step (mark → flush → migrate back), not a side effect of
-    /// the frequency map being cleared after promotion.
+    /// keeps reporting it. When demotion arrives it has to be the routing
+    /// change run in reverse (`reroute_locked`: unmark → flush → move
+    /// back), not a side effect of the frequency map being cleared after
+    /// promotion.
     #[test]
     fn promoted_key_never_silently_reroutes() {
         let svc = ShardedService::new(catalog(), cfg(2, 3));
@@ -1551,10 +1437,48 @@ mod tests {
         after.push(Delta::from_inserts(vec![row![9, "b", 1]]));
         drive(&after);
         assert_heavy_owns_key("after post-promotion ingests");
-        let p = sync::lock(&svc.inner.pending_promotions);
+    }
+
+    /// A registration whose flush fails must publish nothing: were the
+    /// layout left recorded while every shard still held a full replica,
+    /// the next registration would find no transition to slice, and a
+    /// merged read would hold every key once per shard.
+    #[test]
+    fn failed_registration_flush_leaves_no_layout_published() {
+        let injector = FaultInjector::seeded(7).with_site(FaultSite::Commit, 1.0, 0.0);
+        injector.disarm();
+        let mut cat = catalog();
+        cat.set_fault_injector(injector.clone());
+        let svc = ShardedService::new(cat, cfg(2, 0));
+        let oracle = ViewService::new(catalog(), cfg(1, 0));
+        let ingest = |rows: Vec<Row>| {
+            let delta = Delta::from_inserts(rows);
+            svc.ingest_with("facts", delta.clone(), IngestOptions::blocking())
+                .unwrap();
+            oracle
+                .ingest_with("facts", delta, IngestOptions::blocking())
+                .unwrap();
+        };
+
+        // Queued rows make the registration's flush a real epoch.
+        ingest(vec![row![3, "a", 1], row![4, "b", 2]]);
+        injector.arm();
+        assert!(svc.register_view("pv", pivot_plan()).is_err());
+
+        injector.disarm();
+        svc.register_view("pv", pivot_plan()).unwrap();
+        oracle.register_view("pv", pivot_plan()).unwrap();
+        ingest(vec![row![5, "a", 3]]);
+        svc.refresh_epoch().unwrap();
+        oracle.refresh_epoch().unwrap();
+        assert!(svc.verify_all().unwrap());
+        let got = svc.query_view("pv").unwrap();
+        let want = oracle.query_view("pv").unwrap();
         assert!(
-            p.keys.is_empty() && p.parked.is_empty(),
-            "promotion must not stay parked after committed epochs"
+            got.bag_eq(&want),
+            "sharded diverged from oracle:\n got: {:?}\nwant: {:?}",
+            got.sorted_rows(),
+            want.sorted_rows()
         );
     }
 

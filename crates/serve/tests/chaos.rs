@@ -121,7 +121,6 @@ fn chaos_run(seed: u64) {
         ServeConfig::builder()
             .workers(4)
             .max_retries(2)
-            .retry_backoff(std::time::Duration::ZERO)
             .quarantine_after(4)
             .build()
             .unwrap(),
@@ -291,7 +290,6 @@ fn injected_worker_panic_is_isolated_and_retried() {
         ServeConfig::builder()
             .workers(2)
             .max_retries(2)
-            .retry_backoff(std::time::Duration::ZERO)
             .build()
             .unwrap(),
     );
@@ -349,7 +347,6 @@ fn injected_scan_fault_on_an_index_probe_is_retried() {
         ServeConfig::builder()
             .workers(1)
             .max_retries(2)
-            .retry_backoff(std::time::Duration::ZERO)
             .build()
             .unwrap(),
     );
@@ -455,7 +452,6 @@ fn a_failed_epoch_leaves_nothing_behind() {
         let cfg = ServeConfig::builder()
             .workers(2)
             .max_retries(0)
-            .retry_backoff(std::time::Duration::ZERO)
             .build()
             .unwrap();
         let dir = std::env::temp_dir().join(format!(

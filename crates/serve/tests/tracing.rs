@@ -192,8 +192,6 @@ fn rollback_and_quarantine_are_traced() {
         ServeConfig::builder()
             .workers(1)
             .max_retries(0)
-            .retry_backoff(Duration::ZERO)
-            .retry_backoff_cap(Duration::ZERO)
             .quarantine_after(1)
             .build()
             .unwrap(),
