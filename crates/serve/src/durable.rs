@@ -41,7 +41,9 @@
 //!
 //! Torn or corrupt log tails are truncated at the last valid record — never
 //! a panic — and corrupt checkpoints are skipped in favor of older valid
-//! ones (both surfaced in [`RecoveryReport`]).
+//! ones (both surfaced in [`RecoveryReport`]). A directory whose files
+//! leave no valid checkpoint to start from fails recovery with
+//! `StorageError::Corrupt` and is left untouched.
 
 use crate::queue::IngestQueue;
 use crate::sync;
@@ -223,9 +225,17 @@ impl Durability {
 
     /// Append one record to the current log generation.
     pub fn append(&self, record: &WalRecord) -> Result<()> {
+        self.append_with(|w| w.append(record))
+    }
+
+    /// Run one append against the current generation and count it.
+    fn append_with(
+        &self,
+        append: impl FnOnce(&mut Wal) -> gpivot_storage::Result<()>,
+    ) -> Result<()> {
         let mut w = sync::lock(&self.wal);
         let before = w.bytes_written();
-        w.append(record)?;
+        append(&mut w)?;
         self.records.fetch_add(1, Ordering::Relaxed);
         self.bytes
             .fetch_add(w.bytes_written() - before, Ordering::Relaxed);
@@ -241,12 +251,12 @@ impl Durability {
 
     /// Log one producer ingest. Under [`FsyncPolicy::Always`] the record is
     /// also fsynced, so an acknowledged ingest survives any crash; the
-    /// caller must not enqueue (or ack) the delta if this fails.
+    /// caller must not enqueue (or ack) the delta if this fails. The
+    /// `IngestDelta` frame is encoded from the borrowed delta — this runs
+    /// inside the queue lock, where a clone per ingest would be paid by
+    /// every producer.
     pub fn log_ingest(&self, table: &str, delta: &Delta) -> Result<()> {
-        self.append(&WalRecord::IngestDelta {
-            table: table.to_string(),
-            delta: delta.clone(),
-        })?;
+        self.append_with(|w| w.append_ingest(table, delta))?;
         if self.policy == FsyncPolicy::Always {
             self.sync("ingest")?;
         }
@@ -323,7 +333,11 @@ pub(crate) struct Recovered {
 }
 
 /// Recover service state from `dir`: latest valid checkpoint + log-tail
-/// replay. `Ok(None)` means the directory holds no checkpoint (fresh).
+/// replay. `Ok(None)` means the directory holds no checkpoint and no log
+/// (fresh). A directory with checkpoint or log files of which no
+/// checkpoint validates is [`StorageError::Corrupt`], and nothing in it is
+/// touched: bootstrapping there would silently drop every acknowledged
+/// epoch.
 ///
 /// Recovery runs with a *disabled* fault injector (the caller re-arms the
 /// catalog afterwards): replay re-executes already-acknowledged work, so
@@ -334,6 +348,9 @@ pub(crate) fn recover(
     exec: Executor,
 ) -> Result<Option<Recovered>> {
     let Some(loaded) = checkpoint::load_latest(dir)? else {
+        if !checkpoint::list_wal_gens(dir)?.is_empty() {
+            return Err(corrupt("durable directory holds a log but no checkpoint"));
+        }
         return Ok(None);
     };
     let ckpt = loaded.data;

@@ -448,6 +448,8 @@ impl ViewService {
     /// used only for its [`FaultInjector`] handle, which is transplanted
     /// onto the recovered catalog so tests keep arming control. Torn log
     /// tails are truncated, corrupt checkpoints skipped; neither panics.
+    /// A directory holding checkpoint or log files but no valid checkpoint
+    /// returns `StorageError::Corrupt` and is not written to.
     ///
     /// Recovery is exactly-once with respect to *acknowledged* commits: an
     /// epoch whose `refresh_epoch` returned `Ok` is always re-applied, and

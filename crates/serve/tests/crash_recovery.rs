@@ -21,10 +21,11 @@
 //! point. Determinism of the schedule makes the ordinal spaces line up.
 
 use gpivot_algebra::Plan;
+use gpivot_core::CoreError;
 use gpivot_exec::Executor;
 use gpivot_serve::{FsyncPolicy, IngestOptions, ServeConfig, ViewService};
 use gpivot_storage::checkpoint::{checkpoint_path, list_wal_gens, wal_path};
-use gpivot_storage::{Catalog, Delta, FaultInjector, FaultSite};
+use gpivot_storage::{Catalog, Delta, FaultInjector, FaultSite, StorageError};
 use gpivot_tpch::gen::{generate, TpchConfig};
 use gpivot_tpch::views::{view1, view3};
 use gpivot_tpch::workload;
@@ -488,6 +489,79 @@ fn corrupt_checkpoint_falls_back_to_older() {
     assert_eq!(report.corrupt_checkpoints_skipped, 1);
     assert_eq!(svc.metrics().recovery_corrupt_checkpoints, 1);
     assert_views_match(&svc, &oracle, "after corrupt-checkpoint fallback");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Once a checkpoint has pruned the bootstrap generation, a corrupt
+/// `checkpoint-N` is the only snapshot there is. Opening must fail typed and
+/// leave the directory alone, not bootstrap a fresh, empty service beside
+/// the old generation.
+#[test]
+fn only_checkpoint_corrupt_fails_typed_and_touches_nothing() {
+    let base = small_catalog();
+    let dir = tmp_dir("only-ckpt");
+    let cfg = durable_config(FsyncPolicy::OnCommit);
+    let oracle = disabled_clone(&base);
+    {
+        let (svc, _) = ViewService::open(&dir, base.clone(), cfg.clone(), &parse).unwrap();
+        for (name, plan) in views() {
+            svc.register_view(name, plan).unwrap();
+        }
+        let batch = workload::mixed_batch(&oracle, 0.02, 81);
+        for table in batch.tables() {
+            let delta = batch.delta(table).unwrap();
+            svc.ingest_with(table, delta.clone(), IngestOptions::blocking())
+                .unwrap();
+        }
+        svc.refresh_epoch().unwrap();
+        svc.checkpoint().unwrap();
+    }
+    let gen = *list_wal_gens(&dir).unwrap().last().unwrap();
+    assert!(gen > 1, "the checkpoint rotated the log");
+    assert!(
+        !checkpoint_path(&dir, 1).exists(),
+        "bootstrap generation pruned"
+    );
+    let ckpt = checkpoint_path(&dir, gen);
+    let mut bytes = fs::read(&ckpt).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    fs::write(&ckpt, bytes).unwrap();
+
+    let fails_untouched = |case: &str| {
+        let before = dir_image(&dir);
+        match ViewService::open(&dir, disabled_clone(&base), cfg.clone(), &parse) {
+            Ok(_) => panic!("{case}: the directory opened"),
+            Err(e) => assert!(
+                matches!(e, CoreError::Storage(StorageError::Corrupt { .. })),
+                "{case}: expected a typed corruption error, got {e}"
+            ),
+        }
+        assert!(
+            before == dir_image(&dir),
+            "{case}: recovery wrote to the directory"
+        );
+    };
+    fails_untouched("only checkpoint corrupt");
+    // With the checkpoint gone, the log alone is no fresh start either.
+    fs::remove_file(&ckpt).unwrap();
+    fails_untouched("log without a checkpoint");
     let _ = fs::remove_dir_all(&dir);
 }
 

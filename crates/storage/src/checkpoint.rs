@@ -14,17 +14,20 @@
 //! A crash before (2) completes recovers from the *previous* checkpoint plus
 //! log generations `≥` its `wal_gen` — which still exist, because pruning
 //! happens last. [`load_latest`] skips unreadable or torn checkpoint files
-//! (counting them) and falls back to the newest valid one.
+//! (counting them) and falls back to the newest valid one; when none
+//! validates it is an error, never "no checkpoint".
 //!
 //! File layout: `b"GPCK"` magic, a CRC-32 over the body, then the body
-//! (format version byte + payload). One frame per file.
+//! (format version byte + payload). One frame per file. The writer streams
+//! the body and patches the CRC in afterwards, so a checkpoint never needs
+//! the whole file in memory.
 
 use crate::codec::{self, Reader};
 use crate::error::{Result, StorageError};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::{Delta, Table};
 use std::fs::File;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint file format version.
@@ -116,37 +119,95 @@ fn io_err(op: &str, e: std::io::Error) -> StorageError {
     }
 }
 
-fn encode(data: &CheckpointData) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4096);
-    codec::put_u8(&mut body, CHECKPOINT_VERSION);
-    codec::put_u64(&mut body, data.epoch);
-    codec::put_u64(&mut body, data.wal_gen);
-    codec::put_u64(&mut body, data.tables.len() as u64);
-    for (name, table) in &data.tables {
-        codec::put_str(&mut body, name);
-        codec::put_table(&mut body, table);
-    }
-    codec::put_u64(&mut body, data.views.len() as u64);
-    for v in &data.views {
-        codec::put_str(&mut body, &v.name);
-        codec::put_str(&mut body, &v.definition_sql);
-        codec::put_str(&mut body, &v.strategy);
-        codec::put_u8(&mut body, u8::from(v.stale));
-        codec::put_table(&mut body, &v.table);
-    }
-    codec::put_u64(&mut body, data.pending.len() as u64);
-    for (name, delta) in &data.pending {
-        codec::put_str(&mut body, name);
-        codec::put_delta(&mut body, delta);
-    }
-    codec::put_u64(&mut body, data.queue_raw_rows);
-    codec::put_u64(&mut body, data.queue_batches);
+/// The size the body encoder lets its buffer reach before handing it to
+/// its sink: the streaming writer's write(2) size, and all the memory a
+/// checkpoint write needs beyond the state it snapshots.
+const PIECE: usize = 64 * 1024;
 
-    let mut out = Vec::with_capacity(8 + body.len());
+/// The one body encoder (format version byte + payload). It appends to
+/// `buf` and calls `spill(buf)` whenever `buf` holds at least [`PIECE`]
+/// bytes; a sink that drains `buf` there streams the body, one that leaves
+/// it alone collects the whole body in `buf`. The last piece stays in
+/// `buf` for the caller.
+fn encode_body(
+    data: &CheckpointData,
+    buf: &mut Vec<u8>,
+    mut spill: impl FnMut(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    let mut piece_done = |buf: &mut Vec<u8>| {
+        if buf.len() >= PIECE {
+            spill(buf)
+        } else {
+            Ok(())
+        }
+    };
+    codec::put_u8(buf, CHECKPOINT_VERSION);
+    codec::put_u64(buf, data.epoch);
+    codec::put_u64(buf, data.wal_gen);
+    codec::put_u64(buf, data.tables.len() as u64);
+    for (name, table) in &data.tables {
+        codec::put_str(buf, name);
+        codec::put_table(buf, table, &mut piece_done)?;
+    }
+    codec::put_u64(buf, data.views.len() as u64);
+    for v in &data.views {
+        codec::put_str(buf, &v.name);
+        codec::put_str(buf, &v.definition_sql);
+        codec::put_str(buf, &v.strategy);
+        codec::put_u8(buf, u8::from(v.stale));
+        codec::put_table(buf, &v.table, &mut piece_done)?;
+    }
+    // The pending queue is bounded by backpressure; a piece boundary per
+    // delta is fine-grained enough.
+    codec::put_u64(buf, data.pending.len() as u64);
+    for (name, delta) in &data.pending {
+        codec::put_str(buf, name);
+        codec::put_delta(buf, delta);
+        piece_done(buf)?;
+    }
+    codec::put_u64(buf, data.queue_raw_rows);
+    codec::put_u64(buf, data.queue_batches);
+    Ok(())
+}
+
+/// The whole checkpoint file in memory: [`encode_body`] with a sink that
+/// keeps every piece.
+fn encode(data: &CheckpointData) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    codec::put_u32(&mut out, codec::crc32(&body));
-    out.extend_from_slice(&body);
-    out
+    codec::put_u32(&mut out, 0);
+    encode_body(data, &mut out, |_| Ok(()))?;
+    let crc = codec::crc32(&out[8..]);
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(out)
+}
+
+/// Stream the checkpoint file into `f`: magic and a CRC slot, then the body
+/// piece by piece — each folded into the CRC as it goes out — then the CRC
+/// patched into its slot. Returns the file length.
+fn stream(f: &mut File, data: &CheckpointData) -> Result<u64> {
+    let write = |f: &mut File, bytes: &[u8]| {
+        f.write_all(bytes)
+            .map_err(|e| io_err("checkpoint write", e))
+    };
+    let mut header = MAGIC.to_vec();
+    codec::put_u32(&mut header, 0);
+    write(f, &header)?;
+    let (mut crc, mut len) = (0u32, header.len() as u64);
+    let mut buf = Vec::with_capacity(2 * PIECE);
+    let mut spill = |buf: &mut Vec<u8>| {
+        crc = codec::crc32_update(crc, buf);
+        len += buf.len() as u64;
+        write(f, buf)?;
+        buf.clear();
+        Ok(())
+    };
+    encode_body(data, &mut buf, &mut spill)?;
+    spill(&mut buf)?;
+    f.seek(SeekFrom::Start(4))
+        .map_err(|e| io_err("checkpoint write", e))?;
+    write(f, &crc.to_le_bytes())?;
+    Ok(len)
 }
 
 fn decode(bytes: &[u8]) -> Result<CheckpointData> {
@@ -204,10 +265,12 @@ fn decode(bytes: &[u8]) -> Result<CheckpointData> {
     })
 }
 
-/// Write `data` to `checkpoint-{data.wal_gen}.ckpt` in `dir` via temp file +
-/// fsync + atomic rename. Consults [`FaultSite::CheckpointWrite`]; a seeded
-/// kill point leaves a torn `.tmp` file (which [`load_latest`] ignores) and
-/// the final path untouched. Returns the file size in bytes.
+/// Write `data` to `checkpoint-{data.wal_gen}.ckpt` in `dir`: streamed into
+/// a temp file in [`PIECE`]-sized writes (the whole file never sits in
+/// memory), then fsync + atomic rename. Consults
+/// [`FaultSite::CheckpointWrite`]; a seeded kill point leaves a torn `.tmp`
+/// file (which [`load_latest`] ignores) and the final path untouched.
+/// Returns the file size in bytes.
 pub fn write_checkpoint(
     dir: &Path,
     data: &CheckpointData,
@@ -215,11 +278,11 @@ pub fn write_checkpoint(
 ) -> Result<u64> {
     let final_path = checkpoint_path(dir, data.wal_gen);
     let tmp_path = final_path.with_extension("ckpt.tmp");
-    let bytes = encode(data);
     let stem = format!("checkpoint-{:010}", data.wal_gen);
     if let Err(e) = injector.check(FaultSite::CheckpointWrite, &stem) {
-        if matches!(e, StorageError::KillPoint { .. }) && !bytes.is_empty() {
+        if matches!(e, StorageError::KillPoint { .. }) {
             // Simulated death mid-checkpoint: a torn temp file, no rename.
+            let bytes = encode(data)?;
             let cut = ((injector.roll_unit() * bytes.len() as f64) as usize).min(bytes.len() - 1);
             let mut f = File::create(&tmp_path).map_err(|err| io_err("checkpoint tmp", err))?;
             f.write_all(&bytes[..cut])
@@ -228,8 +291,7 @@ pub fn write_checkpoint(
         return Err(e);
     }
     let mut f = File::create(&tmp_path).map_err(|e| io_err("checkpoint tmp", e))?;
-    f.write_all(&bytes)
-        .map_err(|e| io_err("checkpoint write", e))?;
+    let len = stream(&mut f, data)?;
     f.sync_all().map_err(|e| io_err("checkpoint fsync", e))?;
     drop(f);
     std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err("checkpoint rename", e))?;
@@ -238,7 +300,7 @@ pub fn write_checkpoint(
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(bytes.len() as u64)
+    Ok(len)
 }
 
 /// A checkpoint successfully loaded from disk.
@@ -251,12 +313,15 @@ pub struct LoadedCheckpoint {
 }
 
 /// Load the newest valid checkpoint in `dir`, skipping (and counting)
-/// corrupt or torn ones. `Ok(None)` means no valid checkpoint exists.
+/// corrupt or torn ones. `Ok(None)` means `dir` holds no checkpoint file
+/// at all (`.tmp` leftovers do not count). Files that exist but all fail
+/// validation are [`StorageError::Corrupt`]: that directory held durable
+/// state, and treating it as empty would discard it.
 pub fn load_latest(dir: &Path) -> Result<Option<LoadedCheckpoint>> {
     let mut gens = list_gens(dir, "checkpoint-", ".ckpt")?;
     gens.sort_unstable_by(|a, b| b.cmp(a)); // newest first
     let mut skipped = 0u64;
-    for gen in gens {
+    for &gen in &gens {
         let path = checkpoint_path(dir, gen);
         let loaded = std::fs::read(&path)
             .map_err(|e| io_err("checkpoint read", e))
@@ -271,7 +336,12 @@ pub fn load_latest(dir: &Path) -> Result<Option<LoadedCheckpoint>> {
             Err(_) => skipped += 1,
         }
     }
-    Ok(None)
+    if gens.is_empty() {
+        return Ok(None);
+    }
+    Err(StorageError::Corrupt {
+        what: format!("checkpoint: none of the {skipped} checkpoint file(s) validates"),
+    })
 }
 
 /// All WAL generation numbers present in `dir`, ascending.
@@ -403,6 +473,60 @@ mod tests {
         assert_eq!(loaded.data.epoch, 3, "fell back to the previous gen");
         assert_eq!(loaded.skipped_corrupt, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn only_corrupt_checkpoints_is_an_error_not_empty() {
+        let dir = tmp_dir("all-corrupt");
+        write_checkpoint(&dir, &sample(3, 1), &FaultInjector::disabled()).unwrap();
+        std::fs::write(checkpoint_path(&dir, 2), b"GPCK-torn").unwrap();
+        let only = checkpoint_path(&dir, 1);
+        let mut bytes = std::fs::read(&only).unwrap();
+        bytes[10] ^= 0x01;
+        std::fs::write(&only, &bytes).unwrap();
+        let err = load_latest(&dir).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "got {err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A data set whose body is `rows` rows of a one-column string table
+    /// (each `width` bytes of payload) around the fixed `sample` parts.
+    fn sized(rows: usize, width: usize) -> CheckpointData {
+        let schema = Arc::new(Schema::from_pairs(&[("s", DataType::Str)]).unwrap());
+        let text = "é".repeat(width / 2) + &"x".repeat(width % 2);
+        let big = Table::bag(schema, vec![row![text.as_str()]; rows]);
+        let mut data = sample(9, 4);
+        data.tables.push(("big".into(), big));
+        data
+    }
+
+    #[test]
+    fn streamed_file_equals_the_in_memory_encoding() {
+        // Row framing: arity (8) + tag (1) + length (8) + payload.
+        let row_bytes = |width: usize| 17 + width;
+        let base_body = encode(&sized(0, 0)).unwrap().len() - 8;
+        let mut cases = vec![(0, 0), (10, 40), (3_000, 300), (1, 3 * PIECE + 5)];
+        // Bodies one below, exactly at and one past a piece, from one row.
+        for target in [PIECE - 1, PIECE, PIECE + 1] {
+            cases.push((1, target - base_body - row_bytes(0)));
+        }
+        let mut bodies = Vec::new();
+        for (rows, width) in cases {
+            let data = sized(rows, width);
+            let expected = encode(&data).unwrap();
+            bodies.push(expected.len() - 8);
+            let dir = tmp_dir("stream");
+            let written = write_checkpoint(&dir, &data, &FaultInjector::disabled()).unwrap();
+            let file = std::fs::read(checkpoint_path(&dir, data.wal_gen)).unwrap();
+            assert_eq!(written, file.len() as u64, "{rows}×{width}: returned size");
+            assert!(file == expected, "{rows}×{width}: streamed bytes differ");
+            assert_eq!(load_latest(&dir).unwrap().unwrap().data, data);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        for at in [PIECE - 1, PIECE, PIECE + 1] {
+            assert!(bodies.contains(&at), "no body of {at} bytes: {bodies:?}");
+        }
+        assert!(bodies.iter().any(|&b| b > 10 * PIECE), "many pieces");
     }
 
     #[test]

@@ -113,12 +113,21 @@ pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
     }
 }
 
-pub(crate) fn put_table(out: &mut Vec<u8>, table: &Table) {
+/// `table` as schema, row count, rows. `after_row(out)` runs after each
+/// row: the streaming checkpoint writer hands full pieces of `out` to the
+/// file there, so a table never has to fit in one buffer.
+pub(crate) fn put_table(
+    out: &mut Vec<u8>,
+    table: &Table,
+    mut after_row: impl FnMut(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
     put_schema(out, table.schema());
     put_u64(out, table.len() as u64);
     for row in table.iter() {
         put_row(out, row);
+        after_row(out)?;
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- reader
@@ -271,16 +280,77 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`. Bitwise — no table; the
-/// frames it guards are small relative to the I/O around them.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-16 tables for CRC-32/IEEE (reflected), built at compile
+/// time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so one lookup per byte of a 16-byte block folds the whole
+/// block into the state at once.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extend `crc` — the CRC-32 of some prefix, `0` for the empty one — with
+/// `bytes`: `crc32_update(crc32(a), b) == crc32(a ∥ b)`, so a checksum can
+/// be folded piece by piece while the bytes stream out.
+///
+/// Table-driven, 16 bytes per step: every WAL frame and every checkpoint
+/// byte (megabytes per checkpoint, on the epoch path) passes through here
+/// on write and again on recovery, and a bitwise loop ran an order of
+/// magnitude slower than the `write(2)` it guarded.
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -289,6 +359,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use crate::row;
+    use proptest::prelude::*;
 
     #[test]
     fn value_row_roundtrip_all_variants() {
@@ -328,7 +399,7 @@ mod tests {
         );
         let t = Table::from_rows(schema, vec![row![1, "x"], row![2, "y"]]).unwrap();
         let mut buf = Vec::new();
-        put_table(&mut buf, &t);
+        put_table(&mut buf, &t, |_| Ok(())).unwrap();
         let back = Reader::new(&buf).table().unwrap();
         assert!(back.bag_eq(&t));
         assert_eq!(back.schema().key(), t.schema().key());
@@ -369,5 +440,63 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition: one bit at a time, no tables. The oracle the
+    /// table-driven kernel is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    fn pseudo_random_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_at_every_short_length() {
+        // 0..=64 covers every remainder mod 16 with zero to four blocks.
+        let bytes = pseudo_random_bytes(64, 0x9E37_79B9);
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        assert_eq!(crc32(&[0xFF; 64]), crc32_bitwise(&[0xFF; 64]));
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_the_bitwise_oracle(
+            bytes in prop::collection::vec(any::<u8>(), 0..65_536usize),
+            start in 0usize..16,
+            cut in any::<u64>(),
+        ) {
+            // Unaligned sub-slices: the kernel must not care where the
+            // slice starts relative to a 16-byte boundary.
+            let sub = &bytes[start.min(bytes.len())..];
+            prop_assert_eq!(crc32(sub), crc32_bitwise(sub));
+            // Folding over any split equals the one-shot checksum.
+            let at = (cut % (sub.len() as u64 + 1)) as usize;
+            let (a, b) = sub.split_at(at);
+            prop_assert_eq!(crc32_update(crc32(a), b), crc32(sub));
+        }
     }
 }

@@ -99,7 +99,7 @@ impl WalRecord {
         match self {
             WalRecord::RegisterView { .. } => "register-view",
             WalRecord::DropView { .. } => "drop-view",
-            WalRecord::IngestDelta { .. } => "ingest-delta",
+            WalRecord::IngestDelta { .. } => INGEST_KIND,
             WalRecord::EpochBegin { .. } => "epoch-begin",
             WalRecord::EpochCommit { .. } => "epoch-commit",
             WalRecord::Checkpoint { .. } => "checkpoint",
@@ -122,11 +122,7 @@ impl WalRecord {
                 codec::put_u8(out, 2);
                 codec::put_str(out, name);
             }
-            WalRecord::IngestDelta { table, delta } => {
-                codec::put_u8(out, 3);
-                codec::put_str(out, table);
-                codec::put_delta(out, delta);
-            }
+            WalRecord::IngestDelta { table, delta } => put_ingest_payload(out, table, delta),
             WalRecord::EpochBegin { epoch } => {
                 codec::put_u8(out, 4);
                 codec::put_u64(out, *epoch);
@@ -171,15 +167,33 @@ impl WalRecord {
     }
 }
 
+/// [`WalRecord::kind`] of an `IngestDelta`.
+const INGEST_KIND: &str = "ingest-delta";
+
+/// The `IngestDelta` payload from borrowed parts — the one encoder for that
+/// record, whether it is logged from a [`WalRecord`] or straight from the
+/// producer's `(table, delta)` ([`Wal::append_ingest`]).
+fn put_ingest_payload(out: &mut Vec<u8>, table: &str, delta: &Delta) {
+    codec::put_u8(out, 3);
+    codec::put_str(out, table);
+    codec::put_delta(out, delta);
+}
+
 /// Frame a record into its on-disk bytes (`[len][crc][version ∥ payload]`).
 pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    codec::put_u8(&mut body, WAL_VERSION);
-    record.encode_payload(&mut body);
-    let mut frame = Vec::with_capacity(8 + body.len());
-    codec::put_u32(&mut frame, body.len() as u32);
-    codec::put_u32(&mut frame, codec::crc32(&body));
-    frame.extend_from_slice(&body);
+    frame_with(|out| record.encode_payload(out))
+}
+
+/// Build a frame in one buffer: an 8-byte header slot, then version ∥
+/// payload, then `len` and `crc` patched into the slot.
+fn frame_with(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[0; 8]);
+    codec::put_u8(&mut frame, WAL_VERSION);
+    payload(&mut frame);
+    let (header, body) = frame.split_at_mut(8);
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&codec::crc32(body).to_le_bytes());
     frame
 }
 
@@ -252,8 +266,19 @@ impl Wal {
     /// injected transient fault nothing is written (a retried append is
     /// safe). Does **not** fsync — see [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let frame = encode_frame(record);
-        if let Err(e) = self.injector.check(FaultSite::WalAppend, record.kind()) {
+        self.append_frame(record.kind(), encode_frame(record))
+    }
+
+    /// [`Wal::append`] of `WalRecord::IngestDelta { table, delta }`,
+    /// encoded from the borrowed parts: the same bytes, without cloning
+    /// the delta into a record first.
+    pub fn append_ingest(&mut self, table: &str, delta: &Delta) -> Result<()> {
+        let frame = frame_with(|out| put_ingest_payload(out, table, delta));
+        self.append_frame(INGEST_KIND, frame)
+    }
+
+    fn append_frame(&mut self, kind: &str, frame: Vec<u8>) -> Result<()> {
+        if let Err(e) = self.injector.check(FaultSite::WalAppend, kind) {
             if matches!(e, StorageError::KillPoint { .. }) && !frame.is_empty() {
                 // Simulated death mid-write(2): persist a deterministic
                 // strict prefix of the frame so the tail is genuinely torn.
@@ -441,6 +466,25 @@ mod tests {
         assert_eq!(scan.valid_len, scan.total_len);
         assert_eq!(scan.valid_len, wal.bytes_written());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn append_ingest_writes_the_ingest_record_bytes() {
+        let recs = sample_records();
+        let WalRecord::IngestDelta { table, delta } = &recs[2] else {
+            unreachable!("sample_records()[2] is the ingest");
+        };
+        let (by_record, by_parts) = (tmp("ingest-record"), tmp("ingest-parts"));
+        Wal::create(&by_record).unwrap().append(&recs[2]).unwrap();
+        let mut wal = Wal::create(&by_parts).unwrap();
+        wal.append_ingest(table, delta).unwrap();
+        assert_eq!(wal.records_appended(), 1);
+        let bytes = std::fs::read(&by_parts).unwrap();
+        assert_eq!(bytes, std::fs::read(&by_record).unwrap());
+        assert_eq!(wal.bytes_written(), bytes.len() as u64);
+        assert_eq!(read_wal(&by_parts).unwrap().records, recs[2..3]);
+        std::fs::remove_file(&by_record).unwrap();
+        std::fs::remove_file(&by_parts).unwrap();
     }
 
     #[test]
