@@ -11,8 +11,7 @@
 //!   obstruction cases applies. The analysis itself lives in
 //!   `gpivot_algebra::combinability` (it is a pure [`PivotSpec`] property
 //!   shared with the static analyzer); re-exported here for compatibility.
-//! * [`split`] — §4.3: the reverse rewrites, including the local/global
-//!   parallel-processing split.
+//! * [`split`] — §4.3: the reverse rewrites.
 //!
 //! [`PivotSpec`]: gpivot_algebra::PivotSpec
 
@@ -23,9 +22,7 @@ pub mod split;
 pub use composition::{compose_specs, try_compose};
 pub use gpivot_algebra::combinability::{can_combine, CombineVerdict};
 pub use multicolumn::{combine_multicolumn_specs, multicolumn_join_plan, try_multicolumn};
-pub use split::{
-    merge_partial_pivots, parallel_gpivot, split_composition, split_multicolumn, PartitionedPivot,
-};
+pub use split::{split_composition, split_multicolumn, PartitionedPivot};
 
 /// Try to combine two adjacent GPIVOT plan nodes (outer directly over
 /// inner); returns the rewritten plan on success. Dispatches to the

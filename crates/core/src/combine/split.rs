@@ -1,19 +1,16 @@
-//! Split rules for GPIVOT (§4.3): the combination rules read right-to-left,
-//! plus the local/global split for parallel pivot processing.
+//! Split rules for GPIVOT (§4.3): the combination rules read right-to-left.
 //!
 //! Splitting is the *query-optimization* face of the combination rules: a
 //! cost-based optimizer may prefer executing a wide GPIVOT as two narrower
-//! ones (e.g. to pipeline with different join orders), or to partition the
-//! input, pivot each partition locally, and merge the partial pivot results
-//! — the paper notes the merge step is exactly the insert-case propagation
-//! rule of Fig. 22 (here realized by [`merge_partial_pivots`]).
+//! ones (e.g. to pipeline with different join orders). The §4.3
+//! local/global split — pivot partitions of the input, then merge — runs
+//! in the executor's partitioned pivot kernel
+//! (`gpivot_exec::pivot::gpivot_partitioned`).
 
 use crate::error::{CoreError, Result};
 use gpivot_algebra::plan::PivotSpec;
 use gpivot_analyze::DiagCode;
-use gpivot_exec::WorkerPool;
-use gpivot_storage::{Row, Table, Value};
-use std::collections::HashMap;
+use gpivot_storage::Value;
 
 const RULE: &str = "split-gpivot (§4.3)";
 
@@ -118,106 +115,10 @@ pub fn split_composition(spec: &PivotSpec, at: usize) -> Result<PartitionedPivot
     })
 }
 
-/// Merge partial GPIVOT results computed on disjoint partitions of the
-/// input (the "local/global" parallel split of §4.3). Rows with the same
-/// key are merged cell-wise; overlapping non-`⊥` cells are an error (they
-/// would mean the partitioning broke the `(K, A1..Am)` key).
-pub fn merge_partial_pivots(parts: &[Table]) -> Result<Table> {
-    let Some(first) = parts.first() else {
-        return Err(CoreError::RuleNotApplicable {
-            rule: RULE,
-            code: DiagCode::Gp020RuleShapeMismatch,
-            reason: "no partial results to merge".to_string(),
-        });
-    };
-    let schema = first.schema().clone();
-    let key_idx: Vec<usize> =
-        schema
-            .key()
-            .map(|k| k.to_vec())
-            .ok_or_else(|| CoreError::RuleNotApplicable {
-                rule: RULE,
-                code: DiagCode::Gp001PivotInputNoKey,
-                reason: "partial pivot results carry no key".to_string(),
-            })?;
-    let arity = schema.arity();
-    let mut acc: HashMap<Row, Vec<Value>> = HashMap::new();
-    for part in parts {
-        for row in part.iter() {
-            let key = row.project(&key_idx);
-            match acc.entry(key) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(row.to_vec());
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let merged = o.get_mut();
-                    for i in 0..arity {
-                        if key_idx.contains(&i) {
-                            continue;
-                        }
-                        let incoming = &row[i];
-                        if incoming.is_null() {
-                            continue;
-                        }
-                        if !merged[i].is_null() && merged[i] != *incoming {
-                            return Err(CoreError::Exec(
-                                gpivot_exec::ExecError::DuplicatePivotCell {
-                                    key: format!("{:?}", row.project(&key_idx)),
-                                    group: schema.fields()[i].name.clone(),
-                                },
-                            ));
-                        }
-                        merged[i] = incoming.clone();
-                    }
-                }
-            }
-        }
-    }
-    Ok(Table::bag(
-        schema,
-        acc.into_values().map(Row::new).collect(),
-    ))
-}
-
-/// Execute a GPIVOT with the §4.3 local/global parallel split: partition
-/// the input rows round-robin into one partition per `pool` worker, pivot
-/// each partition locally as a pool job, then merge the partial results
-/// with [`merge_partial_pivots`]. A panicking partition surfaces as
-/// [`gpivot_exec::ExecError::WorkerPanic`], not a panic of the caller.
-///
-/// Any partitioning works because a pivot cell is written by exactly one
-/// source row (the `(K, A1..Am)` key); the paper notes the merge is the
-/// insert-case propagation rule of Fig. 22.
-pub fn parallel_gpivot(
-    input: &Table,
-    spec: &gpivot_algebra::PivotSpec,
-    out_schema: gpivot_storage::SchemaRef,
-    pool: &WorkerPool,
-) -> Result<Table> {
-    let threads = pool.threads();
-    if threads == 1 || input.len() < 2 {
-        return Ok(gpivot_exec::pivot::gpivot(input, spec, out_schema)?);
-    }
-    // Round-robin partitions (cheap Arc-clones of rows).
-    let mut partitions: Vec<Vec<Row>> =
-        vec![Vec::with_capacity(input.len() / threads + 1); threads];
-    for (i, row) in input.iter().enumerate() {
-        partitions[i % threads].push(row.clone());
-    }
-    let parts = pool.run("GPivot", partitions, |rows| {
-        let part = Table::bag(input.schema().clone(), rows);
-        gpivot_exec::pivot::gpivot(&part, spec, out_schema.clone())
-    })?;
-    merge_partial_pivots(&parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::combine::{combine_multicolumn_specs, compose_specs};
-    use gpivot_exec::pivot::gpivot;
-    use gpivot_storage::{row, DataType, Schema};
-    use std::sync::Arc;
 
     fn wide_spec() -> PivotSpec {
         PivotSpec::cross(
@@ -270,198 +171,5 @@ mod tests {
         assert!(split_multicolumn(&spec, 2).is_err());
         assert!(split_composition(&spec, 0).is_err());
         assert!(split_composition(&spec, 2).is_err());
-    }
-
-    #[test]
-    fn parallel_partition_merge_equals_whole() {
-        let schema = Arc::new(
-            Schema::from_pairs_keyed(
-                &[
-                    ("ID", DataType::Int),
-                    ("Attr", DataType::Str),
-                    ("Val", DataType::Int),
-                ],
-                &["ID", "Attr"],
-            )
-            .unwrap(),
-        );
-        let all_rows = vec![
-            row![1, "a", 10],
-            row![1, "b", 20],
-            row![2, "a", 30],
-            row![2, "b", 40],
-            row![3, "a", 50],
-        ];
-        let spec = PivotSpec::simple("Attr", "Val", vec![Value::str("a"), Value::str("b")]);
-        let mut out_s = Schema::from_pairs(&[
-            ("ID", DataType::Int),
-            ("a**Val", DataType::Int),
-            ("b**Val", DataType::Int),
-        ])
-        .unwrap();
-        out_s.set_key(vec![0]);
-        let out_s = Arc::new(out_s);
-
-        let whole = gpivot(
-            &Table::bag(schema.clone(), all_rows.clone()),
-            &spec,
-            out_s.clone(),
-        )
-        .unwrap();
-
-        // Partition by row parity, pivot each partition, merge.
-        let p0: Vec<Row> = all_rows.iter().step_by(2).cloned().collect();
-        let p1: Vec<Row> = all_rows.iter().skip(1).step_by(2).cloned().collect();
-        let part0 = gpivot(&Table::bag(schema.clone(), p0), &spec, out_s.clone()).unwrap();
-        let part1 = gpivot(&Table::bag(schema, p1), &spec, out_s).unwrap();
-        let merged = merge_partial_pivots(&[part0, part1]).unwrap();
-        assert!(merged.bag_eq(&whole));
-    }
-
-    #[test]
-    fn parallel_gpivot_equals_sequential() {
-        let schema = Arc::new(
-            Schema::from_pairs_keyed(
-                &[
-                    ("ID", DataType::Int),
-                    ("Attr", DataType::Str),
-                    ("Val", DataType::Int),
-                ],
-                &["ID", "Attr"],
-            )
-            .unwrap(),
-        );
-        let mut rows = Vec::new();
-        for id in 0..200 {
-            for (ai, attr) in ["a", "b", "c"].iter().enumerate() {
-                if (id + ai as i64) % 3 != 0 {
-                    rows.push(row![id, *attr, id * 10 + ai as i64]);
-                }
-            }
-        }
-        let input = Table::bag(schema, rows);
-        let spec = PivotSpec::simple(
-            "Attr",
-            "Val",
-            vec![Value::str("a"), Value::str("b"), Value::str("c")],
-        );
-        let mut out_s = Schema::from_pairs(&[
-            ("ID", DataType::Int),
-            ("a**Val", DataType::Int),
-            ("b**Val", DataType::Int),
-            ("c**Val", DataType::Int),
-        ])
-        .unwrap();
-        out_s.set_key(vec![0]);
-        let out_s = Arc::new(out_s);
-        let sequential = gpivot(&input, &spec, out_s.clone()).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let parallel =
-                parallel_gpivot(&input, &spec, out_s.clone(), &WorkerPool::new(threads)).unwrap();
-            assert!(
-                parallel.bag_eq(&sequential),
-                "parallel ({threads} threads) differs from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_gpivot_is_deterministic_across_thread_counts() {
-        // §4.3's local/global split merges per-thread partial pivots from a
-        // hash map, so physical row ORDER is unspecified — but the row SET
-        // must be byte-identical for every thread count and across repeated
-        // runs. Compare canonicalized (sorted) rows for 1, 2 and 8 threads.
-        let schema = Arc::new(
-            Schema::from_pairs_keyed(
-                &[
-                    ("ID", DataType::Int),
-                    ("Attr", DataType::Str),
-                    ("Val", DataType::Int),
-                ],
-                &["ID", "Attr"],
-            )
-            .unwrap(),
-        );
-        let mut rows = Vec::new();
-        for id in 0..300 {
-            for (ai, attr) in ["a", "b", "c"].iter().enumerate() {
-                if (id + ai as i64) % 4 != 0 {
-                    rows.push(row![id, *attr, id * 7 + ai as i64]);
-                }
-            }
-        }
-        let input = Table::bag(schema, rows);
-        let spec = PivotSpec::simple(
-            "Attr",
-            "Val",
-            vec![Value::str("a"), Value::str("b"), Value::str("c")],
-        );
-        let mut out_s = Schema::from_pairs(&[
-            ("ID", DataType::Int),
-            ("a**Val", DataType::Int),
-            ("b**Val", DataType::Int),
-            ("c**Val", DataType::Int),
-        ])
-        .unwrap();
-        out_s.set_key(vec![0]);
-        let out_s = Arc::new(out_s);
-
-        let reference = parallel_gpivot(&input, &spec, out_s.clone(), &WorkerPool::new(1))
-            .unwrap()
-            .sorted_rows();
-        for threads in [1usize, 2, 8] {
-            for run in 0..2 {
-                let got = parallel_gpivot(&input, &spec, out_s.clone(), &WorkerPool::new(threads))
-                    .unwrap()
-                    .sorted_rows();
-                assert_eq!(
-                    got, reference,
-                    "thread count {threads} (run {run}) changed the result"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_panicking_partition_is_a_transient_error_not_a_caller_panic() {
-        let schema = Arc::new(
-            Schema::from_pairs_keyed(
-                &[
-                    ("ID", DataType::Int),
-                    ("Attr", DataType::Str),
-                    ("Val", DataType::Int),
-                ],
-                &["ID", "Attr"],
-            )
-            .unwrap(),
-        );
-        // A bag does not check arity: the short row makes the pivot kernel
-        // of whichever partition receives it index out of bounds.
-        let mut rows: Vec<Row> = (0..40).map(|id| row![id, "a", id]).collect();
-        rows[17] = row![17];
-        let input = Table::bag(schema, rows);
-        let spec = PivotSpec::simple("Attr", "Val", vec![Value::str("a")]);
-        let mut out_s =
-            Schema::from_pairs(&[("ID", DataType::Int), ("a**Val", DataType::Int)]).unwrap();
-        out_s.set_key(vec![0]);
-        let err = parallel_gpivot(&input, &spec, Arc::new(out_s), &WorkerPool::new(4)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CoreError::Exec(gpivot_exec::ExecError::WorkerPanic { op: "GPivot", .. })
-            ),
-            "{err:?}"
-        );
-        assert_eq!(err.classify(), crate::ErrorClass::Transient);
-    }
-
-    #[test]
-    fn merge_detects_conflicting_cells() {
-        let mut s = Schema::from_pairs(&[("k", DataType::Int), ("c", DataType::Int)]).unwrap();
-        s.set_key(vec![0]);
-        let s = Arc::new(s);
-        let a = Table::bag(s.clone(), vec![row![1, 10]]);
-        let b = Table::bag(s, vec![row![1, 20]]);
-        assert!(merge_partial_pivots(&[a, b]).is_err());
     }
 }

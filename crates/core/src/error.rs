@@ -239,6 +239,11 @@ mod tests {
             watermark: 8,
         }
         .is_transient());
+        assert!(CoreError::Exec(ExecError::WorkerPanic {
+            op: "GPivot",
+            message: "boom".into(),
+        })
+        .is_transient());
         // Real engine errors are permanent.
         assert_eq!(
             CoreError::UnknownView("v".into()).classify(),

@@ -1,8 +1,7 @@
 //! Dependency-free scoped-thread worker pool: the workspace's one fan-out
 //! loop (round-robin buckets over `std::thread::scope`, order-preserving
-//! result slots — [`WorkerPool::run_slots`]). Operator kernels, the serve
-//! layer's epoch fan-out and `gpivot_core::combine::parallel_gpivot` all
-//! submit their jobs here:
+//! result slots — [`WorkerPool::run_slots`]). Operator kernels and the
+//! serve layer's epoch fan-out both submit their jobs here:
 //!
 //! * **Determinism** — results come back in job (partition) index order,
 //!   and when several jobs fail the error of the lowest-indexed job wins,

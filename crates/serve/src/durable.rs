@@ -45,6 +45,7 @@
 //! leave no valid checkpoint to start from fails recovery with
 //! `StorageError::Corrupt` and is left untouched.
 
+use crate::metrics::MetricsSnapshot;
 use crate::queue::IngestQueue;
 use crate::sync;
 use gpivot_algebra::plan::Plan;
@@ -161,33 +162,25 @@ impl Durability {
             queue_batches: 0,
         };
         let ckpt_bytes = checkpoint::write_checkpoint(dir, &data, &injector)?;
-        let mut w = Wal::create(checkpoint::wal_path(dir, 1))?;
-        w.set_fault_injector(injector.clone());
-        w.append(&WalRecord::Checkpoint {
+        // No log exists yet (recovery found none), so this creates
+        // generation 1, and the head record is counted like any append.
+        let d = Durability::open_at(dir, 1, policy, injector)?;
+        d.append(&WalRecord::Checkpoint {
             epoch: 0,
             wal_gen: 1,
         })?;
         if policy != FsyncPolicy::Never {
-            w.sync("bootstrap")?;
+            d.sync("bootstrap")?;
         }
-        let d = Durability {
-            dir: dir.to_path_buf(),
-            policy,
-            injector,
-            gen: AtomicU64::new(1),
-            records: AtomicU64::new(w.records_appended()),
-            bytes: AtomicU64::new(w.bytes_written()),
-            fsyncs: AtomicU64::new(w.fsyncs()),
-            checkpoints: AtomicU64::new(1),
-            last_checkpoint_bytes: AtomicU64::new(ckpt_bytes),
-            wal: Mutex::new(w),
-        };
+        d.checkpoints.store(1, Ordering::Relaxed);
+        d.last_checkpoint_bytes.store(ckpt_bytes, Ordering::Relaxed);
         Ok(d)
     }
 
     /// Attach to an existing directory after recovery: continue appending
     /// to generation `gen` (creating the file if a crash erased it between
-    /// checkpoint and log creation).
+    /// checkpoint and log creation). Every counter starts at 0: they count
+    /// what this process writes, not what the log already holds.
     pub fn open_at(
         dir: &Path,
         gen: u64,
@@ -207,7 +200,7 @@ impl Durability {
             injector,
             gen: AtomicU64::new(gen),
             records: AtomicU64::new(0),
-            bytes: AtomicU64::new(w.bytes_written()),
+            bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             last_checkpoint_bytes: AtomicU64::new(0),
@@ -309,16 +302,17 @@ impl Durability {
         Ok(bytes)
     }
 
-    /// Cumulative counters `(records, bytes, fsyncs, checkpoints,
-    /// last_checkpoint_bytes)` for the metrics snapshot.
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.records.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-            self.fsyncs.load(Ordering::Relaxed),
-            self.checkpoints.load(Ordering::Relaxed),
-            self.last_checkpoint_bytes.load(Ordering::Relaxed),
-        )
+    /// The cumulative WAL and checkpoint counters, as a snapshot that
+    /// [`MetricsSnapshot::merge`] folds into the service's.
+    pub fn counters(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            wal_records: self.records.load(Ordering::Relaxed),
+            wal_bytes: self.bytes.load(Ordering::Relaxed),
+            wal_fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            last_checkpoint_bytes: self.last_checkpoint_bytes.load(Ordering::Relaxed),
+            ..MetricsSnapshot::default()
+        }
     }
 }
 

@@ -1,8 +1,15 @@
 //! Service observability: per-view and per-epoch counters, exported as a
 //! cloneable [`MetricsSnapshot`] plus a human-readable report.
+//!
+//! Every scalar of a snapshot is declared once, in the `scalars!` table
+//! below: its Prometheus series, help text, counter-or-gauge kind and shard
+//! roll-up rule. [`MetricsSnapshot::prometheus`] and
+//! [`MetricsSnapshot::merge`] (the shard roll-up and the durable fold) both
+//! read that table, so a new counter is one field plus one table entry.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Add;
 use std::time::Duration;
 use tracing::Histogram;
 
@@ -43,6 +50,52 @@ impl ViewHealth {
     pub fn is_quarantined(&self) -> bool {
         matches!(self, ViewHealth::Quarantined { .. })
     }
+
+    /// The *fail* edge: the state after an epoch in which the view
+    /// exhausted its retry budget. The `quarantine_after`-th consecutive
+    /// failure quarantines it at `epoch` for `reason`; a quarantined view
+    /// stays as it is.
+    pub(crate) fn after_failure(
+        &self,
+        quarantine_after: u32,
+        epoch: u64,
+        reason: impl fmt::Display,
+    ) -> ViewHealth {
+        let failures = match self {
+            ViewHealth::Healthy => 1,
+            ViewHealth::Degraded {
+                consecutive_failures,
+            } => consecutive_failures + 1,
+            ViewHealth::Quarantined { .. } => return self.clone(),
+        };
+        if failures >= quarantine_after {
+            ViewHealth::Quarantined {
+                since_epoch: epoch,
+                reason: reason.to_string(),
+            }
+        } else {
+            ViewHealth::Degraded {
+                consecutive_failures: failures,
+            }
+        }
+    }
+
+    /// The worse of two states, which is what a roll-up over shards
+    /// reports: quarantined, then degraded with more consecutive failures,
+    /// then healthy. On a tie `self` is kept.
+    pub(crate) fn worse(self, other: ViewHealth) -> ViewHealth {
+        fn rank(h: &ViewHealth) -> (u8, u32) {
+            match h {
+                ViewHealth::Healthy => (0, 0),
+                ViewHealth::Degraded {
+                    consecutive_failures,
+                } => (1, *consecutive_failures),
+                ViewHealth::Quarantined { .. } => (2, 0),
+            }
+        }
+        // On a tie `max_by_key` returns its second argument.
+        std::cmp::max_by_key(other, self, rank)
+    }
 }
 
 /// Cumulative counters for one registered view.
@@ -69,6 +122,37 @@ pub struct ViewMetrics {
     /// Rendered warnings the static plan lint recorded when the view was
     /// registered (empty when registered clean or with lint skipped).
     pub lint_warnings: Vec<String>,
+}
+
+impl ViewMetrics {
+    /// Fold another shard's counters for the same view into these: work
+    /// adds up, the worse health wins, and each lint warning is kept once.
+    fn merge(&mut self, other: &ViewMetrics) {
+        let ViewMetrics {
+            refreshes,
+            delta_rows,
+            rows_propagated,
+            rows_applied,
+            refresh_time,
+            failures,
+            retries,
+            health,
+            lint_warnings,
+        } = other;
+        self.refreshes += refreshes;
+        self.delta_rows += delta_rows;
+        self.rows_propagated += rows_propagated;
+        self.rows_applied += rows_applied;
+        self.refresh_time += *refresh_time;
+        self.failures += failures;
+        self.retries += retries;
+        self.health = std::mem::take(&mut self.health).worse(health.clone());
+        for w in lint_warnings {
+            if !self.lint_warnings.contains(w) {
+                self.lint_warnings.push(w.clone());
+            }
+        }
+    }
 }
 
 /// A point-in-time copy of the service's counters.
@@ -165,6 +249,169 @@ pub struct MetricsSnapshot {
     pub trace_events: BTreeMap<String, u64>,
 }
 
+/// How a roll-up over shards combines one scalar's per-shard values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rollup {
+    /// Each shard counted its own share of the work: add them.
+    Sum,
+    /// Each shard reports the same process-wide value, or its own latest
+    /// one: keep the largest.
+    Max,
+}
+
+impl Rollup {
+    pub(crate) fn apply<T: Ord + Add<Output = T>>(self, a: T, b: T) -> T {
+        match self {
+            Rollup::Sum => a + b,
+            Rollup::Max => a.max(b),
+        }
+    }
+}
+
+/// One scalar field of [`MetricsSnapshot`], as declared in [`SCALARS`].
+/// Outside tests nothing reads `field` or `rollup` here: the merge is
+/// generated from the same declarations, and tests check it against these.
+#[derive(Debug)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct Scalar {
+    pub field: &'static str,
+    /// The exported sample, `family` or `family{labels}`; `None` keeps the
+    /// field out of the exposition.
+    pub series: Option<&'static str>,
+    pub help: &'static str,
+    /// The Prometheus type: `counter` or `gauge`.
+    pub kind: &'static str,
+    pub rollup: Rollup,
+}
+
+/// A scalar's value: a count, or a duration the exposition renders in
+/// seconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Num {
+    Count(u64),
+    Time(Duration),
+}
+
+impl From<u64> for Num {
+    fn from(n: u64) -> Num {
+        Num::Count(n)
+    }
+}
+
+impl From<usize> for Num {
+    fn from(n: usize) -> Num {
+        Num::Count(n as u64)
+    }
+}
+
+impl From<Duration> for Num {
+    fn from(d: Duration) -> Num {
+        Num::Time(d)
+    }
+}
+
+/// Declares each scalar of [`MetricsSnapshot`] once, in exposition order,
+/// as `field: kind, roll-up, series, help;`, and derives from that one list
+/// [`SCALARS`], [`MetricsSnapshot::scalars`] and the scalar half of
+/// [`MetricsSnapshot::merge`]. `scalars` destructures the snapshot without
+/// `..`, so a field added to the struct but not declared here does not
+/// compile (rustc reports that the pattern "requires `..`").
+macro_rules! scalars {
+    ($($field:ident: $kind:ident, $rollup:ident, $series:expr, $help:literal;)*) => {
+        /// The declaration table, in exposition order.
+        pub(crate) const SCALARS: &[Scalar] = &[$(Scalar {
+            field: stringify!($field),
+            series: $series,
+            help: $help,
+            kind: stringify!($kind),
+            rollup: Rollup::$rollup,
+        }),*];
+
+        impl MetricsSnapshot {
+            /// Every scalar's value, in [`SCALARS`] order.
+            pub(crate) fn scalars(&self) -> Vec<Num> {
+                let MetricsSnapshot {
+                    $($field,)*
+                    per_view: _,
+                    phase_timings: _,
+                    operator_timings: _,
+                    trace_events: _,
+                } = self;
+                vec![$(Num::from(*$field)),*]
+            }
+
+            /// Fold `other`'s scalars into these, each by its roll-up rule.
+            fn merge_scalars(&mut self, other: &MetricsSnapshot) {
+                $(self.$field = Rollup::$rollup.apply(self.$field, other.$field);)*
+            }
+        }
+    };
+}
+
+scalars! {
+    epochs: counter, Sum, Some("gpivot_epochs_total"),
+        "Completed refresh epochs";
+    epochs_failed: counter, Sum, Some("gpivot_epochs_failed_total"),
+        "Epochs rolled back after a failure";
+    batches_ingested: counter, Sum, Some("gpivot_batches_ingested_total"),
+        "Producer batches accepted";
+    rows_ingested: counter, Sum, Some("gpivot_rows_ingested_total"),
+        "Row changes accepted (pre-coalescing)";
+    ingest_waits: counter, Sum, Some("gpivot_ingest_waits_total"),
+        "Ingest calls that blocked on backpressure";
+    ingest_rejects: counter, Sum, Some("gpivot_ingest_rejects_total"),
+        "Ingest calls rejected with Backpressure";
+    panics_isolated: counter, Sum, Some("gpivot_panics_isolated_total"),
+        "Worker panics caught at the view-task boundary";
+    // Process-wide: every shard reads the same static.
+    lock_poisoned: counter, Max, Some("gpivot_lock_poisoned_total"),
+        "Poisoned lock guards recovered by the sync helpers";
+    rows_drained_raw: counter, Sum, Some("gpivot_rows_drained_raw_total"),
+        "Row changes drained into epochs before coalescing";
+    rows_drained_coalesced: counter, Sum, Some("gpivot_rows_drained_coalesced_total"),
+        "Row changes drained into epochs after cancellation";
+    delta_rows: counter, Sum, Some("gpivot_delta_rows_total"),
+        "Distinct delta rows reaching apply phases";
+    rows_propagated: counter, Sum, Some("gpivot_rows_propagated_total"),
+        "Operator-output rows evaluated during propagation";
+    rows_applied: counter, Sum, Some("gpivot_rows_applied_total"),
+        "Row effects applied to materialized tables";
+    sql_registrations: counter, Sum, Some("gpivot_sql_registrations_total"),
+        "Views registered through the SQL frontend";
+    sql_rewrite_hits: counter, Sum, Some("gpivot_sql_rewrites_total{outcome=\"hit\"}"),
+        "SQL SELECTs by view-rewrite outcome";
+    sql_rewrite_misses: counter, Sum, Some("gpivot_sql_rewrites_total{outcome=\"miss\"}"),
+        "SQL SELECTs by view-rewrite outcome";
+    wal_records: counter, Sum, Some("gpivot_wal_records_total"),
+        "WAL records appended";
+    wal_bytes: counter, Sum, Some("gpivot_wal_bytes_total"),
+        "WAL bytes written, framing included";
+    wal_fsyncs: counter, Sum, Some("gpivot_wal_fsyncs_total"),
+        "fsync calls issued by the WAL";
+    checkpoints: counter, Sum, Some("gpivot_checkpoints_total"),
+        "Checkpoints written (manual + automatic)";
+    last_checkpoint_bytes: gauge, Max, Some("gpivot_last_checkpoint_bytes"),
+        "Size of the most recent checkpoint file";
+    recoveries: counter, Sum, Some("gpivot_recovery_runs_total"),
+        "Crash recoveries performed at open";
+    recovery_replayed_records: counter, Sum, Some("gpivot_recovery_replayed_records_total"),
+        "WAL records replayed during recovery";
+    recovery_replayed_epochs: counter, Sum, Some("gpivot_recovery_replayed_epochs_total"),
+        "Committed epochs re-applied during recovery";
+    recovery_torn_tails: counter, Sum, Some("gpivot_recovery_torn_tails_total"),
+        "Torn WAL tails truncated during recovery";
+    recovery_corrupt_checkpoints: counter, Sum, Some("gpivot_recovery_corrupt_checkpoints_total"),
+        "Corrupt checkpoint files skipped during recovery";
+    pending_rows: gauge, Sum, Some("gpivot_pending_rows"),
+        "Coalesced row changes waiting in the queue";
+    pending_bytes: gauge, Sum, Some("gpivot_pending_bytes"),
+        "Estimated bytes held by the pending queue";
+    refresh_time: counter, Sum, Some("gpivot_refresh_seconds_total"),
+        "Wall-clock time spent in refresh epochs";
+    last_epoch_time: gauge, Max, None,
+        "Wall-clock time of the most recent non-empty epoch";
+}
+
 impl MetricsSnapshot {
     /// Fraction of drained row changes that survived coalescing
     /// (1.0 = nothing cancelled, 0.0 = everything cancelled).
@@ -187,10 +434,32 @@ impl MetricsSnapshot {
 
     /// Mean wall-clock latency of a completed epoch.
     pub fn mean_epoch_time(&self) -> Option<Duration> {
-        if self.epochs == 0 {
-            return None;
+        let total = self.refresh_time.as_nanos();
+        let mean = u64::try_from(total.checked_div(self.epochs.into())?);
+        Some(Duration::from_nanos(mean.unwrap_or(u64::MAX)))
+    }
+
+    /// Fold another snapshot into this one: each scalar by its declared
+    /// roll-up rule, per-view entries by their own merge, histograms
+    /// bucket-wise and event counts by sum. A sharded service rolls its
+    /// shards up with it; a durable service folds in its WAL counters.
+    pub(crate) fn merge(&mut self, other: &MetricsSnapshot) {
+        self.merge_scalars(other);
+        for (name, vm) in &other.per_view {
+            self.per_view.entry(name.clone()).or_default().merge(vm);
         }
-        Some(self.refresh_time / self.epochs as u32)
+        let timings = [
+            (&mut self.phase_timings, &other.phase_timings),
+            (&mut self.operator_timings, &other.operator_timings),
+        ];
+        for (into, from) in timings {
+            for (name, h) in from {
+                into.entry(name.clone()).or_default().merge(h);
+            }
+        }
+        for (name, n) in &other.trace_events {
+            *self.trace_events.entry(name.clone()).or_insert(0) += n;
+        }
     }
 
     /// Human-readable multi-line report (the `serve_dashboard` example).
@@ -292,23 +561,13 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "    lint: {w}");
             }
         }
-        if !self.phase_timings.is_empty() {
-            let _ = writeln!(out, "  phase timings:");
-            for (name, h) in &self.phase_timings {
-                let _ = writeln!(
-                    out,
-                    "    {name}: n={} p50={:?} p95={:?} max={:?} total={:?}",
-                    h.count(),
-                    h.p50(),
-                    h.p95(),
-                    h.max(),
-                    h.total(),
-                );
-            }
-        }
-        if !self.operator_timings.is_empty() {
-            let _ = writeln!(out, "  operator self-times:");
-            for (name, h) in &self.operator_timings {
+        let timings = [
+            ("phase timings", &self.phase_timings),
+            ("operator self-times", &self.operator_timings),
+        ];
+        for (title, histograms) in timings.into_iter().filter(|(_, m)| !m.is_empty()) {
+            let _ = writeln!(out, "  {title}:");
+            for (name, h) in histograms {
                 let _ = writeln!(
                     out,
                     "    {name}: n={} p50={:?} p95={:?} max={:?} total={:?}",
@@ -329,204 +588,30 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Prometheus text-format exposition: every counter as a `gpivot_*`
-    /// metric, span histograms as one `histogram` family with cumulative
-    /// log₂ `le` buckets, and trace events as a labelled counter family.
-    /// Ready to serve from a `/metrics` endpoint (or print, as the
+    /// Prometheus text-format exposition: every declared scalar as a
+    /// `gpivot_*` sample, span histograms as one `histogram` family with
+    /// cumulative log₂ `le` buckets, and trace events as a labelled counter
+    /// family. Ready to serve from a `/metrics` endpoint (or print, as the
     /// `serve_dashboard` example does).
     pub fn prometheus(&self) -> String {
-        fn counter(out: &mut String, name: &str, help: &str, v: u64) {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        fn gauge(out: &mut String, name: &str, help: &str, v: u64) {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        }
         let mut out = String::new();
-        counter(
-            &mut out,
-            "gpivot_epochs_total",
-            "Completed refresh epochs",
-            self.epochs,
-        );
-        counter(
-            &mut out,
-            "gpivot_epochs_failed_total",
-            "Epochs rolled back after a failure",
-            self.epochs_failed,
-        );
-        counter(
-            &mut out,
-            "gpivot_batches_ingested_total",
-            "Producer batches accepted",
-            self.batches_ingested,
-        );
-        counter(
-            &mut out,
-            "gpivot_rows_ingested_total",
-            "Row changes accepted (pre-coalescing)",
-            self.rows_ingested,
-        );
-        counter(
-            &mut out,
-            "gpivot_ingest_waits_total",
-            "Ingest calls that blocked on backpressure",
-            self.ingest_waits,
-        );
-        counter(
-            &mut out,
-            "gpivot_ingest_rejects_total",
-            "Ingest calls rejected with Backpressure",
-            self.ingest_rejects,
-        );
-        counter(
-            &mut out,
-            "gpivot_panics_isolated_total",
-            "Worker panics caught at the view-task boundary",
-            self.panics_isolated,
-        );
-        counter(
-            &mut out,
-            "gpivot_lock_poisoned_total",
-            "Poisoned lock guards recovered by the sync helpers",
-            self.lock_poisoned,
-        );
-        counter(
-            &mut out,
-            "gpivot_rows_drained_raw_total",
-            "Row changes drained into epochs before coalescing",
-            self.rows_drained_raw,
-        );
-        counter(
-            &mut out,
-            "gpivot_rows_drained_coalesced_total",
-            "Row changes drained into epochs after cancellation",
-            self.rows_drained_coalesced,
-        );
-        counter(
-            &mut out,
-            "gpivot_delta_rows_total",
-            "Distinct delta rows reaching apply phases",
-            self.delta_rows,
-        );
-        counter(
-            &mut out,
-            "gpivot_rows_propagated_total",
-            "Operator-output rows evaluated during propagation",
-            self.rows_propagated,
-        );
-        counter(
-            &mut out,
-            "gpivot_rows_applied_total",
-            "Row effects applied to materialized tables",
-            self.rows_applied,
-        );
-        counter(
-            &mut out,
-            "gpivot_sql_registrations_total",
-            "Views registered through the SQL frontend",
-            self.sql_registrations,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP gpivot_sql_rewrites_total SQL SELECTs by view-rewrite outcome"
-        );
-        let _ = writeln!(out, "# TYPE gpivot_sql_rewrites_total counter");
-        let _ = writeln!(
-            out,
-            "gpivot_sql_rewrites_total{{outcome=\"hit\"}} {}",
-            self.sql_rewrite_hits
-        );
-        let _ = writeln!(
-            out,
-            "gpivot_sql_rewrites_total{{outcome=\"miss\"}} {}",
-            self.sql_rewrite_misses
-        );
-        counter(
-            &mut out,
-            "gpivot_wal_records_total",
-            "WAL records appended",
-            self.wal_records,
-        );
-        counter(
-            &mut out,
-            "gpivot_wal_bytes_total",
-            "WAL bytes written, framing included",
-            self.wal_bytes,
-        );
-        counter(
-            &mut out,
-            "gpivot_wal_fsyncs_total",
-            "fsync calls issued by the WAL",
-            self.wal_fsyncs,
-        );
-        counter(
-            &mut out,
-            "gpivot_checkpoints_total",
-            "Checkpoints written (manual + automatic)",
-            self.checkpoints,
-        );
-        gauge(
-            &mut out,
-            "gpivot_last_checkpoint_bytes",
-            "Size of the most recent checkpoint file",
-            self.last_checkpoint_bytes,
-        );
-        counter(
-            &mut out,
-            "gpivot_recovery_runs_total",
-            "Crash recoveries performed at open",
-            self.recoveries,
-        );
-        counter(
-            &mut out,
-            "gpivot_recovery_replayed_records_total",
-            "WAL records replayed during recovery",
-            self.recovery_replayed_records,
-        );
-        counter(
-            &mut out,
-            "gpivot_recovery_replayed_epochs_total",
-            "Committed epochs re-applied during recovery",
-            self.recovery_replayed_epochs,
-        );
-        counter(
-            &mut out,
-            "gpivot_recovery_torn_tails_total",
-            "Torn WAL tails truncated during recovery",
-            self.recovery_torn_tails,
-        );
-        counter(
-            &mut out,
-            "gpivot_recovery_corrupt_checkpoints_total",
-            "Corrupt checkpoint files skipped during recovery",
-            self.recovery_corrupt_checkpoints,
-        );
-        gauge(
-            &mut out,
-            "gpivot_pending_rows",
-            "Coalesced row changes waiting in the queue",
-            self.pending_rows,
-        );
-        gauge(
-            &mut out,
-            "gpivot_pending_bytes",
-            "Estimated bytes held by the pending queue",
-            self.pending_bytes as u64,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP gpivot_refresh_seconds_total Wall-clock time spent in refresh epochs"
-        );
-        let _ = writeln!(out, "# TYPE gpivot_refresh_seconds_total counter");
-        let _ = writeln!(
-            out,
-            "gpivot_refresh_seconds_total {}",
-            self.refresh_time.as_secs_f64()
-        );
+        let mut family = "";
+        for (scalar, value) in SCALARS.iter().zip(self.scalars()) {
+            let Some(series) = scalar.series else {
+                continue;
+            };
+            // The labelled samples of one family share one header.
+            let name = series.split_once('{').map_or(series, |(name, _)| name);
+            if name != family {
+                family = name;
+                let _ = writeln!(out, "# HELP {name} {}", scalar.help);
+                let _ = writeln!(out, "# TYPE {name} {}", scalar.kind);
+            }
+            let _ = match value {
+                Num::Count(n) => writeln!(out, "{series} {n}"),
+                Num::Time(d) => writeln!(out, "{series} {}", d.as_secs_f64()),
+            };
+        }
         if !self.trace_events.is_empty() {
             let _ = writeln!(
                 out,
@@ -599,10 +684,184 @@ pub struct EpochSummary {
     pub duration: Duration,
 }
 
+impl EpochSummary {
+    /// Fold one service's part of a sharded epoch into the epoch's total.
+    /// Work adds up over every service; the drain counts are the
+    /// producer's, taken from the `root` alone, since the shards drain the
+    /// same rows again. The epoch number and wall clock belong to the
+    /// coordinator. No `..` below: a new field has to pick its rule.
+    pub(crate) fn absorb(&mut self, part: &EpochSummary, root: bool) {
+        let EpochSummary {
+            epoch: _,
+            views_refreshed,
+            batch_rows,
+            batches_drained,
+            delta_rows,
+            rows_propagated,
+            rows_applied,
+            quarantined_skipped,
+            retries,
+            duration: _,
+        } = part;
+        self.views_refreshed += views_refreshed;
+        self.delta_rows += delta_rows;
+        self.rows_propagated += rows_propagated;
+        self.rows_applied += rows_applied;
+        self.quarantined_skipped += quarantined_skipped;
+        self.retries += retries;
+        if root {
+            self.batch_rows += batch_rows;
+            self.batches_drained += batches_drained;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn histogram(samples_ns: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &ns in samples_ns {
+            h.record_ns(ns);
+        }
+        h
+    }
+
+    /// Every scalar a distinct non-zero value, one degraded and one
+    /// quarantined view, both histogram maps and two events.
+    fn populated() -> MetricsSnapshot {
+        let mut m = MetricsSnapshot {
+            epochs: 4,
+            epochs_failed: 3,
+            batches_ingested: 11,
+            rows_ingested: 1009,
+            ingest_waits: 13,
+            ingest_rejects: 17,
+            panics_isolated: 19,
+            lock_poisoned: 23,
+            rows_drained_raw: 997,
+            rows_drained_coalesced: 883,
+            delta_rows: 877,
+            rows_propagated: 4021,
+            rows_applied: 353,
+            refresh_time: Duration::from_micros(1_500),
+            last_epoch_time: Duration::from_micros(700),
+            sql_registrations: 29,
+            sql_rewrite_hits: 31,
+            sql_rewrite_misses: 37,
+            wal_records: 41,
+            wal_bytes: 40_961,
+            wal_fsyncs: 43,
+            checkpoints: 47,
+            last_checkpoint_bytes: 5_003,
+            recoveries: 53,
+            recovery_replayed_records: 59,
+            recovery_replayed_epochs: 61,
+            recovery_torn_tails: 67,
+            recovery_corrupt_checkpoints: 71,
+            pending_rows: 73,
+            pending_bytes: 7_919,
+            ..MetricsSnapshot::default()
+        };
+        m.per_view.insert(
+            "v_degraded".into(),
+            ViewMetrics {
+                refreshes: 79,
+                delta_rows: 83,
+                rows_propagated: 89,
+                rows_applied: 97,
+                refresh_time: Duration::from_micros(250),
+                failures: 101,
+                retries: 103,
+                health: ViewHealth::Degraded {
+                    consecutive_failures: 2,
+                },
+                lint_warnings: vec!["GP012 warning: a lint finding".into()],
+            },
+        );
+        m.per_view.insert(
+            "v_quarantined".into(),
+            ViewMetrics {
+                refreshes: 107,
+                failures: 109,
+                health: ViewHealth::Quarantined {
+                    since_epoch: 113,
+                    reason: "injected fault".into(),
+                },
+                ..ViewMetrics::default()
+            },
+        );
+        m.phase_timings
+            .insert("epoch".into(), histogram(&[300, 900, 5_000]));
+        m.operator_timings
+            .insert("op.Join".into(), histogram(&[40, 2_000]));
+        m.trace_events.insert("view.quarantine".into(), 127);
+        m.trace_events.insert("view.retry".into(), 131);
+        m
+    }
+
+    /// Both renderings are interfaces (scrapers parse one, operators read
+    /// the other); the golden files were rendered by the hand-written
+    /// exposition this table replaced.
+    #[test]
+    fn prometheus_and_report_match_the_golden_files() {
+        let m = populated();
+        assert_eq!(m.prometheus(), include_str!("../tests/golden/metrics.prom"));
+        assert_eq!(m.report(), include_str!("../tests/golden/metrics.report"));
+    }
+
+    #[test]
+    fn merge_folds_every_declared_scalar_by_its_rule() {
+        let part = populated();
+        let mut merged = part.clone();
+        merged.merge(&part);
+        let (once, twice) = (part.scalars(), merged.scalars());
+        for (i, scalar) in SCALARS.iter().enumerate() {
+            let want = match (scalar.rollup, once[i]) {
+                (Rollup::Max, v) => v,
+                (Rollup::Sum, Num::Count(n)) => Num::Count(2 * n),
+                (Rollup::Sum, Num::Time(d)) => Num::Time(2 * d),
+            };
+            let zero = once[i] == Num::Count(0) || once[i] == Num::Time(Duration::ZERO);
+            assert!(!zero, "{} is 0 in the fixture", scalar.field);
+            assert_eq!(twice[i], want, "{} rolled up wrongly", scalar.field);
+        }
+        let v = &merged.per_view["v_degraded"];
+        assert_eq!(v.refreshes, 2 * 79);
+        assert_eq!(v.lint_warnings.len(), 1, "lint warnings are kept once");
+        assert!(merged.per_view["v_quarantined"].health.is_quarantined());
+        assert_eq!(merged.phase_timings["epoch"].count(), 6);
+        assert_eq!(merged.trace_events["view.retry"], 2 * 131);
+    }
+
+    #[test]
+    fn mean_epoch_time_survives_two_to_the_32_epochs() {
+        let m = MetricsSnapshot {
+            epochs: 1 << 32,
+            refresh_time: Duration::from_secs(3 << 32),
+            ..MetricsSnapshot::default()
+        };
+        assert_eq!(m.mean_epoch_time(), Some(Duration::from_secs(3)));
+        assert!(m.report().contains("mean 3s"));
+    }
+
+    #[test]
+    fn after_failure_degrades_then_quarantines() {
+        let q = |since_epoch| ViewHealth::Quarantined {
+            since_epoch,
+            reason: "boom".into(),
+        };
+        let d = |consecutive_failures| ViewHealth::Degraded {
+            consecutive_failures,
+        };
+        let h = ViewHealth::Healthy;
+        assert_eq!(h.after_failure(3, 7, "boom"), d(1));
+        assert_eq!(d(1).after_failure(3, 7, "boom"), d(2));
+        assert_eq!(d(2).after_failure(3, 7, "boom"), q(7));
+        assert_eq!(h.after_failure(1, 7, "boom"), q(7));
+        assert_eq!(q(5).after_failure(3, 7, "other"), q(5));
+    }
     #[test]
     fn coalescing_ratio_handles_empty_and_nonempty() {
         let mut m = MetricsSnapshot::default();

@@ -696,11 +696,11 @@ impl ViewService {
             }
         }
         let mut m = sync::lock(&self.shared.metrics);
+        if waited {
+            m.ingest_waits += 1;
+        }
         if let Some(pending_rows) = rejected_at {
             m.ingest_rejects += 1;
-            if waited {
-                m.ingest_waits += 1;
-            }
             return Err(CoreError::Backpressure {
                 pending_rows,
                 watermark: self.shared.cfg.max_pending_rows(),
@@ -708,9 +708,6 @@ impl ViewService {
         }
         m.batches_ingested += 1;
         m.rows_ingested += rows;
-        if waited {
-            m.ingest_waits += 1;
-        }
         Ok(())
     }
 
@@ -794,14 +791,7 @@ impl ViewService {
         // against the pre-epoch catalog, in parallel, under the read lock
         // (concurrent queries keep running; nothing is written).
         let state = sync::read(&self.shared.state);
-        let quarantined: BTreeSet<String> = {
-            let m = sync::lock(&self.shared.metrics);
-            m.per_view
-                .iter()
-                .filter(|(_, v)| v.health.is_quarantined())
-                .map(|(n, _)| n.clone())
-                .collect()
-        };
+        let quarantined = self.quarantined();
         let (skipped, names): (Vec<&str>, Vec<&str>) = state
             .affected_views(&batch)
             .map(MaterializedView::name)
@@ -852,17 +842,19 @@ impl ViewService {
             }
         }
 
-        if !failures.is_empty() {
-            drop(state);
-            let first_err = failures[0].1.clone();
-            return self.roll_back_epoch(
+        let roll_back = |err, failures| {
+            self.roll_back_epoch(
                 &batch,
                 drained,
-                first_err,
+                err,
                 failures,
-                per_view_retries,
+                &per_view_retries,
                 total_panics,
-            );
+            )
+        };
+        if !failures.is_empty() {
+            drop(state);
+            return roll_back(failures[0].1.clone(), failures);
         }
 
         // Validate the base-table commit while still only holding the read
@@ -879,14 +871,7 @@ impl ViewService {
                 drop(state);
                 // A commit-site fault is a base-table problem, not any one
                 // view's: fail the epoch without degrading view health.
-                return self.roll_back_epoch(
-                    &batch,
-                    drained,
-                    e,
-                    vec![],
-                    per_view_retries,
-                    total_panics,
-                );
+                return roll_back(e, vec![]);
             }
         };
         let mut summary = EpochSummary {
@@ -917,14 +902,7 @@ impl ViewService {
         // the caller was told.
         if let Some(d) = &self.shared.durability {
             if let Err(e) = d.log_commit(self.epoch() + 1) {
-                return self.roll_back_epoch(
-                    &batch,
-                    drained,
-                    e,
-                    vec![],
-                    per_view_retries,
-                    total_panics,
-                );
+                return roll_back(e, vec![]);
             }
         }
 
@@ -944,22 +922,21 @@ impl ViewService {
         };
         summary.epoch = match committed_at {
             Ok(epoch) => epoch,
-            Err(stale) => {
-                return self.roll_back_epoch(
-                    &batch,
-                    drained,
-                    stale.into(),
-                    vec![],
-                    per_view_retries,
-                    total_panics,
-                );
-            }
+            Err(stale) => return roll_back(stale.into(), vec![]),
         };
         let epoch_time = start.elapsed();
         summary.duration = epoch_time;
 
+        // The `epoch` histogram is fed the *same* measured duration as the
+        // `refresh_time` counter, so the two reconcile exactly:
+        // `phase_timings["epoch"].count() == epochs` and
+        // `phase_timings["epoch"].total() == refresh_time`.
+        self.shared.tracer.record("epoch", epoch_time);
         {
             let mut m = sync::lock(&self.shared.metrics);
+            m.epochs += 1;
+            m.refresh_time += epoch_time;
+            m.last_epoch_time = epoch_time;
             m.delta_rows += summary.delta_rows;
             m.rows_propagated += summary.rows_propagated;
             m.rows_applied += summary.rows_applied;
@@ -978,7 +955,6 @@ impl ViewService {
                 vm.health = ViewHealth::Healthy;
             }
         }
-        self.finish_epoch_metrics(epoch_time);
         if self.shared.durability.is_some() {
             let every = self.shared.cfg.checkpoint_every_epochs();
             if every > 0 && summary.epoch.is_multiple_of(every) {
@@ -1045,14 +1021,7 @@ impl ViewService {
         queue_raw_rows: u64,
         queue_batches: u64,
     ) -> Result<CheckpointData> {
-        let quarantined: BTreeSet<String> = {
-            let m = sync::lock(&self.shared.metrics);
-            m.per_view
-                .iter()
-                .filter(|(_, v)| v.health.is_quarantined())
-                .map(|(n, _)| n.clone())
-                .collect()
-        };
+        let quarantined = self.quarantined();
         // The writer serializes schema + rows: hand it views that share
         // the rows, not deep copies of every key index.
         let mut tables = Vec::new();
@@ -1126,11 +1095,12 @@ impl ViewService {
         drained: crate::queue::DrainStats,
         err: CoreError,
         failures: Vec<(String, CoreError)>,
-        per_view_retries: Vec<(String, u64)>,
+        per_view_retries: &[(String, u64)],
         total_panics: u64,
     ) -> Result<EpochSummary> {
         let _s = tracing::span("epoch.rollback").enter();
         let epoch_now = self.epoch();
+        let quarantine_after = self.shared.cfg.quarantine_after();
         {
             let mut m = sync::lock(&self.shared.metrics);
             m.epochs_failed += 1;
@@ -1140,64 +1110,20 @@ impl ViewService {
             m.rows_drained_raw -= drained.raw_rows;
             m.rows_drained_coalesced -= drained.coalesced_rows;
             for (name, retries) in per_view_retries {
-                m.per_view.entry(name).or_default().retries += retries;
+                m.per_view.entry(name.clone()).or_default().retries += retries;
             }
             for (name, err) in &failures {
                 let vm: &mut ViewMetrics = m.per_view.entry(name.clone()).or_default();
                 vm.failures += 1;
                 let was_quarantined = vm.health.is_quarantined();
-                vm.health = match vm.health {
-                    ViewHealth::Healthy => {
-                        if self.shared.cfg.quarantine_after() <= 1 {
-                            ViewHealth::Quarantined {
-                                since_epoch: epoch_now,
-                                reason: err.to_string(),
-                            }
-                        } else {
-                            ViewHealth::Degraded {
-                                consecutive_failures: 1,
-                            }
-                        }
-                    }
-                    ViewHealth::Degraded {
-                        consecutive_failures,
-                    } => {
-                        let n = consecutive_failures + 1;
-                        if n >= self.shared.cfg.quarantine_after() {
-                            ViewHealth::Quarantined {
-                                since_epoch: epoch_now,
-                                reason: err.to_string(),
-                            }
-                        } else {
-                            ViewHealth::Degraded {
-                                consecutive_failures: n,
-                            }
-                        }
-                    }
-                    ViewHealth::Quarantined { .. } => vm.health.clone(),
-                };
+                vm.health = vm.health.after_failure(quarantine_after, epoch_now, err);
                 if vm.health.is_quarantined() && !was_quarantined {
                     tracing::event("view.quarantine", name);
                 }
             }
         }
-        {
-            let mut q = sync::lock(&self.shared.queue);
-            q.restore(batch, drained);
-        }
+        sync::lock(&self.shared.queue).restore(batch, drained);
         Err(err)
-    }
-
-    fn finish_epoch_metrics(&self, took: Duration) {
-        // The `epoch` histogram is fed the *same* measured duration as the
-        // `refresh_time` counter, so the two reconcile exactly:
-        // `phase_timings["epoch"].count() == epochs` and
-        // `phase_timings["epoch"].total() == refresh_time`.
-        self.shared.tracer.record("epoch", took);
-        let mut m = sync::lock(&self.shared.metrics);
-        m.epochs += 1;
-        m.refresh_time += took;
-        m.last_epoch_time = took;
     }
 
     /// The user-facing contents of a view (single consistent read).
@@ -1255,6 +1181,15 @@ impl ViewService {
         Ok(())
     }
 
+    /// Names of the views quarantined right now.
+    fn quarantined(&self) -> BTreeSet<String> {
+        let m = sync::lock(&self.shared.metrics);
+        m.quarantined_views()
+            .into_iter()
+            .map(String::from)
+            .collect()
+    }
+
     /// A consistent multi-view read: while the [`Snapshot`] is held, no
     /// epoch can commit, so every query through it sees the same epoch.
     pub fn snapshot(&self) -> Snapshot<'_> {
@@ -1269,14 +1204,7 @@ impl ViewService {
     /// [`ViewService::retry_view`] re-admits them.
     pub fn verify_all(&self) -> Result<bool> {
         let state = sync::read(&self.shared.state);
-        let quarantined: BTreeSet<String> = {
-            let m = sync::lock(&self.shared.metrics);
-            m.per_view
-                .iter()
-                .filter(|(_, v)| v.health.is_quarantined())
-                .map(|(n, _)| n.clone())
-                .collect()
-        };
+        let quarantined = self.quarantined();
         for name in state.view_names() {
             if quarantined.contains(name) {
                 continue;
@@ -1301,13 +1229,10 @@ impl ViewService {
         if let Some(d) = &self.shared.durability {
             // Durability counters live as atomics on the Durability handle
             // (the WAL mutex sits above the metrics mutex in the lock
-            // order, so they can't be folded in at write time).
-            let (records, bytes, fsyncs, checkpoints, last_bytes) = d.counters();
-            m.wal_records = records;
-            m.wal_bytes = bytes;
-            m.wal_fsyncs = fsyncs;
-            m.checkpoints = checkpoints;
-            m.last_checkpoint_bytes = last_bytes;
+            // order, so they can't be folded in at write time). The
+            // service's own copies stay 0, so the roll-up rules return the
+            // handle's values.
+            m.merge(&d.counters());
         }
         for (name, h) in self.shared.tracer.histograms() {
             if name.starts_with("op.") {

@@ -39,7 +39,7 @@
 //! [`ShardedService::from_single`], but a multi-shard service refuses to
 //! checkpoint (the WAL protocol has no cross-shard commit record yet).
 
-use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth, ViewMetrics};
+use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth};
 use crate::service::{run_on_pool, IngestOptions, ServeConfig, Snapshot, ViewService};
 use crate::sync;
 use gpivot_algebra::Plan;
@@ -756,19 +756,11 @@ impl ShardedService {
         summaries.extend(self.refresh_all_locked()?);
 
         let mut out = EpochSummary::default();
-        // Producer-facing drain counts come from the root (shards see the
-        // same rows again, which would double-count); work counters sum.
-        for s in &summaries {
-            out.views_refreshed += s.views_refreshed;
-            out.delta_rows += s.delta_rows;
-            out.rows_propagated += s.rows_propagated;
-            out.rows_applied += s.rows_applied;
-            out.quarantined_skipped += s.quarantined_skipped;
-            out.retries += s.retries;
+        // Each refresh round lists the root first, then the shards.
+        let round = self.services().len();
+        for (i, s) in summaries.iter().enumerate() {
+            out.absorb(s, i % round == 0);
         }
-        let root_epochs = summaries.iter().step_by(self.services().len());
-        out.batch_rows = root_epochs.clone().map(|s| s.batch_rows).sum();
-        out.batches_drained = root_epochs.map(|s| s.batches_drained).sum();
         if summaries
             .iter()
             .any(|s| s.views_refreshed > 0 || s.batch_rows > 0)
@@ -920,7 +912,7 @@ impl ShardedService {
         }
         let mut worst = ViewHealth::Healthy;
         for svc in self.shard_services() {
-            worst = worse_health(worst, svc.view_health(name)?);
+            worst = worst.worse(svc.view_health(name)?);
         }
         Ok(worst)
     }
@@ -952,16 +944,17 @@ impl ShardedService {
         Ok(true)
     }
 
-    /// Rolled-up metrics: counters summed across the root and every
-    /// shard, per-view entries merged (worst health wins, histograms
-    /// folded), with each view's GP023/GP024 placement diagnostic
-    /// appended to its lint warnings. Physical-work semantics: a routed
-    /// ingest counts once at the root and once per shard it reached; use
-    /// `root().metrics()` for producer-facing accounting.
+    /// Rolled-up metrics: the root and every shard folded by each
+    /// counter's declared roll-up rule (`MetricsSnapshot::merge`: worst
+    /// health wins, histograms folded), with each view's GP023/GP024
+    /// placement diagnostic appended to its lint warnings. Physical-work
+    /// semantics: a routed ingest counts once at the root and once per
+    /// shard it reached; use `root().metrics()` for producer-facing
+    /// accounting.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut merged = self.inner.root.metrics();
         for svc in self.shard_services() {
-            merge_metrics(&mut merged, &svc.metrics());
+            merged.merge(&svc.metrics());
         }
         let router = sync::read(&self.inner.router);
         for (name, placement) in &router.views {
@@ -1084,96 +1077,6 @@ impl ShardSnapshot<'_> {
     /// Where a view is placed, if registered through the sharded API.
     pub fn placement(&self, name: &str) -> Option<&ViewPlacement> {
         self.placements.get(name)
-    }
-}
-
-/// The worse of two health states: `Quarantined` > `Degraded` (more
-/// consecutive failures is worse) > `Healthy`.
-fn worse_health(a: ViewHealth, b: ViewHealth) -> ViewHealth {
-    use ViewHealth::*;
-    match (a, b) {
-        (q @ Quarantined { .. }, _) => q,
-        (_, q @ Quarantined { .. }) => q,
-        (
-            Degraded {
-                consecutive_failures: x,
-            },
-            Degraded {
-                consecutive_failures: y,
-            },
-        ) => Degraded {
-            consecutive_failures: x.max(y),
-        },
-        (d @ Degraded { .. }, Healthy) => d,
-        (Healthy, other) => other,
-    }
-}
-
-fn merge_view_metrics(into: &mut ViewMetrics, other: &ViewMetrics) {
-    into.refreshes += other.refreshes;
-    into.delta_rows += other.delta_rows;
-    into.rows_propagated += other.rows_propagated;
-    into.rows_applied += other.rows_applied;
-    into.refresh_time += other.refresh_time;
-    into.failures += other.failures;
-    into.retries += other.retries;
-    into.health = worse_health(into.health.clone(), other.health.clone());
-    for w in &other.lint_warnings {
-        if !into.lint_warnings.contains(w) {
-            into.lint_warnings.push(w.clone());
-        }
-    }
-}
-
-/// Fold one shard's metrics into the roll-up: counters and gauges sum,
-/// per-view entries merge, histograms fold bucket-wise.
-fn merge_metrics(into: &mut MetricsSnapshot, other: &MetricsSnapshot) {
-    into.epochs += other.epochs;
-    into.epochs_failed += other.epochs_failed;
-    into.batches_ingested += other.batches_ingested;
-    into.rows_ingested += other.rows_ingested;
-    into.ingest_waits += other.ingest_waits;
-    into.ingest_rejects += other.ingest_rejects;
-    into.panics_isolated += other.panics_isolated;
-    // Process-wide counter: every shard reads the same static, so the
-    // roll-up takes the max instead of multiplying it by the shard count.
-    into.lock_poisoned = into.lock_poisoned.max(other.lock_poisoned);
-    into.rows_drained_raw += other.rows_drained_raw;
-    into.rows_drained_coalesced += other.rows_drained_coalesced;
-    into.delta_rows += other.delta_rows;
-    into.rows_propagated += other.rows_propagated;
-    into.rows_applied += other.rows_applied;
-    into.refresh_time += other.refresh_time;
-    into.last_epoch_time = into.last_epoch_time.max(other.last_epoch_time);
-    into.sql_registrations += other.sql_registrations;
-    into.sql_rewrite_hits += other.sql_rewrite_hits;
-    into.sql_rewrite_misses += other.sql_rewrite_misses;
-    into.wal_records += other.wal_records;
-    into.wal_bytes += other.wal_bytes;
-    into.wal_fsyncs += other.wal_fsyncs;
-    into.checkpoints += other.checkpoints;
-    into.last_checkpoint_bytes = into.last_checkpoint_bytes.max(other.last_checkpoint_bytes);
-    into.recoveries += other.recoveries;
-    into.recovery_replayed_records += other.recovery_replayed_records;
-    into.recovery_replayed_epochs += other.recovery_replayed_epochs;
-    into.recovery_torn_tails += other.recovery_torn_tails;
-    into.recovery_corrupt_checkpoints += other.recovery_corrupt_checkpoints;
-    into.pending_rows += other.pending_rows;
-    into.pending_bytes += other.pending_bytes;
-    for (name, vm) in &other.per_view {
-        merge_view_metrics(into.per_view.entry(name.clone()).or_default(), vm);
-    }
-    for (name, h) in &other.phase_timings {
-        into.phase_timings.entry(name.clone()).or_default().merge(h);
-    }
-    for (name, h) in &other.operator_timings {
-        into.operator_timings
-            .entry(name.clone())
-            .or_default()
-            .merge(h);
-    }
-    for (name, n) in &other.trace_events {
-        *into.trace_events.entry(name.clone()).or_insert(0) += n;
     }
 }
 
@@ -1566,18 +1469,100 @@ mod tests {
         let d = ViewHealth::Degraded {
             consecutive_failures: 2,
         };
-        assert_eq!(worse_health(ViewHealth::Healthy, q.clone()), q);
-        assert_eq!(worse_health(d.clone(), ViewHealth::Healthy), d);
+        assert_eq!(ViewHealth::Healthy.worse(q.clone()), q);
+        assert_eq!(d.clone().worse(ViewHealth::Healthy), d);
         assert_eq!(
-            worse_health(
-                d,
-                ViewHealth::Degraded {
-                    consecutive_failures: 5
-                }
-            ),
+            d.worse(ViewHealth::Degraded {
+                consecutive_failures: 5
+            }),
             ViewHealth::Degraded {
                 consecutive_failures: 5
             }
         );
+    }
+
+    /// `metrics()` folds the root and every shard by the declaration
+    /// table: each declared scalar is the sum of the services' values, or
+    /// their max where its rule says so; a view's health is its worst
+    /// shard's; a lint warning every shard recorded appears once.
+    #[test]
+    fn metrics_roll_up_follows_the_declaration_table() {
+        use crate::metrics::{Num, SCALARS};
+        let injector = FaultInjector::seeded(7).with_site(FaultSite::Propagate, 1.0, 0.0);
+        injector.disarm();
+        let mut cat = catalog();
+        cat.set_fault_injector(injector.clone());
+        let svc = ShardedService::new(cat, cfg(2, 0));
+        // A null-tolerant selection over a pivoted cell: shard-safe, and
+        // linted GP011 on every shard.
+        let cell =
+            gpivot_algebra::Expr::col(gpivot_algebra::encode_pivot_col(&[Value::str("a")], "val"));
+        let plan = PlanBuilder::from_plan(pivot_plan())
+            .select(gpivot_algebra::Expr::IsNull(Box::new(cell)))
+            .build();
+        svc.register_view("pv", plan).unwrap();
+        assert!(svc.placement("pv").unwrap().is_sharded());
+        svc.ingest_with(
+            "facts",
+            Delta::from_inserts(vec![row![3, "a", 7], row![4, "b", 8]]),
+            IngestOptions::blocking(),
+        )
+        .unwrap();
+        svc.refresh_epoch().unwrap();
+        svc.record_sql_rewrite(Some("pv"));
+        // One shard fails an epoch on its own: only it degrades.
+        let failing = &svc.inner.workers[0];
+        failing
+            .ingest_with(
+                "facts",
+                Delta::from_inserts(vec![row![9, "a", 1]]),
+                IngestOptions::blocking(),
+            )
+            .unwrap();
+        injector.arm();
+        assert!(failing.refresh_epoch().is_err());
+        injector.disarm();
+
+        // `lock_poisoned` is process-wide; read while no other test bumps it.
+        let (parts, rolled) = loop {
+            let before = sync::poisoned_total();
+            let parts: Vec<MetricsSnapshot> = svc.services().iter().map(|s| s.metrics()).collect();
+            let rolled = svc.metrics();
+            if sync::poisoned_total() == before {
+                break (parts, rolled);
+            }
+        };
+        let values: Vec<Vec<Num>> = parts.iter().map(MetricsSnapshot::scalars).collect();
+        for (i, (scalar, got)) in SCALARS.iter().zip(rolled.scalars()).enumerate() {
+            let want = values.iter().map(|v| v[i]).reduce(|a, b| match (a, b) {
+                (Num::Count(a), Num::Count(b)) => Num::Count(scalar.rollup.apply(a, b)),
+                (Num::Time(a), Num::Time(b)) => Num::Time(scalar.rollup.apply(a, b)),
+                _ => unreachable!("{} changed type", scalar.field),
+            });
+            assert_eq!(
+                Some(got),
+                want,
+                "{} is not its parts' roll-up",
+                scalar.field
+            );
+        }
+
+        let health: Vec<ViewHealth> = parts
+            .iter()
+            .filter_map(|p| p.per_view.get("pv").map(|v| v.health.clone()))
+            .collect();
+        assert!(health.contains(&ViewHealth::Healthy));
+        let degraded = ViewHealth::Degraded {
+            consecutive_failures: 1,
+        };
+        assert!(health.contains(&degraded));
+        assert_eq!(rolled.per_view["pv"].health, degraded);
+        assert_eq!(svc.view_health("pv").unwrap(), degraded);
+
+        let warnings = &rolled.per_view["pv"].lint_warnings;
+        let gp011 = warnings.iter().filter(|w| w.contains("GP011")).count();
+        assert_eq!(gp011, 1, "{warnings:?}");
+        let gp024 = warnings.iter().filter(|w| w.contains("GP024")).count();
+        assert_eq!(gp024, 1, "{warnings:?}");
     }
 }

@@ -363,6 +363,10 @@ fn restart_roundtrip_preserves_views_and_epoch() {
     assert_eq!(svc.epoch(), epoch_before, "epoch counter not restored");
     assert_views_match(&svc, &oracle, "after restart");
     assert!(base_matches(&svc, &oracle));
+    // The WAL counters count what this process wrote, and it wrote nothing
+    // yet: the log tail it reopened belongs to the previous one.
+    let m = svc.metrics();
+    assert_eq!((m.wal_bytes, m.wal_records), (0, 0), "counted a prior log");
 
     // The rows those reads projected (never persisted: rebuilt on first
     // read over the checkpointed tables) are patched by the next epoch.
@@ -378,6 +382,10 @@ fn restart_roundtrip_preserves_views_and_epoch() {
     assert_views_match(&svc, &oracle, "one epoch after restart");
 
     let m = svc.metrics();
+    assert!(
+        m.wal_bytes > 0 && m.wal_records > 0,
+        "the epoch was not counted"
+    );
     assert_eq!(m.recoveries, 1);
     assert!(m.report().contains("recovery:"));
     assert!(m.prometheus().contains("gpivot_recovery_runs_total 1"));

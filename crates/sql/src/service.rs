@@ -24,7 +24,7 @@ use crate::parser::{parse_statement, Statement};
 use crate::rewrite::rewrite;
 use gpivot_algebra::Plan;
 use gpivot_analyze::analyze;
-use gpivot_core::Strategy;
+use gpivot_core::{CoreError, Strategy};
 use gpivot_exec::Overlay;
 use gpivot_serve::{ServeConfig, ShardedService, ViewService};
 use gpivot_storage::{Catalog, Table};
@@ -97,14 +97,22 @@ impl GpivotService {
     /// `seed_catalog` and starts logging to `dir`. The returned
     /// [`gpivot_serve::RecoveryReport`] says which happened.
     ///
-    /// Durability is single-shard: `cfg.sharding` is ignored here and the
-    /// restored service runs unsharded (the checkpoint + WAL protocol has
-    /// no cross-shard commit record).
+    /// Durability is single-shard (the checkpoint + WAL protocol has no
+    /// cross-shard commit record): a `cfg` with more than one shard is
+    /// refused as an `InvalidConfig` engine error before `dir` is touched.
     pub fn open(
         dir: impl AsRef<std::path::Path>,
         seed_catalog: Catalog,
         cfg: ServeConfig,
     ) -> Result<(Self, gpivot_serve::RecoveryReport)> {
+        let shards = cfg.sharding().shards;
+        if shards > 1 {
+            let refused = CoreError::InvalidConfig {
+                field: "shards".into(),
+                message: format!("durable open is single-shard only ({shards} shards asked)"),
+            };
+            return Err(SqlError::Engine(refused.to_string()));
+        }
         let parse = |sql: &str| crate::parser::parse_query(sql).map_err(|e| e.to_string());
         let (inner, report) = ViewService::open(dir, seed_catalog, cfg, &parse)
             .map_err(|e| SqlError::Engine(e.to_string()))?;

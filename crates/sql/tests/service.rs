@@ -183,3 +183,21 @@ fn parse_errors_carry_spans_and_engine_errors_do_not_panic() {
     let err = svc.execute_sql("SELECT * FROM no_such_table").unwrap_err();
     assert!(matches!(err, SqlError::Engine(_)), "got: {err}");
 }
+
+#[test]
+fn durable_open_refuses_a_sharded_config() {
+    let cfg = gpivot_serve::ServeConfig::builder()
+        .shards(2)
+        .build()
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("gpivot-sql-sharded-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = GpivotService::open(&dir, gpivot_storage::Catalog::new(), cfg)
+        .err()
+        .expect("a two-shard durable open must be refused");
+    assert!(
+        matches!(&err, SqlError::Engine(m) if m.contains("shards")),
+        "got: {err}"
+    );
+    assert!(!dir.exists(), "a refused open must not touch its directory");
+}
