@@ -16,7 +16,7 @@
 use crate::error::{CoreError, Result};
 use gpivot_algebra::PivotSpec;
 use gpivot_exec::pivot::PivotLayout;
-use gpivot_storage::{Delta, Row, Schema, Table, Value};
+use gpivot_storage::{Row, Schema, Table, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -119,13 +119,21 @@ pub fn apply_row_ops(
 /// One key's pending cell changes: `(group index, signed weight, measures)`.
 type CellChanges = Vec<(usize, i64, Vec<Value>)>;
 
-/// Collect the per-key cell changes carried by a pivot-input delta.
+/// Collect the per-key cell changes carried by a pivot-input delta, given
+/// as signed rows in which equal rows may repeat.
 ///
 /// Rows whose dimension tuple is not an output parameter, or whose measures
-/// are all `⊥`, are irrelevant to the pivot output and skipped.
-pub fn collect_cell_changes(delta_core: &Delta, layout: &PivotLayout) -> HashMap<Row, CellChanges> {
+/// are all `⊥`, are irrelevant to the pivot output and skipped. Under each
+/// key the weights of equal `(cell, measures)` entries are added up, and
+/// entries (and keys) that sum to zero are dropped: a core row is exactly
+/// `K ∪ by ∪ on`, so this is whole-row consolidation, done only for the
+/// rows the pivot keeps.
+pub fn collect_cell_changes(
+    delta_core: &[(Row, i64)],
+    layout: &PivotLayout,
+) -> HashMap<Row, CellChanges> {
     let mut by_key: HashMap<Row, CellChanges> = HashMap::new();
-    for (row, &w) in delta_core.iter() {
+    for (row, w) in delta_core {
         let tags = row.project(&layout.by_idx);
         let Some(&gi) = layout.group_lookup.get(&tags) else {
             continue;
@@ -133,24 +141,32 @@ pub fn collect_cell_changes(delta_core: &Delta, layout: &PivotLayout) -> HashMap
         if layout.on_idx.iter().all(|&oi| row[oi].is_null()) {
             continue;
         }
-        let measures: Vec<Value> = layout.on_idx.iter().map(|&oi| row[oi].clone()).collect();
-        by_key
-            .entry(row.project(&layout.k_idx))
-            .or_default()
-            .push((gi, w, measures));
+        let measures = || layout.on_idx.iter().map(|&oi| &row[oi]);
+        let changes = by_key.entry(row.project(&layout.k_idx)).or_default();
+        match changes
+            .iter_mut()
+            .find(|(g, _, m)| *g == gi && m.iter().eq(measures()))
+        {
+            Some((_, sum, _)) => *sum += w,
+            None => changes.push((gi, *w, measures().cloned().collect())),
+        }
     }
+    by_key.retain(|_, changes| {
+        changes.retain(|(_, w, _)| *w != 0);
+        !changes.is_empty()
+    });
     by_key
 }
 
-/// Fig. 23's update rules: MERGE `delta_core` (a delta over the pivot
-/// input with schema `core_schema`) into the pivoted materialized view —
-/// as a patch against `mv`, which is left untouched ([`apply_row_ops`]
-/// installs it).
+/// Fig. 23's update rules: MERGE `delta_core` (signed rows over the pivot
+/// input with schema `core_schema`, not necessarily consolidated) into the
+/// pivoted materialized view — as a patch against `mv`, which is left
+/// untouched ([`apply_row_ops`] installs it).
 pub fn plan_pivot_update(
     mv: &Table,
     spec: &PivotSpec,
     core_schema: &Schema,
-    delta_core: &Delta,
+    delta_core: &[(Row, i64)],
 ) -> Result<(Vec<RowOp>, ApplyStats)> {
     let layout = PivotLayout::resolve(spec, core_schema)?;
     let n_k = layout.k_idx.len();
@@ -214,14 +230,20 @@ pub(crate) fn overwrite_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_storage::{row, DataType};
+    use crate::maintain::delta_prop::consolidate;
+    use gpivot_storage::{row, DataType, Delta};
+
+    /// A delta as the signed rows the apply rules take.
+    fn signed(d: &Delta) -> Vec<(Row, i64)> {
+        d.iter().map(|(r, &w)| (r.clone(), w)).collect()
+    }
 
     /// Plan the Fig. 23 MERGE and apply it in place.
     fn apply_pivot_update(
         mv: &mut Table,
         spec: &PivotSpec,
         core_schema: &Schema,
-        delta_core: &Delta,
+        delta_core: &[(Row, i64)],
     ) -> Result<ApplyStats> {
         let (ops, stats) = plan_pivot_update(mv, spec, core_schema, delta_core)?;
         apply_row_ops(mv, ops, None);
@@ -267,7 +289,7 @@ mod tests {
     fn insert_new_key() {
         let mut t = mv();
         let d = Delta::from_inserts(vec![row![3, "a", 99]]);
-        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         assert_eq!(
             stats,
             ApplyStats {
@@ -289,7 +311,7 @@ mod tests {
         let mut d = Delta::new();
         d.add(row![2, "a", 30], -1);
         d.add(row![2, "a", 77], 1);
-        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         assert_eq!(
             stats,
             ApplyStats {
@@ -305,7 +327,7 @@ mod tests {
     fn delete_cell_keeps_row_with_other_cells() {
         let mut t = mv();
         let d = Delta::from_deletes(vec![row![1, "a", 10]]);
-        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         assert_eq!(stats.updated, 1);
         let r = t.get_by_key(&row![1]).unwrap();
         assert!(r[1].is_null());
@@ -316,7 +338,7 @@ mod tests {
     fn delete_last_cell_removes_row() {
         let mut t = mv();
         let d = Delta::from_deletes(vec![row![2, "a", 30]]);
-        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         assert_eq!(stats.deleted, 1);
         assert!(t.get_by_key(&row![2]).is_none());
     }
@@ -325,7 +347,7 @@ mod tests {
     fn fill_empty_cell_of_existing_row() {
         let mut t = mv();
         let d = Delta::from_inserts(vec![row![2, "b", 55]]);
-        apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         let r = t.get_by_key(&row![2]).unwrap();
         assert_eq!(r[2], Value::Int(55));
         assert_eq!(r[1], Value::Int(30));
@@ -340,7 +362,7 @@ mod tests {
             Row::new(vec![Value::Int(1), Value::str("a"), Value::Null]),
             1,
         ); // all-⊥ measures
-        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         assert_eq!(stats.total(), 0);
     }
 
@@ -348,8 +370,29 @@ mod tests {
     fn deletes_for_absent_key_are_noops() {
         let mut t = mv();
         let d = Delta::from_deletes(vec![row![9, "a", 1]]);
-        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &d).unwrap();
+        let stats = apply_pivot_update(&mut t, &spec(), &core_schema(), &signed(&d)).unwrap();
         assert_eq!(stats.total(), 0);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn unconsolidated_rows_plan_the_patch_of_their_consolidation() {
+        // Key 9 is outside the view; key 1 holds both cells, key 2 only `a`.
+        let cases = [row![9, "a", 5], row![1, "a", 10], row![2, "b", 55]]
+            .into_iter()
+            .flat_map(|r| {
+                [
+                    vec![(r.clone(), 1), (r.clone(), -1)],
+                    vec![(r.clone(), 1), (r.clone(), 1), (r.clone(), -1)],
+                ]
+            });
+        for rows in cases {
+            let consolidated = signed(&consolidate(rows.iter().cloned()));
+            assert_eq!(
+                plan_pivot_update(&mv(), &spec(), &core_schema(), &rows).unwrap(),
+                plan_pivot_update(&mv(), &spec(), &core_schema(), &consolidated).unwrap(),
+                "{rows:?}"
+            );
+        }
     }
 }

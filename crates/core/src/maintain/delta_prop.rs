@@ -5,12 +5,24 @@
 //! Conventions:
 //!
 //! * The catalog holds the **pre-update** state; source deltas are the
-//!   pending changes. `propagate(plan)` returns `Δ(plan) = plan(post) −
-//!   plan(pre)` as a signed multiset.
+//!   pending changes. `propagate_signed(plan)` returns `Δ(plan) =
+//!   plan(post) − plan(pre)` as [`SignedRows`]: a flat list of weighted
+//!   rows in which equal rows may repeat and their weights add.
+//!   [`propagate`] is that list consolidated into a [`Delta`].
+//! * **Consolidation happens only where a rule needs it.** σ, π, ⋈, ∪ and
+//!   `GUNPIVOT` are linear in a signed multiset, so they map, filter, join
+//!   and concatenate the list without ever adding up equal rows. The rules
+//!   that build a post state (`GROUPBY`, an intermediate `GPIVOT`, `Diff`)
+//!   consolidate their input first, because [`post_state_table`] needs
+//!   each row once; so do the apply rules that test a row's presence
+//!   (`collect_cell_changes`, Fig. 29's candidate recompute, the
+//!   insert/delete patch).
 //! * Join propagation uses the exact three-term bag identity
 //!   `Δ(A ⋈ B) = ΔA ⋈ B_pre ⊎ A_pre ⋈ ΔB ⊎ ΔA ⋈ ΔB` (signed weights
 //!   multiply in the last term). Only pre states appear, and only the rows
-//!   of them a delta's join keys can reach are ever fetched.
+//!   of them a delta's join keys can reach are ever fetched. Each term
+//!   builds a hash table on the delta side, keyed by the join columns read
+//!   in place, and pushes the joined rows straight to the output list.
 //! * `GROUPBY` inside the tree uses the insert/delete rules of \[18\]:
 //!   identify affected groups, recompute them from pre and post states, and
 //!   emit delete+insert pairs — exactly the "costly identification and then
@@ -38,7 +50,20 @@ use gpivot_exec::pivot::{PivotLayout, UnpivotLayout};
 use gpivot_exec::{Executor, Overlay, TableProvider};
 use gpivot_storage::{Catalog, Delta, Row, Schema, Table, Value};
 use std::cell::Cell;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
+
+/// A signed multiset as a flat list: each row carries a non-zero weight
+/// (negative = deleted), equal rows may repeat, and their weights add.
+/// Propagation produces it; a rule that needs each row once calls
+/// [`consolidate`].
+pub type SignedRows = Vec<(Row, i64)>;
+
+/// Add up the weights of equal rows, dropping the ones that cancel.
+pub fn consolidate(rows: impl IntoIterator<Item = (Row, i64)>) -> Delta {
+    rows.into_iter().collect()
+}
 
 /// Overlay names of the restricted children a single operator node runs
 /// over in [`PropagationCtx::eval_pre_matching`].
@@ -279,7 +304,8 @@ impl<'a> PropagationCtx<'a> {
             if let Some(delta) = self.deltas.delta(&table) {
                 if !delta.is_empty() {
                     let pre = self.catalog.table(&table)?;
-                    overlay.put(table.clone(), post_state_table(pre, delta));
+                    let rows = delta.iter().map(|(r, &w)| (r, w));
+                    overlay.put(table.clone(), post_state_table(pre, rows));
                 }
             }
         }
@@ -312,49 +338,67 @@ fn non_null_keys<'r>(rows: impl Iterator<Item = &'r Row>, idx: &[usize]) -> Hash
 }
 
 /// Build the post-update state of one table as a bag (pre ⊕ delta).
-pub fn post_state_table(pre: &Table, delta: &Delta) -> Table {
+/// `delta` must be consolidated — each row at most once, as a [`Delta`]
+/// iterates — since a row's weight says how many copies to drop or add.
+pub fn post_state_table<'r>(pre: &Table, delta: impl IntoIterator<Item = (&'r Row, i64)>) -> Table {
     let mut deleted: HashMap<&Row, i64> = HashMap::new();
-    for (row, &w) in delta.iter() {
+    let mut inserted = Vec::new();
+    for (row, w) in delta {
         if w < 0 {
             deleted.insert(row, -w);
+        } else {
+            inserted.extend(std::iter::repeat_n(row, w as usize));
         }
     }
-    let mut rows = Vec::with_capacity(pre.len());
+    let mut rows = Vec::with_capacity(pre.len() + inserted.len());
     for row in pre.iter() {
         match deleted.get_mut(row) {
             Some(c) if *c > 0 => *c -= 1,
             _ => rows.push(row.clone()),
         }
     }
-    for (row, &w) in delta.iter() {
-        for _ in 0..w.max(0) {
-            rows.push(row.clone());
-        }
-    }
+    rows.extend(inserted.into_iter().cloned());
     Table::bag(pre.schema().clone(), rows)
 }
 
-/// Propagate source deltas through `plan`, returning the output delta.
+/// Propagate source deltas through `plan`, returning the output delta
+/// consolidated: [`propagate_signed`] with equal rows' weights added.
 pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
+    Ok(consolidate(propagate_signed(plan, ctx)?))
+}
+
+/// The old rows retracted and the new rows inserted, unconsolidated: the
+/// output of the rules that recompute affected groups or keys.
+fn replace_rows(old: &Table, new: &Table) -> SignedRows {
+    let old = old.iter().map(|r| (r.clone(), -1));
+    old.chain(new.iter().map(|r| (r.clone(), 1))).collect()
+}
+
+/// Propagate source deltas through `plan`, returning the output delta as
+/// signed rows that are not consolidated (equal rows may repeat).
+pub fn propagate_signed(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<SignedRows> {
     // Untouched subtrees contribute no delta.
     if !ctx.touches(plan) {
-        return Ok(Delta::new());
+        return Ok(SignedRows::new());
     }
     match plan {
-        Plan::Scan { table } => Ok(ctx.deltas.delta(table).cloned().unwrap_or_default()),
+        Plan::Scan { table } => Ok(ctx.deltas.delta(table).map_or_else(SignedRows::new, |d| {
+            d.iter().map(|(r, &w)| (r.clone(), w)).collect()
+        })),
 
         Plan::Select { input, predicate } => {
-            let din = propagate(input, ctx)?;
+            let mut din = propagate_signed(input, ctx)?;
             if din.is_empty() {
                 return Ok(din);
             }
             let schema = input.schema(ctx.catalog)?;
             let bound = predicate.bind(&schema)?;
-            Ok(din.filter_rows(|r| bound.holds(r)))
+            din.retain(|(r, _)| bound.holds(r));
+            Ok(din)
         }
 
         Plan::Project { input, items } => {
-            let din = propagate(input, ctx)?;
+            let mut din = propagate_signed(input, ctx)?;
             if din.is_empty() {
                 return Ok(din);
             }
@@ -363,7 +407,10 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                 .iter()
                 .map(|(e, _)| e.bind(&schema))
                 .collect::<gpivot_algebra::Result<_>>()?;
-            Ok(din.map_rows(|r| Row::new(bound.iter().map(|b| b.eval(r)).collect())))
+            for (r, _) in &mut din {
+                *r = Row::new(bound.iter().map(|b| b.eval(r)).collect());
+            }
+            Ok(din)
         }
 
         Plan::Join {
@@ -379,15 +426,15 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                      use full recomputation"
                 )));
             }
-            let dl = propagate(left, ctx)?;
-            let dr = propagate(right, ctx)?;
+            let dl = propagate_signed(left, ctx)?;
+            let dr = propagate_signed(right, ctx)?;
             let (left_names, right_names): (Vec<String>, Vec<String>) = on.iter().cloned().unzip();
             let left_on = positions(&*left.schema(ctx.catalog)?, &left_names)?;
             let right_on = positions(&*right.schema(ctx.catalog)?, &right_names)?;
             let out_schema = plan.schema(ctx.catalog)?;
             let bound_res = residual.as_ref().map(|e| e.bind(&out_schema)).transpose()?;
 
-            let mut out = Delta::new();
+            let mut out = SignedRows::new();
             // ΔA ⋈ B_pre: probe B with ΔA's join keys.
             if !dl.is_empty() {
                 let keys = non_null_keys(dl.iter().map(|(r, _)| r), &left_on);
@@ -417,15 +464,17 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                     bound_res.as_ref(),
                     &mut out,
                 );
-                delta_join_into(
-                    &dr,
-                    &right_on,
-                    dl.iter().map(|(r, &w)| (r, w)),
-                    &left_on,
-                    /*delta_left=*/ false,
-                    bound_res.as_ref(),
-                    &mut out,
-                );
+                if !dl.is_empty() {
+                    delta_join_into(
+                        &dr,
+                        &right_on,
+                        dl.iter().map(|(r, w)| (r, *w)),
+                        &left_on,
+                        /*delta_left=*/ false,
+                        bound_res.as_ref(),
+                        &mut out,
+                    );
+                }
             }
             Ok(out)
         }
@@ -435,9 +484,9 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
             group_by,
             aggs,
         } => {
-            let din = propagate(input, ctx)?;
+            let din = consolidate(propagate_signed(input, ctx)?);
             if din.is_empty() {
-                return Ok(din);
+                return Ok(SignedRows::new());
             }
             // Insert/delete rules of [18]: recompute affected groups.
             let in_schema = input.schema(ctx.catalog)?;
@@ -447,7 +496,7 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
             // Only the affected groups' input rows are fetched; every row
             // of `din` belongs to one of them.
             let pre_in = ctx.eval_pre_matching(input, group_by, &affected)?;
-            let post_in = post_state_table(&pre_in, &din);
+            let post_in = post_state_table(&pre_in, din.iter().map(|(r, &w)| (r, w)));
             let out_schema = plan.schema(ctx.catalog)?;
             let agg_inputs: Vec<usize> = aggs
                 .iter()
@@ -473,24 +522,24 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                 &agg_inputs,
                 out_schema,
             )?;
-            let mut out = Delta::from_deletes(old_groups.rows().iter().cloned());
-            out.merge(&Delta::from_inserts(new_groups.rows().iter().cloned()));
-            Ok(out)
+            Ok(replace_rows(&old_groups, &new_groups))
         }
 
         Plan::Union { left, right } => {
-            let mut d = propagate(left, ctx)?;
-            d.merge(&propagate(right, ctx)?);
+            let mut d = propagate_signed(left, ctx)?;
+            d.extend(propagate_signed(right, ctx)?);
             Ok(d)
         }
 
         Plan::Diff { .. } => {
             // Bag difference is not delta-linear; recompute both states.
+            // Consolidated, so what flows on is the difference, not two
+            // whole results.
             let pre = ctx.eval_pre(plan)?;
             let post = ctx.eval_post(plan)?;
-            let mut d = Delta::from_deletes(pre.rows().iter().cloned());
-            d.merge(&Delta::from_inserts(post.rows().iter().cloned()));
-            Ok(d)
+            Ok(consolidate(replace_rows(&pre, &post))
+                .into_counts()
+                .collect())
         }
 
         Plan::GPivot { input, spec } => {
@@ -498,9 +547,9 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
             // pivot rows from the pre state (deletes) and the post state
             // (inserts). Accessing "the original pivoted result" is exactly
             // the cost the paper attributes to intermediate pivots (§2.3).
-            let din = propagate(input, ctx)?;
+            let din = consolidate(propagate_signed(input, ctx)?);
             if din.is_empty() {
-                return Ok(din);
+                return Ok(SignedRows::new());
             }
             let in_schema = input.schema(ctx.catalog)?;
             let layout = PivotLayout::resolve(spec, &in_schema)?;
@@ -511,7 +560,7 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                     && !layout.on_idx.iter().all(|&oi| r[oi].is_null())
             });
             if relevant.is_empty() {
-                return Ok(Delta::new());
+                return Ok(SignedRows::new());
             }
             let affected: HashSet<Row> = relevant
                 .distinct_values_at(&layout.k_idx)
@@ -527,25 +576,23 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                 .collect();
             let pre_in = ctx.eval_pre_matching(input, &k_names, &affected)?;
             let din_affected = din.filter_rows(|r| affected.contains(&r.project(&layout.k_idx)));
-            let post_in = post_state_table(&pre_in, &din_affected);
+            let post_in = post_state_table(&pre_in, din_affected.iter().map(|(r, &w)| (r, w)));
             let out_schema = plan.schema(ctx.catalog)?;
             let old_rows = gpivot_exec::pivot::gpivot(&pre_in, spec, out_schema.clone())?;
             let new_rows = gpivot_exec::pivot::gpivot(&post_in, spec, out_schema)?;
-            let mut out = Delta::from_deletes(old_rows.rows().iter().cloned());
-            out.merge(&Delta::from_inserts(new_rows.rows().iter().cloned()));
-            Ok(out)
+            Ok(replace_rows(&old_rows, &new_rows))
         }
 
         Plan::GUnpivot { input, spec } => {
             // Fig. 22: GUNPIVOT distributes over bag union/difference.
-            let din = propagate(input, ctx)?;
+            let din = propagate_signed(input, ctx)?;
             if din.is_empty() {
                 return Ok(din);
             }
             let in_schema = input.schema(ctx.catalog)?;
             let layout = UnpivotLayout::resolve(spec, &in_schema)?;
-            let mut out = Delta::new();
-            for (row, &w) in din.iter() {
+            let mut out = SignedRows::new();
+            for (row, w) in &din {
                 for (g, cols) in spec.groups.iter().zip(&layout.group_cols) {
                     if cols.iter().all(|&c| row[c].is_null()) {
                         continue;
@@ -554,7 +601,7 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
                     v.extend(layout.k_idx.iter().map(|&i| row[i].clone()));
                     v.extend(g.tags.iter().cloned());
                     v.extend(cols.iter().map(|&c| row[c].clone()));
-                    out.add(Row::new(v), w);
+                    out.push((Row::new(v), *w));
                 }
             }
             Ok(out)
@@ -562,46 +609,73 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
     }
 }
 
-/// `delta ⋈ other`, accumulating signed joined rows into `out`. `other`
+/// "No position": the end of a chain in [`delta_join_into`]'s table.
+const NIL: usize = usize::MAX;
+
+/// `delta ⋈ other`, pushing the signed joined rows onto `out`. `other`
 /// is a bag of weighted rows: a fetched pre state (every weight 1) or the
 /// other side's delta (signed weights, which multiply with `delta`'s).
 ///
 /// `delta_left` selects the output column order: `true` → delta columns
 /// first (delta is the plan's left side), `false` → `other`'s first.
 fn delta_join_into<'r>(
-    delta: &Delta,
+    delta: &[(Row, i64)],
     delta_on: &[usize],
     other: impl Iterator<Item = (&'r Row, i64)>,
     other_on: &[usize],
     delta_left: bool,
     residual: Option<&gpivot_algebra::BoundExpr>,
-    out: &mut Delta,
+    out: &mut SignedRows,
 ) {
-    // Build on the delta (small side).
-    let mut build: HashMap<Row, Vec<(&Row, i64)>> = HashMap::new();
-    for (row, &w) in delta.iter() {
-        let key = row.project(delta_on);
-        if key.iter().any(Value::is_null) {
-            continue;
+    let _s = tracing::span("maintain.delta_join").enter();
+    // Build on the delta (the small side): bucket heads plus a chain of
+    // positions into `delta`, hashed on the join columns read in place.
+    // No key is materialized: candidates are confirmed column by column on
+    // probe. A `NULL` join value never matches, so it hashes to `None`.
+    let hasher = RandomState::new();
+    let hash_on = |row: &Row, on: &[usize]| -> Option<u64> {
+        let mut h = hasher.build_hasher();
+        for &c in on {
+            if row[c].is_null() {
+                return None;
+            }
+            row[c].hash(&mut h);
         }
-        build.entry(key).or_default().push((row, w));
+        Some(h.finish())
+    };
+    let mask = delta.len().next_power_of_two() - 1;
+    let mut heads = vec![NIL; mask + 1];
+    let mut next = vec![NIL; delta.len()];
+    for (pos, (row, _)) in delta.iter().enumerate() {
+        if let Some(h) = hash_on(row, delta_on) {
+            let bucket = &mut heads[h as usize & mask];
+            next[pos] = *bucket;
+            *bucket = pos;
+        }
     }
     for (orow, ow) in other {
-        let key = orow.project(other_on);
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        let Some(matches) = build.get(&key) else {
+        let Some(h) = hash_on(orow, other_on) else {
             continue;
         };
-        for (drow, w) in matches {
+        let mut pos = heads[h as usize & mask];
+        while pos != NIL {
+            let (drow, w) = &delta[pos];
+            pos = next[pos];
+            // A bucket holds every key that hashes to it.
+            if !delta_on
+                .iter()
+                .zip(other_on)
+                .all(|(&d, &o)| drow[d] == orow[o])
+            {
+                continue;
+            }
             let joined = if delta_left {
                 drow.concat(orow)
             } else {
                 orow.concat(drow)
             };
-            if residual.map(|p| p.holds(&joined)).unwrap_or(true) {
-                out.add(joined, *w * ow);
+            if residual.is_none_or(|p| p.holds(&joined)) {
+                out.push((joined, w * ow));
             }
         }
     }
@@ -877,6 +951,41 @@ mod tests {
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
+    /// Deleting a name and one of its items in one batch: the join's
+    /// signed rows retract that item's joined row twice and restore it
+    /// once, so an operator that builds a post state must add the weights
+    /// up first.
+    fn deleted_on_both_join_sides() -> SourceDeltas {
+        let mut d = SourceDeltas::new();
+        d.delete_rows("names", vec![row![1, "one"]]);
+        d.delete_rows("items", vec![row![1, "a", 10]]);
+        d
+    }
+
+    #[test]
+    fn group_by_over_a_two_sided_join_consolidates_its_input() {
+        let plan = items_join_names().group_by(
+            &["name"],
+            vec![AggSpec::sum("val", "total"), AggSpec::count_star("cnt")],
+        );
+        let deltas = deleted_on_both_join_sides();
+        let cat = catalog();
+        let ctx = PropagationCtx::new(&cat, &deltas);
+        let join = propagate_signed(&items_join_names(), &ctx).unwrap();
+        assert!(join.len() > consolidate(join.clone()).distinct_len());
+        assert_delta_correct(&plan, &cat, &deltas);
+    }
+
+    #[test]
+    fn pivot_over_a_two_sided_join_consolidates_its_input() {
+        let plan = items_join_names().gpivot(PivotSpec::simple(
+            "attr",
+            "val",
+            vec![Value::str("a"), Value::str("b")],
+        ));
+        assert_delta_correct(&plan, &catalog(), &deleted_on_both_join_sides());
+    }
+
     #[test]
     fn union_propagation() {
         let plan = PlanBuilder::scan("items")
@@ -901,7 +1010,7 @@ mod tests {
         let mut d = Delta::new();
         d.add(row![1, "a", 10], -1);
         d.add(row![9, "z", 9], 1);
-        let post = post_state_table(pre, &d);
+        let post = post_state_table(pre, d.iter().map(|(r, &w)| (r, w)));
         assert_eq!(post.len(), 4);
         assert!(post.rows().contains(&row![9, "z", 9]));
         assert!(!post.rows().contains(&row![1, "a", 10]));

@@ -19,7 +19,7 @@
 use crate::error::{CoreError, Result};
 use crate::maintain::apply::{blank_row, merge_key, ApplyStats, RowOp};
 use gpivot_algebra::{AggFunc, AggSpec, PivotSpec};
-use gpivot_storage::{Delta, Row, Schema, Table, Value};
+use gpivot_storage::{Row, Schema, Table, Value};
 use std::collections::HashMap;
 
 /// How each pivot measure of a group-pivot view is maintained.
@@ -110,12 +110,14 @@ impl GroupPivotInfo {
 }
 
 /// Aggregate a core delta into per-(K'∪by)-group signed aggregate deltas.
+/// The aggregates are sums, so `delta_core` is taken as it comes: equal
+/// rows may repeat, and their contributions add like their weights would.
 ///
 /// Returns, per group key, one value per measure: SUM → the signed sum of
 /// non-NULL contributions (NULL when none), COUNT → the signed count of
 /// non-NULL contributions, COUNT(*) → the signed row count.
 pub fn aggregate_delta(
-    delta_core: &Delta,
+    delta_core: &[(Row, i64)],
     core_schema: &Schema,
     info: &GroupPivotInfo,
 ) -> Result<HashMap<Row, Vec<Value>>> {
@@ -142,7 +144,7 @@ pub fn aggregate_delta(
         Count { n: i64 },
     }
     let mut groups: HashMap<Row, Vec<Acc>> = HashMap::new();
-    for (row, &w) in delta_core.iter() {
+    for (row, w) in delta_core.iter().map(|(r, w)| (r, *w)) {
         let key = row.project(&group_idx);
         let states = groups.entry(key).or_insert_with(|| {
             info.aggs
@@ -201,15 +203,15 @@ fn scale(v: &Value, w: i64) -> Value {
     }
 }
 
-/// The Fig. 27 combined update rules: fold `delta_core` (a delta over the
-/// GROUPBY *input*) into the crosstab materialized view — as a patch
+/// The Fig. 27 combined update rules: fold `delta_core` (signed rows over
+/// the GROUPBY *input*, not necessarily consolidated) into the crosstab materialized view — as a patch
 /// against `mv`, which is left untouched (`apply_row_ops` installs it).
 pub fn plan_group_pivot_update(
     mv: &Table,
     spec: &PivotSpec,
     info: &GroupPivotInfo,
     core_schema: &Schema,
-    delta_core: &Delta,
+    delta_core: &[(Row, i64)],
 ) -> Result<(Vec<RowOp>, ApplyStats)> {
     let n_on = spec.on.len();
     // K' = grouping columns that are not pivot dimensions, in GROUPBY
@@ -341,8 +343,14 @@ pub fn plan_group_pivot_update(
 mod tests {
     use super::*;
     use crate::maintain::apply::apply_row_ops;
-    use gpivot_storage::{row, DataType};
+    use crate::maintain::delta_prop::consolidate;
+    use gpivot_storage::{row, DataType, Delta};
     use std::sync::Arc;
+
+    /// A delta as the signed rows the apply rules take.
+    fn signed(d: &Delta) -> Vec<(Row, i64)> {
+        d.iter().map(|(r, &w)| (r.clone(), w)).collect()
+    }
 
     /// Plan the Fig. 27 fold and apply it in place.
     fn apply_group_pivot_update(
@@ -350,7 +358,7 @@ mod tests {
         spec: &PivotSpec,
         info: &GroupPivotInfo,
         core_schema: &Schema,
-        delta_core: &Delta,
+        delta_core: &[(Row, i64)],
     ) -> Result<ApplyStats> {
         let (ops, stats) = plan_group_pivot_update(mv, spec, info, core_schema, delta_core)?;
         apply_row_ops(mv, ops, None);
@@ -443,7 +451,8 @@ mod tests {
     fn insert_adds_to_existing_cell() {
         let mut t = mv();
         let d = Delta::from_inserts(vec![row!["alice", 1995, 25]]);
-        let stats = apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &d).unwrap();
+        let stats = apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &signed(&d))
+            .unwrap();
         assert_eq!(stats.updated, 1);
         let r = t.get_by_key(&row!["alice"]).unwrap();
         assert_eq!(r[1], Value::Int(125));
@@ -455,7 +464,8 @@ mod tests {
     fn insert_births_subgroup_and_row() {
         let mut t = mv();
         let d = Delta::from_inserts(vec![row!["carol", 1996, 5], row!["bob", 1996, 7]]);
-        let stats = apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &d).unwrap();
+        let stats = apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &signed(&d))
+            .unwrap();
         assert_eq!(stats.inserted, 1); // carol
         assert_eq!(stats.updated, 1); // bob's 1996 subgroup born
         let bob = t.get_by_key(&row!["bob"]).unwrap();
@@ -468,7 +478,8 @@ mod tests {
         let mut t = mv();
         // Remove bob's only 1995 row: subgroup dies -> row all-⊥ -> deleted.
         let d = Delta::from_deletes(vec![row!["bob", 1995, 30]]);
-        let stats = apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &d).unwrap();
+        let stats = apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &signed(&d))
+            .unwrap();
         assert_eq!(stats.deleted, 1);
         assert!(t.get_by_key(&row!["bob"]).is_none());
     }
@@ -484,7 +495,7 @@ mod tests {
             Row::new(vec![Value::str("alice"), Value::Int(1996), Value::Null]),
             1,
         );
-        apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &d).unwrap();
+        apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &signed(&d)).unwrap();
         let r = t.get_by_key(&row!["alice"]).unwrap();
         assert!(r[4].is_null(), "sum must be ⊥ when count(price)=0");
         assert_eq!(r[5], Value::Int(0));
@@ -499,9 +510,30 @@ mod tests {
         d.add(row!["alice", 1995, 60], -1);
         // One of alice's two 1995 rows is (implicitly) valued 60 in the
         // base; the apply only sees the aggregate delta: sum -20, counts 0.
-        apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &d).unwrap();
+        apply_group_pivot_update(&mut t, &spec(), &info(), &core_schema(), &signed(&d)).unwrap();
         let r = t.get_by_key(&row!["alice"]).unwrap();
         assert_eq!(r[1], Value::Int(80));
         assert_eq!(r[3], Value::Int(2));
+    }
+
+    #[test]
+    fn unconsolidated_rows_plan_the_patch_of_their_consolidation() {
+        // carol is outside the view; a ⊥ price exercises the count companion.
+        let null_price = Row::new(vec![Value::str("carol"), Value::Int(1995), Value::Null]);
+        let cases = [row!["carol", 1996, 5], null_price]
+            .into_iter()
+            .flat_map(|r| {
+                [
+                    vec![(r.clone(), 1), (r.clone(), -1)],
+                    vec![(r.clone(), 1), (r.clone(), 1), (r.clone(), -1)],
+                ]
+            });
+        for rows in cases {
+            let consolidated = signed(&consolidate(rows.iter().cloned()));
+            let plan = |d: &[(Row, i64)]| {
+                plan_group_pivot_update(&mv(), &spec(), &info(), &core_schema(), d).unwrap()
+            };
+            assert_eq!(plan(&rows), plan(&consolidated), "{rows:?}");
+        }
     }
 }

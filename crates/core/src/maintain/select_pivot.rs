@@ -19,11 +19,11 @@
 
 use crate::error::{CoreError, Result};
 use crate::maintain::apply::{collect_cell_changes, merge_key, overwrite_cells, ApplyStats, RowOp};
-use crate::maintain::delta_prop::{post_state_table, PropagationCtx};
+use crate::maintain::delta_prop::{consolidate, post_state_table, PropagationCtx};
 use gpivot_algebra::plan::Plan;
 use gpivot_algebra::{decode_pivot_col, Expr, PivotSpec};
 use gpivot_exec::pivot::PivotLayout;
-use gpivot_storage::{Delta, Row, Table};
+use gpivot_storage::{Row, Table};
 use std::collections::HashSet;
 
 /// The Fig. 29 combined rules as a patch against `mv`, which is left
@@ -34,14 +34,15 @@ use std::collections::HashSet;
 /// * `core` — the pivot input plan;
 /// * `ctx` — pre-state catalog + source deltas (for the restricted
 ///   candidate keys' pre-state fetch);
-/// * `delta_core` — the already-propagated delta over `core`.
+/// * `delta_core` — the already-propagated delta over `core`, as signed
+///   rows that need not be consolidated.
 pub fn plan_select_pivot_update(
     mv: &Table,
     spec: &PivotSpec,
     predicate: &Expr,
     core: &Plan,
     ctx: &PropagationCtx<'_>,
-    delta_core: &Delta,
+    delta_core: &[(Row, i64)],
 ) -> Result<(Vec<RowOp>, ApplyStats)> {
     if !predicate.is_null_intolerant() {
         return Err(CoreError::StrategyNotApplicable {
@@ -87,6 +88,7 @@ pub fn plan_select_pivot_update(
     }
 
     if !recompute_keys.is_empty() {
+        let _s = tracing::span("maintain.candidates").enter();
         // Recompute the candidate keys' full pivot rows from the post-state
         // core, restricted to those keys. Restricting by the *full* pivot K
         // (which, after pullup, spans every joined column) could not be
@@ -131,11 +133,17 @@ pub fn plan_select_pivot_update(
             .collect();
 
         // Post state of the restricted core = its pre state ⊕ the part of
-        // the core delta under the same restriction.
+        // the core delta under the same restriction, consolidated.
         let restrict_idx: Vec<usize> = restrict_pos.iter().map(|&p| layout.k_idx[p]).collect();
+        let delta_restricted = consolidate(
+            delta_core
+                .iter()
+                .filter(|(r, _)| restrict_keys.contains(&r.project(&restrict_idx)))
+                .cloned(),
+        );
         let restricted = post_state_table(
             &ctx.eval_pre_matching(core, &restrict_names, &restrict_keys)?,
-            &delta_core.filter_rows(|r| restrict_keys.contains(&r.project(&restrict_idx))),
+            delta_restricted.iter().map(|(r, &w)| (r, w)),
         );
         // σc passes its input's schema through: the view's is the pivot's.
         let pivoted = gpivot_exec::pivot::gpivot(&restricted, spec, mv.schema().clone())?;
@@ -176,6 +184,7 @@ fn predicate_groups(predicate: &Expr, spec: &PivotSpec) -> HashSet<usize> {
 mod tests {
     use super::*;
     use crate::maintain::apply::apply_row_ops;
+    use crate::maintain::delta_prop::propagate_signed;
     use crate::maintain::SourceDeltas;
     use gpivot_exec::Executor;
     use gpivot_storage::{row, Catalog, DataType, Schema, Value};
@@ -237,7 +246,7 @@ mod tests {
         let mut mv = materialize(&c);
         let ctx = PropagationCtx::new(&c, &deltas);
         let core = Plan::scan("items");
-        let delta_core = crate::maintain::delta_prop::propagate(&core, &ctx).unwrap();
+        let delta_core = propagate_signed(&core, &ctx).unwrap();
         let (ops, _) =
             plan_select_pivot_update(&mv, &spec(), &pred(), &core, &ctx, &delta_core).unwrap();
         apply_row_ops(&mut mv, ops, None);
@@ -314,5 +323,33 @@ mod tests {
             vec![row![2, "a", 400], row![3, "a", 60], row![5, "b", 2]],
         );
         run(d);
+    }
+
+    #[test]
+    fn unconsolidated_rows_plan_the_patch_of_their_consolidation() {
+        let c = catalog();
+        let mv = materialize(&c);
+        let no_deltas = SourceDeltas::new();
+        let ctx = PropagationCtx::new(&c, &no_deltas);
+        let core = Plan::scan("items");
+        let plan = |d: &[(Row, i64)]| {
+            plan_select_pivot_update(&mv, &spec(), &pred(), &core, &ctx, d).unwrap()
+        };
+        // Keys 9 and 3 are outside the view: a satisfying `a` cell makes
+        // each an insert candidate (3 from its pre-state row too). Key 1
+        // is in the view.
+        let cases = [row![9, "a", 500], row![3, "a", 99], row![1, "b", 20]]
+            .into_iter()
+            .flat_map(|r| {
+                [
+                    vec![(r.clone(), 1), (r.clone(), -1)],
+                    vec![(r.clone(), 1), (r.clone(), 1), (r.clone(), -1)],
+                ]
+            });
+        for rows in cases {
+            let consolidated: Vec<(Row, i64)> =
+                consolidate(rows.iter().cloned()).into_counts().collect();
+            assert_eq!(plan(&rows), plan(&consolidated), "{rows:?}");
+        }
     }
 }

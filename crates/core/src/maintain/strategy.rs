@@ -107,7 +107,9 @@ impl fmt::Display for MaintenancePlan {
 pub struct MaintenanceOutcome {
     /// Row-level effects on the materialized table.
     pub stats: ApplyStats,
-    /// Number of distinct delta rows that reached the apply phase.
+    /// Number of signed delta rows that reached the apply phase, before
+    /// any consolidation (equal rows from different join terms count once
+    /// each).
     pub delta_rows: usize,
     /// Operator-output rows evaluated during the propagate phase (the sum
     /// of `ExecTrace::total_rows` over every pre/post subplan evaluation) —

@@ -4,7 +4,7 @@
 
 use crate::error::{CoreError, Result, StalePlan};
 use crate::maintain::apply::{apply_row_ops, plan_pivot_update, RowOp};
-use crate::maintain::delta_prop::{propagate, PropagationCtx};
+use crate::maintain::delta_prop::{consolidate, propagate_signed, PropagationCtx, SignedRows};
 use crate::maintain::group_pivot::{plan_group_pivot_update, GroupPivotInfo};
 use crate::maintain::select_pivot::plan_select_pivot_update;
 use crate::maintain::strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
@@ -579,10 +579,10 @@ impl MaterializedView {
         let ctx = PropagationCtx::with_exec(catalog, deltas, exec.clone());
         // Propagate the source deltas to just below the strategy's apply
         // rules; the returned guard is the apply phase's span.
-        let propagate_to_apply = |below: &Plan| -> Result<(Delta, tracing::Entered)> {
+        let propagate_to_apply = |below: &Plan| -> Result<(SignedRows, tracing::Entered)> {
             let d = {
                 let _s = tracing::span("maintain.propagate").enter();
-                propagate(below, &ctx)?
+                propagate_signed(below, &ctx)?
             };
             faults.check(FaultSite::Apply, &self.name)?;
             Ok((d, tracing::span("maintain.apply").enter()))
@@ -601,8 +601,9 @@ impl MaterializedView {
                 PatchKind::Replace(table)
             }
             Strategy::InsertDelete => {
-                let (d, _apply) = propagate_to_apply(&self.normalized.plan)?;
-                outcome.delta_rows = d.distinct_len();
+                let (rows, _apply) = propagate_to_apply(&self.normalized.plan)?;
+                outcome.delta_rows = rows.len();
+                let d = consolidate(rows);
                 for (_, &w) in d.iter() {
                     if w > 0 {
                         outcome.stats.inserted += w as usize;
@@ -621,7 +622,7 @@ impl MaterializedView {
             Strategy::PivotUpdate | Strategy::SelectPushdownUpdate | Strategy::GroupByInsDel => {
                 let (below, spec) = self.pivot_over(&self.normalized.plan)?;
                 let (d, _apply) = propagate_to_apply(below)?;
-                outcome.delta_rows = d.distinct_len();
+                outcome.delta_rows = d.len();
                 let schema = below.schema(catalog)?;
                 let (ops, stats) = plan_pivot_update(&self.table, spec, &schema, &d)?;
                 outcome.stats = stats;
@@ -633,7 +634,7 @@ impl MaterializedView {
                 };
                 let (core, spec) = self.pivot_over(input)?;
                 let (d, _apply) = propagate_to_apply(core)?;
-                outcome.delta_rows = d.distinct_len();
+                outcome.delta_rows = d.len();
                 let (ops, stats) =
                     plan_select_pivot_update(&self.table, spec, predicate, core, &ctx, &d)?;
                 outcome.stats = stats;
@@ -649,7 +650,7 @@ impl MaterializedView {
                     .as_ref()
                     .ok_or_else(|| self.lost("group-pivot info (not set at creation)"))?;
                 let (d, _apply) = propagate_to_apply(core)?;
-                outcome.delta_rows = d.distinct_len();
+                outcome.delta_rows = d.len();
                 let schema = core.schema(catalog)?;
                 let (ops, stats) = plan_group_pivot_update(&self.table, spec, info, &schema, &d)?;
                 outcome.stats = stats;
@@ -997,14 +998,17 @@ impl ViewManager {
         Ok(self.commit_epoch(plan)?)
     }
 
-    /// The views that read a table `deltas` changes, in name order.
+    /// The views that read a table `deltas` changes, in name order. A
+    /// table whose delta cancelled to empty changes nothing.
     pub fn affected_views<'s>(
         &'s self,
         deltas: &'s SourceDeltas,
     ) -> impl Iterator<Item = &'s MaterializedView> {
-        self.views
-            .values()
-            .filter(|v| deltas.tables().any(|t| v.dependencies().contains(t)))
+        self.views.values().filter(|v| {
+            deltas
+                .iter()
+                .any(|(t, d)| !d.is_empty() && v.dependencies().contains(t))
+        })
     }
 
     /// **Plan** one view's refresh against `deltas` and the pre-update
@@ -1367,6 +1371,32 @@ mod tests {
             .query_view("v")
             .unwrap()
             .bag_eq(&four.query_view("v").unwrap()));
+    }
+
+    #[test]
+    fn a_delta_that_cancels_to_empty_affects_no_view() {
+        use gpivot_storage::{FaultInjector, FaultSite};
+        let injector = FaultInjector::seeded(1).with_site(FaultSite::Propagate, 1.0, 0.0);
+        injector.disarm();
+        let mut c = catalog();
+        c.set_fault_injector(injector.clone());
+        let mut vm = ViewManager::new(c);
+        vm.register_view("v", pivot_plan()).unwrap();
+        vm.register_view_with("r", pivot_plan(), Strategy::Recompute)
+            .unwrap();
+
+        // Updated there and back: `items` keeps an entry, but it is empty.
+        let mut deltas = SourceDeltas::new();
+        deltas.update_row("items", row![1, "a", 10], row![1, "a", 11]);
+        deltas.update_row("items", row![1, "a", 11], row![1, "a", 10]);
+        assert!(deltas.delta("items").is_some_and(Delta::is_empty));
+        assert_eq!(vm.affected_views(&deltas).count(), 0);
+
+        // An armed Propagate fault would fail any view that got planned.
+        injector.arm();
+        let outcomes = vm.refresh(&deltas).unwrap();
+        assert!(outcomes.is_empty(), "refreshed {:?}", outcomes.keys());
+        assert!(vm.verify_view("v").unwrap() && vm.verify_view("r").unwrap());
     }
 
     #[test]

@@ -103,7 +103,8 @@ impl ViewHealth {
 pub struct ViewMetrics {
     /// Epochs in which this view was refreshed (it had a dirty dependency).
     pub refreshes: u64,
-    /// Distinct delta rows that reached the view's apply phase.
+    /// Signed delta rows that reached the view's apply phase, before
+    /// consolidation.
     pub delta_rows: u64,
     /// Operator-output rows evaluated while propagating to this view
     /// (`ExecTrace::total_rows` summed over pre/post subplan evaluations).
@@ -371,7 +372,7 @@ scalars! {
     rows_drained_coalesced: counter, Sum, Some("gpivot_rows_drained_coalesced_total"),
         "Row changes drained into epochs after cancellation";
     delta_rows: counter, Sum, Some("gpivot_delta_rows_total"),
-        "Distinct delta rows reaching apply phases";
+        "Signed delta rows reaching apply phases, before consolidation";
     rows_propagated: counter, Sum, Some("gpivot_rows_propagated_total"),
         "Operator-output rows evaluated during propagation";
     rows_applied: counter, Sum, Some("gpivot_rows_applied_total"),
@@ -670,7 +671,8 @@ pub struct EpochSummary {
     pub batch_rows: u64,
     /// Producer batches folded into the drained batch.
     pub batches_drained: u64,
-    /// Distinct delta rows reaching apply phases, summed over views.
+    /// Signed delta rows reaching apply phases (before consolidation),
+    /// summed over views.
     pub delta_rows: u64,
     /// Propagation work proxy, summed over views.
     pub rows_propagated: u64,

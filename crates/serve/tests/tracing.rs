@@ -137,6 +137,42 @@ fn phase_histograms_reconcile_with_epoch_wall_clock() {
     assert!(text.contains(&format!("gpivot_epochs_total {}", m.epochs)));
 }
 
+/// A TPC-H epoch records the spans below `maintain.propagate` /
+/// `maintain.apply` that attribute maintenance cost: the delta joins, and
+/// Fig. 29's candidate recompute (new orders make absent view (2) keys
+/// candidates). The delta joins run inside propagation, so their total is
+/// bounded by it.
+#[test]
+fn tpch_epoch_attributes_delta_joins_and_candidates() {
+    use gpivot_tpch::gen::{generate, TpchConfig};
+    use gpivot_tpch::views::{view2, VIEW2_THRESHOLD};
+    use gpivot_tpch::workload;
+
+    let catalog = generate(&TpchConfig {
+        empty_order_fraction: 0.25,
+        ..TpchConfig::scale(0.02)
+    });
+    let batch = workload::insert_new_rows(&catalog, 0.01, 7);
+    let svc = ViewService::new(catalog, ServeConfig::default());
+    svc.register_view("view2", view2(VIEW2_THRESHOLD)).unwrap();
+    for (table, delta) in batch.iter() {
+        svc.ingest_with(table, delta.clone(), IngestOptions::blocking())
+            .unwrap();
+    }
+    svc.refresh_epoch().unwrap();
+
+    let m = svc.metrics();
+    let span = |name: &str| {
+        m.phase_timings
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} histogram missing"))
+    };
+    for name in ["maintain.delta_join", "maintain.candidates"] {
+        assert!(span(name).count() > 0, "{name} never fired");
+    }
+    assert!(span("maintain.delta_join").total() <= span("maintain.propagate").total());
+}
+
 /// Two services running concurrently must not leak spans into each other's
 /// histograms: collectors are scoped per service, never global.
 #[test]

@@ -160,15 +160,6 @@ impl Delta {
         DeltaSplit { inserts, deletes }
     }
 
-    /// Map every row through `f`, keeping multiplicities (projection).
-    pub fn map_rows<F: Fn(&Row) -> Row>(&self, f: F) -> Delta {
-        let mut d = Delta::new();
-        for (r, &w) in &self.counts {
-            d.add(f(r), w);
-        }
-        d
-    }
-
     /// Keep only rows where `pred` holds, keeping multiplicities (selection).
     pub fn filter_rows<F: Fn(&Row) -> bool>(&self, pred: F) -> Delta {
         let mut d = Delta::new();
@@ -367,14 +358,6 @@ mod tests {
         let mut n = d.negated();
         n.merge(&d);
         assert!(n.is_empty());
-    }
-
-    #[test]
-    fn map_rows_merges_collisions() {
-        let d = Delta::from_inserts(vec![row![1, "a"], row![1, "b"]]);
-        let projected = d.map_rows(|r| r.project(&[0]));
-        assert_eq!(projected.multiplicity(&row![1]), 2);
-        assert_eq!(projected.distinct_len(), 1);
     }
 
     #[test]

@@ -104,10 +104,10 @@ proptest! {
     }
 
     #[test]
-    fn map_rows_preserves_total_weight_sum(a in arb_delta()) {
+    fn projection_preserves_total_weight_sum(a in arb_delta()) {
         // Projection may merge rows but the signed weight sum is invariant.
         let total: i64 = a.iter().map(|(_, &w)| w).sum();
-        let mapped = a.map_rows(|r| r.project(&[0]));
+        let mapped: Delta = a.iter().map(|(r, &w)| (r.project(&[0]), w)).collect();
         let mapped_total: i64 = mapped.iter().map(|(_, &w)| w).sum();
         prop_assert_eq!(total, mapped_total);
     }

@@ -67,6 +67,9 @@ struct Scenario {
     dims: Vec<(i64, i64)>,
     deletes: Vec<usize>,
     inserts: Vec<(i64, usize, Option<i64>)>,
+    /// `dims` changes on the d_ids the facts delta touches: `(which
+    /// touched d_id, kind, new grp)`, see [`build_deltas`].
+    dim_changes: Vec<(prop::sample::Index, u8, i64)>,
 }
 
 fn arb_scenario() -> impl proptest::strategy::Strategy<Value = Scenario> {
@@ -89,12 +92,15 @@ fn arb_scenario() -> impl proptest::strategy::Strategy<Value = Scenario> {
         0usize..SHAPES.len(),
         facts,
         prop::collection::vec(0i64..4, 10),
-        prop::collection::vec(any::<prop::sample::Index>(), 0..5),
+        (
+            prop::collection::vec(any::<prop::sample::Index>(), 0..5),
+            prop::collection::vec((any::<prop::sample::Index>(), 0u8..2, 0i64..4), 0..4),
+        ),
         prop::collection::btree_set((0i64..12, 0usize..ATTRS.len()), 0..6),
         prop::collection::vec(prop_oneof![Just(None), (1i64..100).prop_map(Some)], 6),
     )
         .prop_map(
-            |(shape_pick, facts, grps, delete_picks, insert_keys, insert_vals)| {
+            |(shape_pick, facts, grps, (delete_picks, dim_changes), insert_keys, insert_vals)| {
                 let dims: Vec<(i64, i64)> = (0i64..10).zip(grps).collect();
                 let mut deletes: BTreeSet<usize> = BTreeSet::new();
                 if !facts.is_empty() {
@@ -120,6 +126,7 @@ fn arb_scenario() -> impl proptest::strategy::Strategy<Value = Scenario> {
                     dims,
                     deletes: deletes.into_iter().collect(),
                     inserts,
+                    dim_changes,
                 }
             },
         )
@@ -166,13 +173,56 @@ fn build_catalog(s: &Scenario) -> Catalog {
     c
 }
 
+/// The facts delta, plus a two-sided part: `dims` rows deleted, inserted
+/// and re-grouped on the d_ids the facts delta touches — as a join key
+/// (`id`, for `JoinOnK`) or as a pivoted cell value (`val`, for
+/// `JoinOnCell`) — so joins see ΔA ⋈ ΔB terms and pairs that cancel. The
+/// first inserted fact's dims row is always deleted (or, if it has none,
+/// inserted) in the same step.
 fn build_deltas(s: &Scenario) -> SourceDeltas {
     let mut d = SourceDeltas::new();
-    d.delete_rows(
-        "facts",
-        s.deletes.iter().map(|&i| fact_row(&s.facts[i])).collect(),
-    );
+    let deleted: Vec<_> = s.deletes.iter().map(|&i| s.facts[i]).collect();
+    d.delete_rows("facts", deleted.iter().map(fact_row).collect());
     d.insert_rows("facts", s.inserts.iter().map(fact_row).collect());
+
+    let touched: Vec<i64> = deleted
+        .iter()
+        .chain(&s.inserts)
+        .flat_map(|&(id, _, val)| std::iter::once(id).chain(val))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let first = s.inserts.first().map(|&(id, _, _)| (id, 0, 0));
+    let picked = s
+        .dim_changes
+        .iter()
+        .filter(|_| !touched.is_empty())
+        .map(|(pick, kind, grp)| (touched[pick.index(touched.len())], *kind, *grp));
+    let dim_row = |id: i64, grp: i64| Row::new(vec![Value::Int(id), Value::Int(grp)]);
+    let mut dims: BTreeMap<i64, i64> = s.dims.iter().copied().collect();
+    let (mut gone, mut fresh) = (Vec::new(), Vec::new());
+    // Kind 0 deletes a present row, kind 1 re-groups it; either inserts
+    // an absent one.
+    for (id, kind, grp) in first.into_iter().chain(picked) {
+        match (kind, dims.get(&id).copied()) {
+            (0, Some(old)) => {
+                gone.push(dim_row(id, old));
+                dims.remove(&id);
+            }
+            (_, Some(old)) if old != grp => {
+                gone.push(dim_row(id, old));
+                fresh.push(dim_row(id, grp));
+                dims.insert(id, grp);
+            }
+            (_, Some(_)) => {}
+            (_, None) => {
+                fresh.push(dim_row(id, grp));
+                dims.insert(id, grp);
+            }
+        }
+    }
+    d.delete_rows("dims", gone);
+    d.insert_rows("dims", fresh);
     d
 }
 
