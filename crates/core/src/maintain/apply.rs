@@ -47,31 +47,33 @@ pub enum RowOp {
 }
 
 /// The MERGE decision for one view key, shared by the three update-rule
-/// strategies: `cells` is the key's post-state row and `existed` says
-/// whether the view holds the key now. All-`⊥` measures (past the `n_k`
-/// key columns) or a failed `keep` test mean the row must not be in the view.
+/// strategies: `cells` is the key's post-state row and `existing` the row
+/// the view holds under the key now, if any. All-`⊥` measures (past the
+/// `n_k` key columns) or a failed `keep` test mean the row must not be in
+/// the view; a post-state equal to the stored row writes nothing.
 pub(crate) fn merge_key(
     ops: &mut Vec<RowOp>,
     stats: &mut ApplyStats,
     key: Row,
     cells: Vec<Value>,
     n_k: usize,
-    existed: bool,
+    existing: Option<&Row>,
     keep: impl FnOnce(&Row) -> bool,
 ) {
     let row = Row::new(cells);
     let stays = !row.values()[n_k..].iter().all(Value::is_null) && keep(&row);
-    match (existed, stays) {
-        (true, false) => {
+    match (existing, stays) {
+        (Some(_), false) => {
             ops.push(RowOp::Delete(key));
             stats.deleted += 1;
         }
-        (true, true) => {
+        (Some(old), true) if *old == row => {} // no-op: changes that cancel
+        (Some(_), true) => {
             ops.push(RowOp::Update(key, row));
             stats.updated += 1;
         }
-        (false, false) => {} // no-op: deletes for an absent key
-        (false, true) => {
+        (None, false) => {} // no-op: deletes for an absent key
+        (None, true) => {
             ops.push(RowOp::Insert(row));
             stats.inserted += 1;
         }
@@ -193,8 +195,7 @@ pub fn plan_pivot_update(
             None => blank_row(&key, width),
         };
         overwrite_cells(&mut cells, &mut cell_changes, n_k, n_on);
-        let existed = existing.is_some();
-        merge_key(&mut ops, &mut stats, key, cells, n_k, existed, |_| true);
+        merge_key(&mut ops, &mut stats, key, cells, n_k, existing, |_| true);
     }
     Ok((ops, stats))
 }

@@ -333,8 +333,7 @@ pub fn plan_group_pivot_update(
             cells[base..base + n_on].clone_from_slice(&new_cells);
         }
 
-        let existed = existing.is_some();
-        merge_key(&mut ops, &mut stats, key, cells, n_k, existed, |_| true);
+        merge_key(&mut ops, &mut stats, key, cells, n_k, existing, |_| true);
     }
     Ok((ops, stats))
 }
@@ -518,9 +517,10 @@ mod tests {
 
     #[test]
     fn unconsolidated_rows_plan_the_patch_of_their_consolidation() {
-        // carol is outside the view; a ⊥ price exercises the count companion.
+        // carol is outside the view; a ⊥ price exercises the count companion;
+        // alice is a key the view holds, whose cancelling rows write nothing.
         let null_price = Row::new(vec![Value::str("carol"), Value::Int(1995), Value::Null]);
-        let cases = [row!["carol", 1996, 5], null_price]
+        let cases = [row!["carol", 1996, 5], null_price, row!["alice", 1995, 7]]
             .into_iter()
             .flat_map(|r| {
                 [

@@ -70,9 +70,15 @@ pub fn plan_select_pivot_update(
                 // In-view key: in-place MERGE then σc re-test.
                 let mut cells = existing.to_vec();
                 overwrite_cells(&mut cells, &mut cell_changes, n_k, n_on);
-                merge_key(&mut ops, &mut stats, key, cells, n_k, true, |row| {
-                    bound_pred.holds(row)
-                });
+                merge_key(
+                    &mut ops,
+                    &mut stats,
+                    key,
+                    cells,
+                    n_k,
+                    Some(existing),
+                    |row| bound_pred.holds(row),
+                );
             }
             None => {
                 // Absent key: only inserts into σc-referenced cells can make

@@ -165,13 +165,13 @@ impl Durability {
         // No log exists yet (recovery found none), so this creates
         // generation 1, and the head record is counted like any append.
         let d = Durability::open_at(dir, 1, policy, injector)?;
-        d.append(&WalRecord::Checkpoint {
-            epoch: 0,
-            wal_gen: 1,
-        })?;
-        if policy != FsyncPolicy::Never {
-            d.sync("bootstrap")?;
-        }
+        d.append_durable(
+            &WalRecord::Checkpoint {
+                epoch: 0,
+                wal_gen: 1,
+            },
+            "bootstrap",
+        )?;
         d.checkpoints.store(1, Ordering::Relaxed);
         d.last_checkpoint_bytes.store(ckpt_bytes, Ordering::Relaxed);
         Ok(d)
@@ -208,10 +208,6 @@ impl Durability {
         })
     }
 
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     pub fn current_gen(&self) -> u64 {
         self.gen.load(Ordering::Acquire)
     }
@@ -235,8 +231,18 @@ impl Durability {
         Ok(())
     }
 
+    /// Append one record and make it durable per policy: fsynced unless
+    /// the policy is [`FsyncPolicy::Never`].
+    pub fn append_durable(&self, record: &WalRecord, context: &str) -> Result<()> {
+        self.append(record)?;
+        if self.policy != FsyncPolicy::Never {
+            self.sync(context)?;
+        }
+        Ok(())
+    }
+
     /// fsync the current log generation.
-    pub fn sync(&self, context: &str) -> Result<()> {
+    fn sync(&self, context: &str) -> Result<()> {
         sync::lock(&self.wal).sync(context)?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -260,11 +266,7 @@ impl Durability {
     /// this returns `Ok`, recovery is guaranteed to re-apply the epoch
     /// (under `Always`/`OnCommit`; `Never` trades that for speed).
     pub fn log_commit(&self, epoch: u64) -> Result<()> {
-        self.append(&WalRecord::EpochCommit { epoch })?;
-        if self.policy != FsyncPolicy::Never {
-            self.sync("epoch-commit")?;
-        }
-        Ok(())
+        self.append_durable(&WalRecord::EpochCommit { epoch }, "epoch-commit")
     }
 
     /// Rotate the log: create generation `current + 1` with its

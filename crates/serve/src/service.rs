@@ -548,19 +548,14 @@ impl ViewService {
             // acknowledging; if the log write fails, unwind it so the
             // in-memory registry never runs ahead of the durable one.
             let definition_sql = state.view(&name).map(|v| v.definition().to_sql_dialect())?;
-            let logged = d
-                .append(&WalRecord::RegisterView {
+            let logged = d.append_durable(
+                &WalRecord::RegisterView {
                     name: name.clone(),
                     definition_sql,
                     strategy: strategy.id().to_string(),
-                })
-                .and_then(|()| {
-                    if d.policy() == FsyncPolicy::Never {
-                        Ok(())
-                    } else {
-                        d.sync("register-view")
-                    }
-                });
+                },
+                "register-view",
+            );
             if let Err(e) = logged {
                 let _ = state.drop_view(&name);
                 return Err(e);
@@ -585,17 +580,12 @@ impl ViewService {
         let mut state = sync::write(&self.shared.state);
         let removed = state.drop_view(name)?;
         if let Some(d) = &self.shared.durability {
-            let logged = d
-                .append(&WalRecord::DropView {
+            let logged = d.append_durable(
+                &WalRecord::DropView {
                     name: name.to_string(),
-                })
-                .and_then(|()| {
-                    if d.policy() == FsyncPolicy::Never {
-                        Ok(())
-                    } else {
-                        d.sync("drop-view")
-                    }
-                });
+                },
+                "drop-view",
+            );
             if let Err(e) = logged {
                 state.install_view(removed);
                 return Err(e);

@@ -14,18 +14,20 @@
 //!
 //! ## Topology
 //!
-//! * **Root** — a full, unsharded [`ViewService`]: complete copies of all
-//!   base tables, host of every single-shard view, and the catalog the SQL
-//!   frontend falls back to. It is also the only backpressure point.
-//! * **Hash shards** `0..N` — each a private [`ViewService`] whose
-//!   partitioned tables hold only the rows hashing to that shard
-//!   ([`gpivot_storage::shard_of`] on the class's partition column);
-//!   tables a layout leaves replicated are kept in full on every shard.
-//! * **Heavy shard** — one extra worker owning *promoted* keys: when a
-//!   key's observed delta-row frequency crosses
-//!   [`ShardConfig::heavy_key_threshold`], its rows migrate (as ordinary
+//! One vector of [`ViewService`]s, in this order:
+//!
+//! * **Root** — full copies of all base tables, host of every
+//!   single-shard view, the catalog the SQL frontend falls back to, and
+//!   the only backpressure point. An unsharded service is the root alone
+//!   (one slice: the trivial case of combinability) and runs the same code.
+//! * **Hash shards** `0..N`, when N > 1 — each holds only the rows of a
+//!   partitioned table that hash to it ([`gpivot_storage::shard_of`] on
+//!   the class's partition column), and replicated tables in full.
+//! * **Heavy shard**, only while [`ShardConfig::heavy_key_threshold`] is
+//!   set — owner of *promoted* keys: when a key's observed delta-row
+//!   frequency crosses the threshold, its rows migrate (as ordinary
 //!   maintenance deltas, so every shard view stays incrementally exact)
-//!   to the dedicated heavy shard regardless of hash. This is the classic
+//!   to the heavy shard regardless of hash. This is the classic
 //!   heavy/light split for skewed workloads: one hot key no longer
 //!   saturates whichever hash shard it happened to land on.
 //!
@@ -35,9 +37,10 @@
 //! tables — key disjointness across shards is re-validated by the keyed
 //! table constructor on every merged read.
 //!
-//! Durability stays single-shard: a durable root can be wrapped via
-//! [`ShardedService::from_single`], but a multi-shard service refuses to
-//! checkpoint (the WAL protocol has no cross-shard commit record yet).
+//! Durability stays single-shard: [`ShardedService::from_single`] wraps a
+//! durable root as the whole tier, and its epoch counter continues from
+//! the root's, but a multi-shard service refuses to checkpoint (the WAL
+//! protocol has no cross-shard commit record yet).
 
 use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth};
 use crate::service::{run_on_pool, IngestOptions, ServeConfig, Snapshot, ViewService};
@@ -56,10 +59,10 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of hash shards. `1` (the default) means unsharded: the
-    /// service is a transparent wrapper around one [`ViewService`].
+    /// service is its root [`ViewService`] alone.
     pub shards: usize,
     /// Cumulative delta-row frequency at which a key is promoted to the
-    /// dedicated heavy shard. `0` (the default) disables promotion.
+    /// heavy shard. `0` (the default) disables promotion and that shard.
     pub heavy_key_threshold: u64,
 }
 
@@ -75,8 +78,8 @@ impl Default for ShardConfig {
 /// Where one registered view is maintained.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViewPlacement {
-    /// Proven shard-safe and maintained on every hash shard (plus the
-    /// heavy shard) under `routing`; reads bag-merge the shard tables.
+    /// Proven shard-safe and maintained on every shard service under
+    /// `routing`; reads bag-merge the shard tables.
     Sharded {
         /// The layout the view was registered under.
         routing: ShardRouting,
@@ -195,13 +198,13 @@ impl Router {
 
 struct Inner {
     cfg: ServeConfig,
-    /// Full unsharded copy: hosts single-shard views, serves as the SQL
-    /// base-table fallback, and is the sole backpressure point.
-    root: ViewService,
-    /// Hash shards (empty = unsharded passthrough to `root`).
-    workers: Vec<ViewService>,
-    /// Dedicated owner of promoted heavy keys (`Some` iff sharded).
-    heavy: Option<ViewService>,
+    /// The root first — a full unsharded copy that hosts single-shard
+    /// views, serves as the SQL base-table fallback, and is the sole
+    /// backpressure point — then the hash shards, then the heavy shard
+    /// while promotion is on. An unsharded service is the root alone.
+    services: Vec<ViewService>,
+    /// Number of hash shards (`0` when unsharded).
+    hash_shards: usize,
     /// Serializes refresh epochs, registrations, and promotions across
     /// shards. Ordered before each shard service's internal locks.
     gate: Mutex<()>,
@@ -226,79 +229,68 @@ pub struct ShardedService {
 
 impl ShardedService {
     /// Build a service over `catalog`. `cfg.sharding.shards == 1` yields
-    /// an unsharded service identical to `ViewService::new`; `N > 1`
-    /// clones the catalog onto N hash shards plus a heavy shard (tables
-    /// start replicated; they are filtered down to hash slices when the
-    /// first shard-safe view needing them registers).
+    /// the root alone; `N > 1` also clones the catalog onto N hash shards,
+    /// plus a heavy shard when `heavy_key_threshold > 0` (tables start
+    /// replicated; they are filtered down to hash slices when the first
+    /// shard-safe view needing them registers).
     pub fn new(catalog: Catalog, cfg: ServeConfig) -> Self {
-        let shards = cfg.sharding().shards.max(1);
-        if shards <= 1 {
-            return Self::from_single(ViewService::new(catalog, cfg));
-        }
+        let sharding = cfg.sharding();
+        let hash_shards = Some(sharding.shards).filter(|&n| n > 1).unwrap_or(0);
+        let heavy = usize::from(hash_shards > 0 && sharding.heavy_key_threshold > 0);
         // Shard workers get an unbounded watermark: the root already
         // applied backpressure to the producer, and a bounded shard queue
         // could deadlock the routing fan-out against itself.
         let mut worker_cfg = cfg.clone();
         worker_cfg.max_pending_rows = u64::MAX;
-        let root = ViewService::new(catalog.clone(), cfg.clone());
-        let workers = (0..shards)
+        let shards = (0..hash_shards + heavy)
             .map(|_| ViewService::new(catalog.clone(), worker_cfg.clone()))
             .collect();
-        let heavy = Some(ViewService::new(catalog, worker_cfg));
-        ShardedService {
-            inner: Arc::new(Inner {
-                cfg,
-                root,
-                workers,
-                heavy,
-                gate: Mutex::new(()),
-                router: RwLock::new(Router::default()),
-                freq: Mutex::new(HashMap::new()),
-                epoch: AtomicU64::new(0),
-            }),
-        }
+        Self::assemble(ViewService::new(catalog, cfg), shards, hash_shards)
     }
 
     /// Wrap an existing (possibly durable, possibly already-populated)
-    /// [`ViewService`] as a single-shard service. Every call delegates
-    /// straight through, so this is the compatibility bridge for durable
-    /// deployments — durability remains single-shard.
+    /// [`ViewService`] as the root of a single-shard service — the bridge
+    /// for durable deployments, since durability remains single-shard.
+    /// The epoch counter continues from the service's own.
     pub fn from_single(service: ViewService) -> Self {
-        let cfg = service.config().clone();
+        Self::assemble(service, Vec::new(), 0)
+    }
+
+    /// The one constructor: `root`, then `shards` (hash shards first).
+    fn assemble(root: ViewService, shards: Vec<ViewService>, hash_shards: usize) -> Self {
         ShardedService {
             inner: Arc::new(Inner {
-                cfg,
-                root: service,
-                workers: Vec::new(),
-                heavy: None,
+                cfg: root.config().clone(),
+                epoch: AtomicU64::new(root.epoch()),
+                services: std::iter::once(root).chain(shards).collect(),
+                hash_shards,
                 gate: Mutex::new(()),
                 router: RwLock::new(Router::default()),
                 freq: Mutex::new(HashMap::new()),
-                epoch: AtomicU64::new(0),
             }),
         }
     }
 
     /// Number of hash shards (`1` for an unsharded service).
     pub fn shards(&self) -> usize {
-        self.inner.workers.len().max(1)
+        self.inner.hash_shards.max(1)
     }
 
     /// True iff this service maintains more than one hash shard.
     pub fn is_sharded(&self) -> bool {
-        !self.inner.workers.is_empty()
+        self.inner.hash_shards > 0
     }
 
     /// The root shard: full base tables, single-shard views, durability.
     /// Intended for reads (metrics, SQL base fallback); ingest and
     /// refresh should go through the sharded API so shards stay in sync.
     pub fn root(&self) -> &ViewService {
-        &self.inner.root
+        &self.inner.services[0]
     }
 
     /// True iff the root shard write-ahead-logs.
     pub fn is_durable(&self) -> bool {
-        self.inner.root.is_durable()
+        self.root().is_durable()
     }
 
     /// Persist the full service state to `dir` — single-shard only. A
@@ -315,7 +307,7 @@ impl ShardedService {
                 ),
             });
         }
-        self.inner.root.save_to(dir)
+        self.root().save_to(dir)
     }
 
     /// Write a checkpoint of the durable (single-shard) root and rotate
@@ -323,34 +315,26 @@ impl ShardedService {
     /// durable, so on a multi-shard service this fails exactly like the
     /// root's own non-durable checkpoint would.
     pub fn checkpoint(&self) -> Result<u64> {
-        self.inner.root.checkpoint()
+        self.root().checkpoint()
     }
 
-    fn services(&self) -> Vec<ViewService> {
-        let mut all = Vec::with_capacity(self.inner.workers.len() + 2);
-        all.push(self.inner.root.clone());
-        all.extend(self.inner.workers.iter().cloned());
-        if let Some(h) = &self.inner.heavy {
-            all.push(h.clone());
-        }
-        all
+    /// Every service, root first.
+    fn services(&self) -> &[ViewService] {
+        &self.inner.services
     }
 
-    /// Shard services hosting sharded views (hash shards + heavy).
-    fn shard_services(&self) -> Vec<&ViewService> {
-        self.inner
-            .workers
-            .iter()
-            .chain(self.inner.heavy.as_ref())
-            .collect()
+    /// Shard services hosting sharded views (hash shards, then heavy).
+    fn shard_services(&self) -> &[ViewService] {
+        &self.inner.services[1..]
     }
 
     /// Refresh every shard (root included) once, in parallel on the
     /// configured worker pool. Caller must hold the gate.
     fn refresh_all_locked(&self) -> Result<Vec<EpochSummary>> {
-        let services = self.services();
         let workers = self.inner.cfg.workers().max(1);
-        let results = run_on_pool(services, workers, |svc| svc.refresh_epoch());
+        let results = run_on_pool(self.services().iter().collect(), workers, |svc| {
+            svc.refresh_epoch()
+        });
         let mut out = Vec::with_capacity(results.len());
         for (i, slot) in results.into_iter().enumerate() {
             match slot {
@@ -425,7 +409,8 @@ impl ShardedService {
     /// instead, recording a GP023 `Info` diagnostic (visible in
     /// [`ShardedService::metrics`] lint warnings and
     /// [`ShardedService::placement`]); they never error for being
-    /// unshardable.
+    /// unshardable. An unsharded service has no layout to prove: its
+    /// views register on the root with no diagnostic.
     pub fn register_view_with(
         &self,
         name: impl Into<String>,
@@ -434,58 +419,39 @@ impl ShardedService {
     ) -> Result<Strategy> {
         let name = name.into();
         let options = options.into();
-        if !self.is_sharded() {
-            let strategy = self
-                .inner
-                .root
-                .register_view_with(name.clone(), definition, options)?;
-            let mut router = sync::write(&self.inner.router);
-            router
-                .views
-                .insert(name, ViewPlacement::Single { diagnostic: None });
-            return Ok(strategy);
-        }
-
         let _gate = sync::lock(&self.inner.gate);
-        let verdict = {
-            let snap = self.inner.root.snapshot();
+        let verdict = self.is_sharded().then(|| {
+            let snap = self.root().snapshot();
             shard_safety(&definition, snap.manager().catalog())
-        };
+        });
         let chosen = match &verdict {
-            ShardVerdict::Safe { candidates } => {
+            Some(ShardVerdict::Safe { candidates }) => {
                 let router = sync::read(&self.inner.router);
                 candidates.iter().find(|c| router.compatible(c)).cloned()
             }
-            ShardVerdict::Unprovable { .. } => None,
+            _ => None,
         };
-
-        match chosen {
-            Some(routing) => self.register_sharded_locked(name, definition, options, routing),
-            None => {
-                let strategy =
-                    self.inner
-                        .root
-                        .register_view_with(name.clone(), definition, options)?;
-                let diagnostic = match &verdict {
-                    ShardVerdict::Unprovable { .. } => verdict.diagnostic().to_string(),
-                    ShardVerdict::Safe { .. } => Diagnostic::new(
-                        DiagCode::Gp023NotShardSafe,
-                        vec![],
-                        "plan is shard-safe but every safe layout conflicts with \
-                         views already registered; maintained single-shard",
-                    )
-                    .to_string(),
-                };
-                let mut router = sync::write(&self.inner.router);
-                router.views.insert(
-                    name,
-                    ViewPlacement::Single {
-                        diagnostic: Some(diagnostic),
-                    },
-                );
-                Ok(strategy)
-            }
+        if let Some(routing) = chosen {
+            return self.register_sharded_locked(name, definition, options, routing);
         }
+
+        let strategy = self
+            .root()
+            .register_view_with(name.clone(), definition, options)?;
+        let diagnostic = verdict.map(|verdict| match verdict {
+            ShardVerdict::Unprovable { .. } => verdict.diagnostic().to_string(),
+            ShardVerdict::Safe { .. } => Diagnostic::new(
+                DiagCode::Gp023NotShardSafe,
+                vec![],
+                "plan is shard-safe but every safe layout conflicts with \
+                 views already registered; maintained single-shard",
+            )
+            .to_string(),
+        });
+        sync::write(&self.inner.router)
+            .views
+            .insert(name, ViewPlacement::Single { diagnostic });
+        Ok(strategy)
     }
 
     /// Install `routing` (partitioning any tables it needs that are still
@@ -498,12 +464,11 @@ impl ShardedService {
         options: ViewOptions,
         routing: ShardRouting,
     ) -> Result<Strategy> {
-        let shard_count = self.inner.workers.len();
         // The tables moving replicated → partitioned, with partition
         // columns resolved against the root catalog before any state
         // changes so schema errors abort cleanly.
         let (class, transitions) = {
-            let snap = self.inner.root.snapshot();
+            let snap = self.root().snapshot();
             let catalog = snap.manager().catalog();
             let router = sync::read(&self.inner.router);
             let class = router.touched_class(&routing).unwrap_or(router.heavy.len());
@@ -561,7 +526,7 @@ impl ShardedService {
             vec![],
             format!(
                 "plan proven shard-safe; sharded {}-way as {}",
-                shard_count,
+                self.inner.hash_shards,
                 routing.describe()
             ),
         )
@@ -590,9 +555,9 @@ impl ShardedService {
     /// service with the rows `router` places there. Every slice is built
     /// before the first replacement, so a failure replaces nothing.
     fn slice_tables(&self, router: &Router, tables: &[(String, PartLayout)]) -> Result<()> {
-        let shard_count = self.inner.workers.len();
+        let shard_count = self.inner.hash_shards;
         let mut slices = Vec::new();
-        for (s, svc) in self.shard_services().into_iter().enumerate() {
+        for (s, svc) in self.shard_services().iter().enumerate() {
             let snap = svc.snapshot();
             for (table, layout) in tables {
                 let t = snap.manager().catalog().table(table)?;
@@ -613,11 +578,6 @@ impl ShardedService {
 
     /// Drop a view from wherever it is placed.
     pub fn drop_view(&self, name: &str) -> Result<()> {
-        if !self.is_sharded() {
-            self.inner.root.drop_view(name)?;
-            sync::write(&self.inner.router).views.remove(name);
-            return Ok(());
-        }
         let _gate = sync::lock(&self.inner.gate);
         let placement = sync::read(&self.inner.router).views.get(name).cloned();
         match placement {
@@ -626,7 +586,7 @@ impl ShardedService {
                     svc.drop_view(name)?;
                 }
             }
-            _ => self.inner.root.drop_view(name)?,
+            _ => self.root().drop_view(name)?,
         }
         let mut router = sync::write(&self.inner.router);
         router.views.remove(name);
@@ -638,8 +598,8 @@ impl ShardedService {
 
     /// Names of all registered views (sharded and single-shard).
     pub fn view_names(&self) -> Vec<String> {
-        let mut names = self.inner.root.view_names();
-        if let Some(first) = self.inner.workers.first() {
+        let mut names = self.root().view_names();
+        if let Some(first) = self.shard_services().first() {
             names.extend(first.view_names());
         }
         names.sort();
@@ -689,20 +649,22 @@ impl ShardedService {
     /// by the new rule before then, and none by the old rule after
     /// ([`ShardedService::reroute_locked`]).
     pub fn ingest_with(&self, table: &str, delta: Delta, options: IngestOptions) -> Result<()> {
-        if !self.is_sharded() {
-            return self.inner.root.ingest_with(table, delta, options);
-        }
-        if delta.is_empty() {
+        // The root takes the caller's delta; a copy is made only when
+        // there is a shard to route it to.
+        let routed = self.is_sharded().then(|| delta.clone());
+        self.root().ingest_with(table, delta, options)?;
+        let Some(delta) = routed.filter(|d| !d.is_empty()) else {
             return Ok(());
-        }
-        self.inner.root.ingest_with(table, delta.clone(), options)?;
+        };
         let router = sync::read(&self.inner.router);
         match router.tables.get(table) {
             Some(layout) => {
-                let n = self.inner.workers.len();
+                let n = self.inner.hash_shards;
                 let heavy = &router.heavy[layout.class];
                 let parts = delta.partition_by_key(layout.col_idx, n, |key| heavy.contains(key));
-                for (svc, part) in self.shard_services().into_iter().zip(parts) {
+                // Without a heavy shard the heavy part is empty, and the
+                // zip drops it.
+                for (svc, part) in self.shard_services().iter().zip(parts) {
                     if !part.is_empty() {
                         svc.ingest_with(table, part, IngestOptions::blocking())?;
                     }
@@ -747,9 +709,6 @@ impl ShardedService {
     /// rolls back (its batch re-queued), and the error is returned — a
     /// later successful epoch reconverges, and no delta is ever lost.
     pub fn refresh_epoch(&self) -> Result<EpochSummary> {
-        if !self.is_sharded() {
-            return self.inner.root.refresh_epoch();
-        }
         let started = Instant::now();
         let _gate = sync::lock(&self.inner.gate);
         let mut summaries = self.promote_heavy_locked()?;
@@ -817,14 +776,14 @@ impl ShardedService {
     /// The promotion rewrite: enqueue every promoted key's committed rows
     /// as a delete on its hash shard and an insert on the heavy shard.
     /// Every scan runs before the first enqueue, and the enqueues target
-    /// unbounded queues of tables every shard holds.
+    /// unbounded queues of tables every shard holds. Only partitioned
+    /// tables feed promotion, so the heavy shard exists here.
     fn move_heavy_rows(&self, router: &Router, promoted: &BTreeSet<(usize, Value)>) -> Result<()> {
-        let Some(heavy) = &self.inner.heavy else {
-            return Ok(());
-        };
+        let n = self.inner.hash_shards;
+        let (hash, heavy) = self.shard_services().split_at(n);
         let mut moves = Vec::new();
         for (class, key) in promoted {
-            let src = &self.inner.workers[shard_of(key, self.inner.workers.len())];
+            let src = &hash[shard_of(key, n)];
             let snap = src.snapshot();
             for (table, layout) in router.class_tables(*class) {
                 let rows: Vec<Row> = snap
@@ -843,7 +802,7 @@ impl ShardedService {
         }
         for (src, table, rows) in moves {
             let inserts = Delta::from_inserts(rows.clone());
-            heavy.ingest_with(table, inserts, IngestOptions::blocking())?;
+            heavy[0].ingest_with(table, inserts, IngestOptions::blocking())?;
             src.ingest_with(table, Delta::from_deletes(rows), IngestOptions::blocking())?;
         }
         Ok(())
@@ -853,45 +812,28 @@ impl ShardedService {
     // Reads
     // ------------------------------------------------------------------
 
-    /// The sharded epoch counter: bumps once per [`refresh_epoch`] call
-    /// that did work. For an unsharded service this is the root's epoch.
+    /// The tier's epoch counter: bumps once per [`refresh_epoch`] call
+    /// that did work, starting from the root's epoch (so a recovered
+    /// durable root keeps counting).
     ///
     /// [`refresh_epoch`]: ShardedService::refresh_epoch
     pub fn epoch(&self) -> u64 {
-        if !self.is_sharded() {
-            return self.inner.root.epoch();
-        }
         self.inner.epoch.load(Ordering::SeqCst)
     }
 
     /// A consistent read snapshot across all shards: per-shard snapshots
     /// are acquired under the epoch gate, so no shard is mid-commit and
-    /// all agree on an epoch boundary.
+    /// all agree on an epoch boundary. A lone root's own snapshot is
+    /// already consistent: it takes no gate and reports the root's epoch,
+    /// so a reader never waits behind an epoch.
     pub fn snapshot(&self) -> ShardSnapshot<'_> {
-        if !self.is_sharded() {
-            let root = self.inner.root.snapshot();
-            let epoch = root.epoch();
-            return ShardSnapshot {
-                root,
-                shards: Vec::new(),
-                placements: sync::read(&self.inner.router).views.clone(),
-                epoch,
-            };
-        }
-        let _gate = sync::lock(&self.inner.gate);
-        let root = self.inner.root.snapshot();
-        let shards = self
-            .inner
-            .workers
-            .iter()
-            .chain(self.inner.heavy.as_ref())
-            .map(|svc| svc.snapshot())
-            .collect();
+        let gate = self.is_sharded().then(|| sync::lock(&self.inner.gate));
+        let services: Vec<Snapshot<'_>> = self.services().iter().map(|s| s.snapshot()).collect();
+        let epoch = gate.map_or(services[0].epoch(), |_| self.epoch());
         ShardSnapshot {
-            root,
-            shards,
+            services,
             placements: sync::read(&self.inner.router).views.clone(),
-            epoch: self.inner.epoch.load(Ordering::SeqCst),
+            epoch,
         }
     }
 
@@ -908,7 +850,7 @@ impl ShardedService {
             .as_ref()
             .is_some_and(ViewPlacement::is_sharded);
         if !sharded {
-            return self.inner.root.view_health(name);
+            return self.root().view_health(name);
         }
         let mut worst = ViewHealth::Healthy;
         for svc in self.shard_services() {
@@ -930,7 +872,7 @@ impl ShardedService {
         let snap = self.snapshot();
         for (name, _) in snap.placements.iter().filter(|(_, p)| p.is_sharded()) {
             let mut seen = HashSet::new();
-            for shard in &snap.shards {
+            for shard in &snap.services[1..] {
                 let table = shard.manager().view(name)?.table();
                 let Some(key) = table.schema().key() else {
                     break;
@@ -952,7 +894,7 @@ impl ShardedService {
     /// shard it reached; use `root().metrics()` for producer-facing
     /// accounting.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut merged = self.inner.root.metrics();
+        let mut merged = self.root().metrics();
         for svc in self.shard_services() {
             merged.merge(&svc.metrics());
         }
@@ -970,12 +912,12 @@ impl ShardedService {
 
     /// Count a SQL `CREATE MATERIALIZED VIEW` registration (root metrics).
     pub fn record_sql_registration(&self) {
-        self.inner.root.record_sql_registration();
+        self.root().record_sql_registration();
     }
 
     /// Count a SQL `SELECT` rewrite outcome (root metrics).
     pub fn record_sql_rewrite(&self, used_view: Option<&str>) {
-        self.inner.root.record_sql_rewrite(used_view);
+        self.root().record_sql_rewrite(used_view);
     }
 }
 
@@ -984,9 +926,8 @@ impl ShardedService {
 /// views merge on [`ShardSnapshot::query_view`], everything else is
 /// served from the root.
 pub struct ShardSnapshot<'a> {
-    root: Snapshot<'a>,
-    /// Hash shards then the heavy shard (empty when unsharded).
-    shards: Vec<Snapshot<'a>>,
+    /// The root's snapshot first, then each shard's.
+    services: Vec<Snapshot<'a>>,
     placements: BTreeMap<String, ViewPlacement>,
     epoch: u64,
 }
@@ -1000,7 +941,12 @@ impl ShardSnapshot<'_> {
     /// The root shard's view manager: full base catalog + executor (the
     /// SQL frontend executes against these).
     pub fn manager(&self) -> &ViewManager {
-        self.root.manager()
+        self.services[0].manager()
+    }
+
+    /// The root's manager, then shard 0's (every shard hosts the same views).
+    fn hosts(&self) -> impl Iterator<Item = &ViewManager> {
+        self.services.iter().take(2).map(Snapshot::manager)
     }
 
     /// The user-facing contents of a view: a bag, as an unsharded service
@@ -1013,11 +959,10 @@ impl ShardSnapshot<'_> {
             .placements
             .get(name)
             .is_some_and(ViewPlacement::is_sharded);
-        if !sharded || self.shards.is_empty() {
-            return self.root.query_view(name);
+        if !sharded {
+            return self.services[0].query_view(name);
         }
-        let parts = self
-            .shards
+        let parts = self.services[1..]
             .iter()
             .map(|shard| shard.query_view(name))
             .collect::<Result<Vec<Table>>>()?;
@@ -1032,36 +977,18 @@ impl ShardSnapshot<'_> {
     /// plus sharded views — the input the SQL view-matching rewriter
     /// wants.
     pub fn view_definitions(&self) -> Vec<(String, Plan)> {
-        let mut out: Vec<(String, Plan)> = self
-            .root
-            .manager()
-            .views()
+        self.hosts()
+            .flat_map(ViewManager::views)
             .map(|v| (v.name().to_string(), v.definition().clone()))
-            .collect();
-        if let Some(first) = self.shards.first() {
-            out.extend(
-                first
-                    .manager()
-                    .views()
-                    .map(|v| (v.name().to_string(), v.definition().clone())),
-            );
-        }
-        out
+            .collect()
     }
 
     /// Registration-time lint warnings for a view (rendered), wherever it
     /// is placed, including its GP023/GP024 placement diagnostic.
     pub fn view_lint_warnings(&self, name: &str) -> Vec<String> {
         let mut out: Vec<String> = self
-            .root
-            .manager()
-            .view(name)
-            .ok()
-            .or_else(|| {
-                self.shards
-                    .first()
-                    .and_then(|s| s.manager().view(name).ok())
-            })
+            .hosts()
+            .find_map(|m| m.view(name).ok())
             .map(|v| v.lint_warnings().iter().map(|d| d.to_string()).collect())
             .unwrap_or_default();
         if let Some(diag) = self
@@ -1180,6 +1107,41 @@ mod tests {
         assert!(svc.verify_all().unwrap());
     }
 
+    /// An unsharded tier is the root alone, so its snapshot is consistent
+    /// without the tier gate: a reader must not wait behind an epoch.
+    #[test]
+    fn unsharded_snapshot_does_not_wait_for_the_gate() {
+        let svc = ShardedService::new(catalog(), cfg(1, 0));
+        svc.register_view("pv", pivot_plan()).unwrap();
+        let gate = sync::lock(&svc.inner.gate);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = svc.clone();
+        let handle = std::thread::spawn(move || {
+            let snap = reader.snapshot();
+            let _ = tx.send((snap.epoch(), snap.query_view("pv").map(|t| t.len())));
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(5));
+        drop(gate);
+        handle.join().unwrap();
+        assert!(
+            matches!(got, Ok((0, Ok(2)))),
+            "snapshot blocked on the gate or read wrong: {got:?}"
+        );
+    }
+
+    /// A heavy shard exists only where a threshold can promote keys into it.
+    #[test]
+    fn heavy_shard_exists_only_with_a_threshold() {
+        for (shards, threshold, services) in [(1, 0, 1), (1, 5, 1), (2, 0, 3), (2, 5, 4)] {
+            let svc = ShardedService::new(catalog(), cfg(shards, threshold));
+            assert_eq!(
+                svc.services().len(),
+                services,
+                "{shards} shards, threshold {threshold}"
+            );
+        }
+    }
+
     #[test]
     fn sharded_refresh_matches_unsharded_oracle() {
         let svc = ShardedService::new(catalog(), cfg(3, 0));
@@ -1209,7 +1171,7 @@ mod tests {
         let svc = ShardedService::new(catalog(), cfg(2, 0));
         svc.register_view("pv", pivot_plan()).unwrap();
         assert!(svc.verify_all().unwrap());
-        for shard in &svc.inner.workers {
+        for shard in svc.shard_services() {
             let stray = Delta::from_inserts(vec![row![9, "a", 1]]);
             shard
                 .ingest_with("facts", stray, IngestOptions::blocking())
@@ -1269,7 +1231,8 @@ mod tests {
                 .count()
         };
         let assert_heavy_owns_key = |when: &str| {
-            for (j, w) in svc.inner.workers.iter().enumerate() {
+            let (hash, heavy) = svc.shard_services().split_at(2);
+            for (j, w) in hash.iter().enumerate() {
                 assert_eq!(
                     key_rows(w),
                     0,
@@ -1277,7 +1240,7 @@ mod tests {
                 );
             }
             assert!(
-                key_rows(svc.inner.heavy.as_ref().unwrap()) > 0,
+                key_rows(&heavy[0]) > 0,
                 "{when}: heavy shard lost the promoted key's rows"
             );
             assert!(
@@ -1511,7 +1474,7 @@ mod tests {
         svc.refresh_epoch().unwrap();
         svc.record_sql_rewrite(Some("pv"));
         // One shard fails an epoch on its own: only it degrades.
-        let failing = &svc.inner.workers[0];
+        let failing = &svc.shard_services()[0];
         failing
             .ingest_with(
                 "facts",

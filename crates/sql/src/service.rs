@@ -1,8 +1,8 @@
 //! The serve-layer entry point: one string in, one [`SqlOutcome`] out.
 //!
-//! [`GpivotService`] wraps a [`gpivot_serve::ShardedService`] (which is a
-//! transparent passthrough to one [`gpivot_serve::ViewService`] when
-//! configured with a single shard) and routes parsed statements:
+//! [`GpivotService`] wraps a [`gpivot_serve::ShardedService`] (a single
+//! root [`gpivot_serve::ViewService`] when configured with one shard) and
+//! routes parsed statements:
 //!
 //! * `CREATE MATERIALIZED VIEW` → [`ShardedService::register_view`] (which
 //!   runs the plan-lint gate, picks a maintenance [`Strategy`], and — on a
@@ -80,11 +80,6 @@ impl GpivotService {
         GpivotService {
             inner: ShardedService::from_single(service),
         }
-    }
-
-    /// Wrap an existing [`ShardedService`].
-    pub fn from_sharded(service: ShardedService) -> Self {
-        GpivotService { inner: service }
     }
 
     /// Open (or create) a **durable** service rooted at `dir`.

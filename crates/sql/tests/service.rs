@@ -201,3 +201,71 @@ fn durable_open_refuses_a_sharded_config() {
     );
     assert!(!dir.exists(), "a refused open must not touch its directory");
 }
+
+/// A durable service reopened through the shard tier keeps counting
+/// epochs where it stopped, and its SQL-created view keeps its bag.
+#[test]
+fn durable_reopen_keeps_the_epoch_and_the_view() {
+    use gpivot_algebra::{PivotSpec, PlanBuilder};
+    use gpivot_serve::{IngestOptions, ServeConfig};
+    use gpivot_storage::{row, Catalog, DataType, Delta, Schema, Table, Value};
+    use std::sync::Arc;
+
+    let dir =
+        std::env::temp_dir().join(format!("gpivot-sql-durable-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut seed = Catalog::new();
+    let schema = Schema::from_pairs_keyed(
+        &[
+            ("id", DataType::Int),
+            ("attr", DataType::Str),
+            ("val", DataType::Int),
+        ],
+        &["id", "attr"],
+    )
+    .unwrap();
+    let facts = Table::from_rows(Arc::new(schema), vec![row![1, "a", 10]]).unwrap();
+    seed.register("facts", facts).unwrap();
+    let pivot = PlanBuilder::scan("facts")
+        .gpivot(PivotSpec::simple(
+            "attr",
+            "val",
+            vec![Value::str("a"), Value::str("b")],
+        ))
+        .build();
+    let create = format!("CREATE MATERIALIZED VIEW pv AS {}", pivot.to_sql_dialect());
+    let epoch_with = |svc: &GpivotService, rows| {
+        let tier = svc.service();
+        tier.ingest_with(
+            "facts",
+            Delta::from_inserts(rows),
+            IngestOptions::blocking(),
+        )
+        .unwrap();
+        tier.refresh_epoch().unwrap().epoch
+    };
+
+    let before = {
+        let (svc, _) = GpivotService::open(&dir, seed.clone(), ServeConfig::default()).unwrap();
+        svc.execute_sql(&create).unwrap();
+        for i in 0..3 {
+            assert_eq!(epoch_with(&svc, vec![row![i + 2, "b", i]]), i as u64 + 1);
+        }
+        svc.service().query_view("pv").unwrap()
+    };
+
+    let (svc, report) = GpivotService::open(&dir, seed, ServeConfig::default()).unwrap();
+    assert!(report.recovered);
+    assert_eq!(svc.service().epoch(), 3);
+    let after = svc.service().query_view("pv").unwrap();
+    assert!(
+        after.bag_eq(&before),
+        "reopened view diverged:\n got: {:?}\nwant: {:?}",
+        after.sorted_rows(),
+        before.sorted_rows()
+    );
+    assert_eq!(epoch_with(&svc, vec![row![9, "a", 1]]), 4);
+    assert_eq!(svc.service().snapshot().epoch(), 4);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
