@@ -31,13 +31,6 @@ pub enum CombineVerdict {
     MixedMeasures { extra: Vec<String> },
 }
 
-impl CombineVerdict {
-    /// True iff the pair is combinable.
-    pub fn is_combinable(&self) -> bool {
-        matches!(self, CombineVerdict::Composition)
-    }
-}
-
 impl fmt::Display for CombineVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

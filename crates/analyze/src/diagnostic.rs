@@ -170,58 +170,6 @@ impl DiagCode {
         }
     }
 
-    /// Short human title for the rule table.
-    pub fn title(self) -> &'static str {
-        match self {
-            DiagCode::Gp001PivotInputNoKey => "pivot input declares no key",
-            DiagCode::Gp002MeasureInKey => "pivot measure column is in the key",
-            DiagCode::Gp003InvalidSpec => "invalid pivot/unpivot spec",
-            DiagCode::Gp004OutputCollision => "pivot output column collision",
-            DiagCode::Gp005TypeCheck => "plan does not type-check",
-            DiagCode::Gp010KeyNotPreserved => "key not preserved above a pivot",
-            DiagCode::Gp011SelectOverCells => "selection over pivoted cells not pushable",
-            DiagCode::Gp012ProjectDropsCells => "projection drops pivoted cells",
-            DiagCode::Gp013JoinOnCells => "join constrains pivoted cells",
-            DiagCode::Gp014OuterJoin => "outer join blocks delta propagation",
-            DiagCode::Gp015AggNotBottomRespecting => "aggregate not ⊥-respecting over pivot",
-            DiagCode::Gp016AggNotSelfMaintainable => "aggregate not self-maintainable on delete",
-            DiagCode::Gp017PivotsNotCombinable => "adjacent pivots not combinable",
-            DiagCode::Gp018UnionLosesKey => "bag union discards the key",
-            DiagCode::Gp019GroupByOnCells => "grouping on pivoted cells",
-            DiagCode::Gp020RuleShapeMismatch => "rule pattern shape mismatch",
-            DiagCode::Gp021StuckPivot => "pivot stuck below union/diff",
-            DiagCode::Gp022PivotUnpivotMismatch => "pivot/unpivot pair does not cancel",
-            DiagCode::Gp023NotShardSafe => "plan not provably shard-safe",
-            DiagCode::Gp024ShardSafe => "plan proven shard-safe",
-        }
-    }
-
-    /// The paper section / equation the rule is derived from.
-    pub fn paper_ref(self) -> &'static str {
-        match self {
-            DiagCode::Gp001PivotInputNoKey => "§2.1",
-            DiagCode::Gp002MeasureInKey => "§2.1",
-            DiagCode::Gp003InvalidSpec => "Eq. 3-4",
-            DiagCode::Gp004OutputCollision => "§4.1",
-            DiagCode::Gp005TypeCheck => "—",
-            DiagCode::Gp010KeyNotPreserved => "§5.1 / Fig. 8",
-            DiagCode::Gp011SelectOverCells => "Eq. 7 / Fig. 29",
-            DiagCode::Gp012ProjectDropsCells => "§5.1.2",
-            DiagCode::Gp013JoinOnCells => "§5.1.3",
-            DiagCode::Gp014OuterJoin => "Fig. 22-23",
-            DiagCode::Gp015AggNotBottomRespecting => "Eq. 8 / §5.1.4",
-            DiagCode::Gp016AggNotSelfMaintainable => "Fig. 27-28",
-            DiagCode::Gp017PivotsNotCombinable => "§4.2.3 / Fig. 7",
-            DiagCode::Gp018UnionLosesKey => "§2.1",
-            DiagCode::Gp019GroupByOnCells => "§5.1.4",
-            DiagCode::Gp020RuleShapeMismatch => "—",
-            DiagCode::Gp021StuckPivot => "Fig. 22",
-            DiagCode::Gp022PivotUnpivotMismatch => "Eq. 9-12",
-            DiagCode::Gp023NotShardSafe => "§4.2.3",
-            DiagCode::Gp024ShardSafe => "§4.2.3",
-        }
-    }
-
     /// The severity the analyzer assigns when it emits this code.
     pub fn default_severity(self) -> Severity {
         match self {

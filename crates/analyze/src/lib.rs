@@ -5,7 +5,7 @@
 //! keys and functional dependencies, key preservation (§5.1 of the paper),
 //! duplicate-sensitivity, aggregate self-maintainability, GPIVOT output
 //! collision sets, pairwise combinability of adjacent pivots (§4.2.3) —
-//! and a lint-rule registry ([`rules`]) turns them into structured
+//! and a lint-rule registry ([`rules()`]) turns them into structured
 //! [`Diagnostic`]s with stable `GP0xx` codes.
 //!
 //! The same codes are carried by the runtime rewrite rules in
@@ -90,11 +90,6 @@ impl AnalysisReport {
     /// registered maintenance strategy refreshes it exactly.
     pub fn maintenance_safe(&self) -> bool {
         !self.has_errors()
-    }
-
-    /// The most severe finding, if any.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
     }
 
     /// Distinct codes present, in code order.

@@ -19,7 +19,7 @@
 //!   first-seen / probe order; hash buckets are disambiguated with exact
 //!   `value_eq` comparisons, never by hash alone;
 //! * typed aggregate accumulators perform the same arithmetic in the same
-//!   order as the shared [`AggState`] (which remains the fallback for
+//!   order as the shared `AggState` (which remains the fallback for
 //!   heterogeneous columns), so even float results are bit-identical.
 //!
 //! The engine picks these kernels unless [`crate::Executor::with_columnar`]

@@ -1,5 +1,8 @@
 //! The durability layer: write-ahead logging, checkpointing, and crash
-//! recovery for [`crate::ViewService`].
+//! recovery for [`crate::ViewService`]. This module is the only code that
+//! knows the on-disk protocol: it builds every checkpoint image
+//! ([`snapshot`]) and every WAL record (the `Durability::log_*` methods);
+//! the service holds the locks and decides when each step runs.
 //!
 //! ## On-disk layout
 //!
@@ -15,7 +18,21 @@
 //! A checkpoint at generation *g* snapshots everything (base tables, view
 //! tables + definitions, the pending ingest queue and its watermarks) and
 //! declares that recovery replays WAL generations `>= g` on top of it.
-//! Rotation order makes every crash window safe:
+//!
+//! ## The three directory steps
+//!
+//! **Create** (`Durability::create`) lays down generation 1 in a
+//! directory, replacing any gpivot files already there: first
+//! `checkpoint-1` (temp-file + fsync + rename), then `wal-1` with its
+//! [`WalRecord::Checkpoint`] head record. The order matters: a crash
+//! between the two leaves a checkpoint without a log, which recovers; the
+//! reverse would leave a log without a checkpoint, which recovery rejects.
+//! A fresh `ViewService::open` creates from the seed catalog, and
+//! `ViewService::save_to` creates from the live state in another
+//! directory.
+//!
+//! **Checkpoint** rotates, writes, then prunes, so every crash window is
+//! safe:
 //!
 //! 1. Under the queue lock: snapshot the queue, create `wal-(g+1)` (head
 //!    record: [`WalRecord::Checkpoint`]) and switch appends to it.
@@ -25,6 +42,14 @@
 //! A crash before (2) completes leaves the previous checkpoint in place;
 //! recovery then replays both the old and the new log generation in order,
 //! which reproduces exactly the same state.
+//!
+//! **Recover** ([`recover`]) loads the newest valid checkpoint and replays
+//! the log generations at or after it, as below.
+//!
+//! The live directory is never created over: `save_to` into the
+//! service's own directory runs a checkpoint there instead, because
+//! create's pruning would delete the log the service is still appending
+//! to, and with it every epoch acknowledged after the save.
 //!
 //! ## Replay-from-queue recovery
 //!
@@ -51,10 +76,10 @@ use crate::sync;
 use gpivot_algebra::plan::Plan;
 use gpivot_core::{CoreError, MaterializedView, Result, SourceDeltas, Strategy, ViewManager};
 use gpivot_exec::Executor;
-use gpivot_storage::checkpoint::{self, CheckpointData};
+use gpivot_storage::checkpoint::{self, CheckpointData, ViewSnapshot};
 use gpivot_storage::wal::{self, Wal, WalRecord};
-use gpivot_storage::{Catalog, Delta, FaultInjector, FsyncPolicy, StorageError};
-use std::collections::BTreeMap;
+use gpivot_storage::{Catalog, Delta, FaultInjector, FsyncPolicy, StorageError, Table};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -109,12 +134,44 @@ fn corrupt(what: impl Into<String>) -> CoreError {
     CoreError::Storage(StorageError::Corrupt { what: what.into() })
 }
 
-fn parse_plan(parser: &PlanParser, sql: &str, what: &str) -> Result<Plan> {
-    parser(sql).map_err(|e| corrupt(format!("{what}: persisted view SQL failed to parse: {e}")))
-}
-
-fn parse_strategy(id: &str) -> Result<Strategy> {
-    Strategy::from_id(id).ok_or_else(|| corrupt(format!("unknown persisted strategy id {id:?}")))
+/// The checkpoint image of `state` at `epoch`, declaring that replay
+/// starts at log generation `wal_gen`. `pending` and `watermarks` are the
+/// ingest queue's contents and `(raw rows, batches)` counters, copied by
+/// the caller under the queue lock; views named in `stale` (quarantined,
+/// so their tables lag the base) are marked for recompute at recovery.
+pub(crate) fn snapshot(
+    state: &ViewManager,
+    pending: Vec<(String, Delta)>,
+    (queue_raw_rows, queue_batches): (u64, u64),
+    epoch: u64,
+    wal_gen: u64,
+    stale: &BTreeSet<String>,
+) -> Result<CheckpointData> {
+    // The writer serializes schema + rows: hand it views that share the
+    // rows, not deep copies of every key index.
+    let mut tables = Vec::new();
+    for name in state.catalog().table_names() {
+        tables.push((name.to_string(), state.catalog().table(name)?.as_bag()));
+    }
+    let views = state
+        .views()
+        .map(|v| ViewSnapshot {
+            name: v.name().to_string(),
+            definition_sql: v.definition().to_sql_dialect(),
+            strategy: v.strategy().id().to_string(),
+            stale: stale.contains(v.name()),
+            table: v.table().as_bag(),
+        })
+        .collect();
+    Ok(CheckpointData {
+        epoch,
+        wal_gen,
+        tables,
+        views,
+        pending,
+        queue_raw_rows,
+        queue_batches,
+    })
 }
 
 /// The live durability handle a [`crate::ViewService`] carries: the current
@@ -137,40 +194,30 @@ pub(crate) struct Durability {
 }
 
 impl Durability {
-    /// Initialize a fresh durable directory: checkpoint generation 1 holds
-    /// the seed catalog (no views, empty queue, epoch 0), and WAL
-    /// generation 1 starts with its [`WalRecord::Checkpoint`] head record.
-    /// Every later replay therefore always starts from a checkpoint.
-    pub fn bootstrap(
+    /// Lay down generation `data.wal_gen` in `dir`, replacing any gpivot
+    /// files already there: first the checkpoint of `data`, then the log
+    /// with its [`WalRecord::Checkpoint`] head record, fsynced per
+    /// `policy`. Every later replay therefore starts from a checkpoint,
+    /// and a crash between the two files leaves one that recovers.
+    pub fn create(
         dir: &Path,
-        catalog: &Catalog,
+        data: &CheckpointData,
         policy: FsyncPolicy,
         injector: FaultInjector,
     ) -> Result<Durability> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create durable dir", e))?;
-        let mut tables = Vec::new();
-        for name in catalog.table_names() {
-            tables.push((name.to_string(), catalog.table(name)?.as_bag()));
-        }
-        let data = CheckpointData {
-            epoch: 0,
-            wal_gen: 1,
-            tables,
-            views: Vec::new(),
-            pending: Vec::new(),
-            queue_raw_rows: 0,
-            queue_batches: 0,
-        };
-        let ckpt_bytes = checkpoint::write_checkpoint(dir, &data, &injector)?;
-        // No log exists yet (recovery found none), so this creates
-        // generation 1, and the head record is counted like any append.
-        let d = Durability::open_at(dir, 1, policy, injector)?;
+        // Clear any previous files so stale higher generations can't
+        // shadow this one.
+        checkpoint::prune(dir, u64::MAX);
+        let ckpt_bytes = checkpoint::write_checkpoint(dir, data, &injector)?;
+        let wal = Wal::create(checkpoint::wal_path(dir, data.wal_gen))?;
+        let d = Durability::attach(dir, data.wal_gen, wal, policy, injector);
         d.append_durable(
             &WalRecord::Checkpoint {
-                epoch: 0,
-                wal_gen: 1,
+                epoch: data.epoch,
+                wal_gen: data.wal_gen,
             },
-            "bootstrap",
+            "create",
         )?;
         d.checkpoints.store(1, Ordering::Relaxed);
         d.last_checkpoint_bytes.store(ckpt_bytes, Ordering::Relaxed);
@@ -188,13 +235,23 @@ impl Durability {
         injector: FaultInjector,
     ) -> Result<Durability> {
         let path = checkpoint::wal_path(dir, gen);
-        let mut w = if path.exists() {
+        let wal = if path.exists() {
             Wal::open_append(&path)?
         } else {
             Wal::create(&path)?
         };
-        w.set_fault_injector(injector.clone());
-        Ok(Durability {
+        Ok(Durability::attach(dir, gen, wal, policy, injector))
+    }
+
+    fn attach(
+        dir: &Path,
+        gen: u64,
+        mut wal: Wal,
+        policy: FsyncPolicy,
+        injector: FaultInjector,
+    ) -> Durability {
+        wal.set_fault_injector(injector.clone());
+        Durability {
             dir: dir.to_path_buf(),
             policy,
             injector,
@@ -204,8 +261,17 @@ impl Durability {
             fsyncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             last_checkpoint_bytes: AtomicU64::new(0),
-            wal: Mutex::new(w),
-        })
+            wal: Mutex::new(wal),
+        }
+    }
+
+    /// True iff `dir` names this handle's directory, however spelled
+    /// (both sides are canonicalized; a missing `dir` is never it).
+    pub fn owns(&self, dir: &Path) -> bool {
+        match (std::fs::canonicalize(dir), std::fs::canonicalize(&self.dir)) {
+            (Ok(a), Ok(b)) => a == b,
+            _ => false,
+        }
     }
 
     pub fn current_gen(&self) -> u64 {
@@ -213,7 +279,7 @@ impl Durability {
     }
 
     /// Append one record to the current log generation.
-    pub fn append(&self, record: &WalRecord) -> Result<()> {
+    fn append(&self, record: &WalRecord) -> Result<()> {
         self.append_with(|w| w.append(record))
     }
 
@@ -233,7 +299,7 @@ impl Durability {
 
     /// Append one record and make it durable per policy: fsynced unless
     /// the policy is [`FsyncPolicy::Never`].
-    pub fn append_durable(&self, record: &WalRecord, context: &str) -> Result<()> {
+    fn append_durable(&self, record: &WalRecord, context: &str) -> Result<()> {
         self.append(record)?;
         if self.policy != FsyncPolicy::Never {
             self.sync(context)?;
@@ -260,6 +326,35 @@ impl Durability {
             self.sync("ingest")?;
         }
         Ok(())
+    }
+
+    /// Log a view registration (definition as dialect SQL, strategy id)
+    /// and make it durable per policy.
+    pub fn log_register(&self, view: &MaterializedView) -> Result<()> {
+        self.append_durable(
+            &WalRecord::RegisterView {
+                name: view.name().to_string(),
+                definition_sql: view.definition().to_sql_dialect(),
+                strategy: view.strategy().id().to_string(),
+            },
+            "register-view",
+        )
+    }
+
+    /// Log a view drop and make it durable per policy.
+    pub fn log_drop(&self, name: &str) -> Result<()> {
+        self.append_durable(
+            &WalRecord::DropView {
+                name: name.to_string(),
+            },
+            "drop-view",
+        )
+    }
+
+    /// Log the boundary of epoch `epoch`: replay drains its simulated
+    /// queue here. Not fsynced — the commit marker that follows is.
+    pub fn log_begin(&self, epoch: u64) -> Result<()> {
+        self.append(&WalRecord::EpochBegin { epoch })
     }
 
     /// Log an epoch's commit marker and make it durable per policy. After
@@ -332,7 +427,7 @@ pub(crate) struct Recovered {
 /// replay. `Ok(None)` means the directory holds no checkpoint and no log
 /// (fresh). A directory with checkpoint or log files of which no
 /// checkpoint validates is [`StorageError::Corrupt`], and nothing in it is
-/// touched: bootstrapping there would silently drop every acknowledged
+/// touched: creating there would silently drop every acknowledged
 /// epoch.
 ///
 /// Recovery runs with a *disabled* fault injector (the caller re-arms the
@@ -366,6 +461,34 @@ pub(crate) fn recover(
     }
     let mut manager = ViewManager::new(catalog).with_exec(exec);
 
+    // Every view recovery builds comes through here: from its checkpoint
+    // snapshot when there is one (recomputed instead if the snapshot's
+    // schema no longer matches), else recomputed from the base tables.
+    // Returns whether the snapshot was used.
+    let rebuild = |manager: &mut ViewManager,
+                   name: String,
+                   sql: &str,
+                   strategy: &str,
+                   snapshot: Option<Table>|
+     -> Result<bool> {
+        let plan = parser(sql)
+            .map_err(|e| corrupt(format!("{name}: persisted view SQL failed to parse: {e}")))?;
+        let strategy = Strategy::from_id(strategy)
+            .ok_or_else(|| corrupt(format!("unknown persisted strategy id {strategy:?}")))?;
+        let (catalog, exec) = (manager.catalog(), manager.executor());
+        let (view, used_snapshot) = match snapshot {
+            Some(table) => {
+                MaterializedView::from_snapshot(name, plan, strategy, table, catalog, exec)?
+            }
+            None => (
+                MaterializedView::create_with(name, plan, strategy, catalog, exec)?,
+                false,
+            ),
+        };
+        manager.install_view(view);
+        Ok(used_snapshot)
+    };
+
     // Views: non-stale snapshots install now (their tables are consistent
     // with the checkpointed base, so replay maintains them incrementally);
     // stale ones (quarantined at checkpoint time) recompute at the end,
@@ -374,24 +497,17 @@ pub(crate) fn recover(
     for vs in ckpt.views {
         if vs.stale {
             stale.insert(vs.name, (vs.definition_sql, vs.strategy));
-            continue;
-        }
-        let plan = parse_plan(parser, &vs.definition_sql, &vs.name)?;
-        let strategy = parse_strategy(&vs.strategy)?;
-        let (view, used_snapshot) = MaterializedView::from_snapshot(
+        } else if rebuild(
+            &mut manager,
             vs.name,
-            plan,
-            strategy,
-            vs.table,
-            manager.catalog(),
-            manager.executor(),
-        )?;
-        if used_snapshot {
+            &vs.definition_sql,
+            &vs.strategy,
+            Some(vs.table),
+        )? {
             report.views_recovered += 1;
         } else {
             report.views_recomputed += 1;
         }
-        manager.install_view(view);
     }
 
     let mut queue = IngestQueue::new();
@@ -423,16 +539,7 @@ pub(crate) fn recover(
                     strategy,
                 } => {
                     stale.remove(&name);
-                    let plan = parse_plan(parser, &definition_sql, &name)?;
-                    let strategy = parse_strategy(&strategy)?;
-                    let view = MaterializedView::create_with(
-                        name,
-                        plan,
-                        strategy,
-                        manager.catalog(),
-                        manager.executor(),
-                    )?;
-                    manager.install_view(view);
+                    rebuild(&mut manager, name, &definition_sql, &strategy, None)?;
                 }
                 WalRecord::DropView { name } => {
                     stale.remove(&name);
@@ -476,16 +583,7 @@ pub(crate) fn recover(
     // Stale (quarantined-at-checkpoint) views recompute from the replayed
     // base — the durable analogue of `retry_view`'s recompute path.
     for (name, (sql, strategy)) in stale {
-        let plan = parse_plan(parser, &sql, &name)?;
-        let strategy = parse_strategy(&strategy)?;
-        let view = MaterializedView::create_with(
-            name,
-            plan,
-            strategy,
-            manager.catalog(),
-            manager.executor(),
-        )?;
-        manager.install_view(view);
+        rebuild(&mut manager, name, &sql, &strategy, None)?;
         report.views_recomputed += 1;
     }
 

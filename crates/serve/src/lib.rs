@@ -9,7 +9,7 @@
 //!   [`ViewService::drop_view`]) — named views compiled through the existing
 //!   normalize + strategy pipeline, owned behind an `RwLock` so queries and
 //!   refreshes can proceed concurrently.
-//! * **Delta ingestion queue** ([`ViewService::ingest`]) — producers submit
+//! * **Delta ingestion queue** ([`ViewService::ingest_with`]) — producers submit
 //!   signed-multiset [`gpivot_storage::Delta`] batches per base table. The
 //!   queue coalesces them additively (an insert and a delete of the same row
 //!   cancel before any propagation work happens) and applies backpressure

@@ -1,7 +1,7 @@
 //! The view-maintenance service: registry, ingestion, epoch scheduler,
 //! and the fault-tolerance machinery (retry, quarantine, atomic epochs).
 
-use crate::durable::{self, Durability, PlanParser, RecoveryReport};
+use crate::durable::{self, Durability, PlanParser, Recovered, RecoveryReport};
 use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth, ViewMetrics};
 use crate::queue::IngestQueue;
 use crate::shard::ShardConfig;
@@ -12,8 +12,6 @@ use gpivot_core::{
     ViewOptions,
 };
 use gpivot_exec::{Executor, WorkerPool};
-use gpivot_storage::checkpoint::{self, CheckpointData, ViewSnapshot};
-use gpivot_storage::wal::{Wal, WalRecord};
 use gpivot_storage::{Catalog, Delta, FaultInjector, FsyncPolicy, StorageError, Table};
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
@@ -301,13 +299,7 @@ impl ServeConfigBuilder {
 ///   run the epoch that would create it).
 /// * [`IngestOptions::bounded`] waits at most `timeout`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestOptions {
-    /// Reject immediately instead of waiting when `false`.
-    pub blocking: bool,
-    /// Upper bound on a blocking wait; `None` waits indefinitely.
-    /// Ignored when `blocking` is `false`.
-    pub timeout: Option<Duration>,
-}
+pub struct IngestOptions(Wait);
 
 impl Default for IngestOptions {
     /// Blocking with no timeout.
@@ -319,38 +311,22 @@ impl Default for IngestOptions {
 impl IngestOptions {
     /// Wait for queue space indefinitely.
     pub fn blocking() -> Self {
-        IngestOptions {
-            blocking: true,
-            timeout: None,
-        }
+        IngestOptions(Wait::Block)
     }
 
     /// Reject immediately at the watermark.
     pub fn non_blocking() -> Self {
-        IngestOptions {
-            blocking: false,
-            timeout: None,
-        }
+        IngestOptions(Wait::Never)
     }
 
     /// Wait at most `timeout`.
     pub fn bounded(timeout: Duration) -> Self {
-        IngestOptions {
-            blocking: true,
-            timeout: Some(timeout),
-        }
-    }
-
-    fn wait(&self) -> Wait {
-        match (self.blocking, self.timeout) {
-            (false, _) => Wait::Never,
-            (true, Some(t)) => Wait::Timeout(t),
-            (true, None) => Wait::Block,
-        }
+        IngestOptions(Wait::Timeout(timeout))
     }
 }
 
 /// How long an ingest call is willing to wait for queue space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wait {
     Block,
     Never,
@@ -470,49 +446,52 @@ impl ViewService {
     ) -> Result<(ViewService, RecoveryReport)> {
         let dir = dir.as_ref();
         let injector = seed_catalog.fault_injector().clone();
-        match durable::recover(dir, parser, cfg.executor())? {
+        let (mut rec, durability) = match durable::recover(dir, parser, cfg.executor())? {
             Some(rec) => {
-                let mut manager = rec.manager;
-                manager.catalog_mut().set_fault_injector(injector.clone());
-                let durability = Durability::open_at(dir, rec.gen, cfg.wal_fsync(), injector)?;
-                let (raw_rows, batches) = rec.queue.watermarks();
-                let metrics = MetricsSnapshot {
-                    // Seed the ingest counters from the recovered queue
-                    // watermarks so `rows_ingested − rows_drained_raw =
-                    // pending` still reconciles after a restart.
-                    rows_ingested: raw_rows,
-                    batches_ingested: batches,
-                    recoveries: 1,
-                    recovery_replayed_records: rec.report.replayed_records,
-                    recovery_replayed_epochs: rec.report.replayed_epochs,
-                    recovery_torn_tails: rec.report.torn_tails_truncated,
-                    recovery_corrupt_checkpoints: rec.report.corrupt_checkpoints_skipped,
-                    ..MetricsSnapshot::default()
-                };
-                let svc = Self::assemble(
-                    manager,
-                    rec.queue,
-                    metrics,
-                    rec.epoch,
-                    cfg,
-                    Some(durability),
-                );
-                Ok((svc, rec.report))
+                let durability =
+                    Durability::open_at(dir, rec.gen, cfg.wal_fsync(), injector.clone())?;
+                (rec, durability)
             }
             None => {
+                let manager = ViewManager::new(seed_catalog).with_exec(cfg.executor());
+                let image =
+                    durable::snapshot(&manager, Vec::new(), (0, 0), 0, 1, &BTreeSet::new())?;
                 let durability =
-                    Durability::bootstrap(dir, &seed_catalog, cfg.wal_fsync(), injector)?;
-                let svc = Self::assemble(
-                    ViewManager::new(seed_catalog).with_exec(cfg.executor()),
-                    IngestQueue::new(),
-                    MetricsSnapshot::default(),
-                    0,
-                    cfg,
-                    Some(durability),
-                );
-                Ok((svc, RecoveryReport::default()))
+                    Durability::create(dir, &image, cfg.wal_fsync(), injector.clone())?;
+                let fresh = Recovered {
+                    manager,
+                    queue: IngestQueue::new(),
+                    epoch: 0,
+                    gen: 1,
+                    report: RecoveryReport::default(),
+                };
+                (fresh, durability)
             }
-        }
+        };
+        rec.manager.catalog_mut().set_fault_injector(injector);
+        let (raw_rows, batches) = rec.queue.watermarks();
+        let metrics = MetricsSnapshot {
+            // Seed the ingest counters from the recovered queue watermarks
+            // so `rows_ingested − rows_drained_raw = pending` still
+            // reconciles after a restart.
+            rows_ingested: raw_rows,
+            batches_ingested: batches,
+            recoveries: u64::from(rec.report.recovered),
+            recovery_replayed_records: rec.report.replayed_records,
+            recovery_replayed_epochs: rec.report.replayed_epochs,
+            recovery_torn_tails: rec.report.torn_tails_truncated,
+            recovery_corrupt_checkpoints: rec.report.corrupt_checkpoints_skipped,
+            ..MetricsSnapshot::default()
+        };
+        let svc = Self::assemble(
+            rec.manager,
+            rec.queue,
+            metrics,
+            rec.epoch,
+            cfg,
+            Some(durability),
+        );
+        Ok((svc, rec.report))
     }
 
     /// True iff this service write-ahead-logs and can checkpoint.
@@ -544,19 +523,10 @@ impl ViewService {
         let name = name.into();
         let strategy = state.register_view_with(name.clone(), definition, options)?;
         if let Some(d) = &self.shared.durability {
-            // Log the registration (definition as dialect SQL) before
-            // acknowledging; if the log write fails, unwind it so the
-            // in-memory registry never runs ahead of the durable one.
-            let definition_sql = state.view(&name).map(|v| v.definition().to_sql_dialect())?;
-            let logged = d.append_durable(
-                &WalRecord::RegisterView {
-                    name: name.clone(),
-                    definition_sql,
-                    strategy: strategy.id().to_string(),
-                },
-                "register-view",
-            );
-            if let Err(e) = logged {
+            // Log the registration before acknowledging; if the log write
+            // fails, unwind it so the in-memory registry never runs ahead
+            // of the durable one.
+            if let Err(e) = state.view(&name).and_then(|v| d.log_register(v)) {
                 let _ = state.drop_view(&name);
                 return Err(e);
             }
@@ -580,13 +550,7 @@ impl ViewService {
         let mut state = sync::write(&self.shared.state);
         let removed = state.drop_view(name)?;
         if let Some(d) = &self.shared.durability {
-            let logged = d.append_durable(
-                &WalRecord::DropView {
-                    name: name.to_string(),
-                },
-                "drop-view",
-            );
-            if let Err(e) = logged {
+            if let Err(e) = d.log_drop(name) {
                 state.install_view(removed);
                 return Err(e);
             }
@@ -623,10 +587,6 @@ impl ViewService {
     /// empty (one oversized batch never wedges a producer); see
     /// [`ServeConfig::max_pending_rows`] for the liveness contract.
     pub fn ingest_with(&self, table: &str, delta: Delta, options: IngestOptions) -> Result<()> {
-        self.ingest_inner(table, delta, options.wait())
-    }
-
-    fn ingest_inner(&self, table: &str, delta: Delta, wait: Wait) -> Result<()> {
         if delta.is_empty() {
             return Ok(());
         }
@@ -638,7 +598,7 @@ impl ViewService {
             state.catalog().table(table)?;
         }
         let rows = delta.total_multiplicity();
-        let deadline = match wait {
+        let deadline = match options.0 {
             Wait::Timeout(d) => Some(Instant::now() + d),
             _ => None,
         };
@@ -647,7 +607,7 @@ impl ViewService {
         {
             let mut q = sync::lock(&self.shared.queue);
             while q.pending_rows() >= self.shared.cfg.max_pending_rows() && !q.is_empty() {
-                match (&wait, deadline) {
+                match (options.0, deadline) {
                     (Wait::Never, _) => {
                         rejected_at = Some(q.pending_rows());
                         break;
@@ -753,9 +713,7 @@ impl ViewService {
             // marker. Empty drains write nothing (no epoch happens).
             if !batch.is_empty() {
                 if let Some(d) = &self.shared.durability {
-                    if let Err(e) = d.append(&WalRecord::EpochBegin {
-                        epoch: self.epoch() + 1,
-                    }) {
+                    if let Err(e) = d.log_begin(self.epoch() + 1) {
                         q.restore(&batch, drained);
                         self.shared.space.notify_all();
                         return Err(e);
@@ -988,13 +946,13 @@ impl ViewService {
         // snapshot (old generation, not replayed) or after the rotation
         // point (new generation, replayed). Epoch markers can't interleave
         // here — the gate is held.
-        let (pending, raw_rows, batches, new_gen) = {
+        let (pending, watermarks, new_gen) = {
             let q = sync::lock(&self.shared.queue);
             let new_gen = d.rotate(epoch)?;
-            let (raw_rows, batches) = q.watermarks();
-            (q.snapshot_pending(), raw_rows, batches, new_gen)
+            (q.snapshot_pending(), q.watermarks(), new_gen)
         };
-        let data = self.assemble_checkpoint(&state, epoch, new_gen, pending, raw_rows, batches)?;
+        let stale = self.quarantined();
+        let data = durable::snapshot(&state, pending, watermarks, epoch, new_gen, &stale)?;
         drop(state);
         // Steps 2 + 3: write the snapshot, then prune behind it.
         let bytes = d.write_checkpoint_file(&data)?;
@@ -1002,78 +960,30 @@ impl ViewService {
         Ok(bytes)
     }
 
-    fn assemble_checkpoint(
-        &self,
-        state: &ViewManager,
-        epoch: u64,
-        wal_gen: u64,
-        pending: Vec<(String, Delta)>,
-        queue_raw_rows: u64,
-        queue_batches: u64,
-    ) -> Result<CheckpointData> {
-        let quarantined = self.quarantined();
-        // The writer serializes schema + rows: hand it views that share
-        // the rows, not deep copies of every key index.
-        let mut tables = Vec::new();
-        for name in state.catalog().table_names() {
-            tables.push((name.to_string(), state.catalog().table(name)?.as_bag()));
-        }
-        let views = state
-            .views()
-            .map(|v| ViewSnapshot {
-                name: v.name().to_string(),
-                definition_sql: v.definition().to_sql_dialect(),
-                strategy: v.strategy().id().to_string(),
-                // A quarantined view's table lags the base tables; mark it
-                // so recovery recomputes instead of trusting the snapshot.
-                stale: quarantined.contains(v.name()),
-                table: v.table().as_bag(),
-            })
-            .collect();
-        Ok(CheckpointData {
-            epoch,
-            wal_gen,
-            tables,
-            views,
-            pending,
-            queue_raw_rows,
-            queue_batches,
-        })
-    }
-
     /// Export the current state as a fresh durable directory at `dir` (one
     /// checkpoint at generation 1 plus an empty log), regardless of whether
     /// this service is itself durable. [`ViewService::open`] on that
     /// directory restores the exact state — views, pending queue, epoch.
-    /// Any prior gpivot files in `dir` are replaced. Returns the
+    /// Any prior gpivot files in `dir` are replaced, except when `dir` is
+    /// this service's own durable directory: its log is still in use, so
+    /// the save is a [`ViewService::checkpoint`] there instead. Returns the
     /// checkpoint size in bytes. Backs the SQL REPL's `:save`.
     pub fn save_to(&self, dir: impl AsRef<Path>) -> Result<u64> {
         let _gate = sync::lock(&self.shared.gate);
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| {
-            CoreError::Storage(StorageError::Io {
-                op: "save_to".into(),
-                message: e.to_string(),
-            })
-        })?;
-        // Clear any previous export so stale higher generations can't
-        // shadow this one.
-        checkpoint::prune(dir, u64::MAX);
+        if self.shared.durability.as_ref().is_some_and(|d| d.owns(dir)) {
+            return self.checkpoint_locked();
+        }
         let state = sync::read(&self.shared.state);
-        let epoch = self.epoch();
-        let (pending, raw_rows, batches) = {
+        let (pending, watermarks) = {
             let q = sync::lock(&self.shared.queue);
-            let (raw_rows, batches) = q.watermarks();
-            (q.snapshot_pending(), raw_rows, batches)
+            (q.snapshot_pending(), q.watermarks())
         };
-        let data = self.assemble_checkpoint(&state, epoch, 1, pending, raw_rows, batches)?;
+        let stale = self.quarantined();
+        let data = durable::snapshot(&state, pending, watermarks, self.epoch(), 1, &stale)?;
         drop(state);
-        let injector = FaultInjector::disabled();
-        let bytes = checkpoint::write_checkpoint(dir, &data, &injector)?;
-        let mut w = Wal::create(checkpoint::wal_path(dir, 1))?;
-        w.append(&WalRecord::Checkpoint { epoch, wal_gen: 1 })?;
-        w.sync("save")?;
-        Ok(bytes)
+        let saved = Durability::create(dir, &data, FsyncPolicy::Always, FaultInjector::disabled())?;
+        Ok(saved.counters().last_checkpoint_bytes)
     }
 
     /// Roll a failed epoch back: record per-view failures and health
@@ -1651,12 +1561,6 @@ mod tests {
     #[test]
     fn ingest_options_map_to_wait_modes() {
         assert_eq!(IngestOptions::default(), IngestOptions::blocking());
-        assert!(IngestOptions::blocking().blocking);
-        assert!(IngestOptions::blocking().timeout.is_none());
-        assert!(!IngestOptions::non_blocking().blocking);
-        let bounded = IngestOptions::bounded(Duration::from_millis(7));
-        assert!(bounded.blocking);
-        assert_eq!(bounded.timeout, Some(Duration::from_millis(7)));
     }
 
     #[test]

@@ -647,7 +647,7 @@ impl ShardedService {
     /// fan-out — that is what makes every routing change exact: a change
     /// holds the write lock until its rows have moved, so no delta routes
     /// by the new rule before then, and none by the old rule after
-    /// ([`ShardedService::reroute_locked`]).
+    /// (the routing-change protocol, `reroute_locked`).
     pub fn ingest_with(&self, table: &str, delta: Delta, options: IngestOptions) -> Result<()> {
         // The root takes the caller's delta; a copy is made only when
         // there is a shard to route it to.
@@ -711,20 +711,25 @@ impl ShardedService {
     pub fn refresh_epoch(&self) -> Result<EpochSummary> {
         let started = Instant::now();
         let _gate = sync::lock(&self.inner.gate);
-        let mut summaries = self.promote_heavy_locked()?;
-        summaries.extend(self.refresh_all_locked()?);
+        let epochs = || -> Vec<u64> { self.services().iter().map(ViewService::epoch).collect() };
+        let before = epochs();
+        let refreshed = self.promote_heavy_locked().and_then(|mut summaries| {
+            summaries.extend(self.refresh_all_locked()?);
+            Ok(summaries)
+        });
+        // The tier's epoch advances with any service's, even when a later
+        // step failed (say, a durable root's in-epoch checkpoint): that
+        // service's epoch committed, and the tier must not fall behind it.
+        if epochs() != before {
+            self.inner.epoch.fetch_add(1, Ordering::SeqCst);
+        }
+        let summaries = refreshed?;
 
         let mut out = EpochSummary::default();
         // Each refresh round lists the root first, then the shards.
         let round = self.services().len();
         for (i, s) in summaries.iter().enumerate() {
             out.absorb(s, i % round == 0);
-        }
-        if summaries
-            .iter()
-            .any(|s| s.views_refreshed > 0 || s.batch_rows > 0)
-        {
-            self.inner.epoch.fetch_add(1, Ordering::SeqCst);
         }
         out.epoch = self.inner.epoch.load(Ordering::SeqCst);
         out.duration = started.elapsed();

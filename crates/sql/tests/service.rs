@@ -4,9 +4,15 @@
 //! rewrite misses falling back to base tables (with the `rewrite.miss`
 //! trace event and metrics), and EXPLAIN output.
 
+use gpivot_algebra::{PivotSpec, PlanBuilder};
+use gpivot_serve::{IngestOptions, ServeConfig};
 use gpivot_sql::{parse_query, GpivotService, SqlError, SqlOutcome};
+use gpivot_storage::{
+    row, Catalog, DataType, Delta, FaultInjector, FaultSite, Row, Schema, Table, Value,
+};
 use gpivot_tpch::views::{view1, view2, view3, VIEW2_THRESHOLD};
 use gpivot_tpch::{generate, TpchConfig};
+use std::sync::Arc;
 
 fn service() -> GpivotService {
     let catalog = generate(&TpchConfig::scale(0.02));
@@ -29,14 +35,14 @@ fn service() -> GpivotService {
 }
 
 /// Run `sql` and return (rows, used_view).
-fn select(svc: &GpivotService, sql: &str) -> (gpivot_storage::Table, Option<String>) {
+fn select(svc: &GpivotService, sql: &str) -> (Table, Option<String>) {
     match svc.execute_sql(sql).unwrap() {
         SqlOutcome::Rows { table, used_view } => (table, used_view),
         other => panic!("expected Rows, got {other:?}"),
     }
 }
 
-fn assert_same_fields(a: &gpivot_storage::Table, b: &gpivot_storage::Table) {
+fn assert_same_fields(a: &Table, b: &Table) {
     // The view's materialized table may carry different key *metadata* than
     // an ad-hoc execution infers; the contract is identical fields + rows.
     let (sa, sb) = (a.schema(), b.schema());
@@ -49,7 +55,7 @@ fn assert_same_fields(a: &gpivot_storage::Table, b: &gpivot_storage::Table) {
 
 /// The same query executed directly against the base tables, bypassing the
 /// rewriter entirely.
-fn baseline(svc: &GpivotService, sql: &str) -> gpivot_storage::Table {
+fn baseline(svc: &GpivotService, sql: &str) -> Table {
     let plan = parse_query(sql).unwrap();
     let snapshot = svc.service().snapshot();
     let manager = snapshot.manager();
@@ -186,13 +192,10 @@ fn parse_errors_carry_spans_and_engine_errors_do_not_panic() {
 
 #[test]
 fn durable_open_refuses_a_sharded_config() {
-    let cfg = gpivot_serve::ServeConfig::builder()
-        .shards(2)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig::builder().shards(2).build().unwrap();
     let dir = std::env::temp_dir().join(format!("gpivot-sql-sharded-open-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let err = GpivotService::open(&dir, gpivot_storage::Catalog::new(), cfg)
+    let err = GpivotService::open(&dir, Catalog::new(), cfg)
         .err()
         .expect("a two-shard durable open must be refused");
     assert!(
@@ -202,17 +205,11 @@ fn durable_open_refuses_a_sharded_config() {
     assert!(!dir.exists(), "a refused open must not touch its directory");
 }
 
-/// A durable service reopened through the shard tier keeps counting
-/// epochs where it stopped, and its SQL-created view keeps its bag.
-#[test]
-fn durable_reopen_keeps_the_epoch_and_the_view() {
-    use gpivot_algebra::{PivotSpec, PlanBuilder};
-    use gpivot_serve::{IngestOptions, ServeConfig};
-    use gpivot_storage::{row, Catalog, DataType, Delta, Schema, Table, Value};
-    use std::sync::Arc;
-
-    let dir =
-        std::env::temp_dir().join(format!("gpivot-sql-durable-reopen-{}", std::process::id()));
+/// A fresh durable directory named after `tag`, a seed catalog holding
+/// one keyed `facts` table, and the statement that creates view `pv`, a
+/// GPIVOT over it.
+fn durable_fixture(tag: &str) -> (std::path::PathBuf, Catalog, String) {
+    let dir = std::env::temp_dir().join(format!("gpivot-sql-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut seed = Catalog::new();
     let schema = Schema::from_pairs_keyed(
@@ -234,17 +231,31 @@ fn durable_reopen_keeps_the_epoch_and_the_view() {
         ))
         .build();
     let create = format!("CREATE MATERIALIZED VIEW pv AS {}", pivot.to_sql_dialect());
-    let epoch_with = |svc: &GpivotService, rows| {
-        let tier = svc.service();
-        tier.ingest_with(
+    (dir, seed, create)
+}
+
+/// Ingest `rows` into `facts` through the tier.
+fn ingest(svc: &GpivotService, rows: Vec<Row>) {
+    svc.service()
+        .ingest_with(
             "facts",
             Delta::from_inserts(rows),
             IngestOptions::blocking(),
         )
         .unwrap();
-        tier.refresh_epoch().unwrap().epoch
-    };
+}
 
+/// Ingest `rows` and run one tier epoch; returns the epoch it committed.
+fn epoch_with(svc: &GpivotService, rows: Vec<Row>) -> u64 {
+    ingest(svc, rows);
+    svc.service().refresh_epoch().unwrap().epoch
+}
+
+/// A durable service reopened through the shard tier keeps counting
+/// epochs where it stopped, and its SQL-created view keeps its bag.
+#[test]
+fn durable_reopen_keeps_the_epoch_and_the_view() {
+    let (dir, seed, create) = durable_fixture("durable-reopen");
     let before = {
         let (svc, _) = GpivotService::open(&dir, seed.clone(), ServeConfig::default()).unwrap();
         svc.execute_sql(&create).unwrap();
@@ -266,6 +277,68 @@ fn durable_reopen_keeps_the_epoch_and_the_view() {
     );
     assert_eq!(epoch_with(&svc, vec![row![9, "a", 1]]), 4);
     assert_eq!(svc.service().snapshot().epoch(), 4);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Saving into the service's own durable directory checkpoints there
+/// instead of replacing it, so epochs acknowledged after the save survive
+/// a reopen.
+#[test]
+fn save_into_the_live_directory_keeps_later_epochs() {
+    let (dir, seed, create) = durable_fixture("save-live");
+    let before = {
+        let (svc, _) = GpivotService::open(&dir, seed.clone(), ServeConfig::default()).unwrap();
+        svc.execute_sql(&create).unwrap();
+        assert_eq!(epoch_with(&svc, vec![row![2, "b", 1]]), 1);
+        svc.save(&dir).unwrap();
+        assert_eq!(epoch_with(&svc, vec![row![3, "a", 2]]), 2);
+        assert_eq!(epoch_with(&svc, vec![row![4, "b", 3]]), 3);
+        svc.service().query_view("pv").unwrap()
+    };
+
+    let (svc, report) = GpivotService::open(&dir, seed, ServeConfig::default()).unwrap();
+    assert!(report.recovered);
+    assert_eq!(svc.service().epoch(), 3);
+    let after = svc.service().query_view("pv").unwrap();
+    assert!(
+        after.bag_eq(&before),
+        "reopened view diverged:\n got: {:?}\nwant: {:?}",
+        after.sorted_rows(),
+        before.sorted_rows()
+    );
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable root whose epoch committed but whose in-epoch checkpoint
+/// failed has still advanced, and the tier's epoch advances with it.
+#[test]
+fn tier_epoch_follows_the_root_past_a_failed_checkpoint() {
+    let (dir, mut seed, create) = durable_fixture("failed-checkpoint");
+    let faults = FaultInjector::seeded(1).with_site(FaultSite::CheckpointWrite, 1.0, 0.0);
+    faults.disarm();
+    seed.set_fault_injector(faults.clone());
+    let cfg = ServeConfig::builder()
+        .checkpoint_every_epochs(1)
+        .build()
+        .unwrap();
+    let (svc, _) = GpivotService::open(&dir, seed, cfg).unwrap();
+    svc.execute_sql(&create).unwrap();
+    let tier = svc.service();
+    let epochs = || (tier.epoch(), tier.root().epoch(), tier.snapshot().epoch());
+
+    ingest(&svc, vec![row![2, "b", 1]]);
+    faults.arm();
+    assert!(
+        tier.refresh_epoch().is_err(),
+        "the in-epoch checkpoint must fail"
+    );
+    faults.disarm();
+    assert_eq!(epochs(), (1, 1, 1));
+
+    assert_eq!(epoch_with(&svc, vec![row![3, "a", 2]]), 2);
+    assert_eq!(epochs(), (2, 2, 2));
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }

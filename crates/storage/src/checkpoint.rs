@@ -266,7 +266,7 @@ fn decode(bytes: &[u8]) -> Result<CheckpointData> {
 }
 
 /// Write `data` to `checkpoint-{data.wal_gen}.ckpt` in `dir`: streamed into
-/// a temp file in [`PIECE`]-sized writes (the whole file never sits in
+/// a temp file in `PIECE`-sized writes (the whole file never sits in
 /// memory), then fsync + atomic rename. Consults
 /// [`FaultSite::CheckpointWrite`]; a seeded kill point leaves a torn `.tmp`
 /// file (which [`load_latest`] ignores) and the final path untouched.

@@ -15,7 +15,7 @@
 //! substitute for the row kernels:
 //!
 //! 1. **Hash fidelity** — [`Column::hash_into`] feeds a [`Hasher`] the
-//!    byte-identical write sequence of [`Value::hash`], so partition
+//!    byte-identical write sequence of [`Value`]'s `Hash` impl, so partition
 //!    assignment (and therefore parallel output order) cannot change when
 //!    the columnar path computes the hashes.
 //! 2. **Equality fidelity** — [`Column::value_eq`] agrees exactly with
@@ -260,7 +260,7 @@ impl Column {
     }
 
     /// Feed each slot's hash into its per-row hasher state, replicating
-    /// the exact byte sequence of [`Value::hash`]. `states.len()` must
+    /// the exact byte sequence of [`Value`]'s `Hash` impl. `states.len()` must
     /// equal the chunk length.
     ///
     /// This is the load-bearing guarantee for the parallel kernels: the

@@ -251,22 +251,6 @@ pub struct DeltaSplit {
 }
 
 impl DeltaSplit {
-    /// An insert-only split.
-    pub fn inserts_only(rows: Vec<Row>) -> Self {
-        DeltaSplit {
-            inserts: rows,
-            deletes: Vec::new(),
-        }
-    }
-
-    /// A delete-only split.
-    pub fn deletes_only(rows: Vec<Row>) -> Self {
-        DeltaSplit {
-            inserts: Vec::new(),
-            deletes: rows,
-        }
-    }
-
     /// True iff no change is carried.
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()

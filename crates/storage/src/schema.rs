@@ -179,16 +179,6 @@ impl Schema {
         self.key = Some(key);
     }
 
-    /// Set the key by column names.
-    pub fn set_key_names(&mut self, names: &[&str]) -> Result<()> {
-        let mut key = Vec::with_capacity(names.len());
-        for n in names {
-            key.push(self.index_of(n)?);
-        }
-        self.set_key(key);
-        Ok(())
-    }
-
     /// Drop key metadata (e.g. after an operator that loses the key).
     pub fn clear_key(&mut self) {
         self.key = None;

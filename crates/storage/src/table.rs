@@ -322,14 +322,6 @@ impl Table {
         Ok(())
     }
 
-    /// Insert many rows.
-    pub fn insert_many<I: IntoIterator<Item = Row>>(&mut self, rows: I) -> Result<()> {
-        for r in rows {
-            self.insert(r)?;
-        }
-        Ok(())
-    }
-
     /// Look up the full row for a key value (key-projected row).
     pub fn get_by_key(&self, key: &Row) -> Option<&Row> {
         let idx = self.key_index.as_ref()?;

@@ -83,14 +83,6 @@ impl Value {
         }
     }
 
-    /// Boolean view, if the value is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL three-valued equality: `None` if either side is `NULL`.
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         if self.is_null() || other.is_null() {
