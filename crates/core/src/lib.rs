@@ -28,7 +28,7 @@ pub use combine::{can_combine, combine_adjacent, CombineVerdict};
 pub use error::{CoreError, ErrorClass, Result, StalePlan};
 pub use gpivot_analyze::{analyze, AnalysisReport, DiagCode, Diagnostic, Severity};
 pub use maintain::{
-    EpochPlan, MaintenanceOutcome, MaintenancePlan, MaterializedView, RefreshPlan, SourceDeltas,
-    Strategy, ViewManager, ViewOptions, ViewPatch,
+    EpochPlan, MaintenanceOutcome, MaintenancePlan, MaterializedView, RefreshGroup, RefreshPlan,
+    SourceDeltas, Strategy, ViewManager, ViewOptions, ViewPatch,
 };
 pub use rewrite::{normalize_view, NormalizedView, TopShape};

@@ -47,7 +47,7 @@ pub enum RowOp {
 }
 
 /// The MERGE decision for one view key, shared by the three update-rule
-/// strategies: `cells` is the key's post-state row and `existing` the row
+/// strategies: `row` is the key's post-state row and `existing` the row
 /// the view holds under the key now, if any. All-`⊥` measures (past the
 /// `n_k` key columns) or a failed `keep` test mean the row must not be in
 /// the view; a post-state equal to the stored row writes nothing.
@@ -55,12 +55,11 @@ pub(crate) fn merge_key(
     ops: &mut Vec<RowOp>,
     stats: &mut ApplyStats,
     key: Row,
-    cells: Vec<Value>,
+    row: Row,
     n_k: usize,
     existing: Option<&Row>,
     keep: impl FnOnce(&Row) -> bool,
 ) {
-    let row = Row::new(cells);
     let stays = !row.values()[n_k..].iter().all(Value::is_null) && keep(&row);
     match (existing, stays) {
         (Some(_), false) => {
@@ -195,7 +194,8 @@ pub fn plan_pivot_update(
             None => blank_row(&key, width),
         };
         overwrite_cells(&mut cells, &mut cell_changes, n_k, n_on);
-        merge_key(&mut ops, &mut stats, key, cells, n_k, existing, |_| true);
+        let row = Row::new(cells);
+        merge_key(&mut ops, &mut stats, key, row, n_k, existing, |_| true);
     }
     Ok((ops, stats))
 }

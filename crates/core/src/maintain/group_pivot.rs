@@ -333,7 +333,8 @@ pub fn plan_group_pivot_update(
             cells[base..base + n_on].clone_from_slice(&new_cells);
         }
 
-        merge_key(&mut ops, &mut stats, key, cells, n_k, existing, |_| true);
+        let row = Row::new(cells);
+        merge_key(&mut ops, &mut stats, key, row, n_k, existing, |_| true);
     }
     Ok((ops, stats))
 }

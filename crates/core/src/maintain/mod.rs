@@ -23,7 +23,9 @@ pub mod view;
 pub use apply::{ApplyStats, RowOp};
 pub use delta_prop::{post_state_table, propagate, PropagationCtx};
 pub use strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
-pub use view::{EpochPlan, MaterializedView, RefreshPlan, ViewManager, ViewOptions, ViewPatch};
+pub use view::{
+    EpochPlan, MaterializedView, RefreshGroup, RefreshPlan, ViewManager, ViewOptions, ViewPatch,
+};
 
 use gpivot_storage::{Delta, Row};
 use std::collections::HashMap;

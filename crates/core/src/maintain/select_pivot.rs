@@ -74,7 +74,7 @@ pub fn plan_select_pivot_update(
                     &mut ops,
                     &mut stats,
                     key,
-                    cells,
+                    Row::new(cells),
                     n_k,
                     Some(existing),
                     |row| bound_pred.holds(row),

@@ -83,11 +83,18 @@ pub struct MaintenancePlan {
     pub rewrite_log: Vec<String>,
     /// Human-readable explanation of the normalized tree.
     pub normalized_explain: String,
+    /// The σ-parent whose patch each epoch re-tests to refresh this view
+    /// instead of running `strategy`, while both reflect the same catalog
+    /// state (set by `ViewManager::maintenance_plan`).
+    pub derived_from: Option<String>,
 }
 
 impl fmt::Display for MaintenancePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "strategy: {}", self.strategy)?;
+        if let Some(parent) = &self.derived_from {
+            writeln!(f, "derived from {parent} (σ re-test of its patch)")?;
+        }
         if !self.rewrite_log.is_empty() {
             writeln!(f, "rewrites applied:")?;
             for r in &self.rewrite_log {
@@ -133,6 +140,7 @@ mod tests {
             strategy: Strategy::PivotUpdate,
             rewrite_log: vec!["pullup-join (§5.1.3)".into()],
             normalized_explain: "GPIVOT\n  Scan t".into(),
+            derived_from: None,
         };
         let s = p.to_string();
         assert!(s.contains("pivot-update"));

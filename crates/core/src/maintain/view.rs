@@ -3,7 +3,7 @@
 //! refresh (propagate + apply), commit, verify.
 
 use crate::error::{CoreError, Result, StalePlan};
-use crate::maintain::apply::{apply_row_ops, plan_pivot_update, RowOp};
+use crate::maintain::apply::{apply_row_ops, merge_key, plan_pivot_update, ApplyStats, RowOp};
 use crate::maintain::delta_prop::{consolidate, propagate_signed, PropagationCtx, SignedRows};
 use crate::maintain::group_pivot::{plan_group_pivot_update, GroupPivotInfo};
 use crate::maintain::select_pivot::plan_select_pivot_update;
@@ -37,6 +37,12 @@ pub struct MaterializedView {
     /// How [`MaterializedView::query`] reshapes the table; `None` when the
     /// user-facing shape *is* the table.
     output: Option<Output>,
+    /// The catalog version this table reflects, as the owning
+    /// [`ViewManager`] last stamped it; `None` while unknown (not yet
+    /// installed, or refreshed ahead of the catalog by
+    /// [`ViewManager::maintain_view`]). A σ-child derives from its parent
+    /// only when both carry the same stamp.
+    synced_at: Option<u64>,
 }
 
 /// The user-facing shape of a view whose output permutes, renames or hides
@@ -307,6 +313,7 @@ impl MaterializedView {
             table,
             lint_warnings: Vec::new(),
             output,
+            synced_at: None,
         })
     }
 
@@ -528,6 +535,7 @@ impl MaterializedView {
             strategy: self.strategy,
             rewrite_log: self.normalized.log.clone(),
             normalized_explain: self.normalized.plan.explain(),
+            derived_from: None,
         }
     }
 
@@ -604,13 +612,7 @@ impl MaterializedView {
                 let (rows, _apply) = propagate_to_apply(&self.normalized.plan)?;
                 outcome.delta_rows = rows.len();
                 let d = consolidate(rows);
-                for (_, &w) in d.iter() {
-                    if w > 0 {
-                        outcome.stats.inserted += w as usize;
-                    } else {
-                        outcome.stats.deleted += (-w) as usize;
-                    }
-                }
+                outcome.stats = delta_stats(&d);
                 self.table
                     .check_delta(&d)
                     .map_err(|e| e.in_table(&self.name))?;
@@ -661,6 +663,84 @@ impl MaterializedView {
         Ok((ViewPatch(patch), outcome))
     }
 
+    /// Plan this view's refresh as a σ-child: its normalized plan is
+    /// `σ(parent)` over the same table schema, so its post state is the
+    /// parent's post state filtered by σ. Re-test σ on the post rows the
+    /// parent's `patch` carries against this view's own membership —
+    /// O(|patch|): nothing is propagated, probed or recomputed. The
+    /// Propagate and Apply fault sites fire first, as for a planned
+    /// refresh.
+    fn derive_refresh(
+        &self,
+        catalog: &Catalog,
+        parent: &ViewPatch,
+    ) -> Result<(ViewPatch, MaintenanceOutcome)> {
+        use gpivot_storage::FaultSite;
+        let faults = catalog.fault_injector();
+        faults.check(FaultSite::Propagate, &self.name)?;
+        faults.check(FaultSite::Apply, &self.name)?;
+        let _s = tracing::span("maintain.derive").enter();
+        let Plan::Select { predicate, .. } = &self.normalized.plan else {
+            return Err(self.lost("top select"));
+        };
+        let sigma = predicate.bind(self.table.schema())?;
+        let mut outcome = MaintenanceOutcome::default();
+        let patch = match &parent.0 {
+            PatchKind::Rows(parent_ops) => {
+                let key_cols = self.table.schema().key().ok_or_else(|| self.lost("key"))?;
+                let mut ops = Vec::new();
+                for op in parent_ops {
+                    let (key, row) = match op {
+                        RowOp::Delete(key) => {
+                            if self.table.contains_key(key) {
+                                ops.push(RowOp::Delete(key.clone()));
+                                outcome.stats.deleted += 1;
+                            }
+                            continue;
+                        }
+                        RowOp::Update(key, row) => (key.clone(), row),
+                        RowOp::Insert(row) => (row.project(key_cols), row),
+                    };
+                    // The parent keeps `row`; this view keeps it iff σ holds,
+                    // sharing the parent's row storage.
+                    let held = self.table.get_by_key(&key);
+                    merge_key(
+                        &mut ops,
+                        &mut outcome.stats,
+                        key,
+                        row.clone(),
+                        key_cols.len(),
+                        held,
+                        |row| sigma.holds(row),
+                    );
+                }
+                outcome.delta_rows = parent_ops.len();
+                PatchKind::Rows(ops)
+            }
+            PatchKind::Delta(parent_delta) => {
+                let d = parent_delta.filter_rows(|row| sigma.holds(row));
+                outcome.delta_rows = parent_delta.distinct_len();
+                outcome.stats = delta_stats(&d);
+                self.table
+                    .check_delta(&d)
+                    .map_err(|e| e.in_table(&self.name))?;
+                PatchKind::Delta(d)
+            }
+            PatchKind::Replace(parent_table) => {
+                let rows = parent_table
+                    .iter()
+                    .filter(|row| sigma.holds(row))
+                    .cloned()
+                    .collect();
+                let table = key_indexed(Table::bag(self.table.schema().clone(), rows))?;
+                outcome.delta_rows = parent_table.len();
+                outcome.stats.inserted = table.len();
+                PatchKind::Replace(table)
+            }
+        };
+        Ok((ViewPatch(patch), outcome))
+    }
+
     /// The infallible half of a refresh: write a patch from
     /// [`MaterializedView::plan_refresh`] into the table, in place — only
     /// the rows it names are touched. The patch must have been planned
@@ -707,6 +787,27 @@ impl MaterializedView {
     pub fn dependencies(&self) -> &BTreeSet<String> {
         &self.dependencies
     }
+
+    /// Does `deltas` change a table this view reads? A table whose delta
+    /// cancelled to empty changes nothing.
+    fn reads_any(&self, deltas: &SourceDeltas) -> bool {
+        deltas
+            .iter()
+            .any(|(t, d)| !d.is_empty() && self.dependencies.contains(t))
+    }
+}
+
+/// Row counts of a consolidated insert/delete patch.
+fn delta_stats(d: &Delta) -> ApplyStats {
+    let mut stats = ApplyStats::default();
+    for (_, &w) in d.iter() {
+        if w > 0 {
+            stats.inserted += w as usize;
+        } else {
+            stats.deleted += (-w) as usize;
+        }
+    }
+    stats
 }
 
 /// Owns a catalog plus a set of materialized views, and runs the paper's
@@ -718,6 +819,12 @@ impl MaterializedView {
 /// short of refusing a stale plan whole. [`ViewManager::refresh`] runs the
 /// three in sequence; a service runs the first two under a read lock and
 /// the last under its write lock.
+///
+/// **σ-edges.** A view whose normalized plan is `σ(input)` is the σ-child
+/// of a registered view whose normalized plan is `input` and whose table
+/// schema is the child's ([`ViewManager::sigma_parent`]). An epoch plans
+/// the child from its parent's patch instead of by its own strategy
+/// ([`ViewManager::refresh_groups`], [`ViewManager::plan_member`]).
 #[derive(Debug, Clone, Default)]
 pub struct ViewManager {
     catalog: Catalog,
@@ -726,14 +833,38 @@ pub struct ViewManager {
     /// Bumped by everything that can change the catalog or a view. Plans
     /// record it; a plan from another generation is refused at commit.
     generation: u64,
+    /// Bumped by every change to the base tables: names the catalog state
+    /// a view's table reflects ([`MaterializedView`]'s `synced_at` stamp).
+    catalog_version: u64,
+    /// Each σ-child's parent, child → parent. Recomputed by
+    /// [`ViewManager::install_view`] and [`ViewManager::drop_view`].
+    sigma_parents: BTreeMap<String, String>,
 }
 
-/// One view's planned refresh, from [`ViewManager::plan_view`].
+/// One view's planned refresh, from [`ViewManager::plan_view`] or
+/// [`ViewManager::plan_member`].
 #[derive(Debug)]
 pub struct RefreshPlan {
+    view: String,
     generation: u64,
     patch: ViewPatch,
     outcome: MaintenanceOutcome,
+}
+
+/// One unit of an epoch's fan-out, from [`ViewManager::refresh_groups`]:
+/// a root view planned by its own strategy, then the σ-children planned
+/// from an earlier member's patch, every child after its parent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RefreshGroup<'v> {
+    members: Vec<(&'v str, Option<usize>)>,
+}
+
+impl<'v> RefreshGroup<'v> {
+    /// Each member's name, with the position in this group of the parent
+    /// it derives from (`None` for the root). Plan them in this order.
+    pub fn members(&self) -> &[(&'v str, Option<usize>)] {
+        &self.members
+    }
 }
 
 impl RefreshPlan {
@@ -797,6 +928,7 @@ impl ViewManager {
     /// Mutable access to the catalog (loading data, etc.).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         self.generation += 1;
+        self.catalog_version += 1;
         &mut self.catalog
     }
 
@@ -941,9 +1073,12 @@ impl ViewManager {
     /// Drop a view.
     pub fn drop_view(&mut self, name: &str) -> Result<MaterializedView> {
         self.generation += 1;
-        self.views
+        let view = self
+            .views
             .remove(name)
-            .ok_or_else(|| CoreError::UnknownView(name.to_string()))
+            .ok_or_else(|| CoreError::UnknownView(name.to_string()))?;
+        self.link_sigma_parents();
+        Ok(view)
     }
 
     /// Borrow a view.
@@ -972,12 +1107,54 @@ impl ViewManager {
     /// name: how a recovered, re-admitted or re-registered view enters the
     /// registry. Epoch refreshes do not come through here — they patch the
     /// registered view in place ([`ViewManager::commit_epoch`]).
-    pub fn install_view(&mut self, view: MaterializedView) {
+    /// The view is taken to reflect the current catalog.
+    pub fn install_view(&mut self, mut view: MaterializedView) {
         self.generation += 1;
+        view.synced_at = Some(self.catalog_version);
         self.views.insert(view.name().to_string(), view);
+        self.link_sigma_parents();
     }
 
-    /// Refresh a single view against pending deltas (no commit).
+    /// Recompute every σ-edge: a view whose normalized plan is
+    /// `σ(input)` takes the lowest-named view whose normalized plan is
+    /// `input` and whose table schema is its own. O(views²) plan compares,
+    /// run only when the registry changes.
+    fn link_sigma_parents(&mut self) {
+        let views = &self.views;
+        self.sigma_parents = views
+            .values()
+            .filter_map(|child| {
+                let Plan::Select { input, .. } = &child.normalized.plan else {
+                    return None;
+                };
+                let parent = views.values().find(|p| {
+                    p.normalized.plan == **input && p.table.schema() == child.table.schema()
+                })?;
+                Some((child.name.clone(), parent.name.clone()))
+            })
+            .collect();
+    }
+
+    /// The σ-parent of view `name`, if it has one: the registered view
+    /// whose patch an epoch plans it from while both reflect the same
+    /// catalog state.
+    pub fn sigma_parent(&self, name: &str) -> Option<&str> {
+        self.sigma_parents.get(name).map(String::as_str)
+    }
+
+    /// The σ-parent `name` derives from this epoch: its parent, when both
+    /// tables reflect the same catalog state. A view left lagging (not
+    /// refreshed by a committed epoch that changed its tables) or ahead
+    /// (by [`ViewManager::maintain_view`]) plans by its own strategy.
+    fn derives_from(&self, name: &str) -> Option<&str> {
+        let parent = self.sigma_parent(name)?;
+        let synced = |v: &str| self.views.get(v).and_then(|v| v.synced_at);
+        (synced(name).is_some() && synced(name) == synced(parent)).then_some(parent)
+    }
+
+    /// Refresh a single view against pending deltas (no commit). The view
+    /// is then ahead of the catalog, so it no longer derives from a
+    /// σ-parent nor serves as one until it is installed afresh.
     pub fn maintain_view(
         &mut self,
         name: &str,
@@ -987,6 +1164,7 @@ impl ViewManager {
         self.generation += 1;
         if let Some(view) = self.views.get_mut(name) {
             view.install(patch);
+            view.synced_at = None;
         }
         Ok(outcome)
     }
@@ -1004,11 +1182,27 @@ impl ViewManager {
         &'s self,
         deltas: &'s SourceDeltas,
     ) -> impl Iterator<Item = &'s MaterializedView> {
-        self.views.values().filter(|v| {
-            deltas
-                .iter()
-                .any(|(t, d)| !d.is_empty() && v.dependencies().contains(t))
-        })
+        self.views.values().filter(|v| v.reads_any(deltas))
+    }
+
+    /// Group `views` (the ones an epoch refreshes) into refresh groups: a
+    /// view whose σ-parent is among `views` and reflects the same catalog
+    /// state joins its parent's group; every other view roots its own.
+    /// Groups come in the order of their roots in `views`.
+    pub fn refresh_groups<'v>(&self, views: &[&'v str]) -> Vec<RefreshGroup<'v>> {
+        let parent_of = |v: &str| self.derives_from(v).filter(|p| views.contains(p));
+        let mut groups = Vec::new();
+        for &root in views.iter().filter(|v| parent_of(v).is_none()) {
+            let mut members = vec![(root, None)];
+            let mut next = 0;
+            while let Some(&(parent, _)) = members.get(next) {
+                let children = views.iter().filter(|c| parent_of(c) == Some(parent));
+                members.extend(children.map(|&c| (c, Some(next))));
+                next += 1;
+            }
+            groups.push(RefreshGroup { members });
+        }
+        groups
     }
 
     /// **Plan** one view's refresh against `deltas` and the pre-update
@@ -1017,11 +1211,50 @@ impl ViewManager {
         let (patch, outcome) = self
             .view(name)?
             .plan_refresh(&self.catalog, deltas, &self.exec)?;
-        Ok(RefreshPlan {
+        Ok(self.refresh_plan(name, patch, outcome))
+    }
+
+    /// **Plan** one member of a refresh group: with `parent` (the planned
+    /// refresh of the member it derives from, per
+    /// [`RefreshGroup::members`]) re-test the view's σ on the parent's post
+    /// rows — O(|parent patch|), no propagation; without, as
+    /// [`ViewManager::plan_view`]. A `parent` that is not the view's
+    /// in-sync σ-parent, planned against this state, is refused.
+    pub fn plan_member(
+        &self,
+        name: &str,
+        deltas: &SourceDeltas,
+        parent: Option<&RefreshPlan>,
+    ) -> Result<RefreshPlan> {
+        let Some(parent) = parent else {
+            return self.plan_view(name, deltas);
+        };
+        if self.derives_from(name) != Some(parent.view.as_str())
+            || parent.generation != self.generation
+        {
+            return Err(CoreError::StrategyNotApplicable {
+                strategy: "σ re-test of a parent patch".into(),
+                reason: format!("{} is not the in-sync σ-parent of {name}", parent.view),
+            });
+        }
+        let (patch, outcome) = self
+            .view(name)?
+            .derive_refresh(&self.catalog, &parent.patch)?;
+        Ok(self.refresh_plan(name, patch, outcome))
+    }
+
+    fn refresh_plan(
+        &self,
+        name: &str,
+        patch: ViewPatch,
+        outcome: MaintenanceOutcome,
+    ) -> RefreshPlan {
+        RefreshPlan {
+            view: name.to_string(),
             generation: self.generation,
             patch,
             outcome,
-        })
+        }
     }
 
     /// **Validate** the base-table half of an epoch: would every delta
@@ -1040,12 +1273,22 @@ impl ViewManager {
         })
     }
 
-    /// Plan a whole epoch: every affected view, then the base deltas.
+    /// Plan a whole epoch: every affected view, group by group
+    /// ([`ViewManager::refresh_groups`]), then the base deltas.
     pub fn plan_epoch<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
-        let views = self
+        let affected: Vec<&str> = self
             .affected_views(deltas)
-            .map(|v| Ok((v.name().to_string(), self.plan_view(v.name(), deltas)?)))
-            .collect::<Result<_>>()?;
+            .map(MaterializedView::name)
+            .collect();
+        let mut views = BTreeMap::new();
+        for group in self.refresh_groups(&affected) {
+            let mut planned: Vec<RefreshPlan> = Vec::with_capacity(group.members().len());
+            for &(name, parent) in group.members() {
+                let refresh = self.plan_member(name, deltas, parent.map(|i| &planned[i]))?;
+                planned.push(refresh);
+            }
+            views.extend(planned.into_iter().map(|r| (r.view.clone(), r)));
+        }
         Ok(EpochPlan {
             views,
             ..self.plan_commit(deltas)?
@@ -1063,7 +1306,11 @@ impl ViewManager {
     /// with nothing touched. A caller serving concurrent readers holds its
     /// write lock across this call; that is what makes the many in-place
     /// writes one atomic step to them.
-    pub fn commit_epoch(&mut self, plan: EpochPlan<'_>) -> std::result::Result<(), StalePlan> {
+    ///
+    /// Every view refreshed here, or not reading a changed table, is
+    /// stamped as reflecting the new catalog state; a view the plan left
+    /// out although its tables changed keeps its old stamp (it lags).
+    pub fn commit_epoch(&mut self, mut plan: EpochPlan<'_>) -> std::result::Result<(), StalePlan> {
         let mut planned =
             std::iter::once(plan.generation).chain(plan.views.values().map(|r| r.generation));
         if let Some(planned_at) = planned.find(|g| *g != self.generation) {
@@ -1074,15 +1321,23 @@ impl ViewManager {
         }
         let _s = tracing::span("maintain.commit").enter();
         self.generation += 1;
+        self.catalog_version += 1;
         for (t, d) in plan.deltas.iter() {
             if let Ok(table) = self.catalog.table_mut(t) {
                 let applied = table.apply_delta(d);
                 debug_assert!(applied.is_ok(), "checked delta refused: {applied:?}");
             }
         }
-        for (name, refresh) in plan.views {
-            if let Some(view) = self.views.get_mut(&name) {
-                view.install(refresh.patch);
+        for (name, view) in self.views.iter_mut() {
+            let in_step = match plan.views.remove(name) {
+                Some(refresh) => {
+                    view.install(refresh.patch);
+                    true
+                }
+                None => !view.reads_any(plan.deltas),
+            };
+            if in_step && view.synced_at.is_some() {
+                view.synced_at = Some(self.catalog_version);
             }
         }
         Ok(())
@@ -1112,9 +1367,13 @@ impl ViewManager {
         Ok(view.table.bag_eq(&fresh))
     }
 
-    /// The compiled maintenance plan of a view.
+    /// The compiled maintenance plan of a view, naming the σ-parent it
+    /// derives its refreshes from, if any.
     pub fn maintenance_plan(&self, name: &str) -> Result<MaintenancePlan> {
-        Ok(self.view(name)?.maintenance_plan())
+        Ok(MaintenancePlan {
+            derived_from: self.sigma_parent(name).map(String::from),
+            ..self.view(name)?.maintenance_plan()
+        })
     }
 }
 
@@ -1397,6 +1656,172 @@ mod tests {
         let outcomes = vm.refresh(&deltas).unwrap();
         assert!(outcomes.is_empty(), "refreshed {:?}", outcomes.keys());
         assert!(vm.verify_view("v").unwrap() && vm.verify_view("r").unwrap());
+    }
+
+    /// [`pivot_plan`]'s rows whose `a` cell exceeds 15.
+    fn sigma_plan() -> Plan {
+        pivot_plan().select(Expr::col("a**val").gt(Expr::lit(15)))
+    }
+
+    /// Refresh, and name the views whose refresh derived from a σ-parent
+    /// (each records one `maintain.derive` span).
+    fn refresh_derived(
+        vm: &mut ViewManager,
+        deltas: &SourceDeltas,
+    ) -> (BTreeMap<String, MaintenanceOutcome>, u64) {
+        let spans = tracing::TimingSubscriber::shared();
+        let _trace = tracing::push_collector(spans.clone());
+        let outcomes = vm.refresh(deltas).unwrap();
+        let derived = spans.histogram("maintain.derive").map_or(0, |h| h.count());
+        (outcomes, derived)
+    }
+
+    #[test]
+    fn sigma_child_derives_from_its_parent_and_the_plan_names_the_edge() {
+        let mut vm = ViewManager::new(catalog());
+        // The child first, and two equal parents: the lowest name wins.
+        vm.register_view("child", sigma_plan()).unwrap();
+        vm.register_view("q", pivot_plan()).unwrap();
+        vm.register_view("p", pivot_plan()).unwrap();
+        assert_eq!(vm.sigma_parent("child"), Some("p"));
+        assert_eq!(vm.sigma_parent("p"), None);
+        let plan = vm.maintenance_plan("child").unwrap();
+        assert_eq!(plan.strategy, Strategy::SelectPivotUpdate);
+        assert_eq!(plan.derived_from.as_deref(), Some("p"));
+        assert!(plan
+            .to_string()
+            .contains("derived from p (σ re-test of its patch)"));
+        assert_eq!(vm.maintenance_plan("p").unwrap().derived_from, None);
+        assert!(!vm
+            .maintenance_plan("p")
+            .unwrap()
+            .to_string()
+            .contains("derived"));
+        assert_eq!(
+            vm.refresh_groups(&["child", "p", "q"]),
+            vec![
+                RefreshGroup {
+                    members: vec![("p", None), ("child", Some(0))]
+                },
+                RefreshGroup {
+                    members: vec![("q", None)]
+                },
+            ]
+        );
+
+        // Held and passes, held and fails, absent and passes, absent and
+        // fails, and a parent delete.
+        let mut deltas = SourceDeltas::new();
+        deltas.update_row("items", row![2, "a", 30], row![2, "a", 31]);
+        deltas.update_row("items", row![1, "a", 10], row![1, "a", 16]);
+        deltas.insert_rows("items", vec![row![4, "a", 50], row![5, "a", 1]]);
+        deltas.update_row("items", row![2, "a", 31], row![2, "a", 31]);
+        let (outcomes, derived) = refresh_derived(&mut vm, &deltas);
+        assert_eq!(derived, 1);
+        let child = &outcomes["child"];
+        assert_eq!(child.rows_propagated, 0, "the child propagated");
+        assert_eq!(child.delta_rows, outcomes["p"].stats.total());
+        assert_eq!((child.stats.inserted, child.stats.updated), (2, 1));
+        for v in ["child", "p", "q"] {
+            assert!(vm.verify_view(v).unwrap(), "{v} diverged");
+        }
+        let mut deltas = SourceDeltas::new();
+        deltas.delete_rows("items", vec![row![2, "a", 31], row![4, "a", 50]]);
+        deltas.update_row("items", row![1, "a", 16], row![1, "a", 3]);
+        let child = vm.refresh(&deltas).unwrap().remove("child").unwrap();
+        assert_eq!(child.stats.deleted, 3);
+        assert!(vm.verify_view("child").unwrap());
+
+        // Without its parent the child runs Fig. 29 again.
+        vm.drop_view("p").unwrap();
+        assert_eq!(vm.sigma_parent("child"), Some("q"));
+        vm.drop_view("q").unwrap();
+        assert_eq!(vm.sigma_parent("child"), None);
+        assert_eq!(vm.maintenance_plan("child").unwrap().derived_from, None);
+        let mut deltas = SourceDeltas::new();
+        deltas.insert_rows("items", vec![row![6, "a", 60]]);
+        let (outcomes, derived) = refresh_derived(&mut vm, &deltas);
+        assert_eq!((derived, outcomes["child"].stats.inserted), (0, 1));
+        assert!(vm.verify_view("child").unwrap());
+    }
+
+    #[test]
+    fn sigma_child_of_a_delta_or_a_replace_parent_derives() {
+        for parent_strategy in [Strategy::InsertDelete, Strategy::Recompute] {
+            let mut vm = ViewManager::new(catalog());
+            vm.register_view_with("p", pivot_plan(), parent_strategy)
+                .unwrap();
+            vm.register_view_with("c", sigma_plan(), Strategy::InsertDelete)
+                .unwrap();
+            assert_eq!(vm.sigma_parent("c"), Some("p"), "{parent_strategy}");
+            let mut deltas = SourceDeltas::new();
+            deltas.update_row("items", row![1, "a", 10], row![1, "a", 20]);
+            deltas.update_row("items", row![2, "a", 30], row![2, "a", 3]);
+            deltas.insert_rows("items", vec![row![7, "a", 70], row![8, "b", 80]]);
+            let (outcomes, derived) = refresh_derived(&mut vm, &deltas);
+            assert_eq!(derived, 1, "{parent_strategy}");
+            assert_eq!(outcomes["c"].rows_propagated, 0, "{parent_strategy}");
+            assert!(vm.verify_view("p").unwrap() && vm.verify_view("c").unwrap());
+            assert_eq!(vm.view("c").unwrap().len(), 2, "{parent_strategy}");
+        }
+    }
+
+    #[test]
+    fn a_chain_of_sigma_children_plans_parent_first() {
+        let mut vm = ViewManager::new(catalog());
+        let grandchild = sigma_plan().select(Expr::col("b**val").gt(Expr::lit(0)));
+        vm.register_view_with("a", grandchild, Strategy::InsertDelete)
+            .unwrap();
+        vm.register_view_with("b", sigma_plan(), Strategy::InsertDelete)
+            .unwrap();
+        vm.register_view_with("c", pivot_plan(), Strategy::InsertDelete)
+            .unwrap();
+        assert_eq!(vm.sigma_parent("a"), Some("b"));
+        assert_eq!(vm.sigma_parent("b"), Some("c"));
+        let groups = vm.refresh_groups(&["a", "b", "c"]);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(
+            groups[0].members(),
+            &[("c", None), ("b", Some(0)), ("a", Some(1))]
+        );
+        let mut deltas = SourceDeltas::new();
+        deltas.insert_rows("items", vec![row![2, "b", 5], row![9, "a", 90]]);
+        let (outcomes, derived) = refresh_derived(&mut vm, &deltas);
+        assert_eq!((derived, outcomes["a"].rows_propagated), (2, 0));
+        // Keys 2 (a 30, b 5) and 9 (a 90) pass the first σ, only 2 both.
+        assert_eq!(vm.view("a").unwrap().len(), 1);
+        for v in ["a", "b", "c"] {
+            assert!(vm.verify_view(v).unwrap(), "{v} diverged");
+        }
+    }
+
+    #[test]
+    fn a_view_out_of_step_with_its_parent_plans_on_its_own() {
+        let mut vm = ViewManager::new(catalog());
+        vm.register_view("parent", pivot_plan()).unwrap();
+        vm.register_view("child", sigma_plan()).unwrap();
+        // Refresh the child by hand, then commit the base change without
+        // the parent: the child is current, the parent lags.
+        let mut d1 = SourceDeltas::new();
+        d1.update_row("items", row![1, "a", 10], row![1, "a", 40]);
+        vm.maintain_view("child", &d1).unwrap();
+        vm.commit(&d1).unwrap();
+        assert!(vm.verify_view("child").unwrap());
+        assert!(!vm.verify_view("parent").unwrap());
+        assert_eq!(vm.refresh_groups(&["child", "parent"]).len(), 2);
+
+        // The lagging parent's patch carries key 1 with its stale `a`
+        // cell, which fails σ: deriving from it would drop the row.
+        let mut d2 = SourceDeltas::new();
+        d2.update_row("items", row![1, "b", 20], row![1, "b", 21]);
+        let (_, derived) = refresh_derived(&mut vm, &d2);
+        assert_eq!(derived, 0, "the child derived from a lagging parent");
+        assert!(vm.verify_view("child").unwrap());
+
+        // A parent plan handed to a view out of step with it is refused.
+        vm.install_view(vm.view("parent").unwrap().clone());
+        let parent_plan = vm.plan_view("parent", &d2).unwrap();
+        assert!(vm.plan_member("child", &d2, Some(&parent_plan)).is_err());
     }
 
     #[test]

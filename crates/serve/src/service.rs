@@ -30,8 +30,10 @@ use std::time::{Duration, Instant};
 /// landed), so the old public-field surface was removed.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads per refresh epoch. Independent affected views are
-    /// distributed round-robin over this many scoped threads of a
+    /// Worker threads per refresh epoch. The epoch's refresh groups (a
+    /// view plus the σ-children planned from its patch, see
+    /// [`gpivot_core::ViewManager::refresh_groups`]) are distributed
+    /// round-robin over `min(workers, groups)` scoped threads of a
     /// [`gpivot_exec::WorkerPool`]. `1` means fully sequential refreshes.
     pub(crate) workers: usize,
     /// Backpressure watermark on the *coalesced* pending row count.
@@ -544,7 +546,9 @@ impl ViewService {
         Ok(strategy)
     }
 
-    /// Drop a view. Its cumulative metrics are retained in the snapshot.
+    /// Drop a view. Its cumulative metrics are retained in the snapshot;
+    /// its health resets to [`ViewHealth::Healthy`], so a dropped view is
+    /// never reported as quarantined.
     pub fn drop_view(&self, name: &str) -> Result<()> {
         let _gate = sync::lock(&self.shared.gate);
         let mut state = sync::write(&self.shared.state);
@@ -554,6 +558,11 @@ impl ViewService {
                 state.install_view(removed);
                 return Err(e);
             }
+        }
+        drop(state);
+        let mut m = sync::lock(&self.shared.metrics);
+        if let Some(vm) = m.per_view.get_mut(name) {
+            vm.health = ViewHealth::Healthy;
         }
         Ok(())
     }
@@ -737,7 +746,9 @@ impl ViewService {
 
         // Plan phase: compute each affected, non-quarantined view's patch
         // against the pre-epoch catalog, in parallel, under the read lock
-        // (concurrent queries keep running; nothing is written).
+        // (concurrent queries keep running; nothing is written). The unit
+        // of parallelism is a refresh group: a view, then the σ-children
+        // planned from its patch on the same worker.
         let state = sync::read(&self.shared.state);
         let quarantined = self.quarantined();
         let (skipped, names): (Vec<&str>, Vec<&str>) = state
@@ -745,7 +756,8 @@ impl ViewService {
             .map(MaterializedView::name)
             .partition(|name| quarantined.contains(*name));
         let quarantined_skipped = skipped.len();
-        let workers = self.shared.cfg.workers().max(1).min(names.len().max(1));
+        let groups = state.refresh_groups(&names);
+        let workers = self.shared.cfg.workers().max(1).min(groups.len().max(1));
         let results = {
             let _s = tracing::span("epoch.propagate").enter();
             // Holding the refresh gate and the registry read guard across
@@ -756,17 +768,31 @@ impl ViewService {
             // spans and the maintain-phase spans underneath land in the
             // same store.
             // concurrency-lint: allow(GP033)
-            run_on_pool(names.clone(), workers, |name| {
-                plan_with_retry(&self.shared.cfg, &state, name, &batch)
+            run_on_pool(groups.iter().collect(), workers, |group| {
+                let mut planned: Vec<ViewRefresh> = Vec::with_capacity(group.members().len());
+                for &(name, parent) in group.members() {
+                    // A child whose parent failed plans by its own rule.
+                    let parent = parent.and_then(|i| planned[i].result.as_ref().ok());
+                    let refresh = plan_with_retry(&self.shared.cfg, &state, name, &batch, parent);
+                    planned.push(refresh);
+                }
+                planned
             })
         };
+        // One slot per view, in group order; a group whose whole job
+        // vanished leaves every member's slot empty.
+        let slots = groups.iter().zip(results).flat_map(|(group, slot)| {
+            let mut planned = slot.map(Vec::into_iter);
+            let members = group.members().iter();
+            members.map(move |&(name, _)| (name, planned.as_mut().and_then(Iterator::next)))
+        });
 
         let mut ok: Vec<(&str, RefreshPlan, Duration, u32)> = Vec::new();
         let mut failures: Vec<(String, CoreError)> = Vec::new();
         let mut per_view_retries: Vec<(String, u64)> = Vec::new();
         let mut total_retries = 0u64;
         let mut total_panics = 0u64;
-        for (name, slot) in names.into_iter().zip(results) {
+        for (name, slot) in slots {
             match slot {
                 Some(vr) => {
                     total_retries += u64::from(vr.retries);
@@ -1211,7 +1237,9 @@ fn retry_transient<R>(cfg: &ServeConfig, mut op: impl FnMut() -> Result<R>) -> (
     }
 }
 
-/// Plan one view's refresh with panic isolation and transient-error retry.
+/// Plan one view's refresh with panic isolation and transient-error retry:
+/// from `parent`'s planned patch when it is given (a σ-child whose parent
+/// planned), else by the view's own strategy.
 ///
 /// Planning only reads the registry, so a failed attempt leaves nothing
 /// behind and a retry simply plans again. A panicking attempt is caught at
@@ -1223,6 +1251,7 @@ fn plan_with_retry(
     state: &ViewManager,
     view: &str,
     batch: &gpivot_core::SourceDeltas,
+    parent: Option<&RefreshPlan>,
 ) -> ViewRefresh {
     let t0 = Instant::now();
     let mut panics = 0u32;
@@ -1235,8 +1264,9 @@ fn plan_with_retry(
         // One `view.attempt` span per attempt: a retried view shows up as
         // several attempt samples but one refresh.
         let _attempt = tracing::span("view.attempt").enter();
-        // AssertUnwindSafe: `state` and `batch` are only read.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| state.plan_view(view, batch))) {
+        // AssertUnwindSafe: `state`, `batch` and `parent` are only read.
+        let plan = || state.plan_member(view, batch, parent);
+        match std::panic::catch_unwind(AssertUnwindSafe(plan)) {
             Ok(r) => r,
             Err(payload) => {
                 panics += 1;

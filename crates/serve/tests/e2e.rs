@@ -124,6 +124,51 @@ fn three_views_interleaved_batches_over_epochs() {
     assert!(m.report().contains("view view2"));
 }
 
+/// Beside view (1), view (2) derives from view (1)'s patch (a σ-edge), so
+/// the three-view service above never runs the paper's Fig. 29 rule. Held
+/// alone, it does: its candidate keys are recomputed from the post-state
+/// core, under the same oracle every epoch.
+#[test]
+fn view2_alone_runs_fig29_under_the_oracle() {
+    let catalog = small_catalog();
+    let mut mirror = catalog.clone();
+    let svc = ViewService::new(catalog, ServeConfig::default());
+    svc.register_view("view2", view2(30_000.0)).unwrap();
+    assert_eq!(svc.snapshot().manager().sigma_parent("view2"), None);
+    let check = |mirror: &Catalog| {
+        let expected = Executor::new().run(&view2(30_000.0), mirror).unwrap();
+        assert!(svc.query_view("view2").unwrap().bag_eq(&expected));
+        assert!(svc.verify_all().unwrap());
+    };
+    check(&mirror);
+
+    for epoch in 1..=3 {
+        let batches = match epoch {
+            1 => vec![
+                workload::mixed_batch(&mirror, 0.02, 11),
+                workload::order_churn(&mirror, 0.01, 12),
+            ],
+            2 => vec![
+                workload::delete_fraction(&mirror, "lineitem", 0.01, 13),
+                workload::customer_churn(&mirror, 0.02, 14),
+            ],
+            _ => vec![workload::insert_new_rows(&mirror, 0.02, 15)],
+        };
+        for batch in &batches {
+            ingest_and_mirror(&svc, &mut mirror, batch);
+        }
+        svc.refresh_epoch().unwrap();
+        check(&mirror);
+    }
+    let phases = svc.metrics().phase_timings;
+    let count = |phase: &str| phases.get(phase).map_or(0, |h| h.count());
+    assert!(
+        count("maintain.candidates") > 0,
+        "Fig. 29 recomputed no candidate"
+    );
+    assert_eq!(count("maintain.derive"), 0);
+}
+
 #[test]
 fn worker_pool_sizes_agree() {
     // The same batch refreshed with 1 worker and with 8 workers must yield

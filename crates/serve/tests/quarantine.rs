@@ -354,3 +354,42 @@ fn retry_view_recomputes_on_a_durable_service_and_survives_reopen() {
     assert!(reopened.verify_all().unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A dropped view leaves quarantine with the registry: an operator loop
+/// that retries every quarantined view must never be handed a name that
+/// no longer exists. Its counters stay.
+#[test]
+fn a_dropped_view_is_no_longer_reported_as_quarantined() {
+    let injector =
+        FaultInjector::seeded(13).with_targeted_site(FaultSite::Propagate, 1.0, 0.0, "flaky");
+    let mut cat = catalog();
+    cat.set_fault_injector(injector.clone());
+    let cfg = ServeConfig::builder()
+        .max_retries(0)
+        .quarantine_after(1)
+        .build()
+        .unwrap();
+    let svc = ViewService::new(cat, cfg);
+    svc.register_view("flaky", pivot_plan()).unwrap();
+    svc.register_view("steady", pivot_plan()).unwrap();
+    svc.ingest_with(
+        "facts",
+        Delta::from_inserts(vec![row![4, "a", 4]]),
+        IngestOptions::blocking(),
+    )
+    .unwrap();
+    assert!(svc.refresh_epoch().is_err());
+    assert_eq!(svc.metrics().quarantined_views(), vec!["flaky"]);
+
+    svc.drop_view("flaky").unwrap();
+    let m = svc.metrics();
+    assert!(m.quarantined_views().is_empty());
+    assert_eq!(m.per_view["flaky"].failures, 1);
+    assert!(matches!(
+        svc.retry_view("flaky"),
+        Err(CoreError::UnknownView(_))
+    ));
+    // The epoch that failed on it commits without it.
+    assert_eq!(svc.refresh_epoch().unwrap().views_refreshed, 1);
+    assert!(svc.verify_all().unwrap());
+}
