@@ -8,10 +8,12 @@
 //!    materialize the view.
 //! 2. **Refresh** (per batch of source deltas): the *propagate phase* pushes
 //!    deltas through the relational core ([`delta_prop`]); the *apply phase*
-//!    folds the final delta into the materialized table with the strategy's
-//!    update rules ([`apply`] = Fig. 23, [`group_pivot`] = Fig. 27,
-//!    [`select_pivot`] = Fig. 29), or with plain insert/delete application
-//!    for the fallback strategies.
+//!    folds the final delta into the materialized table — for the
+//!    update-rule strategies with one MERGE ([`apply`]) over the view's
+//!    compiled [`apply::MergeLayout`], whose Fig. 27 folds
+//!    [`group_pivot`] compiles and whose Fig. 29 candidates
+//!    [`select_pivot`] recomputes; for the fallback strategies with plain
+//!    insert/delete application.
 
 pub mod apply;
 pub mod delta_prop;

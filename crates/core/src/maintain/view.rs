@@ -3,17 +3,16 @@
 //! refresh (propagate + apply), commit, verify.
 
 use crate::error::{CoreError, Result, StalePlan};
-use crate::maintain::apply::{apply_row_ops, merge_key, plan_pivot_update, ApplyStats, RowOp};
+use crate::maintain::apply::{
+    apply_row_ops, merge_key, plan_merge, ApplyStats, MergeLayout, RowOp,
+};
 use crate::maintain::delta_prop::{consolidate, propagate_signed, PropagationCtx, SignedRows};
-use crate::maintain::group_pivot::{plan_group_pivot_update, GroupPivotInfo};
-use crate::maintain::select_pivot::plan_select_pivot_update;
 use crate::maintain::strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
 use crate::maintain::SourceDeltas;
 use crate::rewrite::{
     normalize_view, normalize_view_with_select_pushdown, NormalizedView, TopShape,
 };
 use gpivot_algebra::plan::{JoinKind, Plan};
-use gpivot_algebra::{AggFunc, AggSpec, Expr, PivotSpec};
 use gpivot_analyze::Diagnostic;
 use gpivot_exec::Executor;
 use gpivot_storage::{Catalog, Delta, Field, Row, Schema, SchemaRef, Table};
@@ -27,7 +26,9 @@ pub struct MaterializedView {
     definition: Plan,
     strategy: Strategy,
     normalized: NormalizedView,
-    group_info: Option<GroupPivotInfo>,
+    /// The MERGE layout of the update-rule strategies, compiled with the
+    /// view; `None` under `Recompute` and `InsertDelete`.
+    layout: Option<MergeLayout>,
     /// The base tables the definition and its normalized form read.
     dependencies: BTreeSet<String>,
     table: Table,
@@ -161,81 +162,6 @@ fn key_indexed(bag: Table) -> Result<Table> {
     }
 }
 
-/// Add the hidden measures Fig. 27 needs: a `count(*)` per subgroup and a
-/// `count(col)` companion per `sum(col)` (cf. Fig. 28, where the paper adds
-/// COUNT(*) to make the view self-maintainable). Returns the augmented plan.
-fn augment_group_pivot(plan: &Plan) -> Result<Plan> {
-    let Plan::GPivot { input, spec } = plan else {
-        return Err(CoreError::StrategyNotApplicable {
-            strategy: Strategy::GroupPivotUpdate.id().into(),
-            reason: "top operator is not a GPivot".into(),
-        });
-    };
-    let Plan::GroupBy {
-        input: core,
-        group_by,
-        aggs,
-    } = input.as_ref()
-    else {
-        return Err(CoreError::StrategyNotApplicable {
-            strategy: Strategy::GroupPivotUpdate.id().into(),
-            reason: "no GroupBy directly under the top GPivot".into(),
-        });
-    };
-
-    let mut new_aggs = aggs.clone();
-    let mut new_on = spec.on.clone();
-    let pivoted_aggs: Vec<&AggSpec> = aggs
-        .iter()
-        .filter(|a| spec.on.contains(&a.output))
-        .collect();
-    for a in &pivoted_aggs {
-        if matches!(a.func, AggFunc::Min | AggFunc::Max | AggFunc::Avg) {
-            return Err(CoreError::StrategyNotApplicable {
-                strategy: Strategy::GroupPivotUpdate.id().into(),
-                reason: format!(
-                    "aggregate {} is not maintainable by the Fig. 27 rules",
-                    a.func
-                ),
-            });
-        }
-    }
-    // count(*): required for subgroup liveness.
-    if !pivoted_aggs.iter().any(|a| a.func == AggFunc::CountStar) {
-        new_aggs.push(AggSpec::count_star("__cs"));
-        new_on.push("__cs".to_string());
-    }
-    // count(col) companion per sum(col).
-    for a in &pivoted_aggs {
-        if a.func == AggFunc::Sum {
-            let has_partner = new_aggs.iter().any(|b| {
-                b.func == AggFunc::Count && b.input == a.input && new_on.contains(&b.output)
-            });
-            if !has_partner {
-                let name = format!("__c_{}", a.input);
-                if !new_aggs.iter().any(|b| b.output == name) {
-                    new_aggs.push(AggSpec::count(&a.input, &name));
-                }
-                if !new_on.contains(&name) {
-                    new_on.push(name);
-                }
-            }
-        }
-    }
-    Ok(Plan::GPivot {
-        input: Box::new(Plan::GroupBy {
-            input: core.clone(),
-            group_by: group_by.clone(),
-            aggs: new_aggs,
-        }),
-        spec: PivotSpec {
-            by: spec.by.clone(),
-            on: new_on,
-            groups: spec.groups.clone(),
-        },
-    })
-}
-
 impl MaterializedView {
     /// Compile and materialize a view with an explicit strategy, on a
     /// default (single-thread) executor. See
@@ -260,7 +186,7 @@ impl MaterializedView {
     ) -> Result<Self> {
         let name = name.into();
         let _compile = tracing::span("compile.view").enter();
-        let (normalized, group_info) = {
+        let (normalized, layout) = {
             let _s = tracing::span("compile.normalize").enter();
             Self::compile(&definition, strategy, catalog)?
         };
@@ -268,7 +194,7 @@ impl MaterializedView {
             let _s = tracing::span("compile.materialize").enter();
             materialize(&normalized.plan, catalog, exec)?
         };
-        Self::assemble(name, definition, strategy, normalized, group_info, table)
+        Self::assemble(name, definition, strategy, normalized, layout, table)
     }
 
     fn assemble(
@@ -276,7 +202,7 @@ impl MaterializedView {
         definition: Plan,
         strategy: Strategy,
         normalized: NormalizedView,
-        group_info: Option<GroupPivotInfo>,
+        layout: Option<MergeLayout>,
         table: Table,
     ) -> Result<Self> {
         let mut dependencies = normalized.plan.base_tables();
@@ -308,7 +234,7 @@ impl MaterializedView {
             definition,
             strategy,
             normalized,
-            group_info,
+            layout,
             dependencies,
             table,
             lint_warnings: Vec::new(),
@@ -336,7 +262,7 @@ impl MaterializedView {
     ) -> Result<(Self, bool)> {
         let name = name.into();
         let _compile = tracing::span("compile.view").enter();
-        let (normalized, group_info) = Self::compile(&definition, strategy, catalog)?;
+        let (normalized, layout) = Self::compile(&definition, strategy, catalog)?;
         let expected = normalized.plan.schema(catalog)?;
         let (table, used_snapshot) = if **snapshot.schema() == *expected {
             let table = if expected.has_key() {
@@ -348,19 +274,24 @@ impl MaterializedView {
         } else {
             (materialize(&normalized.plan, catalog, exec)?, false)
         };
-        let view = Self::assemble(name, definition, strategy, normalized, group_info, table)?;
+        let view = Self::assemble(name, definition, strategy, normalized, layout, table)?;
         Ok((view, used_snapshot))
     }
 
     /// The normalize + shape-check half of [`MaterializedView::create`]:
-    /// produce the maintenance form for `strategy`, or explain why the
+    /// produce the maintenance form for `strategy` and, for the
+    /// update-rule strategies, its MERGE layout — or explain why the
     /// strategy does not apply.
     fn compile(
         definition: &Plan,
         strategy: Strategy,
         catalog: &Catalog,
-    ) -> Result<(NormalizedView, Option<GroupPivotInfo>)> {
-        let out = match strategy {
+    ) -> Result<(NormalizedView, Option<MergeLayout>)> {
+        let not_applicable = |reason: String| CoreError::StrategyNotApplicable {
+            strategy: strategy.id().into(),
+            reason,
+        };
+        let mut nv = match strategy {
             Strategy::Recompute | Strategy::InsertDelete => {
                 // Maintain the original tree directly.
                 let schema = definition.schema(catalog)?;
@@ -369,104 +300,42 @@ impl MaterializedView {
                     .iter()
                     .map(|c| (c.to_string(), c.to_string()))
                     .collect();
-                (
-                    NormalizedView {
-                        plan: definition.clone(),
-                        output,
-                        identity_output: true,
-                        log: vec![],
-                        shape: if definition.pivot_count() > 0 {
-                            TopShape::StuckPivot
-                        } else {
-                            TopShape::Relational
-                        },
+                let nv = NormalizedView {
+                    plan: definition.clone(),
+                    output,
+                    identity_output: true,
+                    log: vec![],
+                    shape: if definition.pivot_count() > 0 {
+                        TopShape::StuckPivot
+                    } else {
+                        TopShape::Relational
                     },
-                    None,
-                )
-            }
-            Strategy::PivotUpdate => {
-                let nv = normalize_view(definition, catalog)?;
-                match nv.shape {
-                    TopShape::PivotTop { .. } => (nv, None),
-                    ref s => {
-                        return Err(CoreError::StrategyNotApplicable {
-                            strategy: strategy.id().into(),
-                            reason: format!("normalized shape is {s:?}, not PivotTop"),
-                        })
-                    }
-                }
+                };
+                return Ok((nv, None));
             }
             Strategy::SelectPushdownUpdate => {
-                let nv = normalize_view_with_select_pushdown(definition, catalog)?;
-                match nv.shape {
-                    TopShape::PivotTop { .. } => (nv, None),
-                    ref s => {
-                        return Err(CoreError::StrategyNotApplicable {
-                            strategy: strategy.id().into(),
-                            reason: format!("shape after select pushdown is {s:?}"),
-                        })
-                    }
-                }
+                normalize_view_with_select_pushdown(definition, catalog)?
             }
-            Strategy::SelectPivotUpdate => {
-                let nv = normalize_view(definition, catalog)?;
-                match &nv.shape {
-                    TopShape::SelectOverPivot { predicate, .. } => {
-                        if !predicate.is_null_intolerant() {
-                            return Err(CoreError::StrategyNotApplicable {
-                                strategy: strategy.id().into(),
-                                reason: format!("predicate `{predicate}` is not null-intolerant"),
-                            });
-                        }
-                        (nv, None)
-                    }
-                    s => {
-                        return Err(CoreError::StrategyNotApplicable {
-                            strategy: strategy.id().into(),
-                            reason: format!("normalized shape is {s:?}, not SelectOverPivot"),
-                        })
-                    }
-                }
-            }
-            Strategy::GroupPivotUpdate => {
-                let mut nv = normalize_view(definition, catalog)?;
-                if !matches!(nv.shape, TopShape::PivotOverGroupBy { .. }) {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: strategy.id().into(),
-                        reason: format!("normalized shape is {:?}", nv.shape),
-                    });
-                }
-                let augmented = augment_group_pivot(&nv.plan)?;
-                let (spec, group_by, aggs) = match &augmented {
-                    Plan::GPivot { input, spec } => match input.as_ref() {
-                        Plan::GroupBy { group_by, aggs, .. } => {
-                            (spec.clone(), group_by.clone(), aggs.clone())
-                        }
-                        _ => unreachable!("augment preserves shape"),
-                    },
-                    _ => unreachable!("augment preserves shape"),
-                };
-                let info = GroupPivotInfo::derive(&group_by, &aggs, &spec)?;
-                nv.plan = augmented;
-                nv.shape = TopShape::PivotOverGroupBy {
-                    spec,
-                    group_by,
-                    aggs,
-                };
-                (nv, Some(info))
-            }
-            Strategy::GroupByInsDel => {
-                let nv = normalize_view(definition, catalog)?;
-                if !matches!(nv.shape, TopShape::PivotOverGroupBy { .. }) {
-                    return Err(CoreError::StrategyNotApplicable {
-                        strategy: strategy.id().into(),
-                        reason: format!("normalized shape is {:?}", nv.shape),
-                    });
-                }
-                (nv, None)
-            }
+            _ => normalize_view(definition, catalog)?,
         };
-        Ok(out)
+        match (strategy, &nv.shape) {
+            (Strategy::PivotUpdate | Strategy::SelectPushdownUpdate, TopShape::PivotTop { .. })
+            | (Strategy::GroupByInsDel, TopShape::PivotOverGroupBy { .. }) => {}
+            (Strategy::SelectPivotUpdate, TopShape::SelectOverPivot { predicate, .. }) => {
+                if !predicate.is_null_intolerant() {
+                    let reason = format!("predicate `{predicate}` is not null-intolerant");
+                    return Err(not_applicable(reason));
+                }
+            }
+            (Strategy::GroupPivotUpdate, TopShape::PivotOverGroupBy { .. }) => {
+                let (plan, layout) = MergeLayout::group_pivot(&nv.plan, catalog)?;
+                nv.plan = plan;
+                return Ok((nv, Some(layout)));
+            }
+            (_, shape) => return Err(not_applicable(format!("normalized shape is {shape:?}"))),
+        }
+        let layout = MergeLayout::pivot(&nv.plan, catalog)?;
+        Ok((nv, Some(layout)))
     }
 
     /// View name.
@@ -618,44 +487,35 @@ impl MaterializedView {
                     .map_err(|e| e.in_table(&self.name))?;
                 PatchKind::Delta(d)
             }
-            // Fig. 23 MERGE at the top pivot. Under `GroupByInsDel` its
-            // input is the GROUPBY, which insert/delete propagation crosses
-            // by recomputing the affected groups.
-            Strategy::PivotUpdate | Strategy::SelectPushdownUpdate | Strategy::GroupByInsDel => {
-                let (below, spec) = self.pivot_over(&self.normalized.plan)?;
-                let (d, _apply) = propagate_to_apply(below)?;
-                outcome.delta_rows = d.len();
-                let schema = below.schema(catalog)?;
-                let (ops, stats) = plan_pivot_update(&self.table, spec, &schema, &d)?;
-                outcome.stats = stats;
-                PatchKind::Rows(ops)
-            }
-            Strategy::SelectPivotUpdate => {
-                let Plan::Select { input, predicate } = &self.normalized.plan else {
-                    return Err(self.lost("top select"));
-                };
-                let (core, spec) = self.pivot_over(input)?;
-                let (d, _apply) = propagate_to_apply(core)?;
-                outcome.delta_rows = d.len();
-                let (ops, stats) =
-                    plan_select_pivot_update(&self.table, spec, predicate, core, &ctx, &d)?;
-                outcome.stats = stats;
-                PatchKind::Rows(ops)
-            }
-            Strategy::GroupPivotUpdate => {
-                let (input, spec) = self.pivot_over(&self.normalized.plan)?;
-                let Plan::GroupBy { input: core, .. } = input else {
-                    return Err(self.lost("group-by"));
-                };
-                let info = self
-                    .group_info
+            // The MERGE at the top pivot: Fig. 23, Fig. 27 under
+            // `GroupPivotUpdate`, Fig. 29 under `SelectPivotUpdate`. Under
+            // `GroupByInsDel` the pivot's input is the GROUPBY, which
+            // insert/delete propagation crosses by recomputing the affected
+            // groups.
+            Strategy::PivotUpdate
+            | Strategy::SelectPushdownUpdate
+            | Strategy::GroupByInsDel
+            | Strategy::SelectPivotUpdate
+            | Strategy::GroupPivotUpdate => {
+                let layout = self
+                    .layout
                     .as_ref()
-                    .ok_or_else(|| self.lost("group-pivot info (not set at creation)"))?;
-                let (d, _apply) = propagate_to_apply(core)?;
+                    .ok_or_else(|| self.lost("merge layout"))?;
+                let (d, _apply) = propagate_to_apply(&layout.core)?;
                 outcome.delta_rows = d.len();
-                let schema = core.schema(catalog)?;
-                let (ops, stats) = plan_group_pivot_update(&self.table, spec, info, &schema, &d)?;
+                let sigma = match &self.normalized.plan {
+                    Plan::Select { predicate, .. } => Some(predicate.bind(self.table.schema())?),
+                    _ => None,
+                };
+                let (mut ops, stats, candidates) =
+                    plan_merge(&self.table, layout, &d, sigma.as_ref());
                 outcome.stats = stats;
+                if let (Some(sigma), false) = (&sigma, candidates.is_empty()) {
+                    let _s = tracing::span("maintain.candidates").enter();
+                    let rows = layout.candidate_rows(&self.table, candidates, &ctx, &d, sigma)?;
+                    outcome.stats.inserted += rows.len();
+                    ops.extend(rows.into_iter().map(RowOp::Insert));
+                }
                 PatchKind::Rows(ops)
             }
         };
@@ -771,14 +631,6 @@ impl MaterializedView {
         CoreError::StrategyNotApplicable {
             strategy: self.strategy.id().into(),
             reason: format!("normalized plan lost its {what}"),
-        }
-    }
-
-    /// `plan` as a GPIVOT: its input and spec.
-    fn pivot_over<'p>(&self, plan: &'p Plan) -> Result<(&'p Plan, &'p PivotSpec)> {
-        match plan {
-            Plan::GPivot { input, spec } => Ok((input, spec)),
-            _ => Err(self.lost("pivot")),
         }
     }
 
@@ -953,7 +805,7 @@ impl ViewManager {
             TopShape::PivotOverGroupBy { .. } => {
                 // Prefer the Fig. 27 combined rules; fall back when the
                 // aggregates are not self-maintainable.
-                if augment_group_pivot(&nv.plan).is_ok() {
+                if MergeLayout::group_pivot(&nv.plan, &self.catalog).is_ok() {
                     Strategy::GroupPivotUpdate
                 } else {
                     Strategy::GroupByInsDel
@@ -1360,11 +1212,12 @@ impl ViewManager {
         Ok(outcomes)
     }
 
-    /// Verify a view's materialization against recomputation (testing aid).
+    /// Verify what readers of a view see ([`MaterializedView::query`])
+    /// against its definition run over the catalog (testing aid).
     pub fn verify_view(&self, name: &str) -> Result<bool> {
         let view = self.view(name)?;
-        let fresh = self.exec.run(&view.normalized.plan, &self.catalog)?;
-        Ok(view.table.bag_eq(&fresh))
+        let fresh = self.exec.run(&view.definition, &self.catalog)?;
+        Ok(view.query()?.bag_eq(&fresh))
     }
 
     /// The compiled maintenance plan of a view, naming the σ-parent it
@@ -1377,13 +1230,10 @@ impl ViewManager {
     }
 }
 
-// `Expr` is used by doc examples and the select-pivot strategy match.
-#[allow(unused_imports)]
-use Expr as _ExprForDocs;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpivot_algebra::{AggSpec, Expr, PivotSpec};
     use gpivot_storage::{row, DataType, Schema, Value};
     use std::sync::Arc;
 
@@ -1506,15 +1356,44 @@ mod tests {
             .column_names()
             .iter()
             .all(|c| !c.contains("__cs") && !c.contains("__c_")));
-        // But the materialized table does carry them.
-        assert!(vm
-            .view("v")
-            .unwrap()
-            .table()
-            .schema()
-            .column_names()
-            .iter()
-            .any(|c| c.contains("__cs")));
+        // The materialized table carries the SUM's `count(val)` — its
+        // liveness count — and no `count(*)`: no COUNT is visible.
+        let columns = vm.view("v").unwrap().table().schema().column_names();
+        assert!(columns.iter().any(|c| c.contains("__c_val")));
+        assert!(columns.iter().all(|c| !c.contains("__cs")));
+    }
+
+    #[test]
+    fn a_group_pivot_never_shows_a_row_whose_visible_cells_are_all_null() {
+        // Key 4's only group sums NULLs: its cell is ⊥, so the definition's
+        // pivot has no row 4 — and neither may the view, at registration
+        // or after key 5 arrives the same way.
+        let mut c = catalog();
+        let null_val =
+            |id: i64, attr: &str| Row::new(vec![Value::Int(id), Value::str(attr), Value::Null]);
+        c.apply_delta("items", &Delta::from_inserts(vec![null_val(4, "a")]))
+            .unwrap();
+        let mut vm = ViewManager::new(c);
+        let plan = Plan::scan("items")
+            .group_by(&["id", "attr"], vec![AggSpec::sum("val", "s")])
+            .gpivot(PivotSpec::new(
+                vec!["attr"],
+                vec!["s"],
+                vec![vec![Value::str("a")], vec![Value::str("b")]],
+            ));
+        assert_eq!(
+            vm.register_view("v", plan.clone()).unwrap(),
+            Strategy::GroupPivotUpdate
+        );
+        let definition = |vm: &ViewManager| Executor::new().run(&plan, vm.catalog()).unwrap();
+        assert!(vm.query_view("v").unwrap().bag_eq(&definition(&vm)));
+
+        let mut deltas = SourceDeltas::new();
+        deltas.insert_rows("items", vec![null_val(5, "b")]);
+        vm.refresh(&deltas).unwrap();
+        assert!(vm.query_view("v").unwrap().bag_eq(&definition(&vm)));
+        assert_eq!(vm.query_view("v").unwrap().len(), 3);
+        assert!(vm.verify_view("v").unwrap());
     }
 
     #[test]

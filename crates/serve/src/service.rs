@@ -1124,8 +1124,9 @@ impl ViewService {
         Snapshot { guard, epoch }
     }
 
-    /// Verify every registered view against full recomputation from the
-    /// current base tables (the oracle check; testing/ops aid). Quarantined
+    /// Verify what readers of every registered view see against its
+    /// definition recomputed from the current base tables (the oracle
+    /// check; testing/ops aid). Quarantined
     /// views are skipped — their tables are knowingly stale until
     /// [`ViewService::retry_view`] re-admits them.
     pub fn verify_all(&self) -> Result<bool> {

@@ -615,17 +615,7 @@ proptest! {
                         now.rows() == &projected(vm.view("v").unwrap())[..],
                         "plan {pick}/{strategy}: read is not the projected table\nscenario: {s:?}\nsteps: {steps:?}"
                     );
-                    // Known issue (ROADMAP): the hidden `__cs` count of the
-                    // Fig. 27 rules keeps a group whose visible sums are all
-                    // ⊥, which the definition's own pivot drops — at
-                    // registration already, so not a matter of reads. That
-                    // strategy is held to the definition as it compiled it.
-                    let expected = if strategy == Strategy::GroupPivotUpdate {
-                        exec.run(&vm.view("v").unwrap().normalized().view_plan(), vm.catalog())
-                    } else {
-                        exec.run(&plan, vm.catalog())
-                    }
-                    .unwrap();
+                    let expected = exec.run(&plan, vm.catalog()).unwrap();
                     prop_assert!(
                         now.bag_eq(&expected),
                         "plan {pick}/{strategy}: read diverged from the definition\nscenario: {s:?}\nsteps: {steps:?}"
