@@ -202,6 +202,19 @@ impl Expr {
             .unwrap_or(Expr::Lit(Value::Bool(true)))
     }
 
+    /// The top-level conjuncts of this predicate, left to right: the
+    /// inverse of [`Expr::conjunction`] on a list that holds no `AND`.
+    pub fn conjuncts(&self) -> Vec<Expr> {
+        match self {
+            Expr::And(a, b) => {
+                let mut v = a.conjuncts();
+                v.extend(b.conjuncts());
+                v
+            }
+            other => vec![other.clone()],
+        }
+    }
+
     /// Disjunction of several predicates (`false` literal when empty).
     pub fn disjunction(preds: Vec<Expr>) -> Expr {
         preds
@@ -658,6 +671,22 @@ mod tests {
         assert_eq!(t.eval_predicate(&s, &row![1, 2, "x"]).unwrap(), Some(true));
         let f = Expr::disjunction(vec![]);
         assert_eq!(f.eval_predicate(&s, &row![1, 2, "x"]).unwrap(), Some(false));
+    }
+
+    #[test]
+    fn conjuncts_invert_conjunction() {
+        let atoms = vec![
+            Expr::col("a").gt(Expr::lit(1)),
+            Expr::col("b").eq(Expr::lit(2)).or(Expr::col("c").is_null()),
+            Expr::col("c").lt(Expr::lit(3)),
+        ];
+        let both = Expr::conjunction(atoms.clone());
+        assert_eq!(both.conjuncts(), atoms);
+        assert_eq!(Expr::conjunction(both.conjuncts()), both);
+        // A right-nested AND splits the same; a lone atom is its own list.
+        let right = atoms[0].clone().and(atoms[1].clone().and(atoms[2].clone()));
+        assert_eq!(right.conjuncts(), atoms);
+        assert_eq!(atoms[1].conjuncts(), vec![atoms[1].clone()]);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`plan`] — the operator tree: `Scan`, `Select`, `Project`, `Join`
 //!   (inner / left-outer / full-outer), `GroupBy`, `Union`, `Diff`, and the
 //!   paper's stars: [`plan::Plan::GPivot`] and [`plan::Plan::GUnpivot`]
-//!   (the simple `PIVOT`/`UNPIVOT` of Eq. 1–2 are the 1×1 special case).
+//!   (the simple `PIVOT`/`UNPIVOT` of Eq. 1–2 are the 1×1 special case),
+//!   built by chaining its constructors (`Plan::scan(…).gpivot(…).join(…)`).
 //! * [`names`] — the pivoted-column naming protocol
 //!   `a1**a2**…**am**Bj` (§4.1), with escaping so data values containing
 //!   `*` round-trip.
@@ -24,11 +25,9 @@
 //! * [`combinability`] — the §4.2.3 analysis deciding whether two adjacent
 //!   GPIVOTs merge into one ([`can_combine`] / [`CombineVerdict`]), shared
 //!   by the rewrite engine and the static plan analyzer.
-//! * [`builder`] — a fluent plan builder.
 //! * [`display`] — `EXPLAIN`-style pretty printing.
 
 pub mod aggregate;
-pub mod builder;
 pub mod combinability;
 pub mod display;
 pub mod error;
@@ -39,7 +38,6 @@ pub mod schema_infer;
 pub mod sql;
 
 pub use aggregate::{AggFunc, AggSpec};
-pub use builder::PlanBuilder;
 pub use combinability::{can_combine, CombineVerdict};
 pub use error::{AlgebraError, Result};
 pub use expr::{BinOp, BoundExpr, CmpOp, Expr};

@@ -6,6 +6,24 @@
 //! [`Plan::GPivot`] / [`Plan::GUnpivot`] (Eq. 3, 4). The simple `PIVOT` /
 //! `UNPIVOT` of Eq. 1–2 are constructed as the 1-dimension special case via
 //! [`PivotSpec::simple`] / [`UnpivotSpec::simple`].
+//!
+//! Plans are built by chaining the constructors, so the paper's example
+//! views read almost like their algebra trees:
+//!
+//! ```
+//! use gpivot_algebra::{PivotSpec, Plan};
+//! use gpivot_storage::Value;
+//!
+//! // Figure 32: GPIVOT(lineitem) ⋈ orders
+//! let view = Plan::scan("lineitem")
+//!     .gpivot(PivotSpec::simple(
+//!         "l_linenumber",
+//!         "l_extendedprice",
+//!         vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+//!     ))
+//!     .join(Plan::scan("orders"), vec![("l_orderkey", "o_orderkey")]);
+//! assert_eq!(view.pivot_count(), 1);
+//! ```
 
 use crate::aggregate::AggSpec;
 use crate::error::{AlgebraError, Result};
@@ -416,17 +434,28 @@ impl Plan {
         )
     }
 
-    /// Equi-join constructor.
+    /// Inner equi-join constructor.
     pub fn join(self, right: Plan, on: Vec<(&str, &str)>) -> Plan {
+        self.join_kind(right, JoinKind::Inner, on, None)
+    }
+
+    /// Join constructor with an explicit kind and optional residual predicate.
+    pub fn join_kind(
+        self,
+        right: Plan,
+        kind: JoinKind,
+        on: Vec<(&str, &str)>,
+        residual: Option<Expr>,
+    ) -> Plan {
         Plan::Join {
             left: Box::new(self),
             right: Box::new(right),
-            kind: JoinKind::Inner,
+            kind,
             on: on
                 .into_iter()
                 .map(|(l, r)| (l.to_string(), r.to_string()))
                 .collect(),
-            residual: None,
+            residual,
         }
     }
 
@@ -436,6 +465,22 @@ impl Plan {
             input: Box::new(self),
             group_by: group_by.iter().map(|s| s.to_string()).collect(),
             aggs,
+        }
+    }
+
+    /// ⊎ constructor.
+    pub fn union(self, right: Plan) -> Plan {
+        Plan::Union {
+            left: Box::new(self),
+            right: Box::new(right),
+        }
+    }
+
+    /// ∸ constructor.
+    pub fn diff(self, right: Plan) -> Plan {
+        Plan::Diff {
+            left: Box::new(self),
+            right: Box::new(right),
         }
     }
 
@@ -660,6 +705,30 @@ mod tests {
             p.base_tables().into_iter().collect::<Vec<_>>(),
             vec!["a".to_string(), "b".to_string()]
         );
+    }
+
+    #[test]
+    fn builds_nested_tree() {
+        let plan = Plan::scan("a")
+            .select(Expr::col("x").gt(Expr::lit(1)))
+            .join(Plan::scan("b"), vec![("x", "y")])
+            .group_by(&["x"], vec![AggSpec::count_star("cnt")]);
+        assert_eq!(plan.node_count(), 5);
+        assert_eq!(plan.op_name(), "GroupBy");
+    }
+
+    #[test]
+    fn union_and_diff() {
+        let p = Plan::scan("a").union(Plan::scan("a"));
+        assert_eq!(p.op_name(), "Union");
+        let p = Plan::scan("a").diff(Plan::scan("a"));
+        assert_eq!(p.op_name(), "Diff");
+    }
+
+    #[test]
+    fn gpivot_chain() {
+        let p = Plan::scan("t").gpivot(PivotSpec::simple("a", "b", vec![Value::str("x")]));
+        assert_eq!(p.pivot_count(), 1);
     }
 
     #[test]

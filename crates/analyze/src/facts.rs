@@ -375,7 +375,7 @@ fn rename_through(items: &[(Expr, String)], col: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::{AggSpec, PivotSpec, PlanBuilder};
+    use gpivot_algebra::{AggSpec, PivotSpec, Plan};
     use gpivot_storage::{DataType, Schema, Value};
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -438,10 +438,9 @@ mod tests {
     #[test]
     fn schema_error_attributed_to_offending_node() {
         // Union clears the key, so a pivot directly above must fail §2.1.
-        let u = PlanBuilder::scan("iteminfo")
-            .union(PlanBuilder::scan("iteminfo"))
-            .gpivot(PivotSpec::simple("attr", "val", vec![Value::str("Type")]))
-            .build();
+        let u = Plan::scan("iteminfo")
+            .union(Plan::scan("iteminfo"))
+            .gpivot(PivotSpec::simple("attr", "val", vec![Value::str("Type")]));
         let f = derive_facts(&u, &provider());
         assert!(f.schema.is_none());
         assert!(matches!(
@@ -467,9 +466,7 @@ mod tests {
                 .unwrap(),
             ),
         );
-        let plan = PlanBuilder::scan("iteminfo")
-            .join(PlanBuilder::scan("product"), vec![("id", "pid")])
-            .build();
+        let plan = Plan::scan("iteminfo").join(Plan::scan("product"), vec![("id", "pid")]);
         let f = derive_facts(&plan, &p);
         let declared = f.key.clone().unwrap();
         assert!(f.candidate_keys.contains(&declared));
@@ -482,9 +479,7 @@ mod tests {
 
     #[test]
     fn groupby_output_keyed_by_grouping_columns() {
-        let plan = PlanBuilder::scan("iteminfo")
-            .group_by(&["id"], vec![AggSpec::count("val", "n")])
-            .build();
+        let plan = Plan::scan("iteminfo").group_by(&["id"], vec![AggSpec::count("val", "n")]);
         let f = derive_facts(&plan, &provider());
         assert_eq!(f.key.as_deref(), Some(&["id".to_string()][..]));
         assert!(f.key_preserved);

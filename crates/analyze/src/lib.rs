@@ -169,7 +169,7 @@ pub fn analyze<P: SchemaProvider>(plan: &Plan, provider: &P) -> AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::{AggSpec, Expr, PivotSpec, PlanBuilder};
+    use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan};
     use gpivot_storage::{DataType, Schema, SchemaRef, Value};
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -203,8 +203,8 @@ mod tests {
         m
     }
 
-    fn pivot() -> PlanBuilder {
-        PlanBuilder::scan("iteminfo").gpivot(PivotSpec::simple(
+    fn pivot() -> Plan {
+        Plan::scan("iteminfo").gpivot(PivotSpec::simple(
             "attr",
             "val",
             vec![Value::str("TV"), Value::str("VCR")],
@@ -213,9 +213,7 @@ mod tests {
 
     #[test]
     fn clean_pivot_join_plan() {
-        let plan = pivot()
-            .join(PlanBuilder::scan("product"), vec![("id", "pid")])
-            .build();
+        let plan = pivot().join(Plan::scan("product"), vec![("id", "pid")]);
         let report = analyze(&plan, &provider());
         assert!(report.is_clean(), "unexpected: {:?}", report.diagnostics);
         assert!(report.maintenance_safe());
@@ -257,14 +255,12 @@ mod tests {
     #[test]
     fn null_tolerant_select_over_cells_is_gp011() {
         let cell = gpivot_algebra::encode_pivot_col(&[Value::str("TV")], "val");
-        let plan = pivot()
-            .select(Expr::IsNull(Box::new(Expr::col(cell))))
-            .build();
+        let plan = pivot().select(Expr::IsNull(Box::new(Expr::col(cell))));
         let report = analyze(&plan, &provider());
         assert_eq!(report.codes(), vec![DiagCode::Gp011SelectOverCells]);
         // A null-intolerant predicate over the same cell is clean.
         let cell = gpivot_algebra::encode_pivot_col(&[Value::str("TV")], "val");
-        let plan = pivot().select(Expr::col(cell).gt(Expr::lit(10.0))).build();
+        let plan = pivot().select(Expr::col(cell).gt(Expr::lit(10.0)));
         assert!(analyze(&plan, &provider()).is_clean());
     }
 
@@ -272,7 +268,7 @@ mod tests {
     fn project_dropping_cells_is_gp012_and_key_loss_gp010() {
         let cell = gpivot_algebra::encode_pivot_col(&[Value::str("TV")], "val");
         // Drops the VCR cell *and* the key column `id`.
-        let plan = pivot().project_cols(&[cell.as_str()]).build();
+        let plan = pivot().project_cols(&[cell.as_str()]);
         let report = analyze(&plan, &provider());
         let codes = report.codes();
         assert!(codes.contains(&DiagCode::Gp010KeyNotPreserved));
@@ -282,9 +278,7 @@ mod tests {
     #[test]
     fn join_on_cells_is_gp013() {
         let cell = gpivot_algebra::encode_pivot_col(&[Value::str("TV")], "val");
-        let plan = pivot()
-            .join(PlanBuilder::scan("product"), vec![(cell.as_str(), "pid")])
-            .build();
+        let plan = pivot().join(Plan::scan("product"), vec![(cell.as_str(), "pid")]);
         let report = analyze(&plan, &provider());
         assert!(report.codes().contains(&DiagCode::Gp013JoinOnCells));
     }
@@ -293,42 +287,37 @@ mod tests {
     fn count_over_pivot_is_gp015() {
         let cell = gpivot_algebra::encode_pivot_col(&[Value::str("TV")], "val");
         let cell2 = gpivot_algebra::encode_pivot_col(&[Value::str("VCR")], "val");
-        let plan = pivot()
-            .group_by(
-                &["id"],
-                vec![
-                    AggSpec::count(cell.as_str(), "n"),
-                    AggSpec::sum(cell2.as_str(), "s"),
-                ],
-            )
-            .build();
+        let plan = pivot().group_by(
+            &["id"],
+            vec![
+                AggSpec::count(cell.as_str(), "n"),
+                AggSpec::sum(cell2.as_str(), "s"),
+            ],
+        );
         let report = analyze(&plan, &provider());
         assert!(report
             .codes()
             .contains(&DiagCode::Gp015AggNotBottomRespecting));
         // All-SUM coverage of every cell is clean.
-        let plan = pivot()
-            .group_by(
-                &["id"],
-                vec![
-                    AggSpec::sum(cell.as_str(), "a"),
-                    AggSpec::sum(cell2.as_str(), "b"),
-                ],
-            )
-            .build();
+        let plan = pivot().group_by(
+            &["id"],
+            vec![
+                AggSpec::sum(cell.as_str(), "a"),
+                AggSpec::sum(cell2.as_str(), "b"),
+            ],
+        );
         assert!(analyze(&plan, &provider()).is_clean());
     }
 
     #[test]
     fn min_feeding_pivot_is_gp016() {
-        let plan = PlanBuilder::scan("iteminfo")
+        let plan = Plan::scan("iteminfo")
             .group_by(&["id", "attr"], vec![AggSpec::min("val", "lo")])
             .gpivot(PivotSpec::simple(
                 "attr",
                 "lo",
                 vec![Value::str("TV"), Value::str("VCR")],
-            ))
-            .build();
+            ));
         let report = analyze(&plan, &provider());
         assert_eq!(report.codes(), vec![DiagCode::Gp016AggNotSelfMaintainable]);
     }
@@ -337,23 +326,20 @@ mod tests {
     fn stacked_uncombinable_pivots_are_gp017() {
         // The outer pivot leaves the inner's VCR cell in its key.
         let cell = gpivot_algebra::encode_pivot_col(&[Value::str("TV")], "val");
-        let plan = pivot()
-            .gpivot(PivotSpec::new(
-                vec!["id"],
-                vec![cell.as_str()],
-                vec![vec![Value::Int(1)]],
-            ))
-            .build();
+        let plan = pivot().gpivot(PivotSpec::new(
+            vec!["id"],
+            vec![cell.as_str()],
+            vec![vec![Value::Int(1)]],
+        ));
         let report = analyze(&plan, &provider());
         assert!(report.codes().contains(&DiagCode::Gp017PivotsNotCombinable));
     }
 
     #[test]
     fn union_before_pivot_is_gp018_and_gp001() {
-        let plan = PlanBuilder::scan("iteminfo")
-            .union(PlanBuilder::scan("iteminfo"))
-            .gpivot(PivotSpec::simple("attr", "val", vec![Value::str("TV")]))
-            .build();
+        let plan = Plan::scan("iteminfo")
+            .union(Plan::scan("iteminfo"))
+            .gpivot(PivotSpec::simple("attr", "val", vec![Value::str("TV")]));
         let report = analyze(&plan, &provider());
         let codes = report.codes();
         assert!(codes.contains(&DiagCode::Gp001PivotInputNoKey));
@@ -363,7 +349,7 @@ mod tests {
 
     #[test]
     fn pivot_under_union_is_stuck_gp021() {
-        let plan = pivot().union(pivot()).build();
+        let plan = pivot().union(pivot());
         let report = analyze(&plan, &provider());
         assert!(report.codes().contains(&DiagCode::Gp021StuckPivot));
         assert_eq!(report.with_code(DiagCode::Gp021StuckPivot).count(), 2);
@@ -392,7 +378,7 @@ mod tests {
 
     #[test]
     fn json_report_shape() {
-        let plan = pivot().build();
+        let plan = pivot();
         let report = analyze(&plan, &provider());
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

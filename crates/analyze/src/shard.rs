@@ -686,14 +686,12 @@ mod tests {
 
     #[test]
     fn full_outer_join_is_unprovable() {
-        let plan = gpivot_algebra::PlanBuilder::scan("orders")
-            .join_kind(
-                gpivot_algebra::PlanBuilder::scan("customer"),
-                JoinKind::FullOuter,
-                vec![("o_custkey", "c_custkey")],
-                None,
-            )
-            .build();
+        let plan = gpivot_algebra::Plan::scan("orders").join_kind(
+            gpivot_algebra::Plan::scan("customer"),
+            JoinKind::FullOuter,
+            vec![("o_custkey", "c_custkey")],
+            None,
+        );
         let verdict = shard_safety(&plan, &provider());
         assert!(!verdict.is_safe(), "full outer joins must be unprovable");
         let diag = verdict.diagnostic();
@@ -705,16 +703,15 @@ mod tests {
     fn grouping_off_the_join_key_is_unprovable() {
         // GROUP BY a computed-only column set that shares nothing with
         // any join class: group on o_year only.
-        let plan = gpivot_algebra::PlanBuilder::scan("lineitem")
+        let plan = gpivot_algebra::Plan::scan("lineitem")
             .join(
-                gpivot_algebra::PlanBuilder::scan("orders"),
+                gpivot_algebra::Plan::scan("orders"),
                 vec![("l_orderkey", "o_orderkey")],
             )
             .group_by(
                 &["o_year"],
                 vec![gpivot_algebra::AggSpec::sum("l_extendedprice", "s")],
-            )
-            .build();
+            );
         let verdict = shard_safety(&plan, &provider());
         // o_year forms its own singleton class, so partitioning orders
         // by o_year is actually provable (lineitem replicated). Verify
@@ -745,9 +742,7 @@ mod tests {
     #[test]
     fn union_of_copartitioned_scans_is_safe() {
         // orders ∪ orders: both sides partition on the same column.
-        let plan = gpivot_algebra::PlanBuilder::scan("orders")
-            .union(gpivot_algebra::PlanBuilder::scan("orders"))
-            .build();
+        let plan = gpivot_algebra::Plan::scan("orders").union(gpivot_algebra::Plan::scan("orders"));
         let verdict = shard_safety(&plan, &provider());
         assert!(verdict.is_safe());
     }

@@ -12,7 +12,7 @@
 //!   not database size, until the per-run fixed costs dominate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpivot_algebra::{PivotSpec, Plan, PlanBuilder};
+use gpivot_algebra::{PivotSpec, Plan};
 use gpivot_bench::{bench_catalog, PreparedView, Workload};
 use gpivot_core::Strategy;
 use gpivot_exec::Executor;
@@ -21,10 +21,9 @@ use gpivot_tpch::views;
 
 /// Pure pivot view over lineitem (no joins): isolates the apply phase.
 fn pure_pivot_view() -> Plan {
-    PlanBuilder::scan("lineitem")
+    Plan::scan("lineitem")
         .project_cols(&["l_orderkey", "l_linenumber", "l_extendedprice"])
         .gpivot(views::line_pivot_spec())
-        .build()
 }
 
 fn ablation_apply_mode(c: &mut Criterion) {
@@ -61,14 +60,10 @@ fn ablation_pivot_combine(c: &mut Criterion) {
         ],
     );
     let base = || {
-        PlanBuilder::scan("lineitem")
+        Plan::scan("lineitem")
             .project_cols(&["l_orderkey", "l_linenumber", "l_extendedprice"])
-            .join(
-                PlanBuilder::scan("orders"),
-                vec![("l_orderkey", "o_orderkey")],
-            )
+            .join(Plan::scan("orders"), vec![("l_orderkey", "o_orderkey")])
             .project_cols(&["l_orderkey", "o_year", "l_linenumber", "l_extendedprice"])
-            .build()
     };
     let stacked = base().gpivot(inner.clone()).gpivot(outer.clone());
     let combined =

@@ -13,7 +13,7 @@
 //!   --quiet  suppress the rendered per-plan trees on stderr
 //! ```
 
-use gpivot_algebra::{PivotSpec, Plan, PlanBuilder};
+use gpivot_algebra::{PivotSpec, Plan};
 use gpivot_analyze::{analyze, AnalysisReport};
 use gpivot_storage::{Catalog, DataType, Schema, Table, Value};
 use gpivot_tpch::{gen, views};
@@ -159,13 +159,13 @@ fn quickstart_view() -> Plan {
 
 /// The auction_crosstab example's view: Figure 2's two-level crosstab.
 fn figure2_view() -> Plan {
-    PlanBuilder::scan("payment")
+    Plan::scan("payment")
         .gpivot(PivotSpec::simple(
             "Payment",
             "Price",
             vec![Value::str("Credit"), Value::str("ByAir")],
         ))
-        .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
+        .join(Plan::scan("product"), vec![("ID", "PID")])
         .group_by(
             &["Manu", "Type"],
             vec![
@@ -178,7 +178,6 @@ fn figure2_view() -> Plan {
             vec!["CreditSum", "ByAirSum"],
             vec![vec![Value::str("TV")], vec![Value::str("VCR")]],
         ))
-        .build()
 }
 
 fn die(msg: &str) -> ! {

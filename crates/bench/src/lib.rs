@@ -15,6 +15,7 @@ pub mod criterion_common;
 
 use gpivot_core::maintain::view::MaterializedView;
 use gpivot_core::{SourceDeltas, Strategy};
+use gpivot_exec::Executor;
 use gpivot_storage::Catalog;
 use gpivot_tpch::{
     delete_fraction, generate, insert_new_rows, insert_updates_only, views, TpchConfig,
@@ -81,7 +82,8 @@ impl PreparedView {
         plan: gpivot_algebra::Plan,
         strategy: Strategy,
     ) -> gpivot_core::Result<Self> {
-        let view = MaterializedView::create("bench", plan, strategy, &catalog)?;
+        let view =
+            MaterializedView::create_with("bench", plan, strategy, &catalog, &Executor::new())?;
         Ok(PreparedView { catalog, view })
     }
 
@@ -100,14 +102,14 @@ impl PreparedView {
     pub fn timed_run(&self, deltas: &SourceDeltas) -> gpivot_core::Result<Duration> {
         let mut view = self.view.clone();
         let start = Instant::now();
-        view.maintain(&self.catalog, deltas)?;
+        view.maintain_with(&self.catalog, deltas, &Executor::new())?;
         Ok(start.elapsed())
     }
 
     /// Untimed run returning the refreshed view copy (for verification).
     pub fn run(&self, deltas: &SourceDeltas) -> gpivot_core::Result<MaterializedView> {
         let mut view = self.view.clone();
-        view.maintain(&self.catalog, deltas)?;
+        view.maintain_with(&self.catalog, deltas, &Executor::new())?;
         Ok(view)
     }
 }

@@ -124,7 +124,7 @@ pub fn try_compose(plan: &Plan) -> Result<Plan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::PlanBuilder;
+    use gpivot_algebra::Plan;
     use gpivot_exec::Executor;
     use gpivot_storage::{row, Catalog, DataType, Schema, Table, Value};
     use std::sync::Arc;
@@ -196,10 +196,9 @@ mod tests {
     fn stacked_equals_combined_figure_6() {
         // Execute both forms and compare bags — Eq. 6 as an executable fact.
         let c = catalog();
-        let stacked = PlanBuilder::scan("sales")
+        let stacked = Plan::scan("sales")
             .gpivot(inner_spec())
-            .gpivot(outer_spec())
-            .build();
+            .gpivot(outer_spec());
         let combined = try_compose(&stacked).unwrap();
         assert_eq!(combined.pivot_count(), 1);
         let a = Executor::new().run(&stacked, &c).unwrap();
@@ -227,7 +226,7 @@ mod tests {
 
     #[test]
     fn try_compose_rejects_non_stacked() {
-        let plan = PlanBuilder::scan("sales").gpivot(inner_spec()).build();
+        let plan = Plan::scan("sales").gpivot(inner_spec());
         assert!(try_compose(&plan).is_err());
     }
 
@@ -238,10 +237,7 @@ mod tests {
             vec!["VCR**Price", "TV**Price"], // swapped
             vec![vec![Value::str("Sony")]],
         );
-        let plan = PlanBuilder::scan("sales")
-            .gpivot(inner_spec())
-            .gpivot(reordered)
-            .build();
+        let plan = Plan::scan("sales").gpivot(inner_spec()).gpivot(reordered);
         assert!(try_compose(&plan).is_err());
     }
 }

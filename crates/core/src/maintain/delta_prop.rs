@@ -684,7 +684,7 @@ fn delta_join_into<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::{AggSpec, Expr, PivotSpec, PlanBuilder};
+    use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan};
     use gpivot_storage::{row, DataType, Schema};
     use std::sync::Arc;
 
@@ -752,33 +752,25 @@ mod tests {
 
     #[test]
     fn select_propagation() {
-        let plan = PlanBuilder::scan("items")
-            .select(Expr::col("val").gt(Expr::lit(15)))
-            .build();
+        let plan = Plan::scan("items").select(Expr::col("val").gt(Expr::lit(15)));
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
     #[test]
     fn project_propagation() {
-        let plan = PlanBuilder::scan("items")
-            .project_cols(&["id", "val"])
-            .build();
+        let plan = Plan::scan("items").project_cols(&["id", "val"]);
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
     #[test]
     fn join_propagation_left_delta() {
-        let plan = PlanBuilder::scan("items")
-            .join(PlanBuilder::scan("names"), vec![("id", "nid")])
-            .build();
+        let plan = Plan::scan("items").join(Plan::scan("names"), vec![("id", "nid")]);
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
     #[test]
     fn join_propagation_both_sides() {
-        let plan = PlanBuilder::scan("items")
-            .join(PlanBuilder::scan("names"), vec![("id", "nid")])
-            .build();
+        let plan = Plan::scan("items").join(Plan::scan("names"), vec![("id", "nid")]);
         let mut d = mixed_deltas();
         d.delete_rows("names", vec![row![2, "two"]]);
         d.insert_rows("names", vec![row![4, "four"]]);
@@ -788,9 +780,7 @@ mod tests {
     // --- The three-term join identity `ΔA ⋈ B ⊎ A ⋈ ΔB ⊎ ΔA ⋈ ΔB` ---
 
     fn items_join_names() -> Plan {
-        PlanBuilder::scan("items")
-            .join(PlanBuilder::scan("names"), vec![("id", "nid")])
-            .build()
+        Plan::scan("items").join(Plan::scan("names"), vec![("id", "nid")])
     }
 
     #[test]
@@ -826,14 +816,12 @@ mod tests {
     fn self_join_needs_the_delta_delta_term() {
         // items ⋈ items on id: both sides carry the same delta, so a new
         // id's pairs exist only in ΔA ⋈ ΔB.
-        let renamed = PlanBuilder::scan("items").project(vec![
+        let renamed = Plan::scan("items").project(vec![
             (Expr::col("id"), "id2".into()),
             (Expr::col("attr"), "attr2".into()),
             (Expr::col("val"), "val2".into()),
         ]);
-        let plan = PlanBuilder::scan("items")
-            .join(renamed, vec![("id", "id2")])
-            .build();
+        let plan = Plan::scan("items").join(renamed, vec![("id", "id2")]);
         let mut d = mixed_deltas();
         d.insert_rows("items", vec![row![4, "b", 8]]);
         assert_delta_correct(&plan, &catalog(), &d);
@@ -861,9 +849,7 @@ mod tests {
 
     #[test]
     fn join_bag_multiplicities_above_one_on_both_sides() {
-        let plan = PlanBuilder::scan("l")
-            .join(PlanBuilder::scan("r"), vec![("k", "k2")])
-            .build();
+        let plan = Plan::scan("l").join(Plan::scan("r"), vec![("k", "k2")]);
         let mut d = SourceDeltas::new();
         // +2 copies of an existing row, −1 of a duplicated one, +2 fresh.
         d.insert_rows("l", vec![row![1, 10], row![1, 10], row![3, 1]]);
@@ -891,20 +877,16 @@ mod tests {
 
     #[test]
     fn group_by_propagation() {
-        let plan = PlanBuilder::scan("items")
-            .group_by(
-                &["attr"],
-                vec![AggSpec::sum("val", "total"), AggSpec::count_star("cnt")],
-            )
-            .build();
+        let plan = Plan::scan("items").group_by(
+            &["attr"],
+            vec![AggSpec::sum("val", "total"), AggSpec::count_star("cnt")],
+        );
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
     #[test]
     fn group_by_group_death_and_birth() {
-        let plan = PlanBuilder::scan("items")
-            .group_by(&["attr"], vec![AggSpec::count_star("cnt")])
-            .build();
+        let plan = Plan::scan("items").group_by(&["attr"], vec![AggSpec::count_star("cnt")]);
         let mut d = SourceDeltas::new();
         // Kill group "b" entirely, create group "z".
         d.delete_rows("items", vec![row![1, "b", 20], row![3, "b", 40]]);
@@ -914,26 +896,23 @@ mod tests {
 
     #[test]
     fn intermediate_pivot_propagation() {
-        let plan = PlanBuilder::scan("items")
+        let plan = Plan::scan("items")
             .gpivot(PivotSpec::simple(
                 "attr",
                 "val",
                 vec![Value::str("a"), Value::str("b")],
             ))
-            .join(PlanBuilder::scan("names"), vec![("id", "nid")])
-            .build();
+            .join(Plan::scan("names"), vec![("id", "nid")]);
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
     #[test]
     fn pivot_key_disappearance() {
-        let plan = PlanBuilder::scan("items")
-            .gpivot(PivotSpec::simple(
-                "attr",
-                "val",
-                vec![Value::str("a"), Value::str("b")],
-            ))
-            .build();
+        let plan = Plan::scan("items").gpivot(PivotSpec::simple(
+            "attr",
+            "val",
+            vec![Value::str("a"), Value::str("b")],
+        ));
         let mut d = SourceDeltas::new();
         // Remove every row of id=1: the pivot row must disappear.
         d.delete_rows("items", vec![row![1, "a", 10], row![1, "b", 20]]);
@@ -944,10 +923,7 @@ mod tests {
     fn unpivot_propagation_is_linear() {
         let pivot = PivotSpec::simple("attr", "val", vec![Value::str("a"), Value::str("b")]);
         let unspec = gpivot_algebra::plan::UnpivotSpec::reversing(&pivot);
-        let plan = PlanBuilder::scan("items")
-            .gpivot(pivot)
-            .gunpivot(unspec)
-            .build();
+        let plan = Plan::scan("items").gpivot(pivot).gunpivot(unspec);
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
@@ -988,15 +964,13 @@ mod tests {
 
     #[test]
     fn union_propagation() {
-        let plan = PlanBuilder::scan("items")
-            .union(PlanBuilder::scan("items"))
-            .build();
+        let plan = Plan::scan("items").union(Plan::scan("items"));
         assert_delta_correct(&plan, &catalog(), &mixed_deltas());
     }
 
     #[test]
     fn untouched_tree_yields_empty_delta() {
-        let plan = PlanBuilder::scan("names").build();
+        let plan = Plan::scan("names");
         let deltas = mixed_deltas(); // only touches `items`
         let cat = catalog();
         let ctx = PropagationCtx::new(&cat, &deltas);

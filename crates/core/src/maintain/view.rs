@@ -38,12 +38,12 @@ pub struct MaterializedView {
     /// How [`MaterializedView::query`] reshapes the table; `None` when the
     /// user-facing shape *is* the table.
     output: Option<Output>,
-    /// The catalog version this table reflects, as the owning
-    /// [`ViewManager`] last stamped it; `None` while unknown (not yet
-    /// installed, or refreshed ahead of the catalog by
-    /// [`ViewManager::maintain_view`]). A σ-child derives from its parent
-    /// only when both carry the same stamp.
-    synced_at: Option<u64>,
+    /// Set by [`ViewManager::commit_epoch`] when it commits a change to a
+    /// table this view reads without refreshing the view; cleared by
+    /// [`ViewManager::install_view`]. A lagging table no longer reflects
+    /// the catalog: the view neither derives from a σ-parent nor serves as
+    /// one, and [`ViewManager::plan_epoch`] leaves it out.
+    lagging: bool,
 }
 
 /// The user-facing shape of a view whose output permutes, renames or hides
@@ -163,18 +163,6 @@ fn key_indexed(bag: Table) -> Result<Table> {
 }
 
 impl MaterializedView {
-    /// Compile and materialize a view with an explicit strategy, on a
-    /// default (single-thread) executor. See
-    /// [`MaterializedView::create_with`] to control execution.
-    pub fn create(
-        name: impl Into<String>,
-        definition: Plan,
-        strategy: Strategy,
-        catalog: &Catalog,
-    ) -> Result<Self> {
-        Self::create_with(name, definition, strategy, catalog, &Executor::new())
-    }
-
     /// Compile and materialize a view with an explicit strategy, running
     /// the initial materialization on `exec`.
     pub fn create_with(
@@ -239,7 +227,7 @@ impl MaterializedView {
             table,
             lint_warnings: Vec::new(),
             output,
-            synced_at: None,
+            lagging: false,
         })
     }
 
@@ -278,7 +266,7 @@ impl MaterializedView {
         Ok((view, used_snapshot))
     }
 
-    /// The normalize + shape-check half of [`MaterializedView::create`]:
+    /// The normalize + shape-check half of [`MaterializedView::create_with`]:
     /// produce the maintenance form for `strategy` and, for the
     /// update-rule strategies, its MERGE layout — or explain why the
     /// strategy does not apply.
@@ -409,17 +397,7 @@ impl MaterializedView {
     }
 
     /// Refresh the view against pending source deltas (the catalog still
-    /// holds the pre-update state), on a default (single-thread) executor.
-    /// See [`MaterializedView::maintain_with`] to control execution.
-    pub fn maintain(
-        &mut self,
-        catalog: &Catalog,
-        deltas: &SourceDeltas,
-    ) -> Result<MaintenanceOutcome> {
-        self.maintain_with(catalog, deltas, &Executor::new())
-    }
-
-    /// Refresh the view against pending source deltas, running every
+    /// holds the pre-update state), running every
     /// propagate/recompute subplan on `exec`:
     /// [`MaterializedView::plan_refresh`] then
     /// [`MaterializedView::install`]. On error the view is untouched.
@@ -665,12 +643,15 @@ fn delta_stats(d: &Delta) -> ApplyStats {
 /// Owns a catalog plus a set of materialized views, and runs the paper's
 /// compile + refresh cycle over them.
 ///
-/// A refresh is **plan → validate → commit**: [`ViewManager::plan_view`]
-/// and [`ViewManager::plan_commit`] read the manager and can fail;
-/// [`ViewManager::commit_epoch`] writes the result in place and cannot,
-/// short of refusing a stale plan whole. [`ViewManager::refresh`] runs the
-/// three in sequence; a service runs the first two under a read lock and
-/// the last under its write lock.
+/// A refresh is **plan → validate → commit**, and there is no other way
+/// to refresh a view: [`ViewManager::plan_member`] and
+/// [`ViewManager::plan_commit`] (or [`ViewManager::plan_epoch`], both at
+/// once) read the manager and can fail; [`ViewManager::commit_epoch`]
+/// writes the result in place and cannot, short of refusing a stale plan
+/// whole. [`ViewManager::refresh`] runs them in sequence; a service runs
+/// the planning under a read lock and the commit under its write lock.
+/// A view is therefore either in step with the catalog or lagging it
+/// ([`ViewManager::is_lagging`]).
 ///
 /// **σ-edges.** A view whose normalized plan is `σ(input)` is the σ-child
 /// of a registered view whose normalized plan is `input` and whose table
@@ -685,16 +666,12 @@ pub struct ViewManager {
     /// Bumped by everything that can change the catalog or a view. Plans
     /// record it; a plan from another generation is refused at commit.
     generation: u64,
-    /// Bumped by every change to the base tables: names the catalog state
-    /// a view's table reflects ([`MaterializedView`]'s `synced_at` stamp).
-    catalog_version: u64,
     /// Each σ-child's parent, child → parent. Recomputed by
     /// [`ViewManager::install_view`] and [`ViewManager::drop_view`].
     sigma_parents: BTreeMap<String, String>,
 }
 
-/// One view's planned refresh, from [`ViewManager::plan_view`] or
-/// [`ViewManager::plan_member`].
+/// One view's planned refresh, from [`ViewManager::plan_member`].
 #[derive(Debug)]
 pub struct RefreshPlan {
     view: String,
@@ -780,7 +757,6 @@ impl ViewManager {
     /// Mutable access to the catalog (loading data, etc.).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         self.generation += 1;
-        self.catalog_version += 1;
         &mut self.catalog
     }
 
@@ -959,10 +935,10 @@ impl ViewManager {
     /// name: how a recovered, re-admitted or re-registered view enters the
     /// registry. Epoch refreshes do not come through here — they patch the
     /// registered view in place ([`ViewManager::commit_epoch`]).
-    /// The view is taken to reflect the current catalog.
+    /// The view is taken to reflect the current catalog: it does not lag.
     pub fn install_view(&mut self, mut view: MaterializedView) {
         self.generation += 1;
-        view.synced_at = Some(self.catalog_version);
+        view.lagging = false;
         self.views.insert(view.name().to_string(), view);
         self.link_sigma_parents();
     }
@@ -988,44 +964,23 @@ impl ViewManager {
     }
 
     /// The σ-parent of view `name`, if it has one: the registered view
-    /// whose patch an epoch plans it from while both reflect the same
-    /// catalog state.
+    /// whose patch an epoch plans it from while neither lags.
     pub fn sigma_parent(&self, name: &str) -> Option<&str> {
         self.sigma_parents.get(name).map(String::as_str)
     }
 
-    /// The σ-parent `name` derives from this epoch: its parent, when both
-    /// tables reflect the same catalog state. A view left lagging (not
-    /// refreshed by a committed epoch that changed its tables) or ahead
-    /// (by [`ViewManager::maintain_view`]) plans by its own strategy.
+    /// Has a committed epoch changed a table view `name` reads without
+    /// refreshing it? A lagging view stays so until it is installed afresh
+    /// ([`ViewManager::install_view`]); an unknown view does not lag.
+    pub fn is_lagging(&self, name: &str) -> bool {
+        self.views.get(name).is_some_and(|v| v.lagging)
+    }
+
+    /// The σ-parent `name` derives from this epoch: its parent, when
+    /// neither lags. A lagging view plans by its own strategy.
     fn derives_from(&self, name: &str) -> Option<&str> {
         let parent = self.sigma_parent(name)?;
-        let synced = |v: &str| self.views.get(v).and_then(|v| v.synced_at);
-        (synced(name).is_some() && synced(name) == synced(parent)).then_some(parent)
-    }
-
-    /// Refresh a single view against pending deltas (no commit). The view
-    /// is then ahead of the catalog, so it no longer derives from a
-    /// σ-parent nor serves as one until it is installed afresh.
-    pub fn maintain_view(
-        &mut self,
-        name: &str,
-        deltas: &SourceDeltas,
-    ) -> Result<MaintenanceOutcome> {
-        let RefreshPlan { patch, outcome, .. } = self.plan_view(name, deltas)?;
-        self.generation += 1;
-        if let Some(view) = self.views.get_mut(name) {
-            view.install(patch);
-            view.synced_at = None;
-        }
-        Ok(outcome)
-    }
-
-    /// Commit pending deltas to the base tables, all or none: every table
-    /// is validated before the first is written.
-    pub fn commit(&mut self, deltas: &SourceDeltas) -> Result<()> {
-        let plan = self.plan_commit(deltas)?;
-        Ok(self.commit_epoch(plan)?)
+        (!self.is_lagging(name) && !self.is_lagging(parent)).then_some(parent)
     }
 
     /// The views that read a table `deltas` changes, in name order. A
@@ -1038,8 +993,8 @@ impl ViewManager {
     }
 
     /// Group `views` (the ones an epoch refreshes) into refresh groups: a
-    /// view whose σ-parent is among `views` and reflects the same catalog
-    /// state joins its parent's group; every other view roots its own.
+    /// view whose σ-parent is among `views` and neither of which lags joins
+    /// its parent's group; every other view roots its own.
     /// Groups come in the order of their roots in `views`.
     pub fn refresh_groups<'v>(&self, views: &[&'v str]) -> Vec<RefreshGroup<'v>> {
         let parent_of = |v: &str| self.derives_from(v).filter(|p| views.contains(p));
@@ -1058,55 +1013,41 @@ impl ViewManager {
     }
 
     /// **Plan** one view's refresh against `deltas` and the pre-update
-    /// catalog ([`MaterializedView::plan_refresh`]). Reads only.
-    pub fn plan_view(&self, name: &str, deltas: &SourceDeltas) -> Result<RefreshPlan> {
-        let (patch, outcome) = self
-            .view(name)?
-            .plan_refresh(&self.catalog, deltas, &self.exec)?;
-        Ok(self.refresh_plan(name, patch, outcome))
-    }
-
-    /// **Plan** one member of a refresh group: with `parent` (the planned
+    /// catalog. Reads only. Without `parent`, by the view's own strategy
+    /// ([`MaterializedView::plan_refresh`]); with `parent` (the planned
     /// refresh of the member it derives from, per
-    /// [`RefreshGroup::members`]) re-test the view's σ on the parent's post
-    /// rows — O(|parent patch|), no propagation; without, as
-    /// [`ViewManager::plan_view`]. A `parent` that is not the view's
-    /// in-sync σ-parent, planned against this state, is refused.
+    /// [`RefreshGroup::members`]), by re-testing the view's σ on the
+    /// parent's post rows — O(|parent patch|), no propagation. A `parent`
+    /// that is not the view's in-step σ-parent, planned against this
+    /// state, is refused.
     pub fn plan_member(
         &self,
         name: &str,
         deltas: &SourceDeltas,
         parent: Option<&RefreshPlan>,
     ) -> Result<RefreshPlan> {
-        let Some(parent) = parent else {
-            return self.plan_view(name, deltas);
+        let view = self.view(name)?;
+        let (patch, outcome) = match parent {
+            None => view.plan_refresh(&self.catalog, deltas, &self.exec)?,
+            Some(parent)
+                if self.derives_from(name) == Some(parent.view.as_str())
+                    && parent.generation == self.generation =>
+            {
+                view.derive_refresh(&self.catalog, &parent.patch)?
+            }
+            Some(parent) => {
+                return Err(CoreError::StrategyNotApplicable {
+                    strategy: "σ re-test of a parent patch".into(),
+                    reason: format!("{} is not the in-step σ-parent of {name}", parent.view),
+                })
+            }
         };
-        if self.derives_from(name) != Some(parent.view.as_str())
-            || parent.generation != self.generation
-        {
-            return Err(CoreError::StrategyNotApplicable {
-                strategy: "σ re-test of a parent patch".into(),
-                reason: format!("{} is not the in-sync σ-parent of {name}", parent.view),
-            });
-        }
-        let (patch, outcome) = self
-            .view(name)?
-            .derive_refresh(&self.catalog, &parent.patch)?;
-        Ok(self.refresh_plan(name, patch, outcome))
-    }
-
-    fn refresh_plan(
-        &self,
-        name: &str,
-        patch: ViewPatch,
-        outcome: MaintenanceOutcome,
-    ) -> RefreshPlan {
-        RefreshPlan {
+        Ok(RefreshPlan {
             view: name.to_string(),
             generation: self.generation,
             patch,
             outcome,
-        }
+        })
     }
 
     /// **Validate** the base-table half of an epoch: would every delta
@@ -1125,11 +1066,15 @@ impl ViewManager {
         })
     }
 
-    /// Plan a whole epoch: every affected view, group by group
-    /// ([`ViewManager::refresh_groups`]), then the base deltas.
+    /// Plan a whole epoch: every affected view that does not lag, group by
+    /// group ([`ViewManager::refresh_groups`]), then the base deltas. A
+    /// lagging view's table does not reflect the pre-update catalog, so a
+    /// patch planned against it would not bring it in step; it stays out
+    /// until it is installed afresh.
     pub fn plan_epoch<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
         let affected: Vec<&str> = self
             .affected_views(deltas)
+            .filter(|v| !v.lagging)
             .map(MaterializedView::name)
             .collect();
         let mut views = BTreeMap::new();
@@ -1159,9 +1104,8 @@ impl ViewManager {
     /// write lock across this call; that is what makes the many in-place
     /// writes one atomic step to them.
     ///
-    /// Every view refreshed here, or not reading a changed table, is
-    /// stamped as reflecting the new catalog state; a view the plan left
-    /// out although its tables changed keeps its old stamp (it lags).
+    /// A view the plan left out although its tables changed lags from here
+    /// on ([`ViewManager::is_lagging`]).
     pub fn commit_epoch(&mut self, mut plan: EpochPlan<'_>) -> std::result::Result<(), StalePlan> {
         let mut planned =
             std::iter::once(plan.generation).chain(plan.views.values().map(|r| r.generation));
@@ -1173,7 +1117,6 @@ impl ViewManager {
         }
         let _s = tracing::span("maintain.commit").enter();
         self.generation += 1;
-        self.catalog_version += 1;
         for (t, d) in plan.deltas.iter() {
             if let Ok(table) = self.catalog.table_mut(t) {
                 let applied = table.apply_delta(d);
@@ -1181,15 +1124,9 @@ impl ViewManager {
             }
         }
         for (name, view) in self.views.iter_mut() {
-            let in_step = match plan.views.remove(name) {
-                Some(refresh) => {
-                    view.install(refresh.patch);
-                    true
-                }
-                None => !view.reads_any(plan.deltas),
-            };
-            if in_step && view.synced_at.is_some() {
-                view.synced_at = Some(self.catalog_version);
+            match plan.views.remove(name) {
+                Some(refresh) => view.install(refresh.patch),
+                None => view.lagging |= view.reads_any(plan.deltas),
             }
         }
         Ok(())
@@ -1679,17 +1616,19 @@ mod tests {
         let mut vm = ViewManager::new(catalog());
         vm.register_view("parent", pivot_plan()).unwrap();
         vm.register_view("child", sigma_plan()).unwrap();
-        // Refresh the child by hand, then commit the base change without
-        // the parent: the child is current, the parent lags.
+        // Commit a base change with the child's refresh but without the
+        // parent's: the child is current, the parent lags.
         let mut d1 = SourceDeltas::new();
         d1.update_row("items", row![1, "a", 10], row![1, "a", 40]);
-        vm.maintain_view("child", &d1).unwrap();
-        vm.commit(&d1).unwrap();
+        let mut epoch = vm.plan_commit(&d1).unwrap();
+        epoch.add_view("child", vm.plan_member("child", &d1, None).unwrap());
+        vm.commit_epoch(epoch).unwrap();
+        assert!(vm.is_lagging("parent") && !vm.is_lagging("child"));
         assert!(vm.verify_view("child").unwrap());
         assert!(!vm.verify_view("parent").unwrap());
         assert_eq!(vm.refresh_groups(&["child", "parent"]).len(), 2);
 
-        // The lagging parent's patch carries key 1 with its stale `a`
+        // The lagging parent's patch would carry key 1 with its stale `a`
         // cell, which fails σ: deriving from it would drop the row.
         let mut d2 = SourceDeltas::new();
         d2.update_row("items", row![1, "b", 20], row![1, "b", 21]);
@@ -1697,10 +1636,26 @@ mod tests {
         assert_eq!(derived, 0, "the child derived from a lagging parent");
         assert!(vm.verify_view("child").unwrap());
 
-        // A parent plan handed to a view out of step with it is refused.
-        vm.install_view(vm.view("parent").unwrap().clone());
-        let parent_plan = vm.plan_view("parent", &d2).unwrap();
-        assert!(vm.plan_member("child", &d2, Some(&parent_plan)).is_err());
+        // A lagging parent's plan handed to the child is refused.
+        let mut d3 = SourceDeltas::new();
+        d3.insert_rows("items", vec![row![6, "a", 60]]);
+        let parent_plan = vm.plan_member("parent", &d3, None).unwrap();
+        assert!(vm.plan_member("child", &d3, Some(&parent_plan)).is_err());
+
+        // Installed afresh, the parent is in step and the child derives.
+        let fresh = MaterializedView::create_with(
+            "parent",
+            pivot_plan(),
+            Strategy::PivotUpdate,
+            vm.catalog(),
+            vm.executor(),
+        )
+        .unwrap();
+        vm.install_view(fresh);
+        assert!(!vm.is_lagging("parent"));
+        let (_, derived) = refresh_derived(&mut vm, &d3);
+        assert_eq!(derived, 1);
+        assert!(vm.verify_view("parent").unwrap() && vm.verify_view("child").unwrap());
     }
 
     #[test]

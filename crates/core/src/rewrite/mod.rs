@@ -15,4 +15,31 @@ pub mod pushdown;
 pub mod transpose;
 pub mod unpivot_rules;
 
+use crate::error::{CoreError, Result};
+use gpivot_algebra::plan::Plan;
+use gpivot_algebra::SchemaProvider;
+use gpivot_analyze::DiagCode;
+
 pub use driver::{normalize_view, normalize_view_with_select_pushdown, NormalizedView, TopShape};
+
+/// A rule's refusal, with the lint code that names why it does not apply.
+fn na(rule: &'static str, code: DiagCode, reason: impl Into<String>) -> CoreError {
+    CoreError::RuleNotApplicable {
+        rule,
+        code,
+        reason: reason.into(),
+    }
+}
+
+/// A rewritten plan, refused as not applicable (GP005) unless its schema
+/// derives.
+fn check<P: SchemaProvider>(plan: Plan, provider: &P, rule: &'static str) -> Result<Plan> {
+    plan.schema(provider).map_err(|e| {
+        na(
+            rule,
+            DiagCode::Gp005TypeCheck,
+            format!("rewritten plan does not type-check: {e}"),
+        )
+    })?;
+    Ok(plan)
+}

@@ -6,20 +6,13 @@
 //! plan's schema is re-derived and the rewrite is refused whenever the
 //! pulled-up pivot would lose its input key.
 
-use crate::error::{CoreError, Result};
+use super::na;
+use crate::error::Result;
 use gpivot_algebra::plan::{JoinKind, PivotSpec, Plan};
 use gpivot_algebra::{AlgebraError, Expr, SchemaProvider};
 use gpivot_analyze::DiagCode;
 use gpivot_storage::Value;
 use std::collections::BTreeSet;
-
-fn na(rule: &'static str, code: DiagCode, reason: impl Into<String>) -> CoreError {
-    CoreError::RuleNotApplicable {
-        rule,
-        code,
-        reason: reason.into(),
-    }
-}
 
 /// The `K` (carried-through) column names of a pivot input.
 fn pivot_k_cols<P: SchemaProvider>(
@@ -122,7 +115,7 @@ pub fn push_select_below_pivot_selfjoin<P: SchemaProvider>(
         ));
     }
     let k_cols = pivot_k_cols(x, spec, provider)?;
-    let atoms = conjuncts(predicate);
+    let atoms = predicate.conjuncts();
 
     // The qualifying-keys plan: chain of semijoin filters over V.
     let mut keys_plan: Option<Plan> = None;
@@ -224,18 +217,6 @@ pub fn push_select_below_pivot_selfjoin<P: SchemaProvider>(
         filtered = filtered.select(Expr::conjunction(k_selects));
     }
     check(filtered.gpivot(spec.clone()), provider, RULE)
-}
-
-/// One conjunct list from a predicate tree.
-fn conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::And(a, b) => {
-            let mut v = conjuncts(a);
-            v.extend(conjuncts(b));
-            v
-        }
-        other => vec![other.clone()],
-    }
 }
 
 /// `(A1..Am) = tags` as a predicate over the pivot input.
@@ -843,6 +824,7 @@ pub fn swap_unpivot_below_pivot<P: SchemaProvider>(plan: &Plan, provider: &P) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use gpivot_algebra::plan::PivotSpec;
     use gpivot_storage::{DataType, Schema, SchemaRef};
     use std::collections::BTreeMap;

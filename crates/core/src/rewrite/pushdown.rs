@@ -5,30 +5,12 @@
 //! e.g. to filter early (Eq. 11 keeps a selection below the pivot as a
 //! case-projection) or to pivot before a blow-up join (§5.2.3).
 
-use crate::error::{CoreError, Result};
+use super::{check, na};
+use crate::error::Result;
 use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::{CmpOp, Expr, SchemaProvider};
 use gpivot_analyze::DiagCode;
 use gpivot_storage::Value;
-
-fn na(rule: &'static str, code: DiagCode, reason: impl Into<String>) -> CoreError {
-    CoreError::RuleNotApplicable {
-        rule,
-        code,
-        reason: reason.into(),
-    }
-}
-
-fn check<P: SchemaProvider>(plan: Plan, provider: &P, rule: &'static str) -> Result<Plan> {
-    plan.schema(provider).map_err(|e| {
-        na(
-            rule,
-            DiagCode::Gp005TypeCheck,
-            format!("rewritten plan does not type-check: {e}"),
-        )
-    })?;
-    Ok(plan)
-}
 
 /// One atom of a conjunctive selection under a pivot.
 enum PushAtom {
@@ -44,17 +26,6 @@ enum PushAtom {
         op: CmpOp,
         lit: Value,
     },
-}
-
-fn conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::And(a, b) => {
-            let mut v = conjuncts(a);
-            v.extend(conjuncts(b));
-            v
-        }
-        other => vec![other.clone()],
-    }
 }
 
 /// Eq. 11 (plus the trivial K-column case): push a GPIVOT below a SELECT.
@@ -90,7 +61,7 @@ pub fn pushdown_through_select<P: SchemaProvider>(plan: &Plan, provider: &P) -> 
 
     // Classify each conjunct.
     let mut atoms = Vec::new();
-    for c in conjuncts(predicate) {
+    for c in predicate.conjuncts() {
         let cols = c.columns();
         if cols.iter().all(|x| k_cols.contains(x)) {
             atoms.push(PushAtom::OnK(c));

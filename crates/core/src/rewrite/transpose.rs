@@ -7,30 +7,12 @@
 //! PROJECT below a GPIVOT so two pivots become adjacent for the combination
 //! rules.
 
-use crate::error::{CoreError, Result};
+use super::{check, na};
+use crate::error::Result;
 use gpivot_algebra::plan::{JoinKind, PivotSpec, Plan};
 use gpivot_algebra::{Expr, SchemaProvider};
 use gpivot_analyze::DiagCode;
 use std::collections::HashMap;
-
-fn na(rule: &'static str, code: DiagCode, reason: impl Into<String>) -> CoreError {
-    CoreError::RuleNotApplicable {
-        rule,
-        code,
-        reason: reason.into(),
-    }
-}
-
-fn check<P: SchemaProvider>(plan: Plan, provider: &P, rule: &'static str) -> Result<Plan> {
-    plan.schema(provider).map_err(|e| {
-        na(
-            rule,
-            DiagCode::Gp005TypeCheck,
-            format!("rewritten plan does not type-check: {e}"),
-        )
-    })?;
-    Ok(plan)
-}
 
 /// Does this subtree end (ignoring pure projections and selections) in a
 /// GPivot? Used to hoist only pivot-carrying wrappers.

@@ -5,41 +5,12 @@
 //! *value columns* are the measures (`B1..Bn`); everything else is carried
 //! through (`K`).
 
-use crate::error::{CoreError, Result};
+use super::{check, na};
+use crate::error::Result;
 use gpivot_algebra::plan::{JoinKind, Plan, UnpivotSpec};
 use gpivot_algebra::{AggFunc, AggSpec, CmpOp, Expr, SchemaProvider};
 use gpivot_analyze::DiagCode;
 use gpivot_storage::Value;
-
-fn na(rule: &'static str, code: DiagCode, reason: impl Into<String>) -> CoreError {
-    CoreError::RuleNotApplicable {
-        rule,
-        code,
-        reason: reason.into(),
-    }
-}
-
-fn check<P: SchemaProvider>(plan: Plan, provider: &P, rule: &'static str) -> Result<Plan> {
-    plan.schema(provider).map_err(|e| {
-        na(
-            rule,
-            DiagCode::Gp005TypeCheck,
-            format!("rewritten plan does not type-check: {e}"),
-        )
-    })?;
-    Ok(plan)
-}
-
-fn conjuncts(e: &Expr) -> Vec<Expr> {
-    match e {
-        Expr::And(a, b) => {
-            let mut v = conjuncts(a);
-            v.extend(conjuncts(b));
-            v
-        }
-        other => vec![other.clone()],
-    }
-}
 
 /// Eq. 13 / §5.3.1: push a SELECT below a GUNPIVOT (equivalently: pull the
 /// GUNPIVOT above the SELECT). `Select(pred, GUnpivot(H))` with `pred` a
@@ -83,7 +54,7 @@ pub fn push_select_below_unpivot<P: SchemaProvider>(plan: &Plan, provider: &P) -
     }
 
     let mut atoms = Vec::new();
-    for c in conjuncts(predicate) {
+    for c in predicate.conjuncts() {
         let cols = c.columns();
         if cols.iter().all(|x| k_cols.contains(x)) {
             atoms.push(Atom::OnK(c));

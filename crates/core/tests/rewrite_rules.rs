@@ -3,9 +3,7 @@
 //! executed on real data — the rewrite must preserve the bag of results
 //! (after the rule's documented column reordering, if any).
 
-use gpivot_algebra::{
-    AggSpec, Expr, JoinKind, PivotSpec, Plan, PlanBuilder, UnpivotGroup, UnpivotSpec,
-};
+use gpivot_algebra::{AggSpec, Expr, JoinKind, PivotSpec, Plan, UnpivotGroup, UnpivotSpec};
 use gpivot_core::rewrite::pullup::{
     cancel_pivot_unpivot, pullup_through_group_by, pullup_through_join, pullup_through_project,
     pullup_through_select, push_select_below_pivot_selfjoin, swap_unpivot_below_pivot,
@@ -537,10 +535,9 @@ fn eq15_with_name_column_grouping() {
 fn eq16_unpivot_below_select_selfjoin() {
     // Figure 19's σ(Sony**TV**Price = 220) below the unpivot.
     let c = catalog();
-    let plan = PlanBuilder::from_plan(wide_plan())
+    let plan = wide_plan()
         .select(Expr::col("Sony**TV**Price").eq(Expr::lit(220)))
-        .gunpivot(wide_unpivot())
-        .build();
+        .gunpivot(wide_unpivot());
     let rewritten = push_unpivot_below_select(&plan, &c).unwrap();
     assert_equivalent(&plan, &rewritten, &c, "Eq. 16");
 }
@@ -548,10 +545,9 @@ fn eq16_unpivot_below_select_selfjoin() {
 #[test]
 fn eq16_trivial_commute_for_k_atoms() {
     let c = catalog();
-    let plan = PlanBuilder::from_plan(wide_plan())
+    let plan = wide_plan()
         .select(Expr::col("Country").eq(Expr::lit("USA")))
-        .gunpivot(wide_unpivot())
-        .build();
+        .gunpivot(wide_unpivot());
     let rewritten = push_unpivot_below_select(&plan, &c).unwrap();
     let Plan::Select { .. } = &rewritten else {
         panic!("select hoisted above")

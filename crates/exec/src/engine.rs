@@ -447,7 +447,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::{AggSpec, Expr, PivotSpec, PlanBuilder};
+    use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan};
     use gpivot_storage::{row, Catalog, DataType, Schema, Value};
     use std::sync::Arc;
 
@@ -509,10 +509,9 @@ mod tests {
     #[test]
     fn scan_select_project() {
         let c = catalog();
-        let plan = PlanBuilder::scan("payment")
+        let plan = Plan::scan("payment")
             .select(Expr::col("Price").gt(Expr::lit(100)))
-            .project_cols(&["ID", "Price"])
-            .build();
+            .project_cols(&["ID", "Price"]);
         let out = Executor::new().run(&plan, &c).unwrap();
         assert_eq!(out.sorted_rows(), vec![row![1, 180], row![2, 300]]);
     }
@@ -525,10 +524,9 @@ mod tests {
             "Price",
             vec![Value::str("Credit"), Value::str("ByAir")],
         );
-        let plan = PlanBuilder::scan("payment")
+        let plan = Plan::scan("payment")
             .gpivot(spec)
-            .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
-            .build();
+            .join(Plan::scan("product"), vec![("ID", "PID")]);
         let out = Executor::new().run(&plan, &c).unwrap();
         assert_eq!(out.len(), 3);
         let r1 = out.iter().find(|r| r[0] == Value::Int(1)).unwrap();
@@ -543,10 +541,9 @@ mod tests {
     #[test]
     fn group_by_over_join() {
         let c = catalog();
-        let plan = PlanBuilder::scan("payment")
-            .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
-            .group_by(&["Manu"], vec![AggSpec::sum("Price", "total")])
-            .build();
+        let plan = Plan::scan("payment")
+            .join(Plan::scan("product"), vec![("ID", "PID")])
+            .group_by(&["Manu"], vec![AggSpec::sum("Price", "total")]);
         let out = Executor::new().run(&plan, &c).unwrap();
         assert_eq!(
             out.sorted_rows(),
@@ -557,13 +554,9 @@ mod tests {
     #[test]
     fn union_and_diff_bag_semantics() {
         let c = catalog();
-        let u = PlanBuilder::scan("payment")
-            .union(PlanBuilder::scan("payment"))
-            .build();
+        let u = Plan::scan("payment").union(Plan::scan("payment"));
         assert_eq!(Executor::new().run(&u, &c).unwrap().len(), 8);
-        let d = PlanBuilder::from_plan(u.clone())
-            .diff(PlanBuilder::scan("payment"))
-            .build();
+        let d = u.clone().diff(Plan::scan("payment"));
         let out = Executor::new().run(&d, &c).unwrap();
         assert_eq!(out.len(), 4);
     }
@@ -571,14 +564,13 @@ mod tests {
     #[test]
     fn execute_traced_profiles_operators() {
         let c = catalog();
-        let plan = PlanBuilder::scan("payment")
+        let plan = Plan::scan("payment")
             .select(Expr::col("Price").gt(Expr::lit(100)))
             .gpivot(PivotSpec::simple(
                 "Payment",
                 "Price",
                 vec![Value::str("Credit"), Value::str("ByAir")],
-            ))
-            .build();
+            ));
         let (table, trace) = Executor::new().run_traced(&plan, &c).unwrap();
         // Plan order: GPivot (depth 0), Select (1), Scan (2).
         let ops: Vec<&str> = trace.entries.iter().map(|e| e.op).collect();
@@ -596,7 +588,7 @@ mod tests {
     #[test]
     fn scan_shares_base_table_rows_without_copy() {
         let c = catalog();
-        let plan = PlanBuilder::scan("payment").build();
+        let plan = Plan::scan("payment");
         let out = Executor::new().run(&plan, &c).unwrap();
         let base = c.get_table("payment").unwrap();
         // Regression: Scan used to clone every base row per execution.
@@ -619,15 +611,14 @@ mod tests {
     #[test]
     fn columnar_and_row_kernels_are_bit_identical_end_to_end() {
         let c = catalog();
-        let plan = PlanBuilder::scan("payment")
+        let plan = Plan::scan("payment")
             .gpivot(PivotSpec::simple(
                 "Payment",
                 "Price",
                 vec![Value::str("Credit"), Value::str("ByAir")],
             ))
-            .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
-            .group_by(&["Manu"], vec![AggSpec::sum("Credit**Price", "total")])
-            .build();
+            .join(Plan::scan("product"), vec![("ID", "PID")])
+            .group_by(&["Manu"], vec![AggSpec::sum("Credit**Price", "total")]);
         // Small input: sequential kernels.
         let rowk = Executor::new().with_columnar(false).run(&plan, &c).unwrap();
         let colk = Executor::new().with_columnar(true).run(&plan, &c).unwrap();
@@ -656,13 +647,11 @@ mod tests {
             .collect();
         c.register("payment", Table::from_rows(schema, rows).unwrap())
             .unwrap();
-        let plan = PlanBuilder::scan("payment")
-            .gpivot(PivotSpec::simple(
-                "Payment",
-                "Price",
-                vec![Value::str("Credit"), Value::str("ByAir")],
-            ))
-            .build();
+        let plan = Plan::scan("payment").gpivot(PivotSpec::simple(
+            "Payment",
+            "Price",
+            vec![Value::str("Credit"), Value::str("ByAir")],
+        ));
         let rowk = Executor::new().with_columnar(false).run(&plan, &c).unwrap();
         for threads in [1, 4] {
             let colk = Executor::new()
@@ -710,10 +699,9 @@ mod tests {
             "Price",
             vec![Value::str("Credit"), Value::str("ByAir")],
         );
-        let plan = PlanBuilder::scan("payment")
+        let plan = Plan::scan("payment")
             .select(Expr::col("Price").gt(Expr::lit(10)))
-            .gpivot(spec.clone())
-            .build();
+            .gpivot(spec.clone());
         // The sequential reference: the same filter and the sequential
         // pivot kernel, called directly.
         let kept: Vec<Row> = rows
@@ -752,9 +740,7 @@ mod tests {
         let rows: Vec<Row> = (0..4000).map(|i| row![i % 97, i]).collect();
         c.register("t", Table::from_rows(schema, rows).unwrap())
             .unwrap();
-        let plan = PlanBuilder::scan("t")
-            .group_by(&["g"], vec![AggSpec::sum("v", "s")])
-            .build();
+        let plan = Plan::scan("t").group_by(&["g"], vec![AggSpec::sum("v", "s")]);
         let exec = Executor::new().with_threads(2);
         let sub = tracing::TimingSubscriber::shared();
         tracing::with_collector(sub.clone(), || {
@@ -779,13 +765,13 @@ mod tests {
         // GPIVOT(payment) ⋈ product, then GROUPBY(Manu,Type), then pivot
         // the sums by Type — the paper's Figure 2 view.
         let c = catalog();
-        let lower = PlanBuilder::scan("payment")
+        let lower = Plan::scan("payment")
             .gpivot(PivotSpec::simple(
                 "Payment",
                 "Price",
                 vec![Value::str("Credit"), Value::str("ByAir")],
             ))
-            .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
+            .join(Plan::scan("product"), vec![("ID", "PID")])
             .group_by(
                 &["Manu", "Type"],
                 vec![
@@ -793,13 +779,11 @@ mod tests {
                     AggSpec::sum("ByAir**Price", "ByAirSum"),
                 ],
             );
-        let top = lower
-            .gpivot(PivotSpec::new(
-                vec!["Type"],
-                vec!["CreditSum", "ByAirSum"],
-                vec![vec![Value::str("TV")], vec![Value::str("VCR")]],
-            ))
-            .build();
+        let top = lower.gpivot(PivotSpec::new(
+            vec!["Type"],
+            vec!["CreditSum", "ByAirSum"],
+            vec![vec![Value::str("TV")], vec![Value::str("VCR")]],
+        ));
         let out = Executor::new().run(&top, &c).unwrap();
         // Manu, TV**CreditSum, TV**ByAirSum, VCR**CreditSum, VCR**ByAirSum
         assert_eq!(out.schema().arity(), 5);

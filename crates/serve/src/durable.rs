@@ -74,7 +74,9 @@ use crate::metrics::MetricsSnapshot;
 use crate::queue::IngestQueue;
 use crate::sync;
 use gpivot_algebra::plan::Plan;
-use gpivot_core::{CoreError, MaterializedView, Result, SourceDeltas, Strategy, ViewManager};
+use gpivot_core::{
+    CoreError, MaterializedView, RefreshPlan, Result, SourceDeltas, Strategy, ViewManager,
+};
 use gpivot_exec::Executor;
 use gpivot_storage::checkpoint::{self, CheckpointData, ViewSnapshot};
 use gpivot_storage::wal::{self, Wal, WalRecord};
@@ -421,6 +423,9 @@ pub(crate) struct Recovered {
     /// The newest log generation on disk; appends continue here.
     pub gen: u64,
     pub report: RecoveryReport,
+    /// Views that lagged the replayed base and failed to recompute from
+    /// it, with the error: the service reports them quarantined.
+    pub quarantined: Vec<(String, CoreError)>,
 }
 
 /// Recover service state from `dir`: latest valid checkpoint + log-tail
@@ -491,12 +496,12 @@ pub(crate) fn recover(
 
     // Views: non-stale snapshots install now (their tables are consistent
     // with the checkpointed base, so replay maintains them incrementally);
-    // stale ones (quarantined at checkpoint time) recompute at the end,
+    // stale ones (quarantined at checkpoint time) are rebuilt at the end,
     // from the fully-replayed base.
-    let mut stale: BTreeMap<String, (String, String)> = BTreeMap::new();
+    let mut stale: BTreeMap<String, ViewSnapshot> = BTreeMap::new();
     for vs in ckpt.views {
         if vs.stale {
-            stale.insert(vs.name, (vs.definition_sql, vs.strategy));
+            stale.insert(vs.name.clone(), vs);
         } else if rebuild(
             &mut manager,
             vs.name,
@@ -563,9 +568,7 @@ pub(crate) fn recover(
                 }
                 WalRecord::EpochCommit { epoch: committed } => {
                     if let Some((batch, _)) = held.take() {
-                        // The live epoch's own plan → validate → commit,
-                        // run sequentially.
-                        manager.refresh(&batch)?;
+                        replay_epoch(&mut manager, &batch)?;
                         report.replayed_epochs += 1;
                     }
                     epoch = epoch.max(committed);
@@ -580,11 +583,39 @@ pub(crate) fn recover(
         report.uncommitted_epochs_dropped += 1;
     }
 
-    // Stale (quarantined-at-checkpoint) views recompute from the replayed
-    // base — the durable analogue of `retry_view`'s recompute path.
-    for (name, (sql, strategy)) in stale {
-        rebuild(&mut manager, name, &sql, &strategy, None)?;
-        report.views_recomputed += 1;
+    // Every view whose table lags the replayed base — stale at the
+    // checkpoint (installed now, from its snapshot) or left out of a
+    // replayed epoch — recomputes from that base, the durable analogue of
+    // `retry_view`. One whose recompute fails too keeps the table it had
+    // and comes back quarantined.
+    let mut lagging: Vec<String> = manager
+        .view_names()
+        .into_iter()
+        .filter(|v| manager.is_lagging(v))
+        .map(String::from)
+        .collect();
+    for (name, vs) in stale {
+        let (sql, strategy, table) = (&vs.definition_sql, &vs.strategy, vs.table);
+        rebuild(&mut manager, name.clone(), sql, strategy, Some(table))?;
+        lagging.push(name);
+    }
+    let mut quarantined = Vec::new();
+    for name in lagging {
+        let view = manager.view(&name)?;
+        let fresh = MaterializedView::create_with(
+            name.as_str(),
+            view.definition().clone(),
+            view.strategy(),
+            manager.catalog(),
+            manager.executor(),
+        );
+        match fresh {
+            Ok(view) => {
+                manager.install_view(view);
+                report.views_recomputed += 1;
+            }
+            Err(e) => quarantined.push((name, e)),
+        }
     }
 
     report.recovered_epoch = epoch;
@@ -596,5 +627,35 @@ pub(crate) fn recover(
         epoch,
         gen,
         report,
+        quarantined,
     }))
+}
+
+/// Commit one logged epoch the way the live service committed it: plan →
+/// validate → commit, run sequentially. A view whose plan fails here
+/// failed in the live epoch too (replay injects no faults), and the commit
+/// marker proves that epoch committed without it: so does this one, and
+/// the view lags from here on, out of every later replayed epoch. A base
+/// delta that fails validation fails recovery.
+fn replay_epoch(manager: &mut ViewManager, batch: &SourceDeltas) -> Result<()> {
+    let mut plan = manager.plan_commit(batch)?;
+    let views: Vec<&str> = manager
+        .affected_views(batch)
+        .map(MaterializedView::name)
+        .filter(|v| !manager.is_lagging(v))
+        .collect();
+    for group in manager.refresh_groups(&views) {
+        let mut planned: Vec<Option<RefreshPlan>> = Vec::new();
+        for &(name, parent) in group.members() {
+            // A child whose parent failed plans by its own rule.
+            let parent = parent.and_then(|i| planned[i].as_ref());
+            planned.push(manager.plan_member(name, batch, parent).ok());
+        }
+        for (&(name, _), refresh) in group.members().iter().zip(planned) {
+            if let Some(refresh) = refresh {
+                plan.add_view(name, refresh);
+            }
+        }
+    }
+    Ok(manager.commit_epoch(plan)?)
 }

@@ -683,7 +683,7 @@ fn release_before_rewrite_bug_is_found_and_replays() {
 #[cfg(feature = "shuttle")]
 mod sched {
     use crate::{IngestOptions, ServeConfig, ShardedService, ViewService};
-    use gpivot_algebra::{PivotSpec, Plan, PlanBuilder};
+    use gpivot_algebra::{PivotSpec, Plan};
     use gpivot_storage::{row, Catalog, DataType, Delta, Schema, Table, Value};
     use std::sync::Arc;
 
@@ -709,13 +709,11 @@ mod sched {
     }
 
     fn pivot_plan() -> Plan {
-        PlanBuilder::scan("facts")
-            .gpivot(PivotSpec::simple(
-                "attr",
-                "val",
-                vec![Value::str("a"), Value::str("b")],
-            ))
-            .build()
+        Plan::scan("facts").gpivot(PivotSpec::simple(
+            "attr",
+            "val",
+            vec![Value::str("a"), Value::str("b")],
+        ))
     }
 
     // `workers(1)` keeps refresh on the calling (scheduled) thread: the

@@ -436,6 +436,13 @@ impl ViewService {
     /// hit may or may not be present — the caller decides whether to
     /// resubmit, like any client of a write-ahead-logged store.
     ///
+    /// A view cannot make its directory unopenable. One that failed in a
+    /// committed epoch (so that epoch committed without it), or was
+    /// quarantined when the checkpoint was cut, is recomputed from the
+    /// recovered base tables; if that fails too, it keeps the table it had
+    /// and the recovered service reports it [`ViewHealth::Quarantined`],
+    /// to be re-admitted with [`ViewService::retry_view`].
+    ///
     /// `parser` converts persisted view-definition SQL back into plans;
     /// the SQL frontend's `gpivot_sql::GpivotService::open` passes
     /// `gpivot_sql::parse_query`. The [`RecoveryReport`] says what was
@@ -466,6 +473,7 @@ impl ViewService {
                     epoch: 0,
                     gen: 1,
                     report: RecoveryReport::default(),
+                    quarantined: Vec::new(),
                 };
                 (fresh, durability)
             }
@@ -483,6 +491,23 @@ impl ViewService {
             recovery_replayed_epochs: rec.report.replayed_epochs,
             recovery_torn_tails: rec.report.torn_tails_truncated,
             recovery_corrupt_checkpoints: rec.report.corrupt_checkpoints_skipped,
+            per_view: rec
+                .quarantined
+                .into_iter()
+                .map(|(name, err)| {
+                    let health = ViewHealth::Quarantined {
+                        since_epoch: rec.epoch,
+                        reason: err.to_string(),
+                    };
+                    (
+                        name,
+                        ViewMetrics {
+                            health,
+                            ..ViewMetrics::default()
+                        },
+                    )
+                })
+                .collect(),
             ..MetricsSnapshot::default()
         };
         let svc = Self::assemble(
@@ -595,16 +620,29 @@ impl ViewService {
     /// watermark. A blocked ingest still gets through when the queue is
     /// empty (one oversized batch never wedges a producer); see
     /// [`ServeConfig::max_pending_rows`] for the liveness contract.
+    ///
+    /// The table must exist and every row, inserted or deleted, must have
+    /// its schema's arity; otherwise the call fails
+    /// (`StorageError::UnknownTable`, `StorageError::ArityMismatch`) before
+    /// anything is logged, enqueued or counted. A row that reached the
+    /// queue would fail every later epoch, and on a durable service every
+    /// recovery too. Value types are not checked.
     pub fn ingest_with(&self, table: &str, delta: Delta, options: IngestOptions) -> Result<()> {
         if delta.is_empty() {
             return Ok(());
         }
-        // Validate the table against the catalog, then release the state
-        // lock *before* touching the queue (lock-order: state → queue, and
+        // Validate against the catalog, then release the state lock
+        // *before* touching the queue (lock-order: state → queue, and
         // never queue-while-waiting-on-state).
         {
             let state = sync::read(&self.shared.state);
-            state.catalog().table(table)?;
+            let expected = state.catalog().table(table)?.schema().arity();
+            if let Some((row, _)) = delta.iter().find(|(row, _)| row.arity() != expected) {
+                return Err(CoreError::Storage(StorageError::ArityMismatch {
+                    expected,
+                    actual: row.arity(),
+                }));
+            }
         }
         let rows = delta.total_multiplicity();
         let deadline = match options.0 {
@@ -1314,7 +1352,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::{Expr, PivotSpec, PlanBuilder};
+    use gpivot_algebra::{Expr, PivotSpec, Plan};
     use gpivot_storage::{row, DataType, Schema, Value};
     use std::sync::Arc as StdArc;
 
@@ -1344,13 +1382,11 @@ mod tests {
     }
 
     fn pivot_plan() -> Plan {
-        PlanBuilder::scan("facts")
-            .gpivot(PivotSpec::simple(
-                "attr",
-                "val",
-                vec![Value::str("a"), Value::str("b")],
-            ))
-            .build()
+        Plan::scan("facts").gpivot(PivotSpec::simple(
+            "attr",
+            "val",
+            vec![Value::str("a"), Value::str("b")],
+        ))
     }
 
     fn small_config() -> ServeConfig {
@@ -1411,9 +1447,7 @@ mod tests {
         svc.register_view("pv", pivot_plan()).unwrap();
         svc.register_view(
             "ov",
-            PlanBuilder::scan("other")
-                .select(Expr::col("k").gt(Expr::lit(0)))
-                .build(),
+            Plan::scan("other").select(Expr::col("k").gt(Expr::lit(0))),
         )
         .unwrap();
 

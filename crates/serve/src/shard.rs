@@ -1015,7 +1015,7 @@ impl ShardSnapshot<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpivot_algebra::{AggSpec, PivotSpec, PlanBuilder};
+    use gpivot_algebra::{AggSpec, PivotSpec, Plan};
     use gpivot_storage::{row, DataType, FaultInjector, FaultSite, Schema};
     use std::sync::Arc as StdArc;
 
@@ -1045,13 +1045,11 @@ mod tests {
     }
 
     fn pivot_plan() -> Plan {
-        PlanBuilder::scan("facts")
-            .gpivot(PivotSpec::simple(
-                "attr",
-                "val",
-                vec![Value::str("a"), Value::str("b")],
-            ))
-            .build()
+        Plan::scan("facts").gpivot(PivotSpec::simple(
+            "attr",
+            "val",
+            vec![Value::str("a"), Value::str("b")],
+        ))
     }
 
     fn cfg(shards: usize, heavy_threshold: u64) -> ServeConfig {
@@ -1360,9 +1358,7 @@ mod tests {
         svc.register_view("pv", pivot_plan()).unwrap();
         assert!(svc.placement("pv").unwrap().is_sharded());
         // Safe only when facts is partitioned by `attr` — conflicts.
-        let by_attr = PlanBuilder::scan("facts")
-            .group_by(&["attr"], vec![AggSpec::sum("val", "total")])
-            .build();
+        let by_attr = Plan::scan("facts").group_by(&["attr"], vec![AggSpec::sum("val", "total")]);
         svc.register_view("by_attr", by_attr).unwrap();
         let placement = svc.placement("by_attr").unwrap();
         assert!(!placement.is_sharded(), "conflict must fall back");
@@ -1393,9 +1389,7 @@ mod tests {
     fn unprovable_plan_falls_back_to_single_shard() {
         let svc = ShardedService::new(catalog(), cfg(2, 0));
         // A global aggregate has no group key to partition on.
-        let global = PlanBuilder::scan("facts")
-            .group_by(&[], vec![AggSpec::sum("val", "total")])
-            .build();
+        let global = Plan::scan("facts").group_by(&[], vec![AggSpec::sum("val", "total")]);
         svc.register_view("total", global).unwrap();
         let placement = svc.placement("total").unwrap();
         assert!(!placement.is_sharded());
@@ -1465,9 +1459,7 @@ mod tests {
         // linted GP011 on every shard.
         let cell =
             gpivot_algebra::Expr::col(gpivot_algebra::encode_pivot_col(&[Value::str("a")], "val"));
-        let plan = PlanBuilder::from_plan(pivot_plan())
-            .select(gpivot_algebra::Expr::IsNull(Box::new(cell)))
-            .build();
+        let plan = pivot_plan().select(gpivot_algebra::Expr::IsNull(Box::new(cell)));
         svc.register_view("pv", plan).unwrap();
         assert!(svc.placement("pv").unwrap().is_sharded());
         svc.ingest_with(

@@ -8,7 +8,7 @@
 //! The third is the same pair for the *projected* rows a view with a
 //! reshaped output is read from: reads share them, the epoch patches them.
 
-use gpivot_algebra::{Expr, PlanBuilder};
+use gpivot_algebra::{Expr, Plan};
 use gpivot_core::SourceDeltas;
 use gpivot_exec::Executor;
 use gpivot_serve::{IngestOptions, ServeConfig, ViewService};
@@ -129,9 +129,7 @@ fn readers_keep_their_snapshot_across_an_in_place_commit() {
     let (svc, mut mirror) = service();
     // A view whose user-facing shape is its table: `query_view` hands out
     // the live rows themselves, not a projection of them.
-    let pricey = PlanBuilder::scan("orders")
-        .select(Expr::col("o_totalprice").gt(Expr::lit(0.0)))
-        .build();
+    let pricey = Plan::scan("orders").select(Expr::col("o_totalprice").gt(Expr::lit(0.0)));
     svc.register_view("pricey", pricey.clone()).unwrap();
 
     let held_view = svc.query_view("pricey").unwrap();

@@ -38,13 +38,11 @@ fn catalog() -> Catalog {
 }
 
 fn pivot_plan() -> gpivot_algebra::Plan {
-    gpivot_algebra::PlanBuilder::scan("facts")
-        .gpivot(gpivot_algebra::PivotSpec::simple(
-            "attr",
-            "val",
-            vec![Value::str("a"), Value::str("b")],
-        ))
-        .build()
+    gpivot_algebra::Plan::scan("facts").gpivot(gpivot_algebra::PivotSpec::simple(
+        "attr",
+        "val",
+        vec![Value::str("a"), Value::str("b")],
+    ))
 }
 
 #[test]

@@ -95,13 +95,12 @@ fn all_three_views_prove_shard_safe_and_place_sharded() {
 
 #[test]
 fn unprovable_plan_registers_single_shard_with_info_diagnostic() {
-    use gpivot_algebra::{AggSpec, PlanBuilder};
+    use gpivot_algebra::{AggSpec, Plan};
     let svc = sharded_service(small_catalog(), 2, 0);
     // A global aggregate has no group key to partition on: unprovable,
     // but it must still register (on the root) rather than error.
-    let global = PlanBuilder::scan("lineitem")
-        .group_by(&[], vec![AggSpec::sum("l_extendedprice", "revenue")])
-        .build();
+    let global =
+        Plan::scan("lineitem").group_by(&[], vec![AggSpec::sum("l_extendedprice", "revenue")]);
     svc.register_view("revenue_total", global).unwrap();
     let placement = svc.placement("revenue_total").unwrap();
     assert!(!placement.is_sharded());

@@ -3,7 +3,7 @@
 //! wall-clock counters the service has always kept — same measurements,
 //! two views of them.
 
-use gpivot_algebra::{PivotSpec, PlanBuilder};
+use gpivot_algebra::{PivotSpec, Plan};
 use gpivot_serve::{IngestOptions, ServeConfig, ViewService};
 use gpivot_storage::{row, Catalog, DataType, Delta, Schema, Table, Value};
 use std::sync::Arc;
@@ -35,13 +35,11 @@ fn catalog() -> Catalog {
 }
 
 fn pivot_plan() -> gpivot_algebra::plan::Plan {
-    PlanBuilder::scan("facts")
-        .gpivot(PivotSpec::simple(
-            "attr",
-            "val",
-            vec![Value::str("a"), Value::str("b")],
-        ))
-        .build()
+    Plan::scan("facts").gpivot(PivotSpec::simple(
+        "attr",
+        "val",
+        vec![Value::str("a"), Value::str("b")],
+    ))
 }
 
 #[test]

@@ -59,17 +59,6 @@ struct Normalized<'a> {
     conjuncts: Vec<Expr>,
 }
 
-/// Split a predicate into top-level conjuncts.
-fn split_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::And(a, b) => {
-            split_conjuncts(a, out);
-            split_conjuncts(b, out);
-        }
-        other => out.push(other.clone()),
-    }
-}
-
 /// Substitute column references through a projection's item list; fails if
 /// a referenced column is not produced by the projection.
 fn substitute(e: &Expr, items: &[(Expr, String)]) -> Option<Expr> {
@@ -124,7 +113,7 @@ fn decompose(plan: &Plan) -> Normalized<'_> {
     loop {
         match node {
             Plan::Select { input, predicate } => {
-                split_conjuncts(predicate, &mut conjuncts);
+                conjuncts.extend(predicate.conjuncts());
                 node = input;
             }
             Plan::Project {

@@ -4,7 +4,7 @@
 //! rewrite misses falling back to base tables (with the `rewrite.miss`
 //! trace event and metrics), and EXPLAIN output.
 
-use gpivot_algebra::{PivotSpec, PlanBuilder};
+use gpivot_algebra::{PivotSpec, Plan};
 use gpivot_serve::{IngestOptions, ServeConfig};
 use gpivot_sql::{parse_query, GpivotService, SqlError, SqlOutcome};
 use gpivot_storage::{
@@ -223,13 +223,11 @@ fn durable_fixture(tag: &str) -> (std::path::PathBuf, Catalog, String) {
     .unwrap();
     let facts = Table::from_rows(Arc::new(schema), vec![row![1, "a", 10]]).unwrap();
     seed.register("facts", facts).unwrap();
-    let pivot = PlanBuilder::scan("facts")
-        .gpivot(PivotSpec::simple(
-            "attr",
-            "val",
-            vec![Value::str("a"), Value::str("b")],
-        ))
-        .build();
+    let pivot = Plan::scan("facts").gpivot(PivotSpec::simple(
+        "attr",
+        "val",
+        vec![Value::str("a"), Value::str("b")],
+    ));
     let create = format!("CREATE MATERIALIZED VIEW pv AS {}", pivot.to_sql_dialect());
     (dir, seed, create)
 }

@@ -1,6 +1,6 @@
 //! The paper's three evaluation view families (Figures 32, 36, 39).
 
-use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan, PlanBuilder};
+use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan};
 use gpivot_storage::Value;
 
 /// Line numbers pivoted by views (1) and (2). The paper pivots the first
@@ -31,18 +31,11 @@ pub fn price_col(line: i64) -> String {
 /// `GPIVOT(lineitem) ⋈ orders ⋈ customer`: pivot each order's first three
 /// line prices into columns, then join order and customer attributes.
 pub fn view1() -> Plan {
-    PlanBuilder::scan("lineitem")
+    Plan::scan("lineitem")
         .project_cols(&["l_orderkey", "l_linenumber", "l_extendedprice"])
         .gpivot(line_pivot_spec())
-        .join(
-            PlanBuilder::scan("orders"),
-            vec![("l_orderkey", "o_orderkey")],
-        )
-        .join(
-            PlanBuilder::scan("customer"),
-            vec![("o_custkey", "c_custkey")],
-        )
-        .build()
+        .join(Plan::scan("orders"), vec![("l_orderkey", "o_orderkey")])
+        .join(Plan::scan("customer"), vec![("o_custkey", "c_custkey")])
 }
 
 /// **View (2)** — Figure 36: non-aggregate with a SELECT over the pivot.
@@ -50,19 +43,12 @@ pub fn view1() -> Plan {
 /// Like view (1) but keeping only orders whose *first* line price exceeds
 /// `threshold` (the paper uses 30,000).
 pub fn view2(threshold: f64) -> Plan {
-    PlanBuilder::scan("lineitem")
+    Plan::scan("lineitem")
         .project_cols(&["l_orderkey", "l_linenumber", "l_extendedprice"])
         .gpivot(line_pivot_spec())
         .select(Expr::col(price_col(1)).gt(Expr::lit(threshold)))
-        .join(
-            PlanBuilder::scan("orders"),
-            vec![("l_orderkey", "o_orderkey")],
-        )
-        .join(
-            PlanBuilder::scan("customer"),
-            vec![("o_custkey", "c_custkey")],
-        )
-        .build()
+        .join(Plan::scan("orders"), vec![("l_orderkey", "o_orderkey")])
+        .join(Plan::scan("customer"), vec![("o_custkey", "c_custkey")])
 }
 
 /// The default view (2) threshold from the paper.
@@ -73,15 +59,9 @@ pub const VIEW2_THRESHOLD: f64 = 30_000.0;
 /// Join the three tables, compute total price and count per (customer,
 /// nation, year), then pivot the per-year aggregates into columns.
 pub fn view3() -> Plan {
-    PlanBuilder::scan("lineitem")
-        .join(
-            PlanBuilder::scan("orders"),
-            vec![("l_orderkey", "o_orderkey")],
-        )
-        .join(
-            PlanBuilder::scan("customer"),
-            vec![("o_custkey", "c_custkey")],
-        )
+    Plan::scan("lineitem")
+        .join(Plan::scan("orders"), vec![("l_orderkey", "o_orderkey")])
+        .join(Plan::scan("customer"), vec![("o_custkey", "c_custkey")])
         .group_by(
             &["c_custkey", "c_nationkey", "o_year"],
             vec![
@@ -94,7 +74,6 @@ pub fn view3() -> Plan {
             vec!["sum_price", "cnt"],
             VIEW_YEARS.iter().map(|&y| vec![Value::Int(y)]).collect(),
         ))
-        .build()
 }
 
 #[cfg(test)]

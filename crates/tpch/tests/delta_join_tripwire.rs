@@ -73,16 +73,21 @@ fn small_deltas_never_scan_the_base_tables() {
     ] {
         let delta_rows = deltas.total_changes() as usize;
         assert!((1..=5).contains(&delta_rows));
+        // Each view planned by its own strategy (view2 by Fig. 29, not
+        // derived from view1), then committed with the base deltas.
+        let mut epoch = vm.plan_commit(&deltas).unwrap();
         for view in ["view1", "view2", "view3"] {
-            let outcome = vm.maintain_view(view, &deltas).unwrap();
+            let refresh = vm.plan_member(view, &deltas, None).unwrap();
+            let outcome = refresh.outcome();
             assert!(
                 outcome.rows_propagated <= per_row * delta_rows,
                 "{view}: a {delta_rows}-row delta on {table} propagated {} rows \
                  (> {per_row}/row) — a delta join fell back to a full scan",
                 outcome.rows_propagated
             );
+            epoch.add_view(view, refresh);
         }
-        vm.commit(&deltas).unwrap();
+        vm.commit_epoch(epoch).unwrap();
         for view in ["view1", "view2", "view3"] {
             assert!(
                 vm.verify_view(view).unwrap(),

@@ -64,13 +64,13 @@ fn build_catalog() -> Result<Catalog, Box<dyn std::error::Error>> {
 
 /// Figure 2's view: pivot payments, join products, aggregate, pivot again.
 fn figure2_view() -> Plan {
-    PlanBuilder::scan("payment")
+    Plan::scan("payment")
         .gpivot(PivotSpec::simple(
             "Payment",
             "Price",
             vec![Value::str("Credit"), Value::str("ByAir")],
         ))
-        .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
+        .join(Plan::scan("product"), vec![("ID", "PID")])
         .group_by(
             &["Manu", "Type"],
             vec![
@@ -83,7 +83,6 @@ fn figure2_view() -> Plan {
             vec!["CreditSum", "ByAirSum"],
             vec![vec![Value::str("TV")], vec![Value::str("VCR")]],
         ))
-        .build()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -78,7 +78,7 @@ pub use tracing;
 /// reach for; everything else stays one module path away (`gpivot::core`,
 /// `gpivot::exec`, …).
 pub mod prelude {
-    pub use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan, PlanBuilder, UnpivotSpec};
+    pub use gpivot_algebra::{AggSpec, Expr, PivotSpec, Plan, UnpivotSpec};
     pub use gpivot_analyze::{analyze, AnalysisReport, DiagCode, Diagnostic, Severity};
     pub use gpivot_analyze::{shard_safety, ShardRouting, ShardVerdict, TableRoute};
     pub use gpivot_core::{

@@ -333,13 +333,13 @@ fn figure_28_subgroup_death_deletes_view_row() {
     catalog.register("payment", payment).unwrap();
     catalog.register("product", product).unwrap();
 
-    let view = PlanBuilder::scan("payment")
+    let view = Plan::scan("payment")
         .gpivot(PivotSpec::simple(
             "Payment",
             "Price",
             vec![Value::str("Credit"), Value::str("ByAir")],
         ))
-        .join(PlanBuilder::scan("product"), vec![("ID", "PID")])
+        .join(Plan::scan("product"), vec![("ID", "PID")])
         .group_by(
             &["Manu", "Type"],
             vec![
@@ -351,8 +351,7 @@ fn figure_28_subgroup_death_deletes_view_row() {
             vec!["Type"],
             vec!["CreditSum", "ByAirSum"],
             vec![vec![Value::str("TV")], vec![Value::str("VCR")]],
-        ))
-        .build();
+        ));
 
     let mut vm = ViewManager::new(catalog);
     let strategy = vm.register_view("v", view).unwrap();

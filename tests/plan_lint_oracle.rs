@@ -463,7 +463,10 @@ proptest! {
                     let dropped = vm.drop_view("v").unwrap();
                     vm.install_view(dropped);
                 }
-                2 => vm.commit(&SourceDeltas::new()).unwrap(),
+                2 => {
+                    let empty = SourceDeltas::new();
+                    vm.commit_epoch(vm.plan_commit(&empty).unwrap()).unwrap();
+                }
                 _ => {
                     vm.register_view_with("other", Plan::scan("dims"), Strategy::Recompute)
                         .unwrap();
