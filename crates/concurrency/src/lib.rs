@@ -18,7 +18,7 @@
 //! | GP030 | Error/Warn   | cycle in the acquisition order (Error when every edge is a direct acquisition; Warn when the cycle needs a heuristic via-call edge), or a mutex reacquired while already held |
 //! | GP031 | Error/Warn   | RwLock read guard upgraded to write while held (Error: guaranteed self-deadlock) / re-entrant read while held (Warn: deadlocks when a writer is waiting) |
 //! | GP032 | Warn/Info    | guard held across `catch_unwind` (Warn: a panic poisons every held lock) or across an fsync (Info: deliberate WAL-ordering sites, guard hold time becomes disk latency) |
-//! | GP033 | Warn/Info    | guard held across a pool `scope` boundary (`run_on_pool`, `thread::scope`) — Warn for exclusive guards, Info for shared read guards |
+//! | GP033 | Warn/Info    | guard held across a pool `scope` boundary (`run_on_pool`, `.run_slots`, `thread::scope`) — Warn for exclusive guards, Info for shared read guards |
 //! | GP034 | Warn         | condvar wait while holding guards other than the one the wait releases |
 //! | GP035 | Info         | acquisition-order summary: the derived topological order of the whole graph (always emitted) |
 //!

@@ -80,8 +80,9 @@ pub enum BoundaryKind {
     /// `.sync(…)` / `.sync_all(…)` / `.sync_data(…)` — an fsync turns the
     /// guard hold time into disk latency.
     Fsync,
-    /// `run_on_pool(…)` / `thread::scope(…)` — worker threads run while
-    /// the guard is held; any worker touching the same lock deadlocks.
+    /// `run_on_pool(…)` / `.run_slots(…)` / `thread::scope(…)` — worker
+    /// threads run while the guard is held; any worker touching the same
+    /// lock deadlocks.
     PoolScope,
 }
 
@@ -760,6 +761,7 @@ fn scan_body(file: &str, name: &str, line: u32, toks: &[Token]) -> FnScan {
                     scan.direct_fsync = true;
                     Some((BoundaryKind::Fsync, format!(".{id}()")))
                 } else if id.ends_with("run_on_pool")
+                    || id.ends_with("run_slots")
                     || id.ends_with("thread::scope")
                     || (id == "scope" && i > 0 && matches!(toks[i - 1].tok, Tok::Punct('.')))
                 {
@@ -995,11 +997,19 @@ fn f(&self) {
     let out = run_on_pool(items, n, worker);
     let r = std::panic::catch_unwind(op);
     self.helper(1);
+    let slots = self.shared.pool.run_slots(items, worker);
 }
 "#;
         let s = &scan_file("x.rs", src)[0];
         let kinds: Vec<BoundaryKind> = s.boundaries.iter().map(|b| b.kind).collect();
         assert!(kinds.contains(&BoundaryKind::PoolScope));
+        let pool_tokens: Vec<&str> = s
+            .boundaries
+            .iter()
+            .filter(|b| b.kind == BoundaryKind::PoolScope)
+            .map(|b| b.token.as_str())
+            .collect();
+        assert_eq!(pool_tokens, ["run_on_pool", "run_slots"]);
         assert!(kinds.contains(&BoundaryKind::CatchUnwind));
         assert!(s
             .calls

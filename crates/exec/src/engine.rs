@@ -95,10 +95,11 @@ fn partitioned(input_rows: usize) -> bool {
 
 /// Batch plan executor: the [`WorkerPool`] the partitioned kernels submit
 /// jobs to, the kernel family, and the recursive dispatcher. All data
-/// comes from the provider; the executor itself holds only configuration,
-/// so it is cheap to clone and share. The pool re-installs the calling
-/// thread's tracing collector on every worker, so per-partition spans land
-/// in the caller's store.
+/// comes from the provider; the executor holds only its settings and its
+/// pool, so it is cheap to clone and share — clones share the pool's
+/// workers. The pool installs the calling thread's tracing collector on
+/// its worker for each task, so per-partition spans land in the caller's
+/// store.
 #[derive(Debug, Clone)]
 pub struct Executor {
     pool: WorkerPool,

@@ -20,8 +20,8 @@
 //! * bag union / difference ([`engine`]).
 //!
 //! Large inputs take hash-partitioned (Join/GroupBy/GPivot) or
-//! morsel-parallel (Select/Project) kernels on a scoped-thread
-//! [`WorkerPool`]; results are bit-identical across thread counts
+//! morsel-parallel (Select/Project) kernels on a [`WorkerPool`] of
+//! long-lived threads; results are bit-identical across thread counts
 //! because the partitioning is data-dependent only and partition outputs
 //! merge in partition-index order ([`pool`], [`engine`]).
 //!

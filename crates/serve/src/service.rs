@@ -30,11 +30,14 @@ use std::time::{Duration, Instant};
 /// landed), so the old public-field surface was removed.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads per refresh epoch. The epoch's refresh groups (a
-    /// view plus the σ-children planned from its patch, see
+    /// Worker threads per refresh epoch. Each service owns a
+    /// [`gpivot_exec::WorkerPool`] of this many threads, spawned by its
+    /// first epoch with more than one refresh group and kept until the
+    /// service drops; the epoch's refresh groups (a view plus the
+    /// σ-children planned from its patch, see
     /// [`gpivot_core::ViewManager::refresh_groups`]) are distributed
-    /// round-robin over `min(workers, groups)` scoped threads of a
-    /// [`gpivot_exec::WorkerPool`]. `1` means fully sequential refreshes.
+    /// round-robin over `min(workers, groups)` of them. `1` means fully
+    /// sequential refreshes on the epoch's own thread.
     pub(crate) workers: usize,
     /// Backpressure watermark on the *coalesced* pending row count.
     ///
@@ -359,6 +362,10 @@ struct Shared {
     /// the WAL handle + checkpoint machinery. Lock order: the WAL mutex
     /// inside sits between the queue mutex and the metrics mutex.
     durability: Option<Durability>,
+    /// The refresh fan-out's `cfg.workers()` threads, spawned by the first
+    /// epoch that has more than one refresh group and joined when the
+    /// service drops.
+    pool: WorkerPool,
 }
 
 /// A long-lived, thread-safe view-maintenance service. Cheap to clone —
@@ -402,6 +409,7 @@ impl ViewService {
         cfg: ServeConfig,
         durability: Option<Durability>,
     ) -> Self {
+        let pool = WorkerPool::new(cfg.workers());
         ViewService {
             shared: Arc::new(Shared {
                 cfg,
@@ -413,6 +421,7 @@ impl ViewService {
                 epoch: AtomicU64::new(epoch),
                 tracer: tracing::TimingSubscriber::shared(),
                 durability,
+                pool,
             }),
         }
     }
@@ -795,18 +804,20 @@ impl ViewService {
             .partition(|name| quarantined.contains(*name));
         let quarantined_skipped = skipped.len();
         let groups = state.refresh_groups(&names);
-        let workers = self.shared.cfg.workers().max(1).min(groups.len().max(1));
         let results = {
             let _s = tracing::span("epoch.propagate").enter();
+            let pool = &self.shared.pool;
             // Holding the refresh gate and the registry read guard across
-            // the pool is what serializes epochs; the workers only run
-            // view-maintenance closures and never touch a service lock.
-            // The pool re-installs this thread's collector (the service's
-            // tracer, pushed above) on every worker, so `view.attempt`
-            // spans and the maintain-phase spans underneath land in the
-            // same store.
+            // the fan-out is what serializes epochs. It cannot deadlock:
+            // the jobs only run view-maintenance closures and never touch
+            // a service lock, and the pool's own inbox mutexes are leaves
+            // in `gpivot-exec`, never held while a job runs or while
+            // another lock is taken. The pool installs this thread's
+            // collector (the service's tracer, pushed above) for each
+            // job, so `view.attempt` spans and the maintain-phase spans
+            // underneath land in this service's store.
             // concurrency-lint: allow(GP033)
-            run_on_pool(groups.iter().collect(), workers, |group| {
+            pool.run_slots(groups.iter().collect(), |group| {
                 let mut planned: Vec<ViewRefresh> = Vec::with_capacity(group.members().len());
                 for &(name, parent) in group.members() {
                     // A child whose parent failed plans by its own rule.
@@ -1335,20 +1346,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `f` over `items` on a [`WorkerPool`] of `workers` threads,
-/// preserving input order in the result vector. A slot is `None` iff its
-/// job panicked — `f` is expected to catch panics itself, so `None` marks a
-/// panic that escaped even that boundary; callers must treat it as a
-/// failure, never unwrap it.
-pub(crate) fn run_on_pool<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Option<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    WorkerPool::new(workers).run_slots(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1576,16 +1573,6 @@ mod tests {
         assert_eq!(m.coalescing_ratio(), Some(0.0));
         // Fully cancelled: no epoch work happened.
         assert_eq!(svc.epoch(), 0);
-    }
-
-    #[test]
-    fn run_on_pool_preserves_order() {
-        let out = run_on_pool((0..17).collect::<Vec<i32>>(), 4, |x| x * 2);
-        assert_eq!(out, (0..17).map(|x| Some(x * 2)).collect::<Vec<_>>());
-        let out1 = run_on_pool(vec![5], 8, |x: i32| x + 1);
-        assert_eq!(out1, vec![Some(6)]);
-        let empty = run_on_pool(Vec::<i32>::new(), 3, |x| x);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -43,11 +43,12 @@
 //! protocol has no cross-shard commit record yet).
 
 use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth};
-use crate::service::{run_on_pool, IngestOptions, ServeConfig, Snapshot, ViewService};
+use crate::service::{IngestOptions, ServeConfig, Snapshot, ViewService};
 use crate::sync;
 use gpivot_algebra::Plan;
 use gpivot_analyze::{shard_safety, DiagCode, Diagnostic, ShardRouting, ShardVerdict, TableRoute};
 use gpivot_core::{CoreError, Result, Strategy, ViewManager, ViewOptions};
+use gpivot_exec::WorkerPool;
 use gpivot_storage::{shard_of, Catalog, Delta, Row, Table, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -215,6 +216,10 @@ struct Inner {
     /// Observed delta-row frequency per (class, key), feeding promotion.
     freq: Mutex<HashMap<(usize, Value), u64>>,
     epoch: AtomicU64,
+    /// The shard fan-out's `cfg.workers()` threads, separate from every
+    /// shard service's own refresh pool so a shard's epoch never queues
+    /// behind the tier job that is waiting for it.
+    pool: WorkerPool,
 }
 
 /// A shard-transparent view-maintenance service: the redesigned serve
@@ -261,6 +266,7 @@ impl ShardedService {
         ShardedService {
             inner: Arc::new(Inner {
                 cfg: root.config().clone(),
+                pool: WorkerPool::new(root.config().workers()),
                 epoch: AtomicU64::new(root.epoch()),
                 services: std::iter::once(root).chain(shards).collect(),
                 hash_shards,
@@ -329,12 +335,12 @@ impl ShardedService {
     }
 
     /// Refresh every shard (root included) once, in parallel on the
-    /// configured worker pool. Caller must hold the gate.
+    /// tier's worker pool. Caller must hold the gate.
     fn refresh_all_locked(&self) -> Result<Vec<EpochSummary>> {
-        let workers = self.inner.cfg.workers().max(1);
-        let results = run_on_pool(self.services().iter().collect(), workers, |svc| {
-            svc.refresh_epoch()
-        });
+        let results = self
+            .inner
+            .pool
+            .run_slots(self.services().iter().collect(), ViewService::refresh_epoch);
         let mut out = Vec::with_capacity(results.len());
         for (i, slot) in results.into_iter().enumerate() {
             match slot {
