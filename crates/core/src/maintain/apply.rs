@@ -40,8 +40,7 @@ use crate::error::{CoreError, Result};
 use crate::maintain::select_pivot::Candidates;
 use gpivot_algebra::{BoundExpr, Plan};
 use gpivot_exec::pivot::PivotLayout;
-use gpivot_storage::{Catalog, Row, Table, Value};
-use std::collections::HashMap;
+use gpivot_storage::{Catalog, Row, RowMap, Table, Value};
 use std::sync::Arc;
 
 /// Row-level effect counters from an apply phase.
@@ -130,7 +129,7 @@ pub struct MergeLayout {
     /// Pivot-tag positions in a core row.
     pub(super) tags: Vec<usize>,
     /// Pivot-tag tuple → group (cell) index.
-    pub(super) groups: HashMap<Row, usize>,
+    pub(super) groups: RowMap<Row, usize>,
     /// Per measure: its input position in a core row (unused by
     /// `count(*)`) and its fold.
     pub(super) measures: Vec<(usize, Fold)>,
@@ -176,9 +175,9 @@ impl MergeLayout {
     /// skipped. Overwrite entries add up the weights of equal rows — a core
     /// row is `K ∪ by ∪ on`, so this is whole-row consolidation, and an
     /// entry whose weights cancel folds nothing.
-    fn collect(&self, delta: &[(Row, i64)]) -> HashMap<Row, CellChanges> {
+    fn collect(&self, delta: &[(Row, i64)]) -> RowMap<Row, CellChanges> {
         let overwrite = self.live.is_empty();
-        let mut by_key: HashMap<Row, CellChanges> = HashMap::new();
+        let mut by_key: RowMap<Row, CellChanges> = RowMap::default();
         for (row, w) in delta {
             let Some(&gi) = self.groups.get(&row.project(&self.tags)) else {
                 continue;

@@ -48,10 +48,8 @@ use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::{AggFunc, Expr};
 use gpivot_exec::pivot::{PivotLayout, UnpivotLayout};
 use gpivot_exec::{Executor, Overlay, TableProvider};
-use gpivot_storage::{Catalog, Delta, Row, Schema, Table, Value};
+use gpivot_storage::{Catalog, Delta, Row, RowMap, RowSet, RowState, Schema, Table, Value};
 use std::cell::Cell;
-use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A signed multiset as a flat list: each row carries a non-zero weight
@@ -155,17 +153,22 @@ impl<'a> PropagationCtx<'a> {
     /// operator semantics are never re-implemented here. `keys` match by
     /// [`Value`]'s `Hash`/`Eq` (`NULL` = `NULL`, as GROUPBY needs); join
     /// rules strip `NULL`-bearing keys before calling.
-    pub fn eval_pre_matching(
+    pub fn eval_pre_matching<S: BuildHasher>(
         &self,
         plan: &Plan,
         cols: &[String],
-        keys: &HashSet<Row>,
+        keys: &RowSet<Row, S>,
     ) -> Result<Table> {
         let _s = tracing::span("maintain.probe").enter();
         self.restrict(plan, cols, keys)
     }
 
-    fn restrict(&self, plan: &Plan, cols: &[String], keys: &HashSet<Row>) -> Result<Table> {
+    fn restrict<S: BuildHasher>(
+        &self,
+        plan: &Plan,
+        cols: &[String],
+        keys: &RowSet<Row, S>,
+    ) -> Result<Table> {
         let subset_of = |names: &[String]| cols.iter().all(|c| names.contains(c));
         let stub = |i: usize| Box::new(Plan::scan(RESTRICTED[i]));
         match plan {
@@ -281,11 +284,11 @@ impl<'a> PropagationCtx<'a> {
 
     /// The fallback arm of [`PropagationCtx::eval_pre_matching`]: evaluate
     /// `plan` in full, then filter.
-    fn eval_pre_filtered(
+    fn eval_pre_filtered<S: BuildHasher>(
         &self,
         plan: &Plan,
         cols: &[String],
-        keys: &HashSet<Row>,
+        keys: &RowSet<Row, S>,
     ) -> Result<Table> {
         let full = self.eval_pre(plan)?;
         let idx = positions(full.schema(), cols)?;
@@ -325,13 +328,13 @@ fn positions(schema: &Schema, cols: &[String]) -> Result<Vec<usize>> {
 
 /// The distinct join keys of `rows` on the named columns, without the
 /// `NULL`-bearing ones (which never join).
-fn join_keys(rows: &Table, on: &[String]) -> Result<HashSet<Row>> {
+fn join_keys(rows: &Table, on: &[String]) -> Result<RowSet<Row>> {
     let idx = positions(rows.schema(), on)?;
     Ok(non_null_keys(rows.iter(), &idx))
 }
 
 /// Distinct `NULL`-free projections of `rows` onto `idx`.
-fn non_null_keys<'r>(rows: impl Iterator<Item = &'r Row>, idx: &[usize]) -> HashSet<Row> {
+fn non_null_keys<'r>(rows: impl Iterator<Item = &'r Row>, idx: &[usize]) -> RowSet<Row> {
     rows.map(|r| r.project(idx))
         .filter(|k| !k.iter().any(Value::is_null))
         .collect()
@@ -341,7 +344,7 @@ fn non_null_keys<'r>(rows: impl Iterator<Item = &'r Row>, idx: &[usize]) -> Hash
 /// `delta` must be consolidated — each row at most once, as a [`Delta`]
 /// iterates — since a row's weight says how many copies to drop or add.
 pub fn post_state_table<'r>(pre: &Table, delta: impl IntoIterator<Item = (&'r Row, i64)>) -> Table {
-    let mut deleted: HashMap<&Row, i64> = HashMap::new();
+    let mut deleted: RowMap<&Row, i64> = RowMap::default();
     let mut inserted = Vec::new();
     for (row, w) in delta {
         if w < 0 {
@@ -491,7 +494,7 @@ pub fn propagate_signed(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<SignedR
             // Insert/delete rules of [18]: recompute affected groups.
             let in_schema = input.schema(ctx.catalog)?;
             let group_idx = positions(&in_schema, group_by)?;
-            let affected: HashSet<Row> = din.distinct_values_at(&group_idx).into_iter().collect();
+            let affected: RowSet<Row> = din.distinct_values_at(&group_idx).into_iter().collect();
 
             // Only the affected groups' input rows are fetched; every row
             // of `din` belongs to one of them.
@@ -562,7 +565,7 @@ pub fn propagate_signed(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<SignedR
             if relevant.is_empty() {
                 return Ok(SignedRows::new());
             }
-            let affected: HashSet<Row> = relevant
+            let affected: RowSet<Row> = relevant
                 .distinct_values_at(&layout.k_idx)
                 .into_iter()
                 .collect();
@@ -632,7 +635,7 @@ fn delta_join_into<'r>(
     // positions into `delta`, hashed on the join columns read in place.
     // No key is materialized: candidates are confirmed column by column on
     // probe. A `NULL` join value never matches, so it hashes to `None`.
-    let hasher = RandomState::new();
+    let hasher = RowState::default();
     let hash_on = |row: &Row, on: &[usize]| -> Option<u64> {
         let mut h = hasher.build_hasher();
         for &c in on {

@@ -17,8 +17,7 @@ use crate::error::Result;
 use crate::maintain::apply::{not_applicable, MergeLayout};
 use crate::maintain::delta_prop::{consolidate, post_state_table, PropagationCtx};
 use gpivot_algebra::{encode_pivot_col, BoundExpr, Expr, PivotSpec};
-use gpivot_storage::{Row, Schema, Table, Value};
-use std::collections::HashSet;
+use gpivot_storage::{Row, RowSet, Schema, Table, Value};
 
 /// What Fig. 29's candidate recompute needs, resolved at registration.
 #[derive(Debug, Clone)]
@@ -77,7 +76,7 @@ impl MergeLayout {
     ) -> Result<Vec<Row>> {
         let c = self.sigma.as_ref();
         let c = c.ok_or_else(|| not_applicable("select-pivot-update", "a view without σ"))?;
-        let restrict_keys: HashSet<Row> = keys.iter().map(|k| k.project(&c.restrict_pos)).collect();
+        let restrict_keys: RowSet<Row> = keys.iter().map(|k| k.project(&c.restrict_pos)).collect();
         let restrict_idx: Vec<usize> = c.restrict_pos.iter().map(|&p| self.key[p]).collect();
         let delta_restricted = consolidate(
             (delta.iter())
@@ -91,7 +90,7 @@ impl MergeLayout {
         // σ passes its input's schema through: the view's is the pivot's.
         let pivoted = gpivot_exec::pivot::gpivot(&restricted, &c.spec, mv.schema().clone())?;
         // The restriction can bring along keys that are not candidates.
-        let candidates: HashSet<Row> = keys.into_iter().collect();
+        let candidates: RowSet<Row> = keys.into_iter().collect();
         let k_out: Vec<usize> = (0..self.key.len()).collect();
         Ok(pivoted
             .iter()

@@ -26,8 +26,7 @@ use crate::pivot::{gpivot, gpivot_partitioned, gunpivot};
 use crate::pool::{morsels, WorkerPool};
 use crate::provider::{ProviderSchemas, TableProvider};
 use gpivot_algebra::Plan;
-use gpivot_storage::{Row, Table};
-use std::collections::HashMap;
+use gpivot_storage::{Row, RowMap, Table};
 
 /// One operator's entry in an execution trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -391,7 +390,7 @@ impl Executor {
                 let _s = tracing::span("op.Diff").enter();
                 let out_schema = plan.schema(&schemas)?;
                 // Bag difference: subtract up to multiplicity.
-                let mut counts: HashMap<&Row, usize> = HashMap::new();
+                let mut counts: RowMap<&Row, usize> = RowMap::default();
                 for row in r.iter() {
                     *counts.entry(row).or_insert(0) += 1;
                 }

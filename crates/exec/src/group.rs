@@ -10,8 +10,7 @@
 use crate::error::{ExecError, Result};
 use crate::pool::{partition_by_hash, WorkerPool};
 use gpivot_algebra::{AggFunc, AggSpec};
-use gpivot_storage::{Row, Schema, Table, Value};
-use std::collections::HashMap;
+use gpivot_storage::{Row, RowMap, Schema, Table, Value};
 
 /// Running state for one aggregate. Shared with the columnar kernels'
 /// generic fallback path so both engines use one source of truth for
@@ -131,7 +130,7 @@ impl AggState {
 /// Aggregate the input rows at positions `indices` — the single-partition
 /// core of both the sequential and the partitioned kernels. Groups are
 /// emitted in first-seen order (insertion order over `indices`), so the
-/// output order is a pure function of the input — never of `HashMap`
+/// output order is a pure function of the input — never of hash-map
 /// iteration order or thread scheduling.
 fn group_partition(
     input: &Table,
@@ -140,7 +139,7 @@ fn group_partition(
     aggs: &[AggSpec],
     agg_inputs: &[usize],
 ) -> Result<Vec<Row>> {
-    let mut lookup: HashMap<Row, usize> = HashMap::new();
+    let mut lookup: RowMap<Row, usize> = RowMap::default();
     let mut keys: Vec<Row> = Vec::new();
     let mut states: Vec<Vec<AggState>> = Vec::new();
     for &i in indices {

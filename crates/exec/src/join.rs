@@ -10,8 +10,7 @@
 use crate::error::Result;
 use crate::pool::{partition_by_hash, WorkerPool};
 use gpivot_algebra::{BoundExpr, JoinKind};
-use gpivot_storage::{Row, Schema, Table};
-use std::collections::HashMap;
+use gpivot_storage::{Row, RowMap, Schema, Table};
 use std::sync::Arc;
 
 /// Join the rows of `left` at positions `lidx` against the rows of
@@ -32,7 +31,7 @@ fn join_partition(
     ridx: &[usize],
 ) -> Vec<Row> {
     // Build side: right.
-    let mut build: HashMap<Row, Vec<usize>> = HashMap::new();
+    let mut build: RowMap<Row, Vec<usize>> = RowMap::default();
     for &ri in ridx {
         let row = &right.rows()[ri];
         let key = row.project(right_on);

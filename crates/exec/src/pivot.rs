@@ -14,8 +14,7 @@
 use crate::error::{ExecError, Result};
 use crate::pool::{partition_by_hash, WorkerPool};
 use gpivot_algebra::plan::{PivotSpec, UnpivotSpec};
-use gpivot_storage::{Row, Schema, Table, Value};
-use std::collections::HashMap;
+use gpivot_storage::{Row, RowMap, Schema, Table, Value};
 use std::sync::Arc;
 
 /// Column index layout for a pivot execution, resolved once per plan.
@@ -27,7 +26,7 @@ pub struct PivotLayout {
     /// Indices of the `on` (measure) columns in the input.
     pub on_idx: Vec<usize>,
     /// Output group lookup: dimension-value tuple → group index.
-    pub group_lookup: HashMap<Row, usize>,
+    pub group_lookup: RowMap<Row, usize>,
 }
 
 impl PivotLayout {
@@ -81,7 +80,7 @@ fn pivot_partition(
     let width = n_k + spec.groups.len() * n_on;
 
     // K projection → slot of the wide row under construction.
-    let mut lookup: HashMap<Row, usize> = HashMap::new();
+    let mut lookup: RowMap<Row, usize> = RowMap::default();
     let mut acc: Vec<Vec<Value>> = Vec::new();
     for &i in indices {
         let row = &input.rows()[i];

@@ -406,8 +406,9 @@ where
 /// tuples always land in the same partition, so hash joins, grouping and
 /// pivoting are correct per-partition with no cross-partition merge. Uses
 /// [`std::collections::hash_map::DefaultHasher`] with its fixed default
-/// keys — NOT a `RandomState` — so the partitioning (and therefore the
-/// merged output order) is identical across processes and thread counts.
+/// keys — not a randomly keyed hasher — so the partitioning (and therefore
+/// the merged output order) is identical across processes and thread
+/// counts.
 ///
 /// With an empty `key_idx` (cross join, global aggregate) every row hashes
 /// identically and the whole input degenerates to one partition, which is

@@ -353,6 +353,11 @@ struct Shared {
     /// Epoch counter, bumped inside the state write-lock critical section
     /// so a read guard always observes a consistent (epoch, state) pair.
     epoch: AtomicU64,
+    /// Epoch attempts that reached the plan phase, committed or not. With
+    /// a view's name it seeds that refresh's fault stream
+    /// ([`FaultInjector::stream`]), so a retried epoch draws fresh faults
+    /// and a seeded schedule replays exactly however the groups interleave.
+    plan_rounds: AtomicU64,
     /// Phase/operator timing store. Installed as a *scoped* collector on
     /// every thread that does work for this service (epoch coordinator,
     /// refresh workers, registry calls) — never globally, so concurrent
@@ -419,6 +424,7 @@ impl ViewService {
                 space: Condvar::new(),
                 metrics: Mutex::new(metrics),
                 epoch: AtomicU64::new(epoch),
+                plan_rounds: AtomicU64::new(0),
                 tracer: tracing::TimingSubscriber::shared(),
                 durability,
                 pool,
@@ -804,6 +810,7 @@ impl ViewService {
             .partition(|name| quarantined.contains(*name));
         let quarantined_skipped = skipped.len();
         let groups = state.refresh_groups(&names);
+        let round = self.shared.plan_rounds.fetch_add(1, Ordering::Relaxed);
         let results = {
             let _s = tracing::span("epoch.propagate").enter();
             let pool = &self.shared.pool;
@@ -822,7 +829,8 @@ impl ViewService {
                 for &(name, parent) in group.members() {
                     // A child whose parent failed plans by its own rule.
                     let parent = parent.and_then(|i| planned[i].result.as_ref().ok());
-                    let refresh = plan_with_retry(&self.shared.cfg, &state, name, &batch, parent);
+                    let refresh =
+                        plan_with_retry(&self.shared.cfg, &state, round, name, &batch, parent);
                     planned.push(refresh);
                 }
                 planned
@@ -1291,6 +1299,10 @@ fn retry_transient<R>(cfg: &ServeConfig, mut op: impl FnMut() -> Result<R>) -> (
 /// from `parent`'s planned patch when it is given (a σ-child whose parent
 /// planned), else by the view's own strategy.
 ///
+/// Every attempt's fault checks draw from the view's own stream for plan
+/// round `round`, so which faults fire does not depend on the other
+/// refresh jobs running beside it.
+///
 /// Planning only reads the registry, so a failed attempt leaves nothing
 /// behind and a retry simply plans again. A panicking attempt is caught at
 /// this boundary (`catch_unwind`) and converted into a transient
@@ -1299,11 +1311,13 @@ fn retry_transient<R>(cfg: &ServeConfig, mut op: impl FnMut() -> Result<R>) -> (
 fn plan_with_retry(
     cfg: &ServeConfig,
     state: &ViewManager,
+    round: u64,
     view: &str,
     batch: &gpivot_core::SourceDeltas,
     parent: Option<&RefreshPlan>,
 ) -> ViewRefresh {
     let t0 = Instant::now();
+    let _faults = state.catalog().fault_injector().stream(round, view);
     let mut panics = 0u32;
     let mut attempts = 0u32;
     let (result, retries) = retry_transient(cfg, || {

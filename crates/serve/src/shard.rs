@@ -49,8 +49,8 @@ use gpivot_algebra::Plan;
 use gpivot_analyze::{shard_safety, DiagCode, Diagnostic, ShardRouting, ShardVerdict, TableRoute};
 use gpivot_core::{CoreError, Result, Strategy, ViewManager, ViewOptions};
 use gpivot_exec::WorkerPool;
-use gpivot_storage::{shard_of, Catalog, Delta, Row, Table, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use gpivot_storage::{shard_of, Catalog, Delta, Row, RowMap, RowSet, Table, Value};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -131,7 +131,7 @@ struct Router {
     /// Partitioned tables only; absence means replicated everywhere.
     tables: BTreeMap<String, PartLayout>,
     /// Keys promoted to the heavy shard, per co-partition class.
-    heavy: Vec<HashSet<Value>>,
+    heavy: Vec<RowSet<Value>>,
     /// Sharded views that read a table *replicated* pin it against later
     /// partitioning (their shard-local results assume full copies).
     replicated_pins: BTreeMap<String, BTreeSet<String>>,
@@ -214,7 +214,7 @@ struct Inner {
     /// ([`ShardedService::reroute_locked`]).
     router: RwLock<Router>,
     /// Observed delta-row frequency per (class, key), feeding promotion.
-    freq: Mutex<HashMap<(usize, Value), u64>>,
+    freq: Mutex<RowMap<(usize, Value), u64>>,
     epoch: AtomicU64,
     /// The shard fan-out's `cfg.workers()` threads, separate from every
     /// shard service's own refresh pool so a shard's epoch never queues
@@ -272,7 +272,7 @@ impl ShardedService {
                 hash_shards,
                 gate: Mutex::new(()),
                 router: RwLock::new(Router::default()),
-                freq: Mutex::new(HashMap::new()),
+                freq: Mutex::new(RowMap::default()),
             }),
         }
     }
@@ -499,7 +499,7 @@ impl ShardedService {
             self.reroute_locked(
                 |router| {
                     if class == router.heavy.len() {
-                        router.heavy.push(HashSet::new());
+                        router.heavy.push(RowSet::default());
                     }
                     router.tables.extend(transitions.iter().cloned());
                 },
@@ -882,7 +882,7 @@ impl ShardedService {
         }
         let snap = self.snapshot();
         for (name, _) in snap.placements.iter().filter(|(_, p)| p.is_sharded()) {
-            let mut seen = HashSet::new();
+            let mut seen: RowSet<Row> = RowSet::default();
             for shard in &snap.services[1..] {
                 let table = shard.manager().view(name)?.table();
                 let Some(key) = table.schema().key() else {

@@ -7,15 +7,16 @@
 //! Griffin/Libkin join delta terms come out exactly. [`Delta`] is that
 //! object; [`DeltaSplit`] is the paper-facing `(ΔV, ∇V)` view of it.
 
+use crate::hash::{RowMap, RowSet};
 use crate::row::Row;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// A signed multiset of rows: each row maps to a non-zero multiplicity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Delta {
-    counts: HashMap<Row, i64>,
+    counts: RowMap<Row, i64>,
 }
 
 impl Delta {
@@ -58,14 +59,14 @@ impl Delta {
             return;
         }
         match self.counts.entry(row) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
+            Entry::Occupied(mut o) => {
                 let c = o.get_mut();
                 *c += weight;
                 if *c == 0 {
                     o.remove();
                 }
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
+            Entry::Vacant(v) => {
                 v.insert(weight);
             }
         }
@@ -174,7 +175,7 @@ impl Delta {
     /// Collect the distinct values of `row[idx]` across all carried rows
     /// (used e.g. to collect affected keys / group values).
     pub fn distinct_values_at(&self, indices: &[usize]) -> Vec<Row> {
-        let mut set = std::collections::HashSet::new();
+        let mut set: RowSet<Row> = RowSet::default();
         for r in self.counts.keys() {
             set.insert(r.project(indices));
         }
@@ -306,6 +307,28 @@ mod tests {
         let hit: std::collections::HashSet<usize> =
             (0..1000).map(|i| shard_of(&Value::Int(i), 5)).collect();
         assert_eq!(hit.len(), 5);
+    }
+
+    #[test]
+    fn deltas_built_in_different_orders_compare_equal() {
+        // Each delta keys its own map, so the two iterate in unrelated
+        // orders; equality is by content.
+        let changes: Vec<(Row, i64)> = (0..200i64)
+            .map(|i| {
+                (
+                    row![i % 13, format!("r{}", i % 31)],
+                    if i % 4 == 0 { -1 } else { 2 },
+                )
+            })
+            .collect();
+        let forward: Delta = changes.iter().cloned().collect();
+        let backward: Delta = changes.iter().rev().cloned().collect();
+        assert_eq!(forward, backward);
+        let mut absorbed = Delta::new();
+        absorbed.absorb(backward.negated());
+        absorbed.merge(&forward);
+        absorbed.merge(&forward);
+        assert_eq!(absorbed, forward);
     }
 
     #[test]

@@ -14,15 +14,26 @@
 //! pay nothing for the hooks.
 //!
 //! Determinism: given a fixed seed and a single-threaded caller, the fault
-//! schedule is exactly reproducible. Under a multi-threaded refresh pool the
-//! *order* of RNG draws depends on thread interleaving, but the fault
-//! *budget* and per-site configuration still bound and shape the schedule,
-//! which is what the chaos tests rely on.
+//! schedule is exactly reproducible. Work that runs on many threads at once
+//! keeps it reproducible with per-job streams: a job that opens
+//! [`FaultInjector::stream`] (seeded from the injector's seed, an epoch
+//! ordinal and the job's name) draws every one of its checks from that
+//! stream, so what fires in it no longer depends on how the jobs
+//! interleave. Checks outside a stream draw from the injector's shared RNG.
+//! The fault budget and the counters stay shared.
 
 use crate::error::StorageError;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+thread_local! {
+    /// The stream this thread's checks draw from: the owning injector's
+    /// address and its xorshift state. Installed by [`FaultInjector::stream`].
+    static STREAM: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
+}
 
 /// Where in the engine a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,6 +113,8 @@ struct InjectorState {
 struct Shared {
     /// Fast-path gate: when false, `check` returns immediately.
     armed: AtomicBool,
+    /// The construction seed, which per-job streams derive from.
+    seed: u64,
     state: Mutex<InjectorState>,
 }
 
@@ -139,6 +152,7 @@ impl FaultInjector {
         FaultInjector {
             shared: Arc::new(Shared {
                 armed: AtomicBool::new(true),
+                seed,
                 state: Mutex::new(InjectorState {
                     // xorshift needs a nonzero state; fold the seed in.
                     rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
@@ -228,6 +242,47 @@ impl FaultInjector {
         next_unit(&mut self.lock().rng)
     }
 
+    /// Open a per-job fault stream on this thread: until the returned
+    /// guard drops, every check this thread makes against this injector
+    /// (or a clone) draws from a stream seeded by (injector seed, `epoch`,
+    /// `job`) instead of the shared RNG. A job's faults then depend only
+    /// on its own checks, never on what other threads drew in between.
+    /// Dropping the guard restores whatever stream it replaced.
+    pub fn stream(&self, epoch: u64, job: &str) -> FaultStream<'_> {
+        // FNV-1a over the job name, then a splitmix64 finalizer over
+        // (seed, epoch, name): nearby epochs and names get unrelated streams.
+        let name = job.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        let mut x = self.shared.seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ name;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let rng = (x ^ (x >> 31)) | 1; // xorshift needs a nonzero state
+        let prev = STREAM.with(|s| s.replace(Some((self.id(), rng))));
+        FaultStream {
+            prev,
+            _injector: PhantomData,
+        }
+    }
+
+    /// Identity of the shared state (clones share it).
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.shared) as usize
+    }
+
+    /// The next `[0, 1)` draw for a check: from this thread's stream when
+    /// one is open on this injector, else from the shared RNG.
+    fn draw(&self, st: &mut InjectorState) -> f64 {
+        STREAM.with(|s| match s.get() {
+            Some((owner, mut rng)) if owner == self.id() => {
+                let u = next_unit(&mut rng);
+                s.set(Some((owner, rng)));
+                u
+            }
+            _ => next_unit(&mut st.rng),
+        })
+    }
+
     /// Stop firing (checks become near-free). Reversible via [`FaultInjector::arm`].
     pub fn disarm(&self) {
         self.shared.armed.store(false, Ordering::Release);
@@ -290,14 +345,14 @@ impl FaultInjector {
                 if st.budget == Some(0) {
                     return Ok(());
                 }
-                if next_unit(&mut st.rng) >= cfg.probability {
+                if self.draw(&mut st) >= cfg.probability {
                     Decision::Pass
                 } else {
                     st.faults += 1;
                     if let Some(b) = st.budget.as_mut() {
                         *b -= 1;
                     }
-                    if next_unit(&mut st.rng) < cfg.panic_fraction {
+                    if self.draw(&mut st) < cfg.panic_fraction {
                         st.panics += 1;
                         Decision::Panic
                     } else {
@@ -329,6 +384,21 @@ impl FaultInjector {
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Guard for a per-job fault stream ([`FaultInjector::stream`]).
+#[must_use = "the stream closes when the guard drops"]
+pub struct FaultStream<'a> {
+    prev: Option<(usize, u64)>,
+    /// Borrows the injector; the raw pointer keeps the guard on the thread
+    /// whose stream it restores (`!Send`).
+    _injector: PhantomData<(&'a FaultInjector, *const ())>,
+}
+
+impl Drop for FaultStream<'_> {
+    fn drop(&mut self) {
+        STREAM.with(|s| s.set(self.prev));
     }
 }
 
@@ -434,6 +504,60 @@ mod tests {
         assert!(inj.check(FaultSite::WalAppend, "r").is_ok());
         assert!(inj.check(FaultSite::CheckpointWrite, "c").is_ok());
         assert!(inj.check(FaultSite::WalFsync, "s").is_err());
+    }
+
+    /// One job's checks: which of 40 propagate checks fail.
+    fn job(inj: &FaultInjector, epoch: u64, name: &str) -> Vec<bool> {
+        let _stream = inj.stream(epoch, name);
+        (0..40)
+            .map(|_| inj.check(FaultSite::Propagate, name).is_err())
+            .collect()
+    }
+
+    #[test]
+    fn streams_do_not_depend_on_interleaving() {
+        let armed = || FaultInjector::seeded(47).with_site(FaultSite::Propagate, 0.3, 0.0);
+        // One after the other on one thread...
+        let inj = armed();
+        let serial = (job(&inj, 3, "view1"), job(&inj, 3, "view3"));
+        // ...against both at once, interleaved with shared-RNG draws.
+        let inj = armed();
+        let on_thread = |name: &'static str| {
+            let inj = inj.clone();
+            std::thread::spawn(move || job(&inj, 3, name))
+        };
+        let (a, b) = (on_thread("view1"), on_thread("view3"));
+        for _ in 0..50 {
+            let _ = inj.check(FaultSite::Propagate, "other");
+        }
+        let parallel = (a.join().unwrap(), b.join().unwrap());
+        assert_eq!(serial, parallel);
+        assert!(serial.0.contains(&true) && serial.0.contains(&false));
+        assert_ne!(serial.0, serial.1, "jobs get their own streams");
+        assert_ne!(job(&inj, 3, "view1"), job(&inj, 4, "view1"), "epochs too");
+    }
+
+    #[test]
+    fn a_stream_closes_when_its_guard_drops() {
+        let shared_only = |inj: &FaultInjector| -> Vec<bool> {
+            (0..40)
+                .map(|_| inj.check(FaultSite::Propagate, "t").is_err())
+                .collect()
+        };
+        let armed = || FaultInjector::seeded(5).with_site(FaultSite::Propagate, 0.5, 0.0);
+        let want = shared_only(&armed());
+        let inj = armed();
+        let outer = inj.stream(1, "outer");
+        {
+            // A nested stream is restored from on drop: the outer one
+            // resumes where it stood.
+            let _inner = inj.stream(1, "inner");
+            let _ = inj.check(FaultSite::Propagate, "t");
+        }
+        let resumed = shared_only(&inj);
+        drop(outer);
+        assert_eq!(resumed, job(&armed(), 1, "outer"));
+        assert_eq!(shared_only(&inj), want, "streams never draw the shared RNG");
     }
 
     #[test]

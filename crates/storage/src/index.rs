@@ -3,18 +3,17 @@
 //! The paper's propagate phase (§6.2, §7) assumes the host DBMS answers
 //! `Δ ⋈ base` by index lookup on the join columns; [`Table::index_on`] is
 //! that index. The layout is three flat `u32` vectors — bucket heads plus a
-//! doubly linked per-row chain — rather than a `HashMap<Row, Vec<_>>`, so
-//! cloning an index for a copy-on-write table is three `memcpy`s, linking
-//! and unlinking a row are O(1), and no key is stored twice: candidates
-//! are verified against the rows themselves on probe.
+//! doubly linked per-row chain — rather than a map from key to positions,
+//! so cloning an index for a copy-on-write table is three `memcpy`s,
+//! linking and unlinking a row are O(1), and no key is stored twice:
+//! candidates are verified against the rows themselves on probe.
 //!
 //! [`Table`]: crate::table::Table
 //! [`Table::index_on`]: crate::table::Table::index_on
 
+use crate::hash::{RowMap, RowState};
 use crate::row::Row;
 use crate::value::Value;
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
@@ -38,9 +37,11 @@ fn pos32(pos: usize) -> u32 {
 #[derive(Debug, Clone)]
 pub(crate) struct HashIndex {
     cols: Vec<usize>,
-    /// Randomly keyed (keys come from outside the program); clones keep
-    /// the keys, so a cloned index hashes like its source.
-    hasher: RandomState,
+    /// Keyed per index with fresh random keys, like every row hash table
+    /// ([`RowState`]): key values come from outside the program. Clones
+    /// keep the keys, so a cloned index (a copy-on-write table's) hashes
+    /// — and probes — like its source.
+    hasher: RowState,
     /// Bucket → first row position on its chain. Length is a power of two.
     heads: Vec<u32>,
     /// Row position → next / previous position on the same chain.
@@ -53,7 +54,7 @@ impl HashIndex {
     pub(crate) fn build(cols: &[usize], rows: &[Row]) -> Self {
         let mut ix = HashIndex {
             cols: cols.to_vec(),
-            hasher: RandomState::new(),
+            hasher: RowState::default(),
             heads: Vec::new(),
             next: Vec::new(),
             prev: Vec::new(),
@@ -169,7 +170,7 @@ impl HashIndex {
 ///
 /// Keys match by [`Value`]'s own `Hash`/`Eq` — `NULL` equals `NULL`,
 /// `Int(1)` equals `Float(1.0)`, every NaN is one value — exactly as a
-/// `HashSet<Row>` of projections would. Callers wanting SQL join semantics
+/// set of projections would. Callers wanting SQL join semantics
 /// strip `NULL`-bearing keys before probing.
 ///
 /// [`Table::index_on`]: crate::table::Table::index_on
@@ -180,12 +181,12 @@ pub struct TableIndex<'a> {
 
 enum Kind<'a> {
     /// The probed columns are exactly the schema key: reuse the key index.
-    Key(&'a HashMap<Row, usize>),
+    Key(&'a RowMap<Row, usize>),
     Hash(Arc<HashIndex>),
 }
 
 impl<'a> TableIndex<'a> {
-    pub(crate) fn key(rows: &'a [Row], index: &'a HashMap<Row, usize>) -> Self {
+    pub(crate) fn key(rows: &'a [Row], index: &'a RowMap<Row, usize>) -> Self {
         TableIndex {
             rows,
             kind: Kind::Key(index),
@@ -258,5 +259,38 @@ impl<'s> Iterator for Matches<'s> {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::row;
+
+    fn probe(rows: &[Row], ix: HashIndex, key: &Row) -> Vec<Row> {
+        let index = TableIndex::hash(rows, Arc::new(ix));
+        let mut hits: Vec<Row> = index.get(key).cloned().collect();
+        hits.sort();
+        hits
+    }
+
+    #[test]
+    fn a_cloned_index_probes_like_its_source() {
+        let mut rows: Vec<Row> = (0..100i64).map(|i| row![i % 10, i]).collect();
+        let source = HashIndex::build(&[0], &rows);
+        let mut copy = source.clone();
+        for k in 0..12i64 {
+            let key = row![k];
+            let want = probe(&rows, source.clone(), &key);
+            assert_eq!(probe(&rows, copy.clone(), &key), want, "key {k}");
+            assert_eq!(want.len(), if k < 10 { 10 } else { 0 });
+        }
+        // The copy keeps the source's keys, so it keeps linking rows onto
+        // the chains its inherited buckets describe.
+        rows.push(row![3, 1000]);
+        copy.link(&rows);
+        let hits = probe(&rows, copy, &row![3]);
+        assert_eq!(hits.len(), 11);
+        assert!(hits.contains(&row![3, 1000]));
     }
 }

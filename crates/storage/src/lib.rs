@@ -19,6 +19,14 @@
 //! * [`Chunk`] — the lazily built, cached *columnar* image of a table's
 //!   rows (typed vectors, dictionary-encoded strings, `⊥` validity
 //!   bitmaps) that the vectorized kernels in `gpivot-exec` operate on.
+//! * [`RowState`] / [`RowMap`] / [`RowSet`] — the one hasher behind every
+//!   row-keyed hash table here and in the layers above (deltas, key and
+//!   secondary indexes, join / group / pivot lookups, MERGE groups): a
+//!   multiply-fold hash with fresh random keys per map, in place of std's
+//!   SipHash (see [`hash`]). Placement hashes that must agree across
+//!   components and processes ([`shard_of`], the exec partitioner, the
+//!   columnar kernels' [`Chunk::hash_rows`]) keep std's fixed-key
+//!   `DefaultHasher`.
 //! * [`Delta`] — a *signed multiset* of rows (`Row → i64` multiplicity),
 //!   the exact algebraic object needed for bag-semantics change propagation,
 //!   convertible to/from the paper-facing `(ΔV, ∇V)` insert/delete split.
@@ -43,6 +51,7 @@ mod codec;
 pub mod delta;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod index;
 pub mod row;
 pub mod schema;
@@ -55,7 +64,8 @@ pub use checkpoint::{CheckpointData, LoadedCheckpoint, ViewSnapshot};
 pub use chunk::{Chunk, Column, ColumnData};
 pub use delta::{shard_of, Delta, DeltaSplit};
 pub use error::{Result, StorageError};
-pub use fault::{FaultInjector, FaultSite};
+pub use fault::{FaultInjector, FaultSite, FaultStream};
+pub use hash::{RowMap, RowSet, RowState};
 pub use index::{Matches, TableIndex};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};

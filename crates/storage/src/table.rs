@@ -20,10 +20,10 @@
 use crate::chunk::Chunk;
 use crate::delta::Delta;
 use crate::error::{Result, StorageError};
+use crate::hash::{RowMap, RowSet, RowState};
 use crate::index::{HashIndex, TableIndex};
 use crate::row::Row;
 use crate::schema::SchemaRef;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -42,7 +42,7 @@ pub struct Table {
     schema: SchemaRef,
     rows: Arc<Vec<Row>>,
     /// key-projection → position in `rows`; present iff the schema has a key.
-    key_index: Option<HashMap<Row, usize>>,
+    key_index: Option<RowMap<Row, usize>>,
     /// Lazily built columnar image of `rows`, shared across clones (and
     /// across [`Table::as_bag`] views). Every mutator swaps in a fresh
     /// cell, so a cached chunk always describes the current rows.
@@ -81,7 +81,7 @@ fn empty_index_cell() -> Arc<IndexCell> {
 impl Table {
     /// Create an empty table. A key index is built iff the schema has a key.
     pub fn new(schema: SchemaRef) -> Self {
-        let key_index = schema.key().map(|_| HashMap::new());
+        let key_index = schema.key().map(|_| RowMap::default());
         Table {
             schema,
             rows: Arc::new(Vec::new()),
@@ -148,7 +148,8 @@ impl Table {
         let key_index = match schema.key() {
             None => None,
             Some(key_cols) => {
-                let mut idx = HashMap::with_capacity(self.rows.len());
+                let mut idx =
+                    RowMap::with_capacity_and_hasher(self.rows.len(), RowState::default());
                 for (pos, row) in self.rows.iter().enumerate() {
                     let key = row.project(key_cols);
                     if idx.contains_key(&key) {
@@ -411,7 +412,7 @@ impl Table {
     /// inserted key must be absent — or removed by a *fully matching*
     /// delete in the same delta — and inserted only once.
     pub fn check_delta(&self, delta: &Delta) -> Result<()> {
-        let mut inserted = HashSet::new();
+        let mut inserted: RowSet<Row> = RowSet::default();
         for (row, &w) in delta.iter() {
             if w <= 0 {
                 continue;
