@@ -737,8 +737,8 @@ impl ViewManager {
     }
 
     /// Replace the executor every materialization, propagation, and
-    /// verification in this manager runs on (thread count, kernel family
-    /// — see [`gpivot_exec::Executor`]).
+    /// verification in this manager runs on (its thread count — see
+    /// [`gpivot_exec::Executor`]).
     pub fn with_exec(mut self, exec: Executor) -> Self {
         self.exec = exec;
         self

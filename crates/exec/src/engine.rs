@@ -15,10 +15,6 @@
 //! outputs merge in partition-index order. Threads only change which
 //! worker runs which partition — see DESIGN.md §"Parallel execution".
 
-use crate::columnar::{
-    gpivot_columnar, gpivot_columnar_partitioned, hash_group_by_columnar,
-    hash_group_by_columnar_partitioned, hash_join_columnar, hash_join_columnar_partitioned,
-};
 use crate::error::Result;
 use crate::group::{hash_group_by, hash_group_by_partitioned};
 use crate::join::{hash_join, hash_join_partitioned};
@@ -93,29 +89,26 @@ fn partitioned(input_rows: usize) -> bool {
 }
 
 /// Batch plan executor: the [`WorkerPool`] the partitioned kernels submit
-/// jobs to, the kernel family, and the recursive dispatcher. All data
-/// comes from the provider; the executor holds only its settings and its
-/// pool, so it is cheap to clone and share — clones share the pool's
-/// workers. The pool installs the calling thread's tracing collector on
-/// its worker for each task, so per-partition spans land in the caller's
-/// store.
+/// jobs to, and the recursive dispatcher. All data comes from the
+/// provider; the executor holds only its pool, so it is cheap to clone and
+/// share — clones share the pool's workers. The pool installs the calling
+/// thread's tracing collector on its worker for each task, so
+/// per-partition spans land in the caller's store.
 #[derive(Debug, Clone)]
 pub struct Executor {
     pool: WorkerPool,
-    columnar: bool,
 }
 
 impl Default for Executor {
     fn default() -> Self {
         Executor {
             pool: WorkerPool::new(1),
-            columnar: true,
         }
     }
 }
 
 impl Executor {
-    /// A single-threaded executor on the columnar kernels.
+    /// A single-threaded executor.
     pub fn new() -> Self {
         Executor::default()
     }
@@ -126,12 +119,10 @@ impl Executor {
         self
     }
 
-    /// Choose between the vectorized [`crate::columnar`] kernels over each
-    /// table's cached columnar [`gpivot_storage::Chunk`] (`true`, default)
-    /// and the row-at-a-time reference kernels (`false`) for
-    /// Join/GroupBy/GPivot. Output is bit-identical either way.
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
+    /// A no-op kept for the frozen benchmark harness: there is one kernel
+    /// family, the row kernels.
+    #[doc(hidden)]
+    pub fn with_columnar(self, _: bool) -> Self {
         self
     }
 
@@ -180,9 +171,7 @@ impl Executor {
                 let _s = tracing::span("op.Scan").enter();
                 let t = provider.get_table(table)?;
                 // Share the base table's row storage instead of copying
-                // O(|base|) rows per execution (copy-on-write `Arc`) —
-                // and its cached columnar chunk, so repeated executions
-                // over an unchanged base table vectorize it only once.
+                // O(|base|) rows per execution (copy-on-write `Arc`).
                 Ok(t.as_bag())
             }
 
@@ -273,8 +262,8 @@ impl Executor {
                     .map(|(_, rc)| r.schema().index_of(rc))
                     .collect::<gpivot_storage::Result<_>>()?;
                 let bound_res = residual.as_ref().map(|e| e.bind(&out_schema)).transpose()?;
-                match (partitioned(l.len() + r.len()), self.columnar) {
-                    (true, true) => hash_join_columnar_partitioned(
+                if partitioned(l.len() + r.len()) {
+                    hash_join_partitioned(
                         &l,
                         &r,
                         *kind,
@@ -284,8 +273,10 @@ impl Executor {
                         out_schema,
                         &self.pool,
                         PARTITIONS,
-                    ),
-                    (true, false) => hash_join_partitioned(
+                    )
+                } else {
+                    let _s = tracing::span("op.Join").enter();
+                    hash_join(
                         &l,
                         &r,
                         *kind,
@@ -293,33 +284,7 @@ impl Executor {
                         &right_on,
                         bound_res.as_ref(),
                         out_schema,
-                        &self.pool,
-                        PARTITIONS,
-                    ),
-                    (false, true) => {
-                        let _s = tracing::span("op.Join").enter();
-                        hash_join_columnar(
-                            &l,
-                            &r,
-                            *kind,
-                            &left_on,
-                            &right_on,
-                            bound_res.as_ref(),
-                            out_schema,
-                        )
-                    }
-                    (false, false) => {
-                        let _s = tracing::span("op.Join").enter();
-                        hash_join(
-                            &l,
-                            &r,
-                            *kind,
-                            &left_on,
-                            &right_on,
-                            bound_res.as_ref(),
-                            out_schema,
-                        )
-                    }
+                    )
                 }
             }
 
@@ -344,8 +309,8 @@ impl Executor {
                         }
                     })
                     .collect::<gpivot_storage::Result<_>>()?;
-                match (partitioned(child.len()), self.columnar) {
-                    (true, true) => hash_group_by_columnar_partitioned(
+                if partitioned(child.len()) {
+                    hash_group_by_partitioned(
                         &child,
                         &group_idx,
                         aggs,
@@ -353,24 +318,10 @@ impl Executor {
                         out_schema,
                         &self.pool,
                         PARTITIONS,
-                    ),
-                    (true, false) => hash_group_by_partitioned(
-                        &child,
-                        &group_idx,
-                        aggs,
-                        &agg_inputs,
-                        out_schema,
-                        &self.pool,
-                        PARTITIONS,
-                    ),
-                    (false, true) => {
-                        let _s = tracing::span("op.GroupBy").enter();
-                        hash_group_by_columnar(&child, &group_idx, aggs, &agg_inputs, out_schema)
-                    }
-                    (false, false) => {
-                        let _s = tracing::span("op.GroupBy").enter();
-                        hash_group_by(&child, &group_idx, aggs, &agg_inputs, out_schema)
-                    }
+                    )
+                } else {
+                    let _s = tracing::span("op.GroupBy").enter();
+                    hash_group_by(&child, &group_idx, aggs, &agg_inputs, out_schema)
                 }
             }
 
@@ -407,21 +358,11 @@ impl Executor {
             Plan::GPivot { input, spec } => {
                 let child = self.eval(input, provider, depth + 1, trace)?;
                 let out_schema = plan.schema(&schemas)?;
-                match (partitioned(child.len()), self.columnar) {
-                    (true, true) => gpivot_columnar_partitioned(
-                        &child, spec, out_schema, &self.pool, PARTITIONS,
-                    ),
-                    (true, false) => {
-                        gpivot_partitioned(&child, spec, out_schema, &self.pool, PARTITIONS)
-                    }
-                    (false, true) => {
-                        let _s = tracing::span("op.GPivot").enter();
-                        gpivot_columnar(&child, spec, out_schema)
-                    }
-                    (false, false) => {
-                        let _s = tracing::span("op.GPivot").enter();
-                        gpivot(&child, spec, out_schema)
-                    }
+                if partitioned(child.len()) {
+                    gpivot_partitioned(&child, spec, out_schema, &self.pool, PARTITIONS)
+                } else {
+                    let _s = tracing::span("op.GPivot").enter();
+                    gpivot(&child, spec, out_schema)
                 }
             }
 
@@ -600,67 +541,6 @@ mod tests {
         // Two executions share the same storage too.
         let again = Executor::new().run(&plan, &c).unwrap();
         assert!(Arc::ptr_eq(&out.shared_rows(), &again.shared_rows()));
-        // And the same cached columnar chunk: vectorizing the base table
-        // in one execution pays for every later one.
-        assert!(Arc::ptr_eq(&out.chunk(), &base.chunk()));
-    }
-
-    /// The columnar kernels produce bit-identical rows in bit-identical
-    /// order to the row kernels, end to end through the engine, at both
-    /// sequential and partitioned sizes.
-    #[test]
-    fn columnar_and_row_kernels_are_bit_identical_end_to_end() {
-        let c = catalog();
-        let plan = Plan::scan("payment")
-            .gpivot(PivotSpec::simple(
-                "Payment",
-                "Price",
-                vec![Value::str("Credit"), Value::str("ByAir")],
-            ))
-            .join(Plan::scan("product"), vec![("ID", "PID")])
-            .group_by(&["Manu"], vec![AggSpec::sum("Credit**Price", "total")]);
-        // Small input: sequential kernels.
-        let rowk = Executor::new().with_columnar(false).run(&plan, &c).unwrap();
-        let colk = Executor::new().with_columnar(true).run(&plan, &c).unwrap();
-        assert_eq!(colk.rows(), rowk.rows());
-        // Wide input: partitioned kernels, across thread counts.
-        let mut c = Catalog::new();
-        let schema = Arc::new(
-            Schema::from_pairs_keyed(
-                &[
-                    ("ID", DataType::Int),
-                    ("Payment", DataType::Str),
-                    ("Price", DataType::Int),
-                ],
-                &["ID", "Payment"],
-            )
-            .unwrap(),
-        );
-        let rows: Vec<Row> = (0..3000)
-            .map(|i| {
-                row![
-                    i / 2,
-                    if i % 2 == 0 { "Credit" } else { "ByAir" },
-                    (i * 37) % 500
-                ]
-            })
-            .collect();
-        c.register("payment", Table::from_rows(schema, rows).unwrap())
-            .unwrap();
-        let plan = Plan::scan("payment").gpivot(PivotSpec::simple(
-            "Payment",
-            "Price",
-            vec![Value::str("Credit"), Value::str("ByAir")],
-        ));
-        let rowk = Executor::new().with_columnar(false).run(&plan, &c).unwrap();
-        for threads in [1, 4] {
-            let colk = Executor::new()
-                .with_columnar(true)
-                .with_threads(threads)
-                .run(&plan, &c)
-                .unwrap();
-            assert_eq!(colk.rows(), rowk.rows(), "threads={threads}");
-        }
     }
 
     /// Wide inputs (≥ `PARALLEL_THRESHOLD`) produce bit-identical rows in

@@ -12,11 +12,9 @@ use crate::pool::{partition_by_hash, WorkerPool};
 use gpivot_algebra::{AggFunc, AggSpec};
 use gpivot_storage::{Row, RowMap, Schema, Table, Value};
 
-/// Running state for one aggregate. Shared with the columnar kernels'
-/// generic fallback path so both engines use one source of truth for
-/// aggregate semantics.
+/// Running state for one aggregate.
 #[derive(Debug, Clone)]
-pub(crate) enum AggState {
+enum AggState {
     Sum {
         acc: Value,
     },
@@ -43,7 +41,7 @@ pub(crate) enum AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(func: AggFunc) -> AggState {
+    fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::Sum => AggState::Sum { acc: Value::Null },
             AggFunc::Count => AggState::Count { n: 0 },
@@ -57,7 +55,7 @@ impl AggState {
         }
     }
 
-    pub(crate) fn update(&mut self, input: &Value) -> Result<()> {
+    fn update(&mut self, input: &Value) -> Result<()> {
         match self {
             AggState::Sum { acc } => {
                 if !input.is_null() {
@@ -112,7 +110,7 @@ impl AggState {
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Value {
+    fn finish(self) -> Value {
         match self {
             AggState::Sum { acc } => acc,
             AggState::Count { n } => Value::Int(n),
@@ -229,6 +227,30 @@ mod tests {
                 row!["a", 2],
                 Row::new(vec![Value::str("a"), Value::Null]),
                 row!["b", 5],
+            ],
+        )
+    }
+
+    /// Float measures with `-0.0`, `0.0` and NaN (`f`), and a column
+    /// mixing Int and Float values (`m`).
+    fn float_input() -> Table {
+        let schema = Arc::new(
+            Schema::from_pairs(&[
+                ("g", DataType::Str),
+                ("f", DataType::Float),
+                ("m", DataType::Any),
+            ])
+            .unwrap(),
+        );
+        Table::bag(
+            schema,
+            vec![
+                row!["a", 1.5, 1],
+                row!["a", -0.0, 2.5],
+                Row::new(vec![Value::str("a"), Value::Float(0.0), Value::Null]),
+                row!["b", f64::NAN, 7],
+                row!["a", 2.25, 4],
+                row!["b", 0.5, 1.5],
             ],
         )
     }
@@ -366,6 +388,48 @@ mod tests {
         .unwrap();
         let rows = t.sorted_rows();
         assert_eq!(rows, vec![row!["a", 1, 2], row!["b", 5, 5]]);
+    }
+
+    /// SUM, MIN and MAX over [`float_input`]: `-0.0`, NaN and a column
+    /// mixing Int and Float values, checked against concrete rows in
+    /// first-seen group order.
+    #[test]
+    fn float_edge_values_and_mixed_numerics_aggregate_exactly() {
+        // NaN poisons a float SUM; an Int + Float SUM is a Float.
+        let t = hash_group_by(
+            &float_input(),
+            &[0],
+            &[AggSpec::sum("f", "sf"), AggSpec::sum("m", "sm")],
+            &[1, 2],
+            out_schema(&[("sf", DataType::Float), ("sm", DataType::Any)]),
+        )
+        .unwrap();
+        assert_eq!(t.rows(), &[row!["a", 3.75, 7.5], row!["b", f64::NAN, 8.5]]);
+        // NaN sorts above every number; MIN over Int and Float values
+        // keeps the Int it saw.
+        let t = hash_group_by(
+            &float_input(),
+            &[0],
+            &[
+                AggSpec::min("f", "lo"),
+                AggSpec::max("f", "hi"),
+                AggSpec::min("m", "lm"),
+            ],
+            &[1, 1, 2],
+            out_schema(&[
+                ("lo", DataType::Float),
+                ("hi", DataType::Float),
+                ("lm", DataType::Any),
+            ]),
+        )
+        .unwrap();
+        assert_eq!(
+            t.rows(),
+            &[row!["a", -0.0, 2.25, 1], row!["b", 0.5, f64::NAN, 1.5]]
+        );
+        // `-0.0` and `0.0` are one value; MIN keeps the first one seen.
+        let lo = t.rows()[0][1].as_f64().unwrap();
+        assert_eq!(lo.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

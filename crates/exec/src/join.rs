@@ -184,6 +184,81 @@ mod tests {
         )
     }
 
+    const BIG: i64 = (1 << 53) + 1;
+    const BIG_F: f64 = (1i64 << 53) as f64;
+
+    /// Keys of mixed type, with NULL and duplicate keys: the join
+    /// equality traps. `Int(2⁵³ + 1)` must not match `Float(2⁵³)` (an
+    /// `as f64` comparison would round them equal), while `Int(1)` and
+    /// `Float(1.0)` are one key.
+    fn mixed_key_fixture() -> (Table, Table, Arc<Schema>) {
+        let l = t(
+            &[("a", DataType::Any), ("x", DataType::Str)],
+            vec![
+                row![1, "l1"],
+                row![2, "l2"],
+                Row::new(vec![Value::Null, Value::str("lnull")]),
+                row![BIG, "lbig"],
+                row![1, "l1b"],
+            ],
+        );
+        let r = t(
+            &[("b", DataType::Any), ("y", DataType::Str)],
+            vec![
+                row![1.0, "r1"],
+                row![BIG_F, "rbig_f"],
+                Row::new(vec![Value::Null, Value::str("rnull")]),
+                row![1, "r1b"],
+                row![4, "r4"],
+            ],
+        );
+        let os = Arc::new(
+            Schema::from_pairs(&[
+                ("a", DataType::Any),
+                ("x", DataType::Str),
+                ("b", DataType::Any),
+                ("y", DataType::Str),
+            ])
+            .unwrap(),
+        );
+        (l, r, os)
+    }
+
+    /// A left row padded with ⊥ on the right.
+    fn unmatched_left(a: Value, x: &str) -> Row {
+        Row::new(vec![a, Value::str(x), Value::Null, Value::Null])
+    }
+
+    /// A right row padded with ⊥ on the left.
+    fn unmatched_right(b: Value, y: &str) -> Row {
+        Row::new(vec![Value::Null, Value::Null, b, Value::str(y)])
+    }
+
+    /// The inner matches of [`mixed_key_fixture`], in probe order.
+    fn mixed_key_matches() -> [Row; 4] {
+        [
+            row![1, "l1", 1.0, "r1"],
+            row![1, "l1", 1, "r1b"],
+            row![1, "l1b", 1.0, "r1"],
+            row![1, "l1b", 1, "r1b"],
+        ]
+    }
+
+    /// The left-outer join of [`mixed_key_fixture`]: unmatched left rows
+    /// are padded in place.
+    fn mixed_key_left_outer() -> Vec<Row> {
+        let [m0, m1, m2, m3] = mixed_key_matches();
+        vec![
+            m0,
+            m1,
+            unmatched_left(Value::Int(2), "l2"),
+            unmatched_left(Value::Null, "lnull"),
+            unmatched_left(Value::Int(BIG), "lbig"),
+            m2,
+            m3,
+        ]
+    }
+
     #[test]
     fn inner_join_matches_all_pairs() {
         let out = hash_join(
@@ -342,5 +417,59 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 9);
+    }
+
+    /// Inner, left-outer and full-outer joins over [`mixed_key_fixture`],
+    /// checked against concrete rows in probe order.
+    #[test]
+    fn mixed_null_and_duplicate_keys_join_exactly() {
+        let (l, r, os) = mixed_key_fixture();
+        let out = hash_join(&l, &r, JoinKind::Inner, &[0], &[0], None, os.clone()).unwrap();
+        assert_eq!(out.rows(), &mixed_key_matches());
+        let out = hash_join(&l, &r, JoinKind::LeftOuter, &[0], &[0], None, os.clone()).unwrap();
+        assert_eq!(out.rows(), &mixed_key_left_outer()[..]);
+        let out = hash_join(&l, &r, JoinKind::FullOuter, &[0], &[0], None, os).unwrap();
+        let mut expect = mixed_key_left_outer();
+        expect.extend([
+            unmatched_right(Value::Float(BIG_F), "rbig_f"),
+            unmatched_right(Value::Null, "rnull"),
+            unmatched_right(Value::Int(4), "r4"),
+        ]);
+        assert_eq!(out.rows(), &expect[..]);
+    }
+
+    /// A residual predicate and an empty ON list over
+    /// [`mixed_key_fixture`].
+    #[test]
+    fn mixed_key_residual_and_cross_join_exactly() {
+        let (l, r, os) = mixed_key_fixture();
+        let residual = Expr::col("y").eq(Expr::lit("r1b")).bind(&os).unwrap();
+        let out = hash_join(
+            &l,
+            &r,
+            JoinKind::LeftOuter,
+            &[0],
+            &[0],
+            Some(&residual),
+            os.clone(),
+        )
+        .unwrap();
+        assert_eq!(
+            out.rows(),
+            &[
+                row![1, "l1", 1, "r1b"],
+                unmatched_left(Value::Int(2), "l2"),
+                unmatched_left(Value::Null, "lnull"),
+                unmatched_left(Value::Int(BIG), "lbig"),
+                row![1, "l1b", 1, "r1b"],
+            ]
+        );
+        // NULL keys take part too: every pair, in left-major order.
+        let out = hash_join(&l, &r, JoinKind::Inner, &[], &[], None, os).unwrap();
+        let expect: Vec<Row> = l
+            .iter()
+            .flat_map(|lr| r.iter().map(move |rr| lr.concat(rr)))
+            .collect();
+        assert_eq!(out.rows(), &expect[..]);
     }
 }

@@ -23,21 +23,15 @@
 //! morsel-parallel (Select/Project) kernels on a [`WorkerPool`] of
 //! long-lived threads; results are bit-identical across thread counts
 //! because the partitioning is data-dependent only and partition outputs
-//! merge in partition-index order ([`pool`], [`engine`]).
-//!
-//! Join, GroupBy, and GPIVOT each exist in two interchangeable forms: the
-//! row-at-a-time reference kernels above and vectorized kernels
-//! ([`columnar`]) that run over a table's cached [`gpivot_storage::Chunk`]
-//! (typed column vectors, dictionary codes, validity bitmaps). The
-//! columnar kernels are bit-identical to the row kernels by construction
-//! and are selected by default ([`Executor::with_columnar`]).
+//! merge in partition-index order ([`pool`], [`engine`]). Each of Join,
+//! GroupBy and GPIVOT has one row kernel in a sequential and a partitioned
+//! form, and the engine picks between them by input size alone.
 
 // Executor errors surface as `ExecError` to the maintenance layer; a
 // panic here would take down a refresh epoch. `unwrap`/`expect` are
 // denied outside unit tests (the same discipline as gpivot-serve).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod columnar;
 pub mod engine;
 pub mod error;
 pub mod group;

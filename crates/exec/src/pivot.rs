@@ -321,6 +321,46 @@ mod tests {
         ));
     }
 
+    /// A pivot over an integer dimension column, like TPC-H's
+    /// `l_linenumber`: the `Float(2.0)` tag collects the `Int(2)` rows,
+    /// and the unlisted line 3 adds no cell.
+    #[test]
+    fn pivot_over_an_integer_dimension_column() {
+        let t = Table::bag(
+            Arc::new(
+                Schema::from_pairs(&[
+                    ("k", DataType::Int),
+                    ("line", DataType::Int),
+                    ("price", DataType::Float),
+                ])
+                .unwrap(),
+            ),
+            vec![
+                row![10, 1, 5.0],
+                row![10, 2, 6.0],
+                row![11, 1, 7.0],
+                row![11, 3, 8.0],
+            ],
+        );
+        let spec = PivotSpec::simple("line", "price", vec![Value::Int(1), Value::Float(2.0)]);
+        let os = Arc::new(
+            Schema::from_pairs(&[
+                ("k", DataType::Int),
+                ("1**price", DataType::Float),
+                ("2**price", DataType::Float),
+            ])
+            .unwrap(),
+        );
+        let out = gpivot(&t, &spec, os).unwrap();
+        assert_eq!(
+            out.rows(),
+            &[
+                row![10, 5.0, 6.0],
+                Row::new(vec![Value::Int(11), Value::Float(7.0), Value::Null]),
+            ]
+        );
+    }
+
     #[test]
     fn multicolumn_pivot_scatter() {
         // GPIVOT with two measures: Figure 5 shape.

@@ -76,11 +76,6 @@ pub struct ServeConfig {
     /// (inter-view parallelism): an epoch uses up to
     /// `workers × exec_threads` threads. Defaults to `1`.
     pub(crate) exec_threads: usize,
-    /// Run plan executions on the vectorized columnar kernels (`true`,
-    /// the default) or the row-at-a-time reference kernels (`false`).
-    /// Results are bit-identical either way; this is a performance and
-    /// triage knob.
-    pub(crate) exec_columnar: bool,
     /// When the WAL fsyncs, for services opened durably with
     /// [`ViewService::open`]. Ignored by [`ViewService::new`] (no log).
     /// The default, [`FsyncPolicy::OnCommit`], makes every acknowledged
@@ -107,7 +102,6 @@ impl Default for ServeConfig {
             max_retries: 2,
             quarantine_after: 3,
             exec_threads: 1,
-            exec_columnar: true,
             wal_fsync: FsyncPolicy::default(),
             checkpoint_every_epochs: 0,
             sharding: ShardConfig::default(),
@@ -151,16 +145,16 @@ impl ServeConfig {
         self.exec_threads
     }
 
-    /// Whether plan executions use the vectorized columnar kernels.
+    /// Always `false`: kept for the frozen benchmark harness, which
+    /// reports it. Plan executions run on the one family of row kernels.
+    #[doc(hidden)]
     pub fn exec_columnar(&self) -> bool {
-        self.exec_columnar
+        false
     }
 
     /// The plan executor a service with this config runs on.
     pub(crate) fn executor(&self) -> Executor {
-        Executor::new()
-            .with_threads(self.exec_threads)
-            .with_columnar(self.exec_columnar)
+        Executor::new().with_threads(self.exec_threads)
     }
 
     /// WAL fsync policy for durable services.
@@ -261,13 +255,6 @@ impl ServeConfigBuilder {
         } else {
             self.cfg.exec_threads = threads;
         }
-        self
-    }
-
-    /// Vectorized columnar kernels (`true`, default) or the row
-    /// reference kernels (`false`).
-    pub fn exec_columnar(mut self, columnar: bool) -> Self {
-        self.cfg.exec_columnar = columnar;
         self
     }
 

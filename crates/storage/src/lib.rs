@@ -16,17 +16,13 @@
 //! * [`Table`] — a bag of rows with an optional enforced key and a hash
 //!   index over it, plus the `MERGE`-style keyed-update primitives ([`Table::upsert`], [`Table::update_by_key`], [`Table::delete_by_key`])
 //!   the apply phase of view maintenance uses.
-//! * [`Chunk`] — the lazily built, cached *columnar* image of a table's
-//!   rows (typed vectors, dictionary-encoded strings, `⊥` validity
-//!   bitmaps) that the vectorized kernels in `gpivot-exec` operate on.
 //! * [`RowState`] / [`RowMap`] / [`RowSet`] — the one hasher behind every
 //!   row-keyed hash table here and in the layers above (deltas, key and
 //!   secondary indexes, join / group / pivot lookups, MERGE groups): a
 //!   multiply-fold hash with fresh random keys per map, in place of std's
 //!   SipHash (see [`hash`]). Placement hashes that must agree across
-//!   components and processes ([`shard_of`], the exec partitioner, the
-//!   columnar kernels' [`Chunk::hash_rows`]) keep std's fixed-key
-//!   `DefaultHasher`.
+//!   components and processes ([`shard_of`], the exec partitioner) keep
+//!   std's fixed-key `DefaultHasher`.
 //! * [`Delta`] — a *signed multiset* of rows (`Row → i64` multiplicity),
 //!   the exact algebraic object needed for bag-semantics change propagation,
 //!   convertible to/from the paper-facing `(ΔV, ∇V)` insert/delete split.
@@ -46,6 +42,7 @@
 
 pub mod catalog;
 pub mod checkpoint;
+#[doc(hidden)]
 pub mod chunk;
 mod codec;
 pub mod delta;
@@ -61,7 +58,8 @@ pub mod wal;
 
 pub use catalog::Catalog;
 pub use checkpoint::{CheckpointData, LoadedCheckpoint, ViewSnapshot};
-pub use chunk::{Chunk, Column, ColumnData};
+#[doc(hidden)]
+pub use chunk::Chunk;
 pub use delta::{shard_of, Delta, DeltaSplit};
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultSite, FaultStream};

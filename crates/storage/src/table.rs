@@ -17,7 +17,6 @@
 //! propagate phase assumes of its host DBMS (§6.2). Those indexes are
 //! built on first probe and then maintained by the mutators.
 
-use crate::chunk::Chunk;
 use crate::delta::Delta;
 use crate::error::{Result, StorageError};
 use crate::hash::{RowMap, RowSet, RowState};
@@ -25,7 +24,7 @@ use crate::index::{HashIndex, TableIndex};
 use crate::row::Row;
 use crate::schema::SchemaRef;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A bag of rows conforming to a schema, optionally indexed by the schema key.
 ///
@@ -43,17 +42,13 @@ pub struct Table {
     rows: Arc<Vec<Row>>,
     /// key-projection → position in `rows`; present iff the schema has a key.
     key_index: Option<RowMap<Row, usize>>,
-    /// Lazily built columnar image of `rows`, shared across clones (and
-    /// across [`Table::as_bag`] views). Every mutator swaps in a fresh
-    /// cell, so a cached chunk always describes the current rows.
-    chunk: Arc<OnceLock<Arc<Chunk>>>,
     /// Secondary hash indexes, one per probed column set
     /// ([`Table::index_on`]). Built on first probe into a cell shared with
-    /// clones and [`Table::as_bag`] views, like `chunk`; unlike `chunk`
-    /// they survive mutation: a mutator first takes a private copy of the
-    /// cell if it is shared (so readers of the old rows keep indexes that
-    /// describe the old rows), then updates every index in step with the
-    /// rows. Never persisted — after recovery the first probe rebuilds.
+    /// clones and [`Table::as_bag`] views. They survive mutation: a
+    /// mutator first takes a private copy of the cell if it is shared (so
+    /// readers of the old rows keep indexes that describe the old rows),
+    /// then updates every index in step with the rows. Never persisted —
+    /// after recovery the first probe rebuilds.
     indexes: Arc<IndexCell>,
 }
 
@@ -66,11 +61,6 @@ fn key_violation(key: &Row) -> StorageError {
         table: "<table>".to_string(),
         key: format!("{key:?}"),
     }
-}
-
-/// A fresh, empty chunk-cache cell.
-fn empty_chunk_cell() -> Arc<OnceLock<Arc<Chunk>>> {
-    Arc::new(OnceLock::new())
 }
 
 /// A fresh cell holding no secondary index.
@@ -86,7 +76,6 @@ impl Table {
             schema,
             rows: Arc::new(Vec::new()),
             key_index,
-            chunk: empty_chunk_cell(),
             indexes: empty_index_cell(),
         }
     }
@@ -106,7 +95,6 @@ impl Table {
             schema,
             rows: Arc::new(rows),
             key_index: None,
-            chunk: empty_chunk_cell(),
             indexes: empty_index_cell(),
         }
     }
@@ -119,7 +107,6 @@ impl Table {
             schema,
             rows,
             key_index: None,
-            chunk: empty_chunk_cell(),
             indexes: empty_index_cell(),
         }
     }
@@ -164,9 +151,8 @@ impl Table {
             schema,
             rows: self.rows,
             key_index,
-            // Rows are unchanged, so a chunk and any secondary index
-            // already built for them stay valid.
-            chunk: self.chunk,
+            // Rows are unchanged, so any secondary index already built
+            // for them stays valid.
             indexes: self.indexes,
         })
     }
@@ -196,27 +182,14 @@ impl Table {
         self.rows.iter()
     }
 
-    /// The columnar image of this table's rows, built on first use and
-    /// cached until the next mutation. Clones (and [`Table::as_bag`]
-    /// views) share both the rows and the cache, so a base table scanned
-    /// by many plan executions converts to columns exactly once.
-    pub fn chunk(&self) -> Arc<Chunk> {
-        Arc::clone(
-            self.chunk
-                .get_or_init(|| Arc::new(Chunk::from_rows(&self.rows, self.schema.arity()))),
-        )
-    }
-
     /// An un-keyed view of this table sharing the row storage *and* the
-    /// chunk and secondary-index caches. This is what `Plan::Scan` hands
-    /// to the executor: the key index is dropped (execution never uses it)
-    /// but a columnar image built by any earlier scan is reused.
+    /// secondary-index cache. This is what `Plan::Scan` hands to the
+    /// executor: the key index is dropped (execution never uses it).
     pub fn as_bag(&self) -> Table {
         Table {
             schema: self.schema.clone(),
             rows: Arc::clone(&self.rows),
             key_index: None,
-            chunk: Arc::clone(&self.chunk),
             indexes: Arc::clone(&self.indexes),
         }
     }
@@ -252,13 +225,6 @@ impl Table {
         TableIndex::hash(&self.rows, index)
     }
 
-    /// Invalidate the cached columnar image. Called by every mutator; the
-    /// cell is *replaced* (not cleared) so outstanding clones that still
-    /// see the old rows keep their still-valid cached chunk.
-    fn touch(&mut self) {
-        self.chunk = empty_chunk_cell();
-    }
-
     /// Run `f` on every secondary index, for a mutator to mirror its row
     /// change. Takes a private copy of a shared cell (and, through
     /// [`Arc::make_mut`], of each shared index) first, so clones that
@@ -289,7 +255,6 @@ impl Table {
     /// `swap_remove` the row at `pos`, keeping the secondary indexes (but
     /// not the key index) in step.
     fn remove_at(&mut self, pos: usize) -> Row {
-        self.touch();
         let removed = Arc::make_mut(&mut self.rows).swap_remove(pos);
         self.update_indexes(|ix, rows| {
             ix.unlink(&removed, pos);
@@ -317,7 +282,6 @@ impl Table {
             }
             idx.insert(key, self.rows.len());
         }
-        self.touch();
         Arc::make_mut(&mut self.rows).push(row);
         self.update_indexes(|ix, rows| ix.link(rows));
         Ok(())
@@ -362,7 +326,6 @@ impl Table {
         );
         let idx = self.key_index.as_ref()?;
         let pos = *idx.get(key)?;
-        self.touch();
         let old = std::mem::replace(&mut Arc::make_mut(&mut self.rows)[pos], new_row);
         self.update_indexes(|ix, rows| {
             ix.unlink(&old, pos);
@@ -683,47 +646,6 @@ mod tests {
             narrow.into_keyed(keyed_schema()),
             Err(StorageError::ArityMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn chunk_cache_is_shared_and_invalidated_on_mutation() {
-        let mut t = Table::new(keyed_schema());
-        t.insert(row![1, "a"]).unwrap();
-        let c1 = t.chunk();
-        assert!(Arc::ptr_eq(&c1, &t.chunk()), "second call is a cache hit");
-        let view = t.as_bag();
-        assert!(Arc::ptr_eq(&c1, &view.chunk()), "as_bag shares the cache");
-
-        t.insert(row![2, "b"]).unwrap();
-        let c2 = t.chunk();
-        assert!(!Arc::ptr_eq(&c1, &c2), "mutation invalidates the cache");
-        assert_eq!(c2.to_rows(), t.rows());
-        // The pre-mutation view still sees its own rows and its own chunk.
-        assert_eq!(view.len(), 1);
-        assert_eq!(view.chunk().to_rows(), view.rows());
-
-        t.update_by_key(&row![1], row![1, "z"]).unwrap();
-        assert_eq!(t.chunk().to_rows(), t.rows());
-        t.delete_by_key(&row![2]).unwrap();
-        assert_eq!(t.chunk().to_rows(), t.rows());
-        assert!(t.delete_row(&row![1, "z"]));
-        assert!(t.chunk().is_empty());
-    }
-
-    #[test]
-    fn into_keyed_preserves_chunk_cache() {
-        let bag = Table::bag(
-            Arc::new(
-                Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Str)]).unwrap(),
-            ),
-            vec![row![1, "a"], row![2, "b"]],
-        );
-        let chunk = bag.chunk();
-        let keyed = bag.into_keyed(keyed_schema()).unwrap();
-        assert!(
-            Arc::ptr_eq(&chunk, &keyed.chunk()),
-            "rows unchanged, cache kept"
-        );
     }
 
     #[test]

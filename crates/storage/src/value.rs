@@ -156,7 +156,7 @@ impl Value {
 /// breaks integer-part ties. NaN is normalized first, which makes it the
 /// positive quiet NaN: above every finite value under `f64::total_cmp`,
 /// hence above every integer.
-pub(crate) fn cmp_i64_f64(i: i64, f: f64) -> Ordering {
+fn cmp_i64_f64(i: i64, f: f64) -> Ordering {
     let f = norm_f64(f);
     if f.is_nan() {
         return Ordering::Less; // int < normalized (positive) NaN
@@ -178,7 +178,7 @@ pub(crate) fn cmp_i64_f64(i: i64, f: f64) -> Ordering {
 }
 
 /// Normalize a float so every NaN has one representation and `-0.0 == 0.0`.
-pub(crate) fn norm_f64(f: f64) -> f64 {
+fn norm_f64(f: f64) -> f64 {
     if f.is_nan() {
         f64::NAN
     } else if f == 0.0 {

@@ -113,72 +113,6 @@ proptest! {
     }
 }
 
-/// Fixed-arity rows (chunks require uniform arity, as tables enforce).
-fn arb_fixed_row(arity: usize) -> impl Strategy<Value = Row> {
-    prop::collection::vec(arb_value(), arity).prop_map(Row::new)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// The columnar image is lossless: chunking a table and materializing
-    /// it back reproduces the rows exactly — ⊥ slots through the validity
-    /// bitmap, strings through the dictionary, and numerics bit-for-bit.
-    #[test]
-    fn chunked_table_roundtrips_rows_exactly(
-        rows in prop::collection::vec(arb_fixed_row(3), 0..40)
-    ) {
-        let schema = Arc::new(
-            Schema::from_pairs(&[
-                ("a", DataType::Any),
-                ("b", DataType::Any),
-                ("c", DataType::Any),
-            ])
-            .unwrap(),
-        );
-        let t = Table::bag(schema, rows.clone());
-        let c = t.chunk();
-        prop_assert_eq!(c.to_rows(), rows.clone());
-        for (i, r) in rows.iter().enumerate() {
-            prop_assert_eq!(&c.row(i), r);
-            for j in 0..3 {
-                prop_assert_eq!(c.value(i, j), r.values()[j].clone());
-                prop_assert_eq!(c.column(j).is_null(i), r.values()[j].is_null());
-            }
-        }
-    }
-
-    /// Columnar key hashing feeds hashers the same bytes as row-at-a-time
-    /// `Value::hash`, for arbitrary value mixes and key column subsets.
-    #[test]
-    fn chunked_key_hash_matches_row_hash(
-        rows in prop::collection::vec(arb_fixed_row(3), 1..30),
-        k1 in 0usize..3,
-        k2 in 0usize..3,
-    ) {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let schema = Arc::new(
-            Schema::from_pairs(&[
-                ("a", DataType::Any),
-                ("b", DataType::Any),
-                ("c", DataType::Any),
-            ])
-            .unwrap(),
-        );
-        let key_idx = [k1, k2];
-        let t = Table::bag(schema, rows.clone());
-        let got = t.chunk().hash_rows(&key_idx, DefaultHasher::new);
-        for (i, r) in rows.iter().enumerate() {
-            let mut h = DefaultHasher::new();
-            for &k in &key_idx {
-                r.values()[k].hash(&mut h);
-            }
-            prop_assert_eq!(got[i], h.finish());
-        }
-    }
-}
-
 /// Numerics clustered around the 2⁵³ f64-representability boundary (and the
 /// 2⁶³ i64 range edge), where the pre-fix `as f64` comparison collapsed
 /// distinct values. Every order law must hold here exactly as it does for

@@ -1,17 +1,16 @@
-//! Row-kernel vs columnar-kernel equivalence over the paper's evaluation
-//! views (§7: Figures 32, 36, 39).
+//! Sequential vs hash-partitioned kernel equivalence over the paper's
+//! evaluation views (§7: Figures 32, 36, 39).
 //!
-//! The executor's vectorized columnar kernels claim *bit-identity* with
-//! the row-at-a-time reference kernels — same rows, same order, same
-//! float bits — at every thread count. This suite pins that claim on the
-//! three TPC-H view families, on the pristine catalog and again after a
-//! mixed delta batch has mutated the base tables (exercising the chunk
-//! cache invalidation path), at 1 and 4 worker threads, on both the
+//! Results must be bit-identical — same rows, same order, same float bits
+//! — at every thread count. This suite pins that on the three TPC-H view
+//! families, on the pristine catalog and again after a mixed delta batch
+//! has mutated the base tables, at 1 and 4 worker threads, on both the
 //! sequential and the hash-partitioned kernels. Which kernels run is the
 //! executor's own choice from the input size (1 024 rows into an operator,
 //! both join sides together), so each case runs at two scales: one where
 //! no operator of any view reads that many rows, and one where `lineitem`
-//! alone holds more.
+//! alone holds more. At each scale the single-threaded run is the
+//! reference the four-thread run must equal.
 
 use gpivot_exec::Executor;
 use gpivot_storage::Catalog;
@@ -53,8 +52,7 @@ fn largest_operator_input(plan: &gpivot_algebra::Plan, catalog: &Catalog) -> usi
 }
 
 /// Assert every view produces bit-identical rows (values *and* order)
-/// under the row and columnar kernels across thread counts, on the kernel
-/// `path` the catalog's size selects.
+/// at 1 and 4 threads, on the kernel `path` the catalog's size selects.
 fn assert_equivalent(catalog: &Catalog, path: &str, label: &str) {
     for (name, plan) in views() {
         let widest = largest_operator_input(&plan, catalog);
@@ -64,28 +62,22 @@ fn assert_equivalent(catalog: &Catalog, path: &str, label: &str) {
             "{label}/{name}: widest operator input {widest} is on the wrong side for {path}"
         );
         let reference = Executor::new()
-            .with_columnar(false)
             .run(&plan, catalog)
-            .unwrap_or_else(|e| panic!("{label}/{name}/{path} row kernels: {e}"));
-        for threads in [1, 4] {
-            for columnar in [false, true] {
-                let got = Executor::new()
-                    .with_columnar(columnar)
-                    .with_threads(threads)
-                    .run(&plan, catalog)
-                    .unwrap_or_else(|e| panic!("{label}/{name}/{path} columnar={columnar}: {e}"));
-                assert_eq!(
-                    got.rows(),
-                    reference.rows(),
-                    "{label}/{name}/{path}: columnar={columnar} diverged at {threads} threads"
-                );
-            }
-        }
+            .unwrap_or_else(|e| panic!("{label}/{name}/{path} at 1 thread: {e}"));
+        let got = Executor::new()
+            .with_threads(4)
+            .run(&plan, catalog)
+            .unwrap_or_else(|e| panic!("{label}/{name}/{path} at 4 threads: {e}"));
+        assert_eq!(
+            got.rows(),
+            reference.rows(),
+            "{label}/{name}/{path}: diverged at 4 threads"
+        );
     }
 }
 
 #[test]
-fn three_views_bit_identical_row_vs_columnar() {
+fn three_views_bit_identical_across_threads() {
     for (path, scale) in SCALES {
         let catalog = generate(&TpchConfig::scale(scale));
         assert_equivalent(&catalog, path, "pristine");
@@ -96,11 +88,6 @@ fn three_views_bit_identical_row_vs_columnar() {
 fn three_views_bit_identical_after_base_table_mutation() {
     for (path, scale) in SCALES {
         let mut catalog = generate(&TpchConfig::scale(scale));
-        // Warm every table's chunk cache, then mutate: the columnar kernels
-        // must see the post-delta state, not a stale vectorized image.
-        for name in ["customer", "orders", "lineitem"] {
-            let _ = catalog.table(name).unwrap().chunk();
-        }
         let deltas = mixed_batch(&catalog, 0.05, 0xC0FFEE);
         for table in deltas.tables().map(str::to_string).collect::<Vec<_>>() {
             let delta = deltas.delta(&table).cloned().unwrap_or_default();

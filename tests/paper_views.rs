@@ -101,11 +101,8 @@ fn check_strategy(plan: &Plan, strategy: Strategy, deltas: &SourceDeltas) {
     for (table, delta) in deltas.iter() {
         post.apply_delta(table, delta).unwrap();
     }
-    // The oracle runs the other kernel family (row-at-a-time, one thread).
-    let expected = Executor::new()
-        .with_columnar(false)
-        .run(plan, &post)
-        .unwrap();
+    // The oracle recomputes the definition on one thread.
+    let expected = Executor::new().run(plan, &post).unwrap();
     for threads in [1, 4] {
         let mut vm = ViewManager::new(catalog()).with_exec(Executor::new().with_threads(threads));
         vm.register_view_with("v", plan.clone(), strategy)
