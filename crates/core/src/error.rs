@@ -113,9 +113,6 @@ impl CoreError {
             // (schema inference inside plan execution).
             CoreError::Algebra(AlgebraError::Storage(e)) => e.is_transient(),
             CoreError::Exec(ExecError::Algebra(AlgebraError::Storage(e))) => e.is_transient(),
-            // A panic caught inside a partition worker is isolated at the
-            // job boundary, exactly like a caught refresh-worker panic.
-            CoreError::Exec(ExecError::WorkerPanic { .. }) => true,
             CoreError::ViewPanic { .. } | CoreError::Backpressure { .. } => true,
             _ => false,
         };
@@ -238,11 +235,6 @@ mod tests {
             pending_rows: 10,
             watermark: 8,
         }
-        .is_transient());
-        assert!(CoreError::Exec(ExecError::WorkerPanic {
-            op: "GPivot",
-            message: "boom".into(),
-        })
         .is_transient());
         // Real engine errors are permanent.
         assert_eq!(

@@ -67,13 +67,11 @@ pub fn consolidate(rows: impl IntoIterator<Item = (Row, i64)>) -> Delta {
 /// over in [`PropagationCtx::eval_pre_matching`].
 const RESTRICTED: [&str; 2] = ["__restricted_0", "__restricted_1"];
 
-/// Propagation context: pre-state catalog plus pending source deltas,
-/// and the [`Executor`] every pre/post subplan evaluation runs on (so the
-/// propagate phase inherits the caller's thread/partition configuration).
+/// Propagation context: pre-state catalog plus pending source deltas.
+/// Every pre/post subplan evaluation runs on an [`Executor`].
 pub struct PropagationCtx<'a> {
     pub catalog: &'a Catalog,
     pub deltas: &'a SourceDeltas,
-    exec: Executor,
     /// Rows flowing through plan operators across every pre/post subplan
     /// evaluation in this propagation (observability; see
     /// [`PropagationCtx::rows_evaluated`]).
@@ -82,22 +80,11 @@ pub struct PropagationCtx<'a> {
 
 impl<'a> PropagationCtx<'a> {
     pub fn new(catalog: &'a Catalog, deltas: &'a SourceDeltas) -> Self {
-        PropagationCtx::with_exec(catalog, deltas, Executor::new())
-    }
-
-    /// A context whose subplan evaluations run on `exec`.
-    pub fn with_exec(catalog: &'a Catalog, deltas: &'a SourceDeltas, exec: Executor) -> Self {
         PropagationCtx {
             catalog,
             deltas,
-            exec,
             rows_evaluated: Cell::new(0),
         }
-    }
-
-    /// The executor pre/post evaluations run on.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
     }
 
     /// Total operator-output rows evaluated so far, over every
@@ -123,7 +110,7 @@ impl<'a> PropagationCtx<'a> {
     /// maintenance rules use [`PropagationCtx::eval_pre_matching`]; this is
     /// its fallback arm, the `Diff` rule and the test oracle.
     pub fn eval_pre(&self, plan: &Plan) -> Result<Table> {
-        let (table, trace) = self.exec.run_traced(plan, self.catalog)?;
+        let (table, trace) = Executor::new().run_traced(plan, self.catalog)?;
         self.count_rows(trace.total_rows());
         Ok(table)
     }
@@ -276,7 +263,7 @@ impl<'a> PropagationCtx<'a> {
         for (name, child) in RESTRICTED.iter().zip(children) {
             overlay.put(*name, child);
         }
-        let out = self.exec.run(&node, &overlay)?;
+        let out = Executor::new().run(&node, &overlay)?;
         // The children were counted when they were produced.
         self.count_rows(out.len());
         Ok(out)
@@ -312,7 +299,7 @@ impl<'a> PropagationCtx<'a> {
                 }
             }
         }
-        let (table, trace) = self.exec.run_traced(plan, &overlay)?;
+        let (table, trace) = Executor::new().run_traced(plan, &overlay)?;
         self.count_rows(trace.total_rows());
         Ok(table)
     }

@@ -397,8 +397,7 @@ impl MaterializedView {
     }
 
     /// Refresh the view against pending source deltas (the catalog still
-    /// holds the pre-update state), running every
-    /// propagate/recompute subplan on `exec`:
+    /// holds the pre-update state):
     /// [`MaterializedView::plan_refresh`] then
     /// [`MaterializedView::install`]. On error the view is untouched.
     pub fn maintain_with(
@@ -417,12 +416,14 @@ impl MaterializedView {
     /// compute — against this view's table, without writing to it — the
     /// row-level patch the strategy's apply rules call for. Every error a
     /// refresh can raise (injected faults included) is raised here, so a
-    /// failed or abandoned refresh leaves nothing to undo.
+    /// failed or abandoned refresh leaves nothing to undo. Every executor
+    /// runs plans alike, on the calling thread, so the one passed in is
+    /// not consulted.
     pub fn plan_refresh(
         &self,
         catalog: &Catalog,
         deltas: &SourceDeltas,
-        exec: &Executor,
+        _exec: &Executor,
     ) -> Result<(ViewPatch, MaintenanceOutcome)> {
         use gpivot_storage::FaultSite;
         // Chaos-testing hooks: the Propagate site fires before any delta
@@ -431,7 +432,7 @@ impl MaterializedView {
         // view. Both are free no-ops with the default (disabled) injector.
         let faults = catalog.fault_injector();
         faults.check(FaultSite::Propagate, &self.name)?;
-        let ctx = PropagationCtx::with_exec(catalog, deltas, exec.clone());
+        let ctx = PropagationCtx::new(catalog, deltas);
         // Propagate the source deltas to just below the strategy's apply
         // rules; the returned guard is the apply phase's span.
         let propagate_to_apply = |below: &Plan| -> Result<(SignedRows, tracing::Entered)> {
@@ -662,7 +663,6 @@ fn delta_stats(d: &Delta) -> ApplyStats {
 pub struct ViewManager {
     catalog: Catalog,
     views: BTreeMap<String, MaterializedView>,
-    exec: Executor,
     /// Bumped by everything that can change the catalog or a view. Plans
     /// record it; a plan from another generation is refused at commit.
     generation: u64,
@@ -734,19 +734,6 @@ impl ViewManager {
             catalog,
             ..ViewManager::default()
         }
-    }
-
-    /// Replace the executor every materialization, propagation, and
-    /// verification in this manager runs on (its thread count — see
-    /// [`gpivot_exec::Executor`]).
-    pub fn with_exec(mut self, exec: Executor) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// The executor this manager runs plans on.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
     }
 
     /// The base-table catalog.
@@ -891,7 +878,7 @@ impl ViewManager {
             definition,
             strategy,
             &self.catalog,
-            &self.exec,
+            &Executor::new(),
         )?;
         view.lint_warnings = lint_warnings;
         self.install_view(view);
@@ -1028,7 +1015,7 @@ impl ViewManager {
     ) -> Result<RefreshPlan> {
         let view = self.view(name)?;
         let (patch, outcome) = match parent {
-            None => view.plan_refresh(&self.catalog, deltas, &self.exec)?,
+            None => view.plan_refresh(&self.catalog, deltas, &Executor::new())?,
             Some(parent)
                 if self.derives_from(name) == Some(parent.view.as_str())
                     && parent.generation == self.generation =>
@@ -1153,7 +1140,7 @@ impl ViewManager {
     /// against its definition run over the catalog (testing aid).
     pub fn verify_view(&self, name: &str) -> Result<bool> {
         let view = self.view(name)?;
-        let fresh = self.exec.run(&view.definition, &self.catalog)?;
+        let fresh = Executor::new().run(&view.definition, &self.catalog)?;
         Ok(view.query()?.bag_eq(&fresh))
     }
 
@@ -1401,54 +1388,6 @@ mod tests {
     }
 
     #[test]
-    fn register_view_on_a_parallel_executor_matches_sequential() {
-        // Enough rows that materialization takes the partitioned kernels
-        // (the executor's threshold is 1 024 input rows): the view contents
-        // must be row-for-row identical at every thread count.
-        let catalog = || {
-            let mut c = catalog();
-            let rows: Vec<Row> = (0..700)
-                .flat_map(|id| {
-                    let b = (id % 3 != 0).then(|| row![id, "b", id + 1]);
-                    std::iter::once(row![id, "a", id]).chain(b)
-                })
-                .collect();
-            assert!(rows.len() >= 1024);
-            let schema = c.table("items").unwrap().schema().clone();
-            c.replace("items", Table::from_rows(schema, rows).unwrap());
-            c
-        };
-        let exec_at = |threads| Executor::new().with_threads(threads);
-        let mut one = ViewManager::new(catalog()).with_exec(exec_at(1));
-        one.register_view("v", pivot_plan()).unwrap();
-        let mut four = ViewManager::new(catalog()).with_exec(exec_at(4));
-        four.register_view("v", pivot_plan()).unwrap();
-        assert_eq!(
-            one.query_view("v").unwrap().rows(),
-            four.query_view("v").unwrap().rows()
-        );
-
-        let mut deltas = SourceDeltas::new();
-        deltas.insert_rows("items", vec![row![3, "b", 99], row![700, "a", 7]]);
-        one.refresh(&deltas).unwrap();
-        four.refresh(&deltas).unwrap();
-        assert!(four.verify_view("v").unwrap());
-        assert_eq!(
-            one.query_view("v").unwrap().rows(),
-            four.query_view("v").unwrap().rows()
-        );
-
-        // And against the default executor the result is still the same bag.
-        let mut seq = ViewManager::new(catalog());
-        seq.register_view("v", pivot_plan()).unwrap();
-        seq.refresh(&deltas).unwrap();
-        assert!(seq
-            .query_view("v")
-            .unwrap()
-            .bag_eq(&four.query_view("v").unwrap()));
-    }
-
-    #[test]
     fn a_delta_that_cancels_to_empty_affects_no_view() {
         use gpivot_storage::{FaultInjector, FaultSite};
         let injector = FaultInjector::seeded(1).with_site(FaultSite::Propagate, 1.0, 0.0);
@@ -1648,7 +1587,7 @@ mod tests {
             pivot_plan(),
             Strategy::PivotUpdate,
             vm.catalog(),
-            vm.executor(),
+            &Executor::new(),
         )
         .unwrap();
         vm.install_view(fresh);

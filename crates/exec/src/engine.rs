@@ -1,25 +1,22 @@
 //! The plan dispatcher: recursively evaluates a [`Plan`] bottom-up.
 //!
-//! An [`Executor`] is configured once — `Executor::new().with_threads(4)`
-//! — and holds the worker pool every partitioned operator kernel submits
-//! its jobs to. [`Executor::run`] returns just the result table;
+//! An [`Executor`] holds nothing: every plan execution runs on the
+//! calling thread. [`Executor::run`] returns just the result table;
 //! [`Executor::run_traced`] additionally returns an [`ExecTrace`] — a
 //! per-operator row-count profile rendered like `EXPLAIN ANALYZE`, which
 //! the examples use to show where maintenance plans spend their rows.
 //!
-//! **Determinism.** Results are bit-identical across thread counts: the
-//! choice between the sequential and hash-partitioned kernel of an
-//! operator depends only on the input size (`PARALLEL_THRESHOLD`), the
-//! partition count is a constant (`PARTITIONS`, never derived from the
-//! thread count), partitioning uses a fixed-key hash, and partition
-//! outputs merge in partition-index order. Threads only change which
-//! worker runs which partition — see DESIGN.md §"Parallel execution".
+//! **Determinism.** The choice between the sequential and hash-partitioned
+//! kernel of an operator depends only on the input size
+//! (`PARALLEL_THRESHOLD`), the partition count is a constant
+//! (`PARTITIONS`), partitioning uses a fixed-key hash, and partition
+//! outputs merge in partition-index order, so a plan's output rows and
+//! their order are a function of its inputs alone — see DESIGN.md §4c.
 
 use crate::error::Result;
 use crate::group::{hash_group_by, hash_group_by_partitioned};
 use crate::join::{hash_join, hash_join_partitioned};
 use crate::pivot::{gpivot, gpivot_partitioned, gunpivot};
-use crate::pool::{morsels, WorkerPool};
 use crate::provider::{ProviderSchemas, TableProvider};
 use gpivot_algebra::Plan;
 use gpivot_storage::{Row, RowMap, Table};
@@ -71,52 +68,30 @@ impl std::fmt::Display for ExecTrace {
     }
 }
 
-/// Fixed hash-partition count for Join/GroupBy/GPivot. Deliberately a
-/// constant and **not** derived from the thread count: the partitioning
-/// (and with it the merged output order) must be identical across thread
-/// counts.
+/// Fixed hash-partition count for Join/GroupBy/GPivot. A constant, so
+/// the partitioning (and with it the merged output order) depends on the
+/// data alone.
 const PARTITIONS: usize = 16;
 /// Inputs with fewer rows than this stay on the sequential kernels. The
-/// kernel choice depends on the input size only — never on the thread
-/// count — so output order is identical across thread counts.
+/// kernel choice depends on the input size only, so a given query always
+/// takes the same path.
 const PARALLEL_THRESHOLD: usize = 1024;
-/// Rows per morsel for the order-preserving Select/Project split.
-const MORSEL_ROWS: usize = 4096;
 
 /// Should an operator over `input_rows` rows take the partitioned kernel?
 fn partitioned(input_rows: usize) -> bool {
     input_rows >= PARALLEL_THRESHOLD
 }
 
-/// Batch plan executor: the [`WorkerPool`] the partitioned kernels submit
-/// jobs to, and the recursive dispatcher. All data comes from the
-/// provider; the executor holds only its pool, so it is cheap to clone and
-/// share — clones share the pool's workers. The pool installs the calling
-/// thread's tracing collector on its worker for each task, so
-/// per-partition spans land in the caller's store.
-#[derive(Debug, Clone)]
-pub struct Executor {
-    pool: WorkerPool,
-}
-
-impl Default for Executor {
-    fn default() -> Self {
-        Executor {
-            pool: WorkerPool::new(1),
-        }
-    }
-}
+/// Batch plan executor: the recursive dispatcher. All data comes from the
+/// provider and every operator runs on the calling thread, so the
+/// executor holds no state at all.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Executor;
 
 impl Executor {
-    /// A single-threaded executor.
+    /// An executor.
     pub fn new() -> Self {
-        Executor::default()
-    }
-
-    /// Set the worker-thread count (1 = run partitions inline).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = WorkerPool::new(threads);
-        self
+        Executor
     }
 
     /// A no-op kept for the frozen benchmark harness: there is one kernel
@@ -158,14 +133,11 @@ impl Executor {
         trace: &mut Option<ExecTrace>,
     ) -> Result<Table> {
         let schemas = ProviderSchemas(provider);
-        // Each operator's kernel work runs under an `op.*` span entered
+        // Each operator's kernel work runs under one `op.*` span entered
         // only after its children have been evaluated, so the recorded
         // durations are per-operator self-times, not inclusive subtree
-        // times (see DESIGN.md §"Observability"). Partitioned kernels skip
-        // the RAII span and instead record `op.*` as the max partition
-        // duration plus an `op.*.partition` sub-span per partition — the
-        // self-time stays the operator's critical path, comparable with
-        // the sequential reading.
+        // times (see DESIGN.md §"Observability"). The partitioned kernels
+        // enter the same span themselves, around all of their partitions.
         let result: Result<Table> = match plan {
             Plan::Scan { table } => {
                 let _s = tracing::span("op.Scan").enter();
@@ -177,37 +149,15 @@ impl Executor {
 
             Plan::Select { input, predicate } => {
                 let child = self.eval(input, provider, depth + 1, trace)?;
-                if partitioned(child.len()) {
-                    let bound = predicate.bind(child.schema())?;
-                    let jobs = morsels(child.len(), MORSEL_ROWS);
-                    let outs = self.pool.run_timed(
-                        "Select",
-                        "op.Select",
-                        "op.Select.partition",
-                        jobs,
-                        |range| {
-                            Ok(child.rows()[range]
-                                .iter()
-                                .filter(|r| bound.holds(r))
-                                .cloned()
-                                .collect::<Vec<Row>>())
-                        },
-                    )?;
-                    Ok(Table::bag(
-                        child.schema().clone(),
-                        outs.into_iter().flatten().collect(),
-                    ))
-                } else {
-                    let _s = tracing::span("op.Select").enter();
-                    let bound = predicate.bind(child.schema())?;
-                    let rows = child
-                        .rows()
-                        .iter()
-                        .filter(|r| bound.holds(r))
-                        .cloned()
-                        .collect();
-                    Ok(Table::bag(child.schema().clone(), rows))
-                }
+                let _s = tracing::span("op.Select").enter();
+                let bound = predicate.bind(child.schema())?;
+                let rows = child
+                    .rows()
+                    .iter()
+                    .filter(|r| bound.holds(r))
+                    .cloned()
+                    .collect();
+                Ok(Table::bag(child.schema().clone(), rows))
             }
 
             Plan::Project { input, items } => {
@@ -217,30 +167,13 @@ impl Executor {
                     .iter()
                     .map(|(e, _)| e.bind(child.schema()))
                     .collect::<gpivot_algebra::Result<_>>()?;
-                if partitioned(child.len()) {
-                    let jobs = morsels(child.len(), MORSEL_ROWS);
-                    let outs = self.pool.run_timed(
-                        "Project",
-                        "op.Project",
-                        "op.Project.partition",
-                        jobs,
-                        |range| {
-                            Ok(child.rows()[range]
-                                .iter()
-                                .map(|r| Row::new(bound.iter().map(|b| b.eval(r)).collect()))
-                                .collect::<Vec<Row>>())
-                        },
-                    )?;
-                    Ok(Table::bag(out_schema, outs.into_iter().flatten().collect()))
-                } else {
-                    let _s = tracing::span("op.Project").enter();
-                    let rows = child
-                        .rows()
-                        .iter()
-                        .map(|r| Row::new(bound.iter().map(|b| b.eval(r)).collect()))
-                        .collect();
-                    Ok(Table::bag(out_schema, rows))
-                }
+                let _s = tracing::span("op.Project").enter();
+                let rows = child
+                    .rows()
+                    .iter()
+                    .map(|r| Row::new(bound.iter().map(|b| b.eval(r)).collect()))
+                    .collect();
+                Ok(Table::bag(out_schema, rows))
             }
 
             Plan::Join {
@@ -271,7 +204,6 @@ impl Executor {
                         &right_on,
                         bound_res.as_ref(),
                         out_schema,
-                        &self.pool,
                         PARTITIONS,
                     )
                 } else {
@@ -316,7 +248,6 @@ impl Executor {
                         aggs,
                         &agg_inputs,
                         out_schema,
-                        &self.pool,
                         PARTITIONS,
                     )
                 } else {
@@ -359,7 +290,7 @@ impl Executor {
                 let child = self.eval(input, provider, depth + 1, trace)?;
                 let out_schema = plan.schema(&schemas)?;
                 if partitioned(child.len()) {
-                    gpivot_partitioned(&child, spec, out_schema, &self.pool, PARTITIONS)
+                    gpivot_partitioned(&child, spec, out_schema, PARTITIONS)
                 } else {
                     let _s = tracing::span("op.GPivot").enter();
                     gpivot(&child, spec, out_schema)
@@ -543,11 +474,10 @@ mod tests {
         assert!(Arc::ptr_eq(&out.shared_rows(), &again.shared_rows()));
     }
 
-    /// Wide inputs (≥ `PARALLEL_THRESHOLD`) produce bit-identical rows in
-    /// bit-identical order at every pool width, and agree bag-wise with a
-    /// purely sequential executor.
+    /// A wide input (≥ `PARALLEL_THRESHOLD`) takes the partitioned pivot
+    /// kernel and agrees bag-wise with the sequential kernel.
     #[test]
-    fn parallel_execution_is_thread_invariant_end_to_end() {
+    fn partitioned_execution_agrees_with_sequential_end_to_end() {
         let mut c = Catalog::new();
         let schema = Arc::new(
             Schema::from_pairs_keyed(
@@ -589,55 +519,36 @@ mod tests {
             .filter(|r| r[2] > Value::Int(10))
             .cloned()
             .collect();
-        assert!(kept.len() >= PARALLEL_THRESHOLD, "must take the pool");
+        assert!(kept.len() >= PARALLEL_THRESHOLD, "must take the partitions");
         let sequential = gpivot(
             &Table::bag(schema.clone(), kept),
             &spec,
             plan.schema(&ProviderSchemas(&c)).unwrap(),
         )
         .unwrap();
-        let mut outputs = Vec::new();
-        for threads in [1, 2, 8] {
-            let out = Executor::new()
-                .with_threads(threads)
-                .run(&plan, &c)
-                .unwrap();
-            assert!(out.bag_eq(&sequential), "threads={threads}");
-            outputs.push(out.rows().to_vec());
-        }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[1], outputs[2]);
+        let out = Executor::new().run(&plan, &c).unwrap();
+        assert!(out.bag_eq(&sequential));
     }
 
-    /// Parallel operators reconcile with the span store: one `op.X`
-    /// parent reading (the max partition duration) plus an
-    /// `op.X.partition` sub-span per partition.
+    /// A partitioned operator records exactly one `op.X` self-time, the
+    /// same span its sequential kernel records, and no per-partition
+    /// sub-span.
     #[test]
-    fn parallel_spans_reconcile_max_of_partitions() {
+    fn partitioned_group_by_records_one_span() {
         let mut c = Catalog::new();
         let schema =
             Arc::new(Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Int)]).unwrap());
         let rows: Vec<Row> = (0..4000).map(|i| row![i % 97, i]).collect();
+        assert!(rows.len() >= PARALLEL_THRESHOLD, "must take the partitions");
         c.register("t", Table::from_rows(schema, rows).unwrap())
             .unwrap();
         let plan = Plan::scan("t").group_by(&["g"], vec![AggSpec::sum("v", "s")]);
-        let exec = Executor::new().with_threads(2);
         let sub = tracing::TimingSubscriber::shared();
         tracing::with_collector(sub.clone(), || {
-            exec.run(&plan, &c).unwrap();
+            Executor::new().run(&plan, &c).unwrap();
         });
-        let parent = sub.histogram("op.GroupBy").unwrap();
-        let parts = sub.histogram("op.GroupBy.partition").unwrap();
-        assert_eq!(parent.count(), 1, "exactly one parent self-time reading");
-        assert_eq!(
-            parts.count(),
-            PARTITIONS as u64,
-            "one sub-span per partition"
-        );
-        assert!(
-            parent.max() <= parts.max(),
-            "parent self-time is the max partition duration"
-        );
+        assert_eq!(sub.histogram("op.GroupBy").unwrap().count(), 1);
+        assert!(sub.histogram("op.GroupBy.partition").is_none());
     }
 
     #[test]

@@ -24,16 +24,6 @@ pub enum ExecError {
         /// Rendering of the offending input value.
         value: String,
     },
-    /// A panic escaped a partition job inside a parallel operator kernel.
-    /// The worker pool isolates it with `catch_unwind`, so one poisoned
-    /// partition fails the query with this (transient-classified) error
-    /// instead of hanging the epoch or aborting the process.
-    WorkerPanic {
-        /// The operator whose partition panicked (`Join`, `GPivot`, ...).
-        op: &'static str,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -49,9 +39,6 @@ impl fmt::Display for ExecError {
                 f,
                 "{func} over a non-numeric non-null value {value}: only NULLs are skipped by aggregates"
             ),
-            ExecError::WorkerPanic { op, message } => {
-                write!(f, "panic in a {op} partition worker: {message}")
-            }
         }
     }
 }

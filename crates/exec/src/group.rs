@@ -8,7 +8,7 @@
 //! count of non-NULLs and `COUNT(*)` counts rows.
 
 use crate::error::{ExecError, Result};
-use crate::pool::{partition_by_hash, WorkerPool};
+use crate::pool::partition_by_hash;
 use gpivot_algebra::{AggFunc, AggSpec};
 use gpivot_storage::{Row, RowMap, Schema, Table, Value};
 
@@ -187,28 +187,26 @@ pub fn hash_group_by(
 ///
 /// Equal group keys always hash to the same partition, so every group is
 /// aggregated entirely within one partition — no cross-partition merge of
-/// aggregate states is needed. Partition outputs concatenate in
-/// partition-index order; with the empty group (global aggregates) all
-/// rows collapse into partition 0 and this degenerates to the sequential
-/// kernel.
+/// aggregate states is needed. Partitions run one after another under one
+/// `op.GroupBy` span and their outputs concatenate in partition-index
+/// order; with the empty group (global aggregates) all rows collapse into
+/// partition 0 and this degenerates to the sequential kernel.
 pub fn hash_group_by_partitioned(
     input: &Table,
     group_idx: &[usize],
     aggs: &[AggSpec],
     agg_inputs: &[usize],
     out_schema: std::sync::Arc<Schema>,
-    pool: &WorkerPool,
     partitions: usize,
 ) -> Result<Table> {
-    let jobs = partition_by_hash(input.rows(), group_idx, partitions);
-    let outs = pool.run_timed(
-        "GroupBy",
-        "op.GroupBy",
-        "op.GroupBy.partition",
-        jobs,
-        |indices| group_partition(input, &indices, group_idx, aggs, agg_inputs),
-    )?;
-    Ok(Table::bag(out_schema, outs.into_iter().flatten().collect()))
+    let _s = tracing::span("op.GroupBy").enter();
+    let mut rows = Vec::new();
+    for indices in partition_by_hash(input.rows(), group_idx, partitions) {
+        rows.extend(group_partition(
+            input, &indices, group_idx, aggs, agg_inputs,
+        )?);
+    }
+    Ok(Table::bag(out_schema, rows))
 }
 
 #[cfg(test)]
@@ -433,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_group_by_agrees_with_sequential_and_is_thread_invariant() {
+    fn partitioned_group_by_agrees_with_sequential() {
         let schema =
             Arc::new(Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Int)]).unwrap());
         let t = Table::bag(
@@ -455,23 +453,8 @@ mod tests {
             .unwrap(),
         );
         let seq = hash_group_by(&t, &[0], &aggs, &[1, 1, 1], os.clone()).unwrap();
-        let mut orders = Vec::new();
-        for threads in [1, 2, 8] {
-            let par = hash_group_by_partitioned(
-                &t,
-                &[0],
-                &aggs,
-                &[1, 1, 1],
-                os.clone(),
-                &crate::pool::WorkerPool::new(threads),
-                16,
-            )
-            .unwrap();
-            assert!(par.bag_eq(&seq), "threads={threads}");
-            orders.push(par.rows().to_vec());
-        }
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[1], orders[2]);
+        let par = hash_group_by_partitioned(&t, &[0], &aggs, &[1, 1, 1], os, 16).unwrap();
+        assert!(par.bag_eq(&seq));
     }
 
     #[test]
@@ -486,16 +469,9 @@ mod tests {
             os.clone(),
         )
         .unwrap();
-        let par = hash_group_by_partitioned(
-            &t,
-            &[],
-            &[AggSpec::count_star("n")],
-            &[usize::MAX],
-            os,
-            &crate::pool::WorkerPool::new(4),
-            16,
-        )
-        .unwrap();
+        let par =
+            hash_group_by_partitioned(&t, &[], &[AggSpec::count_star("n")], &[usize::MAX], os, 16)
+                .unwrap();
         assert_eq!(par.rows(), seq.rows());
         assert_eq!(par.rows(), &[row![4]]);
     }

@@ -8,7 +8,7 @@
 //! expect.
 
 use crate::error::Result;
-use crate::pool::{partition_by_hash, WorkerPool};
+use crate::pool::partition_by_hash;
 use gpivot_algebra::{BoundExpr, JoinKind};
 use gpivot_storage::{Row, RowMap, Schema, Table};
 use std::sync::Arc;
@@ -111,10 +111,10 @@ pub fn hash_join(
 /// Both sides are split into `partitions` buckets with the same hash
 /// function, so equal keys always meet in the same bucket and each bucket
 /// is an independent join: matching, residual filtering and outer padding
-/// are all per-bucket-correct. Bucket outputs are concatenated in
-/// partition-index order — the partitioning depends only on the data (a
-/// fixed-key hash), never on the thread count, so the result is
-/// bit-identical across pool widths.
+/// are all per-bucket-correct. Buckets run one after another under one
+/// `op.Join` span, and their outputs are concatenated in partition-index
+/// order; the partitioning depends only on the data (a fixed-key hash),
+/// so the result is deterministic.
 ///
 /// Note this kernel's row *order* differs from [`hash_join`]'s (grouped by
 /// partition rather than global left order); the engine picks a kernel by
@@ -128,24 +128,19 @@ pub fn hash_join_partitioned(
     right_on: &[usize],
     residual: Option<&BoundExpr>,
     out_schema: Arc<Schema>,
-    pool: &WorkerPool,
     partitions: usize,
 ) -> Result<Table> {
+    let _s = tracing::span("op.Join").enter();
     let lparts = partition_by_hash(left.rows(), left_on, partitions);
     let rparts = partition_by_hash(right.rows(), right_on, partitions);
-    let jobs: Vec<(Vec<usize>, Vec<usize>)> = lparts.into_iter().zip(rparts).collect();
-    let outs = pool.run_timed(
-        "Join",
-        "op.Join",
-        "op.Join.partition",
-        jobs,
-        |(lidx, ridx)| {
-            Ok(join_partition(
-                left, right, kind, left_on, right_on, residual, &lidx, &ridx,
-            ))
-        },
-    )?;
-    Ok(Table::bag(out_schema, outs.into_iter().flatten().collect()))
+    let out = lparts
+        .iter()
+        .zip(&rparts)
+        .flat_map(|(lidx, ridx)| {
+            join_partition(left, right, kind, left_on, right_on, residual, lidx, ridx)
+        })
+        .collect();
+    Ok(Table::bag(out_schema, out))
 }
 
 #[cfg(test)]
@@ -369,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_join_agrees_with_sequential_and_is_thread_invariant() {
+    fn partitioned_join_agrees_with_sequential() {
         let n = 200;
         let l = t(
             &[("a", DataType::Int), ("x", DataType::Str)],
@@ -381,26 +376,9 @@ mod tests {
         );
         for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
             let seq = hash_join(&l, &r, kind, &[0], &[0], None, out_schema()).unwrap();
-            let mut orders = Vec::new();
-            for threads in [1, 2, 8] {
-                let par = hash_join_partitioned(
-                    &l,
-                    &r,
-                    kind,
-                    &[0],
-                    &[0],
-                    None,
-                    out_schema(),
-                    &crate::pool::WorkerPool::new(threads),
-                    16,
-                )
-                .unwrap();
-                assert!(par.bag_eq(&seq), "{kind:?} threads={threads}");
-                orders.push(par.rows().to_vec());
-            }
-            // Bit-identical ordering across pool widths.
-            assert_eq!(orders[0], orders[1], "{kind:?}");
-            assert_eq!(orders[1], orders[2], "{kind:?}");
+            let par =
+                hash_join_partitioned(&l, &r, kind, &[0], &[0], None, out_schema(), 16).unwrap();
+            assert!(par.bag_eq(&seq), "{kind:?}");
         }
     }
 

@@ -19,13 +19,12 @@
 //!   key by rejecting duplicate pivot cells at runtime;
 //! * bag union / difference ([`engine`]).
 //!
-//! Large inputs take hash-partitioned (Join/GroupBy/GPivot) or
-//! morsel-parallel (Select/Project) kernels on a [`WorkerPool`] of
-//! long-lived threads; results are bit-identical across thread counts
-//! because the partitioning is data-dependent only and partition outputs
-//! merge in partition-index order ([`pool`], [`engine`]). Each of Join,
-//! GroupBy and GPIVOT has one row kernel in a sequential and a partitioned
-//! form, and the engine picks between them by input size alone.
+//! Every plan runs on the calling thread. Each of Join, GroupBy and
+//! GPIVOT has one row kernel in a sequential and a hash-partitioned form,
+//! and the engine picks between them by input size alone; the partitions
+//! run in a loop and merge in partition-index order, so results depend on
+//! the data alone ([`engine`]). [`pool`] holds the partitioning helper and
+//! the [`WorkerPool`] the serve layer fans its refreshes out on.
 
 // Executor errors surface as `ExecError` to the maintenance layer; a
 // panic here would take down a refresh epoch. `unwrap`/`expect` are

@@ -12,7 +12,7 @@
 //! skipping groups whose measures are all `⊥`.
 
 use crate::error::{ExecError, Result};
-use crate::pool::{partition_by_hash, WorkerPool};
+use crate::pool::partition_by_hash;
 use gpivot_algebra::plan::{PivotSpec, UnpivotSpec};
 use gpivot_storage::{Row, RowMap, Schema, Table, Value};
 use std::sync::Arc;
@@ -139,25 +139,22 @@ pub fn gpivot(input: &Table, spec: &PivotSpec, out_schema: Arc<Schema>) -> Resul
 /// All rows of one `K` value land in the same partition, so each wide
 /// output row is assembled entirely within one partition and the
 /// `(K, A1..Am)` key violation check ([`ExecError::DuplicatePivotCell`])
-/// still sees every conflicting pair. Partition outputs concatenate in
+/// still sees every conflicting pair. Partitions run one after another
+/// under one `op.GPivot` span and their outputs concatenate in
 /// partition-index order.
 pub fn gpivot_partitioned(
     input: &Table,
     spec: &PivotSpec,
     out_schema: Arc<Schema>,
-    pool: &WorkerPool,
     partitions: usize,
 ) -> Result<Table> {
+    let _s = tracing::span("op.GPivot").enter();
     let layout = PivotLayout::resolve(spec, input.schema())?;
-    let jobs = partition_by_hash(input.rows(), &layout.k_idx, partitions);
-    let outs = pool.run_timed(
-        "GPivot",
-        "op.GPivot",
-        "op.GPivot.partition",
-        jobs,
-        |indices| pivot_partition(input, &indices, spec, &layout),
-    )?;
-    Ok(Table::bag(out_schema, outs.into_iter().flatten().collect()))
+    let mut rows = Vec::new();
+    for indices in partition_by_hash(input.rows(), &layout.k_idx, partitions) {
+        rows.extend(pivot_partition(input, &indices, spec, &layout)?);
+    }
+    Ok(Table::bag(out_schema, rows))
 }
 
 /// Column index layout for an unpivot execution.
@@ -418,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_pivot_agrees_with_sequential_and_is_thread_invariant() {
+    fn partitioned_pivot_agrees_with_sequential() {
         let schema = Arc::new(
             Schema::from_pairs_keyed(
                 &[
@@ -440,21 +437,8 @@ mod tests {
             .collect();
         let t = Table::bag(schema, rows);
         let seq = gpivot(&t, &fig1_spec(), fig1_out_schema()).unwrap();
-        let mut orders = Vec::new();
-        for threads in [1, 2, 8] {
-            let par = gpivot_partitioned(
-                &t,
-                &fig1_spec(),
-                fig1_out_schema(),
-                &crate::pool::WorkerPool::new(threads),
-                16,
-            )
-            .unwrap();
-            assert!(par.bag_eq(&seq), "threads={threads}");
-            orders.push(par.rows().to_vec());
-        }
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[1], orders[2]);
+        let par = gpivot_partitioned(&t, &fig1_spec(), fig1_out_schema(), 16).unwrap();
+        assert!(par.bag_eq(&seq));
     }
 
     #[test]
@@ -467,14 +451,7 @@ mod tests {
                 row![1, "Manufacturer", "JVC"],
             ],
         );
-        let err = gpivot_partitioned(
-            &t,
-            &fig1_spec(),
-            fig1_out_schema(),
-            &crate::pool::WorkerPool::new(4),
-            16,
-        )
-        .unwrap_err();
+        let err = gpivot_partitioned(&t, &fig1_spec(), fig1_out_schema(), 16).unwrap_err();
         assert!(matches!(err, ExecError::DuplicatePivotCell { .. }));
     }
 

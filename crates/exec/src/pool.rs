@@ -1,7 +1,8 @@
 //! Dependency-free worker pool: the workspace's one fan-out loop
 //! (round-robin buckets over long-lived workers, order-preserving result
-//! slots — [`WorkerPool::run_slots`]). Operator kernels and the serve
-//! layer's epoch and shard fan-outs all submit their jobs here:
+//! slots — [`WorkerPool::run_slots`]). The serve layer's epoch and shard
+//! fan-outs submit their jobs here; plan execution itself never does, it
+//! runs on the calling thread.
 //!
 //! * **Long-lived workers** — a pool's threads are spawned once, by the
 //!   first fan-out that needs more than one of them, from the calling
@@ -13,13 +14,12 @@
 //!   A fan-out therefore costs one push per bucket — plus a wake-up when
 //!   the workers have been idle for longer than those 2 ms — not a spawn,
 //!   a fresh stack and a cold allocator arena per call.
-//! * **Determinism** — results come back in job (partition) index order,
-//!   and when several jobs fail the error of the lowest-indexed job wins,
-//!   so a query's outcome never depends on thread scheduling.
+//! * **Determinism** — results come back in job index order, so a
+//!   caller's outcome never depends on thread scheduling.
 //! * **Panic isolation** — every job runs under `catch_unwind`, on the
-//!   inline path too, so a poisoned partition surfaces as a classified
-//!   [`ExecError::WorkerPanic`] instead of hanging the query or killing
-//!   the process; a worker survives every panic.
+//!   inline path too, so a panicking job leaves its slot empty instead of
+//!   hanging the call or killing the process; a worker survives every
+//!   panic.
 //! * **Collector handoff** — the collector installed on the calling
 //!   thread (see `tracing::current_collector`) is installed on the worker
 //!   for each task it runs and removed afterwards, never for the worker's
@@ -28,21 +28,18 @@
 //! * **No self-deadlock** — a `run_slots` call made from one of the same
 //!   pool's workers runs its jobs inline instead of queueing behind
 //!   itself. Fan-outs nested across pools (a service's epoch pool inside
-//!   a shard tier's pool, an executor's pool inside either) queue on the
-//!   inner pool, which never waits on an outer one.
+//!   a shard tier's pool) queue on the inner pool, which never waits on
+//!   an outer one.
 //!
-//! [`partition_by_hash`] and [`morsels`] are the two job-shaping helpers
-//! the parallel kernels share: hash partitioning keeps equal keys in the
-//! same partition (joins, grouping, pivoting), morsels keep row order
-//! (selection, projection).
+//! [`partition_by_hash`] shapes the partitioned kernels' work: hash
+//! partitioning keeps equal keys in the same partition (joins, grouping,
+//! pivoting).
 
-use crate::error::{ExecError, Result};
 use gpivot_storage::Row;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -220,66 +217,6 @@ impl WorkerPool {
     fn on_own_worker(&self) -> bool {
         WORKER_OF.with(|w| std::ptr::eq(w.get(), self.workers.inboxes.as_ptr()))
     }
-
-    /// Run `f` over `jobs`, returning outputs in job order. `op` labels
-    /// the operator in [`ExecError::WorkerPanic`] if a job panics. If
-    /// several jobs fail, the lowest-indexed job's error is returned
-    /// (deterministic).
-    pub fn run<T, R, F>(&self, op: &'static str, jobs: Vec<T>, f: F) -> Result<Vec<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> Result<R> + Sync,
-    {
-        // `run_caught` keeps the panic message for the typed error, so the
-        // slot method's own boundary never fires here.
-        self.run_slots(jobs, |job| run_caught(op, &f, job))
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(ExecError::WorkerPanic {
-                        op,
-                        message: "worker died outside panic isolation".to_string(),
-                    })
-                })
-            })
-            .collect()
-    }
-
-    /// Like [`WorkerPool::run`], but times each job and reconciles the
-    /// durations with the span store: every job reports a
-    /// `partition_span` sub-span from its worker, and the parent `span`
-    /// records the **max** partition duration — the operator's critical
-    /// path — on the calling thread, so per-operator self-times stay
-    /// comparable between the sequential and parallel kernels.
-    pub fn run_timed<T, R, F>(
-        &self,
-        op: &'static str,
-        span: &'static str,
-        partition_span: &'static str,
-        jobs: Vec<T>,
-        f: F,
-    ) -> Result<Vec<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> Result<R> + Sync,
-    {
-        let timed = self.run(op, jobs, |job| {
-            let start = Instant::now();
-            let r = f(job)?;
-            let elapsed = start.elapsed();
-            tracing::record(partition_span, elapsed);
-            Ok((r, elapsed))
-        })?;
-        let critical_path = timed
-            .iter()
-            .map(|(_, d)| *d)
-            .max()
-            .unwrap_or(Duration::ZERO);
-        tracing::record(span, critical_path);
-        Ok(timed.into_iter().map(|(r, _)| r).collect())
-    }
 }
 
 impl Workers {
@@ -385,30 +322,12 @@ impl<T> Drop for Finished<T> {
     }
 }
 
-fn run_caught<T, R, F>(op: &'static str, f: &F, job: T) -> Result<R>
-where
-    F: Fn(T) -> Result<R>,
-{
-    match catch_unwind(AssertUnwindSafe(|| f(job))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(ExecError::WorkerPanic { op, message })
-        }
-    }
-}
-
 /// Partition row indices by the hash of the `key_idx` columns. Equal key
 /// tuples always land in the same partition, so hash joins, grouping and
 /// pivoting are correct per-partition with no cross-partition merge. Uses
 /// [`std::collections::hash_map::DefaultHasher`] with its fixed default
 /// keys — not a randomly keyed hasher — so the partitioning (and therefore
-/// the merged output order) is identical across processes and thread
-/// counts.
+/// the merged output order) is identical across processes.
 ///
 /// With an empty `key_idx` (cross join, global aggregate) every row hashes
 /// identically and the whole input degenerates to one partition, which is
@@ -426,14 +345,6 @@ pub fn partition_by_hash(rows: &[Row], key_idx: &[usize], partitions: usize) -> 
     parts
 }
 
-/// Split `0..n` into contiguous ranges of at most `morsel_rows` rows.
-/// Concatenating per-morsel outputs in morsel order reproduces the
-/// sequential row order exactly.
-pub fn morsels(n: usize, morsel_rows: usize) -> Vec<Range<usize>> {
-    let step = morsel_rows.max(1);
-    (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,39 +352,6 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::{mpsc, Barrier};
     use std::thread::ThreadId;
-
-    #[test]
-    fn run_preserves_job_order_across_widths() {
-        let jobs: Vec<usize> = (0..37).collect();
-        let expect: Vec<usize> = jobs.iter().map(|i| i * 2).collect();
-        for threads in [1, 2, 8] {
-            let out = WorkerPool::new(threads)
-                .run("Test", jobs.clone(), |i| Ok(i * 2))
-                .unwrap();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn panic_in_job_is_isolated_and_classified() {
-        for threads in [1, 4] {
-            let err = WorkerPool::new(threads)
-                .run("GPivot", vec![0, 1, 2, 3], |i| {
-                    if i == 2 {
-                        panic!("poisoned partition {i}");
-                    }
-                    Ok(i)
-                })
-                .unwrap_err();
-            match err {
-                ExecError::WorkerPanic { op, message } => {
-                    assert_eq!(op, "GPivot");
-                    assert!(message.contains("poisoned partition 2"), "{message}");
-                }
-                other => panic!("expected WorkerPanic, got {other:?}"),
-            }
-        }
-    }
 
     #[test]
     fn run_slots_leaves_only_the_poisoned_slot_empty() {
@@ -490,42 +368,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn lowest_indexed_error_wins() {
-        let err = WorkerPool::new(4)
-            .run("Join", (0..16).collect::<Vec<usize>>(), |i| {
-                if i >= 3 {
-                    Err(ExecError::WorkerPanic {
-                        op: "Join",
-                        message: format!("job {i}"),
-                    })
-                } else {
-                    Ok(i)
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ExecError::WorkerPanic { ref message, .. } if message == "job 3"
-        ));
-    }
-
-    #[test]
-    fn run_timed_records_partition_spans_and_critical_path() {
-        let sub = tracing::TimingSubscriber::shared();
-        tracing::with_collector(sub.clone(), || {
-            WorkerPool::new(2)
-                .run_timed("Join", "op.Join", "op.Join.partition", vec![1u64, 2, 3], Ok)
-                .unwrap();
-        });
-        assert_eq!(sub.histogram("op.Join.partition").unwrap().count(), 3);
-        let parent = sub.histogram("op.Join").unwrap();
-        assert_eq!(parent.count(), 1);
-        // The parent self-time is the slowest partition, so it can never
-        // exceed the partition family's max.
-        assert!(parent.max() <= sub.histogram("op.Join.partition").unwrap().max());
     }
 
     #[test]
@@ -550,14 +392,6 @@ mod tests {
         let nonempty: Vec<_> = parts.iter().filter(|p| !p.is_empty()).collect();
         assert_eq!(nonempty.len(), 1);
         assert_eq!(nonempty[0].len(), 3);
-    }
-
-    #[test]
-    fn morsels_tile_the_range_in_order() {
-        assert_eq!(morsels(0, 4), Vec::<Range<usize>>::new());
-        assert_eq!(morsels(10, 4), vec![0..4, 4..8, 8..10]);
-        let flat: Vec<usize> = morsels(1000, 7).into_iter().flatten().collect();
-        assert_eq!(flat, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -693,21 +527,20 @@ mod tests {
             tracing::TimingSubscriber::shared(),
         );
         let fan_out = |pool: &WorkerPool| {
-            pool.run("Test", vec![0, 1, 2], |i| {
-                tracing::record("op.Test.partition", Duration::from_micros(1));
-                Ok(i)
-            })
-            .unwrap();
+            pool.run_slots(vec![0, 1, 2], |i| {
+                tracing::record("test.job", Duration::from_micros(1));
+                i
+            });
         };
         for _ in 0..5 {
             tracing::with_collector(a.clone(), || fan_out(&pool));
             tracing::with_collector(b.clone(), || fan_out(&pool));
         }
-        assert_eq!(a.histogram("op.Test.partition").unwrap().count(), 15);
-        assert_eq!(b.histogram("op.Test.partition").unwrap().count(), 15);
+        assert_eq!(a.histogram("test.job").unwrap().count(), 15);
+        assert_eq!(b.histogram("test.job").unwrap().count(), 15);
         // A call with no collector must not reach the last caller's store.
         fan_out(&pool);
-        assert_eq!(b.histogram("op.Test.partition").unwrap().count(), 15);
+        assert_eq!(b.histogram("test.job").unwrap().count(), 15);
     }
 
     #[test]
@@ -715,12 +548,11 @@ mod tests {
         let sub = tracing::TimingSubscriber::shared();
         let pool = WorkerPool::new(4);
         tracing::with_collector(sub.clone(), || {
-            pool.run("Test", (0..8).collect::<Vec<usize>>(), |i| {
-                tracing::record("op.Test.partition", std::time::Duration::from_micros(1));
-                Ok(i)
-            })
-            .unwrap();
+            pool.run_slots((0..8).collect::<Vec<usize>>(), |i| {
+                tracing::record("test.job", Duration::from_micros(1));
+                i
+            });
         });
-        assert_eq!(sub.histogram("op.Test.partition").unwrap().count(), 8);
+        assert_eq!(sub.histogram("test.job").unwrap().count(), 8);
     }
 }

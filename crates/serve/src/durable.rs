@@ -438,11 +438,7 @@ pub(crate) struct Recovered {
 /// Recovery runs with a *disabled* fault injector (the caller re-arms the
 /// catalog afterwards): replay re-executes already-acknowledged work, so
 /// injecting faults into it would only re-litigate decided epochs.
-pub(crate) fn recover(
-    dir: &Path,
-    parser: &PlanParser,
-    exec: Executor,
-) -> Result<Option<Recovered>> {
+pub(crate) fn recover(dir: &Path, parser: &PlanParser) -> Result<Option<Recovered>> {
     let Some(loaded) = checkpoint::load_latest(dir)? else {
         if !checkpoint::list_wal_gens(dir)?.is_empty() {
             return Err(corrupt("durable directory holds a log but no checkpoint"));
@@ -464,7 +460,7 @@ pub(crate) fn recover(
             .register(name.clone(), table)
             .map_err(|_| corrupt(format!("checkpoint lists table {name:?} twice")))?;
     }
-    let mut manager = ViewManager::new(catalog).with_exec(exec);
+    let mut manager = ViewManager::new(catalog);
 
     // Every view recovery builds comes through here: from its checkpoint
     // snapshot when there is one (recomputed instead if the snapshot's
@@ -480,7 +476,7 @@ pub(crate) fn recover(
             .map_err(|e| corrupt(format!("{name}: persisted view SQL failed to parse: {e}")))?;
         let strategy = Strategy::from_id(strategy)
             .ok_or_else(|| corrupt(format!("unknown persisted strategy id {strategy:?}")))?;
-        let (catalog, exec) = (manager.catalog(), manager.executor());
+        let (catalog, exec) = (manager.catalog(), &Executor::new());
         let (view, used_snapshot) = match snapshot {
             Some(table) => {
                 MaterializedView::from_snapshot(name, plan, strategy, table, catalog, exec)?
@@ -607,7 +603,7 @@ pub(crate) fn recover(
             view.definition().clone(),
             view.strategy(),
             manager.catalog(),
-            manager.executor(),
+            &Executor::new(),
         );
         match fresh {
             Ok(view) => {

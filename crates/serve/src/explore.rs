@@ -720,11 +720,7 @@ mod sched {
     // pool inlines single-worker runs, so every lock acquisition in the
     // run happens on a token-holding thread.
     fn cfg() -> ServeConfig {
-        ServeConfig::builder()
-            .workers(1)
-            .exec_threads(1)
-            .build()
-            .unwrap()
+        ServeConfig::builder().workers(1).build().unwrap()
     }
 
     fn deltas() -> Vec<Delta> {
@@ -795,7 +791,6 @@ mod sched {
         fn shard_cfg() -> ServeConfig {
             ServeConfig::builder()
                 .workers(1)
-                .exec_threads(1)
                 .shards(2)
                 .heavy_key_threshold(2)
                 .build()

@@ -70,12 +70,6 @@ pub struct ServeConfig {
     /// [`ViewHealth::Quarantined`] in metrics, and re-admitted only by
     /// [`ViewService::retry_view`] or re-registration.
     pub(crate) quarantine_after: u32,
-    /// Intra-query parallelism: threads each plan execution (propagate
-    /// subplans, recompute, verify) runs on, via the service's
-    /// [`gpivot_exec::Executor`]. Orthogonal to [`ServeConfig::workers`]
-    /// (inter-view parallelism): an epoch uses up to
-    /// `workers × exec_threads` threads. Defaults to `1`.
-    pub(crate) exec_threads: usize,
     /// When the WAL fsyncs, for services opened durably with
     /// [`ViewService::open`]. Ignored by [`ViewService::new`] (no log).
     /// The default, [`FsyncPolicy::OnCommit`], makes every acknowledged
@@ -101,7 +95,6 @@ impl Default for ServeConfig {
             max_pending_rows: 1 << 20,
             max_retries: 2,
             quarantine_after: 3,
-            exec_threads: 1,
             wal_fsync: FsyncPolicy::default(),
             checkpoint_every_epochs: 0,
             sharding: ShardConfig::default(),
@@ -140,9 +133,11 @@ impl ServeConfig {
         self.quarantine_after
     }
 
-    /// Intra-query executor threads.
+    /// Always `1`: kept for the frozen benchmark harness, which reports
+    /// it. Every plan execution runs on the thread that asks for it.
+    #[doc(hidden)]
     pub fn exec_threads(&self) -> usize {
-        self.exec_threads
+        1
     }
 
     /// Always `false`: kept for the frozen benchmark harness, which
@@ -150,11 +145,6 @@ impl ServeConfig {
     #[doc(hidden)]
     pub fn exec_columnar(&self) -> bool {
         false
-    }
-
-    /// The plan executor a service with this config runs on.
-    pub(crate) fn executor(&self) -> Executor {
-        Executor::new().with_threads(self.exec_threads)
     }
 
     /// WAL fsync policy for durable services.
@@ -244,16 +234,6 @@ impl ServeConfigBuilder {
             self.invalid("quarantine_after", "must be at least 1".into());
         } else {
             self.cfg.quarantine_after = epochs;
-        }
-        self
-    }
-
-    /// Intra-query executor threads; ≥ 1.
-    pub fn exec_threads(mut self, threads: usize) -> Self {
-        if threads == 0 {
-            self.invalid("exec_threads", "must be at least 1".into());
-        } else {
-            self.cfg.exec_threads = threads;
         }
         self
     }
@@ -384,7 +364,7 @@ impl ViewService {
     /// the copy the service owns.
     pub fn new(catalog: Catalog, cfg: ServeConfig) -> Self {
         Self::assemble(
-            ViewManager::new(catalog).with_exec(cfg.executor()),
+            ViewManager::new(catalog),
             IngestQueue::new(),
             MetricsSnapshot::default(),
             0,
@@ -457,14 +437,14 @@ impl ViewService {
     ) -> Result<(ViewService, RecoveryReport)> {
         let dir = dir.as_ref();
         let injector = seed_catalog.fault_injector().clone();
-        let (mut rec, durability) = match durable::recover(dir, parser, cfg.executor())? {
+        let (mut rec, durability) = match durable::recover(dir, parser)? {
             Some(rec) => {
                 let durability =
                     Durability::open_at(dir, rec.gen, cfg.wal_fsync(), injector.clone())?;
                 (rec, durability)
             }
             None => {
-                let manager = ViewManager::new(seed_catalog).with_exec(cfg.executor());
+                let manager = ViewManager::new(seed_catalog);
                 let image =
                     durable::snapshot(&manager, Vec::new(), (0, 0), 0, 1, &BTreeSet::new())?;
                 let durability =
@@ -1142,7 +1122,7 @@ impl ViewService {
             definition,
             strategy,
             state.catalog(),
-            state.executor(),
+            &Executor::new(),
         )?;
         state.install_view(fresh);
         drop(state);
@@ -1393,7 +1373,6 @@ mod tests {
             .max_pending_rows(1)
             .max_retries(0)
             .quarantine_after(3)
-            .exec_threads(1)
             .wal_fsync(FsyncPolicy::OnCommit)
             .build()
             .unwrap()
@@ -1594,7 +1573,6 @@ mod tests {
             ServeConfig::builder().shards(0),
             ServeConfig::builder().max_pending_rows(0),
             ServeConfig::builder().quarantine_after(0),
-            ServeConfig::builder().exec_threads(0),
         ] {
             assert!(matches!(
                 build.build(),
@@ -1605,7 +1583,7 @@ mod tests {
         // The first violation wins over later ones.
         let err = ServeConfig::builder()
             .workers(0)
-            .exec_threads(0)
+            .shards(0)
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { ref field, .. } if field == "workers"));

@@ -1061,7 +1061,6 @@ mod tests {
     fn cfg(shards: usize, heavy_threshold: u64) -> ServeConfig {
         ServeConfig::builder()
             .workers(2)
-            .exec_threads(1)
             .shards(shards)
             .heavy_key_threshold(heavy_threshold)
             .build()

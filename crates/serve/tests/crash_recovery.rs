@@ -55,7 +55,6 @@ fn parse(sql: &str) -> std::result::Result<Plan, String> {
 fn durable_config(policy: FsyncPolicy) -> ServeConfig {
     ServeConfig::builder()
         .workers(2)
-        .exec_threads(1)
         .wal_fsync(policy)
         .build()
         .unwrap()

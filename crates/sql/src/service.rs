@@ -9,7 +9,7 @@
 //!   sharded service — places the view shard-wise when the analyzer proves
 //!   it shard-safe),
 //! * `SELECT` → view-matching rewrite ([`crate::rewrite`]) then execution on
-//!   the parallel [`gpivot_exec::Executor`] — against the matched view's materialized
+//!   a [`gpivot_exec::Executor`] — against the matched view's materialized
 //!   table when a view subsumes the query, against the base tables
 //!   otherwise,
 //! * `EXPLAIN` → the rewritten plan's tree plus the analyzer's GP0xx
@@ -25,7 +25,7 @@ use crate::rewrite::rewrite;
 use gpivot_algebra::Plan;
 use gpivot_analyze::analyze;
 use gpivot_core::{CoreError, Strategy};
-use gpivot_exec::Overlay;
+use gpivot_exec::{Executor, Overlay};
 use gpivot_serve::{ServeConfig, ShardedService, ViewService};
 use gpivot_storage::{Catalog, Table};
 use std::fmt::Write as _;
@@ -162,8 +162,9 @@ impl GpivotService {
         })
     }
 
-    /// The registered views as (name, definition) pairs, against a live
-    /// snapshot.
+    /// Run a `SELECT` on one snapshot of the service: over the contents
+    /// of the view that subsumes it, if the rewriter finds one, else over
+    /// the base tables. Counts the rewrite as a hit or a miss.
     fn run_select(&self, plan: Plan) -> Result<SqlOutcome> {
         let engine = |e: gpivot_exec::ExecError| SqlError::Engine(e.to_string());
         let result = {
@@ -178,15 +179,11 @@ impl GpivotService {
                         .query_view(&hit.view)
                         .map_err(|e| SqlError::Engine(e.to_string()))?;
                     let overlay = Overlay::new(manager.catalog()).with(hit.view.clone(), table);
-                    let rows = manager
-                        .executor()
-                        .run(&hit.plan, &overlay)
-                        .map_err(engine)?;
+                    let rows = Executor::new().run(&hit.plan, &overlay).map_err(engine)?;
                     (rows, Some(hit.view))
                 }
                 None => {
-                    let rows = manager
-                        .executor()
+                    let rows = Executor::new()
                         .run(&plan, manager.catalog())
                         .map_err(engine)?;
                     (rows, None)

@@ -5,6 +5,7 @@
 //! trace event and metrics), and EXPLAIN output.
 
 use gpivot_algebra::{PivotSpec, Plan};
+use gpivot_exec::Executor;
 use gpivot_serve::{IngestOptions, ServeConfig};
 use gpivot_sql::{parse_query, GpivotService, SqlError, SqlOutcome};
 use gpivot_storage::{
@@ -59,7 +60,7 @@ fn baseline(svc: &GpivotService, sql: &str) -> Table {
     let plan = parse_query(sql).unwrap();
     let snapshot = svc.service().snapshot();
     let manager = snapshot.manager();
-    manager.executor().run(&plan, manager.catalog()).unwrap()
+    Executor::new().run(&plan, manager.catalog()).unwrap()
 }
 
 #[test]
