@@ -21,9 +21,10 @@
 //! row with no live cell is not stored — the definition's own pivot drops
 //! all-⊥ rows, so the view never shows one.
 //!
-//! [`plan_merge`] collects the signed core rows into one map from view key
-//! to cell changes, folds each touched key's cells starting from its
-//! stored row (or a blank one), and decides the key with `merge_key`.
+//! [`plan_merge`] groups the signed core rows by view key in place — the
+//! first row of each key stands for it, so no key row is built — folds
+//! each touched key's cells starting from its stored row (or a blank one),
+//! and decides the key with `merge_key`.
 //! Under Fig. 29 a key absent from the view may hold cells σ rejected, so
 //! it is not folded: if an inserted row touches a cell σ reads it is a
 //! *candidate*, whose post-state row [`MergeLayout::candidate_rows`]
@@ -33,14 +34,15 @@
 //!
 //! The MERGE is computed in two halves so a service can do the fallible
 //! half off to the side: planning reads the view and returns the
-//! row-level patch (a list of [`RowOp`]s, each view key at most once);
-//! [`apply_row_ops`] writes it in place and cannot fail.
+//! row-level patch (a list of [`RowOp`]s, each view key at most once, each
+//! naming its key by a whole row); [`apply_row_ops`] writes it in place
+//! and cannot fail.
 
 use crate::error::{CoreError, Result};
 use crate::maintain::select_pivot::Candidates;
 use gpivot_algebra::{BoundExpr, Plan};
 use gpivot_exec::pivot::PivotLayout;
-use gpivot_storage::{Catalog, Row, RowMap, Table, Value};
+use gpivot_storage::{Catalog, ColsKey, Row, RowMap, Table, Value};
 use std::sync::Arc;
 
 /// Row-level effect counters from an apply phase.
@@ -58,13 +60,15 @@ impl ApplyStats {
     }
 }
 
-/// One keyed write of a MERGE against a materialized view.
+/// One keyed write of a MERGE against a materialized view. Each names its
+/// key by a whole row of the view's shape; the view reads the key columns
+/// in place.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RowOp {
-    /// Remove the row stored under this key.
+    /// Remove this stored row (found by its key).
     Delete(Row),
-    /// Replace the row stored under this key (the new row has the same key).
-    Update(Row, Row),
+    /// Replace the row stored under this row's key with it.
+    Update(Row),
     /// Add a row whose key the view does not hold.
     Insert(Row),
 }
@@ -170,23 +174,40 @@ impl MergeLayout {
         })
     }
 
-    /// Gather `delta`'s signed core rows per view key. Rows outside the
-    /// pivot's groups, and overwrite rows whose measures are all ⊥, are
-    /// skipped. Overwrite entries add up the weights of equal rows — a core
-    /// row is `K ∪ by ∪ on`, so this is whole-row consolidation, and an
-    /// entry whose weights cancel folds nothing.
-    fn collect(&self, delta: &[(Row, i64)]) -> RowMap<Row, CellChanges> {
+    /// The pivot group (cell) of a core row, looked up by its tag values
+    /// in place when the tags are one column.
+    fn group_of(&self, row: &Row) -> Option<usize> {
+        let gi = match self.tags[..] {
+            [t] => self.groups.get(std::slice::from_ref(&row[t])),
+            _ => self.groups.get(&row.project(&self.tags)),
+        };
+        gi.copied()
+    }
+
+    /// Gather `delta`'s signed core rows per view key, grouped in place:
+    /// each entry is the first row of a key, which stands for the key, and
+    /// that key's changes. Rows outside the pivot's groups, and overwrite
+    /// rows whose measures are all ⊥, are skipped. Overwrite entries add up
+    /// the weights of equal rows — a core row is `K ∪ by ∪ on`, so this is
+    /// whole-row consolidation, and an entry whose weights cancel folds
+    /// nothing.
+    fn collect<'a>(&'a self, delta: &'a [(Row, i64)]) -> Vec<(&'a Row, CellChanges)> {
         let overwrite = self.live.is_empty();
-        let mut by_key: RowMap<Row, CellChanges> = RowMap::default();
+        let mut keys: RowMap<ColsKey<'a>, usize> = RowMap::default();
+        let mut by_key: Vec<(&'a Row, CellChanges)> = Vec::new();
         for (row, w) in delta {
-            let Some(&gi) = self.groups.get(&row.project(&self.tags)) else {
+            let Some(gi) = self.group_of(row) else {
                 continue;
             };
             let measures = || self.measures.iter().map(|&(i, _)| &row[i]);
             if overwrite && measures().all(Value::is_null) {
                 continue;
             }
-            let changes = by_key.entry(row.project(&self.key)).or_default();
+            let k = *keys.entry(ColsKey::new(row, &self.key)).or_insert_with(|| {
+                by_key.push((row, CellChanges::new()));
+                by_key.len() - 1
+            });
+            let changes = &mut by_key[k].1;
             let same = |(g, _, m): &(usize, i64, Vec<Value>)| {
                 *g == gi && (!overwrite || m.iter().eq(measures()))
             };
@@ -255,8 +276,12 @@ pub(super) fn not_applicable(strategy: &str, reason: &str) -> CoreError {
 /// [`apply_row_ops`] installs the patch). With `sigma` (Fig. 29) a row
 /// stays only while σ holds, and keys absent from `mv` are not folded:
 /// those with an inserted row in a cell σ reads come back as candidates
-/// for [`MergeLayout::candidate_rows`], the rest stay absent (σ is
-/// null-intolerant, so nulling more cells cannot make a row pass).
+/// (key rows) for [`MergeLayout::candidate_rows`], the rest stay absent
+/// (σ is null-intolerant, so nulling more cells cannot make a row pass).
+///
+/// Each touched key is probed in `mv` with the K columns of the core row
+/// that stands for it; a key row is built only for a blank row or a
+/// candidate.
 pub fn plan_merge(
     mv: &Table,
     layout: &MergeLayout,
@@ -268,26 +293,27 @@ pub fn plan_merge(
     let mut stats = ApplyStats::default();
     let mut ops = Vec::with_capacity(changes.len());
     let mut candidates = Vec::new();
-    for (key, mut cell_changes) in changes {
-        let existing = mv.get_by_key(&key);
+    for (first, mut cell_changes) in changes {
+        let key = || layout.key.iter().map(|&i| &first[i]);
+        let existing = mv.get_by_key_values(key());
         let mut cells = match (existing, sigma, &layout.sigma) {
             (Some(row), ..) => row.to_vec(),
             (None, Some(_), Some(c)) => {
                 if (cell_changes.iter()).any(|(gi, w, _)| *w > 0 && c.read[*gi]) {
-                    candidates.push(key);
+                    candidates.push(first.project(&layout.key));
                 }
                 continue;
             }
             (None, ..) => {
                 let blank = std::iter::repeat_n(Value::Null, mv.schema().arity() - n_k);
-                key.iter().cloned().chain(blank).collect()
+                key().cloned().chain(blank).collect()
             }
         };
         layout.fold(&mut cells[n_k..], &mut cell_changes);
         let (row, keep) = (Row::new(cells), |row: &Row| {
             sigma.is_none_or(|s| s.holds(row))
         });
-        merge_key(&mut ops, &mut stats, key, row, n_k, existing, keep);
+        merge_key(&mut ops, &mut stats, row, n_k, existing, keep);
     }
     (ops, stats, candidates)
 }
@@ -300,7 +326,6 @@ pub fn plan_merge(
 pub(crate) fn merge_key(
     ops: &mut Vec<RowOp>,
     stats: &mut ApplyStats,
-    key: Row,
     row: Row,
     n_k: usize,
     existing: Option<&Row>,
@@ -308,13 +333,13 @@ pub(crate) fn merge_key(
 ) {
     let stays = !row.values()[n_k..].iter().all(Value::is_null) && keep(&row);
     match (existing, stays) {
-        (Some(_), false) => {
-            ops.push(RowOp::Delete(key));
+        (Some(old), false) => {
+            ops.push(RowOp::Delete(old.clone()));
             stats.deleted += 1;
         }
         (Some(old), true) if *old == row => {} // no-op: changes that cancel
         (Some(_), true) => {
-            ops.push(RowOp::Update(key, row));
+            ops.push(RowOp::Update(row));
             stats.updated += 1;
         }
         (None, false) => {} // no-op: deletes for an absent key
@@ -340,14 +365,14 @@ pub fn apply_row_ops(
 ) {
     for op in ops {
         match op {
-            RowOp::Delete(key) => {
-                if let (Some((pos, _)), Some((rows, _))) = (mv.delete_by_key(&key), &mut mirror) {
+            RowOp::Delete(row) => {
+                if let (Some((pos, _)), Some((rows, _))) = (mv.delete_by_key_of(&row), &mut mirror)
+                {
                     Arc::make_mut(rows).swap_remove(pos);
                 }
             }
-            RowOp::Update(key, row) => {
-                if let (Some((pos, _)), Some((rows, idx))) =
-                    (mv.update_by_key(&key, row), &mut mirror)
+            RowOp::Update(row) => {
+                if let (Some((pos, _)), Some((rows, idx))) = (mv.update_by_key_of(row), &mut mirror)
                 {
                     Arc::make_mut(rows)[pos] = mv.rows()[pos].project(idx);
                 }

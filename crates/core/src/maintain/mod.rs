@@ -29,7 +29,8 @@ pub use view::{
     EpochPlan, MaterializedView, RefreshGroup, RefreshPlan, ViewManager, ViewOptions, ViewPatch,
 };
 
-use gpivot_storage::{Delta, Row};
+use gpivot_storage::{Catalog, Delta, Row, RowMap};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A batch of pending changes to base tables, by table name.
@@ -107,6 +108,53 @@ impl SourceDeltas {
     pub fn total_changes(&self) -> u64 {
         self.map.values().map(Delta::total_multiplicity).sum()
     }
+
+    /// This batch without the deletes `catalog` cannot cover, and how many
+    /// deleted rows that drops. Every refresh path runs its batch through
+    /// here before propagating: a table skips a delete of a row it does not
+    /// hold ([`gpivot_storage::Table::apply_delta`]), so propagating one
+    /// would take from the views a row their definitions never held. On a
+    /// keyed table the row stored under the deleted row's key must equal
+    /// it; on a bag, deletes beyond the copies held are dropped (one scan
+    /// of the table counts them, as [`gpivot_storage::Table::apply_delta`]
+    /// scans a bag per delete). Borrows the batch unchanged when every
+    /// delete is covered. A table the catalog lacks is left for validation
+    /// to refuse.
+    pub fn covered_by(&self, catalog: &Catalog) -> (Cow<'_, SourceDeltas>, u64) {
+        let mut covered = Cow::Borrowed(self);
+        let mut dropped = 0;
+        for (name, delta) in &self.map {
+            let Ok(table) = catalog.table(name) else {
+                continue;
+            };
+            let deletes = || delta.iter().filter(|(_, &w)| w < 0);
+            let bag_copies =
+                (table.schema().key().is_none() && deletes().next().is_some()).then(|| {
+                    let mut copies: RowMap<&Row, i64> = deletes().map(|(r, _)| (r, 0)).collect();
+                    for row in table.rows() {
+                        if let Some(n) = copies.get_mut(row) {
+                            *n += 1;
+                        }
+                    }
+                    copies
+                });
+            for (row, &w) in deletes() {
+                let held = match &bag_copies {
+                    Some(copies) => copies[row],
+                    None => i64::from(table.get_by_key_of(row) == Some(row)),
+                };
+                let excess = (-w - held).max(0);
+                if excess == 0 {
+                    continue;
+                }
+                if let Some(d) = covered.to_mut().map.get_mut(name) {
+                    d.add(row.clone(), excess);
+                }
+                dropped += excess as u64;
+            }
+        }
+        (covered, dropped)
+    }
 }
 
 #[cfg(test)]
@@ -124,6 +172,43 @@ mod tests {
         // Updating back cancels entirely.
         d.update_row("t", row![1, "new"], row![1, "old"]);
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn covered_by_drops_only_deletes_the_table_cannot_cover() {
+        use gpivot_storage::{DataType, Schema, Table};
+        use std::sync::Arc;
+        let keyed =
+            Schema::from_pairs_keyed(&[("id", DataType::Int), ("v", DataType::Int)], &["id"])
+                .unwrap();
+        let bag = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
+        let mut c = Catalog::new();
+        let t = Table::from_rows(Arc::new(keyed), vec![row![1, 10], row![2, 20]]);
+        c.register("t", t.unwrap()).unwrap();
+        let b = Table::from_rows(Arc::new(bag), vec![row![7], row![7]]);
+        c.register("b", b.unwrap()).unwrap();
+
+        let mut held = SourceDeltas::new();
+        held.delete_rows("t", vec![row![1, 10]]);
+        held.update_row("t", row![2, 20], row![2, 21]);
+        held.delete_rows("b", vec![row![7], row![7]]);
+        let (covered, dropped) = held.covered_by(&c);
+        assert!(matches!(covered, Cow::Borrowed(_)));
+        assert_eq!(dropped, 0);
+
+        let mut d = SourceDeltas::new();
+        // A key held with other values, a key not held, a third copy.
+        d.delete_rows("t", vec![row![1, 11], row![9, 90]]);
+        d.insert_rows("t", vec![row![3, 30]]);
+        d.delete_rows("b", vec![row![7], row![7], row![7], row![8]]);
+        d.delete_rows("missing", vec![row![1]]);
+        let (covered, dropped) = d.covered_by(&c);
+        assert_eq!(dropped, 4);
+        let t = covered.delta("t").unwrap();
+        assert_eq!((t.distinct_len(), t.multiplicity(&row![3, 30])), (1, 1));
+        let b = covered.delta("b").unwrap();
+        assert_eq!((b.distinct_len(), b.multiplicity(&row![7])), (1, -2));
+        assert_eq!(covered.delta("missing"), d.delta("missing"));
     }
 
     #[test]

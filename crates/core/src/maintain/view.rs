@@ -16,6 +16,7 @@ use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_analyze::Diagnostic;
 use gpivot_exec::Executor;
 use gpivot_storage::{Catalog, Delta, Field, Row, Schema, SchemaRef, Table};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
@@ -526,29 +527,28 @@ impl MaterializedView {
         let mut outcome = MaintenanceOutcome::default();
         let patch = match &parent.0 {
             PatchKind::Rows(parent_ops) => {
-                let key_cols = self.table.schema().key().ok_or_else(|| self.lost("key"))?;
+                let key = self.table.schema().key();
+                let n_k = key.ok_or_else(|| self.lost("key"))?.len();
                 let mut ops = Vec::new();
                 for op in parent_ops {
-                    let (key, row) = match op {
-                        RowOp::Delete(key) => {
-                            if self.table.contains_key(key) {
-                                ops.push(RowOp::Delete(key.clone()));
+                    let row = match op {
+                        RowOp::Delete(row) => {
+                            if let Some(held) = self.table.get_by_key_of(row) {
+                                ops.push(RowOp::Delete(held.clone()));
                                 outcome.stats.deleted += 1;
                             }
                             continue;
                         }
-                        RowOp::Update(key, row) => (key.clone(), row),
-                        RowOp::Insert(row) => (row.project(key_cols), row),
+                        RowOp::Update(row) | RowOp::Insert(row) => row,
                     };
                     // The parent keeps `row`; this view keeps it iff σ holds,
                     // sharing the parent's row storage.
-                    let held = self.table.get_by_key(&key);
+                    let held = self.table.get_by_key_of(row);
                     merge_key(
                         &mut ops,
                         &mut outcome.stats,
-                        key,
                         row.clone(),
-                        key_cols.len(),
+                        n_k,
                         held,
                         |row| sigma.holds(row),
                     );
@@ -711,7 +711,9 @@ impl RefreshPlan {
 #[derive(Debug)]
 pub struct EpochPlan<'a> {
     generation: u64,
-    deltas: &'a SourceDeltas,
+    /// Borrowed from the caller, or owned when [`ViewManager::plan_epoch`]
+    /// dropped uncovered deletes ([`SourceDeltas::covered_by`]).
+    deltas: Cow<'a, SourceDeltas>,
     views: BTreeMap<String, RefreshPlan>,
 }
 
@@ -1042,6 +1044,11 @@ impl ViewManager {
     /// site)? O(|Δ|); reads only. The returned plan holds no view refresh
     /// yet.
     pub fn plan_commit<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
+        self.validate(Cow::Borrowed(deltas))
+    }
+
+    /// [`ViewManager::plan_commit`] over deltas it borrows or owns.
+    fn validate<'a>(&self, deltas: Cow<'a, SourceDeltas>) -> Result<EpochPlan<'a>> {
         let _s = tracing::span("maintain.stage").enter();
         for (t, d) in deltas.iter() {
             self.catalog.check_delta(t, d)?;
@@ -1053,14 +1060,16 @@ impl ViewManager {
         })
     }
 
-    /// Plan a whole epoch: every affected view that does not lag, group by
-    /// group ([`ViewManager::refresh_groups`]), then the base deltas. A
-    /// lagging view's table does not reflect the pre-update catalog, so a
-    /// patch planned against it would not bring it in step; it stays out
-    /// until it is installed afresh.
+    /// Plan a whole epoch: drop the deletes the catalog cannot cover
+    /// ([`SourceDeltas::covered_by`]), then plan every affected view that
+    /// does not lag, group by group ([`ViewManager::refresh_groups`]), then
+    /// the base deltas. A lagging view's table does not reflect the
+    /// pre-update catalog, so a patch planned against it would not bring it
+    /// in step; it stays out until it is installed afresh.
     pub fn plan_epoch<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
+        let (deltas, _) = deltas.covered_by(&self.catalog);
         let affected: Vec<&str> = self
-            .affected_views(deltas)
+            .affected_views(&deltas)
             .filter(|v| !v.lagging)
             .map(MaterializedView::name)
             .collect();
@@ -1068,14 +1077,14 @@ impl ViewManager {
         for group in self.refresh_groups(&affected) {
             let mut planned: Vec<RefreshPlan> = Vec::with_capacity(group.members().len());
             for &(name, parent) in group.members() {
-                let refresh = self.plan_member(name, deltas, parent.map(|i| &planned[i]))?;
+                let refresh = self.plan_member(name, &deltas, parent.map(|i| &planned[i]))?;
                 planned.push(refresh);
             }
             views.extend(planned.into_iter().map(|r| (r.view.clone(), r)));
         }
         Ok(EpochPlan {
             views,
-            ..self.plan_commit(deltas)?
+            ..self.validate(deltas)?
         })
     }
 
@@ -1113,7 +1122,7 @@ impl ViewManager {
         for (name, view) in self.views.iter_mut() {
             match plan.views.remove(name) {
                 Some(refresh) => view.install(refresh.patch),
-                None => view.lagging |= view.reads_any(plan.deltas),
+                None => view.lagging |= view.reads_any(&plan.deltas),
             }
         }
         Ok(())

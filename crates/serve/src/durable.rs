@@ -627,13 +627,16 @@ pub(crate) fn recover(dir: &Path, parser: &PlanParser) -> Result<Option<Recovere
     }))
 }
 
-/// Commit one logged epoch the way the live service committed it: plan →
-/// validate → commit, run sequentially. A view whose plan fails here
+/// Commit one logged epoch the way the live service committed it: drop
+/// the deletes the recovered catalog cannot cover, then plan → validate →
+/// commit, run sequentially. A view whose plan fails here
 /// failed in the live epoch too (replay injects no faults), and the commit
 /// marker proves that epoch committed without it: so does this one, and
 /// the view lags from here on, out of every later replayed epoch. A base
 /// delta that fails validation fails recovery.
 fn replay_epoch(manager: &mut ViewManager, batch: &SourceDeltas) -> Result<()> {
+    let (covered, _) = batch.covered_by(manager.catalog());
+    let batch = &*covered;
     let mut plan = manager.plan_commit(batch)?;
     let views: Vec<&str> = manager
         .affected_views(batch)

@@ -180,6 +180,9 @@ pub struct MetricsSnapshot {
     pub ingest_rejects: u64,
     /// Worker panics caught and isolated at the view-task boundary.
     pub panics_isolated: u64,
+    /// Deleted rows dropped from committed epochs because their table did
+    /// not hold them (`SourceDeltas::covered_by`).
+    pub deletes_dropped: u64,
     /// Poisoned-guard recoveries by the `sync` lock helpers (process-wide:
     /// every shard of a sharded service reports the same counter, so
     /// roll-ups take the max rather than summing).
@@ -364,6 +367,8 @@ scalars! {
         "Ingest calls rejected with Backpressure";
     panics_isolated: counter, Sum, Some("gpivot_panics_isolated_total"),
         "Worker panics caught at the view-task boundary";
+    deletes_dropped: counter, Sum, Some("gpivot_deletes_dropped_total"),
+        "Deleted rows dropped because their table did not hold them";
     // Process-wide: every shard reads the same static.
     lock_poisoned: counter, Max, Some("gpivot_lock_poisoned_total"),
         "Poisoned lock guards recovered by the sync helpers";
@@ -504,6 +509,13 @@ impl MetricsSnapshot {
                 out,
                 "  sql: {} registrations, rewrites {} hit / {} miss",
                 self.sql_registrations, self.sql_rewrite_hits, self.sql_rewrite_misses,
+            );
+        }
+        if self.deletes_dropped > 0 {
+            let _ = writeln!(
+                out,
+                "  uncovered deletes: {} rows dropped",
+                self.deletes_dropped,
             );
         }
         if self.ingest_rejects > 0 || self.panics_isolated > 0 || self.lock_poisoned > 0 {
@@ -741,6 +753,7 @@ mod tests {
             ingest_waits: 13,
             ingest_rejects: 17,
             panics_isolated: 19,
+            deletes_dropped: 139,
             lock_poisoned: 23,
             rows_drained_raw: 997,
             rows_drained_coalesced: 883,

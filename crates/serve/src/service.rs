@@ -770,9 +770,13 @@ impl ViewService {
         // of parallelism is a refresh group: a view, then the σ-children
         // planned from its patch on the same worker.
         let state = sync::read(&self.shared.state);
+        // Deletes of rows a table does not hold would reach the views but
+        // not the table: they go before anything propagates. A rollback
+        // restores the batch as drained.
+        let (covered, deletes_dropped) = batch.covered_by(state.catalog());
         let quarantined = self.quarantined();
         let (skipped, names): (Vec<&str>, Vec<&str>) = state
-            .affected_views(&batch)
+            .affected_views(&covered)
             .map(MaterializedView::name)
             .partition(|name| quarantined.contains(*name));
         let quarantined_skipped = skipped.len();
@@ -797,7 +801,7 @@ impl ViewService {
                     // A child whose parent failed plans by its own rule.
                     let parent = parent.and_then(|i| planned[i].result.as_ref().ok());
                     let refresh =
-                        plan_with_retry(&self.shared.cfg, &state, round, name, &batch, parent);
+                        plan_with_retry(&self.shared.cfg, &state, round, name, &covered, parent);
                     planned.push(refresh);
                 }
                 planned
@@ -860,7 +864,7 @@ impl ViewService {
         // faults) is a pure check. Transient faults retry like any other.
         let (validated, stage_retries) = {
             let _s = tracing::span("epoch.stage").enter();
-            retry_transient(&self.shared.cfg, || state.plan_commit(&batch))
+            retry_transient(&self.shared.cfg, || state.plan_commit(&covered))
         };
         total_retries += u64::from(stage_retries);
         let mut plan = match validated {
@@ -939,6 +943,7 @@ impl ViewService {
             m.rows_propagated += summary.rows_propagated;
             m.rows_applied += summary.rows_applied;
             m.panics_isolated += total_panics;
+            m.deletes_dropped += deletes_dropped;
             // Per-view refresh work is charged only on committed epochs —
             // rolled-back work never reaches these counters. A successful
             // committed refresh also resets the view's health.

@@ -1,12 +1,15 @@
 //! Nothing one bad row can do wedges a service or its recovery: a row of
-//! the wrong arity is refused at ingest, before it is logged or queued, and
-//! a view that fails for good at a committed epoch is rebuilt (or kept
-//! quarantined) by recovery instead of failing the reopen.
+//! the wrong arity is refused at ingest, before it is logged or queued; a
+//! delete of a row the table does not hold is dropped before it reaches a
+//! view; and a view that fails for good at a committed epoch is rebuilt
+//! (or kept quarantined) by recovery instead of failing the reopen.
 
 use gpivot_algebra::{AggSpec, PivotSpec, Plan};
 use gpivot_core::CoreError;
 use gpivot_serve::{IngestOptions, ServeConfig, ShardedService, ViewService};
-use gpivot_storage::{row, Catalog, DataType, Delta, Schema, StorageError, Table, Value};
+use gpivot_storage::{row, Catalog, DataType, Delta, Row, Schema, StorageError, Table, Value};
+use gpivot_tpch::gen::{generate, TpchConfig};
+use gpivot_tpch::views::{view1, view2, view3, VIEW2_THRESHOLD};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -200,4 +203,94 @@ fn a_view_quarantined_for_a_permanent_error_does_not_block_the_reopen() {
         assert!(again.verify_all().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The TPC-H views (1)–(3) as the paper registers them.
+fn register_tpch_views(svc: &ViewService) {
+    svc.register_view("v1", view1()).unwrap();
+    svc.register_view("v2", view2(VIEW2_THRESHOLD)).unwrap();
+    svc.register_view("v3", view3()).unwrap();
+}
+
+/// Two deletes `lineitem` cannot cover: its first row with another price
+/// (the key is held, the row is not), and a key it does not hold.
+fn uncovered_deletes(catalog: &Catalog) -> [Row; 2] {
+    let lineitem = catalog.table("lineitem").unwrap();
+    let schema = lineitem.schema();
+    let (price, order) = (
+        schema.index_of("l_extendedprice").unwrap(),
+        schema.index_of("l_orderkey").unwrap(),
+    );
+    let first = &lineitem.rows()[0];
+    let mut repriced = first.to_vec();
+    repriced[price] = repriced[price].numeric_add(&Value::Float(1.0));
+    let mut absent = first.to_vec();
+    absent[order] = Value::Int(i64::MAX);
+    [Row::new(repriced), Row::new(absent)]
+}
+
+/// A delete of a row the table does not hold used to reach the views
+/// (propagation pushed it) but not the table (`apply_delta` skips it), so
+/// the views stopped equalling their definitions. Both kinds now commit as
+/// no-ops, are counted, and replay the same way on reopen.
+#[test]
+fn a_delete_the_table_cannot_cover_commits_as_a_no_op() {
+    let base = generate(&TpchConfig::scale(0.02));
+    let dir = scratch_dir("no-wedge-uncovered-delete");
+    let cfg = || ServeConfig::builder().workers(1).build().unwrap();
+    let (svc, _) = ViewService::open(&dir, base.clone(), cfg(), &parse).unwrap();
+    register_tpch_views(&svc);
+    let before: Vec<Table> = ["v1", "v2", "v3"]
+        .map(|v| svc.query_view(v).unwrap())
+        .into();
+    for (epoch, row) in (1..).zip(uncovered_deletes(&base)) {
+        svc.ingest_with(
+            "lineitem",
+            Delta::from_deletes([row]),
+            IngestOptions::blocking(),
+        )
+        .unwrap();
+        assert_eq!(svc.refresh_epoch().unwrap().epoch, epoch);
+        assert!(svc.verify_all().unwrap(), "epoch {epoch}");
+    }
+    assert_eq!(svc.metrics().deletes_dropped, 2);
+    for (name, old) in ["v1", "v2", "v3"].iter().zip(&before) {
+        assert!(svc.query_view(name).unwrap().bag_eq(old), "{name} moved");
+    }
+    drop(svc);
+
+    let (reopened, report) = ViewService::open(&dir, base.clone(), cfg(), &parse).unwrap();
+    assert_eq!(report.recovered_epoch, 2);
+    assert!(reopened.verify_all().unwrap());
+    for (name, old) in ["v1", "v2", "v3"].iter().zip(&before) {
+        assert!(
+            reopened.query_view(name).unwrap().bag_eq(old),
+            "{name} moved"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The shard tier runs every shard's epoch through the same path.
+    let sharded = ShardedService::new(
+        base.clone(),
+        ServeConfig::builder().shards(2).build().unwrap(),
+    );
+    register_tpch_views_sharded(&sharded);
+    for row in uncovered_deletes(&base) {
+        sharded
+            .ingest_with(
+                "lineitem",
+                Delta::from_deletes([row]),
+                IngestOptions::blocking(),
+            )
+            .unwrap();
+        sharded.refresh_epoch().unwrap();
+    }
+    assert!(sharded.verify_all().unwrap());
+}
+
+fn register_tpch_views_sharded(svc: &ShardedService) {
+    svc.register_view("v1", view1()).unwrap();
+    svc.register_view("v2", view2(VIEW2_THRESHOLD)).unwrap();
+    svc.register_view("v3", view3()).unwrap();
 }

@@ -15,10 +15,11 @@
 //! (the quadratic case of a fixed-key hasher). Clones keep the keys, so a
 //! cloned map or index hashes like its source.
 
+use crate::row::Row;
 use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A hash map keyed by rows (or row-like keys) under [`RowState`]. The
 /// hasher parameter is there only for functions generic over a caller's
@@ -136,10 +137,43 @@ impl Hasher for RowHasher {
     }
 }
 
+/// A borrowed row keyed by its values at `cols`, read in place: a
+/// [`RowMap`] or [`RowSet`] over these groups rows by those columns
+/// without projecting a key row. Every key in one map must carry the same
+/// `cols`; equality compares only the values there.
+#[derive(Debug, Clone, Copy)]
+pub struct ColsKey<'a> {
+    row: &'a Row,
+    cols: &'a [usize],
+}
+
+impl<'a> ColsKey<'a> {
+    /// `row`'s key at `cols`.
+    pub fn new(row: &'a Row, cols: &'a [usize]) -> Self {
+        ColsKey { row, cols }
+    }
+}
+
+impl Hash for ColsKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &c in self.cols {
+            self.row[c].hash(state);
+        }
+    }
+}
+
+impl PartialEq for ColsKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.iter().all(|&c| self.row[c] == other.row[c])
+    }
+}
+
+impl Eq for ColsKey<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{row, Row, Value};
+    use crate::{row, Value};
 
     fn hash_of(s: &RowState, v: &Value) -> u64 {
         s.hash_one(v)

@@ -1,17 +1,20 @@
-//! Secondary hash indexes over arbitrary column sets of a [`Table`].
+//! Hash indexes over column sets of a [`Table`]: its key index and the
+//! secondary indexes [`Table::index_on`] builds.
 //!
 //! The paper's propagate phase (§6.2, §7) assumes the host DBMS answers
-//! `Δ ⋈ base` by index lookup on the join columns; [`Table::index_on`] is
-//! that index. The layout is three flat `u32` vectors — bucket heads plus a
-//! doubly linked per-row chain — rather than a map from key to positions,
-//! so cloning an index for a copy-on-write table is three `memcpy`s,
-//! linking and unlinking a row are O(1), and no key is stored twice:
-//! candidates are verified against the rows themselves on probe.
+//! `Δ ⋈ base` by index lookup on the join columns, and its apply phase
+//! resolves the view key of every MERGE row (§7.1). Both are a
+//! `HashIndex`: three flat `u32` vectors — bucket heads plus a doubly
+//! linked per-row chain — rather than a map from key to positions, so
+//! cloning an index for a copy-on-write table is three `memcpy`s, linking
+//! and unlinking a row are O(1), and no key is stored at all: a probe
+//! hashes the key values where they sit (in the probing row, or in a
+//! borrowed slice) and verifies candidates against the rows themselves.
 //!
 //! [`Table`]: crate::table::Table
 //! [`Table::index_on`]: crate::table::Table::index_on
 
-use crate::hash::{RowMap, RowState};
+use crate::hash::RowState;
 use crate::row::Row;
 use crate::value::Value;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -50,49 +53,127 @@ pub(crate) struct HashIndex {
 }
 
 impl HashIndex {
-    /// Index `rows` on `cols`.
-    pub(crate) fn build(cols: &[usize], rows: &[Row]) -> Self {
-        let mut ix = HashIndex {
+    fn empty(cols: &[usize]) -> Self {
+        HashIndex {
             cols: cols.to_vec(),
             hasher: RowState::default(),
             heads: Vec::new(),
             next: Vec::new(),
             prev: Vec::new(),
-        };
+        }
+    }
+
+    /// Index `rows` on `cols`.
+    pub(crate) fn build(cols: &[usize], rows: &[Row]) -> Self {
+        let mut ix = HashIndex::empty(cols);
         ix.rehash(rows);
         ix
+    }
+
+    /// Index `rows` on `cols`, whose projections must be distinct (a key
+    /// index): one pass sizes the buckets, links every row and checks it
+    /// against the rows already on its chain. `Err` holds the position of
+    /// the first row whose key an earlier row holds.
+    pub(crate) fn build_unique(cols: &[usize], rows: &[Row]) -> Result<Self, usize> {
+        let mut ix = HashIndex::empty(cols);
+        ix.size_for(rows.len());
+        for (pos, row) in rows.iter().enumerate() {
+            let hash = ix.hash_row(row);
+            if ix.find(rows, hash, |held| ix.same_key(held, row)).is_some() {
+                return Err(pos);
+            }
+            ix.push_front(ix.bucket(hash), pos32(pos));
+        }
+        Ok(ix)
     }
 
     pub(crate) fn cols(&self) -> &[usize] {
         &self.cols
     }
 
-    fn bucket_of<'v>(&self, values: impl Iterator<Item = &'v Value>) -> usize {
+    /// The hash of a key given as its values, in `cols` order.
+    pub(crate) fn hash_key<'v>(&self, values: impl Iterator<Item = &'v Value>) -> u64 {
         let mut h = self.hasher.build_hasher();
         for v in values {
             v.hash(&mut h);
         }
-        (h.finish() as usize) & (self.heads.len() - 1)
+        h.finish()
     }
 
-    fn bucket_of_row(&self, row: &Row) -> usize {
-        self.bucket_of(self.cols.iter().map(|&c| &row[c]))
+    /// The hash of `row`'s key: its values at `cols`, read in place.
+    pub(crate) fn hash_row(&self, row: &Row) -> u64 {
+        self.hash_key(self.cols.iter().map(|&c| &row[c]))
     }
 
-    /// Rebuild every chain for `rows`, sizing the bucket array to them.
-    fn rehash(&mut self, rows: &[Row]) {
-        let buckets = rows.len().max(8).next_power_of_two();
+    fn bucket(&self, hash: u64) -> usize {
+        (hash as usize) & (self.heads.len() - 1)
+    }
+
+    /// Do the stored row `held` and the row `row` agree on `cols`?
+    pub(crate) fn same_key(&self, held: &Row, row: &Row) -> bool {
+        self.cols.iter().all(|&c| held[c] == row[c])
+    }
+
+    /// Does `held` carry exactly the key `key` (values in `cols` order)?
+    fn has_key<'v>(&self, held: &Row, mut key: impl Iterator<Item = &'v Value>) -> bool {
+        self.cols.iter().all(|&c| key.next() == Some(&held[c])) && key.next().is_none()
+    }
+
+    /// The first position on the chain `hash` picks whose row passes
+    /// `hit` (a bucket holds every key that hashes to it).
+    pub(crate) fn find(
+        &self,
+        rows: &[Row],
+        hash: u64,
+        hit: impl Fn(&Row) -> bool,
+    ) -> Option<usize> {
+        let mut pos = self.heads[self.bucket(hash)];
+        while pos != NIL {
+            let p = pos as usize;
+            if hit(&rows[p]) {
+                return Some(p);
+            }
+            pos = self.next[p];
+        }
+        None
+    }
+
+    /// The position of the first row whose key is `key`, given as values
+    /// in `cols` order; cloned once per candidate compared.
+    pub(crate) fn position<'v, K>(&self, rows: &[Row], key: K) -> Option<usize>
+    where
+        K: Iterator<Item = &'v Value> + Clone,
+    {
+        let hash = self.hash_key(key.clone());
+        self.find(rows, hash, |held| self.has_key(held, key.clone()))
+    }
+
+    /// The position of the first row agreeing with `row` on `cols`.
+    pub(crate) fn position_of(&self, rows: &[Row], row: &Row) -> Option<usize> {
+        self.find(rows, self.hash_row(row), |held| self.same_key(held, row))
+    }
+
+    /// Size the bucket array for `rows` rows, emptying every chain.
+    fn size_for(&mut self, rows: usize) {
+        let buckets = rows.max(8).next_power_of_two();
         self.heads.clear();
         self.heads.resize(buckets, NIL);
         self.next.clear();
         self.prev.clear();
+        self.next.reserve(rows);
+        self.prev.reserve(rows);
+    }
+
+    /// Rebuild every chain for `rows`, sizing the bucket array to them.
+    fn rehash(&mut self, rows: &[Row]) {
+        self.size_for(rows.len());
         for (pos, row) in rows.iter().enumerate() {
-            self.push_front(row, pos32(pos));
+            self.push_front(self.bucket(self.hash_row(row)), pos32(pos));
         }
     }
 
-    fn push_front(&mut self, row: &Row, pos: u32) {
-        let b = self.bucket_of_row(row);
+    /// Put the new last position `pos` at the front of bucket `b`.
+    fn push_front(&mut self, b: usize, pos: u32) {
         let old = self.heads[b];
         self.next.push(old);
         self.prev.push(NIL);
@@ -104,12 +185,19 @@ impl HashIndex {
 
     /// `rows` just grew by one row (its last): put it on its chain.
     pub(crate) fn link(&mut self, rows: &[Row]) {
+        if let Some(row) = rows.last() {
+            self.link_hashed(rows, self.hash_row(row));
+        }
+    }
+
+    /// [`HashIndex::link`] for a row whose key hash the caller already
+    /// took ([`HashIndex::hash_row`]), e.g. for its duplicate check.
+    pub(crate) fn link_hashed(&mut self, rows: &[Row], hash: u64) {
         if rows.len() > self.heads.len() {
             // Load factor passed 1: double the buckets (amortized O(1)).
             return self.rehash(rows);
         }
-        let pos = rows.len() - 1;
-        self.push_front(&rows[pos], pos32(pos));
+        self.push_front(self.bucket(hash), pos32(rows.len() - 1));
     }
 
     /// Take position `pos`, currently holding `row`, off its chain. The
@@ -118,7 +206,7 @@ impl HashIndex {
     pub(crate) fn unlink(&mut self, row: &Row, pos: usize) {
         let (p, n) = (self.prev[pos], self.next[pos]);
         if p == NIL {
-            let b = self.bucket_of_row(row);
+            let b = self.bucket(self.hash_row(row));
             self.heads[b] = n;
         } else {
             self.next[p as usize] = n;
@@ -129,9 +217,9 @@ impl HashIndex {
     }
 
     /// Put the unlinked position `pos` back on the chain of `row`, the row
-    /// now stored there (`update_by_key`).
+    /// now stored there (`update_by_key_of` on a secondary index).
     pub(crate) fn relink(&mut self, row: &Row, pos: usize) {
-        let b = self.bucket_of_row(row);
+        let b = self.bucket(self.hash_row(row));
         let old = self.heads[b];
         self.next[pos] = old;
         self.prev[pos] = NIL;
@@ -151,7 +239,7 @@ impl HashIndex {
             self.prev[pos] = p;
             self.next[pos] = n;
             if p == NIL {
-                let b = self.bucket_of_row(row);
+                let b = self.bucket(self.hash_row(row));
                 self.heads[b] = pos32(pos);
             } else {
                 self.next[p as usize] = pos32(pos);
@@ -176,50 +264,34 @@ impl HashIndex {
 /// [`Table::index_on`]: crate::table::Table::index_on
 pub struct TableIndex<'a> {
     rows: &'a [Row],
-    kind: Kind<'a>,
-}
-
-enum Kind<'a> {
-    /// The probed columns are exactly the schema key: reuse the key index.
-    Key(&'a RowMap<Row, usize>),
-    Hash(Arc<HashIndex>),
+    index: Arc<HashIndex>,
+    /// The index is the table's key index: a key matches at most one row.
+    unique: bool,
 }
 
 impl<'a> TableIndex<'a> {
-    pub(crate) fn key(rows: &'a [Row], index: &'a RowMap<Row, usize>) -> Self {
+    pub(crate) fn new(rows: &'a [Row], index: Arc<HashIndex>, unique: bool) -> Self {
         TableIndex {
             rows,
-            kind: Kind::Key(index),
-        }
-    }
-
-    pub(crate) fn hash(rows: &'a [Row], index: Arc<HashIndex>) -> Self {
-        TableIndex {
-            rows,
-            kind: Kind::Hash(index),
+            index,
+            unique,
         }
     }
 
     /// The rows whose indexed columns equal `key` (one value per indexed
     /// column, in `index_on`'s column order), in unspecified order.
     pub fn get<'s>(&'s self, key: &'s Row) -> Matches<'s> {
-        match &self.kind {
-            Kind::Key(index) => Matches {
-                rows: self.rows,
-                chain: None,
-                pos: index.get(key).map_or(NIL, |&p| pos32(p)),
-                key,
+        let ix = &self.index;
+        Matches {
+            rows: self.rows,
+            index: ix,
+            pos: if key.arity() == ix.cols.len() {
+                ix.heads[ix.bucket(ix.hash_key(key.iter()))]
+            } else {
+                NIL
             },
-            Kind::Hash(ix) => Matches {
-                rows: self.rows,
-                chain: Some(ix),
-                pos: if key.arity() == ix.cols.len() {
-                    ix.heads[ix.bucket_of(key.iter())]
-                } else {
-                    NIL
-                },
-                key,
-            },
+            key,
+            unique: self.unique,
         }
     }
 }
@@ -227,10 +299,10 @@ impl<'a> TableIndex<'a> {
 /// Iterator over the rows matching one probed key.
 pub struct Matches<'s> {
     rows: &'s [Row],
-    /// The chain to follow; `None` for a key-index hit (at most one row).
-    chain: Option<&'s HashIndex>,
+    index: &'s HashIndex,
     pos: u32,
     key: &'s Row,
+    unique: bool,
 }
 
 impl<'s> Iterator for Matches<'s> {
@@ -239,23 +311,13 @@ impl<'s> Iterator for Matches<'s> {
     fn next(&mut self) -> Option<&'s Row> {
         while self.pos != NIL {
             let row = &self.rows[self.pos as usize];
-            match self.chain {
-                None => {
+            self.pos = self.index.next[self.pos as usize];
+            // A bucket holds every key that hashes to it.
+            if self.index.has_key(row, self.key.iter()) {
+                if self.unique {
                     self.pos = NIL;
-                    return Some(row);
                 }
-                Some(ix) => {
-                    self.pos = ix.next[self.pos as usize];
-                    // A bucket holds every key that hashes to it.
-                    if ix
-                        .cols
-                        .iter()
-                        .zip(self.key.iter())
-                        .all(|(&c, k)| row[c] == *k)
-                    {
-                        return Some(row);
-                    }
-                }
+                return Some(row);
             }
         }
         None
@@ -268,7 +330,7 @@ mod tests {
     use crate::row;
 
     fn probe(rows: &[Row], ix: HashIndex, key: &Row) -> Vec<Row> {
-        let index = TableIndex::hash(rows, Arc::new(ix));
+        let index = TableIndex::new(rows, Arc::new(ix), false);
         let mut hits: Vec<Row> = index.get(key).cloned().collect();
         hits.sort();
         hits

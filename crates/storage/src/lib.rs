@@ -14,8 +14,11 @@
 //!   metadata. Key tracking is load-bearing: the paper's pullup rules are
 //!   gated on key preservation (§5.1 of the paper).
 //! * [`Table`] — a bag of rows with an optional enforced key and a hash
-//!   index over it, plus the `MERGE`-style keyed-update primitives ([`Table::upsert`], [`Table::update_by_key`], [`Table::delete_by_key`])
-//!   the apply phase of view maintenance uses.
+//!   index over it (position chains that store no key), plus the
+//!   `MERGE`-style keyed-update primitives ([`Table::upsert`],
+//!   [`Table::update_by_key_of`], [`Table::delete_by_key_of`]) the apply
+//!   phase of view maintenance uses, each probing with the key columns of
+//!   the row it is given.
 //! * [`RowState`] / [`RowMap`] / [`RowSet`] — the one hasher behind every
 //!   row-keyed hash table here and in the layers above (deltas, key and
 //!   secondary indexes, join / group / pivot lookups, MERGE groups): a
@@ -63,7 +66,7 @@ pub use chunk::Chunk;
 pub use delta::{shard_of, Delta, DeltaSplit};
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultSite, FaultStream};
-pub use hash::{RowMap, RowSet, RowState};
+pub use hash::{ColsKey, RowMap, RowSet, RowState};
 pub use index::{Matches, TableIndex};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};

@@ -6,6 +6,7 @@
 //! through [`Row::to_vec`] + rebuild, which keeps sharing safe.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -105,6 +106,15 @@ impl fmt::Display for Row {
     }
 }
 
+/// A row-keyed map or set can be probed with a borrowed slice of values
+/// (`map.get(&values[..])`), building no row: `Row`'s derived `Hash`, `Eq`
+/// and `Ord` are those of its `[Value]`, as `Borrow` requires.
+impl Borrow<[Value]> for Row {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Vec<Value>> for Row {
     fn from(v: Vec<Value>) -> Self {
         Row::new(v)
@@ -167,6 +177,19 @@ mod tests {
         m.insert(row![1, "a"], 10);
         assert_eq!(m.get(&row![1, "a"]), Some(&10));
         assert_eq!(m.get(&row![1, "b"]), None);
+    }
+
+    #[test]
+    fn a_row_map_probes_by_borrowed_values() {
+        use crate::hash::RowMap;
+        let mut m: RowMap<Row, i32> = RowMap::default();
+        m.insert(row![1, "a"], 10);
+        m.insert(row![2.0], 20);
+        let (one, a) = (Value::Int(1), Value::str("a"));
+        assert_eq!(m.get(&[one, a][..]), Some(&10));
+        // Equal values hash equal across types, as in the row itself.
+        assert_eq!(m.get(std::slice::from_ref(&Value::Int(2))), Some(&20));
+        assert_eq!(m.get(&[Value::Int(1)][..]), None);
     }
 
     #[test]

@@ -6,11 +6,17 @@
 //!   index makes delta-vs-base joins and point deletions cheap.
 //! * **Materialized views** — also keyed (the paper assumes a key in the
 //!   view, §6.1); the apply phase of maintenance uses the keyed update
-//!   primitives here ([`Table::upsert`], [`Table::update_by_key`],
-//!   [`Table::delete_by_key`]) to realize the SQL `MERGE` the paper relies
-//!   on in its experiments (§7.1).
+//!   primitives here ([`Table::upsert`], [`Table::update_by_key_of`],
+//!   [`Table::delete_by_key_of`]) to realize the SQL `MERGE` the paper
+//!   relies on in its experiments (§7.1).
 //!
 //! Un-keyed tables degrade gracefully to plain bags.
+//!
+//! The key index is a `HashIndex` over the key columns: position chains
+//! that store no key. Every keyed operation reads the key where it already
+//! sits — in the row being inserted, deleted or updated
+//! ([`Table::get_by_key_of`]), or in borrowed values
+//! ([`Table::get_by_key_values`]) — so none builds a key row.
 //!
 //! Any table can additionally be probed on an arbitrary column set through
 //! [`Table::index_on`] — the "index on the join columns" the paper's
@@ -19,10 +25,11 @@
 
 use crate::delta::Delta;
 use crate::error::{Result, StorageError};
-use crate::hash::{RowMap, RowSet, RowState};
+use crate::hash::{ColsKey, RowSet};
 use crate::index::{HashIndex, TableIndex};
 use crate::row::Row;
 use crate::schema::SchemaRef;
+use crate::value::Value;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -35,13 +42,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// rows — the normal case for the epoch commit, which touches O(|Δ|) rows
 /// of a live table and copies nothing — and detaches onto a private copy
 /// first ([`Arc::make_mut`]) when a reader still shares them, so a result
-/// handed out earlier never changes under its holder.
+/// handed out earlier never changes under its holder. The key index is
+/// shared and detached the same way.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: SchemaRef,
     rows: Arc<Vec<Row>>,
-    /// key-projection → position in `rows`; present iff the schema has a key.
-    key_index: Option<RowMap<Row, usize>>,
+    /// Chains over the schema key's columns; present iff the schema has a
+    /// key. Holds no key: probes verify against `rows`.
+    key_index: Option<Arc<HashIndex>>,
     /// Secondary hash indexes, one per probed column set
     /// ([`Table::index_on`]). Built on first probe into a cell shared with
     /// clones and [`Table::as_bag`] views. They survive mutation: a
@@ -55,11 +64,13 @@ pub struct Table {
 type IndexCell = Mutex<Vec<Arc<HashIndex>>>;
 
 /// A table does not know the name it is registered under: the catalog
-/// (or view) that owns it fills that in ([`StorageError::in_table`]).
-fn key_violation(key: &Row) -> StorageError {
+/// (or view) that owns it fills that in ([`StorageError::in_table`]). The
+/// key is named by the offending row's key columns — the one place a key
+/// row is built.
+fn key_violation(row: &Row, key_cols: &[usize]) -> StorageError {
     StorageError::KeyViolation {
         table: "<table>".to_string(),
-        key: format!("{key:?}"),
+        key: format!("{:?}", row.project(key_cols)),
     }
 }
 
@@ -71,7 +82,7 @@ fn empty_index_cell() -> Arc<IndexCell> {
 impl Table {
     /// Create an empty table. A key index is built iff the schema has a key.
     pub fn new(schema: SchemaRef) -> Self {
-        let key_index = schema.key().map(|_| RowMap::default());
+        let key_index = schema.key().map(|k| Arc::new(HashIndex::build(k, &[])));
         Table {
             schema,
             rows: Arc::new(Vec::new()),
@@ -80,13 +91,11 @@ impl Table {
         }
     }
 
-    /// Create a table and bulk-load rows.
+    /// Create a table and bulk-load rows: arity is checked per row and key
+    /// uniqueness enforced, as [`Table::insert`] would one row at a time,
+    /// but the key index is sized and built once.
     pub fn from_rows(schema: SchemaRef, rows: Vec<Row>) -> Result<Self> {
-        let mut t = Table::new(schema);
-        for r in rows {
-            t.insert(r)?;
-        }
-        Ok(t)
+        Table::bag(schema.clone(), rows).into_keyed(schema)
     }
 
     /// Create an un-keyed, un-checked bag (intermediate results).
@@ -119,33 +128,24 @@ impl Table {
 
     /// Rebind this table to `schema` and build its key index in place,
     /// without copying rows: arity is checked per row and key uniqueness
-    /// enforced exactly as [`Table::from_rows`] would, but the row storage
-    /// (and its `Arc` sharing) is reused. This is how a materialized bag
-    /// from the executor becomes a keyed view table.
+    /// enforced exactly as [`Table::insert`] would, but the row storage
+    /// (and its `Arc` sharing) is reused, and one pass sizes, builds and
+    /// checks the key index. This is how a materialized bag from the
+    /// executor becomes a keyed view table.
     pub fn into_keyed(self, schema: SchemaRef) -> Result<Self> {
         let arity = schema.arity();
-        for row in self.rows.iter() {
-            if row.arity() != arity {
-                return Err(StorageError::ArityMismatch {
-                    expected: arity,
-                    actual: row.arity(),
-                });
-            }
+        if let Some(row) = self.rows.iter().find(|row| row.arity() != arity) {
+            return Err(StorageError::ArityMismatch {
+                expected: arity,
+                actual: row.arity(),
+            });
         }
         let key_index = match schema.key() {
             None => None,
-            Some(key_cols) => {
-                let mut idx =
-                    RowMap::with_capacity_and_hasher(self.rows.len(), RowState::default());
-                for (pos, row) in self.rows.iter().enumerate() {
-                    let key = row.project(key_cols);
-                    if idx.contains_key(&key) {
-                        return Err(key_violation(&key));
-                    }
-                    idx.insert(key, pos);
-                }
-                Some(idx)
-            }
+            Some(key_cols) => match HashIndex::build_unique(key_cols, &self.rows) {
+                Ok(ix) => Some(Arc::new(ix)),
+                Err(pos) => return Err(key_violation(&self.rows[pos], key_cols)),
+            },
         };
         Ok(Table {
             schema,
@@ -204,10 +204,8 @@ impl Table {
     /// step with the rows by every mutator (and carried through `clone()`),
     /// so the epoch commit's in-place writes never trigger a rebuild.
     pub fn index_on(&self, cols: &[usize]) -> TableIndex<'_> {
-        if let (Some(key), Some(index)) = (self.schema.key(), &self.key_index) {
-            if key == cols {
-                return TableIndex::key(&self.rows, index);
-            }
+        if let Some(index) = self.key_index.as_ref().filter(|ix| ix.cols() == cols) {
+            return TableIndex::new(&self.rows, Arc::clone(index), true);
         }
         // A poisoned cell is still valid: the only write under the lock is
         // the push of a finished index.
@@ -222,7 +220,7 @@ impl Table {
                 ix
             }
         };
-        TableIndex::hash(&self.rows, index)
+        TableIndex::new(&self.rows, index, false)
     }
 
     /// Run `f` on every secondary index, for a mutator to mirror its row
@@ -252,19 +250,29 @@ impl Table {
         }
     }
 
-    /// `swap_remove` the row at `pos`, keeping the secondary indexes (but
-    /// not the key index) in step.
+    /// `swap_remove` the row at `pos`, keeping the key index and every
+    /// secondary index in step.
     fn remove_at(&mut self, pos: usize) -> Row {
         let removed = Arc::make_mut(&mut self.rows).swap_remove(pos);
-        self.update_indexes(|ix, rows| {
+        let mirror = |ix: &mut HashIndex, rows: &[Row]| {
             ix.unlink(&removed, pos);
             ix.relocate(rows.get(pos), pos);
-        });
+        };
+        if let Some(ix) = self.key_index.as_mut() {
+            mirror(Arc::make_mut(ix), &self.rows);
+        }
+        self.update_indexes(mirror);
         removed
     }
 
-    fn key_projection(&self, row: &Row) -> Option<Row> {
-        self.schema.key().map(|k| row.project(k))
+    /// The position of the row whose key `row` carries at the key columns
+    /// (`row` has this table's shape), if the table holds one.
+    fn key_position_of(&self, row: &Row) -> Option<usize> {
+        let ix = self.key_index.as_ref()?;
+        if row.arity() != self.schema.arity() {
+            return None;
+        }
+        ix.position_of(&self.rows, row)
     }
 
     /// Insert a row, enforcing arity and (if declared) key uniqueness.
@@ -275,72 +283,90 @@ impl Table {
                 actual: row.arity(),
             });
         }
-        let key = self.key_projection(&row);
-        if let (Some(key), Some(idx)) = (key, self.key_index.as_mut()) {
-            if idx.contains_key(&key) {
-                return Err(key_violation(&key));
+        // One hash of the row's key, shared by the duplicate check and the
+        // link.
+        let hash = match &self.key_index {
+            Some(ix) => {
+                let hash = ix.hash_row(&row);
+                if ix
+                    .find(&self.rows, hash, |held| ix.same_key(held, &row))
+                    .is_some()
+                {
+                    return Err(key_violation(&row, ix.cols()));
+                }
+                Some(hash)
             }
-            idx.insert(key, self.rows.len());
-        }
+            None => None,
+        };
         Arc::make_mut(&mut self.rows).push(row);
+        if let (Some(ix), Some(hash)) = (self.key_index.as_mut(), hash) {
+            Arc::make_mut(ix).link_hashed(&self.rows, hash);
+        }
         self.update_indexes(|ix, rows| ix.link(rows));
         Ok(())
     }
 
     /// Look up the full row for a key value (key-projected row).
     pub fn get_by_key(&self, key: &Row) -> Option<&Row> {
-        let idx = self.key_index.as_ref()?;
-        idx.get(key).map(|&pos| &self.rows[pos])
+        self.get_by_key_values(key.iter())
     }
 
-    /// True iff a row with this key exists.
-    pub fn contains_key(&self, key: &Row) -> bool {
-        self.get_by_key(key).is_some()
+    /// Look up the full row for a key given as borrowed values, in the
+    /// order of the schema key's columns. Builds nothing.
+    pub fn get_by_key_values<'v>(
+        &self,
+        key: impl Iterator<Item = &'v Value> + Clone,
+    ) -> Option<&Row> {
+        let pos = self.key_index.as_ref()?.position(&self.rows, key)?;
+        Some(&self.rows[pos])
     }
 
-    /// Remove the row with this key; returns it, and the position it was
-    /// `swap_remove`d from (for a caller keeping a vector parallel to
-    /// [`Table::rows`]), if present.
-    pub fn delete_by_key(&mut self, key: &Row) -> Option<(usize, Row)> {
-        let idx = self.key_index.as_mut()?;
-        let pos = idx.remove(key)?;
-        let removed = self.remove_at(pos);
-        // Fix the moved row's index entry (if any row was moved into `pos`).
-        if pos < self.rows.len() {
-            if let (Some(k), Some(idx)) = (self.schema.key(), self.key_index.as_mut()) {
-                let moved_key = self.rows[pos].project(k);
-                idx.insert(moved_key, pos);
-            }
-        }
-        Some((pos, removed))
+    /// The stored row under the key `row` carries, where `row` has this
+    /// table's shape (e.g. a post-state or deleted row). Builds nothing.
+    pub fn get_by_key_of(&self, row: &Row) -> Option<&Row> {
+        self.key_position_of(row).map(|pos| &self.rows[pos])
     }
 
-    /// Replace the row stored under `key` with `new_row` (whose key
-    /// projection must equal `key`). Returns the old row and its position,
-    /// or `None` if the key was absent (nothing is inserted in that case).
-    pub fn update_by_key(&mut self, key: &Row, new_row: Row) -> Option<(usize, Row)> {
-        debug_assert_eq!(
-            self.key_projection(&new_row).as_ref(),
-            Some(key),
-            "update_by_key: new row's key must match"
+    /// Remove the row stored under the key `row` carries (`row` has this
+    /// table's shape; only its key columns are read); returns it, and the
+    /// position it was `swap_remove`d from (for a caller keeping a vector
+    /// parallel to [`Table::rows`]), if present.
+    pub fn delete_by_key_of(&mut self, row: &Row) -> Option<(usize, Row)> {
+        let pos = self.key_position_of(row)?;
+        Some((pos, self.remove_at(pos)))
+    }
+
+    /// Replace the row stored under the key `new_row` carries with
+    /// `new_row`. Returns the old row and its position, or `None` if the
+    /// key was absent (nothing is inserted in that case).
+    pub fn update_by_key_of(&mut self, new_row: Row) -> Option<(usize, Row)> {
+        let pos = self.key_position_of(&new_row)?;
+        Some((pos, self.replace_at(pos, new_row)))
+    }
+
+    /// Overwrite the row at `pos` with one of the same key. The key index
+    /// is untouched — the key, and so the chain, is the same — and every
+    /// secondary index re-links the position.
+    fn replace_at(&mut self, pos: usize, new_row: Row) -> Row {
+        debug_assert!(
+            self.key_index
+                .as_ref()
+                .is_none_or(|ix| ix.same_key(&self.rows[pos], &new_row)),
+            "update_by_key_of: new row's key must match"
         );
-        let idx = self.key_index.as_ref()?;
-        let pos = *idx.get(key)?;
         let old = std::mem::replace(&mut Arc::make_mut(&mut self.rows)[pos], new_row);
         self.update_indexes(|ix, rows| {
             ix.unlink(&old, pos);
             ix.relink(&rows[pos], pos);
         });
-        Some((pos, old))
+        old
     }
 
     /// Insert-or-replace by key. Returns the displaced row, if any.
     pub fn upsert(&mut self, row: Row) -> Result<Option<Row>> {
-        match self.key_projection(&row) {
-            Some(key) if self.contains_key(&key) => {
-                Ok(self.update_by_key(&key, row).map(|(_, old)| old))
-            }
-            _ => {
+        match self.key_position_of(&row) {
+            Some(pos) => Ok(Some(self.replace_at(pos, row))),
+            None => {
                 self.insert(row)?;
                 Ok(None)
             }
@@ -353,20 +379,14 @@ impl Table {
         if row.arity() != self.schema.arity() {
             return false; // cannot equal any stored row
         }
-        if let Some(key) = self.key_projection(row) {
+        let pos = if self.key_index.is_some() {
             // Keyed fast path: only delete when the stored row matches fully.
-            if self.get_by_key(&key) == Some(row) {
-                self.delete_by_key(&key);
-                return true;
-            }
-            return false;
-        }
-        if let Some(pos) = self.rows.iter().position(|r| r == row) {
-            self.remove_at(pos);
-            true
+            self.key_position_of(row)
+                .filter(|&pos| self.rows[pos] == *row)
         } else {
-            false
-        }
+            self.rows.iter().position(|r| r == row)
+        };
+        pos.map(|pos| self.remove_at(pos)).is_some()
     }
 
     /// Would [`Table::apply_delta`] succeed? Answers in O(|Δ|) without
@@ -375,7 +395,10 @@ impl Table {
     /// inserted key must be absent — or removed by a *fully matching*
     /// delete in the same delta — and inserted only once.
     pub fn check_delta(&self, delta: &Delta) -> Result<()> {
-        let mut inserted: RowSet<Row> = RowSet::default();
+        let key_cols = self.key_index.as_ref().map_or(&[][..], |ix| ix.cols());
+        // The inserted rows, grouped by key in place: a second row on a
+        // key is a second insert of it.
+        let mut keys: RowSet<ColsKey> = RowSet::default();
         for (row, &w) in delta.iter() {
             if w <= 0 {
                 continue;
@@ -386,16 +409,15 @@ impl Table {
                     actual: row.arity(),
                 });
             }
-            let Some(key) = self.key_projection(row) else {
+            if self.key_index.is_none() {
                 continue;
-            };
-            let survives_deletes = self
-                .get_by_key(&key)
-                .is_some_and(|stored| delta.multiplicity(stored) >= 0);
-            if survives_deletes || w > 1 || inserted.contains(&key) {
-                return Err(key_violation(&key));
             }
-            inserted.insert(key);
+            let survives_deletes = self
+                .get_by_key_of(row)
+                .is_some_and(|stored| delta.multiplicity(stored) >= 0);
+            if survives_deletes || w > 1 || !keys.insert(ColsKey::new(row, key_cols)) {
+                return Err(key_violation(row, key_cols));
+            }
         }
         Ok(())
     }
@@ -536,7 +558,7 @@ mod tests {
         for i in 0..5 {
             t.insert(row![i, "x"]).unwrap();
         }
-        assert_eq!(t.delete_by_key(&row![0]), Some((0, row![0, "x"])));
+        assert_eq!(t.delete_by_key_of(&row![0, "?"]), Some((0, row![0, "x"])));
         // Row 4 was swap-moved into slot 0; lookup must still find it.
         assert_eq!(t.get_by_key(&row![4]), Some(&row![4, "x"]));
         assert_eq!(t.len(), 4);
@@ -546,7 +568,7 @@ mod tests {
     fn update_by_key_replaces_in_place() {
         let mut t = Table::new(keyed_schema());
         t.insert(row![1, "a"]).unwrap();
-        let old = t.update_by_key(&row![1], row![1, "z"]);
+        let old = t.update_by_key_of(row![1, "z"]);
         assert_eq!(old, Some((0, row![1, "a"])));
         assert_eq!(t.get_by_key(&row![1]), Some(&row![1, "z"]));
         assert_eq!(t.len(), 1);

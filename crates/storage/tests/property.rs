@@ -183,59 +183,133 @@ proptest! {
     }
 }
 
+/// Run `ops` against a keyed table of `schema` and a `HashMap` from key to
+/// row, checking every probe and write against the model. An op's
+/// `(id, payload, tag)` become a row through `row_of`; its key is the
+/// row's projection onto the schema key. Op 9 takes a clone mid-sequence:
+/// after every later write to the original, each key of the clone's
+/// snapshot must still probe to the clone's own row (the key index is
+/// shared until a write detaches it). Panics on the first divergence, as
+/// a property test's assertion does.
+fn check_keyed_model(
+    schema: Schema,
+    row_of: impl Fn(i64, &str, &str) -> Row,
+    ops: &[(u8, i64, String, String)],
+) {
+    let key_cols = schema.key().unwrap().to_vec();
+    let mut table = Table::new(Arc::new(schema));
+    let mut model: HashMap<Row, Row> = HashMap::new();
+    let mut snapshot: Option<(Table, HashMap<Row, Row>)> = None;
+
+    for (op, id, payload, tag) in ops {
+        let row = row_of(*id, payload, tag);
+        let key = row.project(&key_cols);
+        let held = model.get(&key).cloned();
+        match op {
+            0 => {
+                // insert: fails iff key present
+                let result = table.insert(row.clone());
+                assert_eq!(result.is_err(), held.is_some());
+                model.entry(key).or_insert(row);
+            }
+            1 => {
+                assert_eq!(table.upsert(row.clone()).unwrap(), held);
+                model.insert(key, row);
+            }
+            2 => {
+                // A keyed `delete_row` removes the row only if it is the
+                // one held.
+                let whole = held.as_ref() == Some(&row);
+                assert_eq!(table.delete_row(&row), whole);
+                if whole {
+                    model.remove(&key);
+                }
+            }
+            3 => assert_eq!(table.get_by_key(&key), held.as_ref()),
+            4 => assert_eq!(table.get_by_key_of(&row), held.as_ref()),
+            5 => {
+                assert_eq!(table.get_by_key_values(key.iter()), held.as_ref());
+                // A key one value short names no row.
+                let short = key.iter().take(key_cols.len() - 1);
+                assert_eq!(table.get_by_key_values(short), None);
+            }
+            6 => {
+                let removed = table.delete_by_key_of(&row).map(|(_, r)| r);
+                assert_eq!(removed, model.remove(&key));
+            }
+            7 => {
+                let replaced = table.update_by_key_of(row.clone()).map(|(_, r)| r);
+                assert_eq!(&replaced, &held);
+                if held.is_some() {
+                    model.insert(key, row);
+                }
+            }
+            8 => {
+                // Replace through a delta: delete what the key holds (if
+                // anything), insert the new row.
+                let mut d = Delta::new();
+                if let Some(old) = &held {
+                    d.add(old.clone(), -1);
+                }
+                d.add(row.clone(), 1);
+                table.apply_delta(&d).unwrap();
+                model.insert(key, row);
+            }
+            9 => snapshot = Some((table.clone(), model.clone())),
+            _ => {
+                // A delta delete removes the row only if it is the one held.
+                table
+                    .apply_delta(&Delta::from_deletes([row.clone()]))
+                    .unwrap();
+                if held.as_ref() == Some(&row) {
+                    model.remove(&key);
+                }
+            }
+        }
+        if let Some((clone, frozen)) = &snapshot {
+            assert_eq!(clone.len(), frozen.len());
+            for (k, r) in frozen {
+                assert_eq!(clone.get_by_key(k), Some(r));
+                assert_eq!(clone.get_by_key_of(r), Some(r));
+            }
+        }
+    }
+    assert_eq!(table.len(), model.len());
+    for (key, row) in &model {
+        assert_eq!(table.get_by_key(key), Some(row));
+        assert_eq!(table.get_by_key_of(row), Some(row));
+    }
+}
+
 // Model-based test: a keyed table behaves like a HashMap from key to row.
 proptest! {
     #[test]
     fn keyed_table_matches_hashmap_model(
-        ops in prop::collection::vec((0u8..4, 0i64..12, "[a-z]{1,2}"), 0..60)
+        ops in prop::collection::vec((0u8..11, 0i64..12, "[a-z]{1,2}", "[xy]"), 0..60)
     ) {
-        let schema = Arc::new(
-            Schema::from_pairs_keyed(
-                &[("id", DataType::Int), ("payload", DataType::Str)],
-                &["id"],
-            )
-            .unwrap(),
+        // A one-column key at the front...
+        let single = Schema::from_pairs_keyed(
+            &[("id", DataType::Int), ("payload", DataType::Str)],
+            &["id"],
+        )
+        .unwrap();
+        check_keyed_model(
+            single,
+            |id, payload, _| Row::new(vec![Value::Int(id), Value::str(payload)]),
+            &ops,
         );
-        let mut table = Table::new(schema);
-        let mut model: HashMap<i64, String> = HashMap::new();
-
-        for (op, id, payload) in ops {
-            let key = Row::new(vec![Value::Int(id)]);
-            let row = Row::new(vec![Value::Int(id), Value::str(&payload)]);
-            match op {
-                0 => {
-                    // insert: fails iff key present
-                    let expect_err = model.contains_key(&id);
-                    let result = table.insert(row);
-                    prop_assert_eq!(result.is_err(), expect_err);
-                    if !expect_err {
-                        model.insert(id, payload);
-                    }
-                }
-                1 => {
-                    // upsert
-                    table.upsert(row).unwrap();
-                    model.insert(id, payload);
-                }
-                2 => {
-                    // delete by key
-                    let removed = table.delete_by_key(&key);
-                    prop_assert_eq!(removed.is_some(), model.remove(&id).is_some());
-                }
-                _ => {
-                    // lookup
-                    let got = table.get_by_key(&key).map(|r| r[1].clone());
-                    let want = model.get(&id).map(Value::str);
-                    prop_assert_eq!(got, want);
-                }
-            }
-        }
-        prop_assert_eq!(table.len(), model.len());
-        for (id, payload) in &model {
-            let key = Row::new(vec![Value::Int(*id)]);
-            let row = table.get_by_key(&key).unwrap();
-            prop_assert_eq!(row[1].clone(), Value::str(payload));
-        }
+        // ...and a two-column key that is not a prefix: a `Str` key column
+        // after a non-key one.
+        let split = Schema::from_pairs_keyed(
+            &[("id", DataType::Int), ("payload", DataType::Str), ("tag", DataType::Str)],
+            &["id", "tag"],
+        )
+        .unwrap();
+        check_keyed_model(
+            split,
+            |id, payload, tag| Row::new(vec![Value::Int(id), Value::str(payload), Value::str(tag)]),
+            &ops,
+        );
     }
 
     #[test]
@@ -360,10 +434,10 @@ proptest! {
                     let _ = table.insert(row);
                 }
                 1 => {
-                    table.delete_by_key(&key);
+                    table.delete_by_key_of(&row);
                 }
                 2 => {
-                    table.update_by_key(&key, row);
+                    table.update_by_key_of(row);
                 }
                 3 => {
                     // A mixed delta: replace the row under `id` (if any)
@@ -381,7 +455,8 @@ proptest! {
                     let before = table.rows().to_vec();
                     let mut staged = table.clone();
                     staged.upsert(row).unwrap();
-                    staged.delete_by_key(&Row::new(vec![Value::Int((id + 1) % 10)]));
+                    let next = Value::Int((id + 1) % 10);
+                    staged.delete_by_key_of(&Row::new(vec![next, Value::Null, Value::Int(0)]));
                     prop_assert_eq!(table.rows(), &before[..]);
                     for cols in col_sets {
                         assert_index_matches_scan(&table, cols, &absent);

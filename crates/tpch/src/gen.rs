@@ -138,80 +138,79 @@ const BRANDS: [&str; 5] = ["Brand#11", "Brand#22", "Brand#33", "Brand#44", "Bran
 pub const YEARS: [i32; 7] = [1992, 1993, 1994, 1995, 1996, 1997, 1998];
 
 /// Generate a catalog with `customer`, `orders`, `lineitem` and `part`.
+/// Each table's rows are generated first and loaded in one
+/// [`Table::from_rows`], which sizes and builds its key index once.
 pub fn generate(config: &TpchConfig) -> Catalog {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut catalog = Catalog::new();
 
     // part
     let n_parts = (200.0 * config.scale_factor).round().max(1.0) as i64;
-    let mut parts = Table::new(part_schema());
+    let mut parts = Vec::new();
     for pk in 1..=n_parts {
         let brand = BRANDS[rng.gen_range(0..BRANDS.len())];
-        parts
-            .insert(gpivot_storage::Row::new(vec![
-                Value::Int(pk),
-                Value::str(format!("part#{pk}")),
-                Value::str(brand),
-                Value::Float(rng.gen_range(900..2_000) as f64),
-            ]))
-            .expect("unique partkey");
+        parts.push(gpivot_storage::Row::new(vec![
+            Value::Int(pk),
+            Value::str(format!("part#{pk}")),
+            Value::str(brand),
+            Value::Float(rng.gen_range(900..2_000) as f64),
+        ]));
     }
+    let parts = Table::from_rows(part_schema(), parts).expect("unique partkey");
     catalog.register("part", parts).expect("fresh catalog");
 
     // customer
     let n_cust = config.customers();
-    let mut customers = Table::new(customer_schema());
+    let mut customers = Vec::new();
     for ck in 1..=n_cust {
-        customers
-            .insert(gpivot_storage::Row::new(vec![
-                Value::Int(ck),
-                Value::str(format!("Customer#{ck:09}")),
-                Value::Int(rng.gen_range(0..25)),
-                Value::Float(rng.gen_range(-999..9_999) as f64),
-                Value::str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
-            ]))
-            .expect("unique custkey");
+        customers.push(gpivot_storage::Row::new(vec![
+            Value::Int(ck),
+            Value::str(format!("Customer#{ck:09}")),
+            Value::Int(rng.gen_range(0..25)),
+            Value::Float(rng.gen_range(-999..9_999) as f64),
+            Value::str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
+        ]));
     }
+    let customers = Table::from_rows(customer_schema(), customers).expect("unique custkey");
     catalog
         .register("customer", customers)
         .expect("fresh catalog");
 
     // orders + lineitem
     let n_orders = config.orders();
-    let mut orders = Table::new(orders_schema());
-    let mut lineitems = Table::new(lineitem_schema());
+    let mut orders = Vec::new();
+    let mut lineitems = Vec::new();
     for ok in 1..=n_orders {
         let year = YEARS[rng.gen_range(0..YEARS.len())];
         let month = rng.gen_range(1..=12u32);
         let day = rng.gen_range(1..=28u32);
         let date = days_from_date(year, month, day);
-        orders
-            .insert(gpivot_storage::Row::new(vec![
-                Value::Int(ok),
-                Value::Int(rng.gen_range(1..=n_cust)),
-                Value::Date(date),
-                Value::Int(year as i64),
-                Value::Float(rng.gen_range(1_000..500_000) as f64),
-            ]))
-            .expect("unique orderkey");
+        orders.push(gpivot_storage::Row::new(vec![
+            Value::Int(ok),
+            Value::Int(rng.gen_range(1..=n_cust)),
+            Value::Date(date),
+            Value::Int(year as i64),
+            Value::Float(rng.gen_range(1_000..500_000) as f64),
+        ]));
 
         if rng.gen_bool(config.empty_order_fraction) {
             continue; // insert-only workload target: an order with no lines
         }
         let n_lines = rng.gen_range(1..=config.max_lines_per_order);
         for ln in 1..=n_lines {
-            lineitems
-                .insert(gpivot_storage::Row::new(vec![
-                    Value::Int(ok),
-                    Value::Int(ln as i64),
-                    Value::Int(rng.gen_range(1..=n_parts)),
-                    Value::Int(rng.gen_range(1..=50)),
-                    Value::Float(rng.gen_range(1_000..100_000) as f64),
-                    Value::Date(date + rng.gen_range(1..=120)),
-                ]))
-                .expect("unique (orderkey, linenumber)");
+            lineitems.push(gpivot_storage::Row::new(vec![
+                Value::Int(ok),
+                Value::Int(ln as i64),
+                Value::Int(rng.gen_range(1..=n_parts)),
+                Value::Int(rng.gen_range(1..=50)),
+                Value::Float(rng.gen_range(1_000..100_000) as f64),
+                Value::Date(date + rng.gen_range(1..=120)),
+            ]));
         }
     }
+    let orders = Table::from_rows(orders_schema(), orders).expect("unique orderkey");
+    let lineitems =
+        Table::from_rows(lineitem_schema(), lineitems).expect("unique (orderkey, linenumber)");
     catalog.register("orders", orders).expect("fresh catalog");
     catalog
         .register("lineitem", lineitems)
