@@ -29,6 +29,6 @@ pub use error::{CoreError, ErrorClass, Result, StalePlan};
 pub use gpivot_analyze::{analyze, AnalysisReport, DiagCode, Diagnostic, Severity};
 pub use maintain::{
     EpochPlan, MaintenanceOutcome, MaintenancePlan, MaterializedView, RefreshGroup, RefreshPlan,
-    SourceDeltas, Strategy, ViewManager, ViewOptions, ViewPatch,
+    Refused, SourceDeltas, Strategy, ViewManager, ViewOptions, ViewPatch,
 };
 pub use rewrite::{normalize_view, NormalizedView, TopShape};

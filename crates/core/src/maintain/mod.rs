@@ -29,9 +29,10 @@ pub use view::{
     EpochPlan, MaterializedView, RefreshGroup, RefreshPlan, ViewManager, ViewOptions, ViewPatch,
 };
 
-use gpivot_storage::{Catalog, Delta, Row, RowMap};
+use gpivot_storage::{Catalog, ColsKey, Delta, Row, RowMap};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// A batch of pending changes to base tables, by table name.
 #[derive(Debug, Clone, Default)]
@@ -109,20 +110,38 @@ impl SourceDeltas {
         self.map.values().map(Delta::total_multiplicity).sum()
     }
 
-    /// This batch without the deletes `catalog` cannot cover, and how many
-    /// deleted rows that drops. Every refresh path runs its batch through
-    /// here before propagating: a table skips a delete of a row it does not
-    /// hold ([`gpivot_storage::Table::apply_delta`]), so propagating one
-    /// would take from the views a row their definitions never held. On a
-    /// keyed table the row stored under the deleted row's key must equal
-    /// it; on a bag, deletes beyond the copies held are dropped (one scan
-    /// of the table counts them, as [`gpivot_storage::Table::apply_delta`]
-    /// scans a bag per delete). Borrows the batch unchanged when every
-    /// delete is covered. A table the catalog lacks is left for validation
-    /// to refuse.
-    pub fn covered_by(&self, catalog: &Catalog) -> (Cow<'_, SourceDeltas>, u64) {
-        let mut covered = Cow::Borrowed(self);
-        let mut dropped = 0;
+    /// This batch without the rows `catalog` cannot take, and what was
+    /// taken out. Every refresh path — the serve epoch,
+    /// [`ViewManager::plan_epoch`] and durable replay — admits its batch
+    /// before propagating, so one bad row is refused alone instead of
+    /// failing its epoch, and every later one, for the rows queued beside
+    /// it.
+    ///
+    /// * **Deletes** a table does not hold are dropped. A table skips a
+    ///   delete of a row it does not hold
+    ///   ([`gpivot_storage::Table::apply_delta`]), so propagating one
+    ///   would take from the views a row their definitions never held. On
+    ///   a keyed table the row stored under the deleted row's key must
+    ///   equal it; on a bag, deletes beyond the copies held are dropped
+    ///   (one scan of the table counts them, as `apply_delta` scans a bag
+    ///   per delete).
+    /// * **Inserts** into a keyed table are refused when their key is held
+    ///   and the batch does not delete the fully matching held row, and
+    ///   when the batch inserts the key more than once. Of those, the
+    ///   least row (rows order by value) is kept, so replay refuses the
+    ///   same rows. This is [`gpivot_storage::Table::check_delta`]'s rule:
+    ///   after admission its `KeyViolation` means a bug.
+    ///
+    /// Borrows the batch unchanged when nothing is refused. A table the
+    /// catalog lacks is left for validation to refuse.
+    pub fn admit(&self, catalog: &Catalog) -> (Cow<'_, SourceDeltas>, Refused) {
+        let mut admitted = Cow::Borrowed(self);
+        let mut refused = Refused::default();
+        let mut take_out = |table: &str, row: &Row, weight: i64| {
+            if let Some(d) = admitted.to_mut().map.get_mut(table) {
+                d.add(row.clone(), -weight);
+            }
+        };
         for (name, delta) in &self.map {
             let Ok(table) = catalog.table(name) else {
                 continue;
@@ -144,17 +163,60 @@ impl SourceDeltas {
                     None => i64::from(table.get_by_key_of(row) == Some(row)),
                 };
                 let excess = (-w - held).max(0);
-                if excess == 0 {
+                if excess > 0 {
+                    take_out(name, row, -excess);
+                    refused.deletes += excess as u64;
+                }
+            }
+
+            let Some(key) = table.schema().key() else {
+                continue;
+            };
+            let mut refuse = |row: &Row, n: i64| {
+                take_out(name, row, n);
+                refused.inserts += n as u64;
+                let key = row.project(key);
+                let last = refused
+                    .insert_keys
+                    .entry(name.clone())
+                    .or_insert_with(|| key.clone());
+                if key > *last {
+                    *last = key;
+                }
+            };
+            // The least admitted insert on each key.
+            let mut least: RowMap<ColsKey<'_>, &Row> = RowMap::default();
+            for (row, &w) in delta.iter().filter(|(_, &w)| w > 0) {
+                let stored = table.get_by_key_of(row);
+                if stored.is_some_and(|stored| delta.multiplicity(stored) >= 0) {
+                    refuse(row, w);
                     continue;
                 }
-                if let Some(d) = covered.to_mut().map.get_mut(name) {
-                    d.add(row.clone(), excess);
+                if w > 1 {
+                    refuse(row, w - 1);
                 }
-                dropped += excess as u64;
+                match least.entry(ColsKey::new(row, key)) {
+                    Entry::Vacant(e) => {
+                        e.insert(row);
+                    }
+                    Entry::Occupied(mut e) if row < *e.get() => refuse(e.insert(row), 1),
+                    Entry::Occupied(_) => refuse(row, 1),
+                }
             }
         }
-        (covered, dropped)
+        (admitted, refused)
     }
+}
+
+/// What [`SourceDeltas::admit`] took out of a batch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Refused {
+    /// Deleted rows dropped because their table does not hold them.
+    pub deletes: u64,
+    /// Inserted rows refused because their key was taken.
+    pub inserts: u64,
+    /// Per table, the greatest key among the refused inserts.
+    pub insert_keys: BTreeMap<String, Row>,
 }
 
 #[cfg(test)]
@@ -174,8 +236,7 @@ mod tests {
         assert!(d.is_empty());
     }
 
-    #[test]
-    fn covered_by_drops_only_deletes_the_table_cannot_cover() {
+    fn admit_catalog() -> Catalog {
         use gpivot_storage::{DataType, Schema, Table};
         use std::sync::Arc;
         let keyed =
@@ -187,14 +248,19 @@ mod tests {
         c.register("t", t.unwrap()).unwrap();
         let b = Table::from_rows(Arc::new(bag), vec![row![7], row![7]]);
         c.register("b", b.unwrap()).unwrap();
+        c
+    }
 
+    #[test]
+    fn admit_drops_only_deletes_the_table_cannot_cover() {
+        let c = admit_catalog();
         let mut held = SourceDeltas::new();
         held.delete_rows("t", vec![row![1, 10]]);
         held.update_row("t", row![2, 20], row![2, 21]);
         held.delete_rows("b", vec![row![7], row![7]]);
-        let (covered, dropped) = held.covered_by(&c);
-        assert!(matches!(covered, Cow::Borrowed(_)));
-        assert_eq!(dropped, 0);
+        let (admitted, refused) = held.admit(&c);
+        assert!(matches!(admitted, Cow::Borrowed(_)));
+        assert_eq!(refused, Refused::default());
 
         let mut d = SourceDeltas::new();
         // A key held with other values, a key not held, a third copy.
@@ -202,13 +268,40 @@ mod tests {
         d.insert_rows("t", vec![row![3, 30]]);
         d.delete_rows("b", vec![row![7], row![7], row![7], row![8]]);
         d.delete_rows("missing", vec![row![1]]);
-        let (covered, dropped) = d.covered_by(&c);
-        assert_eq!(dropped, 4);
-        let t = covered.delta("t").unwrap();
+        let (admitted, refused) = d.admit(&c);
+        assert_eq!((refused.deletes, refused.inserts), (4, 0));
+        let t = admitted.delta("t").unwrap();
         assert_eq!((t.distinct_len(), t.multiplicity(&row![3, 30])), (1, 1));
-        let b = covered.delta("b").unwrap();
+        let b = admitted.delta("b").unwrap();
         assert_eq!((b.distinct_len(), b.multiplicity(&row![7])), (1, -2));
-        assert_eq!(covered.delta("missing"), d.delta("missing"));
+        assert_eq!(admitted.delta("missing"), d.delta("missing"));
+    }
+
+    #[test]
+    fn admit_refuses_inserts_of_taken_keys_and_keeps_the_least_duplicate() {
+        let c = admit_catalog();
+        let mut d = SourceDeltas::new();
+        // Key 1 is held and not deleted; key 2's held row is deleted, so
+        // one new row may take it; key 4 is inserted twice, and 5 is
+        // inserted as two copies of one row.
+        d.insert_rows("t", vec![row![1, 99], row![2, 22], row![2, 23]]);
+        d.delete_rows("t", vec![row![2, 20]]);
+        d.insert_rows(
+            "t",
+            vec![row![4, 41], row![4, 40], row![5, 50], row![5, 50]],
+        );
+        d.insert_rows("b", vec![row![7]]);
+        let (admitted, refused) = d.admit(&c);
+        assert_eq!((refused.deletes, refused.inserts), (0, 4));
+        assert_eq!(refused.insert_keys.get("t"), Some(&row![5]));
+        let t = admitted.delta("t").unwrap();
+        let kept = [row![2, 22], row![4, 40], row![5, 50]];
+        assert!(kept.iter().all(|r| t.multiplicity(r) == 1), "{t:?}");
+        assert_eq!(t.multiplicity(&row![2, 20]), -1);
+        assert_eq!(t.distinct_len(), 4);
+        assert_eq!(admitted.delta("b"), d.delta("b"), "a bag takes any insert");
+        let t = c.table("t").unwrap();
+        assert!(t.check_delta(admitted.delta("t").unwrap()).is_ok());
     }
 
     #[test]

@@ -712,7 +712,7 @@ impl RefreshPlan {
 pub struct EpochPlan<'a> {
     generation: u64,
     /// Borrowed from the caller, or owned when [`ViewManager::plan_epoch`]
-    /// dropped uncovered deletes ([`SourceDeltas::covered_by`]).
+    /// took rows out ([`SourceDeltas::admit`]).
     deltas: Cow<'a, SourceDeltas>,
     views: BTreeMap<String, RefreshPlan>,
 }
@@ -1060,14 +1060,14 @@ impl ViewManager {
         })
     }
 
-    /// Plan a whole epoch: drop the deletes the catalog cannot cover
-    /// ([`SourceDeltas::covered_by`]), then plan every affected view that
+    /// Plan a whole epoch: take out the rows the catalog cannot take
+    /// ([`SourceDeltas::admit`]), then plan every affected view that
     /// does not lag, group by group ([`ViewManager::refresh_groups`]), then
     /// the base deltas. A lagging view's table does not reflect the
     /// pre-update catalog, so a patch planned against it would not bring it
     /// in step; it stays out until it is installed afresh.
     pub fn plan_epoch<'a>(&self, deltas: &'a SourceDeltas) -> Result<EpochPlan<'a>> {
-        let (deltas, _) = deltas.covered_by(&self.catalog);
+        let (deltas, _) = deltas.admit(&self.catalog);
         let affected: Vec<&str> = self
             .affected_views(&deltas)
             .filter(|v| !v.lagging)

@@ -72,7 +72,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::queue::IngestQueue;
-use crate::sync;
+use crate::sync::{self, Level, Mutex};
 use gpivot_algebra::plan::Plan;
 use gpivot_core::{
     CoreError, MaterializedView, RefreshPlan, Result, SourceDeltas, Strategy, ViewManager,
@@ -84,7 +84,6 @@ use gpivot_storage::{Catalog, Delta, FaultInjector, FsyncPolicy, StorageError, T
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Parses persisted view-definition SQL back into a [`Plan`].
 ///
@@ -176,12 +175,17 @@ pub(crate) fn snapshot(
     })
 }
 
+/// The levels a thread may hold where the log or a checkpoint may fsync:
+/// the gates, the registry and the queue, whose waiters already wait on
+/// the epoch, registration or ingest doing the write. Never the router,
+/// which every sharded ingest reads, nor the metrics leaf.
+const FSYNC_HOLDS: &[Level] = &[Level::ShardGate, Level::Gate, Level::State, Level::Queue];
+
 /// The live durability handle a [`crate::ViewService`] carries: the current
 /// WAL generation plus cumulative counters that survive log rotation.
 ///
-/// Lock order: the WAL mutex sits *below* the ingest-queue mutex and above
-/// the metrics mutex (gate → state → queue → wal → metrics). Counters are
-/// atomics precisely so `metrics()` never needs the WAL lock.
+/// The WAL mutex is [`Level::Wal`]: appends run under the queue lock.
+/// Counters are atomics precisely so `metrics()` never needs the WAL lock.
 pub(crate) struct Durability {
     dir: PathBuf,
     policy: FsyncPolicy,
@@ -207,6 +211,7 @@ impl Durability {
         policy: FsyncPolicy,
         injector: FaultInjector,
     ) -> Result<Durability> {
+        sync::assert_may_fsync(FSYNC_HOLDS);
         std::fs::create_dir_all(dir).map_err(|e| io_err("create durable dir", e))?;
         // Clear any previous files so stale higher generations can't
         // shadow this one.
@@ -263,7 +268,7 @@ impl Durability {
             fsyncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             last_checkpoint_bytes: AtomicU64::new(0),
-            wal: Mutex::new(wal),
+            wal: Mutex::new(Level::Wal, wal),
         }
     }
 
@@ -302,6 +307,7 @@ impl Durability {
     /// Append one record and make it durable per policy: fsynced unless
     /// the policy is [`FsyncPolicy::Never`].
     fn append_durable(&self, record: &WalRecord, context: &str) -> Result<()> {
+        sync::assert_may_fsync(FSYNC_HOLDS);
         self.append(record)?;
         if self.policy != FsyncPolicy::Never {
             self.sync(context)?;
@@ -323,6 +329,7 @@ impl Durability {
     /// inside the queue lock, where a clone per ingest would be paid by
     /// every producer.
     pub fn log_ingest(&self, table: &str, delta: &Delta) -> Result<()> {
+        sync::assert_may_fsync(FSYNC_HOLDS);
         self.append_with(|w| w.append_ingest(table, delta))?;
         if self.policy == FsyncPolicy::Always {
             self.sync("ingest")?;
@@ -372,6 +379,7 @@ impl Durability {
     /// checkpoint protocol) so the queue snapshot and the rotation point
     /// agree on what is "before" vs "after" the checkpoint.
     pub fn rotate(&self, epoch: u64) -> Result<u64> {
+        sync::assert_may_fsync(FSYNC_HOLDS);
         let new_gen = self.current_gen() + 1;
         let mut new_wal = Wal::create(checkpoint::wal_path(&self.dir, new_gen))?;
         new_wal.set_fault_injector(self.injector.clone());
@@ -394,6 +402,7 @@ impl Durability {
     /// Write the checkpoint file for `data` (step 2) and prune generations
     /// behind it (step 3, best-effort). Returns the checkpoint size.
     pub fn write_checkpoint_file(&self, data: &CheckpointData) -> Result<u64> {
+        sync::assert_may_fsync(FSYNC_HOLDS);
         let bytes = checkpoint::write_checkpoint(&self.dir, data, &self.injector)?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.last_checkpoint_bytes.store(bytes, Ordering::Relaxed);
@@ -627,16 +636,17 @@ pub(crate) fn recover(dir: &Path, parser: &PlanParser) -> Result<Option<Recovere
     }))
 }
 
-/// Commit one logged epoch the way the live service committed it: drop
-/// the deletes the recovered catalog cannot cover, then plan → validate →
+/// Commit one logged epoch the way the live service committed it: take out
+/// the rows the recovered catalog cannot take ([`SourceDeltas::admit`],
+/// which refuses what the live epoch refused), then plan → validate →
 /// commit, run sequentially. A view whose plan fails here
 /// failed in the live epoch too (replay injects no faults), and the commit
 /// marker proves that epoch committed without it: so does this one, and
 /// the view lags from here on, out of every later replayed epoch. A base
 /// delta that fails validation fails recovery.
 fn replay_epoch(manager: &mut ViewManager, batch: &SourceDeltas) -> Result<()> {
-    let (covered, _) = batch.covered_by(manager.catalog());
-    let batch = &*covered;
+    let (admitted, _) = batch.admit(manager.catalog());
+    let batch = &*admitted;
     let mut plan = manager.plan_commit(batch)?;
     let views: Vec<&str> = manager
         .affected_views(batch)

@@ -1,5 +1,5 @@
 //! Deterministic schedule exploration for the serve tier's concurrency
-//! protocols (DESIGN.md §"Concurrency analysis").
+//! protocols (DESIGN.md §"Concurrency checks").
 //!
 //! Each suite models one protocol as a set of logical threads taking
 //! *atomic steps* — the granularity a lock-protected critical section
@@ -19,8 +19,8 @@
 //! replays) — with the same step structure as
 //! `ShardedService::reroute_locked`. The deliberately-broken variants
 //! assert the explorer *finds* a known bug and that the reported
-//! schedule replays it — the analogue of the injected-cycle fixture in
-//! `gpivot-concurrency`.
+//! schedule replays it — the analogue of the planted-violation tests of
+//! the lock-level checks in `sync.rs` (GP030–GP034).
 //!
 //! Under `--features shuttle` the `sched_*` tests additionally run the
 //! *real* service types on real threads under the cooperative token

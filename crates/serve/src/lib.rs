@@ -42,10 +42,9 @@
 //!   mid-epoch failure only has to drop its plan and restore the drained
 //!   batch to the queue. See DESIGN.md §"Fault tolerance".
 //!
-//! Lock order (outermost first): refresh gate → view state (`RwLock`) →
-//! ingest queue (`Mutex` + condvar) → metrics (`Mutex`, leaf). No code path
-//! acquires them in any other order, and the queue lock is never held while
-//! waiting on the state lock.
+//! Lock order: every lock has a level, and the `Level` enum in `sync.rs`
+//! states the order, outermost first; debug builds panic on any
+//! acquisition against it (DESIGN.md §"Concurrency checks").
 
 // A service that promises panic isolation must not panic on its own error
 // paths: `unwrap`/`expect` are denied outside unit tests, and lock

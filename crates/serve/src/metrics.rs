@@ -181,8 +181,12 @@ pub struct MetricsSnapshot {
     /// Worker panics caught and isolated at the view-task boundary.
     pub panics_isolated: u64,
     /// Deleted rows dropped from committed epochs because their table did
-    /// not hold them (`SourceDeltas::covered_by`).
+    /// not hold them (`SourceDeltas::admit`).
     pub deletes_dropped: u64,
+    /// Inserted rows refused at committed epochs because their key was
+    /// taken: held by the table, or inserted twice in one batch
+    /// (`SourceDeltas::admit`).
+    pub inserts_refused: u64,
     /// Poisoned-guard recoveries by the `sync` lock helpers (process-wide:
     /// every shard of a sharded service reports the same counter, so
     /// roll-ups take the max rather than summing).
@@ -251,6 +255,10 @@ pub struct MetricsSnapshot {
     /// Point-event counters from the tracing layer (`view.retry`,
     /// `view.quarantine`, …).
     pub trace_events: BTreeMap<String, u64>,
+    /// Per base table, a key refused by the latest epoch that refused an
+    /// insert into it (see `inserts_refused`), rendered: what an operator
+    /// looks for upstream.
+    pub refused_keys: BTreeMap<String, String>,
 }
 
 /// How a roll-up over shards combines one scalar's per-shard values.
@@ -337,6 +345,7 @@ macro_rules! scalars {
                 let MetricsSnapshot {
                     $($field,)*
                     per_view: _,
+                    refused_keys: _,
                     phase_timings: _,
                     operator_timings: _,
                     trace_events: _,
@@ -369,6 +378,8 @@ scalars! {
         "Worker panics caught at the view-task boundary";
     deletes_dropped: counter, Sum, Some("gpivot_deletes_dropped_total"),
         "Deleted rows dropped because their table did not hold them";
+    inserts_refused: counter, Sum, Some("gpivot_inserts_refused_total"),
+        "Inserted rows refused because their key was taken";
     // Process-wide: every shard reads the same static.
     lock_poisoned: counter, Max, Some("gpivot_lock_poisoned_total"),
         "Poisoned lock guards recovered by the sync helpers";
@@ -466,6 +477,9 @@ impl MetricsSnapshot {
         for (name, n) in &other.trace_events {
             *self.trace_events.entry(name.clone()).or_insert(0) += n;
         }
+        for (table, key) in &other.refused_keys {
+            self.refused_keys.insert(table.clone(), key.clone());
+        }
     }
 
     /// Human-readable multi-line report (the `serve_dashboard` example).
@@ -516,6 +530,19 @@ impl MetricsSnapshot {
                 out,
                 "  uncovered deletes: {} rows dropped",
                 self.deletes_dropped,
+            );
+        }
+        if self.inserts_refused > 0 {
+            let keys: Vec<String> = self
+                .refused_keys
+                .iter()
+                .map(|(table, key)| format!("{table} {key}"))
+                .collect();
+            let _ = writeln!(
+                out,
+                "  refused inserts: {} rows (last key: {})",
+                self.inserts_refused,
+                keys.join(", "),
             );
         }
         if self.ingest_rejects > 0 || self.panics_isolated > 0 || self.lock_poisoned > 0 {
@@ -754,6 +781,7 @@ mod tests {
             ingest_rejects: 17,
             panics_isolated: 19,
             deletes_dropped: 139,
+            inserts_refused: 149,
             lock_poisoned: 23,
             rows_drained_raw: 997,
             rows_drained_coalesced: 883,
@@ -813,6 +841,7 @@ mod tests {
             .insert("op.Join".into(), histogram(&[40, 2_000]));
         m.trace_events.insert("view.quarantine".into(), 127);
         m.trace_events.insert("view.retry".into(), 131);
+        m.refused_keys.insert("facts".into(), "(1, a)".into());
         m
     }
 

@@ -5,7 +5,7 @@ use crate::durable::{self, Durability, PlanParser, Recovered, RecoveryReport};
 use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth, ViewMetrics};
 use crate::queue::IngestQueue;
 use crate::shard::ShardConfig;
-use crate::sync;
+use crate::sync::{self, Condvar, Level, Mutex, ReadGuard, RwLock};
 use gpivot_algebra::plan::Plan;
 use gpivot_core::{
     CoreError, MaintenanceOutcome, MaterializedView, RefreshPlan, Result, Strategy, ViewManager,
@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`ViewService`] and the sharded tier
@@ -331,8 +331,7 @@ struct Shared {
     /// services and parallel tests stay isolated.
     tracer: Arc<tracing::TimingSubscriber>,
     /// Present iff the service was opened durably ([`ViewService::open`]):
-    /// the WAL handle + checkpoint machinery. Lock order: the WAL mutex
-    /// inside sits between the queue mutex and the metrics mutex.
+    /// the WAL handle + checkpoint machinery.
     durability: Option<Durability>,
     /// The refresh fan-out's `cfg.workers()` threads, spawned by the first
     /// epoch that has more than one refresh group and joined when the
@@ -385,11 +384,11 @@ impl ViewService {
         ViewService {
             shared: Arc::new(Shared {
                 cfg,
-                gate: Mutex::new(()),
-                state: RwLock::new(manager),
-                queue: Mutex::new(queue),
+                gate: Mutex::new(Level::Gate, ()),
+                state: RwLock::new(Level::State, manager),
+                queue: Mutex::new(Level::Queue, queue),
                 space: Condvar::new(),
-                metrics: Mutex::new(metrics),
+                metrics: Mutex::new(Level::Metrics, metrics),
                 epoch: AtomicU64::new(epoch),
                 plan_rounds: AtomicU64::new(0),
                 tracer: tracing::TimingSubscriber::shared(),
@@ -770,13 +769,14 @@ impl ViewService {
         // of parallelism is a refresh group: a view, then the σ-children
         // planned from its patch on the same worker.
         let state = sync::read(&self.shared.state);
-        // Deletes of rows a table does not hold would reach the views but
-        // not the table: they go before anything propagates. A rollback
+        // Rows a table cannot take — deletes of rows it does not hold,
+        // inserts of keys it holds — go before anything propagates, so
+        // they cannot fail the epoch for the rows beside them. A rollback
         // restores the batch as drained.
-        let (covered, deletes_dropped) = batch.covered_by(state.catalog());
+        let (admitted, refused) = batch.admit(state.catalog());
         let quarantined = self.quarantined();
         let (skipped, names): (Vec<&str>, Vec<&str>) = state
-            .affected_views(&covered)
+            .affected_views(&admitted)
             .map(MaterializedView::name)
             .partition(|name| quarantined.contains(*name));
         let quarantined_skipped = skipped.len();
@@ -788,20 +788,20 @@ impl ViewService {
             // Holding the refresh gate and the registry read guard across
             // the fan-out is what serializes epochs. It cannot deadlock:
             // the jobs only run view-maintenance closures and never touch
-            // a service lock, and the pool's own inbox mutexes are leaves
-            // in `gpivot-exec`, never held while a job runs or while
-            // another lock is taken. The pool installs this thread's
-            // collector (the service's tracer, pushed above) for each
-            // job, so `view.attempt` spans and the maintain-phase spans
-            // underneath land in this service's store.
-            // concurrency-lint: allow(GP033)
-            pool.run_slots(groups.iter().collect(), |group| {
+            // a service lock (debug builds check it), and the pool's own
+            // inbox mutexes are leaves in `gpivot-exec`, never held while
+            // a job runs or while another lock is taken. The pool installs
+            // this thread's collector (the service's tracer, pushed above)
+            // for each job, so `view.attempt` spans and the maintain-phase
+            // spans underneath land in this service's store.
+            let allowed = [Level::Gate, Level::State];
+            sync::run_slots(pool, &allowed, groups.iter().collect(), |group| {
                 let mut planned: Vec<ViewRefresh> = Vec::with_capacity(group.members().len());
                 for &(name, parent) in group.members() {
                     // A child whose parent failed plans by its own rule.
                     let parent = parent.and_then(|i| planned[i].result.as_ref().ok());
                     let refresh =
-                        plan_with_retry(&self.shared.cfg, &state, round, name, &covered, parent);
+                        plan_with_retry(&self.shared.cfg, &state, round, name, &admitted, parent);
                     planned.push(refresh);
                 }
                 planned
@@ -864,7 +864,7 @@ impl ViewService {
         // faults) is a pure check. Transient faults retry like any other.
         let (validated, stage_retries) = {
             let _s = tracing::span("epoch.stage").enter();
-            retry_transient(&self.shared.cfg, || state.plan_commit(&covered))
+            retry_transient(&self.shared.cfg, || state.plan_commit(&admitted))
         };
         total_retries += u64::from(stage_retries);
         let mut plan = match validated {
@@ -943,7 +943,11 @@ impl ViewService {
             m.rows_propagated += summary.rows_propagated;
             m.rows_applied += summary.rows_applied;
             m.panics_isolated += total_panics;
-            m.deletes_dropped += deletes_dropped;
+            m.deletes_dropped += refused.deletes;
+            m.inserts_refused += refused.inserts;
+            for (table, key) in refused.insert_keys {
+                m.refused_keys.insert(table, key.to_string());
+            }
             // Per-view refresh work is charged only on committed epochs —
             // rolled-back work never reaches these counters. A successful
             // committed refresh also resets the view's health.
@@ -1148,7 +1152,17 @@ impl ViewService {
     /// A consistent multi-view read: while the [`Snapshot`] is held, no
     /// epoch can commit, so every query through it sees the same epoch.
     pub fn snapshot(&self) -> Snapshot<'_> {
-        let guard = sync::read(&self.shared.state);
+        self.snapshot_with(sync::read(&self.shared.state))
+    }
+
+    /// [`ViewService::snapshot`] taken while this thread holds snapshots
+    /// of *other* services: the sharded snapshot reads every shard's
+    /// state at once ([`sync::read_nested`]).
+    pub(crate) fn snapshot_nested(&self) -> Snapshot<'_> {
+        self.snapshot_with(sync::read_nested(&self.shared.state))
+    }
+
+    fn snapshot_with<'a>(&self, guard: ReadGuard<'a, ViewManager>) -> Snapshot<'a> {
         let epoch = self.shared.epoch.load(Ordering::SeqCst);
         Snapshot { guard, epoch }
     }
@@ -1233,7 +1247,7 @@ impl ViewService {
 
 /// A read guard over the whole service state pinned to one epoch.
 pub struct Snapshot<'a> {
-    guard: RwLockReadGuard<'a, ViewManager>,
+    guard: ReadGuard<'a, ViewManager>,
     epoch: u64,
 }
 
@@ -1302,6 +1316,7 @@ fn plan_with_retry(
         let _attempt = tracing::span("view.attempt").enter();
         // AssertUnwindSafe: `state`, `batch` and `parent` are only read.
         let plan = || state.plan_member(view, batch, parent);
+        sync::assert_unlocked();
         match std::panic::catch_unwind(AssertUnwindSafe(plan)) {
             Ok(r) => r,
             Err(payload) => {

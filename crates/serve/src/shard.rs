@@ -44,7 +44,7 @@
 
 use crate::metrics::{EpochSummary, MetricsSnapshot, ViewHealth};
 use crate::service::{IngestOptions, ServeConfig, Snapshot, ViewService};
-use crate::sync;
+use crate::sync::{self, Level, Mutex, RwLock};
 use gpivot_algebra::Plan;
 use gpivot_analyze::{shard_safety, DiagCode, Diagnostic, ShardRouting, ShardVerdict, TableRoute};
 use gpivot_core::{CoreError, Result, Strategy, ViewManager, ViewOptions};
@@ -52,7 +52,7 @@ use gpivot_exec::WorkerPool;
 use gpivot_storage::{shard_of, Catalog, Delta, Row, RowMap, RowSet, Table, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sharding knobs, carried inside [`ServeConfig`] (set them through
@@ -270,9 +270,9 @@ impl ShardedService {
                 epoch: AtomicU64::new(root.epoch()),
                 services: std::iter::once(root).chain(shards).collect(),
                 hash_shards,
-                gate: Mutex::new(()),
-                router: RwLock::new(Router::default()),
-                freq: Mutex::new(RowMap::default()),
+                gate: Mutex::new(Level::ShardGate, ()),
+                router: RwLock::new(Level::ShardRouter, Router::default()),
+                freq: Mutex::new(Level::ShardFreq, RowMap::default()),
             }),
         }
     }
@@ -335,12 +335,15 @@ impl ShardedService {
     }
 
     /// Refresh every shard (root included) once, in parallel on the
-    /// tier's worker pool. Caller must hold the gate.
+    /// tier's worker pool. Caller must hold the gate, and may hold the
+    /// router: shard epochs never touch it.
     fn refresh_all_locked(&self) -> Result<Vec<EpochSummary>> {
-        let results = self
-            .inner
-            .pool
-            .run_slots(self.services().iter().collect(), ViewService::refresh_epoch);
+        let results = sync::run_slots(
+            &self.inner.pool,
+            &[Level::ShardGate, Level::ShardRouter],
+            self.services().iter().collect(),
+            ViewService::refresh_epoch,
+        );
         let mut out = Vec::with_capacity(results.len());
         for (i, slot) in results.into_iter().enumerate() {
             match slot {
@@ -474,9 +477,9 @@ impl ShardedService {
         // columns resolved against the root catalog before any state
         // changes so schema errors abort cleanly.
         let (class, transitions) = {
+            let router = sync::read(&self.inner.router);
             let snap = self.root().snapshot();
             let catalog = snap.manager().catalog();
-            let router = sync::read(&self.inner.router);
             let class = router.touched_class(&routing).unwrap_or(router.heavy.len());
             let mut transitions = Vec::new();
             for (table, column) in routing.partitioned() {
@@ -836,14 +839,20 @@ impl ShardedService {
     /// are acquired under the epoch gate, so no shard is mid-commit and
     /// all agree on an epoch boundary. A lone root's own snapshot is
     /// already consistent: it takes no gate and reports the root's epoch,
-    /// so a reader never waits behind an epoch.
+    /// so a reader never waits behind an epoch. The placements are read
+    /// first: the router sits above every shard's state in the lock order.
     pub fn snapshot(&self) -> ShardSnapshot<'_> {
         let gate = self.is_sharded().then(|| sync::lock(&self.inner.gate));
-        let services: Vec<Snapshot<'_>> = self.services().iter().map(|s| s.snapshot()).collect();
+        let placements = sync::read(&self.inner.router).views.clone();
+        let services: Vec<Snapshot<'_>> = self
+            .services()
+            .iter()
+            .map(ViewService::snapshot_nested)
+            .collect();
         let epoch = gate.map_or(services[0].epoch(), |_| self.epoch());
         ShardSnapshot {
             services,
-            placements: sync::read(&self.inner.router).views.clone(),
+            placements,
             epoch,
         }
     }

@@ -1,8 +1,9 @@
 //! Nothing one bad row can do wedges a service or its recovery: a row of
 //! the wrong arity is refused at ingest, before it is logged or queued; a
-//! delete of a row the table does not hold is dropped before it reaches a
-//! view; and a view that fails for good at a committed epoch is rebuilt
-//! (or kept quarantined) by recovery instead of failing the reopen.
+//! delete of a row the table does not hold is dropped, and an insert of a
+//! key the table holds is refused, before either reaches a view; and a
+//! view that fails for good at a committed epoch is rebuilt (or kept
+//! quarantined) by recovery instead of failing the reopen.
 
 use gpivot_algebra::{AggSpec, PivotSpec, Plan};
 use gpivot_core::CoreError;
@@ -95,6 +96,77 @@ fn a_wrong_arity_row_is_refused_and_the_service_keeps_committing() {
     assert_eq!(summary.epoch, 1);
     assert_eq!(svc.query_view("all").unwrap().len(), 3);
     assert!(svc.verify_all().unwrap());
+}
+
+/// An insert of a key the table holds used to fail validation, roll its
+/// epoch back and restore the batch, so every later epoch failed the same
+/// `KeyViolation` and the valid rows queued behind it never committed.
+/// Admission refuses that row alone, and the second of two inserts of one
+/// key in a batch; the rest commit, and replay refuses the same rows.
+#[test]
+fn an_insert_of_a_held_key_is_refused_and_the_rows_behind_it_commit() {
+    let dir = scratch_dir("no-wedge-duplicate-key");
+    let cfg = || ServeConfig::builder().workers(1).build().unwrap();
+    let (svc, _) = ViewService::open(&dir, catalog(), cfg(), &parse).unwrap();
+    svc.register_view("pivot", pivot_plan()).unwrap();
+    let ingest = |svc: &ViewService, row: Row| {
+        svc.ingest_with("facts", inserts(vec![row]), IngestOptions::blocking())
+            .unwrap()
+    };
+    ingest(&svc, row![1, "a", 99]);
+    ingest(&svc, row![3, "a", 30]);
+    assert_eq!(svc.refresh_epoch().unwrap().epoch, 1);
+    let m = svc.metrics();
+    assert_eq!((m.inserts_refused, m.epochs_failed), (1, 0));
+    assert_eq!(m.refused_keys["facts"], "(1, a)");
+    assert!(svc.verify_all().unwrap());
+    let facts = || {
+        svc.snapshot()
+            .manager()
+            .catalog()
+            .table("facts")
+            .unwrap()
+            .sorted_rows()
+    };
+    assert_eq!(
+        facts(),
+        [row![1, "a", 10], row![2, "b", 20], row![3, "a", 30]]
+    );
+
+    // Two inserts of one new key in one batch: the lesser row commits.
+    ingest(&svc, row![4, "b", 41]);
+    ingest(&svc, row![4, "b", 40]);
+    assert_eq!(svc.refresh_epoch().unwrap().epoch, 2);
+    assert_eq!(svc.metrics().inserts_refused, 2);
+    assert_eq!(svc.metrics().refused_keys["facts"], "(4, b)");
+    assert_eq!(facts().last(), Some(&row![4, "b", 40]));
+    assert!(svc.verify_all().unwrap());
+    let view = svc.query_view("pivot").unwrap();
+    assert_eq!(view.len(), 4);
+    drop(svc);
+
+    let (reopened, report) = ViewService::open(&dir, catalog(), cfg(), &parse).unwrap();
+    assert_eq!(report.recovered_epoch, 2);
+    assert!(reopened.verify_all().unwrap());
+    assert!(reopened.query_view("pivot").unwrap().bag_eq(&view));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let sharded = ShardedService::new(catalog(), ServeConfig::builder().shards(2).build().unwrap());
+    sharded.register_view("pivot", pivot_plan()).unwrap();
+    for rows in [
+        vec![row![1, "a", 99], row![3, "a", 30]],
+        vec![row![4, "b", 41], row![4, "b", 40]],
+    ] {
+        for row in rows {
+            let delta = inserts(vec![row]);
+            sharded
+                .ingest_with("facts", delta, IngestOptions::blocking())
+                .unwrap();
+        }
+        sharded.refresh_epoch().unwrap();
+    }
+    assert!(sharded.verify_all().unwrap());
+    assert!(sharded.query_view("pivot").unwrap().bag_eq(&view));
 }
 
 #[test]
