@@ -456,15 +456,22 @@ impl BoundExpr {
     /// Evaluate over a row. Predicate sub-results use three-valued logic and
     /// surface as `Value::Null` when unknown.
     pub fn eval(&self, row: &Row) -> Value {
+        self.eval_with(&|i| &row[i])
+    }
+
+    /// Evaluate over the values `col(i)` gives for column `i`, wherever
+    /// they sit — a row that is never built, such as one borrowed row per
+    /// join input. Same semantics as [`BoundExpr::eval`].
+    pub fn eval_with<'v, F: Fn(usize) -> &'v Value>(&self, col: &F) -> Value {
         match self {
-            BoundExpr::Col(i) => row[*i].clone(),
+            BoundExpr::Col(i) => col(*i).clone(),
             BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Cmp(op, a, b) => match a.eval(row).compare(&b.eval(row)) {
+            BoundExpr::Cmp(op, a, b) => match a.eval_with(col).compare(&b.eval_with(col)) {
                 Some(ord) => Value::Bool(op.holds(ord)),
                 None => Value::Null,
             },
             BoundExpr::Bin(op, a, b) => {
-                let (x, y) = (a.eval(row), b.eval(row));
+                let (x, y) = (a.eval_with(col), b.eval_with(col));
                 if x.is_null() || y.is_null() {
                     return Value::Null;
                 }
@@ -485,23 +492,23 @@ impl BoundExpr {
                     },
                 }
             }
-            BoundExpr::And(a, b) => match (to_tvl(a.eval(row)), to_tvl(b.eval(row))) {
+            BoundExpr::And(a, b) => match (to_tvl(a.eval_with(col)), to_tvl(b.eval_with(col))) {
                 (Some(false), _) | (_, Some(false)) => Value::Bool(false),
                 (Some(true), Some(true)) => Value::Bool(true),
                 _ => Value::Null,
             },
-            BoundExpr::Or(a, b) => match (to_tvl(a.eval(row)), to_tvl(b.eval(row))) {
+            BoundExpr::Or(a, b) => match (to_tvl(a.eval_with(col)), to_tvl(b.eval_with(col))) {
                 (Some(true), _) | (_, Some(true)) => Value::Bool(true),
                 (Some(false), Some(false)) => Value::Bool(false),
                 _ => Value::Null,
             },
-            BoundExpr::Not(a) => match to_tvl(a.eval(row)) {
+            BoundExpr::Not(a) => match to_tvl(a.eval_with(col)) {
                 Some(b) => Value::Bool(!b),
                 None => Value::Null,
             },
-            BoundExpr::IsNull(a) => Value::Bool(a.eval(row).is_null()),
+            BoundExpr::IsNull(a) => Value::Bool(a.eval_with(col).is_null()),
             BoundExpr::InList(a, vs) => {
-                let v = a.eval(row);
+                let v = a.eval_with(col);
                 if v.is_null() {
                     Value::Null
                 } else {
@@ -513,11 +520,11 @@ impl BoundExpr {
                 otherwise,
             } => {
                 for (c, out) in branches {
-                    if to_tvl(c.eval(row)) == Some(true) {
-                        return out.eval(row);
+                    if to_tvl(c.eval_with(col)) == Some(true) {
+                        return out.eval_with(col);
                     }
                 }
-                otherwise.eval(row)
+                otherwise.eval_with(col)
             }
         }
     }
@@ -530,6 +537,12 @@ impl BoundExpr {
     /// Predicate that holds: unknown counts as false (SQL WHERE semantics).
     pub fn holds(&self, row: &Row) -> bool {
         self.eval_predicate(row) == Some(true)
+    }
+
+    /// [`BoundExpr::holds`] over the values `col(i)` gives, as
+    /// [`BoundExpr::eval_with`] reads them.
+    pub fn holds_with<'v, F: Fn(usize) -> &'v Value>(&self, col: &F) -> bool {
+        to_tvl(self.eval_with(col)) == Some(true)
     }
 }
 

@@ -101,10 +101,10 @@ pub fn estimate_eval_cost(plan: &Plan, stats: &CatalogStats) -> f64 {
 /// Cost of propagating a delta of `delta_rows` through a relational core.
 ///
 /// A join term looks the delta's join keys up in the partner side's hash
-/// indexes (`PropagationCtx::eval_pre_matching`), so it costs the delta
-/// times the join's fan-out — not a pass over the partner. The partner is
-/// charged in full only for the shapes the restricted evaluator cannot
-/// push a key restriction through ([`fallback_scan_cost`]).
+/// indexes (the probe paths of the view's `DeltaProgram`), so it costs
+/// the delta times the join's fan-out — not a pass over the partner. The
+/// partner is charged in full only for the shapes no key restriction
+/// crosses ([`fallback_scan_cost`]).
 fn propagate_cost(core: &Plan, stats: &CatalogStats, delta_rows: f64) -> f64 {
     match core {
         Plan::Scan { .. } => delta_rows,
@@ -131,9 +131,9 @@ fn propagate_cost(core: &Plan, stats: &CatalogStats, delta_rows: f64) -> f64 {
 }
 
 /// What fetching the pre-state rows of `plan` that match a key set costs
-/// beyond the per-key probes: nothing where the restriction pushes down to
-/// base-table index probes, a full evaluation for the shapes that take
-/// `eval_pre_matching`'s fallback arm (outer joins, `Union`, `Diff`,
+/// beyond the per-key probes: nothing where the restriction reaches
+/// base-table index probes, a full evaluation for the shapes a delta
+/// program evaluates in full and filters (outer joins, `Union`, `Diff`,
 /// `GUnpivot`).
 fn fallback_scan_cost(plan: &Plan, stats: &CatalogStats) -> f64 {
     match plan {

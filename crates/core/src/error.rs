@@ -40,6 +40,11 @@ pub enum CoreError {
     /// The view query is not incrementally maintainable at all and fallback
     /// was disallowed.
     NotMaintainable(String),
+    /// A base table a view's compiled delta program reads no longer has
+    /// the schema the program was compiled against (the catalog replaced
+    /// it): its compiled column positions would read the wrong columns.
+    /// Re-register the view to compile it against the new schema.
+    SchemaChanged { table: String },
     /// A refresh worker panicked while maintaining a view. The panic was
     /// caught at the task boundary (the view's state was discarded), so
     /// this is an ordinary, retryable error to the caller.
@@ -156,6 +161,10 @@ impl fmt::Display for CoreError {
             CoreError::UnknownView(v) => write!(f, "unknown view `{v}`"),
             CoreError::DuplicateView(v) => write!(f, "view `{v}` already exists"),
             CoreError::NotMaintainable(s) => write!(f, "view not maintainable: {s}"),
+            CoreError::SchemaChanged { table } => write!(
+                f,
+                "table `{table}` changed schema since the view's delta program was compiled"
+            ),
             CoreError::ViewPanic { view, message } => {
                 write!(
                     f,

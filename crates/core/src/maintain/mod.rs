@@ -6,8 +6,9 @@
 //!    driver (pivots pulled to the top and combined), choose a maintenance
 //!    [`Strategy`] from the resulting [`crate::rewrite::TopShape`], and
 //!    materialize the view.
-//! 2. **Refresh** (per batch of source deltas): the *propagate phase* pushes
-//!    deltas through the relational core ([`delta_prop`]); the *apply phase*
+//! 2. **Refresh** (per batch of source deltas): the *propagate phase* runs
+//!    the view's [`DeltaProgram`], compiled at registration, over the
+//!    deltas ([`delta_prop`]); the *apply phase*
 //!    folds the final delta into the materialized table — for the
 //!    update-rule strategies with one MERGE ([`apply`]) over the view's
 //!    compiled [`apply::MergeLayout`], whose Fig. 27 folds
@@ -23,7 +24,9 @@ pub mod strategy;
 pub mod view;
 
 pub use apply::{ApplyStats, RowOp};
-pub use delta_prop::{post_state_table, propagate, PropagationCtx};
+pub use delta_prop::{
+    consolidate, post_state_table, DeltaProgram, PropagationCtx, Restriction, SignedRows,
+};
 pub use strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
 pub use view::{
     EpochPlan, MaterializedView, RefreshGroup, RefreshPlan, ViewManager, ViewOptions, ViewPatch,

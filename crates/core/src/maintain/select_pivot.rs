@@ -7,15 +7,16 @@
 //! *inserted* row touches a σc-read cell (the σc′ prefilter of Fig. 29);
 //! such a candidate's pivot row is recomputed from the post-state core
 //! *restricted to exactly the candidates* — their pre-state rows fetched by
-//! index probe ([`PropagationCtx::eval_pre_matching`]) and the core
-//! delta's rows for them added, mirroring the paper's
+//! the restriction the view's delta program compiled at registration
+//! ([`DeltaProgram::with_candidates`](crate::maintain::DeltaProgram::with_candidates))
+//! and the core delta's rows for them added, mirroring the paper's
 //! `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan. A key that only receives
 //! deletes stays absent: σc is null-intolerant, so nulling more cells
 //! cannot make a failing row pass.
 
 use crate::error::Result;
 use crate::maintain::apply::{not_applicable, MergeLayout};
-use crate::maintain::delta_prop::{consolidate, post_state_table, PropagationCtx};
+use crate::maintain::delta_prop::{consolidate, post_state_table};
 use gpivot_algebra::{encode_pivot_col, BoundExpr, Expr, PivotSpec};
 use gpivot_storage::{Row, RowSet, Schema, Table, Value};
 
@@ -27,8 +28,9 @@ pub(crate) struct Candidates {
     pub(super) read: Vec<bool>,
     /// The core columns a recompute is restricted by: the core's key
     /// columns inside `K` (they determine the rest, so the restriction
-    /// pushes to the delta'd fact table), else all of `K`.
-    restrict: Vec<String>,
+    /// pushes to the delta'd fact table), else all of `K`. The view's
+    /// delta program compiles this restriction at registration.
+    pub(super) restrict: Vec<String>,
     /// Those columns' positions within the view key.
     restrict_pos: Vec<usize>,
 }
@@ -63,14 +65,16 @@ impl Candidates {
 impl MergeLayout {
     /// Fig. 29's candidate recompute: the post-state pivot rows of `keys`
     /// (absent from `mv`) that `sigma` accepts. Restricted to the keys'
-    /// core rows — their pre-state fetched by index probe
-    /// ([`PropagationCtx::eval_pre_matching`]) plus `delta`'s rows for
-    /// them — mirroring the paper's `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))`.
+    /// core rows — their pre-state read by `fetch` from the keys on the
+    /// restricted columns (the view's compiled candidate restriction,
+    /// [`DeltaProgram::candidates`](crate::maintain::DeltaProgram::candidates))
+    /// plus `delta`'s rows for them — mirroring the paper's
+    /// `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))`.
     pub fn candidate_rows(
         &self,
         mv: &Table,
         keys: Vec<Row>,
-        ctx: &PropagationCtx<'_>,
+        fetch: impl FnOnce(&RowSet<Row>) -> Result<Table>,
         delta: &[(Row, i64)],
         sigma: &BoundExpr,
     ) -> Result<Vec<Row>> {
@@ -84,7 +88,7 @@ impl MergeLayout {
                 .cloned(),
         );
         let restricted = post_state_table(
-            &ctx.eval_pre_matching(&self.core, &c.restrict, &restrict_keys)?,
+            &fetch(&restrict_keys)?,
             delta_restricted.iter().map(|(r, &w)| (r, w)),
         );
         // σ passes its input's schema through: the view's is the pivot's.
@@ -105,7 +109,7 @@ mod tests {
     use super::*;
     use crate::maintain::apply::tests::{items, signed};
     use crate::maintain::apply::{apply_row_ops, plan_merge, RowOp};
-    use crate::maintain::delta_prop::propagate_signed;
+    use crate::maintain::delta_prop::{DeltaProgram, PropagationCtx};
     use crate::maintain::{ApplyStats, SourceDeltas};
     use gpivot_algebra::plan::Plan;
     use gpivot_exec::Executor;
@@ -135,6 +139,12 @@ mod tests {
         bag.into_keyed(schema).unwrap()
     }
 
+    /// The core's delta program, with the candidate restriction.
+    fn program(layout: &MergeLayout, catalog: &Catalog) -> DeltaProgram {
+        let restrict = &layout.sigma.as_ref().unwrap().restrict;
+        DeltaProgram::with_candidates(&layout.core, catalog, restrict).unwrap()
+    }
+
     /// The whole Fig. 29 patch: the MERGE, then the candidates' rows.
     fn plan_patch(
         mv: &Table,
@@ -142,13 +152,16 @@ mod tests {
         delta: &[(Row, i64)],
     ) -> (Vec<RowOp>, ApplyStats) {
         let layout = MergeLayout::pivot(&plan(), ctx.catalog).unwrap();
+        let program = program(&layout, ctx.catalog);
         let Plan::Select { predicate, .. } = plan() else {
             unreachable!()
         };
         let sigma = predicate.bind(mv.schema()).unwrap();
         let (mut ops, mut stats, candidates) = plan_merge(mv, &layout, delta, Some(&sigma));
+        let restriction = program.candidates().unwrap();
+        let fetch = |keys: &RowSet<Row>| program.fetch(restriction, ctx, keys);
         let rows = layout
-            .candidate_rows(mv, candidates, ctx, delta, &sigma)
+            .candidate_rows(mv, candidates, fetch, delta, &sigma)
             .unwrap();
         stats.inserted += rows.len();
         ops.extend(rows.into_iter().map(RowOp::Insert));
@@ -160,7 +173,8 @@ mod tests {
         let c = catalog();
         let mut mv = materialize(&c);
         let ctx = PropagationCtx::new(&c, &deltas);
-        let delta_core = propagate_signed(&Plan::scan("items"), &ctx).unwrap();
+        let layout = MergeLayout::pivot(&plan(), &c).unwrap();
+        let delta_core = program(&layout, &c).propagate(&ctx).unwrap();
         let (ops, _) = plan_patch(&mv, &ctx, &delta_core);
         apply_row_ops(&mut mv, ops, None);
 

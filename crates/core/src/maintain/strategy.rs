@@ -87,6 +87,10 @@ pub struct MaintenancePlan {
     /// instead of running `strategy`, while both reflect the same catalog
     /// state (set by `ViewManager::maintenance_plan`).
     pub derived_from: Option<String>,
+    /// The index lookups the view's delta program makes, as `(table,
+    /// columns)`; registration builds each index (empty under
+    /// `Recompute`).
+    pub access_paths: Vec<(String, Vec<String>)>,
 }
 
 impl fmt::Display for MaintenancePlan {
@@ -105,6 +109,12 @@ impl fmt::Display for MaintenancePlan {
         for line in self.normalized_explain.lines() {
             writeln!(f, "  {line}")?;
         }
+        if !self.access_paths.is_empty() {
+            writeln!(f, "access paths:")?;
+            for (table, cols) in &self.access_paths {
+                writeln!(f, "  {table}({})", cols.join(", "))?;
+            }
+        }
         Ok(())
     }
 }
@@ -118,9 +128,11 @@ pub struct MaintenanceOutcome {
     /// any consolidation (equal rows from different join terms count once
     /// each).
     pub delta_rows: usize,
-    /// Operator-output rows evaluated during the propagate phase (the sum
-    /// of `ExecTrace::total_rows` over every pre/post subplan evaluation) —
-    /// the work proxy the service layer's metrics report.
+    /// Rows the propagate phase fetched and emitted: every row an index
+    /// probe returned, every row a step of the delta program built, and
+    /// every row a full evaluation produced (see
+    /// `maintain::delta_prop`) — the work proxy the service layer's
+    /// metrics report.
     pub rows_propagated: usize,
 }
 
@@ -141,9 +153,11 @@ mod tests {
             rewrite_log: vec!["pullup-join (§5.1.3)".into()],
             normalized_explain: "GPIVOT\n  Scan t".into(),
             derived_from: None,
+            access_paths: vec![("t".into(), vec!["a".into(), "b".into()])],
         };
         let s = p.to_string();
         assert!(s.contains("pivot-update"));
         assert!(s.contains("pullup-join"));
+        assert!(s.contains("access paths:\n  t(a, b)"));
     }
 }

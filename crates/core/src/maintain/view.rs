@@ -6,7 +6,7 @@ use crate::error::{CoreError, Result, StalePlan};
 use crate::maintain::apply::{
     apply_row_ops, merge_key, plan_merge, ApplyStats, MergeLayout, RowOp,
 };
-use crate::maintain::delta_prop::{consolidate, propagate_signed, PropagationCtx, SignedRows};
+use crate::maintain::delta_prop::{consolidate, DeltaProgram, PropagationCtx, SignedRows};
 use crate::maintain::strategy::{MaintenanceOutcome, MaintenancePlan, Strategy};
 use crate::maintain::SourceDeltas;
 use crate::rewrite::{
@@ -15,7 +15,7 @@ use crate::rewrite::{
 use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_analyze::Diagnostic;
 use gpivot_exec::Executor;
-use gpivot_storage::{Catalog, Delta, Field, Row, Schema, SchemaRef, Table};
+use gpivot_storage::{Catalog, Delta, Field, Row, RowSet, Schema, SchemaRef, Table};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -30,6 +30,10 @@ pub struct MaterializedView {
     /// The MERGE layout of the update-rule strategies, compiled with the
     /// view; `None` under `Recompute` and `InsertDelete`.
     layout: Option<MergeLayout>,
+    /// The delta program of the plan below the apply rules — the MERGE
+    /// layout's core, or under `InsertDelete` the normalized plan —
+    /// compiled with the view; `None` under `Recompute`.
+    program: Option<Arc<DeltaProgram>>,
     /// The base tables the definition and its normalized form read.
     dependencies: BTreeSet<String>,
     table: Table,
@@ -179,11 +183,14 @@ impl MaterializedView {
             let _s = tracing::span("compile.normalize").enter();
             Self::compile(&definition, strategy, catalog)?
         };
+        let program = Self::compile_program(strategy, &normalized, layout.as_ref(), catalog)?;
         let table = {
             let _s = tracing::span("compile.materialize").enter();
             materialize(&normalized.plan, catalog, exec)?
         };
-        Self::assemble(name, definition, strategy, normalized, layout, table)
+        Self::assemble(
+            name, definition, strategy, normalized, layout, program, table,
+        )
     }
 
     fn assemble(
@@ -192,6 +199,7 @@ impl MaterializedView {
         strategy: Strategy,
         normalized: NormalizedView,
         layout: Option<MergeLayout>,
+        program: Option<DeltaProgram>,
         table: Table,
     ) -> Result<Self> {
         let mut dependencies = normalized.plan.base_tables();
@@ -224,6 +232,7 @@ impl MaterializedView {
             strategy,
             normalized,
             layout,
+            program: program.map(Arc::new),
             dependencies,
             table,
             lint_warnings: Vec::new(),
@@ -252,6 +261,7 @@ impl MaterializedView {
         let name = name.into();
         let _compile = tracing::span("compile.view").enter();
         let (normalized, layout) = Self::compile(&definition, strategy, catalog)?;
+        let program = Self::compile_program(strategy, &normalized, layout.as_ref(), catalog)?;
         let expected = normalized.plan.schema(catalog)?;
         let (table, used_snapshot) = if **snapshot.schema() == *expected {
             let table = if expected.has_key() {
@@ -263,7 +273,9 @@ impl MaterializedView {
         } else {
             (materialize(&normalized.plan, catalog, exec)?, false)
         };
-        let view = Self::assemble(name, definition, strategy, normalized, layout, table)?;
+        let view = Self::assemble(
+            name, definition, strategy, normalized, layout, program, table,
+        )?;
         Ok((view, used_snapshot))
     }
 
@@ -325,6 +337,30 @@ impl MaterializedView {
         }
         let layout = MergeLayout::pivot(&nv.plan, catalog)?;
         Ok((nv, Some(layout)))
+    }
+
+    /// The delta program of the plan `strategy` propagates through — the
+    /// MERGE core, with Fig. 29's candidate restriction when the view has
+    /// one, or the whole normalized plan — with the index behind every
+    /// probe it declares built. `None` under `Recompute`, which propagates
+    /// nothing.
+    fn compile_program(
+        strategy: Strategy,
+        normalized: &NormalizedView,
+        layout: Option<&MergeLayout>,
+        catalog: &Catalog,
+    ) -> Result<Option<DeltaProgram>> {
+        let _s = tracing::span("compile.program").enter();
+        let program = match (strategy, layout) {
+            (Strategy::Recompute, _) => return Ok(None),
+            (_, Some(layout)) => match &layout.sigma {
+                Some(c) => DeltaProgram::with_candidates(&layout.core, catalog, &c.restrict)?,
+                None => DeltaProgram::compile(&layout.core, catalog)?,
+            },
+            (_, None) => DeltaProgram::compile(&normalized.plan, catalog)?,
+        };
+        program.declare(catalog)?;
+        Ok(Some(program))
     }
 
     /// View name.
@@ -394,6 +430,7 @@ impl MaterializedView {
             rewrite_log: self.normalized.log.clone(),
             normalized_explain: self.normalized.plan.explain(),
             derived_from: None,
+            access_paths: (self.program.as_ref()).map_or_else(Vec::new, |p| p.access_path_names()),
         }
     }
 
@@ -434,16 +471,22 @@ impl MaterializedView {
         let faults = catalog.fault_injector();
         faults.check(FaultSite::Propagate, &self.name)?;
         let ctx = PropagationCtx::new(catalog, deltas);
+        let program = || {
+            self.program
+                .as_deref()
+                .ok_or_else(|| self.lost("delta program"))
+        };
         // Propagate the source deltas to just below the strategy's apply
         // rules; the returned guard is the apply phase's span.
-        let propagate_to_apply = |below: &Plan| -> Result<(SignedRows, tracing::Entered)> {
-            let d = {
-                let _s = tracing::span("maintain.propagate").enter();
-                propagate_signed(below, &ctx)?
+        let propagate_to_apply =
+            |program: &DeltaProgram| -> Result<(SignedRows, tracing::Entered)> {
+                let d = {
+                    let _s = tracing::span("maintain.propagate").enter();
+                    program.propagate(&ctx)?
+                };
+                faults.check(FaultSite::Apply, &self.name)?;
+                Ok((d, tracing::span("maintain.apply").enter()))
             };
-            faults.check(FaultSite::Apply, &self.name)?;
-            Ok((d, tracing::span("maintain.apply").enter()))
-        };
         let mut outcome = MaintenanceOutcome::default();
         let patch = match self.strategy {
             Strategy::Recompute => {
@@ -458,7 +501,7 @@ impl MaterializedView {
                 PatchKind::Replace(table)
             }
             Strategy::InsertDelete => {
-                let (rows, _apply) = propagate_to_apply(&self.normalized.plan)?;
+                let (rows, _apply) = propagate_to_apply(program()?)?;
                 outcome.delta_rows = rows.len();
                 let d = consolidate(rows);
                 outcome.stats = delta_stats(&d);
@@ -481,7 +524,8 @@ impl MaterializedView {
                     .layout
                     .as_ref()
                     .ok_or_else(|| self.lost("merge layout"))?;
-                let (d, _apply) = propagate_to_apply(&layout.core)?;
+                let program = program()?;
+                let (d, _apply) = propagate_to_apply(program)?;
                 outcome.delta_rows = d.len();
                 let sigma = match &self.normalized.plan {
                     Plan::Select { predicate, .. } => Some(predicate.bind(self.table.schema())?),
@@ -492,7 +536,10 @@ impl MaterializedView {
                 outcome.stats = stats;
                 if let (Some(sigma), false) = (&sigma, candidates.is_empty()) {
                     let _s = tracing::span("maintain.candidates").enter();
-                    let rows = layout.candidate_rows(&self.table, candidates, &ctx, &d, sigma)?;
+                    let restriction =
+                        (program.candidates()).ok_or_else(|| self.lost("candidate restriction"))?;
+                    let fetch = |keys: &RowSet<Row>| program.fetch(restriction, &ctx, keys);
+                    let rows = layout.candidate_rows(&self.table, candidates, fetch, &d, sigma)?;
                     outcome.stats.inserted += rows.len();
                     ops.extend(rows.into_iter().map(RowOp::Insert));
                 }

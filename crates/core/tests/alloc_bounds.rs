@@ -3,13 +3,17 @@
 //! A key probe reads the key where it sits — in a borrowed row or in
 //! borrowed values — so it allocates nothing. The MERGE groups its delta
 //! rows by view key in place, so what it allocates grows with the keys it
-//! touches, not with the rows that touch them.
+//! touches, not with the rows that touch them. A delta program's joins
+//! carry borrowed rows and build each output row once, at the core's root,
+//! so what it allocates is a small constant per row it emits.
 //!
 //! Counts are per thread: the test harness runs tests in parallel, and
 //! only the measuring thread's allocations are read.
 
 use gpivot_algebra::{PivotSpec, Plan};
 use gpivot_core::maintain::apply::{plan_merge, MergeLayout};
+use gpivot_core::maintain::{DeltaProgram, PropagationCtx, SourceDeltas};
+use gpivot_core::normalize_view;
 use gpivot_exec::Executor;
 use gpivot_storage::{Catalog, DataType, Row, Schema, Table, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -167,5 +171,53 @@ fn a_merge_allocates_per_key_not_per_row() {
     assert!(
         bytes_large < 2 * bytes_small,
         "bytes grew with the rows: {bytes_small} for 1 024, {bytes_large} for 8 192"
+    );
+}
+
+/// `n` new lineitems of existing orders (line numbers past the generated
+/// ones), each joining one order and its customer.
+fn new_lineitems(catalog: &Catalog, n: usize) -> SourceDeltas {
+    let orders = catalog.table("orders").unwrap().rows();
+    let rows = (0..n).map(|i| {
+        let order = &orders[i % orders.len()];
+        let line = 100 + (i / orders.len()) as i64;
+        Row::new(vec![
+            order[0].clone(),
+            Value::Int(line),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Float(1_000.0 + i as f64),
+            Value::Date(9_000),
+        ])
+    });
+    let mut deltas = SourceDeltas::new();
+    deltas.insert_rows("lineitem", rows.collect());
+    deltas
+}
+
+#[test]
+fn a_delta_program_allocates_a_constant_per_emitted_row() {
+    // View (1)'s MERGE core: `π(lineitem) ⋈ orders ⋈ customer`.
+    let catalog = gpivot_tpch::generate(&gpivot_tpch::TpchConfig::scale(0.05));
+    let normalized = normalize_view(&gpivot_tpch::view1(), &catalog).unwrap();
+    let Plan::GPivot { input: core, .. } = &normalized.plan else {
+        panic!("view (1) normalizes to a top pivot: {}", normalized.plan);
+    };
+    let program = DeltaProgram::compile(core, &catalog).unwrap();
+    program.declare(&catalog).unwrap();
+    let per_row = |n: usize| {
+        let deltas = new_lineitems(&catalog, n);
+        let ctx = PropagationCtx::new(&catalog, &deltas);
+        let (rows, (allocs, _)) = allocations(|| program.propagate(&ctx).unwrap());
+        assert_eq!(rows.len(), n, "every new lineitem joins once");
+        allocs as f64 / n as f64
+    };
+    let (small, large) = (per_row(1_024), per_row(8_192));
+    // Each output row is one `Vec` and one `Arc<[Value]>`; the rest are
+    // the few growing vectors of the run, amortized.
+    assert!(small <= 3.0, "{small} allocations per row at 1 024 rows");
+    assert!(
+        large <= 1.25 * small,
+        "allocations per row grew with the delta: {small} at 1 024, {large} at 8 192"
     );
 }

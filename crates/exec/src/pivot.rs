@@ -18,6 +18,7 @@ use gpivot_storage::{Row, RowMap, Schema, Table, Value};
 use std::sync::Arc;
 
 /// Column index layout for a pivot execution, resolved once per plan.
+#[derive(Debug, Clone)]
 pub struct PivotLayout {
     /// Indices of the `K` columns in the input.
     pub k_idx: Vec<usize>,
@@ -158,6 +159,7 @@ pub fn gpivot_partitioned(
 }
 
 /// Column index layout for an unpivot execution.
+#[derive(Debug, Clone)]
 pub struct UnpivotLayout {
     /// Indices of the carried-through `K` columns in the input.
     pub k_idx: Vec<usize>,

@@ -280,40 +280,59 @@ impl<'a> TableIndex<'a> {
 
     /// The rows whose indexed columns equal `key` (one value per indexed
     /// column, in `index_on`'s column order), in unspecified order.
-    pub fn get<'s>(&'s self, key: &'s Row) -> Matches<'s> {
-        let ix = &self.index;
+    pub fn get<'s>(&'s self, key: &'s Row) -> Matches<'a, 's, std::slice::Iter<'s, Value>> {
+        self.get_values(key.iter())
+    }
+
+    /// [`TableIndex::get`] for a key given as borrowed values, in
+    /// `index_on`'s column order, read where they sit: no key row is built.
+    pub fn get_values<'s, 'k, K>(&'s self, key: K) -> Matches<'a, 's, K>
+    where
+        K: Iterator<Item = &'k Value> + Clone,
+    {
+        let ix = &*self.index;
         Matches {
             rows: self.rows,
+            pos: ix.heads[ix.bucket(ix.hash_key(key.clone()))],
             index: ix,
-            pos: if key.arity() == ix.cols.len() {
-                ix.heads[ix.bucket(ix.hash_key(key.iter()))]
-            } else {
-                NIL
-            },
             key,
             unique: self.unique,
         }
     }
+
+    /// [`TableIndex::get`] for the key `row` carries at `cols` (one
+    /// position per indexed column, in order), read in place.
+    pub fn get_of<'s>(
+        &'s self,
+        row: &'s Row,
+        cols: &'s [usize],
+    ) -> Matches<'a, 's, impl Iterator<Item = &'s Value> + Clone> {
+        self.get_values(cols.iter().map(move |&c| &row[c]))
+    }
 }
 
-/// Iterator over the rows matching one probed key.
-pub struct Matches<'s> {
-    rows: &'s [Row],
+/// Iterator over the rows matching one probed key. The rows borrow the
+/// table, not the probe handle.
+pub struct Matches<'a, 's, K> {
+    rows: &'a [Row],
     index: &'s HashIndex,
     pos: u32,
-    key: &'s Row,
+    key: K,
     unique: bool,
 }
 
-impl<'s> Iterator for Matches<'s> {
-    type Item = &'s Row;
+impl<'a, 'k, K> Iterator for Matches<'a, '_, K>
+where
+    K: Iterator<Item = &'k Value> + Clone,
+{
+    type Item = &'a Row;
 
-    fn next(&mut self) -> Option<&'s Row> {
+    fn next(&mut self) -> Option<&'a Row> {
         while self.pos != NIL {
             let row = &self.rows[self.pos as usize];
             self.pos = self.index.next[self.pos as usize];
             // A bucket holds every key that hashes to it.
-            if self.index.has_key(row, self.key.iter()) {
+            if self.index.has_key(row, self.key.clone()) {
                 if self.unique {
                     self.pos = NIL;
                 }

@@ -80,6 +80,15 @@ impl Row {
     }
 }
 
+/// Collects straight into the row's `Arc<[Value]>`: one allocation when
+/// the iterator's length is exact (a `map` over a slice), not a `Vec` and
+/// then a copy.
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Row(values.into_iter().collect())
+    }
+}
+
 impl Index<usize> for Row {
     type Output = Value;
     fn index(&self, idx: usize) -> &Value {

@@ -21,7 +21,8 @@
 //! Any table can additionally be probed on an arbitrary column set through
 //! [`Table::index_on`] — the "index on the join columns" the paper's
 //! propagate phase assumes of its host DBMS (§6.2). Those indexes are
-//! built on first probe and then maintained by the mutators.
+//! built on first call (view registration makes that call for every probe
+//! a view declares) and then maintained by the mutators.
 
 use crate::delta::Delta;
 use crate::error::{Result, StorageError};
@@ -198,11 +199,14 @@ impl Table {
     /// (column positions), for probing by key: the delta joins of view
     /// maintenance look up `Δ ⋈ base` matches here instead of scanning.
     ///
-    /// Nothing is declared up front. Probing exactly the schema key reuses
-    /// the key index; any other column set gets a secondary index built on
-    /// its first probe (O(|rows|), once) and from then on maintained in
-    /// step with the rows by every mutator (and carried through `clone()`),
-    /// so the epoch commit's in-place writes never trigger a rebuild.
+    /// Probing exactly the schema key reuses the key index; any other
+    /// column set gets a secondary index built on its first call
+    /// (O(|rows|), once) and from then on maintained in step with the rows
+    /// by every mutator (and carried through `clone()`), so the epoch
+    /// commit's in-place writes never trigger a rebuild. View registration
+    /// calls this for every probe a view's delta program declares, so an
+    /// epoch finds its indexes built ([`Table::indexed_columns`] lists
+    /// them).
     pub fn index_on(&self, cols: &[usize]) -> TableIndex<'_> {
         if let Some(index) = self.key_index.as_ref().filter(|ix| ix.cols() == cols) {
             return TableIndex::new(&self.rows, Arc::clone(index), true);
@@ -221,6 +225,13 @@ impl Table {
             }
         };
         TableIndex::new(&self.rows, index, false)
+    }
+
+    /// The column sets of the secondary indexes built so far
+    /// ([`Table::index_on`]), in build order. The key index is not listed.
+    pub fn indexed_columns(&self) -> Vec<Vec<usize>> {
+        let built = self.indexes.lock().unwrap_or_else(PoisonError::into_inner);
+        built.iter().map(|ix| ix.cols().to_vec()).collect()
     }
 
     /// Run `f` on every secondary index, for a mutator to mirror its row

@@ -1,27 +1,27 @@
 //! Full-scan tripwire: maintaining the paper's three views against a
 //! handful of changed rows must cost a handful of rows.
 //!
-//! The propagate phase fetches pre-state rows by hash-index probe
-//! (`PropagationCtx::eval_pre_matching`), so `rows_propagated` — every
-//! operator-output row the phase evaluated — scales with the delta and its
-//! join fan-out, not with the base tables. Should a later change make any
-//! rule fall back to evaluating a subplan in full (the evaluator's
-//! degenerate arm is always correct, so no oracle test would notice), the
-//! count jumps by orders of magnitude and this test fails.
+//! Each view's delta program fetches pre-state rows by hash-index probe,
+//! so `rows_propagated` — every row the program fetched and emitted —
+//! scales with the delta and its join fan-out, not with the base tables.
+//! Should a later change make any rule fall back to evaluating a subplan
+//! in full (the full-evaluation step is always correct, so no oracle test
+//! would notice), the count jumps by orders of magnitude and this test
+//! fails.
 
 use gpivot_core::maintain::{SourceDeltas, ViewManager};
 use gpivot_storage::{Row, Value};
 use gpivot_tpch::views::VIEW2_THRESHOLD;
 use gpivot_tpch::{generate, view1, view2, view3, TpchConfig};
 
-/// Operator-output rows allowed per changed `lineitem` / `orders` row:
-/// join fan-out (≤ 7 lineitems per order) times the few operators a probe
-/// passes through. Measured: ≤ 12.
+/// Rows fetched and emitted per changed `lineitem` / `orders` row: join
+/// fan-out (≤ 7 lineitems per order) times the few probes and outputs a
+/// delta row leads to. Measured: ≤ 13.
 const ROWS_PER_DELTA_ROW: usize = 64;
 
 /// The same for a changed `customer` row, whose fan-out is ~10 orders ×
 /// their lineitems — fetched once by the propagate phase and, under view2,
-/// once more by Fig. 29's candidate recompute. Measured: ≤ 110, against
+/// once more by Fig. 29's candidate recompute. Measured: ≤ 105, against
 /// ≥ 2 000 rows for any fallback scan that touches `lineitem`.
 const ROWS_PER_CUSTOMER_ROW: usize = 128;
 

@@ -636,14 +636,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// `eval_pre_matching` ≡ filter ∘ `eval_pre`
+// A compiled restriction ≡ filter ∘ `eval_pre`
 //
-// The key-restricted pre-state evaluator every delta rule fetches rows with
-// must be bag-equal to evaluating in full and filtering — whichever arm it
-// takes. Checked over the ten shapes above (restricting on every output
-// column, so both the push-down arms and the fallback arm run: a K column
-// pushes down to an index probe, a pivoted cell or an aggregate does not,
-// and a column pair spanning both join sides cannot), a projection with a
+// The key-restricted pre-state reads a delta program compiles
+// (`DeltaProgram::restrict`, what the GROUPBY / GPIVOT rules and Fig. 29's
+// candidates fetch rows with) must be bag-equal to evaluating in full and
+// filtering — whichever path they compile to. Checked over the ten shapes
+// above (restricting on every output column, so both the probe paths and
+// the full-evaluation step run: a K column reaches an index probe, a
+// pivoted cell or an aggregate does not, and a column pair spanning both
+// join sides probes one side and checks the other), a projection with a
 // renamed pass-through and a computed column, and direct scans — over data
 // whose values exercise `Value`'s equality: NULL, NaN, −0.0 vs Int 0, 2⁵³
 // as Int and Float, and a bag with duplicate rows.
@@ -726,7 +728,7 @@ proptest! {
         vals in prop::collection::vec(0usize..10, 14),
         picks in prop::collection::vec(any::<bool>(), 24),
     ) {
-        use gpivot::core::maintain::PropagationCtx;
+        use gpivot::core::maintain::{DeltaProgram, PropagationCtx};
         use std::collections::HashSet;
 
         let cells: Vec<(i64, usize, usize)> = cells
@@ -750,10 +752,12 @@ proptest! {
         for plan in &plans {
             // The keyless pivot does not evaluate at all (that is GP001);
             // restricting it must fail the same way, not return rows.
+            let restricted = |cols: &[String], keys: &HashSet<Row>| {
+                let program = DeltaProgram::compile(plan, &catalog)?;
+                program.fetch(&program.restrict(cols)?, &ctx, keys)
+            };
             let Ok(full) = ctx.eval_pre(plan) else {
-                prop_assert!(ctx
-                    .eval_pre_matching(plan, &["id".to_string()], &HashSet::new())
-                    .is_err());
+                prop_assert!(restricted(&["id".to_string()], &HashSet::new()).is_err());
                 continue;
             };
             let names: Vec<String> = full
@@ -796,7 +800,7 @@ proptest! {
                         .cloned()
                         .collect(),
                 );
-                let got = ctx.eval_pre_matching(plan, cols, &keys).unwrap();
+                let got = restricted(cols, &keys).unwrap();
                 prop_assert!(
                     got.bag_eq(&want),
                     "restricting on {cols:?} diverged\nplan:\n{plan}\ngot:\n{got}\nwant:\n{want}"

@@ -263,19 +263,21 @@ fn generator_produces_interesting_plans() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The propagate phase is exact on arbitrary operator stacks:
-    /// Δ(plan) == plan(post) − plan(pre) as signed multisets.
+    /// The propagate phase is exact on arbitrary operator stacks: the
+    /// compiled delta program's Δ(plan) == plan(post) − plan(pre) as
+    /// signed multisets.
     #[test]
     fn delta_propagation_oracle_on_random_plans(
         choices in prop::collection::vec(0u8..=255, 0..10)
     ) {
-        use gpivot::core::maintain::{propagate, PropagationCtx};
+        use gpivot::core::maintain::{consolidate, DeltaProgram, PropagationCtx};
 
         let c = catalog();
         let plan = build_plan(&choices, &c);
         let d = deltas();
         let ctx = PropagationCtx::new(&c, &d);
-        let got = propagate(&plan, &ctx).unwrap();
+        let program = DeltaProgram::compile(&plan, &c).unwrap();
+        let got = consolidate(program.propagate(&ctx).unwrap());
 
         let pre = Executor::new().run(&plan, &c).unwrap();
         let mut post_catalog = c.clone();
